@@ -37,11 +37,11 @@ def test_single_allocation_cache_mc(benchmark):
     def setup():
         controller = make_controller()
         for fid in range(40):
-            controller.admit(fid, pattern)
+            controller.admit(fid=fid, pattern=pattern)
         return (controller,), {}
 
     def admit(controller):
-        return controller.admit(999, pattern)
+        return controller.admit(fid=999, pattern=pattern)
 
     report = benchmark.pedantic(admit, setup=setup, rounds=10, iterations=1)
     assert report.success

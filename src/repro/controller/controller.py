@@ -14,13 +14,17 @@ Two historical usage styles remain as thin delegating wrappers:
   digests; the controller deactivates impacted FIDs, lets clients
   snapshot, then applies tables and responds.  Reply packets appear on
   ``ProvisioningReport.replies``.
+
+Every admission -- through `submit`, or a pre-computed plan through
+`commit_plan` / `commit_batch` -- is committed by one method,
+:meth:`ActiveRmtController._commit`: a batch of N plans under one
+journal, N=1 being the common case.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import warnings
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -61,7 +65,7 @@ from repro.core.constraints import AccessPattern, AllocationPolicy, MOST_CONSTRA
 from repro.core.schemes import AllocationScheme
 from repro.core.transactions import (
     AllocationPlan,
-    PlanState,
+    CommitResult,
     StalePlanError,
     TableUpdateJournal,
 )
@@ -85,45 +89,11 @@ from repro.telemetry import (
     resolve,
     resolve_tracer,
 )
-from repro.telemetry.tracing import ParentLike, context_of
+from repro.telemetry.tracing import ParentLike
 
 
 class ControllerError(Exception):
     """Raised on controller misuse (unknown FID, malformed digest)."""
-
-
-def _legacy_positional(
-    method: str,
-    args: Tuple[object, ...],
-    names: Tuple[str, ...],
-    provided: Dict[str, object],
-    defaults: Dict[str, object],
-) -> Dict[str, object]:
-    """Map a deprecated positional call onto keyword-only slots.
-
-    The facade methods (`admit`/`withdraw`/`what_if`) are keyword-only;
-    this shim keeps the legacy positional forms working for one release
-    while steering callers toward keywords.
-    """
-    if len(args) > len(names):
-        raise TypeError(
-            f"{method}() takes at most {len(names)} arguments "
-            f"({len(args)} given)"
-        )
-    warnings.warn(
-        f"{method}() with positional arguments is deprecated; pass "
-        f"{', '.join(names[: len(args)])} by keyword",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    merged = dict(provided)
-    for name, value in zip(names, args):
-        if merged[name] != defaults[name]:
-            raise TypeError(
-                f"{method}() got multiple values for argument {name!r}"
-            )
-        merged[name] = value
-    return merged
 
 
 @dataclasses.dataclass(frozen=True)
@@ -150,11 +120,10 @@ class RequestKind(enum.Enum):
 class ProvisioningStatus(enum.Enum):
     """Typed outcome of one provisioning request.
 
-    Replaces the stringly-typed report outcome.  ``ADMITTED`` doubles
-    as the generic "request executed" status for withdrawals and digest
-    handling; ``SHED`` is produced only by the admission service when a
-    request is dropped (full queue, missed deadline) with a
-    retry-after hint rather than an error.
+    ``ADMITTED`` doubles as the generic "request executed" status for
+    withdrawals and digest handling; ``SHED`` is produced only by the
+    admission service when a request is dropped (full queue, missed
+    deadline) with a retry-after hint rather than an error.
     """
 
     ADMITTED = "admitted"
@@ -278,18 +247,6 @@ class ProvisioningReport:
                 self.status = ProvisioningStatus.ADMITTED
             else:
                 self.status = ProvisioningStatus.REJECTED
-
-    @property
-    def outcome(self) -> str:
-        """Deprecated string form of :attr:`status` (one-release shim)."""
-        warnings.warn(
-            "ProvisioningReport.outcome is deprecated; use "
-            "ProvisioningReport.status (a ProvisioningStatus enum)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        assert self.status is not None
-        return self.status.value
 
     @property
     def shed(self) -> bool:
@@ -496,19 +453,16 @@ class ActiveRmtController:
 
     def admit(
         self,
-        *args: object,
-        fid: Optional[int] = None,
-        pattern: Optional[AccessPattern] = None,
+        *,
+        fid: int,
+        pattern: AccessPattern,
         dry_run: bool = False,
         program: Optional[ActiveProgram] = None,
     ) -> ProvisioningReport:
         """Admit an application, applying the full reallocation protocol.
 
-        Thin delegate of :meth:`submit` --
+        Keyword-only delegate of :meth:`submit` --
         :class:`ProvisioningRequest` is the single front door.
-        Arguments are keyword-only; the legacy positional form
-        ``admit(fid, pattern, ...)`` still works but emits a
-        :class:`DeprecationWarning`.
 
         The report's durations model what a real deployment would
         spend; the in-process state (allocator, tables, deactivations)
@@ -519,67 +473,20 @@ class ActiveRmtController:
         being installed against the granted plan (subject to the
         controller's ``verify`` policy).
         """
-        if args:
-            merged = _legacy_positional(
-                "admit",
-                args,
-                ("fid", "pattern", "dry_run", "program"),
-                {"fid": fid, "pattern": pattern, "dry_run": dry_run, "program": program},
-                defaults={"fid": None, "pattern": None, "dry_run": False, "program": None},
-            )
-            fid = merged["fid"]  # type: ignore[assignment]
-            pattern = merged["pattern"]  # type: ignore[assignment]
-            dry_run = merged["dry_run"]  # type: ignore[assignment]
-            program = merged["program"]  # type: ignore[assignment]
-        if fid is None or pattern is None:
-            raise TypeError("admit() requires fid= and pattern=")
         return self.submit(
             ProvisioningRequest.admission(
                 fid, pattern, dry_run=dry_run, program=program
             )
         )
 
-    def what_if(
-        self,
-        *args: object,
-        fid: Optional[int] = None,
-        pattern: Optional[AccessPattern] = None,
-    ) -> AllocationPlan:
-        """Probe an admission without side effects; returns the plan.
-
-        Keyword-only delegate of :meth:`submit` (``dry_run=True``); the
-        legacy positional ``what_if(fid, pattern)`` emits a
-        :class:`DeprecationWarning`.
-        """
-        if args:
-            merged = _legacy_positional(
-                "what_if",
-                args,
-                ("fid", "pattern"),
-                {"fid": fid, "pattern": pattern},
-                defaults={"fid": None, "pattern": None},
-            )
-            fid = merged["fid"]  # type: ignore[assignment]
-            pattern = merged["pattern"]  # type: ignore[assignment]
-        if fid is None or pattern is None:
-            raise TypeError("what_if() requires fid= and pattern=")
+    def what_if(self, *, fid: int, pattern: AccessPattern) -> AllocationPlan:
+        """Probe an admission without side effects; returns the plan."""
         report = self.admit(fid=fid, pattern=pattern, dry_run=True)
         assert report.plan is not None
         return report.plan
 
-    def withdraw(self, *args: object, fid: Optional[int] = None) -> float:
-        """Release an application's allocation; returns modeled seconds.
-
-        Keyword-only delegate of :meth:`submit`; the legacy positional
-        ``withdraw(fid)`` emits a :class:`DeprecationWarning`.
-        """
-        if args:
-            merged = _legacy_positional(
-                "withdraw", args, ("fid",), {"fid": fid}, defaults={"fid": None}
-            )
-            fid = merged["fid"]  # type: ignore[assignment]
-        if fid is None:
-            raise TypeError("withdraw() requires fid=")
+    def withdraw(self, *, fid: int) -> float:
+        """Release an application's allocation; returns modeled seconds."""
         report = self.submit(ProvisioningRequest.withdrawal(fid))
         return report.table_update_seconds
 
@@ -591,39 +498,20 @@ class ActiveRmtController:
         program: Optional[ActiveProgram] = None,
         ctx: ParentLike = None,
     ) -> ProvisioningReport:
-        """Two-phase admission: plan, verify, commit, apply, or roll back.
+        """Two-phase admission: plan, then (unless probing) :meth:`_commit`.
 
         Phase 1 (*plan*) computes the entire decision without touching
-        allocator or switch state.  The static verifier then checks the
-        mutant the plan would install (when the request carries the
-        program); a strict-mode rejection aborts the still-pending plan
-        -- no pool, table, or register state has been touched.  Phase 2
-        (*commit + apply*) takes an allocator checkpoint, commits the
-        plan, and applies every table update through a
-        :class:`TableUpdateJournal`; if the switch rejects an update
-        (TCAM exhaustion), the journal is replayed backwards and the
-        allocator checkpoint restored, leaving every incumbent --
-        pools, table entries, register contents, activation state --
-        byte-identical to the pre-request state.
+        allocator or switch state; a dry run stops there.  Phase 2 is
+        the one commit path every entry point shares.
         """
-        tracer = self.tracer
-        if not tracer.enabled:
-            plan = self.allocator.plan(fid, pattern)
-            if dry_run:
-                return self._report_dry_run(plan)
-            if not plan.feasible:
-                return self._report_infeasible(plan)
-            return self._commit_feasible(plan, program=program)
-        with tracer.span(
+        with self.tracer.span(
             "controller.admit", parent=ctx, fid=fid, dry_run=dry_run
         ) as span:
             plan = self.allocator.plan(fid, pattern, ctx=span)
             if dry_run:
                 report = self._report_dry_run(plan)
-            elif not plan.feasible:
-                report = self._report_infeasible(plan)
             else:
-                report = self._commit_feasible(plan, program=program, ctx=span)
+                (report,) = self._commit([plan], [program], span, "single")
             assert report.status is not None
             span.set(status=report.status.value)
             return report
@@ -648,36 +536,18 @@ class ActiveRmtController:
         for infeasible plans, whose infeasibility may itself be an
         artifact of the stale shadow -- and the caller re-plans.
         """
-        tracer = self.tracer
-        if not tracer.enabled:
-            self._check_basis(plan)
-            if not plan.feasible:
-                return self._report_infeasible(plan)
-            return self._commit_feasible(plan, program=program)
         # The stale check runs inside the span so a StalePlanError is
         # recorded as this commit attempt's error before propagating.
-        with tracer.span(
+        with self.tracer.span(
             "controller.commit_plan",
             parent=ctx,
             fid=plan.fid,
             basis_version=plan.basis_version,
         ) as span:
-            self._check_basis(plan)
-            if not plan.feasible:
-                report = self._report_infeasible(plan)
-            else:
-                report = self._commit_feasible(plan, program=program, ctx=span)
+            (report,) = self._commit([plan], [program], span, "single")
             assert report.status is not None
             span.set(status=report.status.value)
             return report
-
-    def _check_basis(self, plan: AllocationPlan) -> None:
-        if plan.basis_version != self.allocator.version:
-            raise StalePlanError(
-                f"plan for fid {plan.fid} computed against version "
-                f"{plan.basis_version}, allocator is at "
-                f"{self.allocator.version}"
-            )
 
     def commit_batch(
         self,
@@ -704,188 +574,205 @@ class ActiveRmtController:
             return []
         if programs is None:
             programs = [None] * len(plans)
-        tracer = self.tracer
-        if not tracer.enabled:
-            return self._commit_batch_impl(plans, programs, None)
-        with tracer.span(
+        with self.tracer.span(
             "controller.commit_batch",
             parent=ctx,
             size=len(plans),
             basis_version=plans[0].basis_version,
         ) as span:
-            reports = self._commit_batch_impl(plans, programs, span)
+            reports = self._commit(plans, programs, span, "batch")
             span.set(rolled_back=any(r.rolled_back for r in reports))
             return reports
 
-    def _commit_batch_impl(
+    def _commit(
         self,
         plans: Sequence[AllocationPlan],
         programs: Sequence[Optional[ActiveProgram]],
         ctx: ParentLike,
+        scope: str,
     ) -> List[ProvisioningReport]:
+        """The one admission commit: N plans, one journal, all-or-nothing.
+
+        `_do_admit`, `commit_plan` (both N=1, *scope* ``"single"``) and
+        `commit_batch` (``"batch"``) all end here; *scope* only labels
+        anomalies, the ``during=`` telemetry and report reasons.  One
+        report per plan, in order.
+        """
+        # 1. Check basis: nothing is touched for a stale group -- not
+        # even an infeasible plan is reported, since its infeasibility
+        # may itself be an artifact of the stale shadow.
         if plans[0].basis_version != self.allocator.version:
-            raise StalePlanError(
-                f"batch of {len(plans)} plans computed against version "
-                f"{plans[0].basis_version}, allocator is at "
-                f"{self.allocator.version}"
+            what = (
+                f"plan for fid {plans[0].fid}"
+                if scope == "single"
+                else f"batch of {len(plans)} plans"
             )
-        # Verify and certify every member while nothing is mutated: one
-        # strict rejection fails the whole group without touching any
-        # state.
+            raise StalePlanError(
+                f"{what} computed against version {plans[0].basis_version}, "
+                f"allocator is at {self.allocator.version}"
+            )
+        # A lone infeasible plan is a planning-time rejection.  (Groups
+        # arrive all-feasible: the service rejects an infeasible member
+        # itself, before any sibling is committed.)
+        if len(plans) == 1 and not plans[0].feasible:
+            return [self._report_infeasible(plans[0])]
+
+        # 2. Verify and certify every member while nothing is mutated
+        # (all plans still pending).  Both are computed in every mode
+        # but "off"; only strict mode acts on them, and then the first
+        # rejection fails the whole group.
+        strict = self.verify is VerifyMode.STRICT
         verifications: List[Optional[AnalysisReport]] = []
         certificates: List[Optional[IsolationCertificate]] = []
         for plan, program in zip(plans, programs):
             verification = self._verify_admission(plan.pattern, plan, program)
-            verifications.append(verification)
             certificate = self._certify_admission(plan, program)
+            verifications.append(verification)
             certificates.append(certificate)
-            if (
-                verification is not None
-                and self.verify is VerifyMode.STRICT
-                and verification.has_errors
-            ):
-                return self._reject_batch(
-                    plans, verifications, rejected_by=plan, kind="verifier"
+            if strict and verification is not None and verification.has_errors:
+                return self._reject(
+                    plans, verifications, certificates, "verifier",
+                    "; ".join(str(f) for f in verification.errors),
                 )
-            if (
-                certificate is not None
-                and self.verify is VerifyMode.STRICT
-                and not certificate.valid
-            ):
-                return self._reject_batch(
-                    plans,
-                    verifications,
-                    rejected_by=plan,
-                    kind="certifier",
-                    certificate=certificate,
+            if strict and certificate is not None and not certificate.valid:
+                return self._reject(
+                    plans, verifications, certificates, "certifier",
+                    "; ".join(
+                        str(f)
+                        for f in certificate.findings
+                        if f.severity is Severity.ERROR
+                    ),
                 )
 
+        # 3. Commit each plan to the allocator (keeping its checkpoint)
+        # and apply it to the switch, every mutation of the whole group
+        # under one journal.  Decision telemetry is deferred
+        # (record=False) until the switch-side updates also succeed, so
+        # a rolled-back admission never pollutes the decision counters.
         journal = TableUpdateJournal(tracer=self.tracer, ctx=ctx)
-        results = []
-        reports: List[ProvisioningReport] = []
+        results: List[CommitResult] = []
+        timings: List[Tuple[float, float]] = []
         try:
-            for plan, verification, certificate in zip(
-                plans, verifications, certificates
-            ):
-                result = self.allocator.commit(plan, record=False, ctx=ctx)
-                results.append(result)
-                table_seconds, snapshot_seconds = self._apply_admission(
-                    plan.fid, result.decision, journal, ctx=ctx
-                )
-                reports.append(
-                    ProvisioningReport(
-                        fid=plan.fid,
-                        success=True,
-                        decision=result.decision,
-                        compute_seconds=result.decision.total_seconds,
-                        table_update_seconds=table_seconds,
-                        snapshot_seconds=snapshot_seconds,
-                        plan=plan,
-                        verification=verification,
-                        certificate=certificate,
+            for plan in plans:
+                results.append(self.allocator.commit(plan, record=False, ctx=ctx))
+                timings.append(
+                    self._apply_admission(
+                        plan.fid, results[-1].decision, journal, ctx=ctx
                     )
                 )
         except (TcamCapacityError, DeviceError) as exc:
-            # A DeviceError mid-batch unwinds exactly like a TCAM
-            # rejection: the whole group rolls back, no member survives.
-            culprit = results[-1].plan.fid if results else plans[0].fid
-            fault = self._note_device_fault(exc, ctx, "batch", culprit)
-            self._rollback_journal(journal, ctx, "batch", culprit)
+            # Either a stage TCAM cannot hold another protection range
+            # (the paper's stated bottleneck) or the device itself
+            # failed mid-apply (retries exhausted, or a permanent
+            # fault).  Both unwind identically: replay the journal
+            # backwards (table entries, activations, register scrubs),
+            # then restore the allocator checkpoints newest first --
+            # exact pre-request state, no member survives.  A permanent
+            # fault additionally latches :attr:`device_failed` (the
+            # journal replay is best-effort against a dead device).
+            culprit = results[-1].plan.fid
+            fault = self._note_device_fault(exc, ctx, scope, culprit)
+            self._rollback_journal(journal, ctx, scope, culprit)
             for result in reversed(results):
                 self.allocator.rollback(result, ctx=ctx)
             self.tracer.anomaly(
-                "rollback",
-                ctx,
-                scope="batch",
-                fid=culprit,
-                cause=str(exc),
+                "rollback", ctx, scope=scope, fid=culprit, cause=str(exc)
             )
-            cause = (
-                "TCAM exhausted"
-                if fault == "tcam"
-                else f"device fault ({fault})"
-            )
-            reports = [
-                ProvisioningReport(
-                    fid=plan.fid,
-                    success=False,
-                    reason=(
-                        f"batch rolled back: {cause} admitting "
-                        f"fid {culprit}: {exc}"
+            cause = "TCAM exhausted" if fault == "tcam" else f"device fault ({fault})"
+            if scope == "single":
+                reason = f"{cause}: {exc}"
+            else:
+                reason = f"batch rolled back: {cause} admitting fid {culprit}: {exc}"
+            outcome = "tcam_exhausted" if fault == "tcam" else "device_fault"
+            # Members the fault pre-empted never committed: no decision.
+            decisions: List[Optional[AllocationDecision]] = [r.decision for r in results]
+            decisions += [None] * (len(plans) - len(results))
+            return [
+                self._record_report(
+                    ProvisioningReport(
+                        fid=plan.fid,
+                        success=False,
+                        decision=decision,
+                        reason=reason,
+                        compute_seconds=(decision or plan).total_seconds,
+                        plan=plan,
+                        rolled_back=True,
+                        verification=verification,
+                        certificate=certificate,
+                        fault=fault,
                     ),
-                    compute_seconds=plan.total_seconds,
-                    plan=plan,
-                    rolled_back=True,
-                    verification=verification,
-                    fault=fault,
+                    outcome,
                 )
-                for plan, verification in zip(plans, verifications)
+                for plan, decision, verification, certificate in zip(
+                    plans, decisions, verifications, certificates
+                )
             ]
-            for report in reports:
-                self.reports.append(report)
-                self._record_admission(
-                    report,
-                    "tcam_exhausted" if fault == "tcam" else "device_fault",
-                )
-            return reports
 
+        # 4. The switch took everything: close the journal, publish.
         journal.commit_entries()
-        if self.tracer.enabled and ctx is not None:
-            # Packets processed from here on run under the layout this
-            # batch installed; sampled data-path spans parent here.
-            self.tracer.layout_context = context_of(ctx)
-        for result, report in zip(results, reports):
-            self.allocator.record_decision(result.decision)
-            self.reports.append(report)
-            self._record_admission(report, "admitted")
+        self.tracer.layout_committed(ctx)
+        reports = []
+        for result, (table_seconds, snapshot_seconds), verification, certificate in zip(
+            results, timings, verifications, certificates
+        ):
+            decision = result.decision
+            self.allocator.record_decision(decision)
+            reports.append(
+                self._record_report(
+                    ProvisioningReport(
+                        fid=decision.fid,
+                        success=True,
+                        decision=decision,
+                        compute_seconds=decision.total_seconds,
+                        table_update_seconds=table_seconds,
+                        snapshot_seconds=snapshot_seconds,
+                        plan=result.plan,
+                        verification=verification,
+                        certificate=certificate,
+                    ),
+                    "admitted",
+                )
+            )
         if self.sanitizer:
             self._sanitize()
         return reports
 
-    def _reject_batch(
+    def _reject(
         self,
         plans: Sequence[AllocationPlan],
         verifications: Sequence[Optional[AnalysisReport]],
-        rejected_by: AllocationPlan,
+        certificates: Sequence[Optional[IsolationCertificate]],
         kind: str,
-        certificate: Optional[IsolationCertificate] = None,
+        findings: str,
     ) -> List[ProvisioningReport]:
-        """Fail a whole batch before any member mutated state."""
-        reasons = ""
-        if certificate is not None:
-            reasons = "; ".join(
-                str(f)
-                for f in certificate.findings
-                if f.severity is Severity.ERROR
-            )
-        else:
-            verification = verifications[-1]
-            if verification is not None and verification.has_errors:
-                reasons = "; ".join(str(f) for f in verification.errors)
+        """Strict rejection: fail the group before any member mutated.
+
+        The culprit is the last plan analysed; members after it were
+        never verified or certified.
+        """
+        analysed = len(verifications)
+        culprit = plans[analysed - 1]
         reports = []
         for index, plan in enumerate(plans):
-            if plan.state is PlanState.PENDING:
-                self.allocator.abort(plan)
-            if plan is rejected_by:
-                reason = f"{kind} rejected: {reasons}"
-            else:
-                reason = (
-                    f"batch aborted: fid {rejected_by.fid} rejected by "
-                    f"{kind}"
+            self.allocator.abort(plan)
+            reports.append(
+                self._record_report(
+                    ProvisioningReport(
+                        fid=plan.fid,
+                        success=False,
+                        reason=(
+                            f"{kind} rejected: {findings}"
+                            if plan is culprit
+                            else f"batch aborted: fid {culprit.fid} rejected by {kind}"
+                        ),
+                        compute_seconds=plan.total_seconds,
+                        plan=plan,
+                        verification=verifications[index] if index < analysed else None,
+                        certificate=certificates[index] if index < analysed else None,
+                    ),
+                    "verifier_rejected",
                 )
-            report = ProvisioningReport(
-                fid=plan.fid,
-                success=False,
-                reason=reason,
-                compute_seconds=plan.total_seconds,
-                plan=plan,
-                verification=(
-                    verifications[index] if index < len(verifications) else None
-                ),
-                certificate=certificate if plan is rejected_by else None,
             )
-            self.reports.append(report)
-            self._record_admission(report, "verifier_rejected")
         if self.telemetry.enabled:
             self.telemetry.counter(
                 "verifier_rejections_total",
@@ -894,22 +781,30 @@ class ActiveRmtController:
             ).inc()
         return reports
 
+    def _record_report(
+        self, report: ProvisioningReport, outcome: str
+    ) -> ProvisioningReport:
+        """Keep *report* in :attr:`reports` and publish its outcome."""
+        self.reports.append(report)
+        self._record_admission(report, outcome)
+        return report
+
     def _report_infeasible(self, plan: AllocationPlan) -> ProvisioningReport:
         """Package a planning-time rejection (no feasible mutant)."""
         self.allocator.abort(plan)
         decision = self.allocator.decision_from_plan(plan)
         self.allocator.record_decision(decision)
-        report = ProvisioningReport(
-            fid=plan.fid,
-            success=False,
-            decision=decision,
-            reason=plan.reason,
-            compute_seconds=decision.total_seconds,
-            plan=plan,
+        return self._record_report(
+            ProvisioningReport(
+                fid=plan.fid,
+                success=False,
+                decision=decision,
+                reason=plan.reason,
+                compute_seconds=decision.total_seconds,
+                plan=plan,
+            ),
+            "no_feasible_mutant",
         )
-        self.reports.append(report)
-        self._record_admission(report, "no_feasible_mutant")
-        return report
 
     @staticmethod
     def _fault_kind(exc: Exception) -> str:
@@ -970,135 +865,6 @@ class ActiveRmtController:
                     during=scope,
                 ).inc()
         return fault
-
-    def _commit_feasible(
-        self,
-        plan: AllocationPlan,
-        program: Optional[ActiveProgram] = None,
-        ctx: ParentLike = None,
-    ) -> ProvisioningReport:
-        """Verify, certify, commit, and apply one plan (or roll back)."""
-        fid = plan.fid
-        # Static verification of the mutant the plan would install,
-        # while the plan is still pending (nothing mutated yet).
-        verification = self._verify_admission(plan.pattern, plan, program)
-        # Isolation certification of the planned layout: access
-        # intervals against the granted regions, exclusivity against
-        # every incumbent.  Same lifecycle as verification -- computed
-        # pre-commit, enforced only in strict mode.
-        certificate = self._certify_admission(plan, program)
-        rejected_by: Optional[str] = None
-        reasons = ""
-        if (
-            verification is not None
-            and self.verify is VerifyMode.STRICT
-            and verification.has_errors
-        ):
-            rejected_by = "verifier"
-            reasons = "; ".join(str(f) for f in verification.errors)
-        elif (
-            certificate is not None
-            and self.verify is VerifyMode.STRICT
-            and not certificate.valid
-        ):
-            rejected_by = "certifier"
-            reasons = "; ".join(
-                str(f) for f in certificate.findings
-                if f.severity is Severity.ERROR
-            )
-        if rejected_by is not None:
-            self.allocator.abort(plan)
-            report = ProvisioningReport(
-                fid=fid,
-                success=False,
-                reason=f"{rejected_by} rejected: {reasons}",
-                compute_seconds=plan.total_seconds,
-                plan=plan,
-                verification=verification,
-                certificate=certificate,
-            )
-            self.reports.append(report)
-            self._record_admission(report, "verifier_rejected")
-            if self.telemetry.enabled:
-                self.telemetry.counter(
-                    "verifier_rejections_total",
-                    help="Admissions rejected by the static verifier",
-                    plane="controller",
-                ).inc()
-            return report
-
-        # Decision telemetry is deferred (record=False) until the
-        # switch-side updates also succeed, so a rolled-back admission
-        # never pollutes the allocator's decision counters.
-        result = self.allocator.commit(plan, record=False, ctx=ctx)
-        decision = result.decision
-        journal = TableUpdateJournal(tracer=self.tracer, ctx=ctx)
-        try:
-            table_seconds, snapshot_seconds = self._apply_admission(
-                fid, decision, journal, ctx=ctx
-            )
-        except (TcamCapacityError, DeviceError) as exc:
-            # Either the stage TCAM cannot hold another protection range
-            # (the paper's stated bottleneck) or the device itself
-            # failed mid-apply (retries exhausted, or a permanent
-            # fault).  Both unwind identically: replay the journal
-            # backwards (table entries, activations, register scrubs)
-            # and restore the allocator checkpoint -- exact pre-request
-            # state.  A permanent fault additionally latches
-            # :attr:`device_failed` (the journal replay is best-effort
-            # against a dead device).
-            fault = self._note_device_fault(exc, ctx, "single", fid)
-            self._rollback_journal(journal, ctx, "single", fid)
-            self.allocator.rollback(result, ctx=ctx)
-            self.tracer.anomaly(
-                "rollback", ctx, scope="single", fid=fid, cause=str(exc)
-            )
-            reason = (
-                f"TCAM exhausted: {exc}"
-                if fault == "tcam"
-                else f"device fault ({fault}): {exc}"
-            )
-            report = ProvisioningReport(
-                fid=fid,
-                success=False,
-                decision=decision,
-                reason=reason,
-                compute_seconds=decision.total_seconds,
-                plan=plan,
-                rolled_back=True,
-                verification=verification,
-                certificate=certificate,
-                fault=fault,
-            )
-            self.reports.append(report)
-            self._record_admission(
-                report,
-                "tcam_exhausted" if fault == "tcam" else "device_fault",
-            )
-            return report
-
-        journal.commit_entries()
-        if self.tracer.enabled and ctx is not None:
-            # Packets processed from here on run under the layout this
-            # commit installed; sampled data-path spans parent here.
-            self.tracer.layout_context = context_of(ctx)
-        self.allocator.record_decision(decision)
-        report = ProvisioningReport(
-            fid=fid,
-            success=True,
-            decision=decision,
-            compute_seconds=decision.total_seconds,
-            table_update_seconds=table_seconds,
-            snapshot_seconds=snapshot_seconds,
-            plan=plan,
-            verification=verification,
-            certificate=certificate,
-        )
-        self.reports.append(report)
-        self._record_admission(report, "admitted")
-        if self.sanitizer:
-            self._sanitize()
-        return report
 
     def _verify_admission(
         self,
@@ -1370,23 +1136,13 @@ class ActiveRmtController:
         # the shard over.  Replaying the commit log onto a fresh device
         # reconverges because the log records the withdrawal.
         fault: Optional[str] = None
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span(
-                "controller.withdraw", parent=ctx, fid=fid
-            ) as span:
-                try:
-                    seconds = self._withdraw_tables(fid, ctx=span)
-                except DeviceError as exc:
-                    fault = self._note_device_fault(exc, span, "withdraw", fid)
-                    seconds = 0.0
-                span.set(seconds=seconds)
-        else:
+        with self.tracer.span("controller.withdraw", parent=ctx, fid=fid) as span:
             try:
-                seconds = self._withdraw_tables(fid)
+                seconds = self._withdraw_tables(fid, ctx=span)
             except DeviceError as exc:
-                fault = self._note_device_fault(exc, None, "withdraw", fid)
+                fault = self._note_device_fault(exc, span, "withdraw", fid)
                 seconds = 0.0
+            span.set(seconds=seconds)
         tel = self.telemetry
         if tel.enabled:
             tel.counter(

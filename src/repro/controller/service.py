@@ -89,7 +89,8 @@ class AdmissionTicket:
         self.submitted_at = submitted_at
         self.deadline = deadline
         self.resolved_at: Optional[float] = None
-        #: Root span of this request's trace (None when tracing is off).
+        #: Root span of this request's trace (set on submission; the
+        #: inert ``NULL_SPAN`` when tracing is off).
         self.span: Optional[Span] = None
         self._event = threading.Event()
         self._report: Optional[ProvisioningReport] = None
@@ -141,7 +142,8 @@ class BatchTicket:
         self.submitted_at = submitted_at
         self.deadline = deadline
         self.resolved_at: Optional[float] = None
-        #: Root span of this group's trace (None when tracing is off).
+        #: Root span of this group's trace (set on submission; the
+        #: inert ``NULL_SPAN`` when tracing is off).
         self.span: Optional[Span] = None
         self._event = threading.Event()
         self._report: Optional[BatchReport] = None
@@ -312,12 +314,11 @@ class AdmissionService:
         """
         now = self._clock()
         ticket = AdmissionTicket(request, now, self._absolute_deadline(now, deadline_s))
-        if self.tracer.enabled:
-            ticket.span = self.tracer.start(
-                "admission.request",
-                fid=request.fid if request.fid is not None else -1,
-                kind=request.kind.value,
-            )
+        ticket.span = self.tracer.start(
+            "admission.request",
+            fid=request.fid if request.fid is not None else -1,
+            kind=request.kind.value,
+        )
         self._enqueue(ticket)
         return ticket
 
@@ -356,10 +357,9 @@ class AdmissionService:
         ticket = BatchTicket(
             tuple(requests), now, self._absolute_deadline(now, deadline_s)
         )
-        if self.tracer.enabled:
-            ticket.span = self.tracer.start(
-                "admission.batch", fids=list(fids), size=len(fids)
-            )
+        ticket.span = self.tracer.start(
+            "admission.batch", fids=list(fids), size=len(fids)
+        )
         self._enqueue(ticket)
         return ticket
 
@@ -459,14 +459,12 @@ class AdmissionService:
             # Per-attempt span, nested under the request's root span so
             # every retry of one request stays inside one trace tree
             # even when successive attempts run on different threads.
-            attempt_span: Optional[Span] = None
-            if tracer.enabled and ticket.span is not None:
-                attempt_span = tracer.start(
-                    "admission.attempt",
-                    parent=ticket.span,
-                    attempt=attempt + 1,
-                    fid=request.fid,
-                )
+            attempt_span = tracer.start(
+                "admission.attempt",
+                parent=ticket.span,
+                attempt=attempt + 1,
+                fid=request.fid,
+            )
             try:
                 shadow = self._snapshot_shadow()
                 try:
@@ -495,18 +493,14 @@ class AdmissionService:
                         if report.success:
                             self.commit_log.append(("admit", request.fid))
                 except StalePlanError as exc:
-                    if attempt_span is not None:
-                        attempt_span.set(
-                            stale=True, error=f"StalePlanError: {exc}"
-                        )
+                    attempt_span.set(stale=True, error=f"StalePlanError: {exc}")
                     attempt += 1
                     self._note_stale_retry(ticket, attempt)
                     if not self._backoff(ticket, attempt):
                         return  # deadline hit while backing off: shed
                     continue
             finally:
-                if attempt_span is not None:
-                    tracer.finish(attempt_span)
+                tracer.finish(attempt_span)
             if (
                 report.rolled_back
                 and report.fault == "transient"
@@ -539,27 +533,23 @@ class AdmissionService:
         while True:
             if self._past_deadline(ticket):
                 return
-            attempt_span: Optional[Span] = None
-            if tracer.enabled and ticket.span is not None:
-                attempt_span = tracer.start(
-                    "admission.attempt",
-                    parent=ticket.span,
-                    attempt=attempt + 1,
-                    size=len(requests),
-                )
+            attempt_span = tracer.start(
+                "admission.attempt",
+                parent=ticket.span,
+                attempt=attempt + 1,
+                size=len(requests),
+            )
             try:
                 self._process_batch_attempt(ticket, attempt_span)
             except _RetryBatch:
-                if attempt_span is not None:
-                    attempt_span.set(stale=True)
+                attempt_span.set(stale=True)
                 attempt += 1
                 self._note_stale_retry(ticket, attempt)
                 if not self._backoff(ticket, attempt):
                     return
                 continue
             finally:
-                if attempt_span is not None:
-                    tracer.finish(attempt_span)
+                tracer.finish(attempt_span)
             return
 
     def _process_batch_attempt(

@@ -233,21 +233,11 @@ class TableUpdateEngine:
         (entries applied before a mid-flight ``TcamCapacityError`` are
         thereby exactly undoable).
         """
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span(
-                "tables.install_app", parent=ctx, fid=fid
-            ) as span:
-                before = self.entries_installed
-                seconds = self._install_app_impl(
-                    fid, regions, block_words, journal
-                )
-                span.set(
-                    entries=self.entries_installed - before,
-                    seconds=seconds,
-                )
-                return seconds
-        return self._install_app_impl(fid, regions, block_words, journal)
+        with self.tracer.span("tables.install_app", parent=ctx, fid=fid) as span:
+            before = self.entries_installed
+            seconds = self._install_app_impl(fid, regions, block_words, journal)
+            span.set(entries=self.entries_installed - before, seconds=seconds)
+            return seconds
 
     def _install_app_impl(
         self,
@@ -309,16 +299,11 @@ class TableUpdateEngine:
         ctx: ParentLike = None,
     ) -> float:
         """Remove every grant and translation entry for *fid*."""
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span("tables.remove_app", parent=ctx, fid=fid) as span:
-                before = self.entries_removed
-                seconds = self._remove_app_impl(fid, journal)
-                span.set(
-                    entries=self.entries_removed - before, seconds=seconds
-                )
-                return seconds
-        return self._remove_app_impl(fid, journal)
+        with self.tracer.span("tables.remove_app", parent=ctx, fid=fid) as span:
+            before = self.entries_removed
+            seconds = self._remove_app_impl(fid, journal)
+            span.set(entries=self.entries_removed - before, seconds=seconds)
+            return seconds
 
     def _remove_app_impl(
         self, fid: int, journal: Optional[TableUpdateJournal]
@@ -381,11 +366,7 @@ class TableUpdateEngine:
         journal: Optional[TableUpdateJournal] = None,
         ctx: ParentLike = None,
     ) -> float:
-        tracer = self.tracer
-        if tracer.enabled:
-            span = tracer.start("tables.deactivate", parent=ctx, fid=fid)
-        else:
-            span = None
+        span = self.tracer.start("tables.deactivate", parent=ctx, fid=fid)
         if journal is not None:
             was_active = self.tables.is_active(fid)
 
@@ -397,8 +378,7 @@ class TableUpdateEngine:
 
             journal.record(f"deactivate fid={fid}", undo)
         self._apply(lambda: self.tables.deactivate_fid(fid))
-        if span is not None:
-            self.tracer.finish(span)
+        self.tracer.finish(span)
         return self.cost.activation_seconds
 
     def reactivate(
@@ -407,11 +387,7 @@ class TableUpdateEngine:
         journal: Optional[TableUpdateJournal] = None,
         ctx: ParentLike = None,
     ) -> float:
-        tracer = self.tracer
-        if tracer.enabled:
-            span = tracer.start("tables.reactivate", parent=ctx, fid=fid)
-        else:
-            span = None
+        span = self.tracer.start("tables.reactivate", parent=ctx, fid=fid)
         if journal is not None:
             was_active = self.tables.is_active(fid)
 
@@ -423,6 +399,5 @@ class TableUpdateEngine:
 
             journal.record(f"reactivate fid={fid}", undo)
         self._apply(lambda: self.tables.reactivate_fid(fid))
-        if span is not None:
-            self.tracer.finish(span)
+        self.tracer.finish(span)
         return self.cost.activation_seconds

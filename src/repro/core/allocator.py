@@ -187,14 +187,11 @@ class ActiveRmtAllocator:
         returned plan is committed with :meth:`commit`, discarded with
         :meth:`abort`, or inspected as a what-if probe.
 
-        With tracing enabled, the search is recorded as an
-        ``allocator.plan`` span under *ctx* (the caller's trace
-        context, threaded explicitly from the admission request).
+        The search is recorded as an ``allocator.plan`` span under
+        *ctx* (the caller's trace context, threaded explicitly from the
+        admission request).
         """
-        tracer = self.tracer
-        if not tracer.enabled:
-            return self._plan_impl(fid, pattern)
-        with tracer.span("allocator.plan", parent=ctx, fid=fid) as span:
+        with self.tracer.span("allocator.plan", parent=ctx, fid=fid) as span:
             plan = self._plan_impl(fid, pattern)
             span.set(
                 feasible=plan.feasible,
@@ -279,9 +276,9 @@ class ActiveRmtAllocator:
         :class:`CommitResult` whose checkpoint allows an exact undo via
         :meth:`rollback`.
 
-        With tracing enabled, the apply is recorded as an
-        ``allocator.commit`` span under *ctx*; a stale-plan rejection
-        records the span with an ``error`` attribute before raising.
+        The apply is recorded as an ``allocator.commit`` span under
+        *ctx*; a stale-plan rejection records the span with an
+        ``error`` attribute before raising.
 
         Args:
             plan: the plan to apply.
@@ -292,10 +289,7 @@ class ActiveRmtAllocator:
                 never pollute the decision counters.
             ctx: optional trace context this commit belongs to.
         """
-        tracer = self.tracer
-        if not tracer.enabled:
-            return self._commit_impl(plan, record)
-        with tracer.span(
+        with self.tracer.span(
             "allocator.commit", parent=ctx, fid=plan.fid,
             basis_version=plan.basis_version,
         ) as span:
@@ -428,18 +422,15 @@ class ActiveRmtAllocator:
         snapshots (not by release-and-relayout), the arrival counter
         and version stamps rewind, and the app record disappears.  The
         only telemetry touched is ``allocator_rollbacks_total`` -- a
-        rollback is not a release and moves no client state.  With
-        tracing enabled an ``allocator.rollback`` span lands under
-        *ctx*, so the undo is part of the request's causal tree.
+        rollback is not a release and moves no client state.  An
+        ``allocator.rollback`` span lands under *ctx*, so the undo is
+        part of the request's causal tree.
         """
-        tracer = self.tracer
-        if not tracer.enabled:
-            return self._rollback_impl(result)
-        with tracer.span(
+        with self.tracer.span(
             "allocator.rollback", parent=ctx, fid=result.plan.fid,
             restored_version=result.checkpoint.version,
         ):
-            return self._rollback_impl(result)
+            self._rollback_impl(result)
 
     def _rollback_impl(self, result: CommitResult) -> None:
         plan = result.plan

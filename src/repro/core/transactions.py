@@ -39,12 +39,12 @@ from typing import (
 )
 
 from repro.core.blocks import BlockRange, StagePool
+from repro.telemetry.tracing import NULL_TRACER, AnyTracer, ParentLike
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.allocator import AllocationDecision
     from repro.core.constraints import AccessPattern
     from repro.core.mutants import MutantCandidate
-    from repro.telemetry.tracing import AnyTracer, ParentLike
 
 
 class TransactionError(Exception):
@@ -268,22 +268,22 @@ class TableUpdateJournal:
     :meth:`rollback` it refuses further recording.
 
     Args:
-        tracer: optional span tracer.  With one, :meth:`rollback`
-            records a ``journal.rollback`` span (the *journal-replay*
-            event every anomaly reconstruction hinges on) and
-            :meth:`commit_entries` a ``journal.commit`` span, both
-            parented under *ctx*.
+        tracer: optional span tracer (inert when omitted).
+            :meth:`rollback` records a ``journal.rollback`` span (the
+            *journal-replay* event every anomaly reconstruction hinges
+            on) and :meth:`commit_entries` a ``journal.commit`` span,
+            both parented under *ctx*.
         ctx: the trace context of the transaction this journal covers.
     """
 
     def __init__(
         self,
-        tracer: Optional["AnyTracer"] = None,
-        ctx: "ParentLike" = None,
+        tracer: Optional[AnyTracer] = None,
+        ctx: ParentLike = None,
     ) -> None:
         self._entries: List[JournalEntry] = []
         self._closed = False
-        self._tracer = tracer
+        self._tracer: AnyTracer = tracer if tracer is not None else NULL_TRACER
         self._ctx = ctx
 
     def __len__(self) -> int:
@@ -313,22 +313,16 @@ class TableUpdateJournal:
         """
         if self._closed:
             raise TransactionError("journal already closed")
-        tracer = self._tracer
-        if tracer is not None and tracer.enabled:
-            with tracer.span(
-                "journal.rollback", parent=self._ctx, entries=len(self._entries)
-            ):
-                return self._rollback_impl()
-        return self._rollback_impl()
-
-    def _rollback_impl(self) -> int:
-        self._closed = True
-        reversed_count = 0
-        entries, self._entries = self._entries, []
-        for entry in reversed(entries):
-            entry.undo()
-            reversed_count += 1
-        return reversed_count
+        with self._tracer.span(
+            "journal.rollback", parent=self._ctx, entries=len(self._entries)
+        ):
+            self._closed = True
+            reversed_count = 0
+            entries, self._entries = self._entries, []
+            for entry in reversed(entries):
+                entry.undo()
+                reversed_count += 1
+            return reversed_count
 
     def commit_entries(self) -> int:
         """Discard the undo log (the transaction succeeded).
@@ -341,9 +335,7 @@ class TableUpdateJournal:
         count = len(self._entries)
         self._entries = []
         tracer = self._tracer
-        if tracer is not None and tracer.enabled:
-            span = tracer.start(
-                "journal.commit", parent=self._ctx, entries=count
-            )
-            tracer.finish(span)
+        tracer.finish(
+            tracer.start("journal.commit", parent=self._ctx, entries=count)
+        )
         return count

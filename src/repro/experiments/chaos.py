@@ -33,12 +33,11 @@ from repro.controller.controller import (
 )
 from repro.core.constraints import AccessPattern
 from repro.device import Device, SimDevice
-from repro.experiments.common import sanitizer_enabled
+from repro.experiments.common import run_registry, sanitizer_enabled
 from repro.fabric import Fabric, FailoverReport, replay_shard
 from repro.faults import FaultPlan, FaultyDevice, RetryPolicy
 from repro.switchsim.config import SwitchConfig
 from repro.switchsim.switch import ActiveSwitch
-from repro.telemetry import MetricsRegistry, resolve
 from repro.workloads.arrivals import ArrivalEvent, poisson_events
 
 
@@ -76,11 +75,6 @@ class ChaosResult:
 
 def _patterns() -> Dict[str, AccessPattern]:
     return {name: spec.pattern() for name, spec in EXEMPLAR_APPS.items()}
-
-
-def _run_registry() -> MetricsRegistry:
-    registry = resolve(None)
-    return registry if registry.enabled else MetricsRegistry()
 
 
 def _drive_segment(
@@ -138,7 +132,7 @@ def run_chaos(
     Everything -- workload, fault schedules, placement -- derives from
     *seed*, so the admitted/recovered/shed table is reproducible.
     """
-    registry = _run_registry()
+    registry = run_registry()
     if sanitizer is None:
         sanitizer = sanitizer_enabled()
     patterns = _patterns()

@@ -33,13 +33,12 @@ from repro.controller.service import (
     pools_fingerprint,
     replay_commit_log,
 )
-from repro.experiments.common import make_controller
+from repro.experiments.common import make_controller, run_registry
 from repro.telemetry import (
     FlightRecorder,
     MetricsRegistry,
     Tracer,
     json_snapshot,
-    resolve,
     resolve_tracer,
 )
 from repro.workloads.arrivals import ArrivalEvent, DepartureEvent, poisson_events
@@ -111,13 +110,6 @@ def _counter_total(registry: MetricsRegistry, prefix: str) -> float:
     )
 
 
-def _run_registry() -> MetricsRegistry:
-    """The process registry when recording (so ``--stats-out`` captures
-    the service counters), else a private one for the run's numbers."""
-    registry = resolve(None)
-    return registry if registry.enabled else MetricsRegistry()
-
-
 def run_churn(
     epochs: int = 30,
     arrival_mean: float = 2.0,
@@ -136,7 +128,7 @@ def run_churn(
     admission to resolve first (the generator only departs fids it
     arrived), then withdraw through the same service queue.
     """
-    registry = _run_registry()
+    registry = run_registry()
     # With a recording tracer installed (the CLI's --trace-out), every
     # run gets a flight recorder whose dumps snapshot the live pools at
     # anomaly time -- sheds, rollbacks, and retry storms under churn

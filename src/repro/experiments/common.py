@@ -17,6 +17,7 @@ from repro.core.fairness import jain_index
 from repro.core.schemes import AllocationScheme
 from repro.switchsim.config import SwitchConfig
 from repro.switchsim.switch import ActiveSwitch
+from repro.telemetry import MetricsRegistry, resolve
 from repro.workloads.arrivals import ArrivalEvent, DepartureEvent, Event
 
 POLICIES: Dict[str, AllocationPolicy] = {
@@ -28,6 +29,13 @@ POLICIES: Dict[str, AllocationPolicy] = {
 def sanitizer_enabled() -> bool:
     """ACTIVERMT_SANITIZE=1 re-audits every commit during experiments."""
     return os.environ.get("ACTIVERMT_SANITIZE", "") not in ("", "0")
+
+
+def run_registry() -> MetricsRegistry:
+    """The process registry when recording (so ``--stats-out`` captures
+    the service counters), else a private one for the run's numbers."""
+    registry = resolve(None)
+    return registry if registry.enabled else MetricsRegistry()
 
 
 def make_controller(

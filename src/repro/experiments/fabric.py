@@ -38,9 +38,8 @@ from repro.controller.service import (
     pools_fingerprint,
 )
 from repro.core.constraints import AccessPattern
-from repro.experiments.common import make_controller, sanitizer_enabled
+from repro.experiments.common import make_controller, run_registry, sanitizer_enabled
 from repro.fabric import Fabric, replay_shard
-from repro.telemetry import MetricsRegistry, resolve
 from repro.workloads.arrivals import ArrivalEvent, DepartureEvent, poisson_events
 
 
@@ -202,11 +201,6 @@ def _parity_check(
     return identical, bare_admitted, bare_rejected
 
 
-def _run_registry() -> MetricsRegistry:
-    registry = resolve(None)
-    return registry if registry.enabled else MetricsRegistry()
-
-
 def run_fabric(
     epochs: int = 30,
     arrival_mean: float = 2.0,
@@ -227,7 +221,7 @@ def run_fabric(
     grows with the fleet, which is precisely the scaling a sharded
     control plane is meant to buy.
     """
-    registry = _run_registry()
+    registry = run_registry()
     if sanitizer is None:
         sanitizer = sanitizer_enabled()
     events = list(

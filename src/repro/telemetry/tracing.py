@@ -19,9 +19,10 @@ under the layout it committed".  This module adds the causal layer:
   :class:`IdSource` (deterministic counters by default -- no
   ``Date.now``-style ambient state), the clock is injected the same
   way, so tests assert exact IDs and durations with fakes.
-- :class:`NullTracer` -- the inert process default.  Every instrumented
-  component guards on ``tracer.enabled``, so tracing-off costs one
-  attribute read on the paths that matter (gated by
+- :class:`NullTracer` -- the inert process default.  Its spans are one
+  shared null object (:data:`NULL_SPAN`), so control-plane code opens
+  spans unconditionally; only the per-packet data path guards on
+  ``tracer.enabled`` (gated by
   ``benchmarks/test_hotpath_throughput.py::test_telemetry_overhead``).
 - :class:`FlightRecorder` -- a bounded ring of anomaly dumps.  When a
   rollback, shed, deadline miss, or stale-plan retry storm fires, the
@@ -315,12 +316,34 @@ class Tracer:
             return None
         return self.recorder.trigger(reason, context, **attrs)
 
+    def layout_committed(self, parent: ParentLike) -> None:
+        """Note that the commit running under *parent* installed a layout.
+
+        Packets processed from here on run under that layout; sampled
+        data-path spans parent on :attr:`layout_context`.
+        """
+        self.layout_context = context_of(parent)
+
 
 class _NullSpan(Span):
-    """The shared do-nothing span the NullTracer hands out."""
+    """The shared do-nothing span the NullTracer hands out.
+
+    Its own context manager, so ``with NULL_TRACER.span(...)`` costs one
+    call and no generator; as a parent it is no parent at all.
+    """
+
+    @property
+    def context(self) -> None:  # type: ignore[override]
+        return None
 
     def set(self, **attrs: object) -> "Span":
         return self
+
+    def __enter__(self) -> "Span":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        return None
 
 
 NULL_SPAN = _NullSpan(
@@ -331,9 +354,10 @@ NULL_SPAN = _NullSpan(
 class NullTracer:
     """Inert tracer: same API, records nothing, near-zero overhead.
 
-    Hot paths guard on ``tracer.enabled`` and never reach these
-    methods; control-plane paths may call them unconditionally and pay
-    one no-op call per span.
+    The control plane calls these unconditionally -- ``span``/``start``
+    hand back the shared :data:`NULL_SPAN`, one no-op call per span --
+    so no instrumented method needs a tracing-off copy of its body.
+    Only the per-packet data path still guards on ``enabled``.
     """
 
     enabled = False
@@ -349,11 +373,8 @@ class NullTracer:
     def finish(self, span: Span) -> Span:
         return span
 
-    @contextmanager
-    def span(
-        self, name: str, parent: ParentLike = None, **attrs: object
-    ) -> Iterator[Span]:
-        yield NULL_SPAN
+    def span(self, name: str, parent: ParentLike = None, **attrs: object) -> _NullSpan:
+        return NULL_SPAN
 
     def record_span(self, name: str, start_s: float, end_s: float, **kw: object) -> Span:
         return NULL_SPAN
@@ -373,6 +394,9 @@ class NullTracer:
     def anomaly(
         self, reason: str, context: ParentLike = None, **attrs: object
     ) -> None:
+        return None
+
+    def layout_committed(self, parent: ParentLike) -> None:
         return None
 
 

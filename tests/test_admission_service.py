@@ -14,9 +14,8 @@ The contracts under test:
 - **Batch atomicity**: a mid-batch switch-side failure rolls the whole
   group back byte-identically; an infeasible member rejects the whole
   group before anything is touched.
-- The satellite API changes: ``ProvisioningStatus`` + ``.outcome``
-  shim, keyword-only ``admit``/``withdraw``/``what_if`` with a
-  deprecation path, and the ``CompileOptions`` bag.
+- The satellite API changes: ``ProvisioningStatus``, keyword-only
+  ``admit``/``withdraw``/``what_if``, and the ``CompileOptions`` bag.
 """
 
 import pytest
@@ -37,6 +36,12 @@ from repro.core.transactions import StalePlanError
 from repro.switchsim import ActiveSwitch, SwitchConfig
 from repro.telemetry import MetricsRegistry
 
+from tests.test_analysis_verifier import (
+    _counter_pattern,
+    _counter_program,
+    _liar_pattern,
+    _liar_program,
+)
 from tests.test_core_constraints import listing1_pattern
 from tests.test_transactions import allocator_fingerprint, switch_fingerprint
 
@@ -309,11 +314,19 @@ def test_batch_rolls_back_whole_group_on_tcam_exhaustion():
     before_switch = switch_fingerprint(controller)
     batch = service.submit_many([_admission(fid) for fid in (1, 2, 3, 4)])
     report = batch.result(timeout=0)
-    assert report.status in (
-        ProvisioningStatus.ROLLED_BACK,
-        ProvisioningStatus.REJECTED,
-    )
+    assert report.status is ProvisioningStatus.ROLLED_BACK
     assert not report.success
+    # Every member reports like a single rolled-back admission: its own
+    # certificate, and the decision it had committed before the fault.
+    culprit = next(
+        index for index, member in enumerate(report.reports)
+        if f"admitting fid {member.fid}:" in member.reason
+    )
+    for index, member in enumerate(report.reports):
+        assert member.rolled_back and member.fault == "tcam"
+        assert member.certificate is not None
+        assert member.certificate.fid == member.fid
+        assert (member.decision is not None) == (index <= culprit)
     assert allocator_fingerprint(controller.allocator) == before_alloc
     assert switch_fingerprint(controller) == before_switch
     assert all(("admit", fid) not in service.commit_log for fid in (1, 2, 3, 4))
@@ -337,6 +350,39 @@ def test_batch_rejects_infeasible_member_without_touching_state():
     assert service.commit_log == []
 
 
+def test_batch_strict_rejection_reports_every_member():
+    """A strict verifier rejection fails the whole group before anything
+    is touched -- and says so: one report per member, nothing logged
+    (an empty report list would read as an all-admitted group)."""
+    controller = ActiveRmtController(ActiveSwitch(), verify="strict")
+    service = AdmissionService(controller, workers=0)
+    before = allocator_fingerprint(controller.allocator)
+    clean = _counter_program()
+    batch = service.submit_many(
+        [
+            ProvisioningRequest.admission(
+                fid=1, pattern=_counter_pattern(clean), program=clean
+            ),
+            ProvisioningRequest.admission(
+                fid=2, pattern=_liar_pattern(), program=_liar_program()
+            ),
+            ProvisioningRequest.admission(
+                fid=3, pattern=_counter_pattern(clean), program=clean
+            ),
+        ]
+    )
+    report = batch.result(timeout=0)
+    assert report.status is ProvisioningStatus.REJECTED
+    assert [member.fid for member in report.reports] == [1, 2, 3]
+    assert not any(member.success for member in report.reports)
+    assert report.reports[1].reason.startswith("verifier rejected:")
+    assert report.reports[0].reason == "batch aborted: fid 2 rejected by verifier"
+    assert report.reports[0].certificate is not None  # analysed before fid 2
+    assert report.reports[2].certificate is None  # never reached
+    assert service.commit_log == []
+    assert allocator_fingerprint(controller.allocator) == before
+
+
 def test_batch_validates_inputs():
     controller = _controller()
     service = AdmissionService(controller, workers=0)
@@ -357,39 +403,22 @@ def test_report_status_enum_and_outcome_shim():
     controller = _controller()
     report = controller.admit(fid=1, pattern=listing1_pattern())
     assert report.status is ProvisioningStatus.ADMITTED
-    with pytest.deprecated_call():
-        assert report.outcome == "admitted"
+    assert report.status.value == "admitted"
+    assert not hasattr(report, "outcome")
     probe = controller.admit(fid=2, pattern=listing1_pattern(), dry_run=True)
     assert probe.status is ProvisioningStatus.DRY_RUN
-
-
-def test_legacy_positional_admit_warns_but_works():
-    controller = _controller()
-    with pytest.deprecated_call():
-        report = controller.admit(1, listing1_pattern())
-    assert report.success
-    with pytest.deprecated_call():
+    with pytest.raises(TypeError):
+        controller.admit(3, listing1_pattern())
+    with pytest.raises(TypeError):
         controller.withdraw(1)
-    assert 1 not in controller.allocator.apps
-
-
-def test_legacy_positional_rejects_duplicates_and_overflow():
-    controller = _controller()
-    with pytest.raises(TypeError):
-        controller.admit(1, listing1_pattern(), pattern=listing1_pattern())
-    with pytest.raises(TypeError):
-        controller.admit()
-    with pytest.raises(TypeError):
-        controller.withdraw(1, 2)
 
 
 def test_what_if_keyword_only_with_shim():
     controller = _controller()
     plan = controller.what_if(fid=9, pattern=listing1_pattern())
     assert plan.feasible
-    with pytest.deprecated_call():
-        plan = controller.what_if(9, listing1_pattern())
-    assert plan.feasible
+    with pytest.raises(TypeError):
+        controller.what_if(9, listing1_pattern())
 
 
 def test_submit_is_the_single_front_door():

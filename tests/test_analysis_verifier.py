@@ -39,6 +39,13 @@ from repro.packets import (
 from repro.switchsim import SwitchConfig
 from repro.telemetry import MetricsRegistry
 
+from tests.test_transactions import (
+    ENTRY_POINTS,
+    admit_via,
+    assert_entry_points_agree,
+    outcome_fingerprint,
+)
+
 CLIENT = MacAddress.from_host_id(1)
 SERVER = MacAddress.from_host_id(2)
 
@@ -416,23 +423,28 @@ def test_controller_warn_mode_admits_and_reports():
 
 
 def test_controller_strict_rejects_before_any_mutation():
-    switch = _switch()
-    controller = ActiveRmtController(switch, verify="strict")
-    before = _allocator_fingerprint(controller)
-    report = controller.admit(
-        fid=3, pattern=_liar_pattern(), program=_liar_program()
-    )
-    assert not report.success
-    assert report.reason.startswith("verifier rejected:")
-    assert report.verification.has_errors
-    # Nothing was committed: allocator state is untouched and no grant
-    # or translation entry reached the switch.
-    assert _allocator_fingerprint(controller) == before
-    assert 3 not in controller.allocator.apps
-    for stage in range(1, switch.config.num_stages + 1):
-        table = switch.pipeline.stage(stage).table
-        assert table.grant_for(3) is None
-        assert table.translation_for(3) is None
+    outcomes = {}
+    for entry in ENTRY_POINTS:
+        switch = _switch()
+        controller = ActiveRmtController(switch, verify="strict")
+        before = _allocator_fingerprint(controller)
+        report = admit_via(
+            controller, entry, 3, _liar_pattern(), program=_liar_program()
+        )
+        assert not report.success
+        assert report.reason.startswith("verifier rejected:")
+        assert report.verification.has_errors
+        # Nothing was committed: allocator state is untouched and no
+        # grant or translation entry reached the switch.
+        assert _allocator_fingerprint(controller) == before
+        assert 3 not in controller.allocator.apps
+        for stage in range(1, switch.config.num_stages + 1):
+            table = switch.pipeline.stage(stage).table
+            assert table.grant_for(3) is None
+            assert table.translation_for(3) is None
+        outcomes[entry] = outcome_fingerprint(controller, report)
+    # One commit path: the rejection is the same through every entry.
+    assert_entry_points_agree(outcomes)
 
 
 def test_controller_strict_still_admits_clean_programs():

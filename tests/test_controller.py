@@ -99,7 +99,7 @@ def test_newcomer_region_scrubbed(controller, switch):
 
 def test_withdraw_removes_entries(controller, switch):
     controller.admit(fid=1, pattern=listing1_pattern())
-    seconds = controller.withdraw(1)
+    seconds = controller.withdraw(fid=1)
     assert seconds > 0
     for stage in range(1, 21):
         assert switch.pipeline.stage(stage).table.grant_for(1) is None

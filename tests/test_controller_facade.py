@@ -73,7 +73,7 @@ def test_submit_withdrawal_reports_table_seconds(controller):
 
 def test_withdraw_wrapper_returns_seconds(controller):
     controller.admit(fid=1, pattern=listing1_pattern())
-    seconds = controller.withdraw(1)
+    seconds = controller.withdraw(fid=1)
     assert isinstance(seconds, float)
     assert seconds > 0
 

@@ -27,7 +27,7 @@ def test_admission_denied_when_tcam_full():
     admitted = []
     denied = None
     for fid in range(40):
-        report = controller.admit(fid, pattern)
+        report = controller.admit(fid=fid, pattern=pattern)
         if report.success:
             admitted.append(fid)
         else:
@@ -42,7 +42,7 @@ def test_rollback_preserves_incumbents():
     controller = _tiny_tcam_controller(tcam_entries=2)
     pattern = listing1_pattern()
     fid = 0
-    while controller.admit(fid, pattern).success:
+    while controller.admit(fid=fid, pattern=pattern).success:
         fid += 1
         assert fid < 100
     survivors = controller.allocator.resident_fids()
@@ -67,7 +67,7 @@ def test_rollback_preserves_incumbents():
             assert grant.start == words.start
             assert grant.end == words.end
     # A retry fails the same way without corrupting state.
-    retry = controller.admit(999, pattern)
+    retry = controller.admit(fid=999, pattern=pattern)
     assert not retry.success
     assert controller.allocator.utilization() == utilization
     assert controller.allocator.resident_fids() == survivors
@@ -77,7 +77,7 @@ def test_tcam_failure_counts_as_failed_report():
     controller = _tiny_tcam_controller(tcam_entries=2)
     pattern = listing1_pattern()
     fid = 0
-    while controller.admit(fid, pattern).success:
+    while controller.admit(fid=fid, pattern=pattern).success:
         fid += 1
     failures = [r for r in controller.reports if not r.success]
     assert failures
@@ -93,7 +93,7 @@ def test_rollback_telemetry_is_not_release_telemetry():
     controller = _tiny_tcam_controller(tcam_entries=2, telemetry=registry)
     pattern = listing1_pattern()
     fid = 0
-    while controller.admit(fid, pattern).success:
+    while controller.admit(fid=fid, pattern=pattern).success:
         fid += 1
         assert fid < 100
 
@@ -107,7 +107,7 @@ def test_rollback_telemetry_is_not_release_telemetry():
     assert rollbacks_before >= 1  # the admission loop ended in one
     assert releases_before == 0  # no withdraw happened yet
 
-    retry = controller.admit(999, pattern)
+    retry = controller.admit(fid=999, pattern=pattern)
     assert not retry.success and retry.rolled_back
     assert value("allocator_rollbacks_total") == rollbacks_before + 1
     assert value("allocator_releases_total") == releases_before
@@ -125,7 +125,7 @@ def test_rollback_restores_register_contents():
     controller = ActiveRmtController(ActiveSwitch(config))
     pattern = listing1_pattern()
     fid = 0
-    while controller.admit(fid, pattern).success:
+    while controller.admit(fid=fid, pattern=pattern).success:
         fid += 1
     pipeline = controller.switch.pipeline
     # Give every admitted app's memory a distinctive fill.
@@ -141,7 +141,7 @@ def test_rollback_restores_register_contents():
         stage.registers.snapshot(0, len(stage.registers))
         for stage in pipeline.stages
     ]
-    retry = controller.admit(999, pattern)
+    retry = controller.admit(fid=999, pattern=pattern)
     assert not retry.success and retry.rolled_back
     contents_after = [
         stage.registers.snapshot(0, len(stage.registers))

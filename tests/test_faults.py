@@ -57,7 +57,14 @@ from repro.switchsim import ActiveSwitch, SwitchConfig
 from repro.telemetry import MetricsRegistry
 
 from tests.test_core_constraints import listing1_pattern
-from tests.test_transactions import allocator_fingerprint, switch_fingerprint
+from tests.test_transactions import (
+    ENTRY_POINTS,
+    admit_via,
+    allocator_fingerprint,
+    assert_entry_points_agree,
+    outcome_fingerprint,
+    switch_fingerprint,
+)
 
 import random
 
@@ -367,24 +374,31 @@ def test_engine_retries_heal_admission():
 
 
 def test_exhausted_retries_resolve_as_rolled_back_report():
-    """Retry exhaustion is an admission outcome, not an exception."""
-    device = FaultyDevice(
-        _sim(),
-        ScriptedPlan(
-            lambda op, i: FaultKind.TRANSIENT if op == "install_grant" else None
-        ),
-    )
-    controller = ActiveRmtController(device, retry=FAST_RETRY)
-    before_alloc = allocator_fingerprint(controller.allocator)
-    before_switch = switch_fingerprint(controller)
-    report = controller.admit(fid=1, pattern=listing1_pattern())
-    assert not report.success
-    assert report.rolled_back
-    assert report.status is ProvisioningStatus.ROLLED_BACK
-    assert report.fault == "transient"
-    assert not controller.device_failed
-    assert allocator_fingerprint(controller.allocator) == before_alloc
-    assert switch_fingerprint(controller) == before_switch
+    """Retry exhaustion is an admission outcome, not an exception --
+    the same one through every commit entry point."""
+    outcomes = {}
+    for entry in ENTRY_POINTS:
+        device = FaultyDevice(
+            _sim(),
+            ScriptedPlan(
+                lambda op, i: (
+                    FaultKind.TRANSIENT if op == "install_grant" else None
+                )
+            ),
+        )
+        controller = ActiveRmtController(device, retry=FAST_RETRY)
+        before_alloc = allocator_fingerprint(controller.allocator)
+        before_switch = switch_fingerprint(controller)
+        report = admit_via(controller, entry, 1, listing1_pattern())
+        assert not report.success
+        assert report.rolled_back
+        assert report.status is ProvisioningStatus.ROLLED_BACK
+        assert report.fault == "transient"
+        assert not controller.device_failed
+        assert allocator_fingerprint(controller.allocator) == before_alloc
+        assert switch_fingerprint(controller) == before_switch
+        outcomes[entry] = outcome_fingerprint(controller, report)
+    assert_entry_points_agree(outcomes)
 
 
 def test_timeout_mid_journal_rolls_back_byte_identically():
@@ -469,17 +483,23 @@ def test_service_replans_after_transient_rollback():
 
 
 def test_permanent_fault_latches_device_failed():
-    device = FaultyDevice(
-        _sim(),
-        ScriptedPlan(
-            lambda op, i: FaultKind.PERMANENT if op == "install_grant" else None
-        ),
-    )
-    controller = ActiveRmtController(device, retry=FAST_RETRY)
-    report = controller.admit(fid=1, pattern=listing1_pattern())
-    assert not report.success
-    assert report.fault == "device"
-    assert controller.device_failed
+    outcomes = {}
+    for entry in ENTRY_POINTS:
+        device = FaultyDevice(
+            _sim(),
+            ScriptedPlan(
+                lambda op, i: (
+                    FaultKind.PERMANENT if op == "install_grant" else None
+                )
+            ),
+        )
+        controller = ActiveRmtController(device, retry=FAST_RETRY)
+        report = admit_via(controller, entry, 1, listing1_pattern())
+        assert not report.success
+        assert report.fault == "device"
+        assert controller.device_failed
+        outcomes[entry] = outcome_fingerprint(controller, report)
+    assert_entry_points_agree(outcomes)
 
 
 # ----------------------------------------------------------------------

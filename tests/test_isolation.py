@@ -32,6 +32,13 @@ from repro.workloads.arrivals import (
     poisson_events,
 )
 
+from tests.test_transactions import (
+    ENTRY_POINTS,
+    admit_via,
+    assert_entry_points_agree,
+    outcome_fingerprint,
+)
+
 COUNTER = """
 MBR_LOAD $0
 COPY_HASHDATA_MBR
@@ -210,29 +217,34 @@ def test_rigged_mutant_rejected_strict_state_intact():
     config = SwitchConfig(
         num_stages=8, ingress_stages=4, max_recirculations=0
     )
-    controller = _controller(config, verify="strict")
-    filler = assemble(FILLER, name="filler")
-    assert controller.admit(
-        fid=101, pattern=_pattern(filler, [8]), program=filler
-    ).success
+    outcomes = {}
+    for entry in ENTRY_POINTS:
+        controller = _controller(config, verify="strict")
+        filler = assemble(FILLER, name="filler")
+        assert controller.admit(
+            fid=101, pattern=_pattern(filler, [8]), program=filler
+        ).success
 
-    pools_before = pools_fingerprint(controller.allocator)
-    tables_before = _table_surface(controller)
+        pools_before = pools_fingerprint(controller.allocator)
+        tables_before = _table_surface(controller)
 
-    rigged = assemble(RIGGED, name="rigged")
-    report = controller.admit(
-        fid=102, pattern=_pattern(rigged, [4]), program=rigged
-    )
-    assert not report.success
-    assert report.certificate is not None
-    assert "ARMT010" in {f.rule_id for f in report.certificate.findings}
-    assert "ARMT010" in (report.reason or "")
+        rigged = assemble(RIGGED, name="rigged")
+        report = admit_via(
+            controller, entry, 102, _pattern(rigged, [4]), program=rigged
+        )
+        assert not report.success
+        assert report.certificate is not None
+        assert "ARMT010" in {f.rule_id for f in report.certificate.findings}
+        assert "ARMT010" in (report.reason or "")
 
-    # Zero state mutation: allocator pools and the whole table surface
-    # are byte-identical to before the attempt.
-    assert pools_fingerprint(controller.allocator) == pools_before
-    assert _table_surface(controller) == tables_before
-    assert 102 not in controller.allocator.resident_fids()
+        # Zero state mutation: allocator pools and the whole table
+        # surface are byte-identical to before the attempt.
+        assert pools_fingerprint(controller.allocator) == pools_before
+        assert _table_surface(controller) == tables_before
+        assert 102 not in controller.allocator.resident_fids()
+        outcomes[entry] = outcome_fingerprint(controller, report)
+    # One commit path: the rejection is the same through every entry.
+    assert_entry_points_agree(outcomes)
 
 
 def test_rigged_mutant_warn_mode_commits_with_invalid_certificate():

@@ -54,7 +54,7 @@ def test_drive_events_skips_departure_of_failed_instance():
     # Force failures by exhausting heavy hitters first.
     hh = EXEMPLAR_APPS["heavy-hitter"].pattern()
     fid = 100
-    while controller.admit(fid, hh).success:
+    while controller.admit(fid=fid, pattern=hh).success:
         fid += 1
     failed_fid = 999
     events = [

@@ -83,7 +83,7 @@ def test_failed_admission_gets_failure_response():
 
     greedy = dataclasses.replace(listing1_pattern(), demands=(255, 255, 255))
     fid = 100
-    while controller.admit(fid, greedy).success:
+    while controller.admit(fid=fid, pattern=greedy).success:
         fid += 1
     shim = ClientShim(
         mac=CLIENT,

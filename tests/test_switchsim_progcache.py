@@ -321,7 +321,7 @@ def test_withdrawal_flushes_cache():
     program = assemble(CACHE_QUERY)
     warm.pipeline.execute(_packet(program, args=[0, 0, 17, 0]))
     assert len(warm.pipeline.program_cache) == 1
-    controller.withdraw(1)
+    controller.withdraw(fid=1)
     assert len(warm.pipeline.program_cache) == 0
     # Post-withdrawal, memory access faults (no grant) -- not stale OK.
     result = warm.pipeline.execute(

@@ -72,8 +72,8 @@ def test_instrumented_run_snapshot_and_exposition():
     # plus one withdrawal.
     pattern = EXEMPLAR_APPS["cache"].pattern()
     for fid in range(10, 16):
-        controller.admit(fid, pattern)
-    controller.withdraw(10)
+        controller.admit(fid=fid, pattern=pattern)
+    controller.withdraw(fid=10)
 
     snapshot = json_snapshot(registry, trace=tracer.buffer)
 

@@ -8,8 +8,13 @@ via the plan -> validate -> commit pipeline):
   ``allocate``;
 - an aborted or rolled-back admission leaves pools, table entries,
   TCAM occupancy, activation state, and register contents
-  byte-identical to the pre-plan snapshot.
+  byte-identical to the pre-plan snapshot;
+- the controller has one commit path: an admission behaves the same
+  through ``admit``, ``commit_plan(plan)`` and ``commit_batch([plan])``
+  (only the reason prefix and the anomaly scope name the entry point).
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +86,58 @@ def tiny_controller(tcam_entries: int = 2) -> ActiveRmtController:
         words_per_stage=1024, tcam_entries_per_stage=tcam_entries
     )
     return ActiveRmtController(ActiveSwitch(config))
+
+
+#: The three ways into the controller's single commit path.
+ENTRY_POINTS = ("admit", "commit_plan", "commit_batch")
+
+
+def admit_via(controller, entry, fid, pattern, program=None):
+    """One admission of *fid* through the named commit entry point."""
+    if entry == "admit":
+        return controller.admit(fid=fid, pattern=pattern, program=program)
+    plan = controller.allocator.plan(fid, pattern)
+    if entry == "commit_plan":
+        return controller.commit_plan(plan, program=program)
+    (report,) = controller.commit_batch([plan], [program])
+    return report
+
+
+def outcome_fingerprint(controller, report) -> tuple:
+    """What an admission did, comparable across entry points.
+
+    Every report field but the host timings and ``reason`` (whose
+    prefix names the entry point), plus the full allocator and switch
+    state (pools, table surface, registers, activation) afterwards.
+    """
+    fields = dataclasses.asdict(
+        dataclasses.replace(
+            report, reason="", compute_seconds=0.0, plan=None, decision=None
+        )
+    )
+    decision = report.decision
+    if decision is not None:
+        fields["decision"] = (
+            decision.success,
+            decision.mutant,
+            decision.regions,
+            decision.reallocations,
+            decision.candidates_considered,
+            decision.candidates_feasible,
+        )
+    plan = report.plan
+    return (
+        fields,
+        None if plan is None else (plan.state, plan.regions, plan.reallocations),
+        full_fingerprint(controller),
+    )
+
+
+def assert_entry_points_agree(outcomes: dict) -> None:
+    """*outcomes*: ``{entry: outcome_fingerprint(...)}`` for one scenario."""
+    assert sorted(outcomes) == sorted(ENTRY_POINTS)
+    for entry in ENTRY_POINTS[1:]:
+        assert outcomes[entry] == outcomes["admit"], entry
 
 
 PATTERNS = {
@@ -215,16 +272,16 @@ def test_journal_commit_discards_undos():
 def test_dry_run_returns_committable_plan_without_mutation():
     controller = tiny_controller(tcam_entries=64)
     for fid in range(3):
-        assert controller.admit(fid, listing1_pattern()).success
+        assert controller.admit(fid=fid, pattern=listing1_pattern()).success
     before = full_fingerprint(controller)
-    probe = controller.admit(77, listing1_pattern(), dry_run=True)
+    probe = controller.admit(fid=77, pattern=listing1_pattern(), dry_run=True)
     assert probe.dry_run
     assert probe.success
     assert probe.plan is not None and probe.plan.feasible
     assert full_fingerprint(controller) == before
     assert 77 not in controller.allocator.apps
     # The real admission does exactly what the probe predicted.
-    real = controller.admit(77, listing1_pattern())
+    real = controller.admit(fid=77, pattern=listing1_pattern())
     assert real.success
     assert real.decision.regions == probe.plan.regions
     assert real.decision.reallocations == probe.plan.reallocations
@@ -232,7 +289,7 @@ def test_dry_run_returns_committable_plan_without_mutation():
 
 def test_what_if_helper():
     controller = tiny_controller(tcam_entries=64)
-    plan = controller.what_if(5, lb_pattern())
+    plan = controller.what_if(fid=5, pattern=lb_pattern())
     assert plan.feasible
     assert controller.allocator.resident_fids() == []
 
@@ -253,25 +310,38 @@ def test_failed_admissions_leave_state_byte_identical(order, tcam_entries):
     """Any admit sequence in which an admission is denied -- whether at
     planning (infeasible) or switch-side (TCAM, commit rolled back) --
     leaves all stage layouts, TCAM entry counts, register contents, and
-    activation state byte-identical to the pre-request snapshot."""
-    controller = tiny_controller(tcam_entries=tcam_entries)
+    activation state byte-identical to the pre-request snapshot.  The
+    sequence runs in lockstep through every commit entry point, and
+    every step -- admitted, infeasible, or rolled back -- must come out
+    the same through all three."""
+    controllers = {
+        entry: tiny_controller(tcam_entries=tcam_entries)
+        for entry in ENTRY_POINTS
+    }
+
+    def step(fid, pattern_factory):
+        outcomes = {}
+        for entry, controller in controllers.items():
+            before = full_fingerprint(controller)
+            report = admit_via(controller, entry, fid, pattern_factory())
+            if not report.success:
+                assert full_fingerprint(controller) == before
+                if report.rolled_back:
+                    assert report.reason.startswith("batch rolled back: ") == (
+                        entry == "commit_batch"
+                    )
+            outcomes[entry] = outcome_fingerprint(controller, report)
+        assert_entry_points_agree(outcomes)
+        return report.rolled_back
+
     saw_rollback = False
     for fid, name in enumerate(order):
-        pattern = PATTERNS[name]()
-        before = full_fingerprint(controller)
-        report = controller.admit(fid, pattern)
-        if not report.success:
-            assert full_fingerprint(controller) == before
-            saw_rollback = saw_rollback or report.rolled_back
+        saw_rollback = step(fid, PATTERNS[name]) or saw_rollback
     # Keep admitting caches until a TCAM rollback occurs so the
     # journal path is exercised in every example.
     fid = len(order)
     while not saw_rollback and fid < len(order) + 64:
-        before = full_fingerprint(controller)
-        report = controller.admit(fid, listing1_pattern())
-        if not report.success:
-            assert full_fingerprint(controller) == before
-            saw_rollback = saw_rollback or report.rolled_back
+        saw_rollback = step(fid, listing1_pattern)
         fid += 1
     assert saw_rollback, "TCAM exhaustion must eventually trigger rollback"
 
@@ -281,7 +351,7 @@ def test_aborted_commit_property_explicit_plan():
     allocator is invisible at every layer."""
     controller = tiny_controller(tcam_entries=64)
     for fid in range(4):
-        controller.admit(fid, listing1_pattern())
+        controller.admit(fid=fid, pattern=listing1_pattern())
     before = full_fingerprint(controller)
     allocator = controller.allocator
     plan = allocator.plan(123, listing1_pattern())

@@ -71,12 +71,11 @@ MUTANTS = [
 FIDS = (1, 2, 3, 4)
 
 
-def _provisioned_switch(cache_entries, telemetry=None, tracer=None, span_tracer=None):
+def _provisioned_switch(cache_entries, telemetry=None, tracer=None):
     switch = ActiveSwitch(
         SwitchConfig(program_cache_entries=cache_entries),
         telemetry=telemetry,
         tracer=tracer,
-        span_tracer=span_tracer,
     )
     switch.register_host(CLIENT, 1)
     switch.register_host(SERVER, 2)
@@ -241,35 +240,25 @@ def test_telemetry_overhead():
        budget purely for shared-runner clock noise; typical local
        ratios are well under 5%).
 
-    The causal span tracer rides the same contract: with tracing off
-    the switch resolves the inert NULL_TRACER and records nothing, and
-    even a recording span tracer records no data-path spans unless the
-    packet sampler selects the packet (span continuation piggybacks on
-    the existing sampling decision, so 0% sampling means zero span
-    traffic).
+    The tracer rides the same contract: with tracing off the switch
+    resolves the inert NULL_TRACER and records nothing, and a recording
+    tracer records no data-path spans unless its sampler selects the
+    packet (the default 0% sampling means zero span traffic).
     """
-    from repro.telemetry import (
-        MetricsRegistry,
-        NULL_TRACER,
-        PipelineTracer,
-        Tracer,
-    )
+    from repro.telemetry import MetricsRegistry, NULL_TRACER, Tracer
 
     repeats = 40 if SMOKE else 150
 
     disabled = _provisioned_switch(cache_entries=256)
     assert disabled.telemetry.enabled is False
     # Tracing off: the switch resolved the inert process default.
-    assert disabled.span_tracer is NULL_TRACER
-    assert disabled.span_tracer.enabled is False
+    assert disabled.tracer is NULL_TRACER
+    assert disabled.tracer.enabled is False
 
     registry = MetricsRegistry()
-    span_tracer = Tracer()
+    tracer = Tracer()
     enabled = _provisioned_switch(
-        cache_entries=256,
-        telemetry=registry,
-        tracer=PipelineTracer(sample_rate=0.0, seed=0),
-        span_tracer=span_tracer,
+        cache_entries=256, telemetry=registry, tracer=tracer
     )
 
     disabled.receive_batch(_workload(repeats=3))
@@ -292,9 +281,9 @@ def test_telemetry_overhead():
     ]
     assert len(fid_counters) == len(FIDS)
     # 0% packet sampling means zero data-path spans even with a live
-    # span tracer attached (and the null path recorded none at all).
-    assert len(span_tracer.spans()) == 0
-    assert disabled.span_tracer.recorded == 0
+    # tracer attached (and the null path recorded none at all).
+    assert len(tracer.spans()) == 0
+    assert disabled.tracer.recorded == 0
 
     ratio = enabled_pps / disabled_pps
     print(

@@ -90,8 +90,7 @@ from repro.switchsim.switch import ActiveSwitch, BatchResult
 from repro.telemetry import (
     MetricsRegistry,
     NullRegistry,
-    PipelineTracer,
-    TraceBuffer,
+    Tracer,
     json_snapshot,
     prometheus_text,
 )
@@ -142,8 +141,7 @@ __all__ = [
     # Telemetry
     "MetricsRegistry",
     "NullRegistry",
-    "PipelineTracer",
-    "TraceBuffer",
+    "Tracer",
     "json_snapshot",
     "prometheus_text",
 ]

@@ -26,11 +26,10 @@ from typing import Dict, List, Set
 
 from repro.analysis.findings import Finding
 from repro.analysis.invariants import replay_findings
-from repro.apps.base import EXEMPLAR_APPS
 from repro.controller.controller import ActiveRmtController
 from repro.controller.service import CommitLogEntry, pools_fingerprint
 from repro.core.constraints import AccessPattern
-from repro.experiments.common import make_controller
+from repro.experiments.common import exemplar_patterns, make_controller
 from repro.isa import assemble
 from repro.switchsim.config import SwitchConfig
 from repro.switchsim.switch import ActiveSwitch
@@ -169,7 +168,7 @@ def _demo_rejection() -> MutantDemo:
 
 def run_audit(epochs: int = 30, seed: int = 7) -> AuditResult:
     """Churn, audit live, replay the log, re-audit every epoch."""
-    patterns = {name: spec.pattern() for name, spec in EXEMPLAR_APPS.items()}
+    patterns = exemplar_patterns()
     pattern_of_fid: Dict[int, AccessPattern] = {}
     log: List[CommitLogEntry] = []
     live = make_controller(sanitizer=True)

@@ -26,14 +26,18 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.apps.base import EXEMPLAR_APPS
 from repro.controller.controller import (
     ProvisioningRequest,
     ProvisioningStatus,
 )
 from repro.core.constraints import AccessPattern
 from repro.device import Device, SimDevice
-from repro.experiments.common import run_registry, sanitizer_enabled
+from repro.experiments.common import (
+    audit_tally,
+    exemplar_patterns,
+    run_registry,
+    sanitizer_enabled,
+)
 from repro.fabric import Fabric, FailoverReport, replay_shard
 from repro.faults import FaultPlan, FaultyDevice, RetryPolicy
 from repro.switchsim.config import SwitchConfig
@@ -71,10 +75,6 @@ class ChaosResult:
     def shed_rate(self) -> float:
         total = self.admitted + self.rejected + self.shed
         return self.shed / total if total else 0.0
-
-
-def _patterns() -> Dict[str, AccessPattern]:
-    return {name: spec.pattern() for name, spec in EXEMPLAR_APPS.items()}
 
 
 def _drive_segment(
@@ -135,7 +135,7 @@ def run_chaos(
     registry = run_registry()
     if sanitizer is None:
         sanitizer = sanitizer_enabled()
-    patterns = _patterns()
+    patterns = exemplar_patterns()
     config = SwitchConfig()
     retry = RetryPolicy(
         max_attempts=retry_attempts, base_s=1e-6, cap_s=1e-5, jitter=0.5
@@ -208,15 +208,9 @@ def run_chaos(
 
     # Post-recovery proof obligations: clean audits and certificates
     # across every live shard.
-    audit_errors = sum(
-        len(report.errors) for report in fabric.audit().values()
+    audit_errors, certificates, invalid_certificates = audit_tally(
+        fabric.audit().values(), fabric.certificates().values()
     )
-    certificates = invalid_certificates = 0
-    for shard_certs in fabric.certificates().values():
-        for certificate in shard_certs.values():
-            certificates += 1
-            if not certificate.valid:
-                invalid_certificates += 1
 
     admitted = rejected = rolled_back = shed = 0
     for status in status_of_fid.values():

@@ -29,11 +29,16 @@ from repro.controller.controller import (
 )
 from repro.controller.service import (
     AdmissionService,
-    AdmissionTicket,
     pools_fingerprint,
     replay_commit_log,
 )
-from repro.experiments.common import make_controller, run_registry
+from repro.experiments.common import (
+    audit_tally,
+    drive_tickets,
+    exemplar_patterns,
+    make_controller,
+    run_registry,
+)
 from repro.telemetry import (
     FlightRecorder,
     MetricsRegistry,
@@ -41,7 +46,7 @@ from repro.telemetry import (
     json_snapshot,
     resolve_tracer,
 )
-from repro.workloads.arrivals import ArrivalEvent, DepartureEvent, poisson_events
+from repro.workloads.arrivals import ArrivalEvent, poisson_events
 
 
 @dataclasses.dataclass
@@ -148,9 +153,6 @@ def run_churn(
         )
         arrivals = sum(1 for e in events if isinstance(e, ArrivalEvent))
         departures = len(events) - arrivals
-        patterns = {
-            name: spec.pattern() for name, spec in EXEMPLAR_APPS.items()
-        }
         controller = make_controller()
         recorder: Optional[FlightRecorder] = None
         if isinstance(tracer, Tracer):
@@ -174,37 +176,9 @@ def run_churn(
         )
         retries_before = _counter_total(registry, "admission_plan_retries_total")
 
-        tickets: Dict[int, AdmissionTicket] = {}
-        pattern_of_fid = {}
-        # Withdrawals must trail their fid's admission; rather than
-        # blocking the driver (which would starve the worker pipeline),
-        # departures of still-in-flight admissions are deferred and
-        # retried as later events stream in.
-        deferred: List[int] = []
-
-        def try_withdraw(fid: int) -> bool:
-            ticket = tickets[fid]
-            if not ticket.done():
-                return False
-            if ticket.result().success:
-                service.submit(ProvisioningRequest.withdrawal(fid=fid))
-            return True
-
-        started = time.perf_counter()
-        for event in events:
-            if isinstance(event, DepartureEvent):
-                if event.fid in tickets and not try_withdraw(event.fid):
-                    deferred.append(event.fid)
-                continue
-            pattern = patterns[event.app_name]
-            pattern_of_fid[event.fid] = pattern
-            tickets[event.fid] = service.submit(
-                ProvisioningRequest.admission(fid=event.fid, pattern=pattern)
-            )
-            deferred = [fid for fid in deferred if not try_withdraw(fid)]
-        for fid in deferred:
-            tickets[fid].result(timeout=deadline_s)
-            try_withdraw(fid)
+        tickets, pattern_of_fid, started = drive_tickets(
+            service.submit, events, exemplar_patterns(), deadline_s
+        )
         service.drain()
         elapsed = time.perf_counter() - started
 
@@ -229,10 +203,8 @@ def run_churn(
         )
         # Post-run state audit + per-resident isolation certificates:
         # the concurrent run must leave a provably isolated layout.
-        audit_errors = len(controller.audit().errors)
-        live_certificates = controller.certificates()
-        invalid_certificates = sum(
-            1 for c in live_certificates.values() if not c.valid
+        audit_errors, certificates, invalid_certificates = audit_tally(
+            [controller.audit()], [controller.certificates()]
         )
         service.close()
         if recorder is not None:
@@ -259,7 +231,7 @@ def run_churn(
                 diverged=diverged,
                 audit_errors=audit_errors,
                 invalid_certificates=invalid_certificates,
-                certificates=len(live_certificates),
+                certificates=certificates,
             )
         )
 

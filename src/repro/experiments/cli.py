@@ -35,6 +35,12 @@ import sys
 import time
 from typing import Callable, Dict, Optional
 
+#: Share of data-path packets a ``--trace-out`` run records as
+#: ``datapath.packet`` spans: enough to see packets join the commit that
+#: installed their layout, few enough to leave the ring to the control
+#: plane.  (The sampler seed stays at the Tracer default.)
+TRACE_PACKET_SAMPLE_RATE = 0.01
+
 
 def _fig5(quick: bool) -> str:
     from repro.experiments import fig5_alloc_time
@@ -238,7 +244,11 @@ def run_experiment(
     registry = telemetry.MetricsRegistry() if stats_out else None
     # A fresh Tracer is empty and Tracer defines __len__, so these
     # guards must test identity, not truthiness.
-    tracer = telemetry.Tracer(capacity=1 << 16) if trace_out else None
+    tracer = (
+        telemetry.Tracer(capacity=1 << 16, sample_rate=TRACE_PACKET_SAMPLE_RATE)
+        if trace_out
+        else None
+    )
     if registry is not None:
         previous_registry = telemetry.set_registry(registry)
     if tracer is not None:

@@ -4,11 +4,20 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Dict, Iterable, List, Optional, Sequence
+import time
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.analysis.findings import AnalysisReport
+from repro.analysis.isolation import IsolationCertificate
 from repro.apps.base import EXEMPLAR_APPS
-from repro.controller.controller import ActiveRmtController, ProvisioningReport
+from repro.controller.controller import (
+    ActiveRmtController,
+    ProvisioningReport,
+    ProvisioningRequest,
+)
+from repro.controller.service import AdmissionTicket
 from repro.core.constraints import (
+    AccessPattern,
     AllocationPolicy,
     LEAST_CONSTRAINED,
     MOST_CONSTRAINED,
@@ -36,6 +45,11 @@ def run_registry() -> MetricsRegistry:
     the service counters), else a private one for the run's numbers."""
     registry = resolve(None)
     return registry if registry.enabled else MetricsRegistry()
+
+
+def exemplar_patterns() -> Dict[str, AccessPattern]:
+    """The bundled apps' access patterns, by app name."""
+    return {name: spec.pattern() for name, spec in EXEMPLAR_APPS.items()}
 
 
 def make_controller(
@@ -97,7 +111,7 @@ def drive_events(
     hold no allocation).  Cache-specific metrics (fairness, realloc
     fraction) follow the paper's Figure 7c/7d focus on the elastic app.
     """
-    patterns = {name: spec.pattern() for name, spec in EXEMPLAR_APPS.items()}
+    patterns = exemplar_patterns()
     app_of_fid: Dict[int, str] = {}
     records: List[EpochRecord] = []
     admitted = 0
@@ -120,6 +134,68 @@ def drive_events(
             _record_for(controller, event, report, app_of_fid)
         )
     return OnlineRun(records=records, failed=failed, admitted=admitted)
+
+
+def drive_tickets(
+    submit: Callable[[ProvisioningRequest], AdmissionTicket],
+    events: Sequence[Event],
+    patterns: Dict[str, AccessPattern],
+    deadline_s: Optional[float],
+) -> Tuple[Dict[int, AdmissionTicket], Dict[int, AccessPattern], float]:
+    """Stream one event sequence through a ticketed submit front door.
+
+    Returns the admission tickets and patterns by fid plus the
+    ``perf_counter`` start time.  Withdrawals must trail their fid's
+    admission; rather than blocking the driver (which would starve the
+    worker pipeline), departures of still-in-flight admissions are
+    deferred and retried as later events stream in, so serial and
+    concurrent runs see the same request sequence.
+    """
+    tickets: Dict[int, AdmissionTicket] = {}
+    pattern_of_fid: Dict[int, AccessPattern] = {}
+    deferred: List[int] = []
+
+    def try_withdraw(fid: int) -> bool:
+        ticket = tickets[fid]
+        if not ticket.done():
+            return False
+        if ticket.result().success:
+            submit(ProvisioningRequest.withdrawal(fid=fid))
+        return True
+
+    started = time.perf_counter()
+    for event in events:
+        if isinstance(event, DepartureEvent):
+            if event.fid in tickets and not try_withdraw(event.fid):
+                deferred.append(event.fid)
+            continue
+        assert isinstance(event, ArrivalEvent)
+        pattern = patterns[event.app_name]
+        pattern_of_fid[event.fid] = pattern
+        tickets[event.fid] = submit(
+            ProvisioningRequest.admission(fid=event.fid, pattern=pattern)
+        )
+        deferred = [fid for fid in deferred if not try_withdraw(fid)]
+    for fid in deferred:
+        tickets[fid].result(timeout=deadline_s)
+        try_withdraw(fid)
+    return tickets, pattern_of_fid, started
+
+
+def audit_tally(
+    audit_reports: Iterable[AnalysisReport],
+    certificates: Iterable[Mapping[int, IsolationCertificate]],
+) -> Tuple[int, int, int]:
+    """Post-run proof obligations as three counts.
+
+    Takes one invariant-audit report and one fid -> live certificate
+    mapping per controller; returns (audit errors, certificates
+    checked, invalid certificates).  The first and last must be 0.
+    """
+    audit_errors = sum(len(report.errors) for report in audit_reports)
+    checked = [cert for by_fid in certificates for cert in by_fid.values()]
+    invalid = sum(1 for cert in checked if not cert.valid)
+    return audit_errors, len(checked), invalid
 
 
 def _record_for(

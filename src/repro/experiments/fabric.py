@@ -25,22 +25,25 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.apps.base import EXEMPLAR_APPS
-from repro.controller.controller import (
-    ProvisioningRequest,
-    ProvisioningStatus,
-)
+from repro.controller.controller import ProvisioningStatus
 from repro.controller.service import (
     AdmissionService,
     AdmissionTicket,
     pools_fingerprint,
 )
 from repro.core.constraints import AccessPattern
-from repro.experiments.common import make_controller, run_registry, sanitizer_enabled
+from repro.experiments.common import (
+    audit_tally,
+    drive_tickets,
+    exemplar_patterns,
+    make_controller,
+    run_registry,
+    sanitizer_enabled,
+)
 from repro.fabric import Fabric, replay_shard
-from repro.workloads.arrivals import ArrivalEvent, DepartureEvent, poisson_events
+from repro.workloads.arrivals import ArrivalEvent, poisson_events
 
 
 @dataclasses.dataclass
@@ -109,54 +112,6 @@ class FabricResult:
         return self.best.throughput / base.throughput if base.throughput else 0.0
 
 
-def _patterns() -> Dict[str, AccessPattern]:
-    return {name: spec.pattern() for name, spec in EXEMPLAR_APPS.items()}
-
-
-def _drive(
-    submit: Callable[[ProvisioningRequest], AdmissionTicket],
-    events: Sequence[object],
-    patterns: Dict[str, AccessPattern],
-    deadline_s: Optional[float],
-) -> Tuple[Dict[int, AdmissionTicket], Dict[int, AccessPattern], float]:
-    """Stream one event sequence through a submit front door.
-
-    Withdrawals must trail their fid's admission; departures whose
-    admission is still in flight are deferred and retried as later
-    events stream in (identical to the churn driver, so serial and
-    concurrent runs see the same request sequence).
-    """
-    tickets: Dict[int, AdmissionTicket] = {}
-    pattern_of_fid: Dict[int, AccessPattern] = {}
-    deferred: List[int] = []
-
-    def try_withdraw(fid: int) -> bool:
-        ticket = tickets[fid]
-        if not ticket.done():
-            return False
-        if ticket.result().success:
-            submit(ProvisioningRequest.withdrawal(fid=fid))
-        return True
-
-    started = time.perf_counter()
-    for event in events:
-        if isinstance(event, DepartureEvent):
-            if event.fid in tickets and not try_withdraw(event.fid):
-                deferred.append(event.fid)
-            continue
-        assert isinstance(event, ArrivalEvent)
-        pattern = patterns[event.app_name]
-        pattern_of_fid[event.fid] = pattern
-        tickets[event.fid] = submit(
-            ProvisioningRequest.admission(fid=event.fid, pattern=pattern)
-        )
-        deferred = [fid for fid in deferred if not try_withdraw(fid)]
-    for fid in deferred:
-        tickets[fid].result(timeout=deadline_s)
-        try_withdraw(fid)
-    return tickets, pattern_of_fid, started
-
-
 def _outcomes(
     tickets: Dict[int, AdmissionTicket], deadline_s: Optional[float]
 ) -> Tuple[int, int, int, Dict[int, ProvisioningStatus]]:
@@ -186,11 +141,11 @@ def _parity_check(
     """
     bare = make_controller()
     bare_service = AdmissionService(bare, workers=0, seed=seed)
-    bare_tickets, _, _ = _drive(bare_service.submit, events, patterns, None)
+    bare_tickets, _, _ = drive_tickets(bare_service.submit, events, patterns, None)
     bare_admitted, bare_rejected, _, _ = _outcomes(bare_tickets, None)
 
     fabric = Fabric.build(1, placement="hash", seed=seed, workers=0)
-    fabric_tickets, _, _ = _drive(fabric.submit, events, patterns, None)
+    fabric_tickets, _, _ = drive_tickets(fabric.submit, events, patterns, None)
     fab_admitted, fab_rejected, _, _ = _outcomes(fabric_tickets, None)
 
     identical = (
@@ -234,7 +189,7 @@ def run_fabric(
     )
     arrivals = sum(1 for e in events if isinstance(e, ArrivalEvent))
     departures = len(events) - arrivals
-    patterns = _patterns()
+    patterns = exemplar_patterns()
 
     parity_ok, parity_admitted, parity_rejected = _parity_check(
         events, patterns, seed
@@ -253,7 +208,7 @@ def run_fabric(
             telemetry=registry,
             sanitizer=sanitizer,
         )
-        tickets, pattern_of_fid, started = _drive(
+        tickets, pattern_of_fid, started = drive_tickets(
             fabric.submit, events, patterns, deadline_s
         )
         fabric.drain()
@@ -305,15 +260,9 @@ def run_fabric(
             )
         # Fleet-wide state audit + live isolation certificates, the
         # batch counterpart of the fingerprint parity checks above.
-        audit_errors = sum(
-            len(report.errors) for report in fabric.audit().values()
+        audit_errors, certificates, invalid_certificates = audit_tally(
+            fabric.audit().values(), fabric.certificates().values()
         )
-        certificates = invalid_certificates = 0
-        for shard_certs in fabric.certificates().values():
-            for certificate in shard_certs.values():
-                certificates += 1
-                if not certificate.valid:
-                    invalid_certificates += 1
         fabric.close()
 
         row = FabricRow(

@@ -229,7 +229,7 @@ class Fabric:
         if num_shards < 1:
             raise FabricError("num_shards must be >= 1")
         registry = resolve(telemetry)
-        span_tracer = resolve_tracer(tracer)
+        tracer = resolve_tracer(tracer)
         shards: List[Shard] = []
         for index in range(num_shards):
             if device_factory is not None:
@@ -244,7 +244,7 @@ class Fabric:
                 scheme=scheme,
                 policy=policy,
                 telemetry=registry,
-                tracer=span_tracer,
+                tracer=tracer,
                 sanitizer=sanitizer,
                 retry=retry,
             )
@@ -257,7 +257,7 @@ class Fabric:
                 pacing=pacing,
                 seed=seed + index,
                 telemetry=registry,
-                tracer=span_tracer,
+                tracer=tracer,
             )
             shards.append(Shard(index, controller, service))
         return cls(
@@ -265,7 +265,7 @@ class Fabric:
             placement=placement,
             seed=seed,
             telemetry=registry,
-            tracer=span_tracer,
+            tracer=tracer,
         )
 
     # ------------------------------------------------------------------

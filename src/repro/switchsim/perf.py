@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Union
+
+if TYPE_CHECKING:
+    from repro.switchsim.switch import BatchResult
 
 
 @dataclasses.dataclass
@@ -79,30 +82,12 @@ class PerfCounters:
 
     # ------------------------------------------------------------------
 
-    def merge_batch(
-        self,
-        packets: int,
-        programs: int = 0,
-        plain_forwarded: int = 0,
-        digested: int = 0,
-        suppressed: int = 0,
-        forwarded: int = 0,
-        returned: int = 0,
-        dropped: int = 0,
-        faulted: int = 0,
-    ) -> None:
+    def merge_batch(self, batch: "BatchResult") -> None:
         """Roll one batch's tallies into the counters (single call)."""
-        self.packets += packets
-        self.programs += programs
-        self.plain_forwarded += plain_forwarded
-        self.digested += digested
-        self.suppressed += suppressed
-        self.forwarded += forwarded
-        self.returned += returned
-        self.dropped += dropped
-        self.faulted += faulted
+        for name in _BATCH_TALLIES:
+            setattr(self, name, getattr(self, name) + getattr(batch, name))
         self.batches += 1
-        self.batched_packets += packets
+        self.batched_packets += batch.packets
         self.touch()
 
     def reset(self) -> None:
@@ -112,19 +97,8 @@ class PerfCounters:
         phase's activity window (and totals) never bleeds into the
         next phase's packets-per-second figure.
         """
-        self.packets = 0
-        self.programs = 0
-        self.plain_forwarded = 0
-        self.digested = 0
-        self.suppressed = 0
-        self.forwarded = 0
-        self.returned = 0
-        self.dropped = 0
-        self.faulted = 0
-        self.batches = 0
-        self.batched_packets = 0
-        self._window_start = None
-        self._window_end = None
+        for field in dataclasses.fields(self):
+            setattr(self, field.name, field.default)
 
     def snapshot(self) -> Dict[str, Union[int, float]]:
         """Counter values as a plain dict (stable keys for stats()).
@@ -132,18 +106,20 @@ class PerfCounters:
         Counts are ints; the two derived window values
         (``packets_per_second``, ``elapsed_seconds``) are floats.
         """
-        return {
-            "packets": self.packets,
-            "programs": self.programs,
-            "plain_forwarded": self.plain_forwarded,
-            "digested": self.digested,
-            "suppressed": self.suppressed,
-            "forwarded": self.forwarded,
-            "returned": self.returned,
-            "dropped": self.dropped,
-            "faulted": self.faulted,
-            "batches": self.batches,
-            "batched_packets": self.batched_packets,
-            "packets_per_second": self.packets_per_second,
-            "elapsed_seconds": self.elapsed_seconds,
+        data: Dict[str, Union[int, float]] = {
+            field.name: getattr(self, field.name)
+            for field in dataclasses.fields(self)
+            if not field.name.startswith("_")
         }
+        data["packets_per_second"] = self.packets_per_second
+        data["elapsed_seconds"] = self.elapsed_seconds
+        return data
+
+
+#: The per-batch tallies: every counter a ``BatchResult`` carries under
+#: the same name (all but the two batch-count counters).
+_BATCH_TALLIES = tuple(
+    field.name
+    for field in dataclasses.fields(PerfCounters)
+    if not field.name.startswith(("_", "batch"))
+)

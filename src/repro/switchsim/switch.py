@@ -18,7 +18,6 @@ outputs are identical packet for packet.
 from __future__ import annotations
 
 import dataclasses
-import time
 from collections import deque
 from typing import (
     Callable,
@@ -43,7 +42,6 @@ from repro.telemetry import (
     SIZE_BUCKETS,
     AnyTracer,
     MetricsRegistry,
-    PipelineTracer,
     resolve,
     resolve_tracer,
 )
@@ -137,16 +135,13 @@ class ActiveSwitch:
         telemetry: metrics registry; None resolves to the process
             default (an inert NullRegistry unless one was installed),
             keeping the default data path telemetry-free.
-        tracer: optional sampled per-packet tracer; each sampled
-            packet records one span with its fid, classification,
-            disposition, and recirculation count.
-        span_tracer: causal span tracer; None resolves to the process
-            default (inert unless one was installed).  When recording,
-            each *sampled* packet additionally records a
-            ``datapath.packet`` span parented on the tracer's
-            ``layout_context`` -- the commit that installed the layout
-            the packet executes under -- joining control-plane traces
-            to the data path by IDs.
+        tracer: span tracer; None resolves to the process default
+            (inert unless one was installed).  Each packet the tracer
+            *samples* records one ``datapath.packet`` span (fid,
+            classification, disposition, recirculation count) parented
+            on the tracer's ``layout_context`` -- the commit that
+            installed the layout the packet executes under -- joining
+            control-plane traces to the data path by IDs.
     """
 
     def __init__(
@@ -156,13 +151,11 @@ class ActiveSwitch:
         governor=None,
         clock: Optional[Callable[[], float]] = None,
         telemetry: Optional[MetricsRegistry] = None,
-        tracer: Optional[PipelineTracer] = None,
-        span_tracer: Optional[AnyTracer] = None,
+        tracer: Optional[AnyTracer] = None,
     ) -> None:
         self.config = config or SwitchConfig()
         self.telemetry = resolve(telemetry)
-        self.tracer = tracer
-        self.span_tracer = resolve_tracer(span_tracer)
+        self.tracer = resolve_tracer(tracer)
         self.pipeline = Pipeline(self.config, telemetry=self.telemetry)
         self.latency = latency or LatencyModel()
         self.governor = governor
@@ -205,10 +198,10 @@ class ActiveSwitch:
         packet.arrival_port = in_port
         self._count_rx(in_port, packet)
         tracer = self.tracer
-        sampled = tracer is not None and tracer.should_sample()
-        if sampled:
-            started = time.perf_counter()
-        kind, result, outputs = self._process(packet, in_port)
+        if tracer.enabled and tracer.should_sample():
+            kind, result, outputs = self._process_sampled(packet, in_port)
+        else:
+            kind, result, outputs = self._process(packet, in_port)
         perf = self.perf
         perf.packets += 1
         if kind == _KIND_PROGRAM:
@@ -226,28 +219,6 @@ class ActiveSwitch:
             self._count_fid(
                 packet.fid, result.recirculations if result is not None else 0
             )
-        if sampled:
-            ended = time.perf_counter()
-            tracer.record(
-                "packet",
-                duration_s=ended - started,
-                fid=packet.fid,
-                kind=_KIND_NAMES[kind],
-                disposition=result.disposition.value if result else None,
-                recirculations=result.recirculations if result else 0,
-            )
-            span_tracer = self.span_tracer
-            if span_tracer.enabled:
-                span_tracer.record_span(
-                    "datapath.packet",
-                    start_s=started,
-                    end_s=ended,
-                    parent=span_tracer.layout_context,
-                    fid=packet.fid,
-                    kind=_KIND_NAMES[kind],
-                    disposition=result.disposition.value if result else None,
-                    recirculations=result.recirculations if result else 0,
-                )
         for output in outputs:
             self._count_tx(output.port, output.packet)
         perf.touch()
@@ -293,13 +264,17 @@ class ActiveSwitch:
         }
         total = 0
         process = self._process
+        process_sampled = self._process_sampled
         extend = outputs_all.extend
         # Telemetry tallies accumulate locally and roll into the
         # registry once per batch; None when telemetry is disabled so
         # the default path pays a single predicate per packet.
         tel_enabled = self.telemetry.enabled
         fid_tally: Optional[Dict[int, List[int]]] = {} if tel_enabled else None
+        # The tracer's bound sampler, or None when tracing is off, so
+        # the default path pays one truth test on a local per packet.
         tracer = self.tracer
+        sample = tracer.should_sample if tracer.enabled else None
         for packet, port in items:
             total += 1
             packet.arrival_port = port
@@ -308,10 +283,10 @@ class ActiveSwitch:
                 acc = rx[port] = [0, 0]
             acc[0] += 1
             acc[1] += packet.wire_size()
-            sampled = tracer is not None and tracer.should_sample()
-            if sampled:
-                started = time.perf_counter()
-            kind, result, outputs = process(packet, port)
+            if sample is not None and sample():
+                kind, result, outputs = process_sampled(packet, port)
+            else:
+                kind, result, outputs = process(packet, port)
             counts[kind] += 1
             if kind == _KIND_PROGRAM:
                 dispositions[result.disposition] += 1
@@ -323,30 +298,6 @@ class ActiveSwitch:
                     tally = fid_tally[packet.fid] = [0, 0]
                 tally[0] += 1
                 tally[1] += result.recirculations if result is not None else 0
-            if sampled:
-                ended = time.perf_counter()
-                tracer.record(
-                    "packet",
-                    duration_s=ended - started,
-                    fid=packet.fid,
-                    kind=_KIND_NAMES[kind],
-                    disposition=result.disposition.value if result else None,
-                    recirculations=result.recirculations if result else 0,
-                )
-                span_tracer = self.span_tracer
-                if span_tracer.enabled:
-                    span_tracer.record_span(
-                        "datapath.packet",
-                        start_s=started,
-                        end_s=ended,
-                        parent=span_tracer.layout_context,
-                        fid=packet.fid,
-                        kind=_KIND_NAMES[kind],
-                        disposition=(
-                            result.disposition.value if result else None
-                        ),
-                        recirculations=result.recirculations if result else 0,
-                    )
             if outputs:
                 extend(outputs)
         # -- single roll-up of everything the scalar path does per packet
@@ -372,26 +323,7 @@ class ActiveSwitch:
                 stats = self.port_stats[port] = PortStats()
             stats.tx_packets += count
             stats.tx_bytes += nbytes
-        self.perf.merge_batch(
-            packets=total,
-            programs=counts[_KIND_PROGRAM],
-            plain_forwarded=counts[_KIND_PLAIN],
-            digested=counts[_KIND_DIGEST],
-            suppressed=counts[_KIND_SUPPRESSED],
-            forwarded=dispositions[PacketDisposition.FORWARD],
-            returned=dispositions[PacketDisposition.RETURN_TO_SENDER],
-            dropped=dispositions[PacketDisposition.DROP],
-            faulted=dispositions[PacketDisposition.FAULT],
-        )
-        if fid_tally is not None:
-            self.telemetry.histogram(
-                "datapath_batch_size",
-                buckets=SIZE_BUCKETS,
-                help="Packets per receive_batch call",
-            ).observe(total)
-            for fid, (packets_n, recircs_n) in fid_tally.items():
-                self._count_fid(fid, recircs_n, packets_n)
-        return BatchResult(
+        batch = BatchResult(
             outputs=outputs_all,
             packets=total,
             programs=counts[_KIND_PROGRAM],
@@ -403,6 +335,41 @@ class ActiveSwitch:
             dropped=dispositions[PacketDisposition.DROP],
             faulted=dispositions[PacketDisposition.FAULT],
         )
+        self.perf.merge_batch(batch)
+        if fid_tally is not None:
+            self.telemetry.histogram(
+                "datapath_batch_size",
+                buckets=SIZE_BUCKETS,
+                help="Packets per receive_batch call",
+            ).observe(total)
+            for fid, (packets_n, recircs_n) in fid_tally.items():
+                self._count_fid(fid, recircs_n, packets_n)
+        return batch
+
+    def _process_sampled(
+        self, packet: ActivePacket, in_port: int
+    ) -> Tuple[int, Optional[ExecutionResult], List[SwitchOutput]]:
+        """``_process`` one sampled packet and record its span.
+
+        The single per-packet trace site: both front doors call it only
+        for packets the tracer sampled.  Both timestamps come from the
+        tracer's clock, so packet spans share the control-plane spans'
+        time base.
+        """
+        tracer = self.tracer
+        started = tracer.clock()
+        kind, result, outputs = self._process(packet, in_port)
+        tracer.record_span(
+            "datapath.packet",
+            start_s=started,
+            end_s=tracer.clock(),
+            parent=tracer.layout_context,
+            fid=packet.fid,
+            kind=_KIND_NAMES[kind],
+            disposition=result.disposition.value if result else None,
+            recirculations=result.recirculations if result else 0,
+        )
+        return kind, result, outputs
 
     def _process(
         self, packet: ActivePacket, in_port: int
@@ -588,12 +555,16 @@ class ActiveSwitch:
     # ------------------------------------------------------------------
 
     def _count_rx(self, port: int, packet: ActivePacket) -> None:
-        stats = self.port_stats.setdefault(port, PortStats())
+        stats = self.port_stats.get(port)
+        if stats is None:
+            stats = self.port_stats[port] = PortStats()
         stats.rx_packets += 1
         stats.rx_bytes += packet.wire_size()
 
     def _count_tx(self, port: int, packet: ActivePacket) -> None:
-        stats = self.port_stats.setdefault(port, PortStats())
+        stats = self.port_stats.get(port)
+        if stats is None:
+            stats = self.port_stats[port] = PortStats()
         stats.tx_packets += 1
         stats.tx_bytes += packet.wire_size()
 

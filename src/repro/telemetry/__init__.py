@@ -2,10 +2,11 @@
 
 The observability layer the paper's measurements imply: a process-local
 :class:`MetricsRegistry` (counters, gauges, fixed-bucket histograms
-with p50/p95/p99 summaries), a bounded structured-trace layer
-(:class:`TraceBuffer` / :class:`PipelineTracer` with seeded per-packet
-sampling), and two exporters (:func:`json_snapshot` for ``--stats-out``
-files, :func:`prometheus_text` for scrape endpoints).
+with p50/p95/p99 summaries), one bounded span-trace layer
+(:class:`Tracer`: causal span trees across the planes, with seeded
+per-packet sampling on the data path), and the exporters
+(:func:`json_snapshot` for ``--stats-out`` files, :func:`prometheus_text`
+for scrape endpoints, :func:`dump_trace` for ``--trace-out``).
 
 Telemetry is **off by default and zero-cost when off**: every
 instrumented component (allocator, controller, table updater, switch,
@@ -37,12 +38,6 @@ from repro.telemetry.registry import (
     NullRegistry,
     NULL_REGISTRY,
     format_series,
-)
-from repro.telemetry.trace import (
-    PacketSampler,
-    PipelineTracer,
-    TraceBuffer,
-    TraceEvent,
 )
 from repro.telemetry.tracing import (
     AnyTracer,
@@ -139,12 +134,8 @@ __all__ = [
     "NULL_REGISTRY",
     "NULL_SPAN",
     "NULL_TRACER",
-    "PacketSampler",
-    "PipelineTracer",
     "Span",
     "SpanContext",
-    "TraceBuffer",
-    "TraceEvent",
     "Tracer",
     "chrome_trace_events",
     "context_of",

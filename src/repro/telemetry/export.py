@@ -21,20 +21,20 @@ from repro.telemetry.registry import (
     MetricsRegistry,
     format_series,
 )
-from repro.telemetry.trace import TraceBuffer
+from repro.telemetry.tracing import AnyTracer
 
 
 def json_snapshot(
-    registry: MetricsRegistry, trace: Optional[TraceBuffer] = None
+    registry: MetricsRegistry, trace: Optional[AnyTracer] = None
 ) -> Dict[str, object]:
-    """The registry (and optionally a trace buffer) as one plain dict."""
+    """The registry (and optionally a tracer's spans) as one plain dict."""
     data = registry.snapshot()
     if trace is not None:
         data["traces"] = {
             "capacity": trace.capacity,
             "recorded": trace.recorded,
             "dropped": trace.dropped,
-            "events": trace.snapshot(),
+            "events": [span.as_dict() for span in trace.spans()],
         }
     return data
 
@@ -42,7 +42,7 @@ def json_snapshot(
 def dump_json(
     path: str,
     registry: MetricsRegistry,
-    trace: Optional[TraceBuffer] = None,
+    trace: Optional[AnyTracer] = None,
 ) -> None:
     """Write :func:`json_snapshot` to *path* (pretty-printed)."""
     with open(path, "w", encoding="utf-8") as handle:

@@ -1,9 +1,8 @@
 """Causal request tracing: hierarchical span trees across all planes.
 
-PR 2's :class:`~repro.telemetry.trace.TraceBuffer` records *flat*
-events -- enough to ask "how long did packets take", useless for asking
-"which admission caused this journal replay, and which packets ran
-under the layout it committed".  This module adds the causal layer:
+The one trace layer.  Metrics answer "how much"; spans answer "which
+admission caused this journal replay, and which packets ran under the
+layout it committed":
 
 - :class:`Span` -- one timed operation with an explicit ``trace_id``,
   ``span_id``, and ``parent_id``.  All spans of one control-plane
@@ -18,11 +17,15 @@ under the layout it committed".  This module adds the causal layer:
   spans plus the in-flight set.  IDs come from an injected
   :class:`IdSource` (deterministic counters by default -- no
   ``Date.now``-style ambient state), the clock is injected the same
-  way, so tests assert exact IDs and durations with fakes.
+  way, so tests assert exact IDs and durations with fakes.  Per-packet
+  tracing at line rate would swamp the ring and the hot path, so the
+  data path samples: :meth:`Tracer.should_sample` draws from a seeded
+  RNG at ``sample_rate`` (the same (rate, seed) always selects the same
+  packet positions, which keeps experiment traces reproducible).
 - :class:`NullTracer` -- the inert process default.  Its spans are one
   shared null object (:data:`NULL_SPAN`), so control-plane code opens
-  spans unconditionally; only the per-packet data path guards on
-  ``tracer.enabled`` (gated by
+  spans unconditionally; only the switch's per-packet sampling guard
+  tests ``tracer.enabled`` (gated by
   ``benchmarks/test_hotpath_throughput.py::test_telemetry_overhead``).
 - :class:`FlightRecorder` -- a bounded ring of anomaly dumps.  When a
   rollback, shed, deadline miss, or stale-plan retry storm fires, the
@@ -41,6 +44,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import random
 import threading
 import time
 from collections import deque
@@ -162,6 +166,10 @@ class Tracer:
         ids: trace/span ID source; defaults to deterministic counters.
         clock: monotonic time source (injectable for exact-duration
             tests; defaults to :func:`time.perf_counter`).
+        sample_rate: fraction of data-path packets traced as
+            ``datapath.packet`` spans (0 records none; control-plane
+            spans are unaffected).
+        seed: sampler seed; fixed so reruns trace the same packets.
     """
 
     enabled = True
@@ -171,12 +179,18 @@ class Tracer:
         capacity: int = 16384,
         ids: Optional[IdSource] = None,
         clock: Callable[[], float] = time.perf_counter,
+        sample_rate: float = 0.0,
+        seed: int = 0,
     ) -> None:
         if capacity <= 0:
             raise ValueError("tracer capacity must be positive")
+        if not 0.0 <= sample_rate <= 1.0:
+            raise ValueError("sample rate must be within [0, 1]")
         self.capacity = capacity
         self.ids = ids or IdSource()
         self.clock = clock
+        self.sample_rate = sample_rate
+        self._rng = random.Random(seed)
         self.recorded = 0
         self.dropped = 0
         #: Set by :class:`FlightRecorder` on attach; anomaly triggers
@@ -279,6 +293,21 @@ class Tracer:
             self.recorded += 1
         return span
 
+    def should_sample(self) -> bool:
+        """Seeded Bernoulli draw: trace the next data-path packet?
+
+        Rates of 0 and 1 short-circuit without consuming RNG state, so
+        a 0%-sampling tracer costs one comparison per packet and a
+        given (rate, seed) pair always selects the same packet
+        positions.
+        """
+        rate = self.sample_rate
+        if rate <= 0.0:
+            return False
+        if rate >= 1.0:
+            return True
+        return self._rng.random() < rate
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -357,7 +386,8 @@ class NullTracer:
     The control plane calls these unconditionally -- ``span``/``start``
     hand back the shared :data:`NULL_SPAN`, one no-op call per span --
     so no instrumented method needs a tracing-off copy of its body.
-    Only the per-packet data path still guards on ``enabled``.
+    It never samples a packet; the switch's sampling guard tests
+    ``enabled`` first so the data path does not even pay the call.
     """
 
     enabled = False
@@ -378,6 +408,9 @@ class NullTracer:
 
     def record_span(self, name: str, start_s: float, end_s: float, **kw: object) -> Span:
         return NULL_SPAN
+
+    def should_sample(self) -> bool:
+        return False
 
     def spans(self, include_live: bool = True) -> List[Span]:
         return []

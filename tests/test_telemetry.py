@@ -1,9 +1,10 @@
 """Tests for repro.telemetry: registry, traces, sampling, exporters.
 
 Covers the registry's instrument semantics (counter monotonicity,
-histogram bucket boundaries, gauge set/add, label identity), the trace
-ring buffer's eviction behavior, sampling determinism under a seeded
-RNG, and both exporters -- including a golden-file comparison and a
+histogram bucket boundaries, gauge set/add, label identity), the
+tracer's span timing and sampling determinism under a seeded RNG (ring
+eviction and capacity checks live in ``test_tracing.py``), and both
+exporters -- including a golden-file comparison and a
 line-by-line Prometheus text-format validator that the integration
 tests reuse against real instrumented runs.
 """
@@ -19,9 +20,8 @@ from repro.telemetry import (
     MetricsRegistry,
     NullRegistry,
     NULL_REGISTRY,
-    PacketSampler,
-    PipelineTracer,
-    TraceBuffer,
+    NULL_TRACER,
+    Tracer,
     json_snapshot,
     prometheus_text,
 )
@@ -245,62 +245,51 @@ def test_collectors_run_before_snapshot(registry):
 
 
 # ----------------------------------------------------------------------
-# Trace buffer and sampling
+# Span timing and packet sampling
 # ----------------------------------------------------------------------
 
 
-def test_trace_ring_buffer_eviction():
-    buffer = TraceBuffer(capacity=3)
-    for index in range(5):
-        buffer.record("event", seq=index)
-    assert len(buffer) == 3
-    assert buffer.recorded == 5
-    assert buffer.dropped == 2
-    # Oldest first; the two earliest events were evicted.
-    assert [event.attrs["seq"] for event in buffer.events()] == [2, 3, 4]
-    snap = buffer.snapshot()
-    assert snap[0]["attrs"]["seq"] == 2
-    assert snap[-1]["name"] == "event"
-
-
 def test_trace_span_measures_duration():
-    buffer = TraceBuffer(capacity=8)
-    with buffer.span("work", fid=1) as attrs:
-        attrs["extra"] = "late"
-    (event,) = buffer.events()
+    tracer = Tracer(capacity=8)
+    with tracer.span("work", fid=1) as span:
+        span.set(extra="late")
+    (event,) = tracer.spans()
     assert event.name == "work"
     assert event.duration_s >= 0.0
     assert event.attrs == {"fid": 1, "extra": "late"}
 
 
-def test_trace_buffer_rejects_bad_capacity():
-    with pytest.raises(ValueError):
-        TraceBuffer(capacity=0)
-
-
 def test_sampler_deterministic_under_seed():
-    first = PacketSampler(rate=0.5, seed=1234)
-    second = PacketSampler(rate=0.5, seed=1234)
+    first = Tracer(sample_rate=0.5, seed=1234)
+    second = Tracer(sample_rate=0.5, seed=1234)
     decisions_a = [first.should_sample() for _ in range(200)]
     decisions_b = [second.should_sample() for _ in range(200)]
     assert decisions_a == decisions_b
     assert any(decisions_a) and not all(decisions_a)
     # A different seed picks different packets.
-    third = PacketSampler(rate=0.5, seed=99)
+    third = Tracer(sample_rate=0.5, seed=99)
     assert [third.should_sample() for _ in range(200)] != decisions_a
 
 
 def test_sampler_rate_edges():
-    assert not any(
-        PacketSampler(rate=0.0, seed=7).should_sample() for _ in range(100)
-    )
-    assert all(
-        PacketSampler(rate=1.0, seed=7).should_sample() for _ in range(100)
-    )
+    never = Tracer(sample_rate=0.0, seed=7)
+    always = Tracer(sample_rate=1.0, seed=7)
+    assert not any(never.should_sample() for _ in range(100))
+    assert all(always.should_sample() for _ in range(100))
+    # Rates 0 and 1 short-circuit without consuming RNG state: dialled
+    # to 0.5 afterwards, both draw the sequence a fresh tracer draws.
+    fresh = Tracer(sample_rate=0.5, seed=7)
+    expected = [fresh.should_sample() for _ in range(50)]
+    for tracer in (never, always):
+        tracer.sample_rate = 0.5
+        assert [tracer.should_sample() for _ in range(50)] == expected
+    # The default rate samples nothing, and the null tracer never does.
+    assert not Tracer().should_sample()
+    assert not NULL_TRACER.should_sample()
     with pytest.raises(ValueError):
-        PacketSampler(rate=1.5)
+        Tracer(sample_rate=1.5)
     with pytest.raises(ValueError):
-        PacketSampler(rate=-0.1)
+        Tracer(sample_rate=-0.1)
 
 
 # ----------------------------------------------------------------------
@@ -396,14 +385,17 @@ def test_prometheus_golden_output():
 def test_json_snapshot_shape(registry):
     registry.counter("c_total").inc(2)
     registry.histogram("h", buckets=(1.0,)).observe(0.5)
-    buffer = TraceBuffer(capacity=4)
-    buffer.record("evt", fid=1)
-    data = json_snapshot(registry, trace=buffer)
+    tracer = Tracer(capacity=4)
+    tracer.finish(tracer.start("evt", fid=1))
+    data = json_snapshot(registry, trace=tracer)
     # Must round-trip through JSON unchanged.
     rehydrated = json.loads(json.dumps(data))
     assert rehydrated["counters"]["c_total"] == 2
     hist = rehydrated["histograms"]["h"]
     assert hist["count"] == 1
     assert hist["buckets"] == {"1.0": 1, "+Inf": 0}
-    assert rehydrated["traces"]["recorded"] == 1
-    assert rehydrated["traces"]["events"][0]["attrs"]["fid"] == 1
+    traces = rehydrated["traces"]
+    assert (traces["capacity"], traces["recorded"], traces["dropped"]) == (4, 1, 0)
+    assert traces["events"][0]["name"] == "evt"
+    assert traces["events"][0]["span_id"] == "s-00000001"
+    assert traces["events"][0]["attrs"]["fid"] == 1

@@ -5,7 +5,8 @@ pair wired to one recording registry, then checks that the acceptance
 surface holds: allocation-latency percentiles, per-FID packet
 counters, and admission-outcome counts all appear in the JSON
 snapshot, and the Prometheus exposition passes the line-format
-validator.  Also exercises the experiments CLI's ``--stats-out``.
+validator.  Also exercises the experiments CLI's ``--stats-out`` and
+``--trace-out``.
 """
 
 import json
@@ -18,7 +19,8 @@ from repro.packets import ActivePacket, MacAddress
 from repro.switchsim import ActiveSwitch, StageGrant, SwitchConfig
 from repro.telemetry import (
     MetricsRegistry,
-    PipelineTracer,
+    Tracer,
+    find_spans,
     json_snapshot,
     prometheus_text,
 )
@@ -60,7 +62,7 @@ def _packet(fid, program=PROGRAM):
 
 def test_instrumented_run_snapshot_and_exposition():
     registry = MetricsRegistry()
-    tracer = PipelineTracer(sample_rate=1.0, seed=7, capacity=64)
+    tracer = Tracer(sample_rate=1.0, seed=7, capacity=64)
     switch = _instrumented_switch(registry, tracer)
     controller = ActiveRmtController(switch, telemetry=registry)
 
@@ -75,7 +77,7 @@ def test_instrumented_run_snapshot_and_exposition():
         controller.admit(fid=fid, pattern=pattern)
     controller.withdraw(fid=10)
 
-    snapshot = json_snapshot(registry, trace=tracer.buffer)
+    snapshot = json_snapshot(registry, trace=tracer)
 
     # Allocation-latency percentiles are present and sane.
     alloc = snapshot["histograms"]["allocator_allocation_seconds"]
@@ -109,10 +111,11 @@ def test_instrumented_run_snapshot_and_exposition():
     assert gauges["datapath_digest_queue_depth"] == switch.digests_pending
     assert gauges["progcache_hits"] == switch.stats()["program_cache"]["hits"]
 
-    # Every packet was traced (rate 1.0) with duration + attributes.
+    # Every packet was traced (rate 1.0), through both front doors,
+    # with duration + attributes.
     events = snapshot["traces"]["events"]
     assert len(events) == 4
-    assert all(event["name"] == "packet" for event in events)
+    assert all(event["name"] == "datapath.packet" for event in events)
     assert all(event["duration_s"] >= 0.0 for event in events)
     assert {event["attrs"]["fid"] for event in events} == {1, 2}
     assert all(event["attrs"]["kind"] == "program" for event in events)
@@ -127,10 +130,10 @@ def test_instrumented_run_snapshot_and_exposition():
 def test_trace_sampling_is_deterministic_per_seed():
     def traced_fids(seed):
         registry = MetricsRegistry()
-        tracer = PipelineTracer(sample_rate=0.5, seed=seed, capacity=256)
+        tracer = Tracer(sample_rate=0.5, seed=seed, capacity=256)
         switch = _instrumented_switch(registry, tracer)
         switch.receive_batch([_packet(1) for _ in range(40)], in_port=1)
-        return [event.attrs["fid"] for event in tracer.buffer.events()]
+        return [s.attrs["fid"] for s in find_spans(tracer.spans(), "datapath.packet")]
 
     first = traced_fids(seed=21)
     second = traced_fids(seed=21)
@@ -140,11 +143,11 @@ def test_trace_sampling_is_deterministic_per_seed():
 
 def test_zero_sample_rate_traces_nothing():
     registry = MetricsRegistry()
-    tracer = PipelineTracer(sample_rate=0.0, seed=3)
+    tracer = Tracer(sample_rate=0.0, seed=3)
     switch = _instrumented_switch(registry, tracer)
     switch.receive_batch([_packet(1) for _ in range(20)], in_port=1)
     switch.receive(_packet(2), in_port=1)
-    assert len(tracer.buffer) == 0
+    assert len(tracer) == 0
     # Metrics still flow even though no packet was traced.
     snap = registry.snapshot()
     assert snap["counters"]['datapath_fid_packets_total{fid="1"}'] == 20
@@ -186,3 +189,20 @@ def test_cli_stats_out_prometheus_format(tmp_path):
     stats_file = tmp_path / "stats.prom"
     assert cli.main(["fig12", "--quick", "--stats-out", str(stats_file)]) == 0
     assert_valid_prometheus(stats_file.read_text())
+
+
+def test_cli_trace_out_joins_sampled_packets_to_their_commit(tmp_path):
+    """README "Causal tracing": a ``--trace-out`` run samples data-path
+    packets and parents them on the commit that installed the layout."""
+    from repro.experiments import cli
+
+    trace_file = tmp_path / "trace.jsonl"
+    cli.run_experiment("fig9a", quick=True, trace_out=str(trace_file))
+    spans = [json.loads(line) for line in trace_file.read_text().splitlines()]
+    by_id = {span["span_id"]: span for span in spans}
+    packets = [span for span in spans if span["name"] == "datapath.packet"]
+    assert packets
+    for packet in packets:
+        assert by_id[packet["parent_id"]]["name"].startswith("controller.")
+    # The run must not leave a recording tracer installed globally.
+    assert telemetry.get_tracer().enabled is False

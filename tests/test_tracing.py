@@ -13,8 +13,9 @@ The contracts under test:
   stale-retry storms each dump the full correlated span tree plus a
   pools fingerprint, and the acceptance rig reconstructs the chain
   request -> retries -> journal replay -> first packet by IDs alone.
-- The satellites: ``TraceEvent`` copies its attrs, ``TraceBuffer.span``
-  records errors, and the clock is injectable everywhere.
+- The satellites: spans copy their attrs and the clock is injectable
+  everywhere -- sampled packet spans included, which both switch front
+  doors record through one helper.
 """
 
 import json
@@ -37,11 +38,8 @@ from repro.telemetry import (
     NULL_TRACER,
     FlightRecorder,
     IdSource,
-    PipelineTracer,
     Span,
     SpanContext,
-    TraceBuffer,
-    TraceEvent,
     Tracer,
     chrome_trace_events,
     context_of,
@@ -91,13 +89,9 @@ def _packet(fid: int) -> ActivePacket:
 
 
 def _traced_controller(tracer, **config_kwargs):
-    """Controller + switch pair sharing one span tracer; every packet
-    is sampled so data-path continuation is observable."""
-    switch = ActiveSwitch(
-        SwitchConfig(**config_kwargs),
-        tracer=PipelineTracer(sample_rate=1.0, seed=7),
-        span_tracer=tracer,
-    )
+    """Controller + switch pair sharing one tracer (built with
+    ``sample_rate=1.0`` where data-path continuation is observed)."""
+    switch = ActiveSwitch(SwitchConfig(**config_kwargs), tracer=tracer)
     switch.register_host(CLIENT, 1)
     switch.register_host(SERVER, 2)
     return ActiveRmtController(switch, tracer=tracer)
@@ -265,45 +259,52 @@ def test_span_tree_detects_cycles():
 
 def test_trace_event_copies_caller_attrs():
     attrs = {"fid": 1}
-    event = TraceEvent(name="packet", start_s=0.0, duration_s=0.0, attrs=attrs)
+    tracer = Tracer(clock=FakeClock())
+    live = tracer.start("packet", **attrs)
+    timed = tracer.record_span("packet", start_s=0.0, end_s=0.0, **attrs)
     attrs["fid"] = 999
     attrs["late"] = True
-    assert event.attrs == {"fid": 1}
+    assert live.attrs == timed.attrs == {"fid": 1}
     # The snapshot view is a copy too.
-    event.as_dict()["attrs"]["fid"] = -1
-    assert event.attrs == {"fid": 1}
-
-
-def test_trace_buffer_span_records_error_attr_and_reraises():
-    buffer = TraceBuffer(capacity=4, clock=FakeClock())
-    with pytest.raises(KeyError):
-        with buffer.span("admission", fid=2):
-            raise KeyError("missing")
-    (event,) = buffer.events()
-    assert event.name == "admission"
-    assert event.attrs["fid"] == 2
-    assert event.attrs["error"] == "KeyError: 'missing'"
+    timed.as_dict()["attrs"]["fid"] = -1
+    assert timed.attrs == {"fid": 1}
 
 
 def test_injected_clock_gives_exact_buffer_durations():
     clock = FakeClock()
-    buffer = TraceBuffer(capacity=4, clock=clock)
-    with buffer.span("work"):
+    tracer = Tracer(capacity=4, clock=clock)
+    with tracer.span("work"):
         clock.tick(2.5)
-    (event,) = buffer.events()
-    assert event.start_s == pytest.approx(100.0)
-    assert event.duration_s == pytest.approx(2.5)
-    # PipelineTracer shares the injected clock with its buffer.
-    tracer = PipelineTracer(sample_rate=1.0, seed=0, clock=clock)
-    assert tracer.clock is clock
-    assert tracer.buffer.clock is clock
-    event = tracer.record("packet")
-    assert event.start_s == pytest.approx(clock.now)
+    (span,) = tracer.spans()
+    assert span.start_s == pytest.approx(100.0)
+    assert span.duration_s == pytest.approx(2.5)
     # Defaults remain perf_counter-based when nothing is injected.
     import time
 
-    assert TraceBuffer().clock is time.perf_counter
     assert Tracer().clock is time.perf_counter
+
+
+def test_sampled_packet_span_is_stamped_by_the_injected_clock():
+    """Packet spans read the tracer's clock, not the wall clock, so one
+    trace never mixes two time bases."""
+
+    class SteppingClock(FakeClock):
+        def __call__(self) -> float:
+            now = self.now
+            self.now += 0.25
+            return now
+
+    clock = SteppingClock()
+    switch = ActiveSwitch(tracer=Tracer(clock=clock, sample_rate=1.0))
+    switch.register_host(CLIENT, 1)
+    switch.register_host(SERVER, 2)
+    switch.receive(_packet(1), in_port=1)
+    switch.receive_batch([_packet(1)], in_port=1)
+    first, second = find_spans(switch.tracer.spans(), "datapath.packet")
+    assert (first.start_s, first.duration_s) == (100.0, 0.25)
+    assert (second.start_s, second.duration_s) == (100.5, 0.25)
+    # Exactly two clock reads per sampled packet.
+    assert clock.now == 101.0
 
 
 # ----------------------------------------------------------------------
@@ -445,7 +446,7 @@ def test_anomaly_without_context_dumps_no_spans():
 
 
 def test_single_admission_emits_one_correlated_tree():
-    tracer = Tracer()
+    tracer = Tracer(sample_rate=1.0)
     controller = _traced_controller(tracer)
     assert controller.admit(fid=1, pattern=listing1_pattern()).success
 
@@ -473,7 +474,7 @@ def test_single_admission_emits_one_correlated_tree():
 
 
 def test_withdraw_and_dry_run_traces():
-    tracer = Tracer()
+    tracer = Tracer(sample_rate=1.0)
     controller = _traced_controller(tracer)
     pattern = listing1_pattern()
     assert controller.admit(fid=1, pattern=pattern).success
@@ -493,7 +494,7 @@ def test_withdraw_and_dry_run_traces():
 
 
 def test_sampled_packet_joins_the_committing_trace():
-    tracer = Tracer()
+    tracer = Tracer(sample_rate=1.0)
     controller = _traced_controller(tracer)
     assert controller.admit(fid=1, pattern=listing1_pattern()).success
     committing = tracer.layout_context
@@ -506,13 +507,47 @@ def test_sampled_packet_joins_the_committing_trace():
     assert not packet.in_flight
 
 
+def test_receive_and_receive_batch_record_identical_packet_spans():
+    """Both front doors trace through one helper: the same seeded
+    packet list yields the same spans either way."""
+
+    def packet_spans(batched):
+        tracer = Tracer(sample_rate=0.5, seed=11)
+        controller = _traced_controller(tracer)
+        assert controller.admit(fid=1, pattern=listing1_pattern()).success
+        switch = controller.switch
+        packets = []
+        for index in range(40):
+            packet = _packet(1 + index % 2)  # fid 2 holds no grant
+            if index % 5 == 0:
+                packet = ActivePacket.control(
+                    src=CLIENT, dst=SERVER, fid=3, flags=0
+                )
+            packets.append(packet)
+        if batched:
+            switch.receive_batch(packets, in_port=1)
+        else:
+            for packet in packets:
+                switch.receive(packet, in_port=1)
+        return [
+            (span.name, span.attrs, span.parent_id)
+            for span in find_spans(tracer.spans(), "datapath.packet")
+        ]
+
+    scalar = packet_spans(batched=False)
+    assert scalar == packet_spans(batched=True)
+    assert 0 < len(scalar) < 40
+    assert {attrs["kind"] for _, attrs, _ in scalar} == {"program", "digest"}
+    assert all(parent is not None for _, _, parent in scalar)
+
+
 # ----------------------------------------------------------------------
 # Satellite 4: multi-worker service, one tree per request
 # ----------------------------------------------------------------------
 
 
 def test_multiworker_service_one_trace_per_request_with_nested_retries():
-    tracer = Tracer()
+    tracer = Tracer(sample_rate=1.0)
     controller = _traced_controller(tracer)
     service = AdmissionService(controller, workers=2, sleep=lambda s: None)
     # Force the first few plans stale so retry spans appear: bumping the
@@ -580,7 +615,7 @@ def test_multiworker_service_one_trace_per_request_with_nested_retries():
 
 
 def test_queue_full_shed_triggers_flight_dump():
-    tracer = Tracer()
+    tracer = Tracer(sample_rate=1.0)
     controller = _traced_controller(tracer)
     recorder = FlightRecorder(tracer)
     service = AdmissionService(
@@ -601,7 +636,7 @@ def test_queue_full_shed_triggers_flight_dump():
 
 def test_deadline_miss_triggers_flight_dump():
     clock = FakeClock()
-    tracer = Tracer()
+    tracer = Tracer(sample_rate=1.0)
     controller = _traced_controller(tracer)
     recorder = FlightRecorder(tracer)
     service = AdmissionService(
@@ -629,7 +664,7 @@ def test_flight_dumps_reconstruct_full_causal_chain_by_ids():
     trace/span/parent IDs (no names-as-hints shortcuts: every hop
     below follows an ID edge).
     """
-    tracer = Tracer()
+    tracer = Tracer(sample_rate=1.0)
     controller = _traced_controller(tracer, tcam_entries_per_stage=2)
     recorder = FlightRecorder(
         tracer,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.isa.instructions import Instruction
+from repro.isa.instructions import INTERNED, Instruction, InstructionFlags
 from repro.isa.opcodes import Opcode
 from repro.isa.program import ActiveProgram
 
@@ -51,8 +51,8 @@ def encode_program(program: ActiveProgram, shrink: bool = False) -> bytes:
     return encode_instructions(program.instructions, shrink=shrink)
 
 
-def decode_instructions(data: bytes) -> Tuple[List[Instruction], int]:
-    """Decode instructions until EOF.
+def decode_instructions(data: bytes, offset: int = 0) -> Tuple[List[Instruction], int]:
+    """Decode the instructions starting at *offset*, until EOF.
 
     Returns:
         ``(instructions, consumed)`` where *consumed* counts the bytes
@@ -63,21 +63,23 @@ def decode_instructions(data: bytes) -> Tuple[List[Instruction], int]:
             unknown opcode.
     """
     instructions: List[Instruction] = []
-    offset = 0
-    while True:
-        if offset + INSTRUCTION_WIDTH > len(data):
-            raise EncodingError("instruction stream truncated before EOF")
-        opcode_byte = data[offset]
-        flag_byte = data[offset + 1]
-        offset += INSTRUCTION_WIDTH
-        if opcode_byte == Opcode.EOF:
-            return instructions, offset
+    semantic = InstructionFlags.SEMANTIC
+    last = len(data) - INSTRUCTION_WIDTH
+    pos = offset
+    while pos <= last:
+        opcode_byte = data[pos]
+        if not opcode_byte:  # Opcode.EOF
+            return instructions, pos + INSTRUCTION_WIDTH - offset
+        flag_byte = data[pos + 1]
         try:
-            instructions.append(Instruction.from_bytes(opcode_byte, flag_byte))
+            pair = INTERNED[opcode_byte << 8 | flag_byte & semantic]
         except ValueError as exc:
             raise EncodingError(
-                f"bad instruction at byte {offset - INSTRUCTION_WIDTH}: {exc}"
+                f"bad instruction at byte {pos - offset}: {exc}"
             ) from exc
+        instructions.append(pair[flag_byte >> 7])
+        pos += INSTRUCTION_WIDTH
+    raise EncodingError("instruction stream truncated before EOF")
 
 
 def decode_program(data: bytes, name: str = "decoded") -> ActiveProgram:

@@ -20,6 +20,7 @@ branch labelling and argument addressing the listings require.
 from __future__ import annotations
 
 import dataclasses
+from typing import Dict, Tuple
 
 from repro.isa.opcodes import (
     Opcode,
@@ -35,6 +36,8 @@ class InstructionFlags:
     LABEL_SHIFT = 3
     LABEL_MASK = 0x0F
     OPERAND_MASK = 0x07
+    #: Every bit but EXECUTED: what an instruction *means*.
+    SEMANTIC = 0xFF ^ EXECUTED
 
     MAX_LABEL = LABEL_MASK
     MAX_OPERAND = OPERAND_MASK
@@ -52,12 +55,16 @@ class Instruction:
         executed: mirror of the on-wire EXECUTED bit; only meaningful on
             instructions decoded from a packet that already traversed the
             switch.
+        key: the two wire bytes as one int, EXECUTED masked out -- a
+            pure function of ``(opcode, operand, label)``, precomputed
+            because the program cache digests every packet with it.
     """
 
     opcode: Opcode
     operand: int = 0
     label: int = 0
     executed: bool = False
+    key: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.operand <= InstructionFlags.MAX_OPERAND:
@@ -68,6 +75,11 @@ class Instruction:
             raise ValueError(f"{self.opcode.name} does not take an operand")
         if self.label and is_branch(self.opcode) and has_operand(self.opcode):
             raise ValueError("branch opcodes cannot take operands")
+        object.__setattr__(
+            self,
+            "key",
+            self.opcode << 8 | self.label << InstructionFlags.LABEL_SHIFT | self.operand,
+        )
 
     @property
     def is_branch(self) -> bool:
@@ -89,18 +101,18 @@ class Instruction:
 
     @classmethod
     def from_bytes(cls, opcode_byte: int, flag_byte: int) -> "Instruction":
-        """Decode an instruction from its two on-wire bytes."""
-        opcode = Opcode(opcode_byte)
-        operand = flag_byte & InstructionFlags.OPERAND_MASK
-        label = (flag_byte >> InstructionFlags.LABEL_SHIFT) & InstructionFlags.LABEL_MASK
-        executed = bool(flag_byte & InstructionFlags.EXECUTED)
-        if not has_operand(opcode):
-            operand = 0
-        return cls(opcode=opcode, operand=operand, label=label, executed=executed)
+        """Decode an instruction from its two on-wire bytes.
+
+        Decoded instructions are interned: the same two bytes yield the
+        same immutable object (failures raise every time).
+        """
+        return INTERNED[opcode_byte << 8 | flag_byte & InstructionFlags.SEMANTIC][
+            flag_byte >> 7 & 1
+        ]
 
     def with_executed(self) -> "Instruction":
-        """Return a copy with the EXECUTED bit set."""
-        return dataclasses.replace(self, executed=True)
+        """The interned twin of this instruction with EXECUTED set."""
+        return INTERNED[self.key][1]
 
     def __str__(self) -> str:
         parts = [self.opcode.name]
@@ -112,3 +124,31 @@ class Instruction:
         if self.is_label_target:
             text = f"L{self.label}: {text}"
         return text
+
+
+class _Interned(Dict[int, Tuple[Instruction, Instruction]]):
+    """``Instruction.key`` -> (fresh, EXECUTED twin), built on first sight.
+
+    Keys are the 16 wire bits with EXECUTED masked out (operand bits of
+    opcodes that take none are ignored, as on the wire).  A pattern
+    that fails validation raises and is never stored.
+    """
+
+    def __missing__(self, wire: int) -> Tuple[Instruction, Instruction]:
+        opcode = Opcode(wire >> 8)
+        operand = wire & InstructionFlags.OPERAND_MASK if has_operand(opcode) else 0
+        label = (wire >> InstructionFlags.LABEL_SHIFT) & InstructionFlags.LABEL_MASK
+        # setdefault: two threads racing here still agree on one pair.
+        return self.setdefault(
+            wire,
+            (
+                Instruction(opcode, operand, label),
+                Instruction(opcode, operand, label, executed=True),
+            ),
+        )
+
+
+#: The one instruction memo: ``from_bytes``, ``with_executed`` and the
+#: stream decoder all read it, so equal instructions decoded from the
+#: wire are one object.
+INTERNED = _Interned()

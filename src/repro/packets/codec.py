@@ -253,7 +253,8 @@ def encode_packet(packet: ActivePacket, shrink: bool = False) -> bytes:
             raise HeaderError("too many argument headers (max 3)")
         flags = initial.flags & ~(_ARG_COUNT_MASK << _ARG_COUNT_SHIFT)
         flags |= len(arg_headers) << _ARG_COUNT_SHIFT
-        initial = dataclasses.replace(initial, flags=flags)
+        if flags != initial.flags:
+            initial = dataclasses.replace(initial, flags=flags)
         out.extend(initial.encode())
         for header in arg_headers:
             out.extend(header.encode())
@@ -289,25 +290,24 @@ def decode_packet(data: bytes) -> ActivePacket:
             f"not an active packet (ethertype {eth.ethertype:#06x})"
         )
     offset = EthernetHeader.SIZE
-    initial = InitialHeader.decode(data[offset:])
+    initial = InitialHeader.decode(data, offset)
     offset += InitialHeader.SIZE
     packet = ActivePacket(eth=eth, initial=initial, args=[])
     if initial.ptype == PacketType.PROGRAM:
         arg_count = (initial.flags >> _ARG_COUNT_SHIFT) & _ARG_COUNT_MASK
         args: List[int] = []
         for _ in range(arg_count):
-            header = ArgumentHeader.decode(data[offset:])
-            args.extend(header.data)
+            args.extend(ArgumentHeader.decode(data, offset).data)
             offset += ArgumentHeader.SIZE
-        instructions, consumed = decode_instructions(data[offset:])
+        instructions, consumed = decode_instructions(data, offset)
         offset += consumed
         packet.args = args
         packet.instructions = instructions
     elif initial.ptype == PacketType.ALLOC_REQUEST:
-        packet.request = AllocationRequestHeader.decode(data[offset:])
+        packet.request = AllocationRequestHeader.decode(data, offset)
         offset += AllocationRequestHeader.SIZE
     elif initial.ptype == PacketType.ALLOC_RESPONSE:
-        packet.response = AllocationResponseHeader.decode(data[offset:])
+        packet.response = AllocationResponseHeader.decode(data, offset)
         offset += AllocationResponseHeader.SIZE
     packet.payload = data[offset:]
     return packet

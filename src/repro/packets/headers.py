@@ -105,10 +105,10 @@ class InitialHeader:
         )
 
     @classmethod
-    def decode(cls, data: bytes) -> "InitialHeader":
-        if len(data) < cls.SIZE:
+    def decode(cls, data: bytes, offset: int = 0) -> "InitialHeader":
+        if len(data) - offset < cls.SIZE:
             raise HeaderError("initial header truncated")
-        version, ptype, fid, seq, flags = _INITIAL_STRUCT.unpack_from(data)
+        version, ptype, fid, seq, flags = _INITIAL_STRUCT.unpack_from(data, offset)
         if version != cls.VERSION:
             raise HeaderError(f"unsupported active header version {version}")
         return cls(ptype=ptype, fid=fid, seq=seq, flags=flags)
@@ -142,10 +142,10 @@ class ArgumentHeader:
         return _ARGUMENT_STRUCT.pack(*self.data)
 
     @classmethod
-    def decode(cls, data: bytes) -> "ArgumentHeader":
-        if len(data) < cls.SIZE:
+    def decode(cls, data: bytes, offset: int = 0) -> "ArgumentHeader":
+        if len(data) - offset < cls.SIZE:
             raise HeaderError("argument header truncated")
-        return cls(data=_ARGUMENT_STRUCT.unpack_from(data))
+        return cls(data=_ARGUMENT_STRUCT.unpack_from(data, offset))
 
     @classmethod
     def from_values(cls, values: Sequence[int]) -> "ArgumentHeader":
@@ -236,13 +236,15 @@ class AllocationRequestHeader:
         return bytes(out)
 
     @classmethod
-    def decode(cls, data: bytes) -> "AllocationRequestHeader":
-        if len(data) < cls.SIZE:
+    def decode(cls, data: bytes, offset: int = 0) -> "AllocationRequestHeader":
+        if len(data) - offset < cls.SIZE:
             raise HeaderError("allocation request header truncated")
-        length, count, ingress_pos, _reserved = _REQUEST_META_STRUCT.unpack_from(data)
+        length, count, ingress_pos, _reserved = _REQUEST_META_STRUCT.unpack_from(
+            data, offset
+        )
         if count > MAX_REQUEST_ACCESSES:
             raise HeaderError(f"access count {count} exceeds wire limit")
-        offset = _REQUEST_META_STRUCT.size
+        offset += _REQUEST_META_STRUCT.size
         entries: List[AccessConstraintEntry] = []
         for index in range(count):
             start = offset + index * AccessConstraintEntry.SIZE
@@ -352,11 +354,11 @@ class AllocationResponseHeader:
         return b"".join(region.encode() for region in self.regions)
 
     @classmethod
-    def decode(cls, data: bytes) -> "AllocationResponseHeader":
-        if len(data) < cls.SIZE:
+    def decode(cls, data: bytes, offset: int = 0) -> "AllocationResponseHeader":
+        if len(data) - offset < cls.SIZE:
             raise HeaderError("allocation response header truncated")
         regions = tuple(
-            StageRegion.decode(data[i * 8 : i * 8 + 8])
+            StageRegion.decode(data[offset + i * 8 : offset + i * 8 + 8])
             for i in range(RESPONSE_STAGES)
         )
         return cls(regions=regions)

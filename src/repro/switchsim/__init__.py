@@ -32,6 +32,7 @@ from repro.switchsim.tables import (
 from repro.switchsim.pipeline import ExecutionResult, PacketDisposition, Pipeline
 from repro.switchsim.progcache import (
     CachedProgram,
+    ProgramBinding,
     ProgramCache,
     infer_recirculations,
     program_digest,
@@ -66,6 +67,7 @@ __all__ = [
     "PacketDisposition",
     "Pipeline",
     "CachedProgram",
+    "ProgramBinding",
     "ProgramCache",
     "infer_recirculations",
     "program_digest",

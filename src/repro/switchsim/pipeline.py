@@ -18,7 +18,7 @@ from repro.packets.headers import ControlFlags
 from repro.switchsim.config import SwitchConfig
 from repro.switchsim.hashing import stage_hash_unit
 from repro.switchsim.phv import Phv
-from repro.switchsim.progcache import CachedProgram, ProgramCache
+from repro.switchsim.progcache import ProgramBinding, ProgramCache
 from repro.switchsim.registers import RegisterArray
 from repro.switchsim.stage import MatchActionStage
 from repro.switchsim.tables import StageTable
@@ -156,8 +156,8 @@ class Pipeline:
             phv.set_mbr(packet.get_arg(0))
             phv.set_mbr2(packet.get_arg(1))
         if self.program_cache is not None:
-            entry = self.program_cache.entry_for(packet)
-            result = self._run_cached(packet, phv, entry)
+            binding = self.program_cache.entry_for(packet)
+            result = self._run_bound(packet, phv, binding)
         else:
             result = self._run(packet, phv)
         self.total_recirculations += result.recirculations
@@ -198,53 +198,52 @@ class Pipeline:
             phv.passes = self.config.pass_of(phv.logical_stage) + phv.pass_offset
         return self._finish(packet, phv, clones, executed)
 
-    def _run_cached(
-        self, packet: ActivePacket, phv: Phv, entry: CachedProgram
+    def _run_bound(
+        self, packet: ActivePacket, phv: Phv, binding: ProgramBinding
     ) -> ExecutionResult:
-        """Run a packet through a memoized dispatch schedule.
+        """Run a packet through a cached program under one FID's binding.
 
         Semantically identical to :meth:`_run` for first-entry packets
         (``pc == 0``, no pass offset) -- the only kind the cache serves;
         FORK clones resume mid-program and take the generic path.  The
-        schedule pre-resolves everything :meth:`_run` derives per
-        packet: physical stages, action handlers, pass counts, EXECUTED
-        header copies, and the match-table operands consulted by
-        translation and protection.
+        program pre-resolves everything :meth:`_run` derives per packet
+        and turns the recirculation budget into a loop bound, so there
+        is no budget test inside the loop.  Where the packet stopped is
+        written back once, on the way out.
         """
+        program = binding.program
+        handlers, stages, args = program.handlers, program.stages, binding.args
+        skip_labels = program.skip_labels
         clones: List[ExecutionResult] = []
-        executed = 0
-        instructions = packet.instructions
-        steps = entry.steps
-        n = len(steps)
-        budget_pc = entry.budget_pc
-        maybe_end_skip = phv.maybe_end_skip
+        skipped = 0
         pc = 0
-        while pc < n and not phv.complete and not phv.drop:
-            if pc >= budget_pc:
-                max_passes = 1 + self.config.max_recirculations
-                phv.fault(
-                    f"recirculation budget exhausted after {max_passes} passes"
-                )
-                break
-            instr, instr_done, skip_label, stage, handler, passes_after = steps[pc]
-            was_disabled = phv.disabled
-            if not was_disabled or maybe_end_skip(skip_label):
-                handler(stage, instr, phv, packet)
-                if phv.faulted:
+        limit = program.limit
+        while pc < limit:
+            if phv.disabled and not phv.maybe_end_skip(skip_labels[pc]):
+                skipped += 1  # a dead branch arm still consumes its stage
+            else:
+                handlers[pc](stages[pc], args[pc], phv, packet)
+                if phv.drop or phv.complete:
+                    if not phv.faulted:
+                        pc += 1  # the header that ended the program was consumed
                     break
-                instructions[pc] = instr_done
-                if not was_disabled or not phv.disabled:
-                    executed += 1
                 if phv.fork_requested:
                     phv.fork_requested = False
+                    # The clone copies the packet and PHV as of this header.
+                    packet.instructions[: pc + 1] = program.done[: pc + 1]
+                    phv.pc, phv.logical_stage = pc, pc + 1
                     clones.append(self._fork(packet, phv))
-            else:
-                instructions[pc] = instr_done
             pc += 1
-            phv.pc = pc
-            phv.logical_stage = pc + 1
-            phv.passes = passes_after
-        return self._finish(packet, phv, clones, executed)
+        else:
+            if program.budget_fault is not None:
+                phv.fault(program.budget_fault)
+        # Mark the consumed headers so the deparser can shrink the packet
+        # (skipped branch arms are dead and shrink too).
+        packet.instructions[:pc] = program.done[:pc]
+        phv.pc = pc
+        phv.logical_stage = pc + 1
+        phv.passes = program.passes[pc]
+        return self._finish(packet, phv, clones, pc - skipped)
 
     def _finish(
         self,

@@ -1,52 +1,54 @@
-"""Per-program decode/trace cache: the simulator's hot-path engine.
+"""Two-level program cache: compile once per program, bind per tenant.
 
-``Pipeline.execute`` interprets one instruction per stage, and every
-packet of the same mutant pays the full decode cost again: opcode ->
-handler dictionary lookups, logical->physical stage mapping, pass
-arithmetic, and per-stage match-table lookups for address translation
-and memory protection.  Real RMT hardware pays none of this per packet
--- the match tables *are* the compiled program -- so neither should the
-simulator's hot path.
+The paper's switch holds the instruction-decode runtime once for every
+tenant; the only per-FID state in a stage is the handful of entries for
+memory protection and ADDR_MASK/ADDR_OFFSET translation (Sections 3.1,
+4.3).  The simulator's hot path is split the same way:
 
-:class:`ProgramCache` memoizes, per ``(fid, program_digest)``, the full
-dispatch schedule of a program: for every instruction header the
-pre-resolved physical stage, the bound action handler, and -- crucially
--- the match-table state that decode would consult (the FID's
-protection grant and ADDR_MASK/ADDR_OFFSET translation operands).
-Because table state is baked into a cached entry, any control-plane
-table rewrite invalidates it; entries are stamped with the per-stage
-table versions they observed and re-validated on every hit, so stale
-execution is impossible even when tables are mutated behind the
-controller's back.  The controller's :class:`~repro.controller.
-table_updater.TableUpdateEngine` additionally flushes a FID's entries
-eagerly on every (re)install, keeping the cache tidy during
-reallocation churn.
+* **Level 1**, :class:`CachedProgram`, is the FID-free lowering of one
+  instruction stream, keyed by its digest and shared by every tenant
+  that runs that mutant: physical stages, action handlers, interned
+  EXECUTED copies, skip labels, the recirculation budget, and which
+  positions read match tables.
+* **Level 2**, :class:`ProgramBinding`, is what ``(fid, digest)`` adds:
+  a reference to the level-1 program, the table-derived operands at
+  those positions (translation pair, grant bounds) and the version
+  stamps of the tables they were read from.
 
-Entries are LRU-bounded; the capacity comes from
+:class:`ProgramCache` is an LRU over bindings whose capacity comes from
 ``SwitchConfig.program_cache_entries`` (0 disables caching entirely,
-which is how the throughput benchmark measures the uncached baseline).
+which is how the differential tests get their reference interpreter).
+Programs have no capacity of their own: bindings hold the only strong
+references, so a program lives exactly as long as some tenant is bound
+to it.  A binding whose stamps are stale, or whose FID the controller's
+:class:`~repro.controller.table_updater.TableUpdateEngine` flushed, is
+re-*bound* -- a few table reads -- never rebuilt, so stale execution is
+impossible even when tables are mutated behind the controller's back.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 from repro.isa.instructions import Instruction
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import BRANCH_OPCODES, Opcode
 from repro.packets.codec import ActivePacket
 from repro.switchsim.hashing import hash_engine
 from repro.switchsim.phv import Phv
 
 _MASK32 = 0xFFFFFFFF
 
-#: A cached digest key: one triple per instruction header.  The
+#: A cached digest key: ``Instruction.key`` per instruction header.  The
 #: EXECUTED bit is deliberately excluded -- it never affects execution,
 #: only deparser shrinking.
-ProgramDigest = Tuple[Tuple[int, int, int], ...]
+ProgramDigest = Tuple[int, ...]
 
-#: Signature shared by stage handlers and specialized cached handlers.
-Handler = Callable[[object, Instruction, Phv, ActivePacket], None]
+#: Signature of every action the cached engine calls.  The second
+#: argument is the instruction for generic stage handlers and the bound
+#: operand for the handlers below.
+Handler = Callable[[object, object, Phv, ActivePacket], None]
 
 
 def infer_recirculations(program_len: int, num_stages: int) -> int:
@@ -55,8 +57,7 @@ def infer_recirculations(program_len: int, num_stages: int) -> int:
     The switch can infer this from the program length alone (Section
     7.2): a program consumes one stage per instruction, so it needs
     ``ceil(program_len / num_stages)`` passes, the first of which is
-    free.  Shared by the recirculation governor's admission check and
-    the program cache's schedule builder.
+    free.  The recirculation governor's admission check.
     """
     if num_stages <= 0:
         raise ValueError("num_stages must be positive")
@@ -67,201 +68,229 @@ def infer_recirculations(program_len: int, num_stages: int) -> int:
 
 def program_digest(instructions: List[Instruction]) -> ProgramDigest:
     """Digest of the semantic content of an instruction stream."""
-    return tuple((i.opcode, i.operand, i.label) for i in instructions)
+    return tuple([instr.key for instr in instructions])
 
 
-class CachedProgram:
-    """The memoized dispatch schedule for one ``(fid, digest)`` pair.
-
-    Attributes:
-        steps: one tuple per instruction header::
-
-            (instr, instr_done, skip_label, stage, handler, passes_after)
-
-            where *instr* is the decoded template, *instr_done* the
-            pre-built EXECUTED copy (saves a dataclass replace per
-            packet), *skip_label* the label that ends branch skipping,
-            *stage* the pre-resolved physical stage object, *handler*
-            the bound action, and *passes_after* the pass count after
-            this header (pure function of position for first-entry
-            packets).
-        budget_pc: first instruction index at which the recirculation
-            budget is exhausted; reaching it faults the packet.
-        recirculations: inferred recirculation count for the full
-            program (shared with the governor's admission check).
-    """
-
-    __slots__ = ("fid", "digest", "steps", "budget_pc", "recirculations", "_stamps")
-
-    def __init__(
-        self,
-        fid: int,
-        digest: ProgramDigest,
-        steps: List[tuple],
-        budget_pc: int,
-        recirculations: int,
-        stamps: Tuple[Tuple[int, int], ...],
-    ) -> None:
-        self.fid = fid
-        self.digest = digest
-        self.steps = steps
-        self.budget_pc = budget_pc
-        self.recirculations = recirculations
-        self._stamps = stamps
-
-    def is_current(self) -> bool:
-        """Do the observed table versions still hold?"""
-        for table, version in self._stamps:
-            if table.version != version:
-                return False
-        return True
+# ----------------------------------------------------------------------
+# Actions whose operand is resolved ahead of the packet.  They must
+# reproduce the generic stage handlers' semantics *exactly* (including
+# fault messages): the differential tests pin cached-vs-uncached byte
+# identity.  HASH takes its engine from level 1; the rest take what a
+# binding read from the stage's match table for one FID.
+# ----------------------------------------------------------------------
 
 
-def _specialize(stage, instr: Instruction, fid: int) -> Optional[Handler]:
-    """Build a table-state-resolved handler for decode-time opcodes.
-
-    Returns None for opcodes whose generic handler is already free of
-    per-packet table lookups.  The closures below must reproduce the
-    generic handlers' semantics *exactly* (including fault messages):
-    the equality tests in ``tests/test_switchsim_progcache.py`` and the
-    throughput benchmark pin cached-vs-uncached byte identity.
-    """
-    op = instr.opcode
-    if op in (Opcode.ADDR_MASK, Opcode.ADDR_OFFSET):
-        pair = stage.table.translation_for(fid)
-        if pair is None:
-            grant = stage.table.grant_for(fid)
-            if grant is not None:
-                pair = (grant.mask, grant.offset)
-        if pair is None:
-            opname = op.name
-            index = stage.index
-
-            def missing(stage, instr, phv, packet, _i=index, _n=opname):
-                phv.fault(f"stage {_i}: {_n} without translation")
-
-            return missing
-        if op is Opcode.ADDR_MASK:
-            mask = pair[0]
-
-            def addr_mask(stage, instr, phv, packet, _m=mask):
-                phv.mar = phv.mar & _m
-
-            return addr_mask
-        offset = pair[1]
-
-        def addr_offset(stage, instr, phv, packet, _o=offset):
-            phv.mar = (phv.mar + _o) & _MASK32
-
-        return addr_offset
-
-    if op is Opcode.HASH:
-        engine = hash_engine(instr.operand)
-
-        def do_hash(stage, instr, phv, packet, _e=engine):
-            phv.mar = _e.digest(phv.hashdata) & _MASK32
-
-        return do_hash
-
-    if op in _MEMORY_OPS:
-        grant = stage.table.grant_for(fid)
-        registers = stage.registers
-        index = stage.index
-        if grant is None:
-            lo, hi = 1, 0  # empty range: every access is denied
-        else:
-            lo, hi = grant.start, grant.end
-        return _MEMORY_OPS[op](lo, hi, registers, index, fid)
-
-    return None
+def _no_decode(stage, instr, phv, packet):
+    phv.fault(f"stage {stage.index}: no decode entry for {instr.opcode.name}")
 
 
-def _mem_read(lo, hi, registers, stage_index, fid):
-    def handler(stage, instr, phv, packet):
-        mar = phv.mar
-        if lo <= mar < hi:
-            phv.mbr = registers.read(mar)
-        else:
-            phv.fault(
-                f"stage {stage_index}: fid {fid} denied access to index {mar}"
-            )
-
-    return handler
+def _hash(stage, engine, phv, packet):
+    phv.mar = engine.digest(phv.hashdata) & _MASK32
 
 
-def _mem_write(lo, hi, registers, stage_index, fid):
-    def handler(stage, instr, phv, packet):
-        mar = phv.mar
-        if lo <= mar < hi:
-            registers.write(mar, phv.mbr)
-        else:
-            phv.fault(
-                f"stage {stage_index}: fid {fid} denied access to index {mar}"
-            )
-
-    return handler
+def _addr_mask(stage, pair, phv, packet):
+    if pair is None:
+        phv.fault(f"stage {stage.index}: ADDR_MASK without translation")
+    else:
+        phv.mar &= pair[0]
 
 
-def _mem_increment(lo, hi, registers, stage_index, fid):
-    def handler(stage, instr, phv, packet):
-        mar = phv.mar
-        if lo <= mar < hi:
-            phv.mbr = registers.increment(mar, phv.inc)
-        else:
-            phv.fault(
-                f"stage {stage_index}: fid {fid} denied access to index {mar}"
-            )
-
-    return handler
+def _addr_offset(stage, pair, phv, packet):
+    if pair is None:
+        phv.fault(f"stage {stage.index}: ADDR_OFFSET without translation")
+    else:
+        phv.mar = (phv.mar + pair[1]) & _MASK32
 
 
-def _mem_minread(lo, hi, registers, stage_index, fid):
-    def handler(stage, instr, phv, packet):
-        mar = phv.mar
-        if lo <= mar < hi:
-            phv.mbr = registers.min_read(mar, phv.mbr)
-        else:
-            phv.fault(
-                f"stage {stage_index}: fid {fid} denied access to index {mar}"
-            )
-
-    return handler
+def _denied(stage, fid, phv):
+    phv.fault(f"stage {stage.index}: fid {fid} denied access to index {phv.mar}")
 
 
-def _mem_minreadinc(lo, hi, registers, stage_index, fid):
-    def handler(stage, instr, phv, packet):
-        mar = phv.mar
-        if lo <= mar < hi:
-            count, running_min = registers.min_read_increment(
-                mar, phv.mbr2, phv.inc
-            )
-            phv.mbr = count
-            phv.mbr2 = running_min
-        else:
-            phv.fault(
-                f"stage {stage_index}: fid {fid} denied access to index {mar}"
-            )
-
-    return handler
+def _mem_read(stage, grant, phv, packet):
+    lo, hi, fid = grant
+    mar = phv.mar
+    if lo <= mar < hi:
+        phv.mbr = stage.registers.read(mar)
+    else:
+        _denied(stage, fid, phv)
 
 
-_MEMORY_OPS = {
+def _mem_write(stage, grant, phv, packet):
+    lo, hi, fid = grant
+    mar = phv.mar
+    if lo <= mar < hi:
+        stage.registers.write(mar, phv.mbr)
+    else:
+        _denied(stage, fid, phv)
+
+
+def _mem_increment(stage, grant, phv, packet):
+    lo, hi, fid = grant
+    mar = phv.mar
+    if lo <= mar < hi:
+        phv.mbr = stage.registers.increment(mar, phv.inc)
+    else:
+        _denied(stage, fid, phv)
+
+
+def _mem_minread(stage, grant, phv, packet):
+    lo, hi, fid = grant
+    mar = phv.mar
+    if lo <= mar < hi:
+        phv.mbr = stage.registers.min_read(mar, phv.mbr)
+    else:
+        _denied(stage, fid, phv)
+
+
+def _mem_minreadinc(stage, grant, phv, packet):
+    lo, hi, fid = grant
+    mar = phv.mar
+    if lo <= mar < hi:
+        phv.mbr, phv.mbr2 = stage.registers.min_read_increment(
+            mar, phv.mbr2, phv.inc
+        )
+    else:
+        _denied(stage, fid, phv)
+
+
+#: Opcodes bound to the FID's translation pair / protection grant.
+_TRANSLATED: Dict[Opcode, Handler] = {
+    Opcode.ADDR_MASK: _addr_mask,
+    Opcode.ADDR_OFFSET: _addr_offset,
+}
+_PROTECTED: Dict[Opcode, Handler] = {
     Opcode.MEM_READ: _mem_read,
     Opcode.MEM_WRITE: _mem_write,
     Opcode.MEM_INCREMENT: _mem_increment,
     Opcode.MEM_MINREAD: _mem_minread,
     Opcode.MEM_MINREADINC: _mem_minreadinc,
 }
+_HASH = Opcode.HASH
+
+
+class CachedProgram:
+    """Level 1: the FID-free lowering of one instruction stream.
+
+    Position *pc* runs ``handlers[pc](stages[pc], args[pc], phv,
+    packet)``; nothing here depends on who sent the packet.
+
+    Attributes:
+        handlers, stages: the bound action and the pre-resolved
+            physical stage object per instruction header.
+        args: the handler's second argument -- the decoded instruction,
+            the hash engine for HASH, and None at the positions a
+            binding fills in.
+        done: the interned EXECUTED copy of every header.
+        skip_labels: the label that ends branch skipping at each header.
+        table_reads: ``(pc, table, translated)`` per position whose
+            operand comes from a match table (*translated*: the
+            ADDR_MASK/ADDR_OFFSET pair, else the protection grant).
+        limit: headers runnable within the recirculation budget.
+        passes: the pipeline pass a packet is on after *n* headers.
+        budget_fault: the fault a packet takes on reaching *limit* still
+            running; None when the whole program fits the budget.
+    """
+
+    __slots__ = (
+        "handlers", "stages", "args", "done", "skip_labels", "table_reads",
+        "limit", "passes", "budget_fault", "__weakref__",
+    )
+
+    def __init__(self, pipeline, instructions: List[Instruction]) -> None:
+        # Imported here: stage.py owns the generic handler table and
+        # must stay importable without pipeline machinery.
+        from repro.switchsim.stage import _HANDLERS
+
+        config = pipeline.config
+        self.handlers: List[Handler] = []
+        self.stages = [
+            pipeline.stage(config.physical_stage(pc + 1))
+            for pc in range(len(instructions))
+        ]
+        self.args: List[object] = list(instructions)
+        self.done = [instr.with_executed() for instr in instructions]
+        self.skip_labels = [
+            0 if instr.opcode in BRANCH_OPCODES else instr.label
+            for instr in instructions
+        ]
+        self.table_reads: List[Tuple[int, object, bool]] = []
+        budget = config.max_logical_stages
+        self.limit = min(len(instructions), budget)
+        self.passes = [config.pass_of(n + 1) for n in range(self.limit + 1)]
+        self.budget_fault = (
+            f"recirculation budget exhausted after "
+            f"{1 + config.max_recirculations} passes"
+            if len(instructions) > budget
+            else None
+        )
+        for pc, instr in enumerate(instructions):
+            opcode = instr.opcode
+            handler = _TRANSLATED.get(opcode) or _PROTECTED.get(opcode)
+            if handler is not None:
+                table = self.stages[pc].table
+                self.table_reads.append((pc, table, opcode in _TRANSLATED))
+                self.args[pc] = None
+            elif opcode == _HASH:
+                handler = _hash
+                self.args[pc] = hash_engine(instr.operand)
+            else:
+                handler = _HANDLERS.get(opcode, _no_decode)
+            self.handlers.append(handler)
+
+    def bind(self, fid: int) -> "ProgramBinding":
+        """Read *fid*'s operands from the tables this program consults."""
+        args = list(self.args)
+        stamps = {}
+        for pc, table, translated in self.table_reads:
+            stamps[table] = table.version
+            grant = table.grant_for(fid)
+            if translated:
+                pair = table.translation_for(fid)
+                if pair is None and grant is not None:
+                    pair = (grant.mask, grant.offset)
+                args[pc] = pair
+            elif grant is not None:
+                args[pc] = (grant.start, grant.end, fid)
+            else:
+                args[pc] = (1, 0, fid)  # an empty range: every access is denied
+        return ProgramBinding(self, args, stamps)
+
+
+class ProgramBinding:
+    """Level 2: one FID's table-derived operands for a level-1 program.
+
+    Attributes:
+        program: the shared :class:`CachedProgram`.
+        args: ``program.args`` with every table-read position filled:
+            ``(mask, offset)`` or None for translation, ``(lo, hi,
+            fid)`` for protection (the FID is there for fault strings).
+    """
+
+    __slots__ = ("program", "args", "_stamps")
+
+    def __init__(
+        self, program: CachedProgram, args: List[object], stamps: Dict[object, int]
+    ) -> None:
+        self.program = program
+        self.args = args
+        self._stamps = stamps
+
+    def is_current(self) -> bool:
+        """Do the observed table versions still hold?"""
+        for table, version in self._stamps.items():
+            if table.version != version:
+                return False
+        return True
 
 
 class ProgramCache:
-    """LRU cache of :class:`CachedProgram` schedules for one pipeline.
+    """LRU cache of :class:`ProgramBinding` entries for one pipeline.
 
     Args:
         pipeline: the owning :class:`~repro.switchsim.pipeline.Pipeline`
             (stages are resolved against it at build time).
-        capacity: maximum resident entries; the least recently used
-            entry is evicted beyond it.
+        capacity: maximum resident bindings; the least recently used
+            one is evicted beyond it.
     """
 
     def __init__(self, pipeline, capacity: int = 256) -> None:
@@ -269,14 +298,20 @@ class ProgramCache:
             raise ValueError("cache capacity must be positive")
         self.pipeline = pipeline
         self.capacity = capacity
-        self._entries: "OrderedDict[Tuple[int, ProgramDigest], CachedProgram]" = (
+        self._entries: "OrderedDict[Tuple[int, ProgramDigest], ProgramBinding]" = (
             OrderedDict()
         )
         self._keys_by_fid: Dict[int, Set[Tuple[int, ProgramDigest]]] = {}
+        #: Level 1, by digest.  Weak: a program dies with its last binding.
+        self._programs: "weakref.WeakValueDictionary[ProgramDigest, CachedProgram]" = (
+            weakref.WeakValueDictionary()
+        )
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
+        self.program_hits = 0
+        self.program_misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -285,30 +320,40 @@ class ProgramCache:
     # Data-plane lookup
     # ------------------------------------------------------------------
 
-    def entry_for(self, packet: ActivePacket) -> CachedProgram:
-        """Return the schedule for *packet*, building it on a miss.
+    def entry_for(self, packet: ActivePacket) -> ProgramBinding:
+        """Return the binding for *packet*, binding (and lowering) on a miss.
 
         A hit whose table-version stamps are stale counts as an
-        invalidation followed by a miss (the entry is rebuilt against
-        current table state).
+        invalidation followed by a miss: the FID is bound again, to the
+        same level-1 program, against current table state.
         """
         fid = packet.fid
-        key = (fid, program_digest(packet.instructions))
+        digest = program_digest(packet.instructions)
+        key = (fid, digest)
         entry = self._entries.get(key)
         if entry is not None:
             if entry.is_current():
                 self._entries.move_to_end(key)
                 self.hits += 1
                 return entry
-            self._discard(key)
+            del self._entries[key]  # re-bound below, as most recently used
             self.invalidations += 1
         self.misses += 1
-        entry = self._build(fid, key[1], packet.instructions)
-        self._entries[key] = entry
+        program = entry.program if entry is not None else self._programs.get(digest)
+        if program is None:
+            self.program_misses += 1
+            program = CachedProgram(self.pipeline, packet.instructions)
+            self._programs[digest] = program
+        else:
+            self.program_hits += 1
+        self._entries[key] = entry = program.bind(fid)
         self._keys_by_fid.setdefault(fid, set()).add(key)
         if len(self._entries) > self.capacity:
             old_key, _old = self._entries.popitem(last=False)
-            self._keys_by_fid.get(old_key[0], set()).discard(old_key)
+            keys = self._keys_by_fid[old_key[0]]
+            keys.discard(old_key)
+            if not keys:  # the index holds no FID without a binding
+                del self._keys_by_fid[old_key[0]]
             self.evictions += 1
         return entry
 
@@ -317,12 +362,12 @@ class ProgramCache:
     # ------------------------------------------------------------------
 
     def invalidate_fid(self, fid: int) -> int:
-        """Flush every entry cached for *fid*; returns entries dropped."""
+        """Flush every binding cached for *fid*; returns bindings dropped."""
         keys = self._keys_by_fid.pop(fid, None)
         if not keys:
             return 0
         for key in keys:
-            self._entries.pop(key, None)
+            del self._entries[key]
         self.invalidations += len(keys)
         return len(keys)
 
@@ -337,6 +382,7 @@ class ProgramCache:
     # ------------------------------------------------------------------
 
     def stats(self) -> Dict[str, float]:
+        """Counters of both levels; ``hit_rate`` is the binding (L2) rate."""
         lookups = self.hits + self.misses
         return {
             "entries": len(self._entries),
@@ -346,6 +392,9 @@ class ProgramCache:
             "hit_rate": self.hits / lookups if lookups else 0.0,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
+            "programs": len(self._programs),
+            "program_hits": self.program_hits,
+            "program_misses": self.program_misses,
         }
 
     @staticmethod
@@ -364,59 +413,7 @@ class ProgramCache:
             "hit_rate": 0.0,
             "evictions": 0,
             "invalidations": 0,
+            "programs": 0,
+            "program_hits": 0,
+            "program_misses": 0,
         }
-
-    # ------------------------------------------------------------------
-
-    def _discard(self, key: Tuple[int, ProgramDigest]) -> None:
-        self._entries.pop(key, None)
-        self._keys_by_fid.get(key[0], set()).discard(key)
-
-    def _build(
-        self,
-        fid: int,
-        digest: ProgramDigest,
-        instructions: List[Instruction],
-    ) -> CachedProgram:
-        # Imported here: stage.py owns the generic handler table and
-        # must stay importable without pipeline machinery.
-        from repro.switchsim.stage import _HANDLERS
-
-        pipeline = self.pipeline
-        config = pipeline.config
-        steps: List[tuple] = []
-        stamped: Dict[int, object] = {}
-        for pc, instr in enumerate(instructions):
-            physical = config.physical_stage(pc + 1)
-            stage = pipeline.stage(physical)
-            stamped[physical] = stage.table
-            handler = _specialize(stage, instr, fid)
-            if handler is None:
-                handler = _HANDLERS.get(instr.opcode)
-            if handler is None:
-                opname = instr.opcode.name
-                index = stage.index
-
-                def no_decode(stage, instr, phv, packet, _i=index, _n=opname):
-                    phv.fault(f"stage {_i}: no decode entry for {_n}")
-
-                handler = no_decode
-            instr_done = instr if instr.executed else instr.with_executed()
-            skip_label = instr.label if not instr.is_branch else 0
-            steps.append(
-                (instr, instr_done, skip_label, stage, handler, config.pass_of(pc + 2))
-            )
-        budget_pc = (1 + config.max_recirculations) * config.num_stages
-        stamps = tuple(
-            (table, table.version) for table in stamped.values()
-        )
-        return CachedProgram(
-            fid=fid,
-            digest=digest,
-            steps=steps,
-            budget_pc=budget_pc,
-            recirculations=infer_recirculations(
-                len(instructions), config.num_stages
-            ),
-            stamps=stamps,
-        )

@@ -94,10 +94,10 @@ class StageTable:
         self._grants: Dict[int, StageGrant] = {}
         self._translations: Dict[int, Tuple[int, int]] = {}
         self._tcam_used = 0
-        #: Monotonic mutation counter.  Cached program schedules stamp
-        #: the versions of every table they resolved against and are
-        #: dropped when any stamp goes stale, so decode state baked into
-        #: a :class:`~repro.switchsim.progcache.CachedProgram` can never
+        #: Monotonic mutation counter.  Program-cache bindings stamp
+        #: the version of every table they read operands from and are
+        #: re-bound when any stamp goes stale, so table state held by a
+        #: :class:`~repro.switchsim.progcache.ProgramBinding` can never
         #: outlive the entries it was derived from.
         self.version = 0
 

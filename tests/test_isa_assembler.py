@@ -126,6 +126,24 @@ def test_eof_only_stream_rejected():
         decode_program(bytes((0, 0)))
 
 
+def test_stream_decodes_at_an_offset_without_slicing():
+    from repro.isa.encoding import decode_instructions
+
+    program = assemble("MBR_LOAD $2\nCJUMP @end\nNOP\nend: RETURN")
+    wire = encode_program(program)
+    framed = b"\xAA\xBB\xCC" + wire + b"payload"
+    instructions, consumed = decode_instructions(framed, 3)
+    assert (tuple(instructions), consumed) == (program.instructions, len(wire))
+    assert decode_instructions(wire) == (instructions, consumed)
+    # Offsets in errors stay relative to the start of the stream.
+    bad = b"\xAA" + wire[:4] + b"\x99\x00" + wire[4:]
+    with pytest.raises(EncodingError, match="bad instruction at byte 4"):
+        decode_instructions(bad, 1)
+    for cut in (len(wire) - 1, len(wire) - 2, 0):  # half an EOF, none, nothing
+        with pytest.raises(EncodingError, match="truncated before EOF"):
+            decode_instructions(b"\xAA" + wire[:cut], 1)
+
+
 _SIMPLE_OPCODES = [
     Opcode.NOP,
     Opcode.MEM_READ,

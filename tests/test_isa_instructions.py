@@ -80,3 +80,51 @@ def test_with_executed_preserves_everything_else(instr):
     assert done.operand == instr.operand
     assert done.label == instr.label
     assert done.executed
+
+
+# ----------------------------------------------------------------------
+# Interned decoding
+# ----------------------------------------------------------------------
+
+
+@given(instructions())
+def test_decoding_is_interned_but_values_are_unchanged(instr):
+    wire = int(instr.opcode), instr.flag_byte()
+    decoded = Instruction.from_bytes(*wire)
+    assert decoded is Instruction.from_bytes(*wire)
+    done = Instruction.from_bytes(wire[0], wire[1] | InstructionFlags.EXECUTED)
+    assert done is decoded.with_executed() is instr.with_executed()
+    assert done.with_executed() is done
+    # Identity is all that changed: still value-equal to a fresh object.
+    assert decoded == instr and hash(decoded) == hash(instr)
+    assert done == Instruction(instr.opcode, instr.operand, instr.label, True)
+    assert decoded.key == instr.key == done.key
+
+
+def test_interned_instruction_stays_frozen():
+    instr = Instruction.from_bytes(int(Opcode.NOP), 0)
+    with pytest.raises(AttributeError):
+        instr.label = 3
+
+
+def test_key_is_a_function_of_opcode_operand_label_only():
+    seen = {}
+    for opcode in Opcode:
+        for operand in range(8 if opcode in OPERAND_OPCODES else 1):
+            for label in range(16):
+                if label and opcode in BRANCH_OPCODES and opcode in OPERAND_OPCODES:
+                    continue
+                instr = Instruction(opcode, operand, label)
+                assert seen.setdefault(instr.key, instr) == instr
+                assert instr.with_executed().key == instr.key
+
+
+@pytest.mark.parametrize("opcode_byte, flag_byte", [(0x99, 0), (0xFF, 0x85), (0x05, 1)])
+def test_decode_failures_raise_every_time(opcode_byte, flag_byte):
+    for _ in range(2):  # a failure must not be memoised as a success
+        with pytest.raises(ValueError, match="not a valid Opcode"):
+            Instruction.from_bytes(opcode_byte, flag_byte)
+
+
+def test_operand_bits_of_operandless_opcodes_are_ignored():
+    assert Instruction.from_bytes(int(Opcode.NOP), 0x05) == Instruction(Opcode.NOP)

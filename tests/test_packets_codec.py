@@ -165,3 +165,19 @@ def test_program_round_trip_property(fid, seq, args, payload, n_instrs):
     assert len(decoded.instructions) == n_instrs
     for slot, value in enumerate(args):
         assert decoded.get_arg(slot) == value
+
+
+def test_every_truncation_of_a_program_packet_is_rejected():
+    """Headers are decoded in place at their offsets; a frame cut
+    anywhere before the EOF marker must still raise, never read past
+    the end or mistake the tail for a header."""
+    packet = ActivePacket.program(
+        src=SRC, dst=DST, fid=7, args=[1, 2, 3, 4, 5],
+        instructions=[Instruction(Opcode.MBR_LOAD, operand=1), Instruction(Opcode.RETURN)],
+    )
+    wire = encode_packet(packet)
+    assert decode_packet(wire + b"tail").payload == b"tail"
+    for cut in range(len(wire)):
+        with pytest.raises(ValueError):
+            decode_packet(wire[:cut])
+

@@ -151,6 +151,9 @@ def test_stats_surface():
         "hit_rate": 0.0,
         "evictions": 0,
         "invalidations": 0,
+        "programs": 0,
+        "program_hits": 0,
+        "program_misses": 0,
     }
     assert sorted(uncached) == sorted(stats["program_cache"])
 

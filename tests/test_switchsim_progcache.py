@@ -14,7 +14,6 @@ from repro.controller import ActiveRmtController
 from repro.core import AllocationScheme
 from repro.isa import assemble
 from repro.packets import ActivePacket, MacAddress
-from repro.packets.codec import encode_packet
 from repro.switchsim import (
     ActiveSwitch,
     PacketDisposition,
@@ -26,6 +25,7 @@ from repro.switchsim import (
 )
 
 from tests.test_core_constraints import listing1_pattern
+from tests.test_switchsim_differential import _assert_identical
 
 CLIENT = MacAddress.from_host_id(1)
 SERVER = MacAddress.from_host_id(2)
@@ -56,19 +56,6 @@ def _grant_stages(pipeline, fid, stages, start=0, end=1024):
         pipeline.stage(stage).table.install_grant(
             StageGrant(fid=fid, start=start, end=end)
         )
-
-
-def _assert_identical(cached, cold):
-    """Byte-identical ExecutionResults (clones included)."""
-    assert cached.disposition is cold.disposition
-    assert cached.phv == cold.phv
-    assert cached.passes == cold.passes
-    assert cached.recirculations == cold.recirculations
-    assert cached.executed_instructions == cold.executed_instructions
-    assert encode_packet(cached.packet) == encode_packet(cold.packet)
-    assert len(cached.clones) == len(cold.clones)
-    for sub_cached, sub_cold in zip(cached.clones, cold.clones):
-        _assert_identical(sub_cached, sub_cold)
 
 
 # ----------------------------------------------------------------------

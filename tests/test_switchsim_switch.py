@@ -182,6 +182,9 @@ def test_stats_key_schema_is_stable(switch):
         "hits",
         "invalidations",
         "misses",
+        "program_hits",
+        "program_misses",
+        "programs",
     ]
 
 
@@ -189,6 +192,9 @@ def test_stats_schema_identical_with_cache_disabled():
     cached = ActiveSwitch(SwitchConfig())
     uncached = ActiveSwitch(SwitchConfig(program_cache_entries=0))
     assert sorted(cached.stats()) == sorted(uncached.stats())
+    assert sorted(cached.stats()["program_cache"]) == sorted(
+        uncached.stats()["program_cache"]
+    )
     assert isinstance(uncached.stats()["program_cache"], dict)
     assert uncached.stats()["program_cache"]["capacity"] == 0
 

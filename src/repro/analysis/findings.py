@@ -168,10 +168,12 @@ RULES: Dict[str, Rule] = {
             "ARMT012",
             "grant-region-mismatch",
             Severity.ERROR,
-            "The installed TCAM grant for a FID does not exactly "
-            "cover its allocated region (entry missing, orphaned, or "
-            "mis-ranged), so the runtime enforces a different "
-            "boundary than the allocator granted.",
+            "The installed entries for a FID are not exactly the set "
+            "its allocation implies: a TCAM grant missing, orphaned or "
+            "mis-ranged, or a translation missing, orphaned or not the "
+            "nearest upcoming region's pair -- so the runtime enforces "
+            "a different boundary, or resolves a different region, "
+            "than the allocator granted.",
         ),
         Rule(
             "ARMT013",

@@ -49,6 +49,7 @@ from repro.analysis.verifier import (
 from repro.isa.opcodes import MEMORY_OPCODES
 from repro.isa.program import ActiveProgram
 from repro.switchsim.config import SwitchConfig
+from repro.switchsim.tables import StageGrant
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime import
     from repro.core.allocator import ActiveRmtAllocator
@@ -62,11 +63,45 @@ WordRegions = Mapping[int, Tuple[int, int]]
 
 
 def _pow2_mask(words: int) -> int:
-    """Largest all-ones mask that keeps addresses inside *words* entries
-    (mirrors ``repro.controller.table_updater._pow2_mask``)."""
+    """Mask mapping a 32-bit hash into a region of *words* entries.
+
+    Uses the largest power-of-two prefix of the region so masked
+    addresses always stay inside it (non-power-of-two remainders are
+    unreachable by hashed addressing, but remain usable by direct
+    addressing).
+    """
     if words <= 0:
         return 0
     return (1 << (words.bit_length() - 1)) - 1
+
+
+def implied_entries(
+    fid: int,
+    regions: WordRegions,
+    translation_window: int = DEFAULT_TRANSLATION_WINDOW,
+) -> Tuple[Dict[int, StageGrant], Dict[int, Tuple[int, int]]]:
+    """The table entries a region map implies, as ``(grants, translations)``.
+
+    The one definition of "what should be installed" for a FID: the
+    table engine diffs two of these to update the device, the certifier
+    compares one against the installed surface.  Every granted stage
+    carries a :class:`StageGrant` with exactly the region's bounds and
+    translation pair; every stage in the ``translation_window`` before
+    a granted stage carries that stage's ``(mask, offset)`` pair, and
+    where windows overlap the nearest upcoming access wins (regions are
+    visited in descending stage order, so a nearer one overwrites).
+    """
+    grants: Dict[int, StageGrant] = {}
+    translations: Dict[int, Tuple[int, int]] = {}
+    for stage in sorted(regions, reverse=True):
+        start, end = regions[stage]
+        mask = _pow2_mask(end - start)
+        grants[stage] = StageGrant(
+            fid=fid, start=start, end=end, mask=mask, offset=start
+        )
+        for prior in range(max(1, stage - translation_window), stage):
+            translations[prior] = (mask, start)
+    return grants, translations
 
 
 def effective_translations(
@@ -75,24 +110,13 @@ def effective_translations(
 ) -> Dict[int, Tuple[int, int]]:
     """The ``(mask, offset)`` pair ADDR_MASK/ADDR_OFFSET resolves per stage.
 
-    Mirrors the controller's install order
-    (``TableUpdateEngine._install_app_impl``): translation entries are
-    installed descending over granted stages, each covering the
-    ``translation_window`` stages before it, so where windows overlap
-    the entry for the nearest upcoming access wins.  A granted stage
-    with no explicit entry falls back to its own grant's pair (the
-    runtime's fallback in ``switchsim/stage.py``).
+    The implied translation entries (:func:`implied_entries`), plus the
+    runtime's fallback in ``switchsim/stage.py``: a granted stage with
+    no explicit entry resolves to its own grant's pair.
     """
-    effective: Dict[int, Tuple[int, int]] = {}
-    for stage in sorted(regions, reverse=True):
-        start, end = regions[stage]
-        pair = (_pow2_mask(end - start), start)
-        for prior in range(max(1, stage - translation_window), stage):
-            effective[prior] = pair
-    for stage in regions:
-        if stage not in effective:
-            start, end = regions[stage]
-            effective[stage] = (_pow2_mask(end - start), start)
+    grants, effective = implied_entries(0, regions, translation_window)
+    for stage, grant in grants.items():
+        effective.setdefault(stage, (grant.mask, grant.offset))
     return effective
 
 
@@ -334,6 +358,10 @@ class TableSnapshot:
         )
 
 
+def _pair_text(pair: Optional[Tuple[int, int]]) -> str:
+    return "none" if pair is None else f"(mask={pair[0]}, offset={pair[1]})"
+
+
 def certify_fid(
     fid: int,
     allocator: "ActiveRmtAllocator",
@@ -345,8 +373,10 @@ def certify_fid(
     """Certify one *live* FID: installed entries vs the allocator layout.
 
     Checks that the runtime actually enforces what the allocator
-    granted: every allocated region carries a grant with exactly its
-    bounds and translation pair (ARMT012), every installed translation
+    granted: the installed grants and translations are exactly the
+    entry set the layout implies (:func:`implied_entries`) -- none
+    missing, orphaned, mis-ranged or pointing at a region other than
+    the nearest upcoming one (ARMT012) -- every installed translation
     maps masked addresses into a granted region (ARMT013), and no other
     installed grant overlaps (ARMT011).  Batch callers pass a shared
     *snapshot* so the device surface is read once, not per FID.
@@ -360,20 +390,24 @@ def certify_fid(
             continue
         words = block_range.to_words(block_words)
         regions[stage] = (words.start, words.end)
-    surface = snapshot if snapshot is not None else TableSnapshot.of(tables)
-    # Only stages that hold a region or an installed entry for this FID
-    # can produce findings; skipping the rest keeps batch audits linear.
-    grant_stages = sorted(
-        set(regions).union(
-            stage
-            for stage, per_stage in surface.grants.items()
-            if fid in per_stage
-        )
+    implied_grants, implied_pairs = implied_entries(
+        fid, regions, translation_window
     )
-    for stage in grant_stages:
+    surface = snapshot if snapshot is not None else TableSnapshot.of(tables)
+
+    def stages_with(implied: Mapping[int, Any], installed: Mapping[int, Any]) -> List[int]:
+        # Only stages that imply or hold an entry for this FID can
+        # produce findings; skipping the rest keeps batch audits linear.
+        return sorted(
+            set(implied).union(
+                stage for stage, per_stage in installed.items() if fid in per_stage
+            )
+        )
+
+    for stage in stages_with(implied_grants, surface.grants):
         grant = surface.grants.get(stage, {}).get(fid)
-        region = regions.get(stage)
-        if region is None:
+        expected = implied_grants.get(stage)
+        if expected is None:
             if grant is not None:
                 findings.append(
                     Finding.of(
@@ -385,30 +419,27 @@ def certify_fid(
                     )
                 )
             continue
-        start, end = region
         if grant is None:
             findings.append(
                 Finding.of(
                     "ARMT012",
-                    f"fid {fid} has an allocated region [{start}, {end}) "
+                    f"fid {fid} has an allocated region "
+                    f"[{expected.start}, {expected.end}) "
                     f"in stage {stage} but no grant is installed; every "
                     "access there faults",
                     stage=stage,
                 )
             )
             continue
-        expected_mask = _pow2_mask(end - start)
-        if (grant.start, grant.end) != (start, end) or (
-            grant.mask,
-            grant.offset,
-        ) != (expected_mask, start):
+        if grant != expected:
             findings.append(
                 Finding.of(
                     "ARMT012",
                     f"fid {fid} grant in stage {stage} enforces "
                     f"[{grant.start}, {grant.end}) mask={grant.mask} "
                     f"offset={grant.offset}, but the allocation is "
-                    f"[{start}, {end}) mask={expected_mask} offset={start}",
+                    f"[{expected.start}, {expected.end}) "
+                    f"mask={expected.mask} offset={expected.offset}",
                     stage=stage,
                 )
             )
@@ -426,8 +457,20 @@ def certify_fid(
                         stage=stage,
                     )
                 )
-    for stage, per_stage in sorted(surface.translations.items()):
-        pair = per_stage.get(fid)
+    for stage in stages_with(implied_pairs, surface.translations):
+        pair = surface.translations.get(stage, {}).get(fid)
+        implied = implied_pairs.get(stage)
+        if pair != implied:
+            findings.append(
+                Finding.of(
+                    "ARMT012",
+                    f"fid {fid} stage {stage}: translation installed is "
+                    f"{_pair_text(pair)}, the allocation implies "
+                    f"{_pair_text(implied)} (the nearest upcoming "
+                    "region's pair)",
+                    stage=stage,
+                )
+            )
         if pair is None:
             continue
         mask, offset = pair

@@ -919,37 +919,27 @@ class ActiveRmtController:
 
     def _incumbent_regions(
         self, plan: AllocationPlan
-    ) -> Dict[int, Mapping[int, Tuple[int, int]]]:
-        """Post-plan word regions of every incumbent FID.
+    ) -> Dict[int, Dict[int, Tuple[int, int]]]:
+        """Post-plan word regions of the incumbents at the plan's stages.
 
-        Starts from the live allocator layout and overlays the plan's
-        reallocations, so exclusivity is checked against the layout the
-        commit would actually produce.
+        The exclusivity check only ever reads incumbents where the plan
+        itself holds a region, so the map covers those stages alone:
+        the live pool layouts there, overlaid with the plan's
+        reallocations -- the layout the commit would actually produce.
         """
         block_words = self.device.config.block_words
         incumbents: Dict[int, Dict[int, Tuple[int, int]]] = {}
-        for fid in self.allocator.resident_fids():
-            if fid == plan.fid:
-                continue
-            regions: Dict[int, Tuple[int, int]] = {}
-            for stage, block_range in self.allocator.regions_for(fid).items():
-                if block_range is None or block_range.count <= 0:
+        for stage in plan.regions:
+            for fid, current in self.allocator.pools[stage].layout().items():
+                moved = plan.reallocations.get(fid, {}).get(stage)
+                block_range = current if moved is None else moved[1]
+                if fid == plan.fid or block_range is None or block_range.count <= 0:
                     continue
-                words = block_range.to_words(block_words)
-                regions[stage] = (words.start, words.end)
-            incumbents[fid] = regions
-        for fid, per_stage in plan.reallocations.items():
-            if fid == plan.fid:
-                continue
-            regions = dict(incumbents.get(fid, {}))
-            for stage, (_old, new) in per_stage.items():
-                if new is None or new.count <= 0:
-                    regions.pop(stage, None)
-                else:
-                    words = new.to_words(block_words)
-                    regions[stage] = (words.start, words.end)
-            incumbents[fid] = regions
-        return {fid: regions for fid, regions in incumbents.items()}
+                incumbents.setdefault(fid, {})[stage] = (
+                    block_range.start * block_words,
+                    block_range.end * block_words,
+                )
+        return incumbents
 
     # ------------------------------------------------------------------
     # State auditing (sanitizer mode + on-demand)
@@ -1077,15 +1067,11 @@ class ActiveRmtController:
                 self.snapshot_cost.per_app_handshake_seconds
                 + paged_blocks * self.snapshot_cost.per_block_seconds
             )
-        # 3. Re-install entries for resized/moved applications.
+        # 3. Move the entries of resized/moved applications.
         block_words = self.device.config.block_words
         for other in impacted:
-            table_seconds += self.updater.reinstall_app(
-                other,
-                self._current_regions(other),
-                block_words,
-                journal=journal,
-                ctx=ctx,
+            table_seconds += self._move_tables(
+                other, decision.reallocations[other], journal, ctx
             )
         # 4. Scrub and install the newcomer's regions.
         for stage, block_range in decision.regions.items():
@@ -1161,16 +1147,40 @@ class ActiveRmtController:
         )
 
     def _withdraw_tables(self, fid: int, ctx: ParentLike = None) -> float:
+        departing = self._current_regions(fid)
         reallocations = self.allocator.release(fid)
-        seconds = self.updater.remove_app(fid, ctx=ctx)
-        block_words = self.device.config.block_words
+        seconds = self.updater.remove_app(
+            fid, departing, self.device.config.block_words, ctx=ctx
+        )
         for other in sorted(reallocations):
             seconds += self.updater.deactivate(other, ctx=ctx)
-            seconds += self.updater.reinstall_app(
-                other, self._current_regions(other), block_words, ctx=ctx
-            )
+            seconds += self._move_tables(other, reallocations[other], None, ctx)
             seconds += self.updater.reactivate(other, ctx=ctx)
         return seconds
+
+    def _move_tables(
+        self,
+        fid: int,
+        changes: Mapping[int, Tuple[Optional[BlockRange], Optional[BlockRange]]],
+        journal: Optional[TableUpdateJournal],
+        ctx: ParentLike,
+    ) -> float:
+        """Bring a displaced incumbent's entries to its committed layout.
+
+        *changes* is the FID's row of a reallocation map; putting its
+        ``old`` halves back over the current regions gives the layout
+        the device still enforces, and the engine writes the difference.
+        """
+        new = self._current_regions(fid)
+        old = dict(new)
+        for stage, (before, _after) in changes.items():
+            if before is not None and before.count > 0:
+                old[stage] = before
+            else:
+                old.pop(stage, None)
+        return self.updater.apply_delta(
+            fid, old, new, self.device.config.block_words, journal, ctx
+        )
 
     def _current_regions(self, fid: int) -> Dict[int, BlockRange]:
         return {

@@ -60,6 +60,11 @@ class StagePool:
         self.total_blocks = total_blocks
         self._residents: Dict[int, _Resident] = {}
         self._layout_cache: Optional[Mapping[int, BlockRange]] = None
+        # Occupancy counters, kept in step with _residents wherever the
+        # layout cache is dropped: the mutant search reads them for
+        # every candidate stage.
+        self._pinned_blocks = 0
+        self._elastic_count = 0
 
     # ------------------------------------------------------------------
     # Membership
@@ -69,14 +74,24 @@ class StagePool:
         """Admit *fid* with a block demand (None = elastic)."""
         if fid in self._residents:
             raise ValueError(f"fid {fid} already resident in stage")
-        self._residents[fid] = _Resident(
+        resident = _Resident(
             fid=fid, elastic=demand is None, demand=demand, arrival=arrival
         )
+        self._residents[fid] = resident
+        self._tally(resident, 1)
         self._layout_cache = None
 
     def remove(self, fid: int) -> None:
-        self._residents.pop(fid, None)
+        resident = self._residents.pop(fid, None)
+        if resident is not None:
+            self._tally(resident, -1)
         self._layout_cache = None
+
+    def _tally(self, resident: _Resident, sign: int) -> None:
+        if resident.elastic:
+            self._elastic_count += sign
+        else:
+            self._pinned_blocks += sign * resident.demand
 
     # ------------------------------------------------------------------
     # Transactional support (shadow planning + exact snapshot/restore)
@@ -94,6 +109,8 @@ class StagePool:
             fid: dataclasses.replace(resident)
             for fid, resident in self._residents.items()
         }
+        twin._pinned_blocks = self._pinned_blocks
+        twin._elastic_count = self._elastic_count
         return twin
 
     def export_residents(self) -> Tuple[Tuple[int, bool, Optional[int], int], ...]:
@@ -117,6 +134,9 @@ class StagePool:
             fid: _Resident(fid=fid, elastic=elastic, demand=demand, arrival=arrival)
             for fid, elastic, demand, arrival in residents
         }
+        self._pinned_blocks = self._elastic_count = 0
+        for resident in self._residents.values():
+            self._tally(resident, 1)
         self._layout_cache = None
 
     def __contains__(self, fid: int) -> bool:
@@ -137,13 +157,11 @@ class StagePool:
     @property
     def pinned_blocks(self) -> int:
         """Blocks held by inelastic residents."""
-        return sum(
-            r.demand for r in self._residents.values() if not r.elastic
-        )
+        return self._pinned_blocks
 
     @property
     def elastic_count(self) -> int:
-        return sum(1 for r in self._residents.values() if r.elastic)
+        return self._elastic_count
 
     @property
     def fungible_blocks(self) -> int:

@@ -8,7 +8,10 @@ the serialization-order witness every concurrent run must equal -- is
 then replayed entry by entry onto a fresh stack, and after *every*
 replayed commit the whole-state invariant catalog runs again and each
 admission's isolation certificate is re-derived.  The replayed final
-state must reproduce the live pools fingerprint (ARMT015 otherwise).
+state must reproduce the live pools fingerprint (ARMT015 otherwise),
+and both final table surfaces must equal a from-scratch install of
+their layout -- the path-independence check delta table updates rest
+on (``table_surface`` in the report).
 
 The run ends with a rigged-mutant demonstration: a program whose
 double ``ADDR_OFFSET`` provably escapes its granted region is submitted
@@ -29,7 +32,11 @@ from repro.analysis.invariants import replay_findings
 from repro.controller.controller import ActiveRmtController
 from repro.controller.service import CommitLogEntry, pools_fingerprint
 from repro.core.constraints import AccessPattern
-from repro.experiments.common import exemplar_patterns, make_controller
+from repro.experiments.common import (
+    exemplar_patterns,
+    make_controller,
+    table_surface_mismatches,
+)
 from repro.isa import assemble
 from repro.switchsim.config import SwitchConfig
 from repro.switchsim.switch import ActiveSwitch
@@ -89,10 +96,18 @@ class AuditResult:
     replay_violations: List[str]
     replay_diverged: bool
     demo: MutantDemo
+    #: Entries where a final table surface differs from a from-scratch
+    #: install of its own layout, for the ``live`` and ``replay`` runs.
+    table_surface: Dict[str, List[str]]
 
     @property
     def violations(self) -> List[str]:
         out = list(self.live_violations) + list(self.replay_violations)
+        out.extend(
+            f"{run} table surface: {mismatch}"
+            for run, mismatches in self.table_surface.items()
+            for mismatch in mismatches
+        )
         if self.uncertified_admissions:
             out.append(
                 f"{self.uncertified_admissions} admission(s) committed "
@@ -257,6 +272,10 @@ def run_audit(epochs: int = 30, seed: int = 7) -> AuditResult:
         replay_violations=replay_violations,
         replay_diverged=bool(divergence),
         demo=_demo_rejection(),
+        table_surface={
+            "live": table_surface_mismatches(live),
+            "replay": table_surface_mismatches(replay),
+        },
     )
 
 
@@ -273,6 +292,11 @@ def format_audit(result: AuditResult) -> str:
         f"uncertified admissions: {result.uncertified_admissions}",
         f"replay: {len(result.replay_violations)} violation(s); "
         f"fingerprint {'DIVERGED' if result.replay_diverged else 'matches'}",
+        "table surface vs from-scratch install: "
+        + ", ".join(
+            f"{run} {len(mismatches)} mismatch(es)"
+            for run, mismatches in result.table_surface.items()
+        ),
         "",
         "rigged out-of-bounds mutant (strict mode): "
         + (
@@ -303,6 +327,7 @@ def payload_for(result: AuditResult) -> Dict[str, object]:
         "replayed_entries": result.replayed_entries,
         "uncertified_admissions": result.uncertified_admissions,
         "replay_diverged": result.replay_diverged,
+        "table_surface": result.table_surface,
         "demo": dataclasses.asdict(result.demo),
         "violations": list(result.violations),
         "clean": result.clean,

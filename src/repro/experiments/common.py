@@ -8,7 +8,7 @@ import time
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.findings import AnalysisReport
-from repro.analysis.isolation import IsolationCertificate
+from repro.analysis.isolation import IsolationCertificate, TableSnapshot
 from repro.apps.base import EXEMPLAR_APPS
 from repro.controller.controller import (
     ActiveRmtController,
@@ -16,6 +16,8 @@ from repro.controller.controller import (
     ProvisioningRequest,
 )
 from repro.controller.service import AdmissionTicket
+from repro.controller.table_updater import TableUpdateEngine
+from repro.core.blocks import BlockRange
 from repro.core.constraints import (
     AccessPattern,
     AllocationPolicy,
@@ -196,6 +198,48 @@ def audit_tally(
     checked = [cert for by_fid in certificates for cert in by_fid.values()]
     invalid = sum(1 for cert in checked if not cert.valid)
     return audit_errors, len(checked), invalid
+
+
+def table_surface_mismatches(controller: ActiveRmtController) -> List[str]:
+    """The live table surface against a from-scratch install (want: []).
+
+    The path-independence oracle for delta table updates: however the
+    device got here, its grants, translations and TCAM occupancy must
+    equal those of an empty device on which every resident's current
+    regions -- read straight from the pool layouts -- are installed
+    once.  Each mismatch names the stage, the FID and both entries.
+    """
+    config = controller.device.config
+    regions: Dict[int, Dict[int, BlockRange]] = {}
+    for stage, pool in controller.allocator.pools.items():
+        for fid, block_range in pool.layout().items():
+            if block_range.count > 0:
+                regions.setdefault(fid, {})[stage] = block_range
+    scratch = TableUpdateEngine(ActiveSwitch(config).pipeline)
+    for fid in sorted(regions):
+        scratch.install_app(fid, regions[fid], config.block_words)
+    live = TableSnapshot.of(controller.device)
+    want = TableSnapshot.of(scratch.tables)
+    mismatches: List[str] = []
+    for stage in range(1, live.num_stages + 1):
+        for kind, have, expected in (
+            ("grant", live.grants[stage], want.grants[stage]),
+            ("translation", live.translations[stage], want.translations[stage]),
+        ):
+            for fid in sorted(set(have) | set(expected)):
+                if have.get(fid) != expected.get(fid):
+                    mismatches.append(
+                        f"stage {stage} fid {fid}: installed {kind} "
+                        f"{have.get(fid)} != from-scratch {expected.get(fid)}"
+                    )
+        tcam = controller.device.stage_tcam(stage)
+        expected_tcam = scratch.tables.stage_tcam(stage)
+        if tcam != expected_tcam:
+            mismatches.append(
+                f"stage {stage}: TCAM (used, capacity) {tcam} != "
+                f"from-scratch {expected_tcam}"
+            )
+    return mismatches
 
 
 def _record_for(

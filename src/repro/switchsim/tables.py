@@ -15,6 +15,7 @@ grant consumes the number of TCAM entries required to express its
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, List, Optional, Tuple
 
 
@@ -43,6 +44,13 @@ def range_to_prefixes(start: int, end: int, width: int = 32) -> List[Tuple[int, 
         prefixes.append((start, prefix_len))
         start += size
     return prefixes
+
+
+@functools.lru_cache(maxsize=4096)
+def _prefix_count(start: int, end: int) -> int:
+    """TCAM entries for ``[start, end)``: a pure function of the bounds,
+    asked twice per grant install (the new entry and the one it replaces)."""
+    return len(range_to_prefixes(start, end))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,7 +87,7 @@ class StageGrant:
         """TCAM entries needed to protect this region."""
         if self.size == 0:
             return 0
-        return len(range_to_prefixes(self.start, self.end))
+        return _prefix_count(self.start, self.end)
 
 
 class StageTable:

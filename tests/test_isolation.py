@@ -21,10 +21,14 @@ from repro.analysis import (
 from repro.analysis.findings import RULES, Severity
 from repro.controller.controller import ActiveRmtController
 from repro.controller.service import pools_fingerprint
+from repro.controller.table_updater import TableUpdateEngine
+from repro.core.blocks import BlockRange
 from repro.core.constraints import AccessPattern
+from repro.device import SimDevice
 from repro.isa import assemble
 from repro.switchsim.config import SwitchConfig
 from repro.switchsim.switch import ActiveSwitch
+from repro.switchsim.tables import StageGrant
 from repro.telemetry import MetricsRegistry, json_snapshot
 from repro.workloads.arrivals import (
     ArrivalEvent,
@@ -310,6 +314,93 @@ def test_certify_fid_flags_escaping_translation():
     certificate = certify_fid(1, controller.allocator, controller.device)
     assert not certificate.valid
     assert "ARMT013" in {f.rule_id for f in certificate.findings}
+
+
+def _installed(regions, fid=1):
+    """A device holding exactly what *regions* implies for *fid*, and an
+    allocator stand-in reporting those regions."""
+    device = SimDevice(ActiveSwitch(SwitchConfig()))
+    TableUpdateEngine(device).install_app(
+        fid, regions, device.config.block_words
+    )
+    return SimpleNamespace(regions_for=lambda _fid: regions), device
+
+
+#: Accesses at stages 5 and 7: stage 4 sits in both translation windows
+#: and resolves to stage 5's pair, the nearest upcoming access.
+TWO_REGIONS = {5: BlockRange(0, 4), 7: BlockRange(8, 2)}
+
+
+def test_certify_fid_flags_stale_but_in_bounds_translation():
+    allocator, device = _installed(TWO_REGIONS)
+    assert certify_fid(1, allocator, device).valid
+    # Stage 7's pair is a valid region of this FID -- ARMT013 is content
+    # -- but at stage 4 the next access is stage 5's.
+    device.install_translation(4, 1, mask=511, offset=2048)
+    certificate = certify_fid(1, allocator, device)
+    assert [(f.rule_id, f.stage, f.message) for f in certificate.findings] == [
+        (
+            "ARMT012",
+            4,
+            "fid 1 stage 4: translation installed is (mask=511, offset=2048), "
+            "the allocation implies (mask=1023, offset=0) (the nearest "
+            "upcoming region's pair)",
+        )
+    ]
+
+
+def test_certify_fid_flags_removed_window_translation():
+    allocator, device = _installed(TWO_REGIONS)
+    assert device.remove_translation(6, 1)
+    certificate = certify_fid(1, allocator, device)
+    assert [(f.rule_id, f.stage, f.message) for f in certificate.findings] == [
+        (
+            "ARMT012",
+            6,
+            "fid 1 stage 6: translation installed is none, the allocation "
+            "implies (mask=511, offset=2048) (the nearest upcoming "
+            "region's pair)",
+        )
+    ]
+
+
+def test_audit_flags_entries_left_in_a_stage_the_fid_vacated():
+    controller = _controller()
+    program = assemble(COUNTER, name="counter")
+    for fid in (1, 2):
+        assert controller.admit(
+            fid=fid, pattern=_pattern(program, [2]), program=program
+        ).success
+    occupied = set(controller.allocator.regions_for(1))
+    vacated = max(occupied) + 5
+    # What a delta that forgot a vanished stage would leave behind.
+    controller.device.install_grant(
+        vacated, StageGrant(fid=1, start=0, end=256, mask=255, offset=0)
+    )
+    controller.device.install_translation(vacated - 1, 1, mask=255, offset=0)
+    messages = {
+        (f.rule_id, f.message) for f in certify_fid(
+            1, controller.allocator, controller.device
+        ).findings
+    }
+    assert (
+        "ARMT012",
+        f"fid 1 has an orphaned grant [0, 256) in stage {vacated} with no "
+        "allocated region behind it",
+    ) in messages
+    assert (
+        "ARMT012",
+        f"fid 1 stage {vacated - 1}: translation installed is (mask=255, "
+        "offset=0), the allocation implies none (the nearest upcoming "
+        "region's pair)",
+    ) in messages
+    # Withdrawal visits only the stages the FID occupied, so the planted
+    # entries outlive it; the orphan-entries invariant names them.
+    controller.withdraw(fid=1)
+    assert controller.device.grant_for(vacated, 1) is not None
+    assert controller.device.translation_for(vacated - 1, 1) is not None
+    orphans = {(f.rule_id, f.stage) for f in controller.audit().errors}
+    assert orphans == {("ARMT012", vacated), ("ARMT013", vacated - 1)}
 
 
 def test_audit_flags_tcam_accounting_drift():

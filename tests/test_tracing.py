@@ -493,6 +493,36 @@ def test_withdraw_and_dry_run_traces():
     assert span_tree(withdraw_trace)["orphans"] == []
 
 
+def test_reallocating_admit_traces_one_delta_per_displaced_neighbour():
+    tracer = Tracer(sample_rate=1.0)
+    controller = _traced_controller(tracer)
+    pattern = listing1_pattern()
+    # Worst fit spreads tenants over empty stages first; keep admitting
+    # until a newcomer has to share one.
+    fid = 0
+    report = controller.admit(fid=fid, pattern=pattern)
+    while not report.reallocated_fids:
+        fid += 1
+        report = controller.admit(fid=fid, pattern=pattern)
+        assert report.success and fid < 40
+
+    spans = tracer.spans()
+    commit = find_spans(spans, "controller.admit")[-1]
+    install = find_spans(spans, "tables.install_app")[-1]
+    deltas = [
+        s for s in find_spans(spans, "tables.apply_delta")
+        if s.trace_id == commit.trace_id
+    ]
+    # Each neighbour's delta hangs off the commit; the newcomer's is the
+    # body of its install span.
+    expected = {other: commit.span_id for other in report.reallocated_fids}
+    expected[fid] = install.span_id
+    assert {s.attrs["fid"]: s.parent_id for s in deltas} == expected
+    moved = next(s for s in deltas if s.attrs["fid"] != fid)
+    assert moved.attrs["installed"] > 0 and moved.attrs["removed"] == 0
+    assert span_tree(tracer.spans_for(commit.trace_id))["orphans"] == []
+
+
 def test_sampled_packet_joins_the_committing_trace():
     tracer = Tracer(sample_rate=1.0)
     controller = _traced_controller(tracer)

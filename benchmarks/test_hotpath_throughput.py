@@ -4,15 +4,17 @@ A repeated-mutant workload -- a handful of FIDs each replaying a small
 set of compiled mutants, the steady state of every paper experiment --
 is pushed through two identically provisioned switches: one with the
 per-program decode/trace cache enabled (the default) and one with it
-disabled (``program_cache_entries=0``).  The cached data path must:
+disabled (``program_cache_entries=0``).  The cached data path must
+produce byte-identical results (dispositions, PHV values, emitted
+packets, register state) and hit its cache; the cached/uncached
+packets-per-second ratio is printed, not asserted -- what the cache buys
+is owned by the repository benchmark's ``dp_wide`` / ``dp_hot``
+``ops_per_s`` under BENCHMARK.json's bounds (EXPERIMENTS.md).
 
-1. produce byte-identical results (dispositions, PHV values, emitted
-   packets, register state), and
-2. sustain at least 2x the packets/second of the uncached interpreter.
-
-Set ``ACTIVERMT_BENCH_SMOKE=1`` to run in smoke mode: the equality and
-hit-rate assertions still apply, but the timing gate is skipped (for
-CI machines with noisy clocks).
+Set ``ACTIVERMT_BENCH_SMOKE=1`` to run in smoke mode: every equality
+and hit-rate assertion still applies, but the timing gates the ledger
+does not cover yet (verifier compile overhead and telemetry-on overhead
+below) are skipped, for CI machines with noisy clocks.
 """
 
 import os
@@ -140,8 +142,7 @@ def test_hotpath_cached_vs_uncached_equality():
     assert cached.pipeline.program_cache.stats()["hit_rate"] >= 0.9
 
 
-def test_hotpath_throughput_speedup():
-    repeats = 40 if SMOKE else 250
+def test_hotpath_throughput_ratio_is_reported():
     cached = _provisioned_switch(cache_entries=256)
     uncached = _provisioned_switch(cache_entries=0)
 
@@ -149,8 +150,8 @@ def test_hotpath_throughput_speedup():
     cached.receive_batch(_workload(repeats=3))
     uncached.receive_batch(_workload(repeats=3))
 
-    _, uncached_pps = _run(uncached, repeats)
-    _, cached_pps = _run(cached, repeats)
+    _, uncached_pps = _run(uncached, repeats=250)
+    _, cached_pps = _run(cached, repeats=250)
 
     stats = cached.pipeline.program_cache.stats()
     assert stats["hit_rate"] > 0, "repeated mutants must hit the cache"
@@ -159,11 +160,6 @@ def test_hotpath_throughput_speedup():
         f"uncached {uncached_pps:,.0f} pps "
         f"({cached_pps / uncached_pps:.2f}x, hit rate {stats['hit_rate']:.3f})"
     )
-    if not SMOKE:
-        assert cached_pps >= 2.0 * uncached_pps, (
-            f"cached path only {cached_pps / uncached_pps:.2f}x faster "
-            f"({cached_pps:,.0f} vs {uncached_pps:,.0f} pps)"
-        )
 
 
 def test_verifier_compile_overhead():

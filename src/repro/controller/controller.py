@@ -27,6 +27,7 @@ import dataclasses
 import enum
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     List,
@@ -80,7 +81,7 @@ from repro.faults import RetryPolicy
 from repro.isa.program import ActiveProgram
 from repro.packets.codec import ActivePacket
 from repro.packets.ethernet import MacAddress
-from repro.packets.headers import ControlFlags, PacketType
+from repro.packets.headers import AllocationResponseHeader, ControlFlags, PacketType
 from repro.switchsim.tables import TcamCapacityError
 from repro.telemetry import (
     AnyTracer,
@@ -350,48 +351,49 @@ class ActiveRmtController:
         """
         return self.device.underlying
 
+    def settings(self) -> Dict[str, Any]:
+        """Every constructor keyword, as this controller was built: what
+        :meth:`recover` gives a replacement so it behaves like this one
+        (a new ``__init__`` keyword belongs here too, or failover
+        silently reverts it to its default).
+        """
+        return {
+            "scheme": self.allocator.scheme,
+            "policy": self.allocator.policy,
+            "table_cost": self.updater.cost,
+            "snapshot_cost": self.snapshot_cost,
+            "telemetry": self.telemetry,
+            "verify": self.verify,
+            "tracer": self.tracer,
+            "sanitizer": self.sanitizer,
+            "retry": self.retry,
+        }
+
     @classmethod
     def recover(
         cls,
         device: Union[Device, object],
         commit_log: Sequence[Tuple[str, int]],
         patterns: Mapping[int, AccessPattern],
-        scheme: AllocationScheme = AllocationScheme.WORST_FIT,
-        policy: AllocationPolicy = MOST_CONSTRAINED,
-        table_cost: Optional[TableUpdateCost] = None,
-        snapshot_cost: Optional[SnapshotCost] = None,
-        telemetry: Optional[MetricsRegistry] = None,
-        verify: Union["CompileOptions", VerifyMode, str] = VerifyMode.WARN,
-        tracer: Optional[AnyTracer] = None,
-        sanitizer: bool = False,
-        retry: Optional[RetryPolicy] = None,
+        **settings: Any,
     ) -> "ActiveRmtController":
         """Rebuild a failed controller's state onto a replacement device.
 
         Crash recovery from the durable record: a fresh controller is
-        constructed on *device* (a fresh or replacement switch) and the
-        failed instance's commit log is replayed serially -- the same
-        linearization witness the admission service maintains -- so the
-        recovered allocator pools and device tables are byte-identical
-        to what a clean serial execution of the committed history
-        produces.  *patterns* must cover every fid the log admits.
+        constructed on *device* (a fresh or replacement switch) with
+        *settings* -- constructor keywords, normally the failed
+        instance's own :meth:`settings` -- and the failed instance's
+        commit log is replayed serially -- the same linearization
+        witness the admission service maintains -- so the recovered
+        allocator pools and device tables are byte-identical to what a
+        clean serial execution of the committed history produces.
+        *patterns* must cover every fid the log admits.
 
         The replacement device must be empty (same capabilities, no
         resident state); recovery proves nothing about a device with
         prior tenants.
         """
-        controller = cls(
-            device,
-            scheme=scheme,
-            policy=policy,
-            table_cost=table_cost,
-            snapshot_cost=snapshot_cost,
-            telemetry=telemetry,
-            verify=verify,
-            tracer=tracer,
-            sanitizer=sanitizer,
-            retry=retry,
-        )
+        controller = cls(device, **settings)
         # Imported lazily: the service sits above the controller in the
         # module graph (it imports this module at load time).
         from repro.controller.service import replay_commit_log
@@ -407,9 +409,6 @@ class ActiveRmtController:
     def register_client(self, fid: int, mac: MacAddress) -> None:
         """Remember which client MAC owns a FID (for notices)."""
         self._client_macs[fid] = mac
-
-    def client_mac(self, fid: int) -> Optional[MacAddress]:
-        return self._client_macs.get(fid)
 
     # ------------------------------------------------------------------
     # Unified entry point
@@ -509,7 +508,7 @@ class ActiveRmtController:
         ) as span:
             plan = self.allocator.plan(fid, pattern, ctx=span)
             if dry_run:
-                report = self._report_dry_run(plan)
+                report = self.report_dry_run(plan)
             else:
                 (report,) = self._commit([plan], [program], span, "single")
             assert report.status is not None
@@ -558,8 +557,11 @@ class ActiveRmtController:
         """Commit a group of plans under one journal, all-or-nothing.
 
         The plans must have been computed consecutively against one
-        shadow (each rehearsed before the next was planned), so their
-        basis stamps replay exactly onto the real allocator.  Every
+        shadow (each feasible one rehearsed before the next was
+        planned), so their basis stamps replay exactly onto the real
+        allocator.  A member without a feasible mutant rejects the whole
+        group before anything is touched (one ``REJECTED`` report per
+        member, the infeasible one carrying the planner's verdict).  Every
         switch-side mutation across the whole group lands in a single
         :class:`TableUpdateJournal`: a mid-batch TCAM rejection replays
         the journal backwards and rolls back every already-committed
@@ -611,11 +613,11 @@ class ActiveRmtController:
                 f"{what} computed against version {plans[0].basis_version}, "
                 f"allocator is at {self.allocator.version}"
             )
-        # A lone infeasible plan is a planning-time rejection.  (Groups
-        # arrive all-feasible: the service rejects an infeasible member
-        # itself, before any sibling is committed.)
-        if len(plans) == 1 and not plans[0].feasible:
-            return [self._report_infeasible(plans[0])]
+        # A member without a feasible mutant is a planning-time
+        # rejection of the whole group, before any sibling is touched.
+        culprit = next((plan for plan in plans if not plan.feasible), None)
+        if culprit is not None:
+            return [self._report_infeasible(plan, culprit) for plan in plans]
 
         # 2. Verify and certify every member while nothing is mutated
         # (all plans still pending).  Both are computed in every mode
@@ -789,9 +791,22 @@ class ActiveRmtController:
         self._record_admission(report, outcome)
         return report
 
-    def _report_infeasible(self, plan: AllocationPlan) -> ProvisioningReport:
-        """Package a planning-time rejection (no feasible mutant)."""
+    def _report_infeasible(
+        self, plan: AllocationPlan, culprit: AllocationPlan
+    ) -> ProvisioningReport:
+        """Package a planning-time rejection (no feasible mutant).
+
+        *culprit* is the group's first infeasible plan: it carries the
+        planner's verdict and is the one recorded; its siblings (a lone
+        plan has none) are aborted with it and only say why.
+        """
         self.allocator.abort(plan)
+        if plan is not culprit:
+            return ProvisioningReport(
+                fid=plan.fid,
+                success=False,
+                reason=f"batch aborted: no feasible mutant for fid {culprit.fid}",
+            )
         decision = self.allocator.decision_from_plan(plan)
         self.allocator.record_decision(decision)
         return self._record_report(
@@ -993,7 +1008,7 @@ class ActiveRmtController:
                 rules=",".join(sorted({f.rule_id for f in report.errors})),
             )
 
-    def _report_dry_run(self, plan: AllocationPlan) -> ProvisioningReport:
+    def report_dry_run(self, plan: AllocationPlan) -> ProvisioningReport:
         """Package a what-if probe: the plan is the entire result."""
         self.allocator.abort(plan)
         decision = self.allocator.decision_from_plan(plan)
@@ -1231,43 +1246,56 @@ class ActiveRmtController:
         )
         self._client_macs[packet.fid] = packet.eth.src
         report = self.admit(fid=packet.fid, pattern=pattern)
-        replies: List[ActivePacket] = []
-        if report.success:
-            # Impacted incumbents get their updated regions, flagged as
-            # reallocation notices so their shims relink and repopulate.
-            for other in report.reallocated_fids:
-                other_mac = self._client_macs.get(other)
-                if other_mac is None:
-                    continue
-                notice = ActivePacket.alloc_response(
-                    src=self.mac,
-                    dst=other_mac,
-                    fid=other,
-                    response=self.allocator.response_for(other),
-                    flags=ControlFlags.REALLOC_NOTICE,
-                )
-                self.device.inject(notice)
-                replies.append(notice)
-            response = ActivePacket.alloc_response(
-                src=self.mac,
-                dst=packet.eth.src,
-                fid=packet.fid,
-                response=self.allocator.response_for(packet.fid),
-                seq=packet.initial.seq,
-            )
-        else:
-            from repro.packets.headers import AllocationResponseHeader
+        replies = self.allocation_replies(report, packet)
+        for reply in replies:
+            self.device.inject(reply)
+        return replies
 
-            response = ActivePacket.alloc_response(
+    def allocation_replies(
+        self, report: ProvisioningReport, request: ActivePacket
+    ) -> List[ActivePacket]:
+        """The packets that answer allocation *request*, given its *report*.
+
+        The one definition of the allocation-response protocol.  An
+        admission sends every displaced incumbent whose client MAC is
+        known its updated regions, flagged ``REALLOC_NOTICE`` so the
+        shim relinks and repopulates, then the requester its
+        ``ALLOC_RESPONSE``; anything else sends one ``ALLOC_FAILED``.
+        Regions are read from the allocator when this is called, so
+        whoever delays the replies (the simulated-time provisioner)
+        calls it at send time.
+        """
+        if not report.success:
+            return [
+                ActivePacket.alloc_response(
+                    src=self.mac,
+                    dst=request.eth.src,
+                    fid=request.fid,
+                    response=AllocationResponseHeader.empty(),
+                    flags=ControlFlags.ALLOC_FAILED,
+                    seq=request.initial.seq,
+                )
+            ]
+        replies = [
+            ActivePacket.alloc_response(
                 src=self.mac,
-                dst=packet.eth.src,
-                fid=packet.fid,
-                response=AllocationResponseHeader.empty(),
-                flags=ControlFlags.ALLOC_FAILED,
-                seq=packet.initial.seq,
+                dst=self._client_macs[other],
+                fid=other,
+                response=self.allocator.response_for(other),
+                flags=ControlFlags.REALLOC_NOTICE,
             )
-        self.device.inject(response)
-        replies.append(response)
+            for other in report.reallocated_fids
+            if other in self._client_macs
+        ]
+        replies.append(
+            ActivePacket.alloc_response(
+                src=self.mac,
+                dst=request.eth.src,
+                fid=request.fid,
+                response=self.allocator.response_for(request.fid),
+                seq=request.initial.seq,
+            )
+        )
         return replies
 
     def _handle_control(self, packet: ActivePacket) -> List[ActivePacket]:

@@ -17,10 +17,11 @@ committer was built for exactly the architecture implemented here:
 - retries are **bounded by per-request deadlines**: a request past its
   deadline is shed gracefully -- a :class:`ProvisioningReport` with
   status ``SHED`` and a ``retry_after_s`` hint, never an exception,
-- **batched admission** (:meth:`AdmissionService.submit_many`) plans a
-  group of fids against one shadow (each plan rehearsed so later ones
-  see earlier grants) and commits them under a single journal, so a
-  mid-batch failure rolls the whole group back.
+- a ticket is a **group of N admissions, N = 1 the common case**
+  (:meth:`AdmissionService.submit` queues a lone request, ``submit_many``
+  an atomic group) and one loop serves every N: the members are planned
+  against one shadow (each plan rehearsed so the next sees its grant) and
+  committed under one journal, so a mid-group failure rolls them all back.
 
 Every successful commit is appended to :attr:`AdmissionService.commit_log`
 under the commit lock, giving the serialization-order witness: replaying
@@ -36,7 +37,8 @@ import math
 import random
 import threading
 import time
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, Generic, List, Optional
+from typing import Sequence, Tuple, TypeVar
 
 from repro.controller.controller import (
     ActiveRmtController,
@@ -54,10 +56,6 @@ from repro.telemetry.tracing import Span
 
 class AdmissionServiceError(Exception):
     """Raised on service misuse (submit after close, bad batch)."""
-
-
-class _RetryBatch(Exception):
-    """Internal: a batch attempt went stale; re-plan against a fresh shadow."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,34 +79,6 @@ class BackoffPolicy:
         return raw * (1.0 - self.jitter * rng.random())
 
 
-class AdmissionTicket:
-    """Handle on one queued request; resolves to a ProvisioningReport."""
-
-    def __init__(self, request: ProvisioningRequest, submitted_at: float, deadline: float) -> None:
-        self.request = request
-        self.submitted_at = submitted_at
-        self.deadline = deadline
-        self.resolved_at: Optional[float] = None
-        #: Root span of this request's trace (set on submission; the
-        #: inert ``NULL_SPAN`` when tracing is off).
-        self.span: Optional[Span] = None
-        self._event = threading.Event()
-        self._report: Optional[ProvisioningReport] = None
-        self._error: Optional[BaseException] = None
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def result(self, timeout: Optional[float] = None) -> ProvisioningReport:
-        """Block until the request resolves; re-raises worker errors."""
-        if not self._event.wait(timeout):
-            raise TimeoutError("admission ticket not resolved in time")
-        if self._error is not None:
-            raise self._error
-        assert self._report is not None
-        return self._report
-
-
 @dataclasses.dataclass
 class BatchReport:
     """Outcome of one atomic admission group.
@@ -129,41 +99,67 @@ class BatchReport:
         return self.status is ProvisioningStatus.ADMITTED
 
 
-class BatchTicket:
-    """Handle on one queued admission group; resolves to a BatchReport."""
+#: What a ticket resolves to: a lone request's report, or a group's.
+R = TypeVar("R", ProvisioningReport, BatchReport)
+
+
+class AdmissionTicket(Generic[R]):
+    """Handle on one queued group of requests, N = 1 the common case.
+
+    A lone ticket (:meth:`AdmissionService.submit`) resolves to its
+    request's :class:`ProvisioningReport`; a *grouped* one
+    (:meth:`AdmissionService.submit_many`, whatever its size) resolves
+    to a :class:`BatchReport`.
+    """
 
     def __init__(
         self,
         requests: Tuple[ProvisioningRequest, ...],
         submitted_at: float,
         deadline: float,
+        span: Span,
+        grouped: bool = False,
     ) -> None:
         self.requests = requests
         self.submitted_at = submitted_at
         self.deadline = deadline
         self.resolved_at: Optional[float] = None
-        #: Root span of this group's trace (set on submission; the
-        #: inert ``NULL_SPAN`` when tracing is off).
-        self.span: Optional[Span] = None
+        #: Root span of this ticket's trace (the inert ``NULL_SPAN``
+        #: when tracing is off).
+        self.span = span
+        self.grouped = grouped
         self._event = threading.Event()
-        self._report: Optional[BatchReport] = None
+        self._report: Optional[R] = None
         self._error: Optional[BaseException] = None
 
     def done(self) -> bool:
         return self._event.is_set()
 
-    def result(self, timeout: Optional[float] = None) -> BatchReport:
+    def result(self, timeout: Optional[float] = None) -> R:
+        """Block until the ticket resolves; re-raises worker errors."""
         if not self._event.wait(timeout):
-            raise TimeoutError("batch ticket not resolved in time")
+            raise TimeoutError("admission ticket not resolved in time")
         if self._error is not None:
             raise self._error
         assert self._report is not None
         return self._report
 
 
+#: The name grouped tickets went by while they were a class of their own.
+BatchTicket = AdmissionTicket
+
+
 #: One committed control-plane operation, in commit order: ("admit", fid)
 #: or ("withdraw", fid).
 CommitLogEntry = Tuple[str, int]
+
+
+def _refusal(
+    request: ProvisioningRequest, reason: str, **outcome: Any
+) -> ProvisioningReport:
+    """The report of a request the service itself turns away."""
+    fid = request.fid if request.fid is not None else -1
+    return ProvisioningReport(fid=fid, success=False, reason=reason, **outcome)
 
 
 class AdmissionService:
@@ -229,6 +225,7 @@ class AdmissionService:
         self.pacing = pacing
         self._clock = clock
         self._sleep = sleep
+        self.seed = seed
         self._rng = random.Random(seed)
         self.telemetry = telemetry if telemetry is not None else controller.telemetry
         self.tracer = tracer if tracer is not None else controller.tracer
@@ -236,7 +233,7 @@ class AdmissionService:
         #: commit lock): the witness order for the linearizability
         #: property -- replaying it serially reproduces the pools.
         self.commit_log: List[CommitLogEntry] = []
-        self._queue: Deque[Union[AdmissionTicket, BatchTicket]] = collections.deque()
+        self._queue: Deque[AdmissionTicket[Any]] = collections.deque()
         self._cv = threading.Condition()
         self._commit_lock = threading.Lock()
         self._outstanding = 0
@@ -244,6 +241,24 @@ class AdmissionService:
         self._threads: List[threading.Thread] = []
         if workers > 0 and autostart:
             self.start()
+
+    def settings(self) -> Dict[str, Any]:
+        """Every constructor keyword but ``autostart``, as this service was
+        built: what the one fronting a recovered controller is given."""
+        return {
+            "workers": self.workers,
+            "queue_limit": self.queue_limit,
+            "default_deadline_s": self.default_deadline_s,
+            "backoff": self.backoff,
+            "retry_after_s": self.retry_after_s,
+            "fault_retry_limit": self.fault_retry_limit,
+            "pacing": self.pacing,
+            "clock": self._clock,
+            "sleep": self._sleep,
+            "seed": self.seed,
+            "telemetry": self.telemetry,
+            "tracer": self.tracer,
+        }
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -306,21 +321,18 @@ class AdmissionService:
         self,
         request: ProvisioningRequest,
         deadline_s: Optional[float] = None,
-    ) -> AdmissionTicket:
+    ) -> AdmissionTicket[ProvisioningReport]:
         """Queue one :class:`ProvisioningRequest`; returns its ticket.
 
         Never raises for load: a full queue resolves the ticket
         immediately with a ``SHED`` report carrying ``retry_after_s``.
         """
-        now = self._clock()
-        ticket = AdmissionTicket(request, now, self._absolute_deadline(now, deadline_s))
-        ticket.span = self.tracer.start(
+        span = self.tracer.start(
             "admission.request",
             fid=request.fid if request.fid is not None else -1,
             kind=request.kind.value,
         )
-        self._enqueue(ticket)
-        return ticket
+        return self._enqueue((request,), deadline_s, span)
 
     def submit_and_wait(
         self,
@@ -335,7 +347,7 @@ class AdmissionService:
         self,
         requests: Sequence[ProvisioningRequest],
         deadline_s: Optional[float] = None,
-    ) -> BatchTicket:
+    ) -> AdmissionTicket[BatchReport]:
         """Queue an atomic admission group (single shadow, single journal).
 
         Every request must be a non-dry-run admission.  The group
@@ -353,54 +365,49 @@ class AdmissionService:
         fids = [request.fid for request in requests]
         if len(set(fids)) != len(fids):
             raise AdmissionServiceError(f"duplicate fids in batch: {sorted(fids)}")
-        now = self._clock()
-        ticket = BatchTicket(
-            tuple(requests), now, self._absolute_deadline(now, deadline_s)
-        )
-        ticket.span = self.tracer.start(
-            "admission.batch", fids=list(fids), size=len(fids)
-        )
-        self._enqueue(ticket)
-        return ticket
+        span = self.tracer.start("admission.batch", fids=fids, size=len(fids))
+        return self._enqueue(tuple(requests), deadline_s, span, grouped=True)
 
     # ------------------------------------------------------------------
     # Queueing
     # ------------------------------------------------------------------
 
-    def _absolute_deadline(self, now: float, deadline_s: Optional[float]) -> float:
+    def _enqueue(
+        self,
+        requests: Tuple[ProvisioningRequest, ...],
+        deadline_s: Optional[float],
+        span: Span,
+        grouped: bool = False,
+    ) -> AdmissionTicket[Any]:
+        """Stamp a ticket for *requests*; queue it, or run it inline."""
+        now = self._clock()
         if deadline_s is None:
             deadline_s = self.default_deadline_s
-        return math.inf if deadline_s is None else now + deadline_s
-
-    def _enqueue(self, ticket: Union[AdmissionTicket, BatchTicket]) -> None:
-        if self.workers == 0:
-            with self._cv:
-                if self._closed:
-                    raise AdmissionServiceError("admission service is closed")
-                self._outstanding += 1
-            try:
-                self._process(ticket)
-            except BaseException as exc:  # propagate through the ticket
-                self._fail(ticket, exc)
-                raise
-            return
+        deadline = math.inf if deadline_s is None else now + deadline_s
+        ticket = AdmissionTicket(requests, now, deadline, span, grouped)
         with self._cv:
             if self._closed:
                 raise AdmissionServiceError("admission service is closed")
-            if len(self._queue) >= self.queue_limit:
-                self._count_shed("queue_full")
-                self.tracer.anomaly(
-                    "shed", ticket.span, cause="queue_full"
-                )
-                # Never entered the outstanding count: counted=False.
-                self._resolve_shed_locked(
-                    ticket, reason="admission queue full", counted=False
-                )
-                return
+            if self.workers > 0:
+                if len(self._queue) >= self.queue_limit:
+                    self.tracer.anomaly("shed", span, cause="queue_full")
+                    # Never entered the outstanding count: counted=False.
+                    self._shed(
+                        ticket, "queue_full", "admission queue full", counted=False
+                    )
+                else:
+                    self._outstanding += 1
+                    self._queue.append(ticket)
+                    self._gauge_depth(len(self._queue))
+                    self._cv.notify()
+                return ticket
             self._outstanding += 1
-            self._queue.append(ticket)
-            self._gauge_depth(len(self._queue))
-            self._cv.notify()
+        try:
+            self._process(ticket)
+        except BaseException as exc:  # propagate through the ticket
+            self._fail(ticket, exc)
+            raise
+        return ticket
 
     def _worker_loop(self) -> None:
         while True:
@@ -420,96 +427,112 @@ class AdmissionService:
     # Processing
     # ------------------------------------------------------------------
 
-    def _process(self, ticket: Union[AdmissionTicket, BatchTicket]) -> None:
-        if isinstance(ticket, BatchTicket):
-            self._process_batch(ticket)
-            return
-        request = ticket.request
+    def _process(self, ticket: AdmissionTicket[Any]) -> None:
+        request = ticket.requests[0]
         if request.kind is RequestKind.ADMIT and not request.dry_run:
-            self._process_admission(ticket)
+            # Every group is made of these (submit_many checks).
+            self._admit(ticket)
             return
-        if request.kind is RequestKind.ADMIT and request.dry_run:
+        if self._past_deadline(ticket):
+            return
+        if request.kind is RequestKind.ADMIT:
             # What-if probes plan against a shadow -- no lock held
             # during the search, nothing to commit afterwards.
-            if self._past_deadline(ticket):
-                return
             shadow = self._snapshot_shadow()
             plan = shadow.plan(request.fid, request.pattern, ctx=ticket.span)
-            self._resolve(ticket, self.controller._report_dry_run(plan))
+            self._resolve(ticket, (self.controller.report_dry_run(plan),))
             return
         # Withdrawals and digests mutate for sure: serialize the whole
         # request on the commit path (they are short).
-        if self._past_deadline(ticket):
-            return
         with self._commit_lock:
             report = self.controller.submit(request, ctx=ticket.span)
             if report.success and request.kind is RequestKind.WITHDRAW:
                 self.commit_log.append(("withdraw", request.fid))
-        self._resolve(ticket, report)
+        self._resolve(ticket, (report,))
 
-    def _process_admission(self, ticket: AdmissionTicket) -> None:
-        """The optimistic loop: shadow-plan, commit, re-plan on conflict."""
-        request = ticket.request
+    def _admit(self, ticket: AdmissionTicket[Any]) -> None:
+        """The optimistic loop: shadow-plan, commit, re-plan on conflict.
+
+        One loop for every group size.  The members are planned against
+        one shadow and committed under the lock by one controller call
+        (``commit_plan`` for a lone plan, ``commit_batch`` for more --
+        the same ``_commit`` behind both), which lands the whole group
+        or none of it: every member's report carries the group's
+        outcome, so the first speaks for all below.
+        """
+        requests = ticket.requests
+        lone = len(requests) == 1
+        label = {"fid": requests[0].fid} if lone else {"size": len(requests)}
         tracer = self.tracer
         attempt = 0
         fault_retries = 0
         while True:
             if self._past_deadline(ticket):
                 return
-            # Per-attempt span, nested under the request's root span so
+            # Per-attempt span, nested under the ticket's root span so
             # every retry of one request stays inside one trace tree
             # even when successive attempts run on different threads.
             attempt_span = tracer.start(
-                "admission.attempt",
-                parent=ticket.span,
-                attempt=attempt + 1,
-                fid=request.fid,
+                "admission.attempt", parent=ticket.span, attempt=attempt + 1, **label
             )
             try:
                 shadow = self._snapshot_shadow()
+                plans: List[AllocationPlan] = []
                 try:
-                    plan = shadow.plan(
-                        request.fid, request.pattern, ctx=attempt_span
-                    )
+                    for request in requests:
+                        if plans and plans[-1].feasible:
+                            # Rehearse onto the shadow so this member's
+                            # plan sees the previous grant; the plan
+                            # itself stays PENDING for the real commit.
+                            shadow.rehearse(plans[-1])
+                        plans.append(
+                            shadow.plan(request.fid, request.pattern, ctx=attempt_span)
+                        )
                 except AllocationError as exc:
                     # A rival admission of the same fid won the race (or
                     # the caller re-submitted a resident fid): a
                     # rejection, not an error -- the service must stay
-                    # up under misuse.
-                    self._resolve(
-                        ticket,
-                        ProvisioningReport(
-                            fid=request.fid if request.fid is not None else -1,
-                            success=False,
-                            reason=str(exc),
-                        ),
-                    )
+                    # up under misuse.  The reason names the offender.
+                    refusals = [_refusal(request, str(exc)) for request in requests]
+                    self._resolve(ticket, refusals)
                     return
                 try:
                     with self._commit_lock:
-                        report = self.controller.commit_plan(
-                            plan, program=request.program, ctx=attempt_span
-                        )
-                        if report.success:
-                            self.commit_log.append(("admit", request.fid))
+                        if lone:
+                            report = self.controller.commit_plan(
+                                plans[0], program=requests[0].program, ctx=attempt_span
+                            )
+                            reports = (report,)
+                        else:
+                            programs = [request.program for request in requests]
+                            reports = self.controller.commit_batch(
+                                plans, programs, ctx=attempt_span
+                            )
+                        if reports[0].success:
+                            for request in requests:
+                                self.commit_log.append(("admit", request.fid))
                 except StalePlanError as exc:
                     attempt_span.set(stale=True, error=f"StalePlanError: {exc}")
                     attempt += 1
-                    self._note_stale_retry(ticket, attempt)
+                    recorder = tracer.recorder
+                    if recorder is not None and attempt == recorder.retry_threshold:
+                        # A retry storm: the ticket keeps losing races.
+                        tracer.anomaly("stale_retries", ticket.span, attempts=attempt)
                     if not self._backoff(ticket, attempt):
                         return  # deadline hit while backing off: shed
                     continue
             finally:
                 tracer.finish(attempt_span)
+            first = reports[0]
             if (
-                report.rolled_back
-                and report.fault == "transient"
+                first.rolled_back
+                and first.fault == "transient"
                 and not self.controller.device_failed
                 and fault_retries < self.fault_retry_limit
             ):
                 # The commit rolled back cleanly because the engine's
                 # per-operation retries lost to a transient fault.  The
-                # state is byte-identical to pre-commit, so the request
+                # state is byte-identical to pre-commit, so the ticket
                 # is safe to re-plan -- bounded, so a persistently sick
                 # device eventually surfaces as ROLLED_BACK.
                 fault_retries += 1
@@ -521,107 +544,13 @@ class AdmissionService:
                 if not self._backoff(ticket, attempt):
                     return  # deadline hit while backing off: shed
                 continue
-            self._dwell(report)
-            self._resolve(ticket, report)
+            if self.pacing > 0:
+                # Model waiting out the switch-side work, outside the lock.
+                dwell = self.pacing * sum(r.total_seconds for r in reports)
+                if dwell > 0:
+                    self._sleep(dwell)
+            self._resolve(ticket, reports)
             return
-
-    def _process_batch(self, ticket: BatchTicket) -> None:
-        """Plan the group against one shadow; commit under one journal."""
-        requests = ticket.requests
-        tracer = self.tracer
-        attempt = 0
-        while True:
-            if self._past_deadline(ticket):
-                return
-            attempt_span = tracer.start(
-                "admission.attempt",
-                parent=ticket.span,
-                attempt=attempt + 1,
-                size=len(requests),
-            )
-            try:
-                self._process_batch_attempt(ticket, attempt_span)
-            except _RetryBatch:
-                attempt_span.set(stale=True)
-                attempt += 1
-                self._note_stale_retry(ticket, attempt)
-                if not self._backoff(ticket, attempt):
-                    return
-                continue
-            finally:
-                tracer.finish(attempt_span)
-            return
-
-    def _process_batch_attempt(
-        self,
-        ticket: BatchTicket,
-        ctx: Optional[Span],
-    ) -> None:
-        """One optimistic pass over a batch; raises _RetryBatch on conflict."""
-        requests = ticket.requests
-        shadow = self._snapshot_shadow()
-        base_version = shadow.version
-        plans: List[AllocationPlan] = []
-        infeasible: Optional[AllocationPlan] = None
-        for request in requests:
-            plan = shadow.plan(request.fid, request.pattern, ctx=ctx)
-            if not plan.feasible:
-                infeasible = plan
-                break
-            plans.append(plan)
-            # Rehearse onto the shadow so the next member's plan
-            # sees this grant; the plan itself stays PENDING for
-            # the real commit.
-            shadow.rehearse(plan)
-        if infeasible is not None:
-            with self._commit_lock:
-                if self.controller.allocator.version != base_version:
-                    stale = True
-                else:
-                    stale = False
-                    bad_report = self.controller._report_infeasible(infeasible)
-            if stale:
-                raise _RetryBatch()
-            for plan in plans:
-                self.controller.allocator.abort(plan)
-            reports = []
-            for request in requests:
-                if request.fid == infeasible.fid:
-                    reports.append(bad_report)
-                else:
-                    reports.append(
-                        ProvisioningReport(
-                            fid=request.fid if request.fid is not None else -1,
-                            success=False,
-                            reason=(
-                                "batch aborted: no feasible mutant for "
-                                f"fid {infeasible.fid}"
-                            ),
-                        )
-                    )
-            self._resolve_batch(
-                ticket, BatchReport(reports, ProvisioningStatus.REJECTED)
-            )
-            return
-        programs = [request.program for request in requests]
-        try:
-            with self._commit_lock:
-                reports = self.controller.commit_batch(plans, programs, ctx=ctx)
-                if all(report.success for report in reports):
-                    for request in requests:
-                        self.commit_log.append(("admit", request.fid))
-        except StalePlanError as exc:
-            raise _RetryBatch() from exc
-        if all(report.success for report in reports):
-            status = ProvisioningStatus.ADMITTED
-        elif any(report.rolled_back for report in reports):
-            status = ProvisioningStatus.ROLLED_BACK
-        else:
-            status = ProvisioningStatus.REJECTED
-        for report in reports:
-            self._dwell(report)
-        self._resolve_batch(ticket, BatchReport(reports, status))
-        return
 
     # ------------------------------------------------------------------
     # Shared plumbing
@@ -642,130 +571,97 @@ class AdmissionService:
         """
         return self._snapshot_shadow()
 
-    def _backoff(self, ticket: Union[AdmissionTicket, BatchTicket], attempt: int) -> bool:
+    def _backoff(self, ticket: AdmissionTicket[Any], attempt: int) -> bool:
         """Count the conflict, sleep the jittered delay; False = shed."""
         self._count("admission_commit_conflicts_total",
                     "Optimistic commits refused because the plan went stale")
         delay = self.backoff.delay(attempt, self._rng)
         remaining = ticket.deadline - self._clock()
-        if remaining <= 0:
-            return not self._past_deadline(ticket)
-        self._count("admission_plan_retries_total",
-                    "Re-plans after a stale-plan commit rejection")
-        self._sleep(min(delay, remaining))
+        if remaining > 0:
+            self._count("admission_plan_retries_total",
+                        "Re-plans after a stale-plan commit rejection")
+            self._sleep(min(delay, remaining))
         return not self._past_deadline(ticket)
 
-    def _note_stale_retry(
-        self, ticket: Union[AdmissionTicket, BatchTicket], attempt: int
-    ) -> None:
-        """Fire the retry-storm anomaly when a request keeps losing races."""
-        tracer = self.tracer
-        recorder = tracer.recorder
-        if recorder is not None and attempt == recorder.retry_threshold:
-            tracer.anomaly("stale_retries", ticket.span, attempts=attempt)
-
-    def _past_deadline(self, ticket: Union[AdmissionTicket, BatchTicket]) -> bool:
+    def _past_deadline(self, ticket: AdmissionTicket[Any]) -> bool:
         """Shed the ticket if its deadline has passed."""
         if self._clock() < ticket.deadline:
             return False
-        self._count_shed("deadline")
         self.tracer.anomaly("deadline", ticket.span, deadline=ticket.deadline)
-        self._resolve_shed_locked(ticket, reason="deadline exceeded")
+        self._shed(ticket, "deadline", "deadline exceeded")
         return True
 
-    def _dwell(self, report: ProvisioningReport) -> None:
-        """Model waiting out the switch-side work, outside the lock."""
-        if self.pacing > 0 and report.total_seconds > 0:
-            self._sleep(self.pacing * report.total_seconds)
-
-    def _shed_report(self, fid: Optional[int], reason: str) -> ProvisioningReport:
-        return ProvisioningReport(
-            fid=fid if fid is not None else -1,
-            success=False,
-            reason=reason,
-            status=ProvisioningStatus.SHED,
-            retry_after_s=self.retry_after_s,
-        )
-
-    def _resolve_shed_locked(
+    def _shed(
         self,
-        ticket: Union[AdmissionTicket, BatchTicket],
+        ticket: AdmissionTicket[Any],
+        cause: str,
         reason: str,
         counted: bool = True,
     ) -> None:
-        if isinstance(ticket, BatchTicket):
-            reports = [
-                self._shed_report(request.fid, reason)
+        """Resolve every member ``SHED``: retry later, not an error."""
+        self._count(
+            "admission_shed_total",
+            "Requests shed gracefully (retry-after response, not an error)",
+            reason=cause,
+        )
+        self._resolve(
+            ticket,
+            [
+                _refusal(
+                    request,
+                    reason,
+                    status=ProvisioningStatus.SHED,
+                    retry_after_s=self.retry_after_s,
+                )
                 for request in ticket.requests
-            ]
-            self._resolve_batch(
-                ticket,
-                BatchReport(
-                    reports, ProvisioningStatus.SHED, retry_after_s=self.retry_after_s
-                ),
-                counted=counted,
-            )
-        else:
-            self._resolve(
-                ticket,
-                self._shed_report(ticket.request.fid, reason),
-                counted=counted,
-            )
+            ],
+            counted=counted,
+        )
 
     def _resolve(
         self,
-        ticket: AdmissionTicket,
-        report: ProvisioningReport,
+        ticket: AdmissionTicket[Any],
+        reports: Sequence[ProvisioningReport],
         counted: bool = True,
     ) -> None:
-        ticket.resolved_at = self._clock()
-        ticket._report = report
-        self._observe_latency(ticket)
-        self._finish_span(ticket, report.status)
-        ticket._event.set()
-        if counted:
-            self._finish_one()
+        """Hand a lone request its report, a group its :class:`BatchReport`.
 
-    def _resolve_batch(
-        self,
-        ticket: BatchTicket,
-        report: BatchReport,
-        counted: bool = True,
-    ) -> None:
+        *reports* holds one report per member, all with the same status
+        (a ticket is admitted, refused, rolled back or shed as a whole),
+        so the first one's is the group's.
+        """
+        first = reports[0]
+        ticket._report = (
+            BatchReport(list(reports), first.status, first.retry_after_s)
+            if ticket.grouped
+            else first
+        )
         ticket.resolved_at = self._clock()
-        ticket._report = report
-        self._observe_latency(ticket)
-        self._finish_span(ticket, report.status)
-        ticket._event.set()
-        if counted:
-            self._finish_one()
+        if self.telemetry.enabled:
+            with self._cv:
+                self.telemetry.histogram(
+                    "admission_latency_seconds",
+                    buckets=LATENCY_BUCKETS_S,
+                    help="Submit-to-resolution latency through the service",
+                ).observe(max(0.0, ticket.resolved_at - ticket.submitted_at))
+        ticket.span.set(status=first.status.value)
+        self._finish(ticket, counted)
 
-    def _fail(
-        self, ticket: Union[AdmissionTicket, BatchTicket], error: BaseException
-    ) -> None:
-        ticket.resolved_at = self._clock()
+    def _fail(self, ticket: AdmissionTicket[Any], error: BaseException) -> None:
         ticket._error = error
-        if ticket.span is not None:
-            ticket.span.set(error=f"{type(error).__name__}: {error}")
-            self.tracer.finish(ticket.span)
+        ticket.resolved_at = self._clock()
+        ticket.span.set(error=f"{type(error).__name__}: {error}")
+        self._finish(ticket)
+
+    def _finish(self, ticket: AdmissionTicket[Any], counted: bool = True) -> None:
+        """Close the ticket's trace, wake its waiters, leave the count."""
+        self.tracer.finish(ticket.span)
         ticket._event.set()
-        self._finish_one()
-
-    def _finish_span(
-        self,
-        ticket: Union[AdmissionTicket, BatchTicket],
-        status: Optional[ProvisioningStatus],
-    ) -> None:
-        if ticket.span is not None:
-            if status is not None:
-                ticket.span.set(status=status.value)
-            self.tracer.finish(ticket.span)
-
-    def _finish_one(self) -> None:
-        with self._cv:
-            if self._outstanding > 0:
-                self._outstanding -= 1
-            self._cv.notify_all()
+        if counted:
+            with self._cv:
+                if self._outstanding > 0:
+                    self._outstanding -= 1
+                self._cv.notify_all()
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -776,28 +672,12 @@ class AdmissionService:
             with self._cv:
                 self.telemetry.counter(name, help=help_text, **labels).inc()
 
-    def _count_shed(self, reason: str) -> None:
-        self._count(
-            "admission_shed_total",
-            "Requests shed gracefully (retry-after response, not an error)",
-            reason=reason,
-        )
-
     def _gauge_depth(self, depth: int) -> None:
         if self.telemetry.enabled:
             self.telemetry.gauge(
                 "admission_queue_depth",
                 help="Requests waiting in the admission queue",
             ).set(depth)
-
-    def _observe_latency(self, ticket: Union[AdmissionTicket, BatchTicket]) -> None:
-        if self.telemetry.enabled and ticket.resolved_at is not None:
-            with self._cv:
-                self.telemetry.histogram(
-                    "admission_latency_seconds",
-                    buckets=LATENCY_BUCKETS_S,
-                    help="Submit-to-resolution latency through the service",
-                ).observe(max(0.0, ticket.resolved_at - ticket.submitted_at))
 
 
 # ----------------------------------------------------------------------

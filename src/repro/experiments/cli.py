@@ -6,7 +6,9 @@ Usage::
     activermt-experiments all --quick
 
 ``--quick`` shrinks workload sizes for smoke runs; the defaults match
-the paper's scales.
+the paper's scales.  The churn harnesses take their size explicitly:
+``--epochs N`` (churn, fabric, chaos, audit) and ``--shards 1,4``
+(fabric) override the quick/full defaults -- the CI jobs pin both.
 
 ``--stats-out FILE`` enables the telemetry subsystem for the run: a
 fresh metrics registry is installed as the process default before each
@@ -33,7 +35,7 @@ import argparse
 import os
 import sys
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 #: Share of data-path packets a ``--trace-out`` run records as
 #: ``datapath.packet`` spans: enough to see packets join the commit that
@@ -135,45 +137,40 @@ def _whatif(quick: bool) -> str:
     return whatif.main(arrivals=20 if quick else 60)
 
 
-def _churn(quick: bool) -> str:
+def _churn(quick: bool, epochs: int = 0) -> str:
     from repro.experiments import churn
 
-    # ACTIVERMT_CHURN_EPOCHS scales the workload without a new CLI flag
-    # (the CI soak job runs a few hundred epochs against a fixed seed).
-    epochs = int(os.environ.get("ACTIVERMT_CHURN_EPOCHS", 0)) or (
-        10 if quick else 30
-    )
-    return churn.main(epochs=epochs)
+    # The CI soak job runs a few hundred epochs against a fixed seed.
+    return churn.main(epochs=epochs or (10 if quick else 30))
 
 
-def _fabric(quick: bool) -> str:
+def _fabric(quick: bool, epochs: int = 0, shards: Tuple[int, ...] = ()) -> str:
     from repro.experiments import fabric
 
-    # ACTIVERMT_FABRIC_EPOCHS / _SHARDS scale the workload without new
-    # CLI flags (the CI smoke job pins epochs and the shard ladder).
-    epochs = int(os.environ.get("ACTIVERMT_FABRIC_EPOCHS", 0)) or (
-        10 if quick else 30
+    # The CI smoke job pins epochs and the shard ladder.
+    return fabric.main(
+        epochs=epochs or (10 if quick else 30),
+        shard_counts=shards or ((1, 2) if quick else (1, 2, 4, 8)),
     )
-    shards_spec = os.environ.get("ACTIVERMT_FABRIC_SHARDS", "")
-    shard_counts = (
-        tuple(int(part) for part in shards_spec.split(",") if part)
-        or ((1, 2) if quick else (1, 2, 4, 8))
-    )
-    return fabric.main(epochs=epochs, shard_counts=shard_counts)
 
 
-def _chaos(quick: bool) -> str:
+def _chaos(quick: bool, epochs: int = 0) -> str:
     from repro.experiments import chaos
 
-    # ACTIVERMT_CHAOS_EPOCHS scales the churn between failovers without
-    # a new CLI flag (the CI chaos-smoke job pins it with a fixed seed).
-    epochs = int(os.environ.get("ACTIVERMT_CHAOS_EPOCHS", 0)) or (
-        30 if quick else 60
-    )
-    return chaos.main(epochs=epochs)
+    # *epochs* is the churn between failovers (the CI chaos-smoke job
+    # pins it with a fixed seed).
+    return chaos.main(epochs=epochs or (30 if quick else 60))
 
 
-EXPERIMENTS: Dict[str, Callable[[bool], str]] = {
+#: The workload-size flags each churn harness takes (the ``audit``
+#: pseudo-experiment below takes ``--epochs`` too).
+SIZED_BY = {
+    "churn": ("epochs",),
+    "fabric": ("epochs", "shards"),
+    "chaos": ("epochs",),
+}
+
+EXPERIMENTS: Dict[str, Callable[..., str]] = {
     "fig5": _fig5,
     "fig6": _fig6,
     "fig7": _fig7,
@@ -202,6 +199,11 @@ EXPERIMENTS: Dict[str, Callable[[bool], str]] = {
 }
 
 
+def _shard_counts(spec: str) -> Tuple[int, ...]:
+    """``--shards 1,4`` -> ``(1, 4)``."""
+    return tuple(int(part) for part in spec.split(",") if part)
+
+
 def _stats_path(template: str, name: str, multi: bool) -> str:
     """Per-figure output path: splice the figure name in before the
     extension when several figures share one --stats-out template."""
@@ -226,8 +228,11 @@ def run_experiment(
     quick: bool,
     stats_out: Optional[str] = None,
     trace_out: Optional[str] = None,
+    **scale: object,
 ) -> str:
     """Run one figure, optionally dumping telemetry and/or spans.
+
+    *scale* holds the workload-size flags *name* takes (:data:`SIZED_BY`).
 
     With *stats_out* set, a fresh recording registry becomes the
     process default for the duration of the run (restored afterwards),
@@ -238,7 +243,7 @@ def run_experiment(
     the file (.jsonl = span log, else Chrome trace-event JSON).
     """
     if stats_out is None and trace_out is None:
-        return EXPERIMENTS[name](quick)
+        return EXPERIMENTS[name](quick, **scale)
     from repro import telemetry
 
     registry = telemetry.MetricsRegistry() if stats_out else None
@@ -254,7 +259,7 @@ def run_experiment(
     if tracer is not None:
         previous_tracer = telemetry.set_tracer(tracer)
     try:
-        output = EXPERIMENTS[name](quick)
+        output = EXPERIMENTS[name](quick, **scale)
     finally:
         if registry is not None:
             telemetry.set_registry(previous_registry)
@@ -291,19 +296,18 @@ def run_lint(report_out: Optional[str] = None) -> int:
     return exit_code
 
 
-def run_audit_cli(report_out: Optional[str] = None) -> int:
+def run_audit_cli(report_out: Optional[str] = None, epochs: int = 0) -> int:
     """Offline state auditor (the ``audit`` pseudo-experiment).
 
     Replays a fixed-seed churn commit log entry by entry, re-running
     the invariant catalog and re-deriving every admission's isolation
     certificate, then demonstrates the strict-mode rejection of a
     rigged out-of-bounds mutant.  Returns 0 only when every check is
-    clean.  ``ACTIVERMT_AUDIT_EPOCHS`` scales the workload.
+    clean.  *epochs* sizes the churn (default 30).
     """
     from repro.experiments import audit
 
-    epochs = int(os.environ.get("ACTIVERMT_AUDIT_EPOCHS", 0)) or 30
-    result = audit.run_audit(epochs=epochs)
+    result = audit.run_audit(epochs=epochs or 30)
     print(audit.format_audit(result))
     if report_out is not None:
         import json
@@ -381,11 +385,28 @@ def main(argv=None) -> int:
         default=None,
         help="(lint/audit only) write the JSON findings summary here",
     )
+    parser.add_argument(
+        "--epochs",
+        type=int,
+        metavar="N",
+        default=0,
+        help=(
+            "(churn/fabric/chaos/audit only) epochs of Poisson churn to "
+            "drive; default 0: the experiment's own quick/full size"
+        ),
+    )
+    parser.add_argument(
+        "--shards",
+        type=_shard_counts,
+        metavar="N,N",
+        default=(),
+        help="(fabric only) shard counts to sweep, e.g. 1,4 (default: 1,2 / 1,2,4,8)",
+    )
     args = parser.parse_args(argv)
     if args.experiment == "lint":
         return run_lint(report_out=args.report_out)
     if args.experiment == "audit":
-        return run_audit_cli(report_out=args.report_out)
+        return run_audit_cli(report_out=args.report_out, epochs=args.epochs)
     if args.experiment == "codelint":
         return run_codelint()
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
@@ -401,7 +422,8 @@ def main(argv=None) -> int:
             if args.trace_out
             else None
         )
-        print(run_experiment(name, args.quick, stats_out, trace_out))
+        scale = {flag: getattr(args, flag) for flag in SIZED_BY.get(name, ())}
+        print(run_experiment(name, args.quick, stats_out, trace_out, **scale))
         elapsed = time.perf_counter() - started
         print(f"[{name} regenerated in {elapsed:.1f} s]\n")
         if stats_out:

@@ -40,6 +40,7 @@ from repro.controller.service import (
     AdmissionTicket,
     CommitLogEntry,
     pools_fingerprint,
+    replay_commit_log,
 )
 from repro.core.allocator import AllocationError
 from repro.core.constraints import AccessPattern, AllocationPolicy, MOST_CONSTRAINED
@@ -355,7 +356,7 @@ class Fabric:
         self,
         request: ProvisioningRequest,
         deadline_s: Optional[float] = None,
-    ) -> AdmissionTicket:
+    ) -> AdmissionTicket[ProvisioningReport]:
         """Route one request to its shard's admission service."""
         shard = self._route(request)
         if self.telemetry.enabled:
@@ -461,34 +462,16 @@ class Fabric:
         replacement: Union[Device, object],
         residents: List[int],
     ) -> FailoverReport:
-        """Rebuild the dead shard's state onto *replacement*, in place."""
+        """Rebuild the dead shard's state onto *replacement*, in place,
+        configured by the failed column's own ``settings()``."""
         old = failed.controller
         recovered = ActiveRmtController.recover(
-            replacement,
-            failed.commit_log,
-            self._patterns,
-            scheme=old.allocator.scheme,
-            policy=old.allocator.policy,
-            telemetry=old.telemetry,
-            tracer=self.tracer,
-            sanitizer=old.sanitizer,
-            retry=old.retry,
+            replacement, failed.commit_log, self._patterns, **old.settings()
         )
         match = pools_fingerprint(recovered.allocator) == pools_fingerprint(
             old.allocator
         )
-        old_service = failed.service
-        service = AdmissionService(
-            recovered,
-            workers=old_service.workers,
-            queue_limit=old_service.queue_limit,
-            default_deadline_s=old_service.default_deadline_s,
-            retry_after_s=old_service.retry_after_s,
-            fault_retry_limit=old_service.fault_retry_limit,
-            pacing=old_service.pacing,
-            telemetry=old_service.telemetry,
-            tracer=self.tracer,
-        )
+        service = AdmissionService(recovered, **failed.service.settings())
         # The replacement column inherits the serialization history: its
         # log must replay to the state it starts from, so audits and
         # replay_shard() keep holding across the failover.
@@ -639,26 +622,20 @@ class Fabric:
 
 
 def replay_shard(
-    shard: Shard,
-    patterns: Dict[int, AccessPattern],
-    config: Optional[SwitchConfig] = None,
-    scheme: AllocationScheme = AllocationScheme.WORST_FIT,
-    policy: AllocationPolicy = MOST_CONSTRAINED,
+    shard: Shard, patterns: Dict[int, AccessPattern]
 ) -> Tuple[Tuple[object, ...], Tuple[object, ...]]:
     """Serial-replay one shard's commit log onto a fresh controller.
 
     Returns ``(live_fingerprint, replayed_fingerprint)`` -- equal iff
     the shard's concurrent history linearized (the per-shard witness
-    the fabric tests assert).  The fresh controller mirrors the shard's
-    allocator configuration; pass *scheme*/*policy* when the shard was
-    built with non-defaults.
+    the fabric tests assert).  The fresh controller takes the shard's
+    own switch configuration, allocation scheme and policy.
     """
-    from repro.controller.service import replay_commit_log
-
+    allocator = shard.controller.allocator
     fresh = ActiveRmtController(
-        ActiveSwitch(config or shard.device.config),
-        scheme=scheme,
-        policy=policy,
+        ActiveSwitch(shard.device.config),
+        scheme=allocator.scheme,
+        policy=allocator.policy,
     )
     replay_commit_log(shard.commit_log, patterns, fresh)
     return shard.fingerprint(), pools_fingerprint(fresh.allocator)

@@ -26,11 +26,7 @@ from repro.controller.controller import (
 from repro.controller.service import AdmissionService
 from repro.core.constraints import AccessPattern
 from repro.packets.codec import ActivePacket
-from repro.packets.headers import (
-    AllocationResponseHeader,
-    ControlFlags,
-    PacketType,
-)
+from repro.packets.headers import ControlFlags, PacketType
 from repro.sim.eventloop import EventLoop
 from repro.sim.network import SimNetwork
 
@@ -113,21 +109,14 @@ class SimProvisioner:
                 "rolled_back": report.rolled_back,
             }
         )
-        device = self.controller.device
         if not report.success:
-            failure = ActivePacket.alloc_response(
-                src=self.controller.mac,
-                dst=request.eth.src,
-                fid=fid,
-                response=AllocationResponseHeader.empty(),
-                flags=ControlFlags.ALLOC_FAILED,
-                seq=request.initial.seq,
-            )
+            (failure,) = self.controller.allocation_replies(report, request)
             self.loop.schedule(
                 report.compute_seconds, lambda: self.network.inject(failure)
             )
             return
 
+        device = self.controller.device
         impacted = report.reallocated_fids
         t_deactivate = report.compute_seconds
         t_reactivate = report.total_seconds
@@ -140,28 +129,11 @@ class SimProvisioner:
         def reactivate() -> None:
             for other in impacted:
                 device.reactivate_fid(other)
-                mac = self.controller.client_mac(other)
-                if mac is None:
-                    continue
-                self.network.inject(
-                    ActivePacket.alloc_response(
-                        src=self.controller.mac,
-                        dst=mac,
-                        fid=other,
-                        response=self.controller.allocator.response_for(other),
-                        flags=ControlFlags.REALLOC_NOTICE,
-                    )
-                )
             device.reactivate_fid(fid)
-            self.network.inject(
-                ActivePacket.alloc_response(
-                    src=self.controller.mac,
-                    dst=request.eth.src,
-                    fid=fid,
-                    response=self.controller.allocator.response_for(fid),
-                    seq=request.initial.seq,
-                )
-            )
+            # Built now, not at admission: the regions an incumbent is
+            # told are the ones it holds when the notice leaves.
+            for reply in self.controller.allocation_replies(report, request):
+                self.network.inject(reply)
 
         # Phase 3-5 are serialized; the visible disruption for the
         # incumbents spans [t_deactivate, t_reactivate].

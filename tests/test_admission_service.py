@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import VerifyMode
+from repro.apps.base import EXEMPLAR_APPS
 from repro.client.compiler import ActiveCompiler, CompileOptions
 from repro.controller import (
     ActiveRmtController,
@@ -33,6 +34,8 @@ from repro.controller import (
 )
 from repro.controller.service import pools_fingerprint, replay_commit_log
 from repro.core.transactions import StalePlanError
+from repro.device import SimDevice
+from repro.faults import FaultKind, FaultyDevice
 from repro.switchsim import ActiveSwitch, SwitchConfig
 from repro.telemetry import MetricsRegistry
 
@@ -43,6 +46,7 @@ from tests.test_analysis_verifier import (
     _liar_program,
 )
 from tests.test_core_constraints import listing1_pattern
+from tests.test_faults import ScriptedPlan
 from tests.test_transactions import allocator_fingerprint, switch_fingerprint
 
 
@@ -499,3 +503,130 @@ def test_duplicate_fid_race_resolves_as_rejection():
     report = service.submit_and_wait(_admission(1))
     assert not report.success
     assert report.status is ProvisioningStatus.REJECTED
+
+
+# ----------------------------------------------------------------------
+# One loop for every group size (N = 1 the common case)
+# ----------------------------------------------------------------------
+
+EXEMPLARS = sorted(EXEMPLAR_APPS)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    apps=st.lists(st.sampled_from(EXEMPLARS), min_size=1, max_size=4),
+    residents=st.integers(min_value=0, max_value=3),
+)
+def test_n_singles_equal_one_batch_of_n(apps, residents):
+    """N x submit() and one submit_many() of the same N feasible
+    admissions are the same history: equal pools, equal commit logs,
+    equal per-member status and regions (the commit log is the replay
+    witness, so equality is by fingerprint)."""
+    requests = [
+        ProvisioningRequest.admission(
+            fid=fid, pattern=EXEMPLAR_APPS[name].pattern()
+        )
+        for fid, name in enumerate(apps, start=1)
+    ]
+    singles = AdmissionService(_controller(), workers=0)
+    batched = AdmissionService(_controller(), workers=0)
+    for service in (singles, batched):
+        for fid in range(100, 100 + residents):  # same non-empty start
+            assert service.submit_and_wait(_admission(fid)).success
+    one_by_one = [singles.submit_and_wait(request) for request in requests]
+    group = batched.submit_many(requests).result(timeout=0)
+    assert group.status is ProvisioningStatus.ADMITTED
+    assert pools_fingerprint(singles.controller.allocator) == pools_fingerprint(
+        batched.controller.allocator
+    )
+    assert singles.commit_log == batched.commit_log
+    for lone, member in zip(one_by_one, group.reports):
+        assert (lone.fid, lone.status) == (member.fid, member.status)
+        assert lone.decision.regions == member.decision.regions
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_batch_with_resident_fid_is_a_rejection_not_an_error(workers):
+    """Misuse gets the same answer at every N: re-submitting a resident
+    fid inside a group used to raise AllocationError out of the ticket
+    where a lone submit() reports REJECTED."""
+    controller = _controller()
+    with AdmissionService(controller, workers=workers) as service:
+        assert service.submit_and_wait(_admission(2), timeout=30).success
+        before = pools_fingerprint(controller.allocator)
+        report = service.submit_many(
+            [_admission(1), _admission(2), _admission(3)]
+        ).result(timeout=30)
+        assert report.status is ProvisioningStatus.REJECTED
+        assert [member.fid for member in report.reports] == [1, 2, 3]
+        assert all(
+            member.status is ProvisioningStatus.REJECTED
+            for member in report.reports
+        )
+        assert {member.reason for member in report.reports} == {
+            "fid 2 already admitted"
+        }
+        assert service.commit_log == [("admit", 2)]
+        assert pools_fingerprint(controller.allocator) == before
+        # The service is still up.
+        assert service.submit_and_wait(_admission(4), timeout=30).success
+
+
+def test_batch_replans_after_transient_rollback():
+    """The bounded transient-fault re-plan applies to groups too: the
+    first attempt rolls the whole group back on one scripted install
+    fault, the second commits it."""
+    faulted = {"done": False}
+
+    def fault_one_install(op, index):
+        if op == "install_grant" and not faulted["done"]:
+            faulted["done"] = True
+            return FaultKind.TRANSIENT
+        return None
+
+    telemetry = MetricsRegistry()
+    device = FaultyDevice(
+        SimDevice(ActiveSwitch(), device_id="sw0"), ScriptedPlan(fault_one_install)
+    )
+    controller = ActiveRmtController(device, telemetry=telemetry)
+    service = AdmissionService(
+        controller, workers=0, telemetry=telemetry, sleep=lambda s: None
+    )
+    report = service.submit_many(
+        [_admission(fid) for fid in (1, 2, 3)]
+    ).result(timeout=0)
+    assert report.status is ProvisioningStatus.ADMITTED
+    assert service.commit_log == [("admit", 1), ("admit", 2), ("admit", 3)]
+    counters = telemetry.snapshot()["counters"]
+    assert counters.get("admission_fault_retries_total") == 1.0
+    assert not controller.audit().errors
+
+
+def test_batch_infeasible_member_reports_every_member():
+    """The controller's commit owns group infeasibility: the first
+    member without a feasible mutant carries the planner's verdict, its
+    siblings say why they were aborted, nothing is logged."""
+    controller = _controller(words_per_stage=1024)
+    service = AdmissionService(controller, workers=0)
+    fid = 100
+    while controller.admit(fid=fid, pattern=listing1_pattern()).success:
+        fid += 1
+        assert fid < 500
+    # Withdraw one tenant: room for exactly one more, not for two.
+    controller.withdraw(fid=100)
+    before = allocator_fingerprint(controller.allocator)
+    recorded = len(controller.reports)
+    report = service.submit_many(
+        [_admission(1), _admission(2), _admission(3)]
+    ).result(timeout=0)
+    assert report.status is ProvisioningStatus.REJECTED
+    assert [member.fid for member in report.reports] == [1, 2, 3]
+    first, culprit, last = report.reports
+    assert culprit.decision is not None and not culprit.decision.success
+    assert culprit.reason == culprit.decision.reason
+    assert first.reason == last.reason == (
+        "batch aborted: no feasible mutant for fid 2"
+    )
+    assert controller.reports[recorded:] == [culprit]
+    assert service.commit_log == []
+    assert allocator_fingerprint(controller.allocator) == before

@@ -20,15 +20,23 @@ The contracts under test:
   back to least-loaded when nothing fits.
 """
 
+import inspect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import VerifyMode
 from repro.controller import (
     ActiveRmtController,
     AdmissionService,
+    BackoffPolicy,
     ProvisioningRequest,
+    ProvisioningStatus,
+    SnapshotCost,
+    TableUpdateCost,
 )
 from repro.controller.service import pools_fingerprint
+from repro.device import SimDevice
 from repro.fabric import (
     Fabric,
     FabricError,
@@ -36,13 +44,16 @@ from repro.fabric import (
     HashPlacement,
     LeastLoadedPlacement,
     PlacementError,
+    Shard,
     make_policy,
     replay_shard,
 )
+from repro.isa import assemble
 from repro.packets import ActivePacket, MacAddress
 from repro.switchsim import ActiveSwitch, SwitchConfig
 
 from tests.test_core_constraints import listing1_pattern
+from tests.test_isolation import FILLER, RIGGED, _pattern
 
 
 def _admission(fid: int) -> ProvisioningRequest:
@@ -274,3 +285,78 @@ def test_fingerprint_and_stats_cover_every_shard():
         assert [row["device"] for row in rows] == ["sw0", "sw1", "sw2"]
         assert sum(row["routed_fids"] for row in rows) == 5
         assert sum(len(log) for log in fabric.commit_logs().values()) == 5
+
+
+# ----------------------------------------------------------------------
+# Replace-failover keeps the failed shard's configuration
+# ----------------------------------------------------------------------
+
+
+def _keywords(cls, *excluded):
+    parameters = list(inspect.signature(cls.__init__).parameters)[2:]
+    return {name for name in parameters if name not in excluded}
+
+
+def test_settings_cover_every_constructor_keyword():
+    """settings() is what failover rebuilds from: a constructor keyword
+    it does not list silently reverts to its default on the replacement."""
+    controller = ActiveRmtController(ActiveSwitch())
+    assert set(controller.settings()) == _keywords(ActiveRmtController)
+    service = AdmissionService(controller, workers=0)
+    assert set(service.settings()) == _keywords(AdmissionService, "autostart")
+
+
+def test_failover_replace_keeps_the_failed_shards_settings():
+    """Regression: the replacement column used to be rebuilt from a
+    hand-copied knob list that dropped verify / table_cost /
+    snapshot_cost (controller) and backoff / clock / sleep (service) --
+    a strict shard came back from a failover in warn mode."""
+    config = SwitchConfig(num_stages=8, ingress_stages=4, max_recirculations=0)
+    controller = ActiveRmtController(
+        SimDevice(ActiveSwitch(config), device_id="sw0"),
+        verify="strict",
+        table_cost=TableUpdateCost(install_entry_seconds=1.0),
+        snapshot_cost=SnapshotCost(per_block_seconds=2.0),
+    )
+    service = AdmissionService(
+        controller,
+        workers=0,
+        backoff=BackoffPolicy(base_s=9.0),
+        clock=lambda: 0.0,
+        sleep=lambda seconds: None,
+        seed=5,
+    )
+    fabric = Fabric([Shard(0, controller, service)])
+    filler = assemble(FILLER, name="filler")
+    assert fabric.submit_and_wait(
+        ProvisioningRequest.admission(
+            fid=101, pattern=_pattern(filler, [8]), program=filler
+        )
+    ).success
+
+    report = fabric.failover(
+        0, replacement=SimDevice(ActiveSwitch(config), device_id="sw0r")
+    )
+    assert report.fingerprint_match
+    shard = fabric.shards[0]
+    assert shard.controller is not controller and shard.service is not service
+    assert shard.controller.verify is VerifyMode.STRICT
+    assert shard.controller.updater.cost.install_entry_seconds == 1.0
+    assert shard.controller.snapshot_cost.per_block_seconds == 2.0
+    assert shard.service.backoff.base_s == 9.0
+    assert shard.controller.settings() == controller.settings()
+    assert shard.service.settings() == service.settings()
+
+    # Strict before, strict after: the rigged mutant (ADDR_OFFSET twice
+    # re-adds the region base) is still refused, state untouched.
+    before = shard.fingerprint()
+    rigged = assemble(RIGGED, name="rigged")
+    refused = fabric.submit_and_wait(
+        ProvisioningRequest.admission(
+            fid=102, pattern=_pattern(rigged, [4]), program=rigged
+        )
+    )
+    assert refused.status is ProvisioningStatus.REJECTED
+    assert "ARMT010" in refused.reason
+    assert shard.fingerprint() == before
+    fabric.close()

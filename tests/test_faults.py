@@ -446,7 +446,7 @@ def test_device_error_mid_batch_rolls_back_whole_group():
 
     device = FaultyDevice(_sim(), ScriptedPlan(fault_fourth_install))
     controller = ActiveRmtController(device)  # no retry: the fault escapes
-    service = AdmissionService(controller, workers=0)
+    service = AdmissionService(controller, workers=0, fault_retry_limit=0)
     before_alloc = allocator_fingerprint(controller.allocator)
     before_switch = switch_fingerprint(controller)
     batch = service.submit_many([_admission(fid) for fid in (1, 2, 3)])

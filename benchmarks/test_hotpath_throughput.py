@@ -244,6 +244,7 @@ def test_telemetry_overhead():
     from repro.telemetry import MetricsRegistry, NULL_TRACER, Tracer
 
     repeats = 40 if SMOKE else 150
+    trials = 2 if SMOKE else 7
 
     disabled = _provisioned_switch(cache_entries=256)
     assert disabled.telemetry.enabled is False
@@ -260,8 +261,18 @@ def test_telemetry_overhead():
     disabled.receive_batch(_workload(repeats=3))
     enabled.receive_batch(_workload(repeats=3))
 
-    _, disabled_pps = _run(disabled, repeats)
-    _, enabled_pps = _run(enabled, repeats)
+    # Paired trials, as in test_verifier_compile_overhead: each
+    # disabled/enabled pair runs back-to-back under the same machine
+    # load and the median per-trial ratio is the measurement.  Timing
+    # each switch once, one after the other, measured which ran second
+    # (four runs read 2.41x, 2.14x, 1.90x, 2.21x "in favour of" the
+    # enabled switch).
+    ratios = []
+    disabled_pps = enabled_pps = 0.0
+    for _ in range(trials):
+        _, disabled_pps = _run(disabled, repeats)
+        _, enabled_pps = _run(enabled, repeats)
+        ratios.append(enabled_pps / disabled_pps)
 
     # 1. Disabled mode left the null registry untouched.
     assert disabled.telemetry.snapshot() == {
@@ -281,10 +292,11 @@ def test_telemetry_overhead():
     assert len(tracer.spans()) == 0
     assert disabled.tracer.recorded == 0
 
-    ratio = enabled_pps / disabled_pps
+    ratio = sorted(ratios)[len(ratios) // 2]
     print(
         f"\ntelemetry: disabled {disabled_pps:,.0f} pps / "
-        f"enabled@0% {enabled_pps:,.0f} pps ({ratio:.3f}x)"
+        f"enabled@0% {enabled_pps:,.0f} pps in the last trial; "
+        f"median ratio of {trials}: {ratio:.3f}x"
     )
     if not SMOKE:
         assert ratio >= 0.75, (

@@ -40,6 +40,13 @@ from repro.packets.headers import (
 _ARG_COUNT_SHIFT = 12
 _ARG_COUNT_MASK = 0x3
 
+#: ``wire_size`` runs twice per packet on the data path (rx and tx byte
+#: counters): the layout constants it adds up, as module globals.
+_FRAME_SIZE = EthernetHeader.SIZE + InitialHeader.SIZE
+_PROGRAM = PacketType.PROGRAM
+_ARG_FIELDS = ArgumentHeader.FIELDS
+_ARG_SIZE = ArgumentHeader.SIZE
+
 
 @dataclasses.dataclass
 class ActivePacket:
@@ -198,22 +205,21 @@ class ActivePacket:
         packet would dominate the hot path.  Kept exactly equal to
         ``len(encode_packet(self))`` (pinned by the codec tests).
         """
-        size = EthernetHeader.SIZE + InitialHeader.SIZE + len(self.payload)
+        size = _FRAME_SIZE + len(self.payload)
         ptype = self.initial.ptype
-        if ptype == PacketType.PROGRAM:
-            arg_headers = (
-                (len(self.args) + ArgumentHeader.FIELDS - 1)
-                // ArgumentHeader.FIELDS
-                if self.args
-                else 1
-            )
+        if ptype == _PROGRAM:
+            # An empty argument list still travels as one zeroed header.
+            arg_headers = (len(self.args) + _ARG_FIELDS - 1) // _ARG_FIELDS or 1
             if arg_headers > _ARG_COUNT_MASK:
                 raise HeaderError("too many argument headers (max 3)")
-            size += arg_headers * ArgumentHeader.SIZE
             # Instruction headers plus the EOF marker; wire_size models
             # the unshrunk frame, matching encode_packet's default.
-            size += (len(self.instructions) + 1) * INSTRUCTION_WIDTH
-        elif ptype == PacketType.ALLOC_REQUEST:
+            return (
+                size
+                + arg_headers * _ARG_SIZE
+                + (len(self.instructions) + 1) * INSTRUCTION_WIDTH
+            )
+        if ptype == PacketType.ALLOC_REQUEST:
             if self.request is None:
                 raise HeaderError("ALLOC_REQUEST packet without request header")
             size += AllocationRequestHeader.SIZE

@@ -80,5 +80,12 @@ class EthernetHeader:
         )
 
     def swapped(self) -> "EthernetHeader":
-        """Header with source and destination exchanged (RTS support)."""
-        return EthernetHeader(dst=self.src, src=self.dst, ethertype=self.ethertype)
+        """Header with source and destination exchanged (RTS support).
+
+        Built without ``__post_init__``: nothing new is there to validate.
+        """
+        twin = object.__new__(EthernetHeader)
+        object.__setattr__(twin, "dst", self.src)
+        object.__setattr__(twin, "src", self.dst)
+        object.__setattr__(twin, "ethertype", self.ethertype)
+        return twin

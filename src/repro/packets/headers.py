@@ -114,9 +114,17 @@ class InitialHeader:
         return cls(ptype=ptype, fid=fid, seq=seq, flags=flags)
 
     def with_flags(self, set_bits: int = 0, clear_bits: int = 0) -> "InitialHeader":
-        return dataclasses.replace(
-            self, flags=(self.flags | set_bits) & ~clear_bits & 0xFFFF
-        )
+        """Copy with flag bits set and cleared (RTS runs this per packet).
+
+        Built without ``__post_init__``: the other fields were validated
+        when this header was, and the mask keeps the flag word in range.
+        """
+        twin = object.__new__(InitialHeader)
+        object.__setattr__(twin, "ptype", self.ptype)
+        object.__setattr__(twin, "fid", self.fid)
+        object.__setattr__(twin, "seq", self.seq)
+        object.__setattr__(twin, "flags", (self.flags | set_bits) & ~clear_bits & 0xFFFF)
+        return twin
 
 
 _ARGUMENT_STRUCT = struct.Struct(">IIII")

@@ -16,10 +16,9 @@ recirculation adds a whole pass (two halves).
 from __future__ import annotations
 
 import dataclasses
-import math
 
 from repro.switchsim.config import SwitchConfig
-from repro.switchsim.pipeline import ExecutionResult
+from repro.switchsim.pipeline import ExecutionResult, PacketDisposition
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,10 +52,9 @@ class LatencyModel:
     def half_pipes_used(self, result: ExecutionResult, config: SwitchConfig) -> int:
         """Half-pipelines traversed by an executed packet."""
         phv = result.phv
-        logical_stages = max(phv.logical_stage - 1, 1)
-        half = config.num_stages // 2
-        halves = math.ceil(logical_stages / half)
-        if result.disposition.value == "rts":
+        # ceil(logical stages traversed / stages per half), at least one.
+        halves = -(-max(phv.logical_stage - 1, 1) // (config.num_stages // 2))
+        if result.disposition is PacketDisposition.RETURN_TO_SENDER:
             # Returned packets exit after the half in which RTS resolved;
             # an egress-half RTS recirculates (already counted in
             # result.recirculations) and exits from ingress.
@@ -64,9 +62,8 @@ class LatencyModel:
                 halves += 1
         else:
             # Forwarded packets always complete the full pipeline.
-            full_passes = math.ceil(halves / 2)
-            halves = full_passes * 2
-        return max(halves, 1)
+            halves += halves & 1
+        return halves
 
     def rtt_us(self, result: ExecutionResult, config: SwitchConfig) -> float:
         """Client-observed RTT for an RTS'd active packet."""

@@ -59,14 +59,6 @@ class ExecutionResult:
     executed_instructions: int = 0
 
 
-@dataclasses.dataclass
-class _Continuation:
-    """A FORK clone waiting to resume on a fresh pass."""
-
-    packet: ActivePacket
-    phv: Phv
-
-
 class Pipeline:
     """The 20-stage logical pipeline of the ActiveRMT runtime."""
 
@@ -142,28 +134,23 @@ class Pipeline:
         forwarded unprocessed, which is how reallocation avoids
         inconsistent memory views while the client snapshots state.
         """
-        if packet.fid in self.deactivated_fids:
+        initial = packet.initial
+        if initial.fid in self.deactivated_fids:
             return ExecutionResult(
                 packet=packet,
                 phv=Phv(),
                 disposition=PacketDisposition.FORWARD,
             )
         phv = Phv()
-        if packet.has_flag(ControlFlags.PRELOAD):
+        if initial.flags & ControlFlags.PRELOAD:
             # Appendix C "preloading": the parser seeds MAR/MBR/MBR2
             # from argument slots so stage-1 memory is reachable.
             phv.set_mar(packet.get_arg(2))
             phv.set_mbr(packet.get_arg(0))
             phv.set_mbr2(packet.get_arg(1))
         if self.program_cache is not None:
-            binding = self.program_cache.entry_for(packet)
-            result = self._run_bound(packet, phv, binding)
-        else:
-            result = self._run(packet, phv)
-        self.total_recirculations += result.recirculations
-        for clone in result.clones:
-            self.total_recirculations += clone.recirculations
-        return result
+            return self._run_bound(packet, phv, self.program_cache.entry_for(packet))
+        return self._run(packet, phv)
 
     # ------------------------------------------------------------------
 
@@ -206,44 +193,11 @@ class Pipeline:
         Semantically identical to :meth:`_run` for first-entry packets
         (``pc == 0``, no pass offset) -- the only kind the cache serves;
         FORK clones resume mid-program and take the generic path.  The
-        program pre-resolves everything :meth:`_run` derives per packet
-        and turns the recirculation budget into a loop bound, so there
-        is no budget test inside the loop.  Where the packet stopped is
-        written back once, on the way out.
+        program is one generated function
+        (:class:`~repro.switchsim.progcache.CachedProgram`); the binding
+        supplies the operands it reads from this FID's table entries.
         """
-        program = binding.program
-        handlers, stages, args = program.handlers, program.stages, binding.args
-        skip_labels = program.skip_labels
-        clones: List[ExecutionResult] = []
-        skipped = 0
-        pc = 0
-        limit = program.limit
-        while pc < limit:
-            if phv.disabled and not phv.maybe_end_skip(skip_labels[pc]):
-                skipped += 1  # a dead branch arm still consumes its stage
-            else:
-                handlers[pc](stages[pc], args[pc], phv, packet)
-                if phv.drop or phv.complete:
-                    if not phv.faulted:
-                        pc += 1  # the header that ended the program was consumed
-                    break
-                if phv.fork_requested:
-                    phv.fork_requested = False
-                    # The clone copies the packet and PHV as of this header.
-                    packet.instructions[: pc + 1] = program.done[: pc + 1]
-                    phv.pc, phv.logical_stage = pc, pc + 1
-                    clones.append(self._fork(packet, phv))
-            pc += 1
-        else:
-            if program.budget_fault is not None:
-                phv.fault(program.budget_fault)
-        # Mark the consumed headers so the deparser can shrink the packet
-        # (skipped branch arms are dead and shrink too).
-        packet.instructions[:pc] = program.done[:pc]
-        phv.pc = pc
-        phv.logical_stage = pc + 1
-        phv.passes = program.passes[pc]
-        return self._finish(packet, phv, clones, pc - skipped)
+        return binding.program.run(self, packet, phv, binding.args)
 
     def _finish(
         self,
@@ -252,20 +206,26 @@ class Pipeline:
         clones: List[ExecutionResult],
         executed: int,
     ) -> ExecutionResult:
-        disposition = self._disposition(phv)
-        if disposition is PacketDisposition.DROP:
-            self.drops += 1
-        elif disposition is PacketDisposition.FAULT:
+        """Account one finished packet -- the original or a clone.
+
+        Every result of a FORK tree passes through here exactly once, so
+        the pipeline totals cover clones of clones too.
+        """
+        if phv.faulted:
+            disposition = PacketDisposition.FAULT
             self.faults += 1
-        recirculations = phv.passes - 1 + (1 if phv.rts_at_egress else 0)
+        elif phv.drop:
+            disposition = PacketDisposition.DROP
+            self.drops += 1
+        elif phv.rts_taken:
+            disposition = PacketDisposition.RETURN_TO_SENDER
+        else:
+            disposition = PacketDisposition.FORWARD
+        passes = phv.passes
+        recirculations = passes if phv.rts_at_egress else passes - 1
+        self.total_recirculations += recirculations
         return ExecutionResult(
-            packet=packet,
-            phv=phv,
-            disposition=disposition,
-            passes=phv.passes,
-            recirculations=recirculations,
-            clones=clones,
-            executed_instructions=executed,
+            packet, phv, disposition, passes, recirculations, clones, executed
         )
 
     def _fork(self, packet: ActivePacket, phv: Phv) -> ExecutionResult:
@@ -287,13 +247,3 @@ class Pipeline:
             self.config.pass_of(clone_phv.logical_stage) + clone_phv.pass_offset
         )
         return self._run(clone_packet, clone_phv)
-
-    @staticmethod
-    def _disposition(phv: Phv) -> PacketDisposition:
-        if phv.faulted:
-            return PacketDisposition.FAULT
-        if phv.drop:
-            return PacketDisposition.DROP
-        if phv.rts_taken:
-            return PacketDisposition.RETURN_TO_SENDER
-        return PacketDisposition.FORWARD

@@ -57,7 +57,9 @@ class PortStats:
     tx_bytes: int = 0
 
 
-@dataclasses.dataclass(frozen=True)
+# Not frozen: one is built per emitted packet, and a frozen dataclass
+# constructs several times slower (every field through object.__setattr__).
+@dataclasses.dataclass
 class SwitchOutput:
     """One packet emitted by the switch.
 
@@ -108,6 +110,12 @@ class BatchResult:
     def __len__(self) -> int:
         return len(self.outputs)
 
+
+#: Dispositions are told apart by identity: hashing an enum member runs
+#: Python code, a cost per packet.
+_FORWARD = PacketDisposition.FORWARD
+_RETURN_TO_SENDER = PacketDisposition.RETURN_TO_SENDER
+_DROP = PacketDisposition.DROP
 
 #: Internal packet classifications returned by ``_process``.
 _KIND_DIGEST = 0
@@ -160,7 +168,8 @@ class ActiveSwitch:
         self.latency = latency or LatencyModel()
         self.governor = governor
         self.clock = clock
-        self._mac_table: Dict[MacAddress, int] = {}
+        #: Port by ``MacAddress.value``: an int hashes without Python code.
+        self._mac_table: Dict[int, int] = {}
         self._digests: Deque[ActivePacket] = deque()
         self.port_stats: Dict[int, PortStats] = {}
         self.digest_count = 0
@@ -180,10 +189,10 @@ class ActiveSwitch:
         """Bind a MAC address to a front-panel port (static L2 table)."""
         if not 0 <= port < self.config.num_ports:
             raise ValueError(f"port {port} out of range")
-        self._mac_table[mac] = port
+        self._mac_table[mac.value] = port
 
     def port_for(self, mac: MacAddress) -> Optional[int]:
-        return self._mac_table.get(mac)
+        return self._mac_table.get(mac.value)
 
     # ------------------------------------------------------------------
     # Data path
@@ -196,17 +205,30 @@ class ActiveSwitch:
         and digested control traffic).
         """
         packet.arrival_port = in_port
-        self._count_rx(in_port, packet)
+        stats = self._port(in_port)
+        stats.rx_packets += 1
+        stats.rx_bytes += packet.wire_size()
+        outputs: List[SwitchOutput] = []
+        pipeline = self.pipeline
+        recirculated = pipeline.total_recirculations
         tracer = self.tracer
         if tracer.enabled and tracer.should_sample():
-            kind, result, outputs = self._process_sampled(packet, in_port)
+            kind, result = self._process_sampled(packet, in_port, outputs)
         else:
-            kind, result, outputs = self._process(packet, in_port)
+            kind, result = self._process(packet, in_port, outputs)
         perf = self.perf
         perf.packets += 1
         if kind == _KIND_PROGRAM:
             perf.programs += 1
-            _DISPOSITION_COUNTERS[result.disposition](perf)
+            disposition = result.disposition
+            if disposition is _FORWARD:
+                perf.forwarded += 1
+            elif disposition is _RETURN_TO_SENDER:
+                perf.returned += 1
+            elif disposition is _DROP:
+                perf.dropped += 1
+            else:
+                perf.faulted += 1
         elif kind == _KIND_DIGEST:
             self._digests.append(packet)
             self.digest_count += 1
@@ -216,11 +238,11 @@ class ActiveSwitch:
         else:
             perf.plain_forwarded += 1
         if self.telemetry.enabled and kind in (_KIND_PROGRAM, _KIND_SUPPRESSED):
+            # The pipeline accounts a FORK tree whole; so does the tally.
             self._count_fid(
-                packet.fid, result.recirculations if result is not None else 0
+                packet.fid, pipeline.total_recirculations - recirculated
             )
-        for output in outputs:
-            self._count_tx(output.port, output.packet)
+        self._count_tx(outputs)
         perf.touch()
         return outputs
 
@@ -252,25 +274,21 @@ class ActiveSwitch:
         # closing touch() then spans the batch's processing time (a
         # single-touch window would have zero width and report 0 pps).
         self.perf.touch()
-        outputs_all: List[SwitchOutput] = []
+        outputs: List[SwitchOutput] = []
         digests: List[ActivePacket] = []
-        rx: Dict[int, List[int]] = {}
+        #: ``[rx packets, rx bytes, tx packets, tx bytes]`` per port.
+        ports: Dict[int, List[int]] = {}
         counts = [0, 0, 0, 0]  # indexed by _KIND_*
-        dispositions = {
-            PacketDisposition.FORWARD: 0,
-            PacketDisposition.RETURN_TO_SENDER: 0,
-            PacketDisposition.DROP: 0,
-            PacketDisposition.FAULT: 0,
-        }
-        total = 0
+        total = forwarded = returned = dropped = faulted = 0
         process = self._process
         process_sampled = self._process_sampled
-        extend = outputs_all.extend
+        pipeline = self.pipeline
         # Telemetry tallies accumulate locally and roll into the
         # registry once per batch; None when telemetry is disabled so
         # the default path pays a single predicate per packet.
-        tel_enabled = self.telemetry.enabled
-        fid_tally: Optional[Dict[int, List[int]]] = {} if tel_enabled else None
+        fid_tally: Optional[Dict[int, List[int]]] = (
+            {} if self.telemetry.enabled else None
+        )
         # The tracer's bound sampler, or None when tracing is off, so
         # the default path pays one truth test on a local per packet.
         tracer = self.tracer
@@ -278,62 +296,65 @@ class ActiveSwitch:
         for packet, port in items:
             total += 1
             packet.arrival_port = port
-            acc = rx.get(port)
+            acc = ports.get(port)
             if acc is None:
-                acc = rx[port] = [0, 0]
+                acc = ports[port] = [0, 0, 0, 0]
             acc[0] += 1
             acc[1] += packet.wire_size()
+            if fid_tally is not None:
+                recirculated = pipeline.total_recirculations
             if sample is not None and sample():
-                kind, result, outputs = process_sampled(packet, port)
+                kind, result = process_sampled(packet, port, outputs)
             else:
-                kind, result, outputs = process(packet, port)
+                kind, result = process(packet, port, outputs)
             counts[kind] += 1
             if kind == _KIND_PROGRAM:
-                dispositions[result.disposition] += 1
+                disposition = result.disposition
+                if disposition is _FORWARD:
+                    forwarded += 1
+                elif disposition is _RETURN_TO_SENDER:
+                    returned += 1
+                elif disposition is _DROP:
+                    dropped += 1
+                else:
+                    faulted += 1
             elif kind == _KIND_DIGEST:
                 digests.append(packet)
             if fid_tally is not None and kind in (_KIND_PROGRAM, _KIND_SUPPRESSED):
-                tally = fid_tally.get(packet.fid)
+                fid = packet.initial.fid
+                tally = fid_tally.get(fid)
                 if tally is None:
-                    tally = fid_tally[packet.fid] = [0, 0]
+                    tally = fid_tally[fid] = [0, 0]
                 tally[0] += 1
-                tally[1] += result.recirculations if result is not None else 0
-            if outputs:
-                extend(outputs)
+                # The pipeline accounts a FORK tree whole; so does the tally.
+                tally[1] += pipeline.total_recirculations - recirculated
         # -- single roll-up of everything the scalar path does per packet
         if digests:
             self._digests.extend(digests)
             self.digest_count += len(digests)
-        for port, (count, nbytes) in rx.items():
-            stats = self.port_stats.get(port)
-            if stats is None:
-                stats = self.port_stats[port] = PortStats()
-            stats.rx_packets += count
-            stats.rx_bytes += nbytes
-        tx: Dict[int, List[int]] = {}
-        for output in outputs_all:
-            acc = tx.get(output.port)
+        for output in outputs:
+            acc = ports.get(output.port)
             if acc is None:
-                acc = tx[output.port] = [0, 0]
-            acc[0] += 1
-            acc[1] += output.packet.wire_size()
-        for port, (count, nbytes) in tx.items():
-            stats = self.port_stats.get(port)
-            if stats is None:
-                stats = self.port_stats[port] = PortStats()
-            stats.tx_packets += count
-            stats.tx_bytes += nbytes
+                acc = ports[output.port] = [0, 0, 0, 0]
+            acc[2] += 1
+            acc[3] += output.packet.wire_size()
+        for port, (rx_packets, rx_bytes, tx_packets, tx_bytes) in ports.items():
+            stats = self._port(port)
+            stats.rx_packets += rx_packets
+            stats.rx_bytes += rx_bytes
+            stats.tx_packets += tx_packets
+            stats.tx_bytes += tx_bytes
         batch = BatchResult(
-            outputs=outputs_all,
+            outputs=outputs,
             packets=total,
             programs=counts[_KIND_PROGRAM],
             plain_forwarded=counts[_KIND_PLAIN],
             digested=counts[_KIND_DIGEST],
             suppressed=counts[_KIND_SUPPRESSED],
-            forwarded=dispositions[PacketDisposition.FORWARD],
-            returned=dispositions[PacketDisposition.RETURN_TO_SENDER],
-            dropped=dispositions[PacketDisposition.DROP],
-            faulted=dispositions[PacketDisposition.FAULT],
+            forwarded=forwarded,
+            returned=returned,
+            dropped=dropped,
+            faulted=faulted,
         )
         self.perf.merge_batch(batch)
         if fid_tally is not None:
@@ -347,8 +368,8 @@ class ActiveSwitch:
         return batch
 
     def _process_sampled(
-        self, packet: ActivePacket, in_port: int
-    ) -> Tuple[int, Optional[ExecutionResult], List[SwitchOutput]]:
+        self, packet: ActivePacket, in_port: int, outputs: List[SwitchOutput]
+    ) -> Tuple[int, Optional[ExecutionResult]]:
         """``_process`` one sampled packet and record its span.
 
         The single per-packet trace site: both front doors call it only
@@ -358,7 +379,7 @@ class ActiveSwitch:
         """
         tracer = self.tracer
         started = tracer.clock()
-        kind, result, outputs = self._process(packet, in_port)
+        kind, result = self._process(packet, in_port, outputs)
         tracer.record_span(
             "datapath.packet",
             start_s=started,
@@ -369,17 +390,18 @@ class ActiveSwitch:
             disposition=result.disposition.value if result else None,
             recirculations=result.recirculations if result else 0,
         )
-        return kind, result, outputs
+        return kind, result
 
     def _process(
-        self, packet: ActivePacket, in_port: int
-    ) -> Tuple[int, Optional[ExecutionResult], List[SwitchOutput]]:
-        """Classify and execute one packet; no statistics accounting.
+        self, packet: ActivePacket, in_port: int, outputs: List[SwitchOutput]
+    ) -> Tuple[int, Optional[ExecutionResult]]:
+        """Classify and execute one packet, appending what it emits to
+        *outputs*; no statistics accounting.
 
         Digest-bound packets are *not* enqueued here -- the caller owns
         delivery so the batched path can defer it to one append.
         """
-        ptype = packet.ptype
+        ptype = packet.initial.ptype
         if ptype == PacketType.PROGRAM and packet.instructions:
             if self.governor is not None:
                 inferred = infer_recirculations(
@@ -387,57 +409,59 @@ class ActiveSwitch:
                 )
                 now = self.clock() if self.clock is not None else 0.0
                 if not self.governor.admit(packet.fid, inferred, now):
-                    return _KIND_SUPPRESSED, None, self._forward_plain(packet)
+                    self._forward_plain(packet, outputs)
+                    return _KIND_SUPPRESSED, None
             result = self.pipeline.execute(packet)
-            outputs = self._emit(result, in_port)
-            for clone in result.clones:
-                outputs.extend(self._emit(clone, in_port))
-            return _KIND_PROGRAM, result, outputs
+            self._emit(result, in_port, outputs)
+            return _KIND_PROGRAM, result
         if ptype == PacketType.ALLOC_REQUEST or ptype == PacketType.CONTROL:
             # Delivered to the switch CPU via message digests.
-            return _KIND_DIGEST, None, []
+            return _KIND_DIGEST, None
         # Non-executing active packets (e.g. responses in flight) and
         # bare packets take the baseline forwarding path.
-        return _KIND_PLAIN, None, self._forward_plain(packet)
+        self._forward_plain(packet, outputs)
+        return _KIND_PLAIN, None
 
-    def _emit(self, result: ExecutionResult, in_port: int) -> List[SwitchOutput]:
-        latency_us = self.latency.switch_latency_us(result, self.config)
-        packet = result.packet
-        if result.disposition in (PacketDisposition.DROP, PacketDisposition.FAULT):
-            return []
-        if result.disposition is PacketDisposition.RETURN_TO_SENDER:
-            out_port = in_port
-        elif result.phv.dst_override >= 0:
+    def _emit(
+        self, result: ExecutionResult, in_port: int, outputs: List[SwitchOutput]
+    ) -> None:
+        """Append what *result*'s packet emits, then what its clones do:
+        the whole FORK tree, a clone right after the packet it was
+        cloned from."""
+        disposition = result.disposition
+        if disposition is _RETURN_TO_SENDER:
+            out_port: Optional[int] = in_port
+        elif disposition is _FORWARD:
             out_port = result.phv.dst_override
+            if out_port < 0:
+                # Unknown unicast is not emitted: the paper runtime has no flood.
+                out_port = self._mac_table.get(result.packet.eth.dst.value)
         else:
-            resolved = self._mac_table.get(packet.eth.dst)
-            if resolved is None:
-                return []  # unknown unicast: paper runtime has no flood
-            out_port = resolved
-        return [
-            SwitchOutput(
-                port=out_port, packet=packet, latency_us=latency_us, result=result
+            out_port = None
+        if out_port is not None:
+            outputs.append(
+                SwitchOutput(
+                    out_port,
+                    result.packet,
+                    self.latency.switch_latency_us(result, self.config),
+                    result,
+                )
             )
-        ]
+        for clone in result.clones:
+            self._emit(clone, in_port, outputs)
 
-    def _forward_plain(self, packet: ActivePacket) -> List[SwitchOutput]:
-        out_port = self._mac_table.get(packet.eth.dst)
-        if out_port is None:
-            return []
-        return [
-            SwitchOutput(
-                port=out_port,
-                packet=packet,
-                latency_us=self.latency.pass_us,
-                result=None,
-            )
-        ]
+    def _forward_plain(
+        self, packet: ActivePacket, outputs: List[SwitchOutput]
+    ) -> None:
+        out_port = self._mac_table.get(packet.eth.dst.value)
+        if out_port is not None:
+            outputs.append(SwitchOutput(out_port, packet, self.latency.pass_us))
 
     def inject(self, packet: ActivePacket) -> List[SwitchOutput]:
         """Send a controller-originated packet (e.g. allocation response)."""
-        outputs = self._forward_plain(packet)
-        for output in outputs:
-            self._count_tx(output.port, output.packet)
+        outputs: List[SwitchOutput] = []
+        self._forward_plain(packet, outputs)
+        self._count_tx(outputs)
         return outputs
 
     # ------------------------------------------------------------------
@@ -554,40 +578,14 @@ class ActiveSwitch:
 
     # ------------------------------------------------------------------
 
-    def _count_rx(self, port: int, packet: ActivePacket) -> None:
+    def _port(self, port: int) -> PortStats:
         stats = self.port_stats.get(port)
         if stats is None:
             stats = self.port_stats[port] = PortStats()
-        stats.rx_packets += 1
-        stats.rx_bytes += packet.wire_size()
+        return stats
 
-    def _count_tx(self, port: int, packet: ActivePacket) -> None:
-        stats = self.port_stats.get(port)
-        if stats is None:
-            stats = self.port_stats[port] = PortStats()
-        stats.tx_packets += 1
-        stats.tx_bytes += packet.wire_size()
-
-
-def _count_forward(perf: PerfCounters) -> None:
-    perf.forwarded += 1
-
-
-def _count_returned(perf: PerfCounters) -> None:
-    perf.returned += 1
-
-
-def _count_dropped(perf: PerfCounters) -> None:
-    perf.dropped += 1
-
-
-def _count_faulted(perf: PerfCounters) -> None:
-    perf.faulted += 1
-
-
-_DISPOSITION_COUNTERS = {
-    PacketDisposition.FORWARD: _count_forward,
-    PacketDisposition.RETURN_TO_SENDER: _count_returned,
-    PacketDisposition.DROP: _count_dropped,
-    PacketDisposition.FAULT: _count_faulted,
-}
+    def _count_tx(self, outputs: List[SwitchOutput]) -> None:
+        for output in outputs:
+            stats = self._port(output.port)
+            stats.tx_packets += 1
+            stats.tx_bytes += output.packet.wire_size()

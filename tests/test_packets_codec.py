@@ -1,5 +1,7 @@
 """Unit + property tests for the full active-packet codec."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +12,9 @@ from repro.packets import (
     AllocationRequestHeader,
     AllocationResponseHeader,
     ControlFlags,
+    EthernetHeader,
     HeaderError,
+    InitialHeader,
     MacAddress,
     PacketType,
     StageRegion,
@@ -121,6 +125,72 @@ def test_rts_swaps_and_flags():
     packet.return_to_sender()
     assert packet.eth.dst == SRC
     assert packet.has_flag(ControlFlags.FROM_SWITCH)
+
+
+@given(
+    fid=st.integers(0, 0xFFFF),
+    seq=st.integers(0, 0xFFFFFFFF),
+    flags=st.integers(0, 0xFFFF),
+    set_bits=st.integers(0, 0xFFFFF),
+    clear_bits=st.integers(0, 0xFFFFF),
+)
+def test_unvalidated_header_copies_equal_validated_ones(
+    fid, seq, flags, set_bits, clear_bits
+):
+    """``with_flags`` / ``swapped`` / ``return_to_sender`` build their
+    headers without ``__post_init__`` (RTS runs them per packet); what
+    they build equals what the validated constructors build, field for
+    field and byte for byte."""
+    initial = InitialHeader(ptype=PacketType.PROGRAM, fid=fid, seq=seq, flags=flags)
+    expected = InitialHeader(
+        ptype=PacketType.PROGRAM, fid=fid, seq=seq,
+        flags=(flags | set_bits) & ~clear_bits & 0xFFFF,
+    )
+    twin = initial.with_flags(set_bits=set_bits, clear_bits=clear_bits)
+    assert twin == expected and hash(twin) == hash(expected)
+    assert dataclasses.astuple(twin) == dataclasses.astuple(expected)
+    assert twin.encode() == expected.encode() and repr(twin) == repr(expected)
+
+    packet = ActivePacket.program(
+        src=SRC, dst=DST, fid=fid, seq=seq, flags=flags,
+        instructions=[Instruction(Opcode.RETURN)],
+    )
+    by_hand = ActivePacket.program(
+        src=DST, dst=SRC, fid=fid, seq=seq, flags=flags | ControlFlags.FROM_SWITCH,
+        instructions=[Instruction(Opcode.RETURN)],
+    )
+    packet.return_to_sender()
+    assert packet.eth == by_hand.eth == EthernetHeader(dst=SRC, src=DST, ethertype=0x83B2)
+    assert dataclasses.astuple(packet.eth) == dataclasses.astuple(by_hand.eth)
+    assert packet.initial == by_hand.initial
+    assert encode_packet(packet) == encode_packet(by_hand)
+    packet.clear_flag(ControlFlags.FROM_SWITCH)
+    assert packet.initial == InitialHeader(
+        ptype=PacketType.PROGRAM, fid=fid, seq=seq,
+        flags=flags & ~ControlFlags.FROM_SWITCH,
+    )
+
+
+def test_validation_still_guards_the_constructors_and_the_wire():
+    for flags in (-1, 0x10000):
+        with pytest.raises(HeaderError):
+            InitialHeader(ptype=PacketType.PROGRAM, fid=1, flags=flags)
+    # No set/clear combination can leave the 16-bit flag word.
+    header = InitialHeader(ptype=PacketType.PROGRAM, fid=1, flags=0x8001)
+    assert header.with_flags(set_bits=0xFFFFFF).flags == 0xFFFF
+    assert header.with_flags(clear_bits=0xFFFFFF).flags == 0
+    # decode_packet goes through the validated constructors: a flag word
+    # whose argument-header count overruns the frame, and a packet type
+    # no header defines, are both rejected.
+    raw = bytearray(encode_packet(_program_packet()))
+    flags_at = 14 + 8  # Ethernet, then version/type/fid/seq
+    raw[flags_at] |= 0x30  # three argument headers announced, one present
+    with pytest.raises(HeaderError):
+        decode_packet(bytes(raw))
+    raw = bytearray(encode_packet(_program_packet()))
+    raw[14 + 1] = 0x7F
+    with pytest.raises(HeaderError):
+        decode_packet(bytes(raw))
 
 
 def test_arg_accessors_extend():

@@ -6,17 +6,22 @@ statistics, same digest queue -- only the bookkeeping is amortized.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.isa import assemble
+from repro.isa import Instruction, Opcode, assemble
 from repro.packets import ActivePacket, MacAddress
 from repro.packets.codec import encode_packet
 from repro.switchsim import (
     ActiveSwitch,
     BatchResult,
     RecirculationGovernor,
+    StageGrant,
     SwitchConfig,
 )
 from repro.sim import BatchDrain, EventLoop
+from repro.telemetry import MetricsRegistry
+
+from tests.test_switchsim_differential import _instructions, _programs, _words
 
 CLIENT = MacAddress.from_host_id(1)
 SERVER = MacAddress.from_host_id(2)
@@ -156,6 +161,125 @@ def test_stats_surface():
         "program_misses": 0,
     }
     assert sorted(uncached) == sorted(stats["program_cache"])
+
+
+# ----------------------------------------------------------------------
+# FORK trees: every packet that executed is emitted and accounted
+# ----------------------------------------------------------------------
+
+
+def _tree(result):
+    """A result and its clones, each clone right after its original."""
+    yield result
+    for clone in result.clones:
+        yield from _tree(clone)
+
+
+@pytest.mark.parametrize("door", ["receive", "receive_batch"])
+@pytest.mark.parametrize("cache_entries", [256, 0])
+@pytest.mark.parametrize("forks", [1, 2, 3])
+def test_fork_tree_is_emitted_and_accounted_whole(forks, cache_entries, door):
+    """``FORK; NOP`` *forks* times runs as 2**forks packets -- clones of
+    clones included -- and every one of them must leave the switch and
+    be charged its recirculations."""
+    registry = MetricsRegistry()
+    switch = _switch(
+        config=SwitchConfig(program_cache_entries=cache_entries), telemetry=registry
+    )
+    packet = _program("FORK\nNOP\n" * forks + "RETURN", fid=7)
+    if door == "receive":
+        outputs = switch.receive(packet, 1)
+    else:
+        outputs = switch.receive_batch([(packet, 1)]).outputs
+    results = list(_tree(outputs[0].result))
+    assert len(results) == 2**forks
+    assert [output.result for output in outputs] == results
+    assert all(output.port == 2 for output in outputs)
+    assert switch.port_stats[2].tx_packets == 2**forks
+    recirculations = sum(result.recirculations for result in results)
+    assert recirculations >= 2**forks - 1  # every clone recirculates
+    assert switch.pipeline.total_recirculations == recirculations
+    counters = registry.snapshot()["counters"]
+    assert counters['datapath_fid_recirculations_total{fid="7"}'] == recirculations
+    assert counters['datapath_fid_packets_total{fid="7"}'] == 1
+
+
+# ----------------------------------------------------------------------
+# receive == receive_batch, over the differential fuzzer's programs
+# ----------------------------------------------------------------------
+
+_FORK = Instruction(Opcode.FORK)
+#: The fuzzer's instruction mix with one header in four a FORK, capped
+#: so a tree stays at most 16 packets.
+_forky_programs = st.lists(
+    st.one_of(_instructions(), _instructions(), _instructions(), st.just(_FORK)),
+    min_size=1,
+    max_size=14,
+).filter(lambda program: sum(instr.opcode is Opcode.FORK for instr in program) <= 4)
+
+
+def _observable(switch, registry):
+    """What both front doors must agree on: every counter but the batch
+    counts and the wall-clock window."""
+    stats = switch.stats()
+    for key in ("batches", "batched_packets", "packets_per_second", "elapsed_seconds"):
+        del stats[key]
+    counters = registry.snapshot()["counters"]
+    return stats, switch.port_stats, counters
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    programs=st.lists(st.one_of(_programs, _forky_programs), min_size=1, max_size=4),
+    sends=st.lists(
+        st.tuples(
+            st.integers(0, 3),  # program
+            st.sampled_from([1, 2, 3]),  # fid
+            st.lists(_words, max_size=8),  # args
+            st.sampled_from([1, 2]),  # arrival port
+            st.sampled_from([CLIENT, SERVER, MacAddress.from_host_id(9)]),  # dst
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+)
+def test_receive_matches_receive_batch_on_fuzzed_programs(programs, sends):
+    def build():
+        registry = MetricsRegistry()
+        switch = _switch(config=SwitchConfig(words_per_stage=256), telemetry=registry)
+        for fid in (1, 2):
+            for stage in (1, 2, 3, 5, 8):
+                switch.pipeline.stage(stage).table.install_grant(
+                    StageGrant(fid=fid, start=0, end=200, mask=0x7F, offset=fid)
+                )
+        packets = [
+            (
+                ActivePacket.program(
+                    src=CLIENT, dst=dst, fid=fid, args=list(args),
+                    instructions=list(programs[index % len(programs)]),
+                ),
+                port,
+            )
+            for index, fid, args, port, dst in sends
+        ]
+        return switch, registry, packets
+
+    scalar, scalar_registry, packets = build()
+    one_by_one = [
+        output for packet, port in packets for output in scalar.receive(packet, port)
+    ]
+    batched, batched_registry, packets = build()
+    together = batched.receive_batch(packets).outputs
+
+    assert len(together) == len(one_by_one)
+    for a, b in zip(together, one_by_one):
+        assert (a.port, a.latency_us) == (b.port, b.latency_us)
+        assert encode_packet(a.packet) == encode_packet(b.packet)
+        assert a.result.phv == b.result.phv
+        assert a.result.disposition is b.result.disposition
+    assert _observable(batched, batched_registry) == _observable(scalar, scalar_registry)
+    for warm, cold in zip(batched.pipeline.stages, scalar.pipeline.stages):
+        assert warm.registers._cells == cold.registers._cells
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for the top-level switch: forwarding, digests, latency."""
 
+import math
+
 import pytest
 
 from repro.isa import assemble
@@ -11,7 +13,17 @@ from repro.packets import (
     MacAddress,
     PacketType,
 )
-from repro.switchsim import ActiveSwitch, LatencyModel, SwitchConfig
+from repro.switchsim import (
+    L2_FORWARDING,
+    ActiveSwitch,
+    ExecutionResult,
+    LatencyModel,
+    PacketDisposition,
+    Phv,
+    SwitchConfig,
+    extend_config,
+    extend_latency,
+)
 
 CLIENT = MacAddress.from_host_id(1)
 SERVER = MacAddress.from_host_id(2)
@@ -133,6 +145,64 @@ def test_latency_30_instructions_recirculates(switch):
     source = "\n".join(["RTS"] + ["NOP"] * 28 + ["RETURN"])
     outputs = switch.receive(_program_packet(source), in_port=1)
     assert outputs[0].result.passes == 2
+
+
+def _reference_latency_us(model, config, logical_stage, disposition, rts_at_egress):
+    """The forwarding-latency formula as first written (float division
+    and ``math.ceil``); the model now does it in integers."""
+    logical_stages = max(logical_stage - 1, 1)
+    halves = math.ceil(logical_stages / (config.num_stages // 2))
+    if disposition.value == "rts":
+        if rts_at_egress:
+            halves += 1
+    else:
+        halves = math.ceil(halves / 2) * 2
+    return max(halves, 1) * model.half_pipe_us
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SwitchConfig(), extend_config(SwitchConfig(), L2_FORWARDING),
+     SwitchConfig(num_stages=6, ingress_stages=3, max_recirculations=2)],
+    ids=["paper", "19-stage", "6-stage"],
+)
+def test_switch_latency_is_bit_identical_to_the_reference_formula(config):
+    """``SwitchOutput.latency_us`` feeds simulated time (the cache case
+    study's hit counts, Figure 8b), so the cheaper arithmetic must give
+    the same float for every stopping point a packet can reach."""
+    for model in (LatencyModel(), extend_latency(LatencyModel(), L2_FORWARDING)):
+        for logical_stage in range(1, config.max_logical_stages + 2):
+            for disposition in (
+                PacketDisposition.FORWARD, PacketDisposition.RETURN_TO_SENDER
+            ):
+                for rts_at_egress in (False, True):
+                    result = ExecutionResult(
+                        packet=None,
+                        phv=Phv(logical_stage=logical_stage, rts_at_egress=rts_at_egress),
+                        disposition=disposition,
+                    )
+                    assert model.switch_latency_us(result, config) == (
+                        _reference_latency_us(
+                            model, config, logical_stage, disposition, rts_at_egress
+                        )
+                    )
+
+
+def test_emitted_latency_matches_the_reference_formula(switch):
+    """End to end: what ``receive`` stamps on an output is the formula
+    applied to that output's own execution result."""
+    model, config = switch.latency, switch.config
+    for length in range(1, 46):
+        for rts_at in (None, 0, length - 1):
+            lines = ["NOP"] * length + ["RETURN"]
+            if rts_at is not None:
+                lines[rts_at] = "RTS"
+            (output,) = switch.receive(_program_packet("\n".join(lines)), in_port=1)
+            phv = output.result.phv
+            assert output.latency_us == _reference_latency_us(
+                model, config, phv.logical_stage, output.result.disposition,
+                phv.rts_at_egress,
+            )
 
 
 # ----------------------------------------------------------------------

@@ -24,8 +24,8 @@ from repro.controller.service import (
     AdmissionTicket,
     BackoffPolicy,
     BatchReport,
-    BatchTicket,
     replay_commit_log,
+    withdraw_with_retries,
 )
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "AdmissionTicket",
     "BackoffPolicy",
     "BatchReport",
-    "BatchTicket",
     "ControllerError",
     "ProvisioningReport",
     "ProvisioningRequest",
@@ -45,4 +44,5 @@ __all__ = [
     "RequestKind",
     "SnapshotCost",
     "replay_commit_log",
+    "withdraw_with_retries",
 ]

@@ -18,7 +18,9 @@ Two historical usage styles remain as thin delegating wrappers:
 Every admission -- through `submit`, or a pre-computed plan through
 `commit_plan` / `commit_batch` -- is committed by one method,
 :meth:`ActiveRmtController._commit`: a batch of N plans under one
-journal, N=1 being the common case.
+journal, N=1 being the common case.  A withdrawal is the same
+transaction without a plan (`_do_withdraw`): both apply through
+`_apply_layout` and, when the switch refuses, unwind through `_unwind`.
 """
 
 from __future__ import annotations
@@ -60,12 +62,14 @@ from repro.core.allocator import (
     ActiveRmtAllocator,
     AllocationDecision,
     AllocationError,
+    ReallocationMap,
 )
 from repro.core.blocks import BlockRange
 from repro.core.constraints import AccessPattern, AllocationPolicy, MOST_CONSTRAINED
 from repro.core.schemes import AllocationScheme
 from repro.core.transactions import (
     AllocationPlan,
+    AllocatorCheckpoint,
     CommitResult,
     StalePlanError,
     TableUpdateJournal,
@@ -209,8 +213,9 @@ class ProvisioningReport:
     plan: Optional[AllocationPlan] = None
     #: True when this was a what-if probe: nothing was mutated.
     dry_run: bool = False
-    #: True when the admission was committed and then exactly undone
-    #: because the switch rejected the table updates (TCAM exhaustion).
+    #: True when the layout change (admission or withdrawal) was
+    #: committed and then exactly undone because the switch refused the
+    #: table updates (TCAM exhaustion, device fault).
     rolled_back: bool = False
     #: The static verifier's verdict on the mutant being installed
     #: (None when the controller runs with ``verify="off"`` or the
@@ -338,6 +343,10 @@ class ActiveRmtController:
         self.mac = MacAddress.from_host_id(0xC0FFEE)
         self.reports: List[ProvisioningReport] = []
         self._client_macs: Dict[int, MacAddress] = {}
+        #: Packet-driven withdrawals the switch refused: the fid is
+        #: still resident and its client, gone idle, will not ask again,
+        #: so each is re-sent with the next ``DEALLOCATE`` digest.
+        self.refused_withdrawals: List[int] = []
         #: Hook invoked with (fid,) when a SNAPSHOT_COMPLETE arrives.
         self.on_snapshot_complete: Optional[Callable[[int], None]] = None
 
@@ -485,8 +494,15 @@ class ActiveRmtController:
         return report.plan
 
     def withdraw(self, *, fid: int) -> float:
-        """Release an application's allocation; returns modeled seconds."""
+        """Release an application's allocation; returns modeled seconds.
+
+        Raises :class:`ControllerError` when the switch refused the
+        withdrawal (state untouched, *fid* still resident);
+        :meth:`submit` is the door that reports a refusal instead.
+        """
         report = self.submit(ProvisioningRequest.withdrawal(fid))
+        if not report.success:
+            raise ControllerError(f"withdrawal of fid {fid} refused: {report.reason}")
         return report.table_update_seconds
 
     def _do_admit(
@@ -653,34 +669,20 @@ class ActiveRmtController:
         # a rolled-back admission never pollutes the decision counters.
         journal = TableUpdateJournal(tracer=self.tracer, ctx=ctx)
         results: List[CommitResult] = []
-        timings: List[Tuple[float, float]] = []
+        table_seconds: List[float] = []
         try:
             for plan in plans:
                 results.append(self.allocator.commit(plan, record=False, ctx=ctx))
-                timings.append(
-                    self._apply_admission(
-                        plan.fid, results[-1].decision, journal, ctx=ctx
+                committed = results[-1].decision
+                table_seconds.append(
+                    self._apply_layout(
+                        plan.fid, {}, committed.regions, committed.reallocations, journal, ctx
                     )
                 )
         except (TcamCapacityError, DeviceError) as exc:
-            # Either a stage TCAM cannot hold another protection range
-            # (the paper's stated bottleneck) or the device itself
-            # failed mid-apply (retries exhausted, or a permanent
-            # fault).  Both unwind identically: replay the journal
-            # backwards (table entries, activations, register scrubs),
-            # then restore the allocator checkpoints newest first --
-            # exact pre-request state, no member survives.  A permanent
-            # fault additionally latches :attr:`device_failed` (the
-            # journal replay is best-effort against a dead device).
+            # No member survives: exact pre-request state.
             culprit = results[-1].plan.fid
-            fault = self._note_device_fault(exc, ctx, scope, culprit)
-            self._rollback_journal(journal, ctx, scope, culprit)
-            for result in reversed(results):
-                self.allocator.rollback(result, ctx=ctx)
-            self.tracer.anomaly(
-                "rollback", ctx, scope=scope, fid=culprit, cause=str(exc)
-            )
-            cause = "TCAM exhausted" if fault == "tcam" else f"device fault ({fault})"
+            fault, cause = self._unwind(exc, journal, results, ctx, scope, culprit)
             if scope == "single":
                 reason = f"{cause}: {exc}"
             else:
@@ -714,8 +716,8 @@ class ActiveRmtController:
         journal.commit_entries()
         self.tracer.layout_committed(ctx)
         reports = []
-        for result, (table_seconds, snapshot_seconds), verification, certificate in zip(
-            results, timings, verifications, certificates
+        for result, seconds, verification, certificate in zip(
+            results, table_seconds, verifications, certificates
         ):
             decision = result.decision
             self.allocator.record_decision(decision)
@@ -726,8 +728,8 @@ class ActiveRmtController:
                         success=True,
                         decision=decision,
                         compute_seconds=decision.total_seconds,
-                        table_update_seconds=table_seconds,
-                        snapshot_seconds=snapshot_seconds,
+                        table_update_seconds=seconds,
+                        snapshot_seconds=self._snapshot_seconds(decision),
                         plan=result.plan,
                         verification=verification,
                         certificate=certificate,
@@ -821,65 +823,61 @@ class ActiveRmtController:
             "no_feasible_mutant",
         )
 
-    @staticmethod
-    def _fault_kind(exc: Exception) -> str:
-        """Classify a commit-time failure for reports and telemetry."""
-        if isinstance(exc, TcamCapacityError):
-            return "tcam"
-        if isinstance(exc, PermanentDeviceError):
-            return "device"
-        return "transient"
-
-    def _rollback_journal(
+    def _unwind(
         self,
+        exc: Exception,
         journal: TableUpdateJournal,
+        undo: Sequence[Union[CommitResult, AllocatorCheckpoint]],
         ctx: ParentLike,
         scope: str,
         fid: int,
-    ) -> None:
-        """Replay *journal* backwards, escalating a device death.
+    ) -> Tuple[str, str]:
+        """The one unwind of a layout change the switch refused.
 
-        A fault during rollback leaves the switch half-rolled-back with
-        the journal consumed -- unrecoverable in place.  The host-side
-        allocator rollback still runs (the caller restores checkpoints
-        unconditionally), the device is marked failed, and the fabric's
-        failover path rebuilds a consistent device from the commit log.
+        Either a stage TCAM cannot hold another protection range (the
+        paper's stated bottleneck) or the device itself failed mid-apply
+        (retries exhausted, or a permanent fault); arrivals and
+        departures unwind identically.  Replay the journal backwards
+        (table entries, activations, register scrubs), then restore the
+        allocator checkpoints in *undo* newest first.  Returns the fault
+        kind (:attr:`ProvisioningReport.fault`) and its cause in words.
         """
+        if isinstance(exc, TcamCapacityError):
+            fault, cause = "tcam", "TCAM exhausted"
+        elif isinstance(exc, PermanentDeviceError):
+            # The journal replay below is best-effort against a dead device.
+            fault, cause = "device", "device fault (device)"
+            self._device_died(ctx, scope, fid, str(exc), during=scope)
+        else:
+            fault, cause = "transient", "device fault (transient)"
         try:
             journal.rollback()
-        except DeviceError as exc:
-            self.device_failed = True
-            self.tracer.anomaly(
-                "device_failed",
-                ctx,
-                scope=scope,
-                fid=fid,
-                cause=f"rollback failed: {exc}",
+        except DeviceError as rollback_exc:
+            # A fault during rollback leaves the switch half-rolled-back
+            # with the journal consumed -- unrecoverable in place.  The
+            # host-side allocator rollback still runs, the device is
+            # marked failed, and the fabric's failover path rebuilds a
+            # consistent device from the commit log.
+            self._device_died(
+                ctx, scope, fid, f"rollback failed: {rollback_exc}", during="rollback"
             )
-            if self.telemetry.enabled:
-                self.telemetry.counter(
-                    "controller_device_failures_total",
-                    help="Permanent device failures observed",
-                    during="rollback",
-                ).inc()
+        for result in reversed(undo):
+            self.allocator.rollback(result, ctx=ctx)
+        self.tracer.anomaly("rollback", ctx, scope=scope, fid=fid, cause=str(exc))
+        return fault, cause
 
-    def _note_device_fault(
-        self, exc: Exception, ctx: ParentLike, scope: str, fid: int
-    ) -> str:
-        """Record a switch-side commit failure; returns the fault kind."""
-        fault = self._fault_kind(exc)
-        if fault == "device":
-            self.device_failed = True
-            self.tracer.anomaly(
-                "device_failed", ctx, scope=scope, fid=fid, cause=str(exc)
-            )
-            if self.telemetry.enabled:
-                self.telemetry.counter(
-                    "controller_device_failures_total",
-                    help="Permanent device failures observed",
-                    during=scope,
-                ).inc()
-        return fault
+    def _device_died(
+        self, ctx: ParentLike, scope: str, fid: int, cause: str, during: str
+    ) -> None:
+        """Latch :attr:`device_failed` and say where it was observed."""
+        self.device_failed = True
+        self.tracer.anomaly("device_failed", ctx, scope=scope, fid=fid, cause=cause)
+        if self.telemetry.enabled:
+            self.telemetry.counter(
+                "controller_device_failures_total",
+                help="Permanent device failures observed",
+                during=during,
+            ).inc()
 
     def _verify_admission(
         self,
@@ -1049,57 +1047,62 @@ class ActiveRmtController:
             help="Modeled match-table update time per request",
         ).observe(report.table_update_seconds)
 
-    def _apply_admission(
+    def _apply_layout(
         self,
         fid: int,
-        decision: AllocationDecision,
+        old: Mapping[int, BlockRange],
+        new: Mapping[int, BlockRange],
+        reallocations: ReallocationMap,
         journal: TableUpdateJournal,
-        ctx: ParentLike = None,
-    ) -> Tuple[float, float]:
-        """Apply a committed admission to the switch (Section 4.3).
+        ctx: ParentLike,
+    ) -> float:
+        """Apply a committed layout change to the switch (Section 4.3).
 
-        Every mutation -- table entries, (de)activations, register
-        scrubs -- is recorded in *journal* so a mid-flight failure can
-        be reversed exactly.  Returns modeled
-        ``(table_seconds, snapshot_seconds)``.
+        *fid* goes from regions *old* to *new* -- an arrival comes from
+        none, a departure goes to none -- and *reallocations* is what
+        that does to its neighbours.  Every mutation -- table entries,
+        (de)activations, register scrubs -- is recorded in *journal* so
+        a mid-flight failure can be reversed exactly.  Returns the
+        modeled table-update seconds.
         """
-        table_seconds = 0.0
-        snapshot_seconds = 0.0
-        impacted = decision.reallocated_fids
-        # 1. Deactivate impacted applications (consistent snapshot).
-        for other in impacted:
-            table_seconds += self.updater.deactivate(
-                other, journal=journal, ctx=ctx
+        impacted = sorted(reallocations)
+        block_words = self.device.config.block_words
+        # 1. Deactivate impacted applications (consistent snapshot;
+        # clients extract their state while it is frozen).
+        seconds = self.updater.set_active(impacted, False, journal, ctx)
+        # 2. A departing application's entries go before its neighbours
+        # grow: the TCAM space they free is what a grown range may need.
+        if old:
+            seconds += self.updater.remove_app(
+                fid, old, block_words, journal=journal, ctx=ctx
             )
-        # 2. Clients extract state from the frozen snapshot.
+        # 3. Move the entries of resized/moved applications.
         for other in impacted:
+            seconds += self._move_tables(other, reallocations[other], journal, ctx)
+        # 4. Scrub and install an arriving application's regions.
+        if new:
+            for stage, block_range in new.items():
+                self._scrub_region(stage, block_range, block_words, journal)
+            seconds += self.updater.install_app(
+                fid, new, block_words, journal=journal, ctx=ctx
+            )
+        # 5. Reactivate everyone.
+        return self.updater.set_active(impacted, True, journal, ctx, seconds)
+
+    def _snapshot_seconds(self, decision: AllocationDecision) -> float:
+        """Modeled time the displaced clients spend extracting state."""
+        seconds = 0.0
+        for other in decision.reallocated_fids:
             paged_blocks = sum(
                 old.count
                 for old, _new in decision.reallocations[other].values()
                 if old is not None
             )
-            snapshot_seconds += (
+            seconds += (
                 self.snapshot_cost.per_app_handshake_seconds
                 + paged_blocks * self.snapshot_cost.per_block_seconds
             )
-        # 3. Move the entries of resized/moved applications.
-        block_words = self.device.config.block_words
-        for other in impacted:
-            table_seconds += self._move_tables(
-                other, decision.reallocations[other], journal, ctx
-            )
-        # 4. Scrub and install the newcomer's regions.
-        for stage, block_range in decision.regions.items():
-            self._scrub_region(stage, block_range, block_words, journal)
-        table_seconds += self.updater.install_app(
-            fid, decision.regions, block_words, journal=journal, ctx=ctx
-        )
-        # 5. Reactivate everyone.
-        for other in impacted:
-            table_seconds += self.updater.reactivate(
-                other, journal=journal, ctx=ctx
-            )
-        return table_seconds, snapshot_seconds
+        return seconds
 
     def _scrub_region(
         self,
@@ -1112,38 +1115,49 @@ class ActiveRmtController:
 
         The scrubbed words may include blocks an incumbent just
         vacated; rolling back the admission must restore those exact
-        bytes, so the undo reloads the pre-scrub snapshot.
+        bytes, so the undo reloads the pre-scrub snapshot.  Recorded
+        before the scrub: one whose response is lost has zeroed the
+        words all the same, and rewriting them is idempotent.
         """
         words = block_range.to_words(block_words)
         device = self.device
         previous = device.read_registers(stage, words.start, words.end)
+        journal.record(
+            f"scrub stage={stage} words=[{words.start},{words.end})",
+            lambda: device.write_registers(stage, words.start, previous),
+        )
         self.updater.guarded(
             lambda: device.scrub_registers(stage, words.start, words.end)
         )
-        journal.record(
-            f"scrub stage={stage} words=[{words.start},{words.end})",
-            lambda device=device, stage=stage, start=words.start, previous=previous: (
-                device.write_registers(stage, start, previous)
-            ),
-        )
 
-    def _do_withdraw(
-        self, fid: int, ctx: ParentLike = None
-    ) -> ProvisioningReport:
-        # A device fault mid-withdrawal does not resurrect the host-side
-        # release (the allocator freed the blocks before any table op
-        # ran): the withdrawal stands, the report carries the fault, and
-        # a permanent fault latches device_failed so the fabric fails
-        # the shard over.  Replaying the commit log onto a fresh device
-        # reconverges because the log records the withdrawal.
-        fault: Optional[str] = None
+    def _do_withdraw(self, fid: int, ctx: ParentLike = None) -> ProvisioningReport:
+        """A departure is a layout change like an arrival: allocator
+        checkpoint, one journal, and :meth:`_unwind` when the switch
+        refuses it -- the report then says ``ROLLED_BACK`` over state
+        byte-identical to before the request, and *fid* stays resident.
+        """
         with self.tracer.span("controller.withdraw", parent=ctx, fid=fid) as span:
+            departing = self._current_regions(fid)
+            reallocations, checkpoint = self.allocator.release(fid)
+            journal = TableUpdateJournal(tracer=self.tracer, ctx=span)
             try:
-                seconds = self._withdraw_tables(fid, ctx=span)
-            except DeviceError as exc:
-                fault = self._note_device_fault(exc, span, "withdraw", fid)
-                seconds = 0.0
-            span.set(seconds=seconds)
+                seconds = self._apply_layout(fid, departing, {}, reallocations, journal, span)
+            except (TcamCapacityError, DeviceError) as exc:
+                fault, cause = self._unwind(exc, journal, [checkpoint], span, "withdraw", fid)
+                report = ProvisioningReport(
+                    fid=fid, success=False, reason=f"{cause}: {exc}", rolled_back=True, fault=fault
+                )
+            else:
+                journal.commit_entries()
+                self.allocator.record_release(reallocations)
+                report = ProvisioningReport(fid=fid, success=True, table_update_seconds=seconds)
+                self._record_withdrawal(seconds)
+            assert report.status is not None
+            span.set(seconds=report.table_update_seconds, status=report.status.value)
+            return report
+
+    def _record_withdrawal(self, seconds: float) -> None:
+        """Publish one withdrawal that happened; sanitize after it."""
         tel = self.telemetry
         if tel.enabled:
             tel.counter(
@@ -1155,29 +1169,14 @@ class ActiveRmtController:
                 buckets=LATENCY_BUCKETS_S,
                 help="Modeled match-table update time per request",
             ).observe(seconds)
-        if self.sanitizer and fault is None:
+        if self.sanitizer:
             self._sanitize()
-        return ProvisioningReport(
-            fid=fid, success=True, table_update_seconds=seconds, fault=fault
-        )
-
-    def _withdraw_tables(self, fid: int, ctx: ParentLike = None) -> float:
-        departing = self._current_regions(fid)
-        reallocations = self.allocator.release(fid)
-        seconds = self.updater.remove_app(
-            fid, departing, self.device.config.block_words, ctx=ctx
-        )
-        for other in sorted(reallocations):
-            seconds += self.updater.deactivate(other, ctx=ctx)
-            seconds += self._move_tables(other, reallocations[other], None, ctx)
-            seconds += self.updater.reactivate(other, ctx=ctx)
-        return seconds
 
     def _move_tables(
         self,
         fid: int,
         changes: Mapping[int, Tuple[Optional[BlockRange], Optional[BlockRange]]],
-        journal: Optional[TableUpdateJournal],
+        journal: TableUpdateJournal,
         ctx: ParentLike,
     ) -> float:
         """Bring a displaced incumbent's entries to its committed layout.
@@ -1300,13 +1299,14 @@ class ActiveRmtController:
 
     def _handle_control(self, packet: ActivePacket) -> List[ActivePacket]:
         if packet.has_flag(ControlFlags.DEALLOCATE):
+            # Lazy for the reason `recover` gives: the service imports us.
+            from repro.controller.service import withdraw_with_retries
+
             try:
-                self.withdraw(fid=packet.fid)
+                withdraw_with_retries(self.submit, packet.fid, self.refused_withdrawals)
             except AllocationError as exc:
                 raise ControllerError(str(exc)) from exc
-            return []
-        if packet.has_flag(ControlFlags.SNAPSHOT_COMPLETE):
+        elif packet.has_flag(ControlFlags.SNAPSHOT_COMPLETE):
             if self.on_snapshot_complete is not None:
                 self.on_snapshot_complete(packet.fid)
-            return []
         return []

@@ -145,10 +145,6 @@ class AdmissionTicket(Generic[R]):
         return self._report
 
 
-#: The name grouped tickets went by while they were a class of their own.
-BatchTicket = AdmissionTicket
-
-
 #: One committed control-plane operation, in commit order: ("admit", fid)
 #: or ("withdraw", fid).
 CommitLogEntry = Tuple[str, int]
@@ -678,6 +674,29 @@ class AdmissionService:
                 "admission_queue_depth",
                 help="Requests waiting in the admission queue",
             ).set(depth)
+
+
+def withdraw_with_retries(
+    submit: Callable[[ProvisioningRequest], ProvisioningReport],
+    fid: int,
+    refused: List[int],
+) -> List[int]:
+    """Withdraw *fid* through *submit*, after re-sending the withdrawals
+    in *refused*; returns the fids that left.
+
+    A withdrawal the switch refuses (``ROLLED_BACK``: a grown
+    neighbour's range did not fit the TCAM, or the device faulted)
+    leaves its fid resident, and nobody asks for it again.  So whoever
+    drives departures -- the packet-driven API, the simulated-time
+    provisioner, an experiment harness -- keeps one *refused* list,
+    updated in place, and sends those again at each later departure.
+    """
+    leaving, refused[:] = [*refused, fid], []
+    left: List[int] = []
+    for candidate in leaving:
+        report = submit(ProvisioningRequest.withdrawal(candidate))
+        (left if report.success else refused).append(candidate)
+    return left
 
 
 # ----------------------------------------------------------------------

@@ -23,15 +23,14 @@ paper removes and re-installs, this writes only what moved, and the
 modeled time falls with the entry count.  Admission of a newcomer and
 withdrawal are the degenerate deltas (``install_app`` / ``remove_app``).
 
-Every write optionally records itself in a
-:class:`~repro.core.transactions.TableUpdateJournal` as a reversible
-op: the undo closure captures the device's prior entry at that stage
-(or its absence) and puts it back on rollback.  The controller opens
-one journal per admission transaction; when a mid-flight install trips
+With a :class:`~repro.core.transactions.TableUpdateJournal` (the
+controller opens one per layout change, arrival or departure) a delta
+is one reversible record and its undo is the reverse delta: the writes
+attempted so far, newest first, back to what the old map implies.
+When a mid-flight install trips
 :class:`~repro.switchsim.tables.TcamCapacityError`, replaying the
-journal backwards walks the device through the same intermediate
-states in reverse, so no step of the rollback can itself exceed a
-capacity limit.
+journal walks the device back through the same intermediate states,
+so no step of the rollback can itself exceed a capacity limit.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import time
-from typing import Callable, Mapping, Optional, Tuple, TypeVar, Union
+from typing import Callable, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.analysis.isolation import WordRegions, implied_entries
 from repro.core.blocks import BlockRange
@@ -98,17 +97,15 @@ def _put_translation(
         tables.install_translation(stage, fid, mask=pair[0], offset=pair[1])
 
 
-#: The two entry kinds a delta writes: (journal label, read, put).
-_TRANSLATION = (
-    "translation",
-    lambda tables, stage, fid: tables.translation_for(stage, fid),
-    _put_translation,
-)
-_GRANT = (
-    "grant",
-    lambda tables, stage, fid: tables.grant_for(stage, fid),
-    _put_grant,
-)
+def _differing(put: Callable[..., None], old: Mapping, new: Mapping) -> list:
+    """One ``(put, stage, new entry, old entry)`` per stage whose entry
+    differs between the two maps (None = no entry)."""
+    writes = []
+    for stage in sorted(old.keys() | new.keys()):
+        before, after = old.get(stage), new.get(stage)
+        if before != after:
+            writes.append((put, stage, after, before))
+    return writes
 
 
 class TableUpdateEngine:
@@ -157,8 +154,10 @@ class TableUpdateEngine:
                 help="Transient device faults retried by the table engine",
             ).inc()
 
-    def _apply(self, op: Callable[[], T]) -> T:
-        """Run one forward device mutation under the retry policy.
+    def guarded(self, op: Callable[[], T]) -> T:
+        """Run one forward device mutation under the retry policy (the
+        controller's register scrubs share the engine's budget and
+        telemetry).
 
         Undo closures are deliberately *not* wrapped: a fault during
         rollback is escalated by the controller (device marked failed)
@@ -185,49 +184,6 @@ class TableUpdateEngine:
                     help="Device operations that succeeded after retries",
                 ).inc()
         return result
-
-    def guarded(self, op: Callable[[], T]) -> T:
-        """Run a caller-supplied device operation under this engine's
-        retry policy (the controller's register scrubs share the table
-        engine's budget and telemetry)."""
-        return self._apply(op)
-
-    # ------------------------------------------------------------------
-    # Journaled single-entry primitives
-    # ------------------------------------------------------------------
-
-    def _set_entry(
-        self,
-        kind: Tuple[str, Callable[..., object], Callable[..., None]],
-        stage: int,
-        fid: int,
-        entry: object,
-        journal: Optional[TableUpdateJournal],
-    ) -> None:
-        """Install, replace or (None) remove one entry of *kind*; the
-        undo puts back the device's prior entry at that stage (or its
-        absence).  The prior entry is only read when an undo needs it."""
-        label, read, put = kind
-        tables = self.tables
-        previous = read(tables, stage, fid) if journal is not None else None
-        self._apply(lambda: put(tables, stage, fid, entry))
-        if journal is not None:
-            journal.record(
-                f"{label} fid={fid} stage={stage}",
-                lambda: put(tables, stage, fid, previous),
-            )
-
-    def _invalidate_cache(
-        self, fid: int, journal: Optional[TableUpdateJournal]
-    ) -> None:
-        """Flush cached schedules; on rollback, flush again so entries
-        decoded against the transaction's tables cannot survive it."""
-        self._apply(lambda: self.tables.invalidate_program_cache(fid))
-        if journal is not None:
-            journal.record(
-                f"invalidate_program_cache fid={fid}",
-                lambda: self.tables.invalidate_program_cache(fid),
-            )
 
     def _count(self, installed: int, removed: int) -> None:
         """The one place applied entries are counted: the attributes and
@@ -261,11 +217,18 @@ class TableUpdateEngine:
         *new_regions* implies, writing only the entries that differ.
 
         Returns the modeled control-plane seconds spent (an in-place
-        change is charged as one install).  With a *journal*, each
-        applied write is recorded as a reversible op (entries applied
-        before a mid-flight ``TcamCapacityError`` are thereby exactly
-        undoable).  An empty diff touches nothing: no device call, no
-        cache flush, no journal record.
+        change is charged as one install).  An empty diff touches
+        nothing: no device call, no cache flush, no journal record.
+
+        With a *journal*, the delta is one record whose undo is the
+        reverse delta.  The forward path already trusts
+        ``implied_entries(old_regions)`` to be what the device holds
+        (that is how it decides which writes to skip), so those same
+        values are what an undo puts back -- no prior entry is read.
+        The record precedes the first write and its undo covers every
+        write *attempted*, the one in flight included: a write whose
+        response was lost has landed, and putting the implied-old entry
+        back is idempotent whether it did or not.
         """
         window = self.TRANSLATION_WINDOW
         old_grants, old_pairs = implied_entries(
@@ -275,17 +238,25 @@ class TableUpdateEngine:
             fid, _words(new_regions, block_words), window
         )
         # Translations before grants, each in ascending stage order.
-        writes = [
-            (_TRANSLATION, stage, new_pairs.get(stage))
-            for stage in sorted(old_pairs.keys() | new_pairs.keys())
-            if old_pairs.get(stage) != new_pairs.get(stage)
-        ] + [
-            (_GRANT, stage, new_grants.get(stage))
-            for stage in sorted(old_grants.keys() | new_grants.keys())
-            if old_grants.get(stage) != new_grants.get(stage)
-        ]
+        writes = _differing(_put_translation, old_pairs, new_pairs)
+        writes += _differing(_put_grant, old_grants, new_grants)
         if not writes:
             return 0.0
+        tables = self.tables
+        attempted = 0
+
+        def undo() -> None:
+            # Newest first, so the device walks back through the states
+            # it came through (none of which exceeded a TCAM); then the
+            # flush, so nothing decoded against the transaction's
+            # tables survives it.  Unretried and uncounted, as every
+            # undo is (see ``guarded``).
+            for put, stage, _new, old in reversed(writes[:attempted]):
+                put(tables, stage, fid, old)
+            tables.invalidate_program_cache(fid)
+
+        if journal is not None:
+            journal.record(f"delta fid={fid}", undo)
         installed = removed = 0
         # Charged entry by entry, as the per-entry cost always was, so a
         # modeled time is bit-identical for an unchanged entry count.
@@ -296,9 +267,10 @@ class TableUpdateEngine:
                 # FID stale; flush eagerly (the version stamps would
                 # also catch it, but eager flushes keep the cache from
                 # serving dead entries).
-                self._invalidate_cache(fid, journal)
-                for kind, stage, entry in writes:
-                    self._set_entry(kind, stage, fid, entry, journal)
+                self.guarded(lambda: tables.invalidate_program_cache(fid))
+                for put, stage, entry, _old in writes:
+                    attempted += 1
+                    self.guarded(lambda: put(tables, stage, fid, entry))
                     if entry is None:
                         removed += 1
                         seconds += self.cost.remove_entry_seconds
@@ -343,44 +315,36 @@ class TableUpdateEngine:
             span.set(seconds=seconds)
             return seconds
 
-    def deactivate(
+    def set_active(
         self,
-        fid: int,
-        journal: Optional[TableUpdateJournal] = None,
+        fids: Sequence[int],
+        active: bool,
+        journal: TableUpdateJournal,
         ctx: ParentLike = None,
+        seconds: float = 0.0,
     ) -> float:
-        span = self.tracer.start("tables.deactivate", parent=ctx, fid=fid)
-        if journal is not None:
-            was_active = self.tables.is_active(fid)
+        """Reactivate (*active*) or deactivate every FID in *fids*.
 
-            def undo(fid: int = fid, was_active: bool = was_active) -> None:
-                if was_active:
-                    self.tables.reactivate_fid(fid)
-                else:
-                    self.tables.deactivate_fid(fid)
-
-            journal.record(f"deactivate fid={fid}", undo)
-        self._apply(lambda: self.tables.deactivate_fid(fid))
-        self.tracer.finish(span)
-        return self.cost.activation_seconds
-
-    def reactivate(
-        self,
-        fid: int,
-        journal: Optional[TableUpdateJournal] = None,
-        ctx: ParentLike = None,
-    ) -> float:
-        span = self.tracer.start("tables.reactivate", parent=ctx, fid=fid)
-        if journal is not None:
-            was_active = self.tables.is_active(fid)
-
-            def undo(fid: int = fid, was_active: bool = was_active) -> None:
-                if was_active:
-                    self.tables.reactivate_fid(fid)
-                else:
-                    self.tables.deactivate_fid(fid)
-
-            journal.record(f"reactivate fid={fid}", undo)
-        self._apply(lambda: self.tables.reactivate_fid(fid))
-        self.tracer.finish(span)
-        return self.cost.activation_seconds
+        One journal record for the set, made before the first flip: its
+        undo flips back every FID the set changes, and is idempotent for
+        those the forward pass never reached.  The few it does not
+        change are read up front (*held*): a caller may hold a FID
+        inactive outside any journal -- the simulated-time provisioner's
+        snapshot window -- and a rollback must leave it so.  Returns
+        *seconds* plus the modeled cost, charged flip by flip so a
+        running total stays bit-identical to per-FID calls.
+        """
+        flip, unflip = self.tables.reactivate_fid, self.tables.deactivate_fid
+        if not active:
+            flip, unflip = unflip, flip
+        name = "tables.reactivate" if active else "tables.deactivate"
+        held = {fid for fid in fids if self.tables.is_active(fid) == active}
+        if fids:
+            undo = lambda: [unflip(fid) for fid in fids if fid not in held]
+            journal.record(f"{name} fids={list(fids)}", undo)
+        for fid in fids:
+            span = self.tracer.start(name, parent=ctx, fid=fid)
+            self.guarded(lambda: flip(fid))
+            self.tracer.finish(span)
+            seconds += self.cost.activation_seconds
+        return seconds

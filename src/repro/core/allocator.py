@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.core.blocks import BlockRange, StagePool
 from repro.core.constraints import AccessPattern, AllocationPolicy, MOST_CONSTRAINED
@@ -298,21 +298,43 @@ class ActiveRmtAllocator:
             return result
 
     def _commit_impl(self, plan: AllocationPlan, record: bool) -> CommitResult:
+        self._validate(plan, "commit")
+        apply_start = time.perf_counter()
+        checkpoint = self._checkpoint(plan.fid, plan.demand_by_stage)
+        self._apply_plan(plan)
+        plan.state = PlanState.COMMITTED
+        apply_seconds = time.perf_counter() - apply_start
+        decision = self.decision_from_plan(plan)
+        decision.assign_seconds += apply_seconds
+        if record:
+            self.record_decision(decision)
+        return CommitResult(
+            plan=plan,
+            decision=decision,
+            checkpoint=checkpoint,
+            apply_seconds=apply_seconds,
+        )
+
+    def _validate(self, plan: AllocationPlan, verb: str) -> None:
+        """Refuse a spent, infeasible or stale *plan* before anything --
+        a checkpoint included -- is spent on it."""
         if plan.state is not PlanState.PENDING:
             raise TransactionError(
                 f"plan for fid {plan.fid} already {plan.state.value}"
             )
         if not plan.feasible:
             raise TransactionError(
-                f"cannot commit infeasible plan for fid {plan.fid}"
+                f"cannot {verb} infeasible plan for fid {plan.fid}"
             )
         if plan.basis_version != self._version:
             raise StalePlanError(
                 f"stale plan for fid {plan.fid}: computed against version "
                 f"{plan.basis_version}, allocator is at {self._version}"
             )
-        apply_start = time.perf_counter()
-        checkpoint = self._checkpoint(plan.demand_by_stage.keys())
+
+    def _apply_plan(self, plan: AllocationPlan) -> None:
+        """Apply a validated *plan* to the pools and the app table: the
+        one body :meth:`commit` and :meth:`rehearse` share."""
         self._arrival_counter += 1
         arrival = self._arrival_counter
         assert arrival == plan.planned_arrival
@@ -326,18 +348,6 @@ class ActiveRmtAllocator:
             demand_by_stage=dict(plan.demand_by_stage),
         )
         self._version += 1
-        plan.state = PlanState.COMMITTED
-        apply_seconds = time.perf_counter() - apply_start
-        decision = self.decision_from_plan(plan)
-        decision.assign_seconds += apply_seconds
-        if record:
-            self.record_decision(decision)
-        return CommitResult(
-            plan=plan,
-            decision=decision,
-            checkpoint=checkpoint,
-            apply_seconds=apply_seconds,
-        )
 
     def shadow(self) -> "ActiveRmtAllocator":
         """A copy-on-write planning twin of this allocator.
@@ -381,31 +391,8 @@ class ActiveRmtAllocator:
         shadow's version and arrival counter exactly as the real commit
         will, keeping the whole group's basis stamps consistent.
         """
-        if plan.state is not PlanState.PENDING:
-            raise TransactionError(
-                f"plan for fid {plan.fid} already {plan.state.value}"
-            )
-        if not plan.feasible:
-            raise TransactionError(
-                f"cannot rehearse infeasible plan for fid {plan.fid}"
-            )
-        if plan.basis_version != self._version:
-            raise StalePlanError(
-                f"stale plan for fid {plan.fid}: computed against version "
-                f"{plan.basis_version}, allocator is at {self._version}"
-            )
-        self._arrival_counter += 1
-        assert self._arrival_counter == plan.planned_arrival
-        for stage, demand in plan.demand_by_stage.items():
-            self.pools[stage].add(plan.fid, demand, self._arrival_counter)
-        self.apps[plan.fid] = AppRecord(
-            fid=plan.fid,
-            pattern=plan.pattern,
-            mutant=plan.mutant,
-            arrival=self._arrival_counter,
-            demand_by_stage=dict(plan.demand_by_stage),
-        )
-        self._version += 1
+        self._validate(plan, "rehearse")
+        self._apply_plan(plan)
 
     def abort(self, plan: AllocationPlan) -> None:
         """Discard a pending plan.  Nothing to undo: plans are pure."""
@@ -415,42 +402,51 @@ class ActiveRmtAllocator:
             )
         plan.state = PlanState.ABORTED
 
-    def rollback(self, result: CommitResult, ctx: ParentLike = None) -> None:
-        """Undo a committed plan, restoring exact pre-commit state.
+    def rollback(
+        self,
+        result: Union[CommitResult, AllocatorCheckpoint],
+        ctx: ParentLike = None,
+    ) -> None:
+        """Undo a commit (its :class:`CommitResult`) or a release (the
+        checkpoint it handed back), restoring the exact state before it.
 
         Pools are restored from the checkpoint's byte-identical
         snapshots (not by release-and-relayout), the arrival counter
-        and version stamps rewind, and the app record disappears.  The
-        only telemetry touched is ``allocator_rollbacks_total`` -- a
-        rollback is not a release and moves no client state.  An
-        ``allocator.rollback`` span lands under *ctx*, so the undo is
-        part of the request's causal tree.
+        and version stamps rewind, and the app record disappears -- or,
+        for a release, comes back.  The only telemetry touched is
+        ``allocator_rollbacks_total`` -- a rollback is not a release
+        and moves no client state.  An ``allocator.rollback`` span
+        lands under *ctx*, so the undo is part of the request's causal
+        tree.
         """
+        checkpoint, plan = result, None
+        if isinstance(result, CommitResult):
+            checkpoint, plan = result.checkpoint, result.plan
         with self.tracer.span(
-            "allocator.rollback", parent=ctx, fid=result.plan.fid,
-            restored_version=result.checkpoint.version,
+            "allocator.rollback", parent=ctx, fid=checkpoint.fid,
+            restored_version=checkpoint.version,
         ):
-            self._rollback_impl(result)
-
-    def _rollback_impl(self, result: CommitResult) -> None:
-        plan = result.plan
-        if plan.state is not PlanState.COMMITTED:
-            raise TransactionError(
-                f"plan for fid {plan.fid} is {plan.state.value}, "
-                "not committed; nothing to roll back"
-            )
-        self.apps.pop(plan.fid, None)
-        for stage, snapshot in result.checkpoint.pools.items():
-            snapshot.restore(self.pools[stage])
-        self._arrival_counter = result.checkpoint.arrival_counter
-        self._version = result.checkpoint.version
-        plan.state = PlanState.ABORTED
-        tel = self.telemetry
-        if tel.enabled:
-            tel.counter(
-                "allocator_rollbacks_total",
-                help="Committed admissions undone after switch-side failure",
-            ).inc()
+            if plan is not None:
+                if plan.state is not PlanState.COMMITTED:
+                    raise TransactionError(
+                        f"plan for fid {plan.fid} is {plan.state.value}, "
+                        "not committed; nothing to roll back"
+                    )
+                plan.state = PlanState.ABORTED
+            if checkpoint.record is None:
+                self.apps.pop(checkpoint.fid, None)
+            else:
+                self.apps[checkpoint.fid] = checkpoint.record
+            for stage, snapshot in checkpoint.pools.items():
+                snapshot.restore(self.pools[stage])
+            self._arrival_counter = checkpoint.arrival_counter
+            self._version = checkpoint.version
+            tel = self.telemetry
+            if tel.enabled:
+                tel.counter(
+                    "allocator_rollbacks_total",
+                    help="Committed layout changes undone after switch-side failure",
+                ).inc()
 
     def allocate(self, fid: int, pattern: AccessPattern) -> AllocationDecision:
         """Attempt to admit *fid* with the given access pattern.
@@ -485,22 +481,32 @@ class ActiveRmtAllocator:
             assign_seconds=plan.assign_seconds,
         )
 
-    def release(self, fid: int) -> ReallocationMap:
+    def release(self, fid: int) -> Tuple[ReallocationMap, AllocatorCheckpoint]:
         """Remove an application; elastic co-residents expand.
 
         Returns the reallocation map of applications whose ranges
-        changed as a result of the departure.
+        changed as a result of the departure, and the checkpoint
+        :meth:`rollback` undoes the release with -- the one a commit
+        takes, over the stages *fid* held.  Publishes no telemetry: the
+        caller calls :meth:`record_release` once the switch has taken
+        the departure too.
         """
-        record = self.apps.pop(fid, None)
-        if record is None:
+        app = self.apps.get(fid)
+        if app is None:
             raise AllocationError(f"fid {fid} not admitted")
-        stages = list(record.demand_by_stage)
+        stages = list(app.demand_by_stage)
+        checkpoint = self._checkpoint(fid, stages)
+        del self.apps[fid]
         before = self._layout_snapshot(stages)
         for stage in stages:
             self.pools[stage].remove(fid)
         self._version += 1
         after = self._layout_snapshot(stages)
         _regions, reallocations = self._diff_layouts(fid, before, after)
+        return reallocations, checkpoint
+
+    def record_release(self, reallocations: ReallocationMap) -> None:
+        """Publish one departure into the telemetry registry."""
         tel = self.telemetry
         if tel.enabled:
             tel.counter(
@@ -515,7 +521,6 @@ class ActiveRmtAllocator:
                 "allocator_blocks_moved_total",
                 help="Memory blocks whose placement changed (snapshot/restore cost)",
             ).inc(_moved_blocks(reallocations))
-        return reallocations
 
     # ------------------------------------------------------------------
     # Queries
@@ -569,8 +574,8 @@ class ActiveRmtAllocator:
     # Internals
     # ------------------------------------------------------------------
 
-    def _checkpoint(self, stages: Iterable[int]) -> AllocatorCheckpoint:
-        """Exact pre-commit state for the stages a commit will touch."""
+    def _checkpoint(self, fid: int, stages: Iterable[int]) -> AllocatorCheckpoint:
+        """Exact state before a commit or release of *fid* touches *stages*."""
         return AllocatorCheckpoint(
             version=self._version,
             arrival_counter=self._arrival_counter,
@@ -578,6 +583,8 @@ class ActiveRmtAllocator:
                 stage: PoolSnapshot.capture(self.pools[stage])
                 for stage in stages
             },
+            fid=fid,
+            record=self.apps.get(fid),
         )
 
     def record_decision(self, decision: AllocationDecision) -> None:

@@ -15,8 +15,9 @@ transactional semantics; this module supplies the pieces:
   :class:`~repro.core.blocks.StagePool` population.  Restoring a
   snapshot reproduces the exact deterministic layout, block for block.
 - :class:`AllocatorCheckpoint` / :class:`CommitResult` -- what a commit
-  hands back so the caller can later undo it *exactly* (pools, arrival
-  counter, version stamp), without release-and-reinstall approximations.
+  (and, the checkpoint, a release) hands back so the caller can later
+  undo it *exactly* (pools, app record, arrival counter, version stamp),
+  without release-and-reinstall approximations.
 - :class:`TableUpdateJournal` -- an undo log of reversible switch-state
   operations (table entries, activations, register scrubs).  Replaying
   it backwards restores the pre-transaction switch state; the RBFRT
@@ -42,7 +43,7 @@ from repro.core.blocks import BlockRange, StagePool
 from repro.telemetry.tracing import NULL_TRACER, AnyTracer, ParentLike
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.allocator import AllocationDecision
+    from repro.core.allocator import AllocationDecision, AppRecord
     from repro.core.constraints import AccessPattern
     from repro.core.mutants import MutantCandidate
 
@@ -218,11 +219,18 @@ class AllocationPlan:
 
 @dataclasses.dataclass(frozen=True)
 class AllocatorCheckpoint:
-    """Exact pre-commit allocator state for the stages a commit touches."""
+    """Exact allocator state before a commit or a release of *fid*, for
+    the stages it touches: what :meth:`~ActiveRmtAllocator.rollback`
+    puts back."""
 
     version: int
     arrival_counter: int
     pools: Mapping[int, PoolSnapshot]
+    fid: int
+    #: *fid*'s app record before the change (None before an admission:
+    #: rolling one back removes the record, rolling a release back
+    #: restores it).
+    record: Optional["AppRecord"]
 
 
 @dataclasses.dataclass
@@ -248,7 +256,7 @@ class CommitResult:
 
 @dataclasses.dataclass(frozen=True)
 class JournalEntry:
-    """One applied operation and the closure that reverses it."""
+    """One operation and the closure that reverses it."""
 
     description: str
     undo: Callable[[], None]
@@ -257,12 +265,17 @@ class JournalEntry:
 class TableUpdateJournal:
     """Undo log for switch-state mutations within one transaction.
 
-    Every forward operation (table entry install/remove, FID
-    (de)activation, register scrub) records an entry *after* it has
-    been applied; :meth:`rollback` replays the undos in reverse order,
-    walking the switch back through the exact intermediate states to
-    the pre-transaction one.  Because the forward sequence never
-    exceeded any capacity limit, neither does its reversal.
+    Every forward operation (one FID's table delta, an activation
+    flip of a set of FIDs, a register scrub) records an entry *before*
+    it is applied: a device write whose response is lost has landed all
+    the same, and only a record that is already in the journal undoes
+    it.  That asks each undo to be idempotent -- to put back the state
+    before the operation whether all, part or none of it landed --
+    which every recorded undo is.  :meth:`rollback` replays the undos
+    in reverse order, walking the switch back through the exact
+    intermediate states to the pre-transaction one.  Because the
+    forward sequence never exceeded any capacity limit, neither does
+    its reversal.
 
     A journal is single-use: after :meth:`commit_entries` or
     :meth:`rollback` it refuses further recording.
@@ -298,7 +311,7 @@ class TableUpdateJournal:
         return tuple(self._entries)
 
     def record(self, description: str, undo: Callable[[], None]) -> None:
-        """Log one applied operation and how to reverse it."""
+        """Log one operation, about to be applied, and how to reverse it."""
         if self._closed:
             raise TransactionError(
                 f"journal is closed; cannot record {description!r}"

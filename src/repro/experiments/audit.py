@@ -11,7 +11,11 @@ admission's isolation certificate is re-derived.  The replayed final
 state must reproduce the live pools fingerprint (ARMT015 otherwise),
 and both final table surfaces must equal a from-scratch install of
 their layout -- the path-independence check delta table updates rest
-on (``table_surface`` in the report).
+on (``table_surface`` in the report).  The whole leg then runs a second
+time on a switch with a 32-entry TCAM per stage, where admissions *and*
+withdrawals are refused mid-table-update and rolled back: every such
+refusal must be invisible to the sanitizer, the replay and the surface
+check alike (``starved`` in the report).
 
 The run ends with a rigged-mutant demonstration: a program whose
 double ``ADDR_OFFSET`` provably escapes its granted region is submitted
@@ -25,12 +29,16 @@ the CI ``audit-smoke`` job gates on that.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 from repro.analysis.findings import Finding
 from repro.analysis.invariants import replay_findings
 from repro.controller.controller import ActiveRmtController
-from repro.controller.service import CommitLogEntry, pools_fingerprint
+from repro.controller.service import (
+    CommitLogEntry,
+    pools_fingerprint,
+    withdraw_with_retries,
+)
 from repro.core.constraints import AccessPattern
 from repro.experiments.common import (
     exemplar_patterns,
@@ -83,22 +91,36 @@ class MutantDemo:
     reason: str
 
 
+#: TCAM entries per stage of the second leg: few enough that the
+#: fixed-seed churn has layout changes refused in both directions.
+STARVED_TCAM_ENTRIES = 32
+
+
 @dataclasses.dataclass
 class AuditResult:
     epochs: int
     seed: int
+    tcam_entries: int
     admitted: int
     withdrawn: int
+    #: Layout changes the switch refused and the controller rolled back
+    #: (state byte-identical to before; a refused withdrawal is re-sent
+    #: at the next departure).
+    rolled_back_admissions: int
+    refused_withdrawals: int
     live_violations: List[str]
     #: Admissions whose commit-time certificate was missing or invalid.
     uncertified_admissions: int
     replayed_entries: int
     replay_violations: List[str]
     replay_diverged: bool
-    demo: MutantDemo
     #: Entries where a final table surface differs from a from-scratch
     #: install of its own layout, for the ``live`` and ``replay`` runs.
     table_surface: Dict[str, List[str]]
+    #: The rigged-mutant demonstration and the same audit on a
+    #: TCAM-starved switch: on the default leg only.
+    demo: Optional[MutantDemo] = None
+    starved: Optional["AuditResult"] = None
 
     @property
     def violations(self) -> List[str]:
@@ -115,10 +137,15 @@ class AuditResult:
             )
         if self.replay_diverged:
             out.append("commit-log replay diverged from the live state")
-        if not self.demo.rejected:
+        if self.demo is not None and not self.demo.rejected:
             out.append("rigged out-of-bounds mutant was NOT rejected")
-        if not self.demo.state_intact:
+        if self.demo is not None and not self.demo.state_intact:
             out.append("rigged-mutant rejection mutated committed state")
+        if self.starved is not None:
+            out.extend(
+                f"{self.starved.tcam_entries}-entry TCAM: {violation}"
+                for violation in self.starved.violations
+            )
         return out
 
     @property
@@ -182,29 +209,43 @@ def _demo_rejection() -> MutantDemo:
 
 
 def run_audit(epochs: int = 30, seed: int = 7) -> AuditResult:
+    """Both legs and the rigged-mutant demo; any violation fails."""
+    result = _run_leg(epochs, seed, SwitchConfig())
+    result.demo = _demo_rejection()
+    result.starved = _run_leg(
+        epochs, seed, SwitchConfig(tcam_entries_per_stage=STARVED_TCAM_ENTRIES)
+    )
+    return result
+
+
+def _run_leg(epochs: int, seed: int, config: SwitchConfig) -> AuditResult:
     """Churn, audit live, replay the log, re-audit every epoch."""
     patterns = exemplar_patterns()
     pattern_of_fid: Dict[int, AccessPattern] = {}
     log: List[CommitLogEntry] = []
-    live = make_controller(sanitizer=True)
+    live = make_controller(config=config, sanitizer=True)
 
     admitted = withdrawn = 0
     uncertified = 0
+    rolled_back = refused_withdrawals = 0
     resident: Set[int] = set()
+    refused: List[int] = []
     for event in poisson_events(
         epochs=epochs, arrival_mean=2.0, departure_mean=1.0, seed=seed
     ):
         if isinstance(event, DepartureEvent):
             if event.fid in resident:
-                live.withdraw(fid=event.fid)
-                log.append(("withdraw", event.fid))
-                resident.discard(event.fid)
-                withdrawn += 1
+                for fid in withdraw_with_retries(live.submit, event.fid, refused):
+                    log.append(("withdraw", fid))
+                    resident.discard(fid)
+                    withdrawn += 1
+                refused_withdrawals += len(refused)
             continue
         assert isinstance(event, ArrivalEvent)
         pattern = patterns[event.app_name]
         pattern_of_fid[event.fid] = pattern
         report = live.admit(fid=event.fid, pattern=pattern)
+        rolled_back += report.rolled_back
         if report.success:
             log.append(("admit", event.fid))
             resident.add(event.fid)
@@ -230,7 +271,7 @@ def run_audit(epochs: int = 30, seed: int = 7) -> AuditResult:
 
     # Entry-by-entry replay: each intermediate state must satisfy the
     # whole catalog, and each replayed admission must certify.
-    replay = make_controller(sanitizer=False)
+    replay = make_controller(config=config, sanitizer=False)
     replay_violations: List[str] = []
     for index, (kind, fid) in enumerate(log):
         label = f"replay entry {index} ({kind} fid {fid})"
@@ -264,14 +305,16 @@ def run_audit(epochs: int = 30, seed: int = 7) -> AuditResult:
     return AuditResult(
         epochs=epochs,
         seed=seed,
+        tcam_entries=config.tcam_entries_per_stage,
         admitted=admitted,
         withdrawn=withdrawn,
+        rolled_back_admissions=rolled_back,
+        refused_withdrawals=refused_withdrawals,
         live_violations=live_violations,
         uncertified_admissions=uncertified,
         replayed_entries=len(log),
         replay_violations=replay_violations,
         replay_diverged=bool(divergence),
-        demo=_demo_rejection(),
         table_surface={
             "live": table_surface_mismatches(live),
             "replay": table_surface_mismatches(replay),
@@ -279,15 +322,15 @@ def run_audit(epochs: int = 30, seed: int = 7) -> AuditResult:
     )
 
 
-def format_audit(result: AuditResult) -> str:
-    lines = [
-        "Offline state audit: commit-log replay + per-epoch re-certification",
-        "",
+def _format_leg(result: AuditResult) -> List[str]:
+    return [
+        f"-- {result.tcam_entries} TCAM entries per stage --",
         f"workload: {result.epochs} epochs (Poisson, seed {result.seed}) "
-        f"-> {result.admitted} admitted / {result.withdrawn} withdrawn",
+        f"-> {result.admitted} admitted / {result.withdrawn} withdrawn; "
+        f"refused and rolled back: {result.rolled_back_admissions} "
+        f"admission(s), {result.refused_withdrawals} withdrawal(s)",
         f"commit log: {result.replayed_entries} entries replayed; "
         "invariant catalog re-audited after every entry",
-        "",
         f"live state: {len(result.live_violations)} violation(s); "
         f"uncertified admissions: {result.uncertified_admissions}",
         f"replay: {len(result.replay_violations)} violation(s); "
@@ -298,6 +341,16 @@ def format_audit(result: AuditResult) -> str:
             for run, mismatches in result.table_surface.items()
         ),
         "",
+    ]
+
+
+def format_audit(result: AuditResult) -> str:
+    assert result.demo is not None and result.starved is not None
+    lines = [
+        "Offline state audit: commit-log replay + per-epoch re-certification",
+        "",
+        *_format_leg(result),
+        *_format_leg(result.starved),
         "rigged out-of-bounds mutant (strict mode): "
         + (
             f"rejected ({', '.join(result.demo.rules) or 'no rules'}); "
@@ -318,20 +371,14 @@ def format_audit(result: AuditResult) -> str:
 
 
 def payload_for(result: AuditResult) -> Dict[str, object]:
-    """Machine-readable summary for ``--report-out``."""
-    return {
-        "epochs": result.epochs,
-        "seed": result.seed,
-        "admitted": result.admitted,
-        "withdrawn": result.withdrawn,
-        "replayed_entries": result.replayed_entries,
-        "uncertified_admissions": result.uncertified_admissions,
-        "replay_diverged": result.replay_diverged,
-        "table_surface": result.table_surface,
-        "demo": dataclasses.asdict(result.demo),
-        "violations": list(result.violations),
-        "clean": result.clean,
-    }
+    """Machine-readable summary for ``--report-out``: every field, per
+    leg, plus the verdict."""
+    payload = dataclasses.asdict(result)
+    payload["violations"] = list(result.violations)
+    payload["clean"] = result.clean
+    if result.starved is not None:
+        payload["starved"] = payload_for(result.starved)
+    return payload
 
 
 def main(epochs: int = 30, seed: int = 7) -> str:

@@ -30,6 +30,7 @@ from repro.controller.controller import (
     ProvisioningRequest,
     ProvisioningStatus,
 )
+from repro.controller.service import withdraw_with_retries
 from repro.core.constraints import AccessPattern
 from repro.device import Device, SimDevice
 from repro.experiments.common import (
@@ -90,8 +91,10 @@ def _drive_segment(
     this thread and the run is a pure function of (events, fault
     seeds).  Departures are honored only for fids that were admitted
     and still hold a route -- a fid shed by an earlier failover has no
-    shard to withdraw from.
+    shard to withdraw from.  A withdrawal the switch refuses leaves its
+    fid ``ADMITTED`` and is sent again at the slice's next departure.
     """
+    refused: List[int] = []
     for event in events:
         if isinstance(event, ArrivalEvent):
             pattern = patterns[event.app_name]
@@ -106,10 +109,10 @@ def _drive_segment(
             status_of_fid.get(event.fid) is ProvisioningStatus.ADMITTED
             and fabric.route_of(event.fid) is not None
         ):
-            fabric.submit_and_wait(
-                ProvisioningRequest.withdrawal(fid=event.fid)
-            )
-            del status_of_fid[event.fid]
+            for fid in withdraw_with_retries(
+                fabric.submit_and_wait, event.fid, refused
+            ):
+                del status_of_fid[fid]
 
 
 def run_chaos(

@@ -15,7 +15,7 @@ from repro.controller.controller import (
     ProvisioningReport,
     ProvisioningRequest,
 )
-from repro.controller.service import AdmissionTicket
+from repro.controller.service import AdmissionTicket, withdraw_with_retries
 from repro.controller.table_updater import TableUpdateEngine
 from repro.core.blocks import BlockRange
 from repro.core.constraints import (
@@ -115,14 +115,15 @@ def drive_events(
     """
     patterns = exemplar_patterns()
     app_of_fid: Dict[int, str] = {}
+    refused: List[int] = []
     records: List[EpochRecord] = []
     admitted = 0
     failed = 0
     for event in events:
         if isinstance(event, DepartureEvent):
             if event.fid in app_of_fid:
-                controller.withdraw(fid=event.fid)
-                del app_of_fid[event.fid]
+                for fid in withdraw_with_retries(controller.submit, event.fid, refused):
+                    del app_of_fid[fid]
             continue
         assert isinstance(event, ArrivalEvent)
         pattern = patterns[event.app_name]
@@ -156,18 +157,24 @@ def drive_tickets(
     tickets: Dict[int, AdmissionTicket] = {}
     pattern_of_fid: Dict[int, AccessPattern] = {}
     deferred: List[int] = []
+    #: fid -> its latest withdrawal; a refused one left the fid
+    #: resident and is sent again at the next departure.
+    withdrawals: Dict[int, AdmissionTicket] = {}
 
     def try_withdraw(fid: int) -> bool:
         ticket = tickets[fid]
         if not ticket.done():
             return False
         if ticket.result().success:
-            submit(ProvisioningRequest.withdrawal(fid=fid))
+            withdrawals[fid] = submit(ProvisioningRequest.withdrawal(fid=fid))
         return True
 
     started = time.perf_counter()
     for event in events:
         if isinstance(event, DepartureEvent):
+            for fid, ticket in list(withdrawals.items()):
+                if ticket.done() and ticket.result().rolled_back:
+                    try_withdraw(fid)
             if event.fid in tickets and not try_withdraw(event.fid):
                 deferred.append(event.fid)
             continue

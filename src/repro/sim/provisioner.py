@@ -23,7 +23,7 @@ from repro.controller.controller import (
     ActiveRmtController,
     ProvisioningRequest,
 )
-from repro.controller.service import AdmissionService
+from repro.controller.service import AdmissionService, withdraw_with_retries
 from repro.core.constraints import AccessPattern
 from repro.packets.codec import ActivePacket
 from repro.packets.headers import ControlFlags, PacketType
@@ -72,8 +72,10 @@ class SimProvisioner:
     def _control(self, packet: ActivePacket) -> None:
         if packet.has_flag(ControlFlags.DEALLOCATE):
             try:
-                self.service.submit_and_wait(
-                    ProvisioningRequest.withdrawal(fid=packet.fid)
+                withdraw_with_retries(
+                    self.service.submit_and_wait,
+                    packet.fid,
+                    self.controller.refused_withdrawals,
                 )
             except Exception:
                 pass

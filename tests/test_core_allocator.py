@@ -135,7 +135,7 @@ def test_release_expands_elastic_neighbors(allocator):
     for fid in range(2, 11):
         allocator.allocate(fid=fid, pattern=listing1_pattern())
     before = allocator.app_total_blocks(2)
-    reallocations = allocator.release(1)
+    reallocations, _checkpoint = allocator.release(1)
     after = allocator.app_total_blocks(2)
     assert after >= before
     assert 1 not in allocator.apps

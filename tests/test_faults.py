@@ -32,6 +32,7 @@ from hypothesis import given, settings, strategies as st
 from repro.controller import (
     ActiveRmtController,
     AdmissionService,
+    ControllerError,
     ProvisioningRequest,
     ProvisioningStatus,
 )
@@ -53,8 +54,9 @@ from repro.faults import (
     RetryPolicy,
     call_with_retries,
 )
+from repro.packets import ActivePacket, ControlFlags, MacAddress
 from repro.switchsim import ActiveSwitch, SwitchConfig
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import FlightRecorder, MetricsRegistry, Tracer
 
 from tests.test_core_constraints import listing1_pattern
 from tests.test_transactions import (
@@ -482,6 +484,189 @@ def test_service_replans_after_transient_rollback():
     assert counters.get("admission_fault_retries_total") == 1.0
 
 
+@pytest.mark.parametrize("op", ["install_grant", "scrub_registers"])
+def test_a_lost_response_on_the_last_retry_survives_no_rollback(op):
+    """Every attempt of one *op* lands and loses its response (PARTIAL):
+    the retries exhaust, the admission rolls back, and what the last
+    attempt applied goes with it -- a grant nobody journaled would stay
+    as an orphan entry (ARMT012), a scrub as zeroed registers."""
+    state = {"armed": False, "hits": 0}
+
+    def lose_three_responses(name, index):
+        if state["armed"] and name == op and state["hits"] < 3:
+            state["hits"] += 1
+            return FaultKind.PARTIAL
+        return None
+
+    device = FaultyDevice(
+        _sim(words_per_stage=1024), ScriptedPlan(lose_three_responses)
+    )
+    controller = ActiveRmtController(
+        device, retry=RetryPolicy(max_attempts=3, base_s=1e-9, cap_s=1e-8)
+    )
+    for fid in range(1, 5):
+        assert controller.admit(fid=fid, pattern=listing1_pattern()).success
+    # Dirty every register, so a scrub that is not undone shows.
+    for stage in range(1, device.num_stages + 1):
+        device.inner.write_registers(stage, 0, [0xA5] * 1024)
+    before = (
+        allocator_fingerprint(controller.allocator),
+        switch_fingerprint(controller),
+    )
+    state["armed"] = True
+    report = controller.admit(fid=9, pattern=listing1_pattern())
+    assert state["hits"] == 3
+    assert report.status is ProvisioningStatus.ROLLED_BACK
+    assert report.fault == "transient"
+    assert not controller.device_failed
+    assert (
+        allocator_fingerprint(controller.allocator),
+        switch_fingerprint(controller),
+    ) == before
+    assert controller.audit().clean
+
+
+def test_exhausted_retries_mid_withdrawal_roll_the_withdrawal_back():
+    """A withdrawal the switch refuses is a ``ROLLED_BACK`` report over
+    untouched state, is not logged, and can be sent again."""
+    state = {"armed": False, "hits": 0}
+
+    def exhaust_one_install(op, index):
+        # One operation's whole retry budget; the undo then runs clean.
+        if (
+            state["armed"]
+            and op == "install_translation"
+            and state["hits"] < FAST_RETRY.max_attempts
+        ):
+            state["hits"] += 1
+            return FaultKind.TRANSIENT
+        return None
+
+    telemetry = MetricsRegistry()
+    device = FaultyDevice(
+        _sim(words_per_stage=1024), ScriptedPlan(exhaust_one_install)
+    )
+    tracer = Tracer(sample_rate=1.0)
+    recorder = FlightRecorder(tracer)
+    controller = ActiveRmtController(
+        device, retry=FAST_RETRY, telemetry=telemetry, tracer=tracer
+    )
+    service = AdmissionService(controller, workers=0, telemetry=telemetry)
+    for fid in range(1, 7):
+        assert service.submit(_admission(fid)).result(timeout=0).success
+    before = (
+        allocator_fingerprint(controller.allocator),
+        switch_fingerprint(controller),
+    )
+    state["armed"] = True
+    report = service.submit(
+        ProvisioningRequest.withdrawal(fid=2)
+    ).result(timeout=0)
+    # The departing entries were removed and a neighbour's grown range
+    # half-written when the retries ran out; all of it is undone.
+    assert not report.success
+    assert report.status is ProvisioningStatus.ROLLED_BACK
+    assert report.fault == "transient"
+    assert not controller.device_failed
+    assert (
+        allocator_fingerprint(controller.allocator),
+        switch_fingerprint(controller),
+    ) == before
+    assert controller.audit().clean
+    assert 2 in controller.allocator.apps
+    assert ("withdraw", 2) not in service.commit_log
+    # The same anomaly and span status a rolled-back admission leaves.
+    (dump,) = recorder.dumps_for("rollback")
+    assert dump.attrs["scope"] == "withdraw" and dump.attrs["fid"] == 2
+    (span,) = [s for s in tracer.spans() if s.name == "controller.withdraw"]
+    assert span.attrs["status"] == "rolled_back"
+    assert dump.find("journal.rollback") and dump.find("allocator.rollback")
+    # withdraw() has no room for a refusal in its return value: it raises.
+    state["hits"] = 0
+    with pytest.raises(ControllerError, match="refused"):
+        controller.withdraw(fid=2)
+    counters = telemetry.snapshot()["counters"]
+    assert counters.get("controller_withdrawals_total") is None
+    assert counters.get("allocator_releases_total") is None
+    assert counters["allocator_rollbacks_total"] == 2.0
+
+    state["armed"] = False
+    assert service.submit(
+        ProvisioningRequest.withdrawal(fid=2)
+    ).result(timeout=0).success
+    assert service.commit_log[-1] == ("withdraw", 2)
+    assert telemetry.snapshot()["counters"]["controller_withdrawals_total"] == 1.0
+    assert controller.audit().clean
+
+
+def test_a_refused_deallocate_digest_is_resent_with_the_next_one():
+    """The packet-driven door honours a refusal too: the poll that
+    carried the refused ``DEALLOCATE`` finishes (no escaped exception,
+    later digests still handled), the fid stays resident, and -- its
+    client has gone idle and will not ask again -- the withdrawal is
+    sent again with the next ``DEALLOCATE`` the controller handles."""
+    state = {"armed": False, "hits": 0}
+
+    def exhaust_one_install(op, index):
+        if (
+            state["armed"]
+            and op == "install_translation"
+            and state["hits"] < FAST_RETRY.max_attempts
+        ):
+            state["hits"] += 1
+            return FaultKind.TRANSIENT
+        return None
+
+    device = FaultyDevice(
+        _sim(words_per_stage=1024), ScriptedPlan(exhaust_one_install)
+    )
+    controller = ActiveRmtController(device, retry=FAST_RETRY)
+    client = MacAddress.from_host_id(1)
+    controller.switch.register_host(client, 1)
+    for fid in range(1, 7):
+        assert controller.admit(fid=fid, pattern=listing1_pattern()).success
+
+    def deallocate(fid):
+        controller.switch.receive(
+            ActivePacket.control(
+                src=client, dst=controller.mac, fid=fid,
+                flags=ControlFlags.DEALLOCATE,
+            ),
+            in_port=1,
+        )
+
+    before = (
+        allocator_fingerprint(controller.allocator),
+        switch_fingerprint(controller),
+    )
+    seen = []
+    controller.on_snapshot_complete = seen.append
+    state["armed"] = True
+    deallocate(2)
+    controller.switch.receive(
+        ActivePacket.control(
+            src=client, dst=controller.mac, fid=4,
+            flags=ControlFlags.SNAPSHOT_COMPLETE,
+        ),
+        in_port=1,
+    )
+    assert controller.process_pending() == []
+    assert state["hits"] == FAST_RETRY.max_attempts
+    assert seen == [4]  # the digest behind the refused one was not dropped
+    assert controller.refused_withdrawals == [2]
+    assert (
+        allocator_fingerprint(controller.allocator),
+        switch_fingerprint(controller),
+    ) == before
+    assert controller.audit().clean
+
+    deallocate(5)
+    controller.process_pending()
+    assert controller.refused_withdrawals == []
+    assert controller.allocator.resident_fids() == [1, 3, 4, 6]
+    assert controller.audit().clean
+
+
 def test_permanent_fault_latches_device_failed():
     outcomes = {}
     for entry in ENTRY_POINTS:
@@ -630,6 +815,40 @@ def test_failover_replace_proves_fingerprint_equality():
     assert fabric.submit_and_wait(
         ProvisioningRequest.withdrawal(fid=residents[0])
     ).success
+    fabric.close()
+
+
+def test_device_death_mid_withdrawal_fails_over_with_the_fid_resident():
+    """The device dies three operations into a withdrawal: the
+    withdrawal did not happen (not logged, fid still in the pools), so
+    the replacement comes up with the fid resident and the client's
+    re-sent withdrawal lands there."""
+    fabric, devices = _faulty_fabric()
+    for fid in range(1, 13):
+        assert fabric.submit_and_wait(_admission(fid)).success
+    shard = fabric.shards[0]
+    residents = sorted(shard.controller.allocator.resident_fids())
+    victim = residents[0]
+    devices[0].plan.kill_at_op = devices[0].plan.op_index + 3
+
+    report = fabric.submit_and_wait(ProvisioningRequest.withdrawal(fid=victim))
+    assert not report.success
+    assert report.status is ProvisioningStatus.ROLLED_BACK
+    assert report.fault == "device"
+    assert shard.controller.device_failed
+    assert ("withdraw", victim) not in shard.commit_log
+    assert victim in shard.controller.allocator.apps
+
+    failover = fabric.failover(0, replacement=_sim("sw0-replacement"))
+    assert failover.fingerprint_match is True
+    assert failover.readmitted == residents
+    recovered = fabric.shards[0].controller
+    assert victim in recovered.allocator.apps
+    assert fabric.submit_and_wait(
+        ProvisioningRequest.withdrawal(fid=victim)
+    ).success
+    assert victim not in recovered.allocator.apps
+    assert recovered.audit().clean
     fabric.close()
 
 

@@ -15,12 +15,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.isolation import TableSnapshot
-from repro.controller import ActiveRmtController
+from repro.controller import (
+    ActiveRmtController,
+    ProvisioningRequest,
+    withdraw_with_retries,
+)
 from repro.controller.table_updater import TableUpdateEngine
 from repro.core.blocks import BlockRange
 from repro.core.transactions import TableUpdateJournal
-from repro.device import SimDevice
+from repro.device import SimDevice, TransientDeviceError
 from repro.experiments import audit
+from repro.faults import FaultKind, FaultyDevice
 from repro.experiments.common import (
     exemplar_patterns,
     table_surface_mismatches,
@@ -30,6 +35,8 @@ from repro.telemetry import MetricsRegistry
 from repro.workloads.arrivals import ArrivalEvent, poisson_events
 
 from tests.test_core_constraints import listing1_pattern
+from tests.test_faults import ScriptedPlan
+from tests.test_transactions import full_fingerprint
 
 TABLE_WRITES = (
     "install_grant",
@@ -97,6 +104,11 @@ def test_delta_lands_on_the_from_scratch_surface_and_rolls_back(old, new):
     before, _ = _engine()
     before.install_app(7, old, BLOCK_WORDS)
 
+    plain, plain_device = _engine()
+    plain.install_app(7, old, BLOCK_WORDS)
+    plain_device.calls.clear()
+    plain.apply_delta(7, old, new, BLOCK_WORDS)
+
     engine, device = _engine()
     engine.install_app(7, old, BLOCK_WORDS)
     device.calls.clear()
@@ -104,10 +116,71 @@ def test_delta_lands_on_the_from_scratch_surface_and_rolls_back(old, new):
     engine.apply_delta(7, old, new, BLOCK_WORDS, journal=journal)
     if old == new:
         assert not device.calls and len(journal) == 0
+    # Journaling costs no device call: exactly the unjournaled delta's
+    # writes and not one read (the undo is the reverse delta).
+    assert device.calls == plain_device.calls
+    assert len(journal) == (old != new)
     assert _surface(engine.tables) == _surface(scratch.tables)
 
     journal.rollback()
     assert _surface(engine.tables) == _surface(before.tables)
+
+
+@pytest.mark.parametrize("kind", [FaultKind.TRANSIENT, FaultKind.PARTIAL])
+def test_a_failed_delta_rolls_back_by_the_reverse_delta(kind):
+    """Write *k* of a delta fails -- before landing, or after it with
+    the response lost -- and the journal puts the surface back with at
+    most *k* + 1 writes (the one in flight included) and no read."""
+    old = {2: BlockRange(0, 4), 5: BlockRange(0, 4), 7: BlockRange(4, 2)}
+    new = {3: BlockRange(2, 3), 5: BlockRange(0, 4), 7: BlockRange(4, 4)}
+    reference, reference_device = _engine()
+    reference.install_app(7, old, BLOCK_WORDS)
+    reference_device.calls.clear()
+    reference.apply_delta(7, old, new, BLOCK_WORDS)
+    total = reference_device.table_writes()
+    assert total >= 6
+    for k in range(total):
+        state = {"armed": False, "writes": 0}
+
+        def fail_write_k(op, index):
+            if not state["armed"] or op not in TABLE_WRITES:
+                return None
+            state["writes"] += 1
+            return kind if state["writes"] == k + 1 else None
+
+        device = CountingDevice(
+            FaultyDevice(SimDevice(ActiveSwitch(SMALL)), ScriptedPlan(fail_write_k))
+        )
+        engine = TableUpdateEngine(device)
+        engine.install_app(7, old, BLOCK_WORDS)
+        before = _surface(engine.tables)
+        state["armed"] = True
+        device.calls.clear()
+        journal = TableUpdateJournal()
+        with pytest.raises(TransientDeviceError):
+            engine.apply_delta(7, old, new, BLOCK_WORDS, journal=journal)
+        assert device.table_writes() == k + 1
+        state["armed"] = False
+        device.calls.clear()
+        journal.rollback()
+        assert device.table_writes() <= k + 1
+        assert set(device.calls) <= {*TABLE_WRITES, "invalidate_program_cache"}
+        assert _surface(engine.tables) == before, (kind, k)
+
+
+def test_activation_undo_puts_back_what_the_set_changed():
+    """A FID someone holds inactive outside the journal (the
+    simulated-time provisioner's snapshot window) is still inactive
+    after a layout change that touched it rolls back."""
+    engine, device = _engine()
+    device.deactivate_fid(3)
+    journal = TableUpdateJournal()
+    engine.set_active([2, 3], False, journal)
+    assert not device.is_active(2) and not device.is_active(3)
+    engine.set_active([2, 3], True, journal)
+    assert device.is_active(2) and device.is_active(3)
+    journal.rollback()
+    assert device.is_active(2) and not device.is_active(3)
 
 
 def test_delta_leaves_an_unchanged_neighbouring_window_alone():
@@ -142,45 +215,107 @@ WRITES_PER_ADMIT_PIN = 137
 PARENT_WRITES_PER_ADMIT = 929.3
 
 
-def _churn(seed, epochs=120, check_every=10):
+#: Withdrawals refused over the seed-7 churn on a 16-entry TCAM: 1
+#: measured, 33 when the departing tenant's entries are removed *after*
+#: its neighbours have grown (the TCAM space they free is what a grown
+#: range needs).
+REFUSED_WITHDRAWALS_PIN = 8
+
+#: A quarter of the default register file: the starved legs fingerprint
+#: every register after every event, and still starve at this size.
+STARVED_WORDS = 16384
+
+
+def _churn(seed, tcam_entries=2048):
+    """Fixed-seed churn; at the default TCAM size the oracle runs every
+    tenth event.  On a starved one (where layout changes are refused in
+    both directions) the audit runs with it, and for one seed per size
+    both run after *every* event and every refused request must leave
+    the full fingerprint untouched; the other seeds keep the cadence of
+    ten, which is what holds the six legs to a few seconds."""
+    starved = tcam_entries != 2048
+    thorough = starved and seed == 7
+    # Every starved leg has refused both an arrival and a departure by
+    # epoch 74; the checks after every event are what they cost.
+    epochs = 80 if starved else 120
+    config = SwitchConfig(
+        tcam_entries_per_stage=tcam_entries,
+        words_per_stage=STARVED_WORDS if starved else 65536,
+    )
+    check_every = 1 if thorough else 10
     patterns = exemplar_patterns()
-    device = CountingDevice(SimDevice(ActiveSwitch(SwitchConfig())))
+    device = CountingDevice(SimDevice(ActiveSwitch(config)))
     controller = ActiveRmtController(device)
     resident = set()
+    refused = []
     admitted = 0
     mismatches = []
+    rolled_back = {"admit": 0, "withdraw": 0}
     events = poisson_events(
         epochs=epochs, arrival_mean=2.0, departure_mean=1.0, seed=seed
     )
+
+    def submit(request):
+        before = full_fingerprint(controller) if thorough else None
+        report = controller.submit(request)
+        if not report.success and report.rolled_back:
+            rolled_back[request.kind.value] += 1
+            if thorough:
+                assert full_fingerprint(controller) == before, request
+        return report
+
     for step, event in enumerate(events):
         if isinstance(event, ArrivalEvent):
-            report = controller.admit(
-                fid=event.fid, pattern=patterns[event.app_name]
+            report = submit(
+                ProvisioningRequest.admission(event.fid, patterns[event.app_name])
             )
             if report.success:
                 resident.add(event.fid)
                 admitted += 1
         elif event.fid in resident:
-            controller.withdraw(fid=event.fid)
-            resident.discard(event.fid)
+            resident.difference_update(
+                withdraw_with_retries(submit, event.fid, refused)
+            )
         if step % check_every == 0:
             mismatches.extend(
                 f"step {step}: {m}" for m in table_surface_mismatches(controller)
             )
+            if starved:
+                assert controller.audit().clean, f"step {step}"
     mismatches.extend(table_surface_mismatches(controller))
-    return controller, device, admitted, mismatches
+    assert sorted(resident) == controller.allocator.resident_fids()
+    return controller, device, admitted, mismatches, rolled_back
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])
 def test_churn_keeps_the_live_surface_equal_to_a_from_scratch_install(seed):
-    controller, device, admitted, mismatches = _churn(seed)
+    controller, device, admitted, mismatches, rolled_back = _churn(seed)
     assert admitted > 100 and len(controller.allocator.apps) > 50
     assert mismatches == []
     assert controller.audit().clean
+    assert rolled_back == {"admit": 0, "withdraw": 0}
     if seed == 7:
         per_admit = device.table_writes() / admitted
         assert per_admit <= WRITES_PER_ADMIT_PIN
         assert per_admit * 5 <= PARENT_WRITES_PER_ADMIT
+
+
+@pytest.mark.parametrize("tcam_entries", [16, 32])
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_churn_on_a_starved_tcam_refuses_and_rolls_back_both_ways(
+    seed, tcam_entries
+):
+    """The same churn, one more parameter (separate ids keep the default
+    legs' names stable): arrivals and departures are refused mid-update,
+    and `_churn` checks the fingerprint, oracle and audit after each."""
+    controller, _device, _admitted, mismatches, rolled_back = _churn(
+        seed, tcam_entries
+    )
+    assert mismatches == []
+    assert controller.audit().clean
+    assert rolled_back["admit"] > 0 and rolled_back["withdraw"] > 0
+    if (seed, tcam_entries) == (7, 16):
+        assert rolled_back["withdraw"] <= REFUSED_WITHDRAWALS_PIN
 
 
 def test_rolled_back_admissions_restore_the_from_scratch_surface():

@@ -488,8 +488,10 @@ def test_withdraw_and_dry_run_traces():
     dry_trace = tracer.spans_for(admits[1].trace_id)
     assert find_spans(dry_trace, "tables.install_app") == []
     (withdraw,) = find_spans(spans, "controller.withdraw")
+    assert withdraw.attrs["status"] == "admitted"
     withdraw_trace = tracer.spans_for(withdraw.trace_id)
     assert find_spans(withdraw_trace, "tables.remove_app")
+    assert find_spans(withdraw_trace, "journal.commit")
     assert span_tree(withdraw_trace)["orphans"] == []
 
 

@@ -222,6 +222,31 @@ def test_rollback_restores_exact_allocator_state():
         allocator.rollback(result)
 
 
+def test_release_rollback_round_trips_the_full_fingerprint():
+    """A release is undone by the checkpoint it hands back, exactly as a
+    commit is: pools, app record, version and arrival counter -- so a
+    plan computed before the release commits after the rollback."""
+    controller = tiny_controller(tcam_entries=64)
+    for fid in range(6):
+        assert controller.admit(fid=fid, pattern=listing1_pattern()).success
+    allocator = controller.allocator
+    before = full_fingerprint(controller)
+    counters = (allocator.version, allocator._arrival_counter)
+    record = allocator.apps[2]
+    plan = allocator.plan(50, listing1_pattern())
+
+    reallocations, checkpoint = allocator.release(2)
+    assert reallocations and 2 not in allocator.apps
+    assert allocator.version == counters[0] + 1
+    assert checkpoint.fid == 2 and checkpoint.record is record
+    allocator.rollback(checkpoint)
+
+    assert full_fingerprint(controller) == before
+    assert (allocator.version, allocator._arrival_counter) == counters
+    assert allocator.apps[2] is record
+    assert controller.commit_plan(plan).success  # no StalePlanError
+
+
 def test_pool_snapshot_roundtrip():
     allocator = ActiveRmtAllocator(SwitchConfig())
     for fid in range(5):

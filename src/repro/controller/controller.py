@@ -1184,8 +1184,18 @@ class ActiveRmtController:
         *changes* is the FID's row of a reallocation map; putting its
         ``old`` halves back over the current regions gives the layout
         the device still enforces, and the engine writes the difference.
+        Only stages within the translation window of a changed one are
+        diffed: a grant depends on its own stage alone and a translation
+        at stage p on the granted stages in (p, p + window], so the
+        writes, their order and the modeled seconds are the full map's.
         """
-        new = self._current_regions(fid)
+        window = TableUpdateEngine.TRANSLATION_WINDOW
+        near = {s for c in changes for s in range(c - window, c + window + 1)}
+        new = {
+            stage: block_range
+            for stage, block_range in self._current_regions(fid).items()
+            if stage in near
+        }
         old = dict(new)
         for stage, (before, _after) in changes.items():
             if before is not None and before.count > 0:

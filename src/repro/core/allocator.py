@@ -1,8 +1,9 @@
 """The online memory allocator (Sections 4.2-4.3).
 
 Admission is first-come-first-serve: a new application presents its
-access pattern; the allocator enumerates the pattern's mutants under
-the active policy, filters them by per-stage feasibility, scores them
+access pattern; the allocator reads the pattern's mutants under the
+active policy (enumerated once, on the pattern's first plan), filters
+them by per-stage feasibility, scores them
 with the configured scheme, and applies the winner.  Existing
 applications never move across stages ("our online allocation mechanism
 does not consider relocating existing applications"), but elastic
@@ -24,11 +25,11 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.core.blocks import BlockRange, StagePool
 from repro.core.constraints import AccessPattern, AllocationPolicy, MOST_CONSTRAINED
-from repro.core.mutants import MutantCandidate, enumerate_mutants
+from repro.core.mutants import MutantCandidate, MutantTable, mutant_table
 from repro.core.schemes import AllocationScheme
 from repro.core.transactions import (
     AllocationPlan,
@@ -123,22 +124,6 @@ def _moved_blocks(reallocations: ReallocationMap) -> int:
     return moved
 
 
-def merge_demands(
-    left: Optional[int], right: Optional[int]
-) -> Optional[int]:
-    """Combine demands of two accesses that share a physical stage.
-
-    Elastic (None) merges with anything by yielding to the inelastic
-    demand; two inelastic demands take the max (the accesses address
-    the same region).
-    """
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return max(left, right)
-
-
 class ActiveRmtAllocator:
     """Online, block-granular, per-stage memory allocator."""
 
@@ -160,6 +145,9 @@ class ActiveRmtAllocator:
             for stage in range(1, self.config.num_stages + 1)
         }
         self.apps: Dict[int, AppRecord] = {}
+        #: Each pattern's mutants, enumerated on its first plan and
+        #: shared by reference with every shadow.
+        self._mutant_tables: Dict[Hashable, MutantTable] = {}
         self._arrival_counter = 0
         #: Monotonic state version: bumped by every commit, release, and
         #: rollback.  Plans stamp the version they were computed against
@@ -204,31 +192,42 @@ class ActiveRmtAllocator:
         if fid in self.apps:
             raise AllocationError(f"fid {fid} already admitted")
         search_start = time.perf_counter()
+        rows = mutant_table(self._mutant_tables, pattern, self.policy, self.config).rows()
+        scheme = self.scheme
+        # One pass over the pools: each stage's slack (exactly what
+        # fits_elastic / fits_inelastic test: an elastic newcomer needs
+        # one block of it, an inelastic one its demand) and its score input.
+        slack: Dict[int, int] = {}
+        values: Dict[int, Any] = {}
+        for stage, pool in self.pools.items():
+            slack[stage] = pool.total_blocks - pool.pinned_blocks - pool.elastic_count
+            values[stage] = scheme.stage_value(pool)
         best: Optional[MutantCandidate] = None
         best_score: Optional[Tuple] = None
-        best_demands: Dict[int, Optional[int]] = {}
+        best_demands: Tuple[Optional[int], ...] = ()
         considered = 0
         feasible = 0
-        for order, candidate in enumerate(
-            enumerate_mutants(pattern, self.policy, self.config)
-        ):
+        for order, (candidate, demands) in enumerate(rows):
             considered += 1
-            demands = self._stage_demands(candidate, pattern)
-            if not self._is_feasible(demands):
-                continue
-            feasible += 1
-            score = self.scheme.score(candidate, self.pools, order)
-            if best_score is None or score < best_score:
-                best, best_score, best_demands = candidate, score, demands
-            if self.scheme is AllocationScheme.FIRST_FIT:
-                break
+            for stage, demand in zip(candidate.physical_stages, demands):
+                if slack[stage] < (demand or 1):
+                    break
+            else:
+                feasible += 1
+                score = scheme.rank(candidate, values, order)
+                if best_score is None or score < best_score:
+                    best, best_score, best_demands = candidate, score, demands
+                if scheme is AllocationScheme.FIRST_FIT:
+                    break
         search_seconds = time.perf_counter() - search_start
         if best is None:
             return AllocationPlan(
                 fid=fid,
                 pattern=pattern,
                 feasible=False,
-                reason="no feasible mutant under current occupancy",
+                # An empty table is the pattern's fault, whatever the occupancy.
+                reason="no feasible mutant under current occupancy" if rows else
+                f"no mutant of {pattern.name!r} under the {self.policy.name} policy",
                 candidates_considered=considered,
                 candidates_feasible=feasible,
                 search_seconds=search_seconds,
@@ -237,11 +236,12 @@ class ActiveRmtAllocator:
 
         assign_start = time.perf_counter()
         planned_arrival = self._arrival_counter + 1
-        before = self._layout_snapshot(best_demands.keys())
+        demand_by_stage = dict(zip(best.physical_stages, best_demands))
+        before = self._layout_snapshot(demand_by_stage)
         shadows = {
-            stage: self.pools[stage].clone() for stage in best_demands
+            stage: self.pools[stage].clone() for stage in demand_by_stage
         }
-        for stage, demand in best_demands.items():
+        for stage, demand in demand_by_stage.items():
             shadows[stage].add(fid, demand, planned_arrival)
         after = {stage: shadows[stage].layout() for stage in shadows}
         regions, reallocations = self._diff_layouts(fid, before, after)
@@ -251,7 +251,7 @@ class ActiveRmtAllocator:
             pattern=pattern,
             feasible=True,
             mutant=best,
-            demand_by_stage=dict(best_demands),
+            demand_by_stage=demand_by_stage,
             regions=regions,
             reallocations=reallocations,
             candidates_considered=considered,
@@ -353,7 +353,8 @@ class ActiveRmtAllocator:
         """A copy-on-write planning twin of this allocator.
 
         The shadow owns cloned stage pools and a copied app table but
-        shares the immutable config/scheme/policy; plans computed
+        shares the immutable config/scheme/policy and the mutant tables
+        (:class:`~repro.core.mutants.MutantTable`); plans computed
         against it carry this allocator's current version stamp, so
         they commit cleanly here as long as no other commit, release,
         or rollback intervened -- and raise :class:`StalePlanError`
@@ -377,6 +378,7 @@ class ActiveRmtAllocator:
         twin.tracer = self.tracer
         twin.pools = {stage: pool.clone() for stage, pool in self.pools.items()}
         twin.apps = dict(self.apps)
+        twin._mutant_tables = self._mutant_tables
         twin._arrival_counter = self._arrival_counter
         twin._version = self._version
         return twin
@@ -620,28 +622,6 @@ class ActiveRmtAllocator:
                 "allocator_blocks_moved_total",
                 help="Memory blocks whose placement changed (snapshot/restore cost)",
             ).inc(_moved_blocks(decision.reallocations))
-
-    def _stage_demands(
-        self, candidate: MutantCandidate, pattern: AccessPattern
-    ) -> Dict[int, Optional[int]]:
-        demands: Dict[int, Optional[int]] = {}
-        for stage, demand in zip(candidate.stages, pattern.demands):
-            physical = self.config.physical_stage(stage)
-            if physical in demands:
-                demands[physical] = merge_demands(demands[physical], demand)
-            else:
-                demands[physical] = demand
-        return demands
-
-    def _is_feasible(self, demands: Dict[int, Optional[int]]) -> bool:
-        for stage, demand in demands.items():
-            pool = self.pools[stage]
-            if demand is None:
-                if not pool.fits_elastic():
-                    return False
-            elif not pool.fits_inelastic(demand):
-                return False
-        return True
 
     def _layout_snapshot(
         self, stages: Iterable[int]

@@ -43,7 +43,7 @@ class BlockRange:
         return self.start < other.end and other.start < self.end
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class _Resident:
     fid: int
     elastic: bool
@@ -100,15 +100,14 @@ class StagePool:
     def clone(self) -> "StagePool":
         """Independent copy for copy-on-write shadow planning.
 
-        The clone shares nothing mutable with the original: planners
-        add/remove residents on it freely without the real pool (or its
-        cached layout) ever observing the search.
+        The clone shares nothing mutable with the original -- only the
+        frozen resident records and the immutable cached layout -- so
+        planners add/remove residents on it freely without the real
+        pool ever observing the search.
         """
         twin = StagePool(self.total_blocks)
-        twin._residents = {
-            fid: dataclasses.replace(resident)
-            for fid, resident in self._residents.items()
-        }
+        twin._residents = dict(self._residents)
+        twin._layout_cache = self._layout_cache
         twin._pinned_blocks = self._pinned_blocks
         twin._elastic_count = self._elastic_count
         return twin

@@ -7,14 +7,20 @@ spacing).  It is realized by inserting NOPs: access ``i`` shifted by
 the most compact mutants (fewest added NOPs, fewest recirculations)
 come first -- the systematic enumeration order the first-fit scheme
 relies on.
+
+Each owner (an allocator and its shadows, a client compiler) enumerates
+a pattern once into a :class:`MutantTable`; :func:`enumerate_mutants`
+is the table's builder and the oracle it is tested against.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, List, Optional, Tuple
+import itertools
+import threading
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.constraints import AccessPattern, AllocationPolicy
+from repro.core.constraints import AccessPattern, AllocationPolicy, ConstraintError
 from repro.switchsim.config import SwitchConfig
 
 
@@ -64,7 +70,7 @@ def enumerate_mutants(
     )
     try:
         ubs = pattern.upper_bounds(horizon)
-    except Exception:
+    except ConstraintError:
         return
     lbs = pattern.lower_bounds
     dists = pattern.min_distances
@@ -114,6 +120,105 @@ def enumerate_mutants(
         emitted += 1
         if emitted >= policy.max_candidates:
             return
+
+
+def merge_demands(left: Optional[int], right: Optional[int]) -> Optional[int]:
+    """Combine demands of two accesses that share a physical stage.
+
+    Elastic (None) merges with anything by yielding to the inelastic
+    demand; two inelastic demands take the max (the accesses address
+    the same region).
+    """
+    if left is None:
+        return right
+    if right is None:
+        return left
+    return max(left, right)
+
+
+#: A mutant and the merged demand (None: elastic) of each of its ``physical_stages``.
+MutantRow = Tuple[MutantCandidate, Tuple[Optional[int], ...]]
+
+
+def _rows(
+    pattern: AccessPattern, policy: AllocationPolicy, config: SwitchConfig
+) -> Iterator[MutantRow]:
+    demands = pattern.demands
+    for candidate in enumerate_mutants(pattern, policy, config):
+        if len(candidate.physical_stages) == len(demands):
+            # No stage shared: the pattern's own tuple, allocated once.
+            yield candidate, demands
+            continue
+        merged: Dict[int, Optional[int]] = {}
+        for stage, demand in zip(candidate.stages, demands):
+            physical = config.physical_stage(stage)
+            merged[physical] = merge_demands(merged.get(physical), demand)
+        yield candidate, tuple(merged.values())
+
+
+class MutantTable:
+    """A pattern's mutants under one policy and device, enumerated once.
+
+    Rows keep enumeration order and the policy's ``max_candidates`` cap.
+    They are built as far as a reader iterates -- a compiler that stops
+    at its first match pays for that prefix only -- or all at once by
+    :meth:`rows`.  Built rows never change, and the build runs under a
+    lock, so an allocator's shadows read one table from any thread.
+    """
+
+    def __init__(
+        self, pattern: AccessPattern, policy: AllocationPolicy, config: SwitchConfig
+    ) -> None:
+        self._spec = (pattern, policy, config)
+        self._source: Optional[Iterator[MutantRow]] = _rows(*self._spec)
+        self._built: List[MutantRow] = []
+        self._lock = threading.Lock()
+
+    def _build(self, count: Optional[int]) -> None:
+        """Add the next *count* rows (None: all the rest), as far as they exist."""
+        with self._lock:
+            if self._source is None:
+                return
+            size = len(self._built)
+            try:
+                self._built.extend(itertools.islice(self._source, count))
+            except BaseException:
+                # A failed generator is spent: resume past the built rows,
+                # so the next reader meets the same error, not a short table.
+                self._source = itertools.islice(_rows(*self._spec), len(self._built), None)
+                raise
+            if count is None or len(self._built) - size < count:
+                self._source = None
+
+    def __iter__(self) -> Iterator[MutantRow]:
+        built, index = self._built, 0
+        while True:
+            if index == len(built):
+                self._build(8)  # one lock per 8 rows; at most 7 past where a reader stops
+                if index == len(built):
+                    return
+            yield built[index]
+            index += 1
+
+    def rows(self) -> Sequence[MutantRow]:
+        """Every row, in enumeration order (finishes the build)."""
+        self._build(None)
+        return self._built
+
+
+def mutant_table(tables: Dict[Hashable, MutantTable], pattern: AccessPattern,
+                 policy: AllocationPolicy, config: SwitchConfig) -> MutantTable:
+    """*pattern*'s table in an owner's *tables*, added there on first use.
+
+    The key is the pattern's constraints, the policy and the config --
+    not its diagnostic ``name``, which the wire path sets per FID.
+    """
+    key = (pattern.program_length, pattern.lower_bounds, pattern.min_distances,
+           pattern.demands, pattern.ingress_bound_position, pattern.aliases, policy, config)
+    table = tables.get(key)
+    if table is None:
+        table = tables.setdefault(key, MutantTable(pattern, policy, config))
+    return table
 
 
 def insertions_for(

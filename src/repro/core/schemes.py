@@ -16,7 +16,7 @@ most compact mutant first).
 from __future__ import annotations
 
 import enum
-from typing import Dict, Tuple
+from typing import Any, Mapping, Tuple
 
 from repro.core.blocks import StagePool
 from repro.core.mutants import MutantCandidate
@@ -40,7 +40,7 @@ class AllocationScheme(enum.Enum):
     def score(
         self,
         candidate: MutantCandidate,
-        pools: Dict[int, StagePool],
+        pools: Mapping[int, StagePool],
         order: int,
     ) -> Tuple:
         """Lower is better; the tuple's tail breaks ties deterministically.
@@ -50,17 +50,30 @@ class AllocationScheme(enum.Enum):
             pools: physical stage -> pool state.
             order: the candidate's index in enumeration order.
         """
+        values = {s: self.stage_value(pools[s]) for s in candidate.physical_stages}
+        return self.rank(candidate, values, order)
+
+    def stage_value(self, pool: StagePool) -> Any:
+        """What this scheme reads of one stage: a planner takes it once
+        per stage per plan, not once per candidate."""
+        if self is AllocationScheme.FIRST_FIT:
+            return None
+        if self is AllocationScheme.MIN_REALLOC:
+            return pool.elastic_fids
+        return pool.fungible_share
+
+    def rank(
+        self, candidate: MutantCandidate, values: Mapping[int, Any], order: int
+    ) -> Tuple:
+        """:meth:`score` from per-stage :meth:`stage_value` results."""
         stages = candidate.physical_stages
         if self is AllocationScheme.FIRST_FIT:
             return (order,)
+        if self is AllocationScheme.MIN_REALLOC:
+            # Disturb as few resident applications as possible.
+            disturbed = set().union(*(values[stage] for stage in stages))
+            return (len(disturbed), candidate.recirculations, order)
+        headroom = sum(map(values.__getitem__, stages))
         if self is AllocationScheme.WORST_FIT:
-            headroom = sum(pools[s].fungible_share for s in stages)
-            return (-headroom, candidate.recirculations, order)
-        if self is AllocationScheme.BEST_FIT:
-            headroom = sum(pools[s].fungible_share for s in stages)
-            return (headroom, candidate.recirculations, order)
-        # MIN_REALLOC: disturb as few resident applications as possible.
-        disturbed = set()
-        for stage in stages:
-            disturbed.update(pools[stage].elastic_fids)
-        return (len(disturbed), candidate.recirculations, order)
+            headroom = -headroom
+        return (headroom, candidate.recirculations, order)

@@ -1,8 +1,11 @@
 """Unit, integration, and property tests for the online allocator."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.controller.service import pools_fingerprint
 from repro.core import (
     AccessPattern,
     ActiveRmtAllocator,
@@ -11,7 +14,11 @@ from repro.core import (
     BlockRange,
     LEAST_CONSTRAINED,
     MOST_CONSTRAINED,
+    StagePool,
+    enumerate_mutants,
 )
+from repro.core import mutants as mutants_module
+from repro.core.mutants import merge_demands
 from repro.switchsim import SwitchConfig
 
 from tests.test_core_constraints import listing1_pattern
@@ -236,3 +243,157 @@ def test_allocator_invariants_under_churn(seed, steps):
                 assert ranges[-1].end <= pool.total_blocks
         assert 0.0 <= allocator.utilization() <= 1.0
         assert sorted(live) == allocator.resident_fids()
+
+
+# ----------------------------------------------------------------------
+# Planning from mutant tables: parity with the enumerate-and-test loop
+# ----------------------------------------------------------------------
+
+
+def reference_plan(allocator, fid, pattern):
+    """The planner before mutant tables, kept as the oracle: enumerate
+    every mutant, test each stage with ``fits_*``, score with
+    ``scheme.score``, then lay the winner out on fresh pools."""
+    config, pools, scheme = allocator.config, allocator.pools, allocator.scheme
+    best = best_score = None
+    best_demands = {}
+    considered = feasible = 0
+    for order, candidate in enumerate(enumerate_mutants(pattern, allocator.policy, config)):
+        considered += 1
+        demands = {}
+        for stage, demand in zip(candidate.stages, pattern.demands):
+            physical = config.physical_stage(stage)
+            demands[physical] = (
+                merge_demands(demands[physical], demand) if physical in demands else demand
+            )
+        if not all(
+            pools[s].fits_elastic() if d is None else pools[s].fits_inelastic(d)
+            for s, d in demands.items()
+        ):
+            continue
+        feasible += 1
+        score = scheme.score(candidate, pools, order)
+        if best_score is None or score < best_score:
+            best, best_score, best_demands = candidate, score, demands
+        if scheme is AllocationScheme.FIRST_FIT:
+            break
+    if best is None:
+        reason = (
+            "no feasible mutant under current occupancy" if considered else
+            f"no mutant of {pattern.name!r} under the {allocator.policy.name} policy"
+        )
+        return best, [], {}, {}, considered, feasible, reason
+    regions, reallocations = {}, {}
+    for stage, demand in best_demands.items():
+        before = dict(pools[stage].layout())
+        pool = StagePool(pools[stage].total_blocks)
+        pool.load_residents(pools[stage].export_residents())
+        pool.add(fid, demand, 10**9)  # arrives after every resident
+        after = pool.layout()
+        regions[stage] = after[fid]
+        for other in set(before) | set(after):
+            if other != fid and before.get(other) != after.get(other):
+                reallocations.setdefault(other, {})[stage] = (before.get(other), after.get(other))
+    return best, list(best_demands.items()), regions, reallocations, considered, feasible, ""
+
+
+@st.composite
+def small_patterns(draw):
+    """Patterns for an 8-stage switch: elastic and inelastic demands,
+    sometimes an ingress-bound instruction or a same-stage alias."""
+    m = draw(st.integers(1, 3))
+    positions, cursor = [], 0
+    for _ in range(m):
+        cursor += draw(st.integers(1, 4))
+        positions.append(cursor)
+    length = positions[-1] + draw(st.integers(0, 3))
+    aliases = ()
+    if m >= 2 and draw(st.booleans()):
+        aliases = (-1,) * (m - 1) + (draw(st.integers(0, m - 2)),)
+    return AccessPattern(
+        program_length=length,
+        lower_bounds=tuple(positions),
+        min_distances=tuple([1] + [b - a for a, b in zip(positions, positions[1:])]),
+        demands=tuple(draw(st.sampled_from([None, None, 1, 2])) for _ in range(m)),
+        ingress_bound_position=draw(st.sampled_from([0, 0, 1, length])),
+        aliases=aliases,
+        name="p",
+    )
+
+
+#: Four blocks a stage: stages fill, and slack hits zero, within a few steps.
+SMALL = SwitchConfig(num_stages=8, ingress_stages=4, words_per_stage=1024)
+
+
+@pytest.mark.parametrize("policy", [MOST_CONSTRAINED, LEAST_CONSTRAINED], ids=lambda p: p.name)
+@pytest.mark.parametrize("scheme", list(AllocationScheme), ids=lambda s: s.value)
+@settings(max_examples=12, deadline=None)
+@given(
+    patterns=st.lists(small_patterns(), min_size=1, max_size=3),
+    steps=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 99)), min_size=4, max_size=24),
+)
+def test_plan_matches_reference_planner(scheme, policy, patterns, steps):
+    """Random admit/release churn on a small switch: every plan equals
+    the enumerate-and-test planner's, field by field."""
+    allocator = ActiveRmtAllocator(SMALL, scheme=scheme, policy=policy)
+    live, next_fid = [], 0
+    for kind, pick in steps:
+        if kind == 0 and live:
+            allocator.release(live.pop(pick % len(live)))
+            continue
+        pattern = patterns[pick % len(patterns)]
+        expected = reference_plan(allocator, next_fid, pattern)
+        plan = allocator.plan(next_fid, pattern)
+        assert (
+            plan.mutant,
+            list(plan.demand_by_stage.items()),
+            plan.regions,
+            plan.reallocations,
+            plan.candidates_considered,
+            plan.candidates_feasible,
+            plan.reason,
+        ) == expected
+        if plan.feasible:
+            allocator.commit(plan)
+            live.append(next_fid)
+        next_fid += 1
+
+
+def test_shadow_and_live_allocator_stay_isolated():
+    """Shadows share frozen resident records, cached layouts and mutant
+    tables with the live allocator, and none of it leaks either way."""
+    live = ActiveRmtAllocator(SwitchConfig())
+    for fid in range(12):  # enough caches to share stages
+        live.allocate(fid, listing1_pattern())
+    live_before = pools_fingerprint(live)  # also caches every layout
+    shadow = live.shadow()
+    shadow.rehearse(shadow.plan(100, listing1_pattern()))
+    shadow.rehearse(shadow.plan(101, lb_pattern()))
+    assert pools_fingerprint(live) == live_before
+    shadow_before = pools_fingerprint(shadow)
+    live.commit(live.plan(200, lb_pattern()))
+    live.release(3)
+    assert pools_fingerprint(shadow) == shadow_before
+    resident = next(iter(live.pools[2]._residents.values()))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        resident.demand = 7
+
+
+def test_each_pattern_is_enumerated_once_per_allocator(monkeypatch):
+    """Plans of one pattern -- renamed, or on a shadow -- share a table;
+    a new allocator builds its own."""
+    calls = []
+    real = mutants_module.enumerate_mutants
+
+    def counting(pattern, policy, config):
+        calls.append(pattern.name)
+        return real(pattern, policy, config)
+
+    monkeypatch.setattr(mutants_module, "enumerate_mutants", counting)
+    allocator = ActiveRmtAllocator(SwitchConfig())
+    allocator.allocate(1, listing1_pattern())
+    allocator.allocate(2, dataclasses.replace(listing1_pattern(), name="fid2"))
+    allocator.shadow().plan(3, listing1_pattern())
+    assert len(calls) == 1
+    ActiveRmtAllocator(SwitchConfig()).plan(1, listing1_pattern())
+    assert len(calls) == 2

@@ -1,18 +1,23 @@
 """Unit + property tests for mutant enumeration (Section 4.1-4.2)."""
 
 import dataclasses
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps import EXEMPLAR_APPS
 from repro.core import (
     AccessPattern,
+    ActiveRmtAllocator,
     LEAST_CONSTRAINED,
     MOST_CONSTRAINED,
+    NO_MUTATION,
     count_mutants,
     enumerate_mutants,
 )
-from repro.core.mutants import insertions_for
+from repro.core.mutants import MutantTable, insertions_for, merge_demands, mutant_table
 from repro.isa import assemble
 from repro.switchsim import SwitchConfig
 
@@ -128,6 +133,100 @@ def test_infeasible_pattern_yields_nothing():
     assert count_mutants(pattern, MOST_CONSTRAINED, CONFIG) == 0
     # The least-constrained policy tolerates it (one recirculation).
     assert count_mutants(pattern, LEAST_CONSTRAINED, CONFIG) > 0
+    # On an empty switch the planner blames the pattern, not occupancy.
+    plan = ActiveRmtAllocator(CONFIG, policy=MOST_CONSTRAINED).plan(1, pattern)
+    assert not plan.feasible
+    assert plan.candidates_considered == 0
+    assert plan.reason == "no mutant of 'egress-rts' under the most-constrained policy"
+
+
+def test_programming_error_in_bounds_propagates(monkeypatch):
+    """Only a ConstraintError from upper_bounds means "no mutants"."""
+
+    def broken(self, horizon):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(AccessPattern, "upper_bounds", broken)
+    with pytest.raises(TypeError):
+        list(enumerate_mutants(listing1_pattern(), MOST_CONSTRAINED, CONFIG))
+    table = MutantTable(listing1_pattern(), MOST_CONSTRAINED, CONFIG)
+    for _ in range(2):  # a failed build is not read as an empty table
+        with pytest.raises(TypeError):
+            table.rows()
+
+
+def _oracle_rows(pattern, policy):
+    """The generator's mutants with their merged per-stage demands."""
+    rows = []
+    for candidate in enumerate_mutants(pattern, policy, CONFIG):
+        merged = {}
+        for stage, demand in zip(candidate.stages, pattern.demands):
+            physical = CONFIG.physical_stage(stage)
+            merged[physical] = (
+                merge_demands(merged[physical], demand) if physical in merged else demand
+            )
+        assert tuple(merged) == candidate.physical_stages
+        rows.append((candidate, tuple(merged.values())))
+    return rows
+
+
+POLICIES = {
+    "mc": MOST_CONSTRAINED,
+    "lc": LEAST_CONSTRAINED,
+    "none": NO_MUTATION,
+    "lc-cap5": dataclasses.replace(LEAST_CONSTRAINED, max_candidates=5),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("app", sorted(EXEMPLAR_APPS))
+def test_table_rows_equal_the_generator(app, policy):
+    """The generator is the oracle: same rows, same order, same cap,
+    whether the table is read lazily, part-way then whole, or whole."""
+    pattern = EXEMPLAR_APPS[app].pattern()
+    expected = _oracle_rows(pattern, POLICIES[policy])
+    lazy = MutantTable(pattern, POLICIES[policy], CONFIG)
+    assert list(lazy) == expected
+    assert list(lazy.rows()) == expected
+    partial = MutantTable(pattern, POLICIES[policy], CONFIG)
+    assert next(iter(partial), None) == (expected[0] if expected else None)
+    assert list(partial.rows()) == expected
+    assert list(partial) == expected
+
+
+def test_table_read_from_many_threads_builds_once():
+    """Shadows in worker threads share one table: concurrent lazy and
+    whole reads of a fresh table all see the generator's rows."""
+    pattern = listing1_pattern()
+    expected = _oracle_rows(pattern, LEAST_CONSTRAINED)
+    table = MutantTable(pattern, LEAST_CONSTRAINED, CONFIG)
+    readers = [lambda: list(table), lambda: list(table.rows())] * 4
+    results = [None] * len(readers)
+
+    def run(index):
+        results[index] = readers[index]()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(readers))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(rows == expected for rows in results)
+
+
+def test_table_is_keyed_by_constraints_not_name():
+    tables = {}
+    table = mutant_table(tables, listing1_pattern(), MOST_CONSTRAINED, CONFIG)
+    renamed = dataclasses.replace(listing1_pattern(), name="fid7")
+    assert mutant_table(tables, renamed, MOST_CONSTRAINED, CONFIG) is table
+    assert mutant_table(tables, listing1_pattern(), LEAST_CONSTRAINED, CONFIG) is not table
+    assert len(tables) == 2
 
 
 def test_alias_constrains_to_same_physical_stage():

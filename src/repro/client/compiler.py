@@ -14,7 +14,7 @@ Given a compact active program, the compiler:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Hashable, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.analysis.findings import AnalysisReport, VerifyMode
 from repro.analysis.verifier import analyze_program, linked_verdict
@@ -23,12 +23,7 @@ from repro.core.constraints import (
     AllocationPolicy,
     LEAST_CONSTRAINED,
 )
-from repro.core.mutants import (
-    MutantCandidate,
-    MutantTable,
-    insertions_for,
-    mutant_table,
-)
+from repro.core.mutants import MutantCandidate, enumerate_mutants, insertions_for
 from repro.isa.program import ActiveProgram
 from repro.packets.headers import AllocationResponseHeader, StageRegion
 from repro.switchsim.config import SwitchConfig
@@ -160,9 +155,6 @@ class ActiveCompiler:
         #: ``strict`` raises VerificationError on any error-severity
         #: finding, ``warn`` attaches the report, ``off`` skips analysis.
         self.verify = options.verify
-        #: Each pattern's mutants under the synthesis policy, built only
-        #: as far as a synthesis has searched them.
-        self._mutant_tables: Dict[Hashable, MutantTable] = {}
 
     # ------------------------------------------------------------------
 
@@ -210,8 +202,8 @@ class ActiveCompiler:
         best: Optional[MutantCandidate] = None
         # No mutant recirculates less than the compact program does.
         fewest = pattern.compact_passes(self.config.num_stages) - 1
-        for candidate, _demands in mutant_table(
-            self._mutant_tables, pattern, self.synthesis_policy, self.config
+        for candidate in enumerate_mutants(
+            pattern, self.synthesis_policy, self.config
         ):
             if not all(
                 stage in granted for stage in candidate.physical_stages

@@ -192,7 +192,7 @@ class ActiveRmtAllocator:
         if fid in self.apps:
             raise AllocationError(f"fid {fid} already admitted")
         search_start = time.perf_counter()
-        rows = mutant_table(self._mutant_tables, pattern, self.policy, self.config).rows()
+        rows = mutant_table(self._mutant_tables, pattern, self.policy, self.config)
         scheme = self.scheme
         # One pass over the pools: each stage's slack (exactly what
         # fits_elastic / fits_inelastic test: an elastic newcomer needs
@@ -354,7 +354,7 @@ class ActiveRmtAllocator:
 
         The shadow owns cloned stage pools and a copied app table but
         shares the immutable config/scheme/policy and the mutant tables
-        (:class:`~repro.core.mutants.MutantTable`); plans computed
+        (:data:`~repro.core.mutants.MutantTable`); plans computed
         against it carry this allocator's current version stamp, so
         they commit cleanly here as long as no other commit, release,
         or rollback intervened -- and raise :class:`StalePlanError`

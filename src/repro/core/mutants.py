@@ -8,17 +8,15 @@ the most compact mutants (fewest added NOPs, fewest recirculations)
 come first -- the systematic enumeration order the first-fit scheme
 relies on.
 
-Each owner (an allocator and its shadows, a client compiler) enumerates
-a pattern once into a :class:`MutantTable`; :func:`enumerate_mutants`
-is the table's builder and the oracle it is tested against.
+An allocator (shared with its shadows) enumerates a pattern once into a
+:data:`MutantTable`; :func:`enumerate_mutants` is the table's builder
+and the oracle it is tested against.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
-import threading
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.core.constraints import AccessPattern, AllocationPolicy, ConstraintError
 from repro.switchsim.config import SwitchConfig
@@ -156,68 +154,24 @@ def _rows(
         yield candidate, tuple(merged.values())
 
 
-class MutantTable:
-    """A pattern's mutants under one policy and device, enumerated once.
-
-    Rows keep enumeration order and the policy's ``max_candidates`` cap.
-    They are built as far as a reader iterates -- a compiler that stops
-    at its first match pays for that prefix only -- or all at once by
-    :meth:`rows`.  Built rows never change, and the build runs under a
-    lock, so an allocator's shadows read one table from any thread.
-    """
-
-    def __init__(
-        self, pattern: AccessPattern, policy: AllocationPolicy, config: SwitchConfig
-    ) -> None:
-        self._spec = (pattern, policy, config)
-        self._source: Optional[Iterator[MutantRow]] = _rows(*self._spec)
-        self._built: List[MutantRow] = []
-        self._lock = threading.Lock()
-
-    def _build(self, count: Optional[int]) -> None:
-        """Add the next *count* rows (None: all the rest), as far as they exist."""
-        with self._lock:
-            if self._source is None:
-                return
-            size = len(self._built)
-            try:
-                self._built.extend(itertools.islice(self._source, count))
-            except BaseException:
-                # A failed generator is spent: resume past the built rows,
-                # so the next reader meets the same error, not a short table.
-                self._source = itertools.islice(_rows(*self._spec), len(self._built), None)
-                raise
-            if count is None or len(self._built) - size < count:
-                self._source = None
-
-    def __iter__(self) -> Iterator[MutantRow]:
-        built, index = self._built, 0
-        while True:
-            if index == len(built):
-                self._build(8)  # one lock per 8 rows; at most 7 past where a reader stops
-                if index == len(built):
-                    return
-            yield built[index]
-            index += 1
-
-    def rows(self) -> Sequence[MutantRow]:
-        """Every row, in enumeration order (finishes the build)."""
-        self._build(None)
-        return self._built
+#: A pattern's mutants under one policy and device, enumerated once: rows
+#: in enumeration order, capped at the policy's ``max_candidates``.
+MutantTable = Tuple[MutantRow, ...]
 
 
 def mutant_table(tables: Dict[Hashable, MutantTable], pattern: AccessPattern,
                  policy: AllocationPolicy, config: SwitchConfig) -> MutantTable:
-    """*pattern*'s table in an owner's *tables*, added there on first use.
+    """*pattern*'s table in an owner's *tables*, built there on first use.
 
     The key is the pattern's constraints, the policy and the config --
-    not its diagnostic ``name``, which the wire path sets per FID.
+    not its diagnostic ``name``, which the wire path sets per FID.  A
+    build that raises adds nothing; two threads that race build twice.
     """
     key = (pattern.program_length, pattern.lower_bounds, pattern.min_distances,
            pattern.demands, pattern.ingress_bound_position, pattern.aliases, policy, config)
     table = tables.get(key)
     if table is None:
-        table = tables.setdefault(key, MutantTable(pattern, policy, config))
+        table = tables.setdefault(key, tuple(_rows(pattern, policy, config)))
     return table
 
 

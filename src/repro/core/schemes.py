@@ -37,22 +37,6 @@ class AllocationScheme(enum.Enum):
                 return cls(scheme.value)
         raise ValueError(f"unknown allocation scheme {name!r}")
 
-    def score(
-        self,
-        candidate: MutantCandidate,
-        pools: Mapping[int, StagePool],
-        order: int,
-    ) -> Tuple:
-        """Lower is better; the tuple's tail breaks ties deterministically.
-
-        Args:
-            candidate: the mutant under consideration.
-            pools: physical stage -> pool state.
-            order: the candidate's index in enumeration order.
-        """
-        values = {s: self.stage_value(pools[s]) for s in candidate.physical_stages}
-        return self.rank(candidate, values, order)
-
     def stage_value(self, pool: StagePool) -> Any:
         """What this scheme reads of one stage: a planner takes it once
         per stage per plan, not once per candidate."""
@@ -65,7 +49,14 @@ class AllocationScheme(enum.Enum):
     def rank(
         self, candidate: MutantCandidate, values: Mapping[int, Any], order: int
     ) -> Tuple:
-        """:meth:`score` from per-stage :meth:`stage_value` results."""
+        """A candidate's score: lower is better; the tuple's tail breaks
+        ties deterministically.
+
+        Args:
+            candidate: the mutant under consideration.
+            values: physical stage -> :meth:`stage_value` of its pool.
+            order: the candidate's index in enumeration order.
+        """
         stages = candidate.physical_stages
         if self is AllocationScheme.FIRST_FIT:
             return (order,)

@@ -250,10 +250,28 @@ def test_allocator_invariants_under_churn(seed, steps):
 # ----------------------------------------------------------------------
 
 
+def reference_score(scheme, candidate, pools, order):
+    """The schemes' scores read straight off the pools, as they were
+    before the planner precomputed per-stage values."""
+    stages = candidate.physical_stages
+    if scheme is AllocationScheme.FIRST_FIT:
+        return (order,)
+    if scheme is AllocationScheme.WORST_FIT:
+        headroom = sum(pools[s].fungible_share for s in stages)
+        return (-headroom, candidate.recirculations, order)
+    if scheme is AllocationScheme.BEST_FIT:
+        headroom = sum(pools[s].fungible_share for s in stages)
+        return (headroom, candidate.recirculations, order)
+    disturbed = set()
+    for stage in stages:
+        disturbed.update(pools[stage].elastic_fids)
+    return (len(disturbed), candidate.recirculations, order)
+
+
 def reference_plan(allocator, fid, pattern):
     """The planner before mutant tables, kept as the oracle: enumerate
     every mutant, test each stage with ``fits_*``, score with
-    ``scheme.score``, then lay the winner out on fresh pools."""
+    :func:`reference_score`, then lay the winner out on fresh pools."""
     config, pools, scheme = allocator.config, allocator.pools, allocator.scheme
     best = best_score = None
     best_demands = {}
@@ -272,7 +290,7 @@ def reference_plan(allocator, fid, pattern):
         ):
             continue
         feasible += 1
-        score = scheme.score(candidate, pools, order)
+        score = reference_score(scheme, candidate, pools, order)
         if best_score is None or score < best_score:
             best, best_score, best_demands = candidate, score, demands
         if scheme is AllocationScheme.FIRST_FIT:

@@ -1,8 +1,6 @@
 """Unit + property tests for mutant enumeration (Section 4.1-4.2)."""
 
 import dataclasses
-import sys
-import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +15,7 @@ from repro.core import (
     count_mutants,
     enumerate_mutants,
 )
-from repro.core.mutants import MutantTable, insertions_for, merge_demands, mutant_table
+from repro.core.mutants import insertions_for, merge_demands, mutant_table
 from repro.isa import assemble
 from repro.switchsim import SwitchConfig
 
@@ -149,10 +147,10 @@ def test_programming_error_in_bounds_propagates(monkeypatch):
     monkeypatch.setattr(AccessPattern, "upper_bounds", broken)
     with pytest.raises(TypeError):
         list(enumerate_mutants(listing1_pattern(), MOST_CONSTRAINED, CONFIG))
-    table = MutantTable(listing1_pattern(), MOST_CONSTRAINED, CONFIG)
-    for _ in range(2):  # a failed build is not read as an empty table
-        with pytest.raises(TypeError):
-            table.rows()
+    tables = {}
+    with pytest.raises(TypeError):
+        mutant_table(tables, listing1_pattern(), MOST_CONSTRAINED, CONFIG)
+    assert tables == {}  # a failed build leaves no empty table behind
 
 
 def _oracle_rows(pattern, policy):
@@ -181,43 +179,10 @@ POLICIES = {
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 @pytest.mark.parametrize("app", sorted(EXEMPLAR_APPS))
 def test_table_rows_equal_the_generator(app, policy):
-    """The generator is the oracle: same rows, same order, same cap,
-    whether the table is read lazily, part-way then whole, or whole."""
+    """The generator is the oracle: same rows, same order, same cap."""
     pattern = EXEMPLAR_APPS[app].pattern()
     expected = _oracle_rows(pattern, POLICIES[policy])
-    lazy = MutantTable(pattern, POLICIES[policy], CONFIG)
-    assert list(lazy) == expected
-    assert list(lazy.rows()) == expected
-    partial = MutantTable(pattern, POLICIES[policy], CONFIG)
-    assert next(iter(partial), None) == (expected[0] if expected else None)
-    assert list(partial.rows()) == expected
-    assert list(partial) == expected
-
-
-def test_table_read_from_many_threads_builds_once():
-    """Shadows in worker threads share one table: concurrent lazy and
-    whole reads of a fresh table all see the generator's rows."""
-    pattern = listing1_pattern()
-    expected = _oracle_rows(pattern, LEAST_CONSTRAINED)
-    table = MutantTable(pattern, LEAST_CONSTRAINED, CONFIG)
-    readers = [lambda: list(table), lambda: list(table.rows())] * 4
-    results = [None] * len(readers)
-
-    def run(index):
-        results[index] = readers[index]()
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(readers))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-            assert not thread.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(rows == expected for rows in results)
+    assert list(mutant_table({}, pattern, POLICIES[policy], CONFIG)) == expected
 
 
 def test_table_is_keyed_by_constraints_not_name():

@@ -68,9 +68,9 @@ def _run_harness(sanitizer: bool) -> float:
         )
     (row,) = result.rows
     assert not row.diverged
-    assert row.audit_errors == 0 and row.invalid_certificates == 0
+    assert row.proofs.audit_errors == 0 and row.proofs.invalid_certificates == 0
     if sanitizer:
-        assert row.certificates > 0
+        assert row.proofs.certificates > 0
     return row.elapsed_s
 
 

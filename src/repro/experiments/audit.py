@@ -29,30 +29,23 @@ the CI ``audit-smoke`` job gates on that.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.analysis.findings import Finding
 from repro.analysis.invariants import replay_findings
 from repro.controller.controller import ActiveRmtController
-from repro.controller.service import (
-    CommitLogEntry,
-    pools_fingerprint,
-    withdraw_with_retries,
-)
+from repro.controller.service import AdmissionService, pools_fingerprint
 from repro.core.constraints import AccessPattern
 from repro.experiments.common import (
-    exemplar_patterns,
+    ChurnDriver,
+    ScenarioResult,
     make_controller,
     table_surface_mismatches,
 )
 from repro.isa import assemble
 from repro.switchsim.config import SwitchConfig
 from repro.switchsim.switch import ActiveSwitch
-from repro.workloads.arrivals import (
-    ArrivalEvent,
-    DepartureEvent,
-    poisson_events,
-)
+from repro.workloads.arrivals import poisson_events
 
 #: An in-bounds single-access app used to pin the rigged program's
 #: region away from word 0 (so its escape is not a no-op offset).
@@ -97,7 +90,7 @@ STARVED_TCAM_ENTRIES = 32
 
 
 @dataclasses.dataclass
-class AuditResult:
+class AuditResult(ScenarioResult):
     epochs: int
     seed: int
     tcam_entries: int
@@ -148,9 +141,43 @@ class AuditResult:
             )
         return out
 
-    @property
-    def clean(self) -> bool:
-        return not self.violations
+    def __str__(self) -> str:
+        lines = [
+            f"-- {self.tcam_entries} TCAM entries per stage --",
+            f"workload: {self.epochs} epochs (Poisson, seed {self.seed}) "
+            f"-> {self.admitted} admitted / {self.withdrawn} withdrawn; "
+            f"refused and rolled back: {self.rolled_back_admissions} "
+            f"admission(s), {self.refused_withdrawals} withdrawal(s)",
+            f"commit log: {self.replayed_entries} entries replayed; "
+            "invariant catalog re-audited after every entry",
+            f"live state: {len(self.live_violations)} violation(s); "
+            f"uncertified admissions: {self.uncertified_admissions}",
+            f"replay: {len(self.replay_violations)} violation(s); "
+            f"fingerprint {'DIVERGED' if self.replay_diverged else 'matches'}",
+            "table surface vs from-scratch install: "
+            + ", ".join(
+                f"{run} {len(mismatches)} mismatch(es)"
+                for run, mismatches in self.table_surface.items()
+            ),
+            "",
+        ]
+        if self.starved is None or self.demo is None:
+            return "\n".join(lines)
+        demo = self.demo
+        return "\n".join([
+            "Offline state audit: commit-log replay + per-epoch re-certification",
+            "",
+            *lines,
+            str(self.starved),
+            "rigged out-of-bounds mutant (strict mode): "
+            + (
+                f"rejected ({', '.join(demo.rules) or 'no rules'}); "
+                f"state {'intact' if demo.state_intact else 'MUTATED'}"
+                if demo.rejected
+                else "NOT REJECTED"
+            ),
+            *([f"  reason: {demo.reason}"] if demo.reason else []),
+        ])
 
 
 def _format_finding(finding: Finding) -> str:
@@ -220,39 +247,17 @@ def run_audit(epochs: int = 30, seed: int = 7) -> AuditResult:
 
 def _run_leg(epochs: int, seed: int, config: SwitchConfig) -> AuditResult:
     """Churn, audit live, replay the log, re-audit every epoch."""
-    patterns = exemplar_patterns()
-    pattern_of_fid: Dict[int, AccessPattern] = {}
-    log: List[CommitLogEntry] = []
     live = make_controller(config=config, sanitizer=True)
-
-    admitted = withdrawn = 0
-    uncertified = 0
-    rolled_back = refused_withdrawals = 0
-    resident: Set[int] = set()
-    refused: List[int] = []
-    for event in poisson_events(
-        epochs=epochs, arrival_mean=2.0, departure_mean=1.0, seed=seed
-    ):
-        if isinstance(event, DepartureEvent):
-            if event.fid in resident:
-                for fid in withdraw_with_retries(live.submit, event.fid, refused):
-                    log.append(("withdraw", fid))
-                    resident.discard(fid)
-                    withdrawn += 1
-                refused_withdrawals += len(refused)
-            continue
-        assert isinstance(event, ArrivalEvent)
-        pattern = patterns[event.app_name]
-        pattern_of_fid[event.fid] = pattern
-        report = live.admit(fid=event.fid, pattern=pattern)
-        rolled_back += report.rolled_back
-        if report.success:
-            log.append(("admit", event.fid))
-            resident.add(event.fid)
-            admitted += 1
-            certificate = report.certificate
-            if certificate is None or not certificate.valid:
-                uncertified += 1
+    service = AdmissionService(live, workers=0)
+    drive = ChurnDriver(service.submit)
+    drive.drive(poisson_events(epochs=epochs, seed=seed))
+    outcomes = drive.outcomes()
+    reports = [ticket.result() for ticket in drive.tickets.values()]
+    uncertified = sum(
+        1
+        for report in reports
+        if report.success and not (report.certificate and report.certificate.valid)
+    )
 
     # The sanitizer audited after every commit; anything it caught is
     # in audit_violations.  Re-audit the final state and re-derive the
@@ -273,10 +278,10 @@ def _run_leg(epochs: int, seed: int, config: SwitchConfig) -> AuditResult:
     # whole catalog, and each replayed admission must certify.
     replay = make_controller(config=config, sanitizer=False)
     replay_violations: List[str] = []
-    for index, (kind, fid) in enumerate(log):
+    for index, (kind, fid) in enumerate(service.commit_log):
         label = f"replay entry {index} ({kind} fid {fid})"
         if kind == "admit":
-            replayed = replay.admit(fid=fid, pattern=pattern_of_fid[fid])
+            replayed = replay.admit(fid=fid, pattern=drive.pattern_of_fid[fid])
             if not replayed.success:
                 replay_violations.append(
                     f"{label}: serial replay rejected an admission the "
@@ -306,13 +311,13 @@ def _run_leg(epochs: int, seed: int, config: SwitchConfig) -> AuditResult:
         epochs=epochs,
         seed=seed,
         tcam_entries=config.tcam_entries_per_stage,
-        admitted=admitted,
-        withdrawn=withdrawn,
-        rolled_back_admissions=rolled_back,
-        refused_withdrawals=refused_withdrawals,
+        admitted=outcomes.admitted,
+        withdrawn=len(drive.withdrawn),
+        rolled_back_admissions=outcomes.rolled_back,
+        refused_withdrawals=drive.refused_withdrawals,
         live_violations=live_violations,
         uncertified_admissions=uncertified,
-        replayed_entries=len(log),
+        replayed_entries=len(service.commit_log),
         replay_violations=replay_violations,
         replay_diverged=bool(divergence),
         table_surface={
@@ -320,66 +325,3 @@ def _run_leg(epochs: int, seed: int, config: SwitchConfig) -> AuditResult:
             "replay": table_surface_mismatches(replay),
         },
     )
-
-
-def _format_leg(result: AuditResult) -> List[str]:
-    return [
-        f"-- {result.tcam_entries} TCAM entries per stage --",
-        f"workload: {result.epochs} epochs (Poisson, seed {result.seed}) "
-        f"-> {result.admitted} admitted / {result.withdrawn} withdrawn; "
-        f"refused and rolled back: {result.rolled_back_admissions} "
-        f"admission(s), {result.refused_withdrawals} withdrawal(s)",
-        f"commit log: {result.replayed_entries} entries replayed; "
-        "invariant catalog re-audited after every entry",
-        f"live state: {len(result.live_violations)} violation(s); "
-        f"uncertified admissions: {result.uncertified_admissions}",
-        f"replay: {len(result.replay_violations)} violation(s); "
-        f"fingerprint {'DIVERGED' if result.replay_diverged else 'matches'}",
-        "table surface vs from-scratch install: "
-        + ", ".join(
-            f"{run} {len(mismatches)} mismatch(es)"
-            for run, mismatches in result.table_surface.items()
-        ),
-        "",
-    ]
-
-
-def format_audit(result: AuditResult) -> str:
-    assert result.demo is not None and result.starved is not None
-    lines = [
-        "Offline state audit: commit-log replay + per-epoch re-certification",
-        "",
-        *_format_leg(result),
-        *_format_leg(result.starved),
-        "rigged out-of-bounds mutant (strict mode): "
-        + (
-            f"rejected ({', '.join(result.demo.rules) or 'no rules'}); "
-            f"state {'intact' if result.demo.state_intact else 'MUTATED'}"
-            if result.demo.rejected
-            else "NOT REJECTED"
-        ),
-    ]
-    if result.demo.reason:
-        lines.append(f"  reason: {result.demo.reason}")
-    if result.violations:
-        lines.append("")
-        lines.append("violations:")
-        lines.extend(f"  - {violation}" for violation in result.violations)
-    lines.append("")
-    lines.append("audit: " + ("CLEAN" if result.clean else "VIOLATIONS"))
-    return "\n".join(lines)
-
-
-def payload_for(result: AuditResult) -> Dict[str, object]:
-    """Machine-readable summary for ``--report-out``: every field, per
-    leg, plus the verdict."""
-    payload = dataclasses.asdict(result)
-    payload["violations"] = list(result.violations)
-    payload["clean"] = result.clean
-    if result.starved is not None:
-        payload["starved"] = payload_for(result.starved)
-    return payload
-
-
-def main(epochs: int = 30, seed: int = 7) -> str:
-    return format_audit(run_audit(epochs=epochs, seed=seed))

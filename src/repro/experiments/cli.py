@@ -6,9 +6,12 @@ Usage::
     activermt-experiments all --quick
 
 ``--quick`` shrinks workload sizes for smoke runs; the defaults match
-the paper's scales.  The churn harnesses take their size explicitly:
+the paper's scales.  The churn scenarios take their size explicitly:
 ``--epochs N`` (churn, fabric, chaos, audit) and ``--shards 1,4``
-(fabric) override the quick/full defaults -- the CI jobs pin both.
+(fabric) override the quick/full defaults -- the CI jobs pin both.  A
+scenario exits 1 when any of its checks fails (its result's
+``violations``); ``--report-out FILE`` writes every result field and
+the violations as JSON.
 
 ``--stats-out FILE`` enables the telemetry subsystem for the run: a
 fresh metrics registry is installed as the process default before each
@@ -137,40 +140,49 @@ def _whatif(quick: bool) -> str:
     return whatif.main(arrivals=20 if quick else 60)
 
 
-def _churn(quick: bool, epochs: int = 0) -> str:
+def _churn(quick: bool, epochs: int = 0) -> object:
     from repro.experiments import churn
 
     # The CI soak job runs a few hundred epochs against a fixed seed.
-    return churn.main(epochs=epochs or (10 if quick else 30))
+    return churn.run_churn(epochs=epochs or (10 if quick else 30))
 
 
-def _fabric(quick: bool, epochs: int = 0, shards: Tuple[int, ...] = ()) -> str:
+def _fabric(quick: bool, epochs: int = 0, shards: Tuple[int, ...] = ()) -> object:
     from repro.experiments import fabric
 
     # The CI smoke job pins epochs and the shard ladder.
-    return fabric.main(
+    return fabric.run_fabric(
         epochs=epochs or (10 if quick else 30),
         shard_counts=shards or ((1, 2) if quick else (1, 2, 4, 8)),
     )
 
 
-def _chaos(quick: bool, epochs: int = 0) -> str:
+def _chaos(quick: bool, epochs: int = 0) -> object:
     from repro.experiments import chaos
 
     # *epochs* is the churn between failovers (the CI chaos-smoke job
     # pins it with a fixed seed).
-    return chaos.main(epochs=epochs or (30 if quick else 60))
+    return chaos.run_chaos(epochs=epochs or (30 if quick else 60))
 
 
-#: The workload-size flags each churn harness takes (the ``audit``
-#: pseudo-experiment below takes ``--epochs`` too).
+def _audit(quick: bool, epochs: int = 0) -> object:
+    from repro.experiments import audit
+
+    return audit.run_audit(epochs=epochs or 30)
+
+
+#: The workload-size flags each churn scenario takes.
 SIZED_BY = {
     "churn": ("epochs",),
     "fabric": ("epochs", "shards"),
     "chaos": ("epochs",),
+    "audit": ("epochs",),
 }
 
-EXPERIMENTS: Dict[str, Callable[..., str]] = {
+#: A figure returns its text; a churn scenario returns a
+#: :class:`~repro.experiments.common.ScenarioResult`, which prints itself
+#: and whose violations set the exit status.
+EXPERIMENTS: Dict[str, Callable[..., object]] = {
     "fig5": _fig5,
     "fig6": _fig6,
     "fig7": _fig7,
@@ -196,6 +208,9 @@ EXPERIMENTS: Dict[str, Callable[..., str]] = {
     # with two shard failovers (replace + redistribute); the run must
     # end with clean audits and matching recovery fingerprints.
     "chaos": _chaos,
+    # Not a paper figure: a churn commit log replayed through the
+    # invariant auditor, on a default and a TCAM-starved switch.
+    "audit": _audit,
 }
 
 
@@ -229,8 +244,8 @@ def run_experiment(
     stats_out: Optional[str] = None,
     trace_out: Optional[str] = None,
     **scale: object,
-) -> str:
-    """Run one figure, optionally dumping telemetry and/or spans.
+) -> object:
+    """Run one experiment, optionally dumping telemetry and/or spans.
 
     *scale* holds the workload-size flags *name* takes (:data:`SIZED_BY`).
 
@@ -287,38 +302,17 @@ def run_lint(report_out: Optional[str] = None) -> int:
     text, payload, exit_code = lint_catalog()
     print(text)
     if report_out is not None:
-        import json
-
-        with open(report_out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"[verifier report written to {report_out}]")
+        _write_report(report_out, payload)
     return exit_code
 
 
-def run_audit_cli(report_out: Optional[str] = None, epochs: int = 0) -> int:
-    """Offline state auditor (the ``audit`` pseudo-experiment).
+def _write_report(path: str, payload: object) -> None:
+    import json
 
-    Replays a fixed-seed churn commit log entry by entry, re-running
-    the invariant catalog and re-deriving every admission's isolation
-    certificate, then demonstrates the strict-mode rejection of a
-    rigged out-of-bounds mutant.  Returns 0 only when every check is
-    clean.  *epochs* sizes the churn (default 30).
-    """
-    from repro.experiments import audit
-
-    result = audit.run_audit(epochs=epochs or 30)
-    print(audit.format_audit(result))
-    if report_out is not None:
-        import json
-
-        with open(report_out, "w", encoding="utf-8") as handle:
-            json.dump(
-                audit.payload_for(result), handle, indent=2, sort_keys=True
-            )
-            handle.write("\n")
-        print(f"[audit report written to {report_out}]")
-    return 0 if result.clean else 1
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"[report written to {path}]")
 
 
 def run_codelint(root: Optional[str] = None) -> int:
@@ -346,7 +340,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(EXPERIMENTS) + ["all", "audit", "codelint", "lint"],
+        choices=sorted(EXPERIMENTS) + ["all", "codelint", "lint"],
         help=(
             "which figure/table to regenerate; 'lint' statically "
             "verifies the bundled active programs, 'audit' replays a "
@@ -383,7 +377,10 @@ def main(argv=None) -> int:
         "--report-out",
         metavar="FILE",
         default=None,
-        help="(lint/audit only) write the JSON findings summary here",
+        help=(
+            "(lint and churn/fabric/chaos/audit only) write the JSON "
+            "report (every result field plus the violations) here"
+        ),
     )
     parser.add_argument(
         "--epochs",
@@ -405,32 +402,36 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.experiment == "lint":
         return run_lint(report_out=args.report_out)
-    if args.experiment == "audit":
-        return run_audit_cli(report_out=args.report_out, epochs=args.epochs)
     if args.experiment == "codelint":
         return run_codelint()
+    from repro.experiments.common import ScenarioResult, payload_for
+
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    exit_code = 0
     for name in names:
         started = time.perf_counter()
-        stats_out = (
-            _stats_path(args.stats_out, name, len(names) > 1)
-            if args.stats_out
-            else None
-        )
-        trace_out = (
-            _stats_path(args.trace_out, name, len(names) > 1)
-            if args.trace_out
-            else None
+        stats_out, trace_out, report_out = (
+            _stats_path(path, name, len(names) > 1) if path else None
+            for path in (args.stats_out, args.trace_out, args.report_out)
         )
         scale = {flag: getattr(args, flag) for flag in SIZED_BY.get(name, ())}
-        print(run_experiment(name, args.quick, stats_out, trace_out, **scale))
+        output = run_experiment(name, args.quick, stats_out, trace_out, **scale)
+        print(output)
+        if isinstance(output, ScenarioResult):
+            for violation in output.violations:
+                print(f"violation: {violation}")
+            print(f"{name}: {'CLEAN' if output.clean else 'VIOLATIONS'}")
+            if report_out:
+                _write_report(report_out, payload_for(output))
+            if not output.clean:
+                exit_code = 1
         elapsed = time.perf_counter() - started
         print(f"[{name} regenerated in {elapsed:.1f} s]\n")
         if stats_out:
             print(f"[telemetry snapshot written to {stats_out}]\n")
         if trace_out:
             print(f"[span trace written to {trace_out}]\n")
-    return 0
+    return exit_code
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from repro.experiments import audit
 from repro.faults import FaultKind, FaultyDevice
 from repro.experiments.common import (
     exemplar_patterns,
+    payload_for,
     table_surface_mismatches,
 )
 from repro.switchsim import ActiveSwitch, SwitchConfig
@@ -353,7 +354,7 @@ def test_audit_experiment_reports_the_table_surface():
     result = audit.run_audit(epochs=8)
     assert result.table_surface == {"live": [], "replay": []}
     assert result.clean
-    assert audit.payload_for(result)["table_surface"] == result.table_surface
+    assert payload_for(result)["table_surface"] == result.table_surface
     # A stale entry on either surface is a violation (non-zero exit).
     result.table_surface["replay"].append("stage 3 fid 9: stale")
     assert not result.clean

@@ -21,4 +21,5 @@ and a ``format_result`` used by the CLI.
 | mutants     | Section 6.1 mutant census                  |
 | overheads   | Section 5 / 6.2 baseline comparisons       |
 | whatif      | (not a figure) dry-run admission probing   |
+| churn, fabric, chaos, audit | (not figures) churn scenarios; exit 1 on a violation |
 """

@@ -16,20 +16,30 @@ who is resident -- and holds every oracle after every step:
 - a step that did not succeed left pools, tables, registers and
   activation byte-identical.
 
+Two historical bugs are re-injected below, and the derandomized machine
+must fail under each: a TCAM refusal escaping the transaction, and a
+planner without the one-block slack floor for elastic newcomers.
+
 Not yet covered (the follow-up): device death, failover (replace and
 redistribute) and recovery rules, and retiring the per-PR tests this
 subsumes.
 """
 
-from hypothesis import HealthCheck, settings, strategies as st
+import inspect
+import textwrap
+
+import pytest
+from hypothesis import HealthCheck, Phase, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
     precondition,
     rule,
+    run_state_machine_as_test,
 )
 
+from repro.controller import controller as controller_module
 from repro.controller import (
     ActiveRmtController,
     AdmissionService,
@@ -38,10 +48,13 @@ from repro.controller import (
     replay_commit_log,
 )
 from repro.controller.service import pools_fingerprint
+from repro.core import allocator as allocator_module
+from repro.core.allocator import ActiveRmtAllocator
 from repro.device import SimDevice
 from repro.experiments.common import exemplar_patterns, table_surface_mismatches
 from repro.faults import FaultKind, FaultyDevice, RetryPolicy
 from repro.switchsim import ActiveSwitch, SwitchConfig
+from repro.switchsim.tables import TcamCapacityError
 
 from tests.test_faults import ScriptedPlan
 from tests.test_transactions import full_fingerprint
@@ -56,12 +69,14 @@ RETRY = RetryPolicy(max_attempts=3, base_s=1e-9, cap_s=1e-8)
 
 
 class ControlPlaneMachine(RuleBasedStateMachine):
-    @initialize(tcam_entries=st.integers(16, 64))
-    def build(self, tcam_entries):
+    @initialize(tcam_entries=st.integers(16, 64), blocks=st.sampled_from([64, 2]))
+    def build(self, tcam_entries, blocks):
         # A quarter of the default register file: cheap to fingerprint,
-        # and still enough tenants per stage to starve these TCAMs.
+        # and still enough tenants per stage to starve these TCAMs.  At
+        # two blocks a stage, two elastic tenants still share one, and
+        # stages fill within a few steps.
         self.config = SwitchConfig(
-            tcam_entries_per_stage=tcam_entries, words_per_stage=16384
+            tcam_entries_per_stage=tcam_entries, words_per_stage=blocks * 256
         )
         self.faults = []  # answers to the next mutating device ops
         device = FaultyDevice(
@@ -76,6 +91,9 @@ class ControlPlaneMachine(RuleBasedStateMachine):
         self.resident = {}  # the model: fid -> app name
         self.pattern_of_fid = {}
         self.next_fid = 1
+        # The serial replay, extended by each step's new log entries.
+        self.replica = ActiveRmtController(ActiveSwitch(self.config))
+        self.replayed = 0
 
     # -- steps ----------------------------------------------------------
 
@@ -161,9 +179,10 @@ class ControlPlaneMachine(RuleBasedStateMachine):
         assert sorted(certificates) == sorted(self.resident)
         assert all(certificate.valid for certificate in certificates.values())
         assert table_surface_mismatches(controller) == []
-        fresh = ActiveRmtController(ActiveSwitch(self.config))
-        replay_commit_log(self.service.commit_log, self.pattern_of_fid, fresh)
-        assert pools_fingerprint(fresh.allocator) == pools_fingerprint(
+        log = self.service.commit_log
+        replay_commit_log(log[self.replayed :], self.pattern_of_fid, self.replica)
+        self.replayed = len(log)
+        assert pools_fingerprint(self.replica.allocator) == pools_fingerprint(
             controller.allocator
         )
 
@@ -175,3 +194,61 @@ TestControlPlaneMachine.settings = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
+
+
+# ----------------------------------------------------------------------
+# Historical bugs, re-injected: the machine must catch each one
+# ----------------------------------------------------------------------
+
+
+def _run_machine_derandomized():
+    """The machine above with a fixed example sequence and no shrinking:
+    the same steps on every run, and a failure surfaces at once."""
+    run_state_machine_as_test(
+        ControlPlaneMachine,
+        settings=settings(
+            TestControlPlaneMachine.settings,
+            derandomize=True,
+            database=None,
+            phases=[Phase.generate],
+            print_blob=False,
+        ),
+    )
+
+
+def test_the_derandomized_machine_passes():
+    _run_machine_derandomized()
+
+
+def test_the_machine_catches_a_tcam_refusal_escaping_the_transaction(monkeypatch):
+    """The withdrawal bug: a layout change the TCAM refuses escapes as
+    ``TcamCapacityError`` instead of rolling back, because the commit
+    path's ``except`` no longer matches it."""
+
+    class Unmatchable(Exception):
+        pass
+
+    monkeypatch.setattr(controller_module, "TcamCapacityError", Unmatchable)
+    with pytest.raises(TcamCapacityError):
+        _run_machine_derandomized()
+
+
+@pytest.mark.parametrize(
+    "floor", ["slack[stage] < demand", "slack[stage] < (demand or 0)"]
+)
+def test_the_machine_catches_a_planner_without_the_slack_floor(monkeypatch, floor):
+    """The planner bug: an elastic newcomer needs one block of a stage's
+    slack, and without that floor it is planned into a full stage.  The
+    mutant planner is a source rewrite of ``_plan_impl`` (no seam in the
+    production code); the literal ``< demand`` also trips over an
+    elastic demand, which is None."""
+    method = ActiveRmtAllocator._plan_impl
+    source = textwrap.dedent(inspect.getsource(method))
+    mutated = source.replace("slack[stage] < (demand or 1)", floor)
+    assert mutated != source
+    namespace = {}
+    code = compile(mutated, inspect.getsourcefile(method), "exec")
+    exec(code, dict(vars(allocator_module)), namespace)
+    monkeypatch.setattr(ActiveRmtAllocator, "_plan_impl", namespace["_plan_impl"])
+    with pytest.raises(Exception):
+        _run_machine_derandomized()

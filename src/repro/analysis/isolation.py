@@ -75,32 +75,44 @@ def _pow2_mask(words: int) -> int:
     return (1 << (words.bit_length() - 1)) - 1
 
 
+def implied_bounds(
+    regions: WordRegions,
+    translation_window: int = DEFAULT_TRANSLATION_WINDOW,
+) -> Tuple[Dict[int, Tuple[int, int, int]], Dict[int, Tuple[int, int]]]:
+    """The table entries a region map implies, as plain tuples.
+
+    The one definition of "what should be installed" for a FID: the
+    table engine diffs two of these to update the device, the certifier
+    compares one (as :func:`implied_entries`) against the installed
+    surface.  Every granted stage carries a grant ``(start, end, mask)``
+    with exactly the region's bounds (its offset is its start); every
+    stage in the ``translation_window`` before a granted stage carries
+    that stage's ``(mask, offset)`` pair, and where windows overlap the
+    nearest upcoming access wins (regions are visited in descending
+    stage order, so a nearer one overwrites).
+    """
+    grants: Dict[int, Tuple[int, int, int]] = {}
+    translations: Dict[int, Tuple[int, int]] = {}
+    for stage in sorted(regions, reverse=True):
+        start, end = regions[stage]
+        mask = _pow2_mask(end - start)
+        grants[stage] = (start, end, mask)
+        for prior in range(max(1, stage - translation_window), stage):
+            translations[prior] = (mask, start)
+    return grants, translations
+
+
 def implied_entries(
     fid: int,
     regions: WordRegions,
     translation_window: int = DEFAULT_TRANSLATION_WINDOW,
 ) -> Tuple[Dict[int, StageGrant], Dict[int, Tuple[int, int]]]:
-    """The table entries a region map implies, as ``(grants, translations)``.
-
-    The one definition of "what should be installed" for a FID: the
-    table engine diffs two of these to update the device, the certifier
-    compares one against the installed surface.  Every granted stage
-    carries a :class:`StageGrant` with exactly the region's bounds and
-    translation pair; every stage in the ``translation_window`` before
-    a granted stage carries that stage's ``(mask, offset)`` pair, and
-    where windows overlap the nearest upcoming access wins (regions are
-    visited in descending stage order, so a nearer one overwrites).
-    """
-    grants: Dict[int, StageGrant] = {}
-    translations: Dict[int, Tuple[int, int]] = {}
-    for stage in sorted(regions, reverse=True):
-        start, end = regions[stage]
-        mask = _pow2_mask(end - start)
-        grants[stage] = StageGrant(
-            fid=fid, start=start, end=end, mask=mask, offset=start
-        )
-        for prior in range(max(1, stage - translation_window), stage):
-            translations[prior] = (mask, start)
+    """:func:`implied_bounds` with each grant as *fid*'s :class:`StageGrant`."""
+    bounds, translations = implied_bounds(regions, translation_window)
+    grants = {
+        stage: StageGrant(fid, start, end, mask, start)
+        for stage, (start, end, mask) in bounds.items()
+    }
     return grants, translations
 
 
@@ -110,13 +122,13 @@ def effective_translations(
 ) -> Dict[int, Tuple[int, int]]:
     """The ``(mask, offset)`` pair ADDR_MASK/ADDR_OFFSET resolves per stage.
 
-    The implied translation entries (:func:`implied_entries`), plus the
+    The implied translation entries (:func:`implied_bounds`), plus the
     runtime's fallback in ``switchsim/stage.py``: a granted stage with
     no explicit entry resolves to its own grant's pair.
     """
-    grants, effective = implied_entries(0, regions, translation_window)
-    for stage, grant in grants.items():
-        effective.setdefault(stage, (grant.mask, grant.offset))
+    grants, effective = implied_bounds(regions, translation_window)
+    for stage, (start, _end, mask) in grants.items():
+        effective.setdefault(stage, (mask, start))
     return effective
 
 

@@ -74,7 +74,7 @@ from repro.core.transactions import (
     StalePlanError,
     TableUpdateJournal,
 )
-from repro.controller.table_updater import TableUpdateCost, TableUpdateEngine
+from repro.controller.table_updater import Move, TableUpdateCost, TableUpdateEngine
 from repro.device import (
     Device,
     DeviceError,
@@ -1060,34 +1060,35 @@ class ActiveRmtController:
 
         *fid* goes from regions *old* to *new* -- an arrival comes from
         none, a departure goes to none -- and *reallocations* is what
-        that does to its neighbours.  Every mutation -- table entries,
-        (de)activations, register scrubs -- is recorded in *journal* so
-        a mid-flight failure can be reversed exactly.  Returns the
-        modeled table-update seconds.
+        that does to its neighbours (each one's old map puts back the
+        ``old`` halves of its row).  The engine applies it as one staged
+        batch under one *journal* record.  Returns the modeled seconds.
+        A neighbour's maps cover only the stages within the translation
+        window of a changed one: a grant depends on its own stage and a
+        translation at stage p on the grants in (p, p + window] alone,
+        so the writes, their order and their seconds are the full maps'.
         """
-        impacted = sorted(reallocations)
-        block_words = self.device.config.block_words
-        # 1. Deactivate impacted applications (consistent snapshot;
-        # clients extract their state while it is frozen).
-        seconds = self.updater.set_active(impacted, False, journal, ctx)
-        # 2. A departing application's entries go before its neighbours
-        # grow: the TCAM space they free is what a grown range may need.
-        if old:
-            seconds += self.updater.remove_app(
-                fid, old, block_words, journal=journal, ctx=ctx
-            )
-        # 3. Move the entries of resized/moved applications.
-        for other in impacted:
-            seconds += self._move_tables(other, reallocations[other], journal, ctx)
-        # 4. Scrub and install an arriving application's regions.
-        if new:
-            for stage, block_range in new.items():
-                self._scrub_region(stage, block_range, block_words, journal)
-            seconds += self.updater.install_app(
-                fid, new, block_words, journal=journal, ctx=ctx
-            )
-        # 5. Reactivate everyone.
-        return self.updater.set_active(impacted, True, journal, ctx, seconds)
+        window = TableUpdateEngine.TRANSLATION_WINDOW
+        pools, apps = self.allocator.pools, self.allocator.apps
+        moves: List[Move] = []
+        for other in sorted(reallocations):
+            changes = reallocations[other]
+            near = {s for c in changes for s in range(c - window, c + window + 1)}
+            after: Dict[int, BlockRange] = {}
+            for stage in apps[other].demand_by_stage:
+                block_range = pools[stage].range_for(other) if stage in near else None
+                if block_range is not None and block_range.count > 0:
+                    after[stage] = block_range
+            before = dict(after)
+            for stage, (block_range, _now) in changes.items():
+                if block_range is not None and block_range.count > 0:
+                    before[stage] = block_range
+                else:
+                    before.pop(stage, None)
+            moves.append((other, before, after))
+        return self.updater.apply_layout(
+            fid, old, new, self.device.config.block_words, journal, ctx, moves, scrub=True
+        )
 
     def _snapshot_seconds(self, decision: AllocationDecision) -> float:
         """Modeled time the displaced clients spend extracting state."""
@@ -1104,32 +1105,6 @@ class ActiveRmtController:
             )
         return seconds
 
-    def _scrub_region(
-        self,
-        stage: int,
-        block_range: BlockRange,
-        block_words: int,
-        journal: TableUpdateJournal,
-    ) -> None:
-        """Zero a newcomer region, journaling the prior word contents.
-
-        The scrubbed words may include blocks an incumbent just
-        vacated; rolling back the admission must restore those exact
-        bytes, so the undo reloads the pre-scrub snapshot.  Recorded
-        before the scrub: one whose response is lost has zeroed the
-        words all the same, and rewriting them is idempotent.
-        """
-        words = block_range.to_words(block_words)
-        device = self.device
-        previous = device.read_registers(stage, words.start, words.end)
-        journal.record(
-            f"scrub stage={stage} words=[{words.start},{words.end})",
-            lambda: device.write_registers(stage, words.start, previous),
-        )
-        self.updater.guarded(
-            lambda: device.scrub_registers(stage, words.start, words.end)
-        )
-
     def _do_withdraw(self, fid: int, ctx: ParentLike = None) -> ProvisioningReport:
         """A departure is a layout change like an arrival: allocator
         checkpoint, one journal, and :meth:`_unwind` when the switch
@@ -1137,7 +1112,8 @@ class ActiveRmtController:
         byte-identical to before the request, and *fid* stays resident.
         """
         with self.tracer.span("controller.withdraw", parent=ctx, fid=fid) as span:
-            departing = self._current_regions(fid)
+            regions = self.allocator.regions_for(fid).items()
+            departing = {s: r for s, r in regions if r is not None and r.count > 0}
             reallocations, checkpoint = self.allocator.release(fid)
             journal = TableUpdateJournal(tracer=self.tracer, ctx=span)
             try:
@@ -1171,47 +1147,6 @@ class ActiveRmtController:
             ).observe(seconds)
         if self.sanitizer:
             self._sanitize()
-
-    def _move_tables(
-        self,
-        fid: int,
-        changes: Mapping[int, Tuple[Optional[BlockRange], Optional[BlockRange]]],
-        journal: TableUpdateJournal,
-        ctx: ParentLike,
-    ) -> float:
-        """Bring a displaced incumbent's entries to its committed layout.
-
-        *changes* is the FID's row of a reallocation map; putting its
-        ``old`` halves back over the current regions gives the layout
-        the device still enforces, and the engine writes the difference.
-        Only stages within the translation window of a changed one are
-        diffed: a grant depends on its own stage alone and a translation
-        at stage p on the granted stages in (p, p + window], so the
-        writes, their order and the modeled seconds are the full map's.
-        """
-        window = TableUpdateEngine.TRANSLATION_WINDOW
-        near = {s for c in changes for s in range(c - window, c + window + 1)}
-        new = {
-            stage: block_range
-            for stage, block_range in self._current_regions(fid).items()
-            if stage in near
-        }
-        old = dict(new)
-        for stage, (before, _after) in changes.items():
-            if before is not None and before.count > 0:
-                old[stage] = before
-            else:
-                old.pop(stage, None)
-        return self.updater.apply_delta(
-            fid, old, new, self.device.config.block_words, journal, ctx
-        )
-
-    def _current_regions(self, fid: int) -> Dict[int, BlockRange]:
-        return {
-            stage: block_range
-            for stage, block_range in self.allocator.regions_for(fid).items()
-            if block_range is not None and block_range.count > 0
-        }
 
     # ------------------------------------------------------------------
     # Packet-driven API

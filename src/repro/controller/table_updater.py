@@ -1,36 +1,20 @@
-"""Delta match-table updates with a BFRT-style cost model.
+"""Layout changes as staged device batches, with a BFRT-style cost model.
 
 Provisioning time in the paper is "dominated by the time taken to
 update table entries on the switch, including removing old entries and
-installing new ones" (Section 6.2).  The engine below applies layout
-changes to the device's table surface
-(:class:`~repro.device.DeviceTables`) and charges a per-entry latency
-so experiments can reproduce Figure 8a's breakdown.  A bare
-:class:`~repro.switchsim.pipeline.Pipeline` is accepted for
-convenience and adapted behind :class:`~repro.device.PipelineTables`.
-
-There is one update path, :meth:`TableUpdateEngine.apply_delta`: the
-entry sets a FID's old and new region maps imply
-(:func:`~repro.analysis.isolation.implied_entries`, the same function
-the certifier audits the device against) are diffed, and exactly one
-device write is issued per entry that differs -- an in-place install
-for an added or changed entry (the stage table replaces the entry and
-re-accounts its TCAM cost in one step, so occupancy never passes
-through a state the remove-then-install order would not also have
-passed its capacity check in), a remove for one that vanishes.  An
-entry both maps imply costs no device call, reads included; where the
-paper removes and re-installs, this writes only what moved, and the
-modeled time falls with the entry count.  Admission of a newcomer and
-withdrawal are the degenerate deltas (``install_app`` / ``remove_app``).
-
-With a :class:`~repro.core.transactions.TableUpdateJournal` (the
-controller opens one per layout change, arrival or departure) a delta
-is one reversible record and its undo is the reverse delta: the writes
-attempted so far, newest first, back to what the old map implies.
-When a mid-flight install trips
-:class:`~repro.switchsim.tables.TcamCapacityError`, replaying the
-journal walks the device back through the same intermediate states,
-so no step of the rollback can itself exceed a capacity limit.
+installing new ones" (Section 6.2).  :meth:`TableUpdateEngine.apply_layout`
+applies one layout change to the device's table surface
+(:class:`~repro.device.DeviceTables`; a bare pipeline is adapted) as one
+staged batch of device calls for every FID it touches, run by one loop,
+and charges a per-entry latency for Figure 8a's breakdown.  A FID's
+entries are a delta of the tuples its old and new maps imply
+(:func:`~repro.analysis.isolation.implied_bounds`, the definition the
+certifier audits against): an in-place install per added or changed
+entry, a remove per vanished one, no call for an unchanged one.  Its one
+journal record replays the reached groups newest first, through the
+forward pass's own intermediate states, so a rollback after
+:class:`~repro.switchsim.tables.TcamCapacityError` cannot itself exceed
+a capacity limit.
 """
 
 from __future__ import annotations
@@ -38,9 +22,9 @@ from __future__ import annotations
 import dataclasses
 import random
 import time
-from typing import Callable, Mapping, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from repro.analysis.isolation import WordRegions, implied_entries
+from repro.analysis.isolation import implied_bounds
 from repro.core.blocks import BlockRange
 from repro.core.transactions import TableUpdateJournal
 from repro.device import DeviceTables, PipelineTables, TransientDeviceError
@@ -50,7 +34,12 @@ from repro.switchsim.tables import StageGrant
 from repro.telemetry import AnyTracer, MetricsRegistry, resolve, resolve_tracer
 from repro.telemetry.tracing import ParentLike
 
-T = TypeVar("T")
+#: A displaced neighbour's entry move: ``(fid, old regions, new regions)``.
+Move = Tuple[int, Mapping[int, BlockRange], Mapping[int, BlockRange]]
+#: One staged device call: a bound method, its arguments, and the tally
+#: slot it counts in once it returns (OTHER, INSTALLED or REMOVED).
+Op = Tuple[Callable[..., Any], Tuple[Any, ...], int]
+OTHER, INSTALLED, REMOVED = 0, 1, 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,42 +59,173 @@ class TableUpdateCost:
     activation_seconds: float = 1.0e-3  # (de)activating a FID
 
 
-def _words(regions: Mapping[int, BlockRange], block_words: int) -> WordRegions:
-    return {
-        stage: (block_range.start * block_words, block_range.end * block_words)
-        for stage, block_range in regions.items()
-    }
-
-
-def _put_grant(
-    tables: DeviceTables, stage: int, fid: int, grant: Optional[StageGrant]
-) -> None:
-    """Make *fid*'s grant in *stage* be *grant* (None = no entry)."""
-    if grant is None:
-        tables.remove_grant(stage, fid)
-    else:
-        tables.install_grant(stage, grant)
-
-
-def _put_translation(
-    tables: DeviceTables, stage: int, fid: int, pair: Optional[Tuple[int, int]]
-) -> None:
-    """Make *fid*'s translation in *stage* be *pair* (None = no entry)."""
+def _translation_op(tables: Any, stage: int, fid: int, pair: Any) -> Op:
+    """The call making *fid*'s translation in *stage* be *pair* (None = none)."""
     if pair is None:
-        tables.remove_translation(stage, fid)
-    else:
-        tables.install_translation(stage, fid, mask=pair[0], offset=pair[1])
+        return tables.remove_translation, (stage, fid), REMOVED
+    return tables.install_translation, (stage, fid, pair[0], pair[1]), INSTALLED
 
 
-def _differing(put: Callable[..., None], old: Mapping, new: Mapping) -> list:
-    """One ``(put, stage, new entry, old entry)`` per stage whose entry
-    differs between the two maps (None = no entry)."""
-    writes = []
-    for stage in sorted(old.keys() | new.keys()):
-        before, after = old.get(stage), new.get(stage)
-        if before != after:
-            writes.append((put, stage, after, before))
-    return writes
+def _grant_op(tables: Any, stage: int, fid: int, bounds: Any) -> Op:
+    """The call making *fid*'s grant in *stage* be *bounds* (None = none)."""
+    if bounds is None:
+        return tables.remove_grant, (stage, fid), REMOVED
+    start, end, mask = bounds
+    return tables.install_grant, (stage, StageGrant(fid, start, end, mask, start)), INSTALLED
+
+
+class _Flips:
+    """An activation set: each FID flipped, after reading which already
+    are what the set makes them (*held*: the simulated-time provisioner
+    holds FIDs inactive outside any journal, and a rollback must leave
+    them so).  The undo flips back every other FID, reached or not."""
+
+    reads = 1
+
+    def __init__(self, tables: Any, fids: Sequence[int], active: bool) -> None:
+        self.tables, self.fids, self.active = tables, fids, active
+        self.held: Set[int] = set()
+
+    def read_held(self) -> None:
+        self.held = {f for f in self.fids if self.tables.is_active(f) == self.active}
+
+    def undo(self, started: int) -> None:
+        unflip = self.tables.deactivate_fid if self.active else self.tables.reactivate_fid
+        for fid in self.fids:
+            if fid not in self.held:
+                unflip(fid)
+
+
+class _Scrub:
+    """A newcomer region zeroed after its words are read: they may hold
+    blocks an incumbent just vacated, and the undo writes them back."""
+
+    reads = 1
+
+    def __init__(self, tables: Any, stage: int, start: int, end: int) -> None:
+        self.tables, self.stage, self.start, self.end = tables, stage, start, end
+        self.previous: List[int] = []
+
+    def snapshot(self) -> None:
+        self.previous = self.tables.read_registers(self.stage, self.start, self.end)
+
+    def undo(self, started: int) -> None:
+        self.tables.write_registers(self.stage, self.start, self.previous)
+
+
+class _Delta:
+    """A FID's cache flush, then one write per entry that differs:
+    *writes* holds ``(op maker, stage, old entry)`` for each.
+    The undo puts the old entry back for every write started, newest
+    first, then flushes, so nothing decoded against the transaction's
+    tables survives it."""
+
+    reads = 0
+
+    def __init__(self, tables: Any, fid: int, writes: List[Tuple[Any, ...]]) -> None:
+        self.tables, self.fid, self.writes = tables, fid, writes
+
+    def undo(self, started: int) -> None:
+        for op_for, stage, old in reversed(self.writes[: started - 1]):
+            method, args, _tally = op_for(self.tables, stage, self.fid, old)
+            method(*args)
+        self.tables.invalidate_program_cache(self.fid)
+
+
+class _LayoutBatch:
+    """One layout change, staged: its undo groups in call order and,
+    beside each, that group's device calls (its read among them).  The
+    calls are one list per group, not one for the whole change: a list
+    past 64 entries leaves CPython's small-object allocator for malloc,
+    and one made and freed per request lets glibc trim the heap under a
+    dropped switch, so the next ``ActiveSwitch()`` re-faults its register
+    file (``cp_churn``'s ``setup_s`` turns bimodal).  They sit beside
+    their group, not in it: a read is a bound method of its group, and
+    the cycle would leave a register snapshot for the collector."""
+
+    def __init__(self, tables: Any, block_words: int, window: int, cost: TableUpdateCost) -> None:
+        self.tables, self.block_words, self.window, self.cost = tables, block_words, window, cost
+        self.groups: List[Union[_Flips, _Scrub, _Delta]] = []
+        self.calls: List[List[Op]] = []
+        #: Where the forward pass stopped: the groups it entered, and the
+        #: calls it started in the last one (the one in flight included).
+        self.reached = self.done = 0
+
+    def flips(self, fids: Sequence[int], active: bool, seconds: float) -> float:
+        """Stage an activation set; returns *seconds* plus its cost, flip by flip."""
+        if fids:
+            group = _Flips(self.tables, fids, active)
+            flip = self.tables.reactivate_fid if active else self.tables.deactivate_fid
+            self.groups.append(group)
+            read = (group.read_held, (), OTHER)
+            self.calls.append([read] + [(flip, (fid,), OTHER) for fid in fids])
+        for _ in fids:
+            seconds += self.cost.activation_seconds
+        return seconds
+
+    def scrub(self, stage: int, block_range: BlockRange) -> None:
+        words = block_range.to_words(self.block_words)
+        group = _Scrub(self.tables, stage, words.start, words.end)
+        self.groups.append(group)
+        scrub = (self.tables.scrub_registers, (stage, words.start, words.end), OTHER)
+        self.calls.append([(group.snapshot, (), OTHER), scrub])
+
+    def _implied(self, regions: Mapping[int, BlockRange]) -> Tuple[Dict, Dict]:
+        words = self.block_words
+        bounds = {s: (r.start * words, (r.start + r.count) * words) for s, r in regions.items()}
+        return implied_bounds(bounds, self.window)
+
+    def delta(
+        self, fid: int, old: Mapping[int, BlockRange], new: Mapping[int, BlockRange]
+    ) -> float:
+        """Stage *fid*'s writes from what *old* implies to what *new*
+        implies; returns their modeled seconds, charged entry by entry
+        (an in-place change as one install).  An unchanged FID stages
+        nothing, not even its cache flush."""
+        tables, cost = self.tables, self.cost
+        old_grants, old_pairs = self._implied(old)
+        new_grants, new_pairs = self._implied(new)
+        # New decode state makes any cached schedule for this FID stale;
+        # flush eagerly (the version stamps would also catch it, but
+        # eager flushes keep the cache from serving dead entries).
+        ops: List[Op] = [(tables.invalidate_program_cache, (fid,), OTHER)]
+        writes: List[Tuple[Any, ...]] = []
+        seconds = 0.0
+        # Translations before grants, each in ascending stage order.
+        for op_for, befores, afters in (
+            (_translation_op, old_pairs, new_pairs),
+            (_grant_op, old_grants, new_grants),
+        ):
+            for stage in sorted(befores.keys() | afters.keys()):
+                before, after = befores.get(stage), afters.get(stage)
+                if before != after:
+                    ops.append(op_for(tables, stage, fid, after))
+                    writes.append((op_for, stage, before))
+                    if after is None:
+                        seconds += cost.remove_entry_seconds
+                    else:
+                        seconds += cost.install_entry_seconds
+        if writes:
+            self.groups.append(_Delta(tables, fid, writes))
+            self.calls.append(ops)
+        return seconds
+
+    @property
+    def writes(self) -> int:
+        """Device writes staged: every call but the groups' reads."""
+        return sum(len(calls) - group.reads for group, calls in zip(self.groups, self.calls))
+
+    def started(self, index: int) -> int:
+        """Calls of reached group *index* the forward pass started."""
+        return self.done if index == self.reached - 1 else len(self.calls[index])
+
+    def undo(self) -> None:
+        """Replay the groups the forward pass reached (their first write
+        started), newest first.  Unretried and uncounted, as every undo is."""
+        for index in reversed(range(self.reached)):
+            started = self.started(index)
+            if started > self.groups[index].reads:
+                self.groups[index].undo(started)
 
 
 class TableUpdateEngine:
@@ -122,9 +242,6 @@ class TableUpdateEngine:
         telemetry: Optional[MetricsRegistry] = None,
         tracer: Optional[AnyTracer] = None,
         retry: Optional[RetryPolicy] = None,
-        retry_seed: int = 0,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if isinstance(tables, Pipeline):
             tables = PipelineTables(tables)
@@ -133,16 +250,16 @@ class TableUpdateEngine:
         self.telemetry = resolve(telemetry)
         self.tracer = resolve_tracer(tracer)
         self.retry = retry
-        self._retry_rng = random.Random(retry_seed)
-        self._clock = clock
-        self._sleep = sleep
+        self._retry_rng = random.Random(0)
+        self._clock: Callable[[], float] = time.monotonic
+        self._sleep: Callable[[float], None] = time.sleep
         self.entries_installed = 0
         self.entries_removed = 0
         self.retries_attempted = 0
         self.retries_healed = 0
 
     # ------------------------------------------------------------------
-    # Retry wrapper for forward device mutations
+    # Retry rule for forward device calls
     # ------------------------------------------------------------------
 
     def _note_retry(self, attempt: int, fault: TransientDeviceError) -> None:
@@ -154,21 +271,17 @@ class TableUpdateEngine:
                 help="Transient device faults retried by the table engine",
             ).inc()
 
-    def guarded(self, op: Callable[[], T]) -> T:
-        """Run one forward device mutation under the retry policy (the
-        controller's register scrubs share the engine's budget and
-        telemetry).
+    def _retried(self, method: Callable[..., Any], args: Tuple[Any, ...]) -> None:
+        """Run one forward device call under the retry policy.
 
-        Undo closures are deliberately *not* wrapped: a fault during
+        Undo calls are deliberately *not* retried: a fault during
         rollback is escalated by the controller (device marked failed)
         rather than silently absorbed, because a half-rolled-back
         journal is unrecoverable in place.
         """
-        if self.retry is None:
-            return op()
         before = self.retries_attempted
-        result = call_with_retries(
-            op,
+        call_with_retries(
+            lambda: method(*args),
             self.retry,
             self._retry_rng,
             clock=self._clock,
@@ -183,11 +296,10 @@ class TableUpdateEngine:
                     "device_retries_healed_total",
                     help="Device operations that succeeded after retries",
                 ).inc()
-        return result
 
     def _count(self, installed: int, removed: int) -> None:
         """The one place applied entries are counted: the attributes and
-        the registry move together, also when a delta fails mid-way."""
+        the registry move together, also when a change fails mid-way."""
         self.entries_installed += installed
         self.entries_removed += removed
         tel = self.telemetry
@@ -204,82 +316,71 @@ class TableUpdateEngine:
 
     # ------------------------------------------------------------------
 
-    def apply_delta(
+    def apply_layout(
         self,
         fid: int,
-        old_regions: Mapping[int, BlockRange],
-        new_regions: Mapping[int, BlockRange],
+        old: Mapping[int, BlockRange],
+        new: Mapping[int, BlockRange],
         block_words: int,
         journal: Optional[TableUpdateJournal] = None,
         ctx: ParentLike = None,
+        moves: Sequence[Move] = (),
+        scrub: bool = False,
     ) -> float:
-        """Move *fid*'s entries from what *old_regions* implies to what
-        *new_regions* implies, writing only the entries that differ.
+        """Apply one layout change: *fid* goes from regions *old* to
+        *new*, each displaced neighbour in *moves* (ascending FID) from
+        its old regions to its new ones.  The device sees: the neighbours
+        deactivated; *fid*'s delta when it departs (its removals free the
+        TCAM space a grown neighbour may need); each neighbour's delta;
+        with *scrub*, each region of *new* zeroed (register access
+        needed); *fid*'s delta when it arrives; the neighbours
+        reactivated.  Returns the modeled seconds, charged in that order.
 
-        Returns the modeled control-plane seconds spent (an in-place
-        change is charged as one install).  An empty diff touches
-        nothing: no device call, no cache flush, no journal record.
-
-        With a *journal*, the delta is one record whose undo is the
-        reverse delta.  The forward path already trusts
-        ``implied_entries(old_regions)`` to be what the device holds
-        (that is how it decides which writes to skip), so those same
-        values are what an undo puts back -- no prior entry is read.
-        The record precedes the first write and its undo covers every
-        write *attempted*, the one in flight included: a write whose
-        response was lost has landed, and putting the implied-old entry
-        back is idempotent whether it did or not.
+        With a *journal*, the change is one record made before the first
+        call, whose undo covers every call *started*: a write whose
+        response was lost has landed, and putting back the entry *old*
+        implies (what the forward pass trusts the device to hold, so
+        none is read) is idempotent either way.
         """
-        window = self.TRANSLATION_WINDOW
-        old_grants, old_pairs = implied_entries(
-            fid, _words(old_regions, block_words), window
-        )
-        new_grants, new_pairs = implied_entries(
-            fid, _words(new_regions, block_words), window
-        )
-        # Translations before grants, each in ascending stage order.
-        writes = _differing(_put_translation, old_pairs, new_pairs)
-        writes += _differing(_put_grant, old_grants, new_grants)
-        if not writes:
+        batch = _LayoutBatch(self.tables, block_words, self.TRANSLATION_WINDOW, self.cost)
+        displaced = [other for other, _before, _after in moves]
+        seconds = batch.flips(displaced, False, 0.0)
+        if old:
+            seconds += batch.delta(fid, old, new)
+        for other, before, after in moves:
+            seconds += batch.delta(other, before, after)
+        for stage, block_range in new.items() if scrub else ():
+            batch.scrub(stage, block_range)
+        if not old:
+            seconds += batch.delta(fid, old, new)
+        seconds = batch.flips(displaced, True, seconds)
+        if not batch.groups:
             return 0.0
-        tables = self.tables
-        attempted = 0
-
-        def undo() -> None:
-            # Newest first, so the device walks back through the states
-            # it came through (none of which exceeded a TCAM); then the
-            # flush, so nothing decoded against the transaction's
-            # tables survives it.  Unretried and uncounted, as every
-            # undo is (see ``guarded``).
-            for put, stage, _new, old in reversed(writes[:attempted]):
-                put(tables, stage, fid, old)
-            tables.invalidate_program_cache(fid)
-
         if journal is not None:
-            journal.record(f"delta fid={fid}", undo)
-        installed = removed = 0
-        # Charged entry by entry, as the per-entry cost always was, so a
-        # modeled time is bit-identical for an unchanged entry count.
-        seconds = 0.0
-        with self.tracer.span("tables.apply_delta", parent=ctx, fid=fid) as span:
+            journal.record(f"layout fid={fid}", batch.undo)
+        reached = done = 0
+        retry, tally = self.retry, [0, 0, 0]
+        with self.tracer.span(
+            "tables.apply_layout",
+            parent=ctx,
+            fid=fid,
+            displaced=len(displaced),
+            writes=batch.writes,
+        ) as span:
             try:
-                # New decode state makes any cached schedule for this
-                # FID stale; flush eagerly (the version stamps would
-                # also catch it, but eager flushes keep the cache from
-                # serving dead entries).
-                self.guarded(lambda: tables.invalidate_program_cache(fid))
-                for put, stage, entry, _old in writes:
-                    attempted += 1
-                    self.guarded(lambda: put(tables, stage, fid, entry))
-                    if entry is None:
-                        removed += 1
-                        seconds += self.cost.remove_entry_seconds
-                    else:
-                        installed += 1
-                        seconds += self.cost.install_entry_seconds
+                for reached, calls in enumerate(batch.calls, 1):
+                    for done, (method, args, slot) in enumerate(calls, 1):
+                        if retry is None:
+                            method(*args)
+                        else:
+                            self._retried(method, args)
+                        tally[slot] += 1
             finally:
-                self._count(installed, removed)
-                span.set(installed=installed, removed=removed)
+                # The call in flight is started (the undo covers it) but
+                # not applied (the tally skips it).
+                batch.reached, batch.done = reached, done
+                self._count(tally[INSTALLED], tally[REMOVED])
+                span.set(installed=tally[INSTALLED], removed=tally[REMOVED])
         return seconds
 
     def install_app(
@@ -290,11 +391,8 @@ class TableUpdateEngine:
         journal: Optional[TableUpdateJournal] = None,
         ctx: ParentLike = None,
     ) -> float:
-        """Install a newcomer's entries: the delta from no regions."""
-        with self.tracer.span("tables.install_app", parent=ctx, fid=fid) as span:
-            seconds = self.apply_delta(fid, {}, regions, block_words, journal, span)
-            span.set(seconds=seconds)
-            return seconds
+        """Install a newcomer's entries: the layout change from no regions."""
+        return self.apply_layout(fid, {}, regions, block_words, journal, ctx)
 
     def remove_app(
         self,
@@ -304,47 +402,10 @@ class TableUpdateEngine:
         journal: Optional[TableUpdateJournal] = None,
         ctx: ParentLike = None,
     ) -> float:
-        """Remove a departing app's entries: the delta to no regions.
+        """Remove a departing app's entries: the layout change to no regions.
 
         *regions* is what the FID held; stages it never occupied are not
         visited, so an entry the allocator does not know about stays for
         the auditor to report (ARMT012).
         """
-        with self.tracer.span("tables.remove_app", parent=ctx, fid=fid) as span:
-            seconds = self.apply_delta(fid, regions, {}, block_words, journal, span)
-            span.set(seconds=seconds)
-            return seconds
-
-    def set_active(
-        self,
-        fids: Sequence[int],
-        active: bool,
-        journal: TableUpdateJournal,
-        ctx: ParentLike = None,
-        seconds: float = 0.0,
-    ) -> float:
-        """Reactivate (*active*) or deactivate every FID in *fids*.
-
-        One journal record for the set, made before the first flip: its
-        undo flips back every FID the set changes, and is idempotent for
-        those the forward pass never reached.  The few it does not
-        change are read up front (*held*): a caller may hold a FID
-        inactive outside any journal -- the simulated-time provisioner's
-        snapshot window -- and a rollback must leave it so.  Returns
-        *seconds* plus the modeled cost, charged flip by flip so a
-        running total stays bit-identical to per-FID calls.
-        """
-        flip, unflip = self.tables.reactivate_fid, self.tables.deactivate_fid
-        if not active:
-            flip, unflip = unflip, flip
-        name = "tables.reactivate" if active else "tables.deactivate"
-        held = {fid for fid in fids if self.tables.is_active(fid) == active}
-        if fids:
-            undo = lambda: [unflip(fid) for fid in fids if fid not in held]
-            journal.record(f"{name} fids={list(fids)}", undo)
-        for fid in fids:
-            span = self.tracer.start(name, parent=ctx, fid=fid)
-            self.guarded(lambda: flip(fid))
-            self.tracer.finish(span)
-            seconds += self.cost.activation_seconds
-        return seconds
+        return self.apply_layout(fid, regions, {}, block_words, journal, ctx)

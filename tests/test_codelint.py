@@ -60,6 +60,15 @@ def test_cl002_mutator_call_outside_journal(tmp_path):
     assert "install_grant" in findings[0].message
 
 
+def test_cl002_bound_mutator_staged_outside_journal(tmp_path):
+    findings = _lint(
+        tmp_path,
+        "src/repro/rogue.py",
+        "def stage(table, ops):\n    ops.append((table.install_grant, (1, None)))\n",
+    )
+    assert _rules(findings) == ["CL002"]
+
+
 def test_cl002_allowed_in_journaled_path(tmp_path):
     findings = _lint(
         tmp_path,

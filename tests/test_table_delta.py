@@ -74,7 +74,8 @@ class CountingDevice:
 # (a) The engine alone: random old/new region maps
 # ----------------------------------------------------------------------
 
-SMALL = SwitchConfig(num_stages=8, ingress_stages=4)
+#: A quarter of the default register file: regions reach block 49 of 64.
+SMALL = SwitchConfig(num_stages=8, ingress_stages=4, words_per_stage=16384)
 BLOCK_WORDS = SMALL.block_words
 
 #: 0-6 stages out of 8 with a translation window of 3: windows overlap
@@ -108,13 +109,13 @@ def test_delta_lands_on_the_from_scratch_surface_and_rolls_back(old, new):
     plain, plain_device = _engine()
     plain.install_app(7, old, BLOCK_WORDS)
     plain_device.calls.clear()
-    plain.apply_delta(7, old, new, BLOCK_WORDS)
+    plain.apply_layout(7, old, new, BLOCK_WORDS)
 
     engine, device = _engine()
     engine.install_app(7, old, BLOCK_WORDS)
     device.calls.clear()
     journal = TableUpdateJournal()
-    engine.apply_delta(7, old, new, BLOCK_WORDS, journal=journal)
+    engine.apply_layout(7, old, new, BLOCK_WORDS, journal=journal)
     if old == new:
         assert not device.calls and len(journal) == 0
     # Journaling costs no device call: exactly the unjournaled delta's
@@ -127,19 +128,32 @@ def test_delta_lands_on_the_from_scratch_surface_and_rolls_back(old, new):
     assert _surface(engine.tables) == _surface(before.tables)
 
 
+#: A layout change with every kind of undo group: fid 9 arrives at
+#: stage 4 (a scrub and its own delta) and displaces fid 7, whose entries
+#: move from OLD to NEW between two activation sets.
+OLD = {2: BlockRange(0, 4), 5: BlockRange(0, 4), 7: BlockRange(4, 2)}
+NEW = {3: BlockRange(2, 3), 5: BlockRange(0, 4), 7: BlockRange(4, 4)}
+ARRIVAL = {4: BlockRange(8, 2)}
+
+
+def _arrival(engine, journal=None):
+    return engine.apply_layout(
+        9, {}, ARRIVAL, BLOCK_WORDS, journal, moves=[(7, OLD, NEW)], scrub=True
+    )
+
+
 @pytest.mark.parametrize("kind", [FaultKind.TRANSIENT, FaultKind.PARTIAL])
 def test_a_failed_delta_rolls_back_by_the_reverse_delta(kind):
-    """Write *k* of a delta fails -- before landing, or after it with
-    the response lost -- and the journal puts the surface back with at
-    most *k* + 1 writes (the one in flight included) and no read."""
-    old = {2: BlockRange(0, 4), 5: BlockRange(0, 4), 7: BlockRange(4, 2)}
-    new = {3: BlockRange(2, 3), 5: BlockRange(0, 4), 7: BlockRange(4, 4)}
+    """Table write *k* of a layout change fails -- before landing, or
+    after it with the response lost -- and its one journal record puts
+    the surface, the activations and the registers back with at most
+    *k* + 1 table writes (the one in flight included) and no read."""
     reference, reference_device = _engine()
-    reference.install_app(7, old, BLOCK_WORDS)
+    reference.install_app(7, OLD, BLOCK_WORDS)
     reference_device.calls.clear()
-    reference.apply_delta(7, old, new, BLOCK_WORDS)
+    _arrival(reference)
     total = reference_device.table_writes()
-    assert total >= 6
+    assert total >= 10
     for k in range(total):
         state = {"armed": False, "writes": 0}
 
@@ -153,33 +167,44 @@ def test_a_failed_delta_rolls_back_by_the_reverse_delta(kind):
             FaultyDevice(SimDevice(ActiveSwitch(SMALL)), ScriptedPlan(fail_write_k))
         )
         engine = TableUpdateEngine(device)
-        engine.install_app(7, old, BLOCK_WORDS)
+        engine.install_app(7, OLD, BLOCK_WORDS)
+        device.inner.inner.write_registers(4, 8 * BLOCK_WORDS, [5] * BLOCK_WORDS)
         before = _surface(engine.tables)
+        registers = device.read_registers(4, 0, 16 * BLOCK_WORDS)
         state["armed"] = True
         device.calls.clear()
         journal = TableUpdateJournal()
         with pytest.raises(TransientDeviceError):
-            engine.apply_delta(7, old, new, BLOCK_WORDS, journal=journal)
-        assert device.table_writes() == k + 1
+            _arrival(engine, journal)
+        assert device.table_writes() == k + 1 and len(journal) == 1
         state["armed"] = False
         device.calls.clear()
         journal.rollback()
         assert device.table_writes() <= k + 1
-        assert set(device.calls) <= {*TABLE_WRITES, "invalidate_program_cache"}
+        assert set(device.calls) <= {
+            *TABLE_WRITES,
+            "invalidate_program_cache",
+            "write_registers",
+            "deactivate_fid",
+            "reactivate_fid",
+        }
         assert _surface(engine.tables) == before, (kind, k)
+        assert device.is_active(7) and device.is_active(9)
+        assert device.read_registers(4, 0, 16 * BLOCK_WORDS) == registers
 
 
 def test_activation_undo_puts_back_what_the_set_changed():
     """A FID someone holds inactive outside the journal (the
-    simulated-time provisioner's snapshot window) is still inactive
-    after a layout change that touched it rolls back."""
+    simulated-time provisioner's snapshot window) is reactivated by a
+    layout change that displaces it, and inactive again after that
+    change rolls back; a FID the change deactivated is active again."""
     engine, device = _engine()
     device.deactivate_fid(3)
     journal = TableUpdateJournal()
-    engine.set_active([2, 3], False, journal)
-    assert not device.is_active(2) and not device.is_active(3)
-    engine.set_active([2, 3], True, journal)
+    moves = [(2, {}, {}), (3, {}, {})]
+    engine.apply_layout(9, {}, ARRIVAL, BLOCK_WORDS, journal, moves=moves)
     assert device.is_active(2) and device.is_active(3)
+    assert len(journal) == 1
     journal.rollback()
     assert device.is_active(2) and not device.is_active(3)
 
@@ -193,7 +218,7 @@ def test_delta_leaves_an_unchanged_neighbouring_window_alone():
     new = {5: BlockRange(0, 4), 7: BlockRange(4, 4)}
     engine.install_app(1, old, BLOCK_WORDS)
     device.calls.clear()
-    seconds = engine.apply_delta(1, old, new, BLOCK_WORDS)
+    seconds = engine.apply_layout(1, old, new, BLOCK_WORDS)
     # Stage 7's grant and its pairs at stages 5 and 6, nothing else --
     # and without a journal, not one read.
     assert device.calls == {

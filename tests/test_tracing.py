@@ -459,7 +459,7 @@ def test_single_admission_emits_one_correlated_tree():
     for name in (
         "allocator.plan",
         "allocator.commit",
-        "tables.install_app",
+        "tables.apply_layout",
         "journal.commit",
     ):
         found = find_spans(spans, name)
@@ -486,16 +486,19 @@ def test_withdraw_and_dry_run_traces():
     assert [s.attrs.get("dry_run") for s in admits] == [False, True]
     # Dry runs never touch tables: no install spans in their trace.
     dry_trace = tracer.spans_for(admits[1].trace_id)
-    assert find_spans(dry_trace, "tables.install_app") == []
+    assert find_spans(dry_trace, "tables.apply_layout") == []
     (withdraw,) = find_spans(spans, "controller.withdraw")
     assert withdraw.attrs["status"] == "admitted"
     withdraw_trace = tracer.spans_for(withdraw.trace_id)
-    assert find_spans(withdraw_trace, "tables.remove_app")
+    (layout,) = find_spans(withdraw_trace, "tables.apply_layout")
+    assert layout.parent_id == withdraw.span_id
+    assert layout.attrs["fid"] == 1 and layout.attrs["installed"] == 0
+    assert layout.attrs["removed"] > 0
     assert find_spans(withdraw_trace, "journal.commit")
     assert span_tree(withdraw_trace)["orphans"] == []
 
 
-def test_reallocating_admit_traces_one_delta_per_displaced_neighbour():
+def test_reallocating_admit_traces_one_layout_span_per_layout_change():
     tracer = Tracer(sample_rate=1.0)
     controller = _traced_controller(tracer)
     pattern = listing1_pattern()
@@ -510,19 +513,26 @@ def test_reallocating_admit_traces_one_delta_per_displaced_neighbour():
 
     spans = tracer.spans()
     commit = find_spans(spans, "controller.admit")[-1]
-    install = find_spans(spans, "tables.install_app")[-1]
-    deltas = [
-        s for s in find_spans(spans, "tables.apply_delta")
-        if s.trace_id == commit.trace_id
-    ]
-    # Each neighbour's delta hangs off the commit; the newcomer's is the
-    # body of its install span.
-    expected = {other: commit.span_id for other in report.reallocated_fids}
-    expected[fid] = install.span_id
-    assert {s.attrs["fid"]: s.parent_id for s in deltas} == expected
-    moved = next(s for s in deltas if s.attrs["fid"] != fid)
-    assert moved.attrs["installed"] > 0 and moved.attrs["removed"] == 0
-    assert span_tree(tracer.spans_for(commit.trace_id))["orphans"] == []
+    trace = tracer.spans_for(commit.trace_id)
+    # The newcomer's entries, every displaced neighbour's and the
+    # (de)activations are one batch: one span under the commit, and no
+    # per-neighbour or per-FID span beside it.
+    (layout,) = find_spans(trace, "tables.apply_layout")
+    assert layout.parent_id == commit.span_id
+    displaced = len(report.reallocated_fids)
+    assert layout.attrs["fid"] == fid and layout.attrs["displaced"] == displaced
+    assert layout.attrs["installed"] > 0 and layout.attrs["removed"] == 0
+    # Writes: two flips per displaced FID, the entries, a flush per FID
+    # with entries and a scrub per newcomer region.
+    assert layout.attrs["writes"] >= layout.attrs["installed"] + 2 * displaced
+    assert {s.name for s in trace} <= {
+        "controller.admit",
+        "allocator.plan",
+        "allocator.commit",
+        "tables.apply_layout",
+        "journal.commit",
+    }
+    assert span_tree(trace)["orphans"] == []
 
 
 def test_sampled_packet_joins_the_committing_trace():

@@ -9,17 +9,15 @@ omits them, mirroring the parser-driven shrink optimization.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import struct
+from typing import List, Sequence, Tuple
 
-from repro.isa.instructions import INTERNED, Instruction, InstructionFlags
+from repro.isa.instructions import INTERNED, Instruction
 from repro.isa.opcodes import Opcode
 from repro.isa.program import ActiveProgram
 
 #: Width of one instruction header in bytes.
 INSTRUCTION_WIDTH = 2
-
-#: On-wire EOF marker.
-EOF_BYTES = bytes((Opcode.EOF, 0))
 
 
 class EncodingError(ValueError):
@@ -27,23 +25,20 @@ class EncodingError(ValueError):
 
 
 def encode_instructions(
-    instructions: Tuple[Instruction, ...], shrink: bool = False
+    instructions: Sequence[Instruction], shrink: bool = False
 ) -> bytes:
-    """Encode instructions followed by the EOF marker.
+    """Encode instructions followed by the EOF marker, in one pack.
 
     Args:
         instructions: the instruction sequence.
         shrink: drop instructions whose EXECUTED bit is set (the packet
             shrinking optimization of Section 3.1).
     """
-    out = bytearray()
-    for instr in instructions:
-        if shrink and instr.executed:
-            continue
-        out.append(int(instr.opcode))
-        out.append(instr.flag_byte())
-    out.extend(EOF_BYTES)
-    return bytes(out)
+    if shrink:  # what is left is unexecuted: each word is its key
+        words = [instr.key for instr in instructions if not instr.executed]
+    else:
+        words = [instr.word for instr in instructions]
+    return struct.pack(f">{len(words) + 1}H", *words, Opcode.EOF)
 
 
 def encode_program(program: ActiveProgram, shrink: bool = False) -> bytes:
@@ -54,6 +49,9 @@ def encode_program(program: ActiveProgram, shrink: bool = False) -> bytes:
 def decode_instructions(data: bytes, offset: int = 0) -> Tuple[List[Instruction], int]:
     """Decode the instructions starting at *offset*, until EOF.
 
+    The EOF header is the first zero in the opcode stride; the words
+    before it map through ``INTERNED`` in one comprehension.
+
     Returns:
         ``(instructions, consumed)`` where *consumed* counts the bytes
         read including the EOF marker.
@@ -62,24 +60,22 @@ def decode_instructions(data: bytes, offset: int = 0) -> Tuple[List[Instruction]
         EncodingError: if the stream ends before EOF or contains an
             unknown opcode.
     """
-    instructions: List[Instruction] = []
-    semantic = InstructionFlags.SEMANTIC
-    last = len(data) - INSTRUCTION_WIDTH
-    pos = offset
-    while pos <= last:
-        opcode_byte = data[pos]
-        if not opcode_byte:  # Opcode.EOF
-            return instructions, pos + INSTRUCTION_WIDTH - offset
-        flag_byte = data[pos + 1]
-        try:
-            pair = INTERNED[opcode_byte << 8 | flag_byte & semantic]
-        except ValueError as exc:
-            raise EncodingError(
-                f"bad instruction at byte {pos - offset}: {exc}"
-            ) from exc
-        instructions.append(pair[flag_byte >> 7])
-        pos += INSTRUCTION_WIDTH
-    raise EncodingError("instruction stream truncated before EOF")
+    whole = max(len(data) - offset, 0) // INSTRUCTION_WIDTH
+    eof = data[offset::INSTRUCTION_WIDTH].find(Opcode.EOF, 0, whole)
+    count = whole if eof < 0 else eof
+    words = struct.unpack_from(f">{count}H", data, offset) if count else ()
+    try:
+        instructions = [INTERNED[word] for word in words]
+    except ValueError as exc:
+        # Failures are never interned, and every word before the first
+        # failure was: the first word missing from the memo is the culprit.
+        at = next(index for index, word in enumerate(words) if word not in INTERNED)
+        raise EncodingError(
+            f"bad instruction at byte {at * INSTRUCTION_WIDTH}: {exc}"
+        ) from exc
+    if eof < 0:
+        raise EncodingError("instruction stream truncated before EOF")
+    return instructions, (eof + 1) * INSTRUCTION_WIDTH
 
 
 def decode_program(data: bytes, name: str = "decoded") -> ActiveProgram:

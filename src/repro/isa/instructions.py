@@ -20,7 +20,7 @@ branch labelling and argument addressing the listings require.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.isa.opcodes import (
     Opcode,
@@ -36,8 +36,6 @@ class InstructionFlags:
     LABEL_SHIFT = 3
     LABEL_MASK = 0x0F
     OPERAND_MASK = 0x07
-    #: Every bit but EXECUTED: what an instruction *means*.
-    SEMANTIC = 0xFF ^ EXECUTED
 
     MAX_LABEL = LABEL_MASK
     MAX_OPERAND = OPERAND_MASK
@@ -91,13 +89,18 @@ class Instruction:
         """True if this instruction is the target of a branch label."""
         return bool(self.label) and not is_branch(self.opcode)
 
+    @property
+    def word(self) -> int:
+        """The two wire bytes as one int: ``key`` plus the EXECUTED bit.
+
+        ``flag_byte``, the encoder and the ``INTERNED`` keys all read it;
+        computed, as a stored field grew peak memory measurably.
+        """
+        return self.key | InstructionFlags.EXECUTED * self.executed
+
     def flag_byte(self) -> int:
-        """Pack operand/label/executed into the on-wire flag byte."""
-        flags = self.operand & InstructionFlags.OPERAND_MASK
-        flags |= (self.label & InstructionFlags.LABEL_MASK) << InstructionFlags.LABEL_SHIFT
-        if self.executed:
-            flags |= InstructionFlags.EXECUTED
-        return flags
+        """The on-wire flag byte: operand, label and EXECUTED."""
+        return self.word & 0xFF
 
     @classmethod
     def from_bytes(cls, opcode_byte: int, flag_byte: int) -> "Instruction":
@@ -106,13 +109,11 @@ class Instruction:
         Decoded instructions are interned: the same two bytes yield the
         same immutable object (failures raise every time).
         """
-        return INTERNED[opcode_byte << 8 | flag_byte & InstructionFlags.SEMANTIC][
-            flag_byte >> 7 & 1
-        ]
+        return INTERNED[opcode_byte << 8 | flag_byte]
 
     def with_executed(self) -> "Instruction":
         """The interned twin of this instruction with EXECUTED set."""
-        return INTERNED[self.key][1]
+        return INTERNED[self.key | InstructionFlags.EXECUTED]
 
     def __str__(self) -> str:
         parts = [self.opcode.name]
@@ -126,26 +127,21 @@ class Instruction:
         return text
 
 
-class _Interned(Dict[int, Tuple[Instruction, Instruction]]):
-    """``Instruction.key`` -> (fresh, EXECUTED twin), built on first sight.
+class _Interned(Dict[int, Instruction]):
+    """``Instruction.word`` -> its immutable Instruction, built on first sight.
 
-    Keys are the 16 wire bits with EXECUTED masked out (operand bits of
+    Keys are the 16 wire bits, EXECUTED included (operand bits of
     opcodes that take none are ignored, as on the wire).  A pattern
     that fails validation raises and is never stored.
     """
 
-    def __missing__(self, wire: int) -> Tuple[Instruction, Instruction]:
-        opcode = Opcode(wire >> 8)
-        operand = wire & InstructionFlags.OPERAND_MASK if has_operand(opcode) else 0
-        label = (wire >> InstructionFlags.LABEL_SHIFT) & InstructionFlags.LABEL_MASK
-        # setdefault: two threads racing here still agree on one pair.
-        return self.setdefault(
-            wire,
-            (
-                Instruction(opcode, operand, label),
-                Instruction(opcode, operand, label, executed=True),
-            ),
-        )
+    def __missing__(self, word: int) -> Instruction:
+        opcode = Opcode(word >> 8)
+        operand = word & InstructionFlags.OPERAND_MASK if has_operand(opcode) else 0
+        label = (word >> InstructionFlags.LABEL_SHIFT) & InstructionFlags.LABEL_MASK
+        executed = bool(word & InstructionFlags.EXECUTED)
+        # setdefault: two threads racing here still agree on one object.
+        return self.setdefault(word, Instruction(opcode, operand, label, executed))
 
 
 #: The one instruction memo: ``from_bytes``, ``with_executed`` and the

@@ -7,15 +7,15 @@ shrinking), and swaps addresses (``RTS``) exactly as the hardware
 rewrites the PHV and the deparser rebuilds the frame.
 
 ``encode_packet``/``decode_packet`` realize the byte layout of
-Section 3.3; round-tripping through them is covered by property-based
-tests.
+Section 3.3 in one pass each, as the switch's parser and deparser do;
+round-tripping through them is covered by property-based tests.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
-from typing import List, Optional
+import struct
+from typing import Any, List, Optional, Type, TypeVar
 
 from repro.isa.encoding import (
     INSTRUCTION_WIDTH,
@@ -36,7 +36,7 @@ from repro.packets.headers import (
 )
 
 #: Bit field (within the initial-header flags) holding the number of
-#: argument headers attached to a PROGRAM packet (0-3).
+#: argument headers attached to a PROGRAM packet (1-3 on the wire).
 _ARG_COUNT_SHIFT = 12
 _ARG_COUNT_MASK = 0x3
 
@@ -46,6 +46,31 @@ _FRAME_SIZE = EthernetHeader.SIZE + InitialHeader.SIZE
 _PROGRAM = PacketType.PROGRAM
 _ARG_FIELDS = ArgumentHeader.FIELDS
 _ARG_SIZE = ArgumentHeader.SIZE
+
+#: The 24-byte Ethernet + initial-header prefix of every active frame,
+#: composed from the two headers' own layouts.
+_PREFIX = struct.Struct(">" + EthernetHeader.STRUCT.format[1:] + InitialHeader.STRUCT.format[1:])
+#: One to three argument headers, by count.
+_ARGS = {
+    count: struct.Struct(">" + ArgumentHeader.STRUCT.format[1:] * count)
+    for count in range(1, _ARG_COUNT_MASK + 1)
+}
+_PADDING = (0,) * _ARG_FIELDS
+
+_Header = TypeVar("_Header")
+
+
+def _unchecked(cls: Type[_Header], **fields: Any) -> _Header:
+    """A frozen header decoded without ``__post_init__``: only for fields
+    a struct code already bounds (u8/u16/u32 fields, 6-byte MACs).
+
+    Equal, hash-equal and repr-equal to validated construction (pinned
+    by the codec tests), but larger than ``object.__setattr__`` builds:
+    the RTS copies, alive by the thousand, keep those (DESIGN.md).
+    """
+    header = object.__new__(cls)
+    header.__dict__.update(fields)
+    return header
 
 
 @dataclasses.dataclass
@@ -251,82 +276,90 @@ def encode_packet(packet: ActivePacket, shrink: bool = False) -> bytes:
         shrink: drop already-executed instruction headers (the packet
             shrinking optimization); ignored for non-PROGRAM packets.
     """
-    out = bytearray(packet.eth.encode())
-    initial = packet.initial
-    if initial.ptype == PacketType.PROGRAM:
-        arg_headers = _args_to_headers(packet.args)
-        if len(arg_headers) > _ARG_COUNT_MASK:
+    eth, initial = packet.eth, packet.initial
+    ptype, flags = initial.ptype, initial.flags
+    if ptype == _PROGRAM:
+        args = packet.args
+        # An empty argument list still travels as one zeroed header.
+        count = (len(args) + _ARG_FIELDS - 1) // _ARG_FIELDS or 1
+        if count > _ARG_COUNT_MASK:
             raise HeaderError("too many argument headers (max 3)")
-        flags = initial.flags & ~(_ARG_COUNT_MASK << _ARG_COUNT_SHIFT)
-        flags |= len(arg_headers) << _ARG_COUNT_SHIFT
-        if flags != initial.flags:
-            initial = dataclasses.replace(initial, flags=flags)
-        out.extend(initial.encode())
-        for header in arg_headers:
-            out.extend(header.encode())
-        do_shrink = shrink and not initial.flags & ControlFlags.NO_SHRINK
-        out.extend(
-            encode_instructions(tuple(packet.instructions), shrink=do_shrink)
+        flags = flags & ~(_ARG_COUNT_MASK << _ARG_COUNT_SHIFT) | count << _ARG_COUNT_SHIFT
+        padding = _PADDING[: count * _ARG_FIELDS - len(args)]
+        try:
+            body = _ARGS[count].pack(*args, *padding)
+        except struct.error:  # a word past 32 bits travels masked
+            body = _ARGS[count].pack(*[arg & 0xFFFFFFFF for arg in args], *padding)
+        body += encode_instructions(
+            packet.instructions, shrink and not flags & ControlFlags.NO_SHRINK
         )
-    elif initial.ptype == PacketType.ALLOC_REQUEST:
+    elif ptype == PacketType.ALLOC_REQUEST:
         if packet.request is None:
             raise HeaderError("ALLOC_REQUEST packet without request header")
-        out.extend(initial.encode())
-        out.extend(packet.request.encode())
-    elif initial.ptype == PacketType.ALLOC_RESPONSE:
+        body = packet.request.encode()
+    elif ptype == PacketType.ALLOC_RESPONSE:
         if packet.response is None:
             raise HeaderError("ALLOC_RESPONSE packet without response header")
-        out.extend(initial.encode())
-        out.extend(packet.response.encode())
+        body = packet.response.encode()
     else:  # CONTROL
-        out.extend(initial.encode())
-    out.extend(packet.payload)
-    return bytes(out)
+        body = b""
+    prefix = _PREFIX.pack(
+        eth.dst.encode(), eth.src.encode(), eth.ethertype,
+        InitialHeader.VERSION, ptype, initial.fid, initial.seq, flags,
+    )
+    return prefix + body + packet.payload
 
 
 def decode_packet(data: bytes) -> ActivePacket:
     """Parse wire bytes into an :class:`ActivePacket`.
 
+    What the struct codes bound (MACs, u16/u32 fields) is built
+    :func:`_unchecked`; everything else the wire can get wrong is checked.
+
     Raises:
-        HeaderError: on truncation, wrong EtherType, or malformed headers.
+        HeaderError: on truncation, wrong EtherType, version or packet
+            type, or a PROGRAM frame without argument headers.
+        EncodingError: on an unknown opcode or a missing EOF.
     """
-    eth = EthernetHeader.decode(data)
-    if eth.ethertype != ACTIVE_ETHERTYPE:
-        raise HeaderError(
-            f"not an active packet (ethertype {eth.ethertype:#06x})"
-        )
-    offset = EthernetHeader.SIZE
-    initial = InitialHeader.decode(data, offset)
-    offset += InitialHeader.SIZE
-    packet = ActivePacket(eth=eth, initial=initial, args=[])
-    if initial.ptype == PacketType.PROGRAM:
-        arg_count = (initial.flags >> _ARG_COUNT_SHIFT) & _ARG_COUNT_MASK
-        args: List[int] = []
-        for _ in range(arg_count):
-            args.extend(ArgumentHeader.decode(data, offset).data)
-            offset += ArgumentHeader.SIZE
-        instructions, consumed = decode_instructions(data, offset)
-        offset += consumed
-        packet.args = args
-        packet.instructions = instructions
-    elif initial.ptype == PacketType.ALLOC_REQUEST:
-        packet.request = AllocationRequestHeader.decode(data, offset)
+    if len(data) < _FRAME_SIZE:
+        # Name the header the frame ends in.
+        ethertype = EthernetHeader.decode(data).ethertype
+        if ethertype == ACTIVE_ETHERTYPE:
+            raise HeaderError("initial header truncated")
+    else:
+        dst, src, ethertype, version, ptype, fid, seq, flags = _PREFIX.unpack_from(data)
+    if ethertype != ACTIVE_ETHERTYPE:
+        raise HeaderError(f"not an active packet (ethertype {ethertype:#06x})")
+    if version != InitialHeader.VERSION:
+        raise HeaderError(f"unsupported active header version {version}")
+    if ptype not in PacketType.ALL:
+        raise HeaderError(f"unknown packet type {ptype:#x}")
+    eth = _unchecked(
+        EthernetHeader,
+        dst=_unchecked(MacAddress, value=int.from_bytes(dst, "big")),
+        src=_unchecked(MacAddress, value=int.from_bytes(src, "big")),
+        ethertype=ethertype,
+    )
+    initial = _unchecked(InitialHeader, ptype=ptype, fid=fid, seq=seq, flags=flags)
+    offset = _FRAME_SIZE
+    args: List[int] = []
+    instructions: List[Instruction] = []
+    request = response = None
+    if ptype == _PROGRAM:
+        count = (flags >> _ARG_COUNT_SHIFT) & _ARG_COUNT_MASK
+        if not count:
+            # encode_packet never sends one: it would re-encode 16 B longer.
+            raise HeaderError("PROGRAM packet without argument headers")
+        layout = _ARGS[count]
+        if len(data) < offset + layout.size:
+            raise HeaderError("argument header truncated")
+        args = list(layout.unpack_from(data, offset))
+        instructions, consumed = decode_instructions(data, offset + layout.size)
+        offset += layout.size + consumed
+    elif ptype == PacketType.ALLOC_REQUEST:
+        request = AllocationRequestHeader.decode(data, offset)
         offset += AllocationRequestHeader.SIZE
-    elif initial.ptype == PacketType.ALLOC_RESPONSE:
-        packet.response = AllocationResponseHeader.decode(data, offset)
+    elif ptype == PacketType.ALLOC_RESPONSE:
+        response = AllocationResponseHeader.decode(data, offset)
         offset += AllocationResponseHeader.SIZE
-    packet.payload = data[offset:]
-    return packet
-
-
-def _args_to_headers(args: List[int]) -> List[ArgumentHeader]:
-    if not args:
-        return [ArgumentHeader()]
-    count = math.ceil(len(args) / ArgumentHeader.FIELDS)
-    headers = []
-    for index in range(count):
-        chunk = args[
-            index * ArgumentHeader.FIELDS : (index + 1) * ArgumentHeader.FIELDS
-        ]
-        headers.append(ArgumentHeader.from_values(chunk))
-    return headers
+    return ActivePacket(eth, initial, args, instructions, request, response, data[offset:])

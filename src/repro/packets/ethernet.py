@@ -55,7 +55,8 @@ _ETH_STRUCT = struct.Struct(">6s6sH")
 class EthernetHeader:
     """Destination MAC, source MAC, EtherType."""
 
-    SIZE = _ETH_STRUCT.size  # 14
+    STRUCT = _ETH_STRUCT
+    SIZE = STRUCT.size  # 14
 
     dst: MacAddress
     src: MacAddress

@@ -82,7 +82,8 @@ class InitialHeader:
     """The 10-byte global active header present on every active packet."""
 
     VERSION = 1
-    SIZE = _INITIAL_STRUCT.size  # 10
+    STRUCT = _INITIAL_STRUCT
+    SIZE = STRUCT.size  # 10
 
     ptype: int
     fid: int
@@ -134,7 +135,8 @@ _ARGUMENT_STRUCT = struct.Struct(">IIII")
 class ArgumentHeader:
     """A 16-byte argument header carrying four 32-bit data fields."""
 
-    SIZE = _ARGUMENT_STRUCT.size  # 16
+    STRUCT = _ARGUMENT_STRUCT
+    SIZE = STRUCT.size  # 16
     FIELDS = 4
 
     data: Tuple[int, int, int, int] = (0, 0, 0, 0)

@@ -6,15 +6,24 @@ must never happen is one FID's binding being served to another, or a
 binding outliving the table entries it was read from.  So every packet
 here runs through a cached pipeline and through a pipeline with
 ``program_cache_entries=0`` (the generic ``Pipeline._run``) and the two
-must agree on everything observable.
+must agree on everything observable.  A wire leg does the same for
+frames: bytes in through the one-pass codec and the cached switch, bytes
+out, against the reference codec and the cache-disabled switch.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.isa import Instruction, Opcode, assemble
 from repro.isa.opcodes import BRANCH_OPCODES, has_operand
-from repro.packets import ActivePacket, ControlFlags, MacAddress, encode_packet
-from repro.switchsim import PacketDisposition, Pipeline, StageGrant, SwitchConfig
+from repro.packets import ActivePacket, ControlFlags, MacAddress, decode_packet, encode_packet
+from repro.switchsim import (
+    ActiveSwitch,
+    PacketDisposition,
+    Pipeline,
+    StageGrant,
+    SwitchConfig,
+)
+from tests.test_packets_codec import reference_decode_packet, reference_encode_packet
 
 CLIENT = MacAddress.from_host_id(1)
 SERVER = MacAddress.from_host_id(2)
@@ -38,10 +47,10 @@ _BENIGN = [
 _OPCODES = list(Opcode) + _BENIGN * 5
 
 
-def _packet(instructions, fid, args=(), flags=0):
+def _packet(instructions, fid, args=(), flags=0, payload=b""):
     return ActivePacket.program(
         src=CLIENT, dst=SERVER, fid=fid, instructions=list(instructions),
-        args=list(args), flags=flags,
+        args=list(args), flags=flags, payload=payload,
     )
 
 
@@ -173,6 +182,75 @@ def test_cached_engine_matches_reference_interpreter(
     assert len(cache) <= capacity
     assert cache.stats()["programs"] <= len(cache)
     assert set(cache._keys_by_fid) == {key[0] for key in cache._entries}
+
+
+# ----------------------------------------------------------------------
+# The wire leg: bytes in, bytes out
+# ----------------------------------------------------------------------
+
+_wire_packets = st.tuples(
+    st.sampled_from(_FIDS),
+    st.integers(0, 2),
+    st.lists(_words, min_size=0, max_size=8),
+    st.sampled_from([0, 0, ControlFlags.PRELOAD, ControlFlags.NO_SHRINK]),
+    st.binary(max_size=8),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from(_SHAPES),
+    capacity=st.sampled_from([1, 2, 256]),
+    programs=st.lists(_programs, min_size=1, max_size=3),
+    initial=st.lists(st.tuples(st.integers(0, 5), _mutations()), max_size=12),
+    batches=st.lists(
+        st.tuples(
+            st.lists(st.tuples(st.integers(0, 5), _mutations()), max_size=2),
+            st.lists(_wire_packets, min_size=1, max_size=6),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_wire_path_matches_reference_codec_and_interpreter(
+    shape, capacity, programs, initial, batches
+):
+    """encode -> decode -> cached ``receive_batch`` -> shrunk encode emits
+    the bytes the reference codec and the cache-disabled switch emit."""
+    warm = ActiveSwitch(
+        SwitchConfig(words_per_stage=_WORDS, program_cache_entries=capacity, **shape)
+    )
+    cold = ActiveSwitch(SwitchConfig(words_per_stage=_WORDS, program_cache_entries=0, **shape))
+
+    def mutate(calls):
+        for stage, (method, args) in calls:
+            for switch in (warm, cold):
+                getattr(switch.pipeline.stage(stage + 1).table, method)(*args)
+
+    for switch in (warm, cold):
+        switch.register_host(CLIENT, 1)
+        switch.register_host(SERVER, 2)
+    mutate(initial)
+    for calls, sends in batches:
+        mutate(calls)
+        sent = [
+            _packet(programs[index % len(programs)], fid, args, flags, payload)
+            for fid, index, args, flags, payload in sends
+        ]
+        frames = [encode_packet(packet) for packet in sent]
+        assert frames == [reference_encode_packet(packet) for packet in sent]
+        mine = warm.receive_batch([decode_packet(frame) for frame in frames], in_port=1)
+        theirs = cold.receive_batch(
+            [reference_decode_packet(frame) for frame in frames], in_port=1
+        )
+        assert [
+            (output.port, encode_packet(output.packet, shrink=True)) for output in mine.outputs
+        ] == [
+            (output.port, reference_encode_packet(output.packet, shrink=True))
+            for output in theirs.outputs
+        ]
+    assert warm.port_stats == cold.port_stats
+    _assert_same_registers(warm.pipeline, cold.pipeline)
 
 
 # ----------------------------------------------------------------------

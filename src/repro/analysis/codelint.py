@@ -21,6 +21,10 @@ layering the docstrings promise:
   controller or client at runtime).  ``TYPE_CHECKING`` blocks and
   function-local (deferred) imports are exempt, matching how the
   codebase breaks cycles on purpose.
+- **CL004** -- a broad ``except`` (bare, ``Exception`` or
+  ``BaseException``) that neither raises nor reads the exception it
+  bound: a swallowed failure, which the recover-by-replay and
+  rollback proofs cannot see.  Catch the error you mean instead.
 
 Tests and benchmarks are exempt from CL001/CL002: white-box tests may
 reach anywhere.  The CI ``audit-smoke`` job gates ``src/repro`` clean.
@@ -211,6 +215,38 @@ def _module_level_imports(
     return found
 
 
+#: Exception classes whose handler catches (nearly) everything.
+BROAD_EXCEPTIONS = frozenset({"Exception", "BaseException"})
+
+
+def _is_broad(caught: Optional[ast.expr]) -> bool:
+    """Does an ``except`` clause naming *caught* catch everything?"""
+    if caught is None:
+        return True
+    if isinstance(caught, ast.Tuple):
+        return any(_is_broad(element) for element in caught.elts)
+    if isinstance(caught, ast.Name):
+        return caught.id in BROAD_EXCEPTIONS
+    if isinstance(caught, ast.Attribute):
+        return caught.attr in BROAD_EXCEPTIONS
+    return False
+
+
+def _swallows(handler: ast.ExceptHandler) -> bool:
+    """A handler that neither raises nor reads its bound exception."""
+    for statement in handler.body:
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Raise):
+                return False
+            if (
+                isinstance(node, ast.Name)
+                and node.id == handler.name
+                and isinstance(node.ctx, ast.Load)
+            ):
+                return False
+    return True
+
+
 def _lint_file(path: str, source: str) -> List[CodeFinding]:
     findings: List[CodeFinding] = []
     try:
@@ -221,9 +257,20 @@ def _lint_file(path: str, source: str) -> List[CodeFinding]:
                 "CL000", path, exc.lineno or 0, f"syntax error: {exc.msg}"
             )
         ]
-    # CL001 / CL002: attribute and call discipline.
+    # CL001 / CL002: attribute and call discipline; CL004: handlers.
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
+        if isinstance(node, ast.ExceptHandler):
+            if _is_broad(node.type) and _swallows(node):
+                findings.append(
+                    CodeFinding(
+                        "CL004",
+                        path,
+                        node.lineno,
+                        "broad except swallows the exception (neither "
+                        "re-raised nor read); catch the specific error",
+                    )
+                )
+        elif isinstance(node, ast.Attribute):
             allowed = PROTECTED_ATTRS.get(node.attr)
             if allowed is not None and not _is_allowed(path, allowed):
                 findings.append(

@@ -17,6 +17,7 @@ from repro.controller.controller import (
     ProvisioningStatus,
     RequestKind,
     SnapshotCost,
+    withdraw_with_retries,
 )
 from repro.controller.service import (
     AdmissionService,
@@ -25,7 +26,6 @@ from repro.controller.service import (
     BackoffPolicy,
     BatchReport,
     replay_commit_log,
-    withdraw_with_retries,
 )
 
 __all__ = [

@@ -2,18 +2,19 @@
 
 All control-plane work funnels through one entry point,
 :meth:`ActiveRmtController.submit`, which takes a
-:class:`ProvisioningRequest` and returns a :class:`ProvisioningReport`.
-Two historical usage styles remain as thin delegating wrappers:
+:class:`ProvisioningRequest` -- an admission or a withdrawal -- and
+returns a :class:`ProvisioningReport`.  Two usage styles sit on top:
 
 - **Synchronous control-plane API** (`admit`/`withdraw`): used by the
   allocation experiments (Figures 5-8a, 11, 12).  All data-plane and
   client-side durations are *modeled* and reported in the
   :class:`ProvisioningReport`.
-- **Packet-driven API** (`process_pending`/`handle_digest`): used by
-  the end-to-end simulations (Figures 9-10).  Requests arrive as switch
-  digests; the controller deactivates impacted FIDs, lets clients
-  snapshot, then applies tables and responds.  Reply packets appear on
-  ``ProvisioningReport.replies``.
+- **The Section 4.3 wire protocol**: a digested ``ALLOC_REQUEST`` is
+  an admission, a ``DEALLOCATE`` digest a withdrawal.  One decoder,
+  :meth:`~ActiveRmtController.serve_digest`, serves both clocks:
+  `process_pending` sends the replies at once, the simulations'
+  :class:`~repro.sim.provisioner.SimProvisioner` after the modeled
+  deactivation window (Figures 9-10).
 
 Every admission -- through `submit`, or a pre-computed plan through
 `commit_plan` / `commit_batch` -- is committed by one method,
@@ -119,16 +120,15 @@ class RequestKind(enum.Enum):
 
     ADMIT = "admit"
     WITHDRAW = "withdraw"
-    DIGEST = "digest"
 
 
 class ProvisioningStatus(enum.Enum):
     """Typed outcome of one provisioning request.
 
-    ``ADMITTED`` doubles as the generic "request executed" status for
-    withdrawals and digest handling; ``SHED`` is produced only by the
-    admission service when a request is dropped (full queue, missed
-    deadline) with a retry-after hint rather than an error.
+    ``ADMITTED`` doubles as the "withdrawal executed" status; ``SHED``
+    is produced only by the admission service when a request is dropped
+    (full queue, missed deadline) with a retry-after hint rather than
+    an error.
     """
 
     ADMITTED = "admitted"
@@ -148,14 +148,14 @@ class ProvisioningRequest:
     - :meth:`admission` -- admit *fid* with an access *pattern*; pass
       ``dry_run=True`` for a side-effect-free what-if probe.
     - :meth:`withdrawal` -- release *fid*'s allocation.
-    - :meth:`from_digest` -- handle a digested switch packet
-      (allocation request or control message).
+
+    A digested switch packet is decoded into one of these by
+    :meth:`ActiveRmtController.serve_digest`.
     """
 
     kind: RequestKind
     fid: Optional[int] = None
     pattern: Optional[AccessPattern] = None
-    digest: Optional[ActivePacket] = None
     #: Plan only -- report what the admission would do without touching
     #: any allocator or switch state.
     dry_run: bool = False
@@ -186,18 +186,15 @@ class ProvisioningRequest:
     def withdrawal(cls, fid: int) -> "ProvisioningRequest":
         return cls(kind=RequestKind.WITHDRAW, fid=fid)
 
-    @classmethod
-    def from_digest(cls, packet: ActivePacket) -> "ProvisioningRequest":
-        return cls(kind=RequestKind.DIGEST, fid=packet.fid, digest=packet)
-
 
 @dataclasses.dataclass
 class ProvisioningReport:
     """Outcome of one submitted request.
 
     For admissions this is the timing breakdown of Figure 8a's three
-    bands; withdrawals report their table-update time; digest handling
-    additionally carries the reply packets injected toward clients.
+    bands; withdrawals report their table-update time.  The packets
+    that answer a wire admission are built from it by
+    :meth:`ActiveRmtController.allocation_replies`.
     """
 
     fid: int
@@ -207,7 +204,6 @@ class ProvisioningReport:
     compute_seconds: float = 0.0
     table_update_seconds: float = 0.0
     snapshot_seconds: float = 0.0
-    replies: List[ActivePacket] = dataclasses.field(default_factory=list)
     #: The plan behind this admission (also set for dry runs, where it
     #: is the entire result).
     plan: Optional[AllocationPlan] = None
@@ -426,14 +422,12 @@ class ActiveRmtController:
     def submit(
         self, request: ProvisioningRequest, ctx: ParentLike = None
     ) -> ProvisioningReport:
-        """Execute one control-plane request and report the outcome.
+        """Execute one admission or withdrawal and report the outcome.
 
-        Every controller action -- admission, withdrawal, digest
-        handling -- funnels through here; `admit`, `withdraw`, and
-        `handle_digest` are thin wrappers that build the matching
-        :class:`ProvisioningRequest`.  *ctx* is the trace context the
-        controller's spans are parented under (the admission service
-        passes its per-request span; direct callers may omit it).
+        `admit`, `withdraw` and :meth:`serve_digest` all build their
+        :class:`ProvisioningRequest` and funnel through here.  *ctx* is
+        the trace context the controller's spans are parented under
+        (the admission service passes its per-request span).
         """
         if request.kind is RequestKind.ADMIT:
             if request.fid is None or request.pattern is None:
@@ -449,10 +443,6 @@ class ActiveRmtController:
             if request.fid is None:
                 raise ControllerError("withdrawal requires fid")
             return self._do_withdraw(request.fid, ctx=ctx)
-        if request.kind is RequestKind.DIGEST:
-            if request.digest is None:
-                raise ControllerError("digest request requires a packet")
-            return self._do_digest(request.digest)
         raise ControllerError(f"unknown request kind {request.kind!r}")
 
     # ------------------------------------------------------------------
@@ -1160,40 +1150,59 @@ class ActiveRmtController:
         return replies
 
     def handle_digest(self, packet: ActivePacket) -> List[ActivePacket]:
-        """Handle one digested packet (request or control)."""
-        return self.submit(ProvisioningRequest.from_digest(packet)).replies
-
-    def _do_digest(self, packet: ActivePacket) -> ProvisioningReport:
-        if packet.ptype == PacketType.ALLOC_REQUEST:
-            kind = "alloc_request"
-            replies = self._handle_request(packet)
-        elif packet.ptype == PacketType.CONTROL:
-            kind = "control"
-            replies = self._handle_control(packet)
-        else:
-            raise ControllerError(f"unexpected digest type {packet.ptype:#x}")
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "controller_digests_total",
-                help="Switch digests handled, by packet kind",
-                kind=kind,
-            ).inc()
-        return ProvisioningReport(
-            fid=packet.fid, success=True, replies=replies
-        )
-
-    def _handle_request(self, packet: ActivePacket) -> List[ActivePacket]:
-        if packet.request is None:
-            raise ControllerError("allocation request without header")
-        pattern = AccessPattern.from_request(
-            packet.request, name=f"fid{packet.fid}"
-        )
-        self._client_macs[packet.fid] = packet.eth.src
-        report = self.admit(fid=packet.fid, pattern=pattern)
+        """Serve one digest and send its replies now; returns them."""
+        report = self.serve_digest(packet)
+        if report is None:
+            return []
         replies = self.allocation_replies(report, packet)
         for reply in replies:
             self.device.inject(reply)
         return replies
+
+    def serve_digest(
+        self,
+        packet: ActivePacket,
+        submit: Optional[Callable[[ProvisioningRequest], ProvisioningReport]] = None,
+        patterns: Optional[Mapping[int, AccessPattern]] = None,
+    ) -> Optional[ProvisioningReport]:
+        """Serve the switch-CPU side of one digest: the one decoder.
+
+        An ``ALLOC_REQUEST`` registers its client and is one admission
+        through *submit* (default :meth:`submit`) of the wire pattern,
+        or of the fid's override in *patterns*; its report is returned.
+        ``DEALLOCATE`` withdraws through :func:`withdraw_with_retries`
+        and ``SNAPSHOT_COMPLETE`` calls :attr:`on_snapshot_complete`;
+        both return None.  Nothing is sent: the caller sends
+        :meth:`allocation_replies` when its own clock says so.
+        """
+        submit = submit or self.submit
+        fid = packet.fid
+        report: Optional[ProvisioningReport] = None
+        if packet.ptype == PacketType.ALLOC_REQUEST:
+            if packet.request is None:
+                raise ControllerError("allocation request without header")
+            pattern = (patterns or {}).get(fid) or AccessPattern.from_request(
+                packet.request, name=f"fid{fid}"
+            )
+            self.register_client(fid, packet.eth.src)
+            report = submit(ProvisioningRequest.admission(fid, pattern))
+        elif packet.ptype != PacketType.CONTROL:
+            raise ControllerError(f"unexpected digest type {packet.ptype:#x}")
+        elif packet.has_flag(ControlFlags.DEALLOCATE):
+            try:
+                withdraw_with_retries(submit, fid, self.refused_withdrawals)
+            except AllocationError as exc:
+                raise ControllerError(str(exc)) from exc
+        elif packet.has_flag(ControlFlags.SNAPSHOT_COMPLETE):
+            if self.on_snapshot_complete is not None:
+                self.on_snapshot_complete(fid)
+        if self.telemetry.enabled:
+            self.telemetry.counter(
+                "controller_digests_total",
+                help="Switch digests handled, by packet kind",
+                kind="control" if report is None else "alloc_request",
+            ).inc()
+        return report
 
     def allocation_replies(
         self, report: ProvisioningReport, request: ActivePacket
@@ -1242,16 +1251,25 @@ class ActiveRmtController:
         )
         return replies
 
-    def _handle_control(self, packet: ActivePacket) -> List[ActivePacket]:
-        if packet.has_flag(ControlFlags.DEALLOCATE):
-            # Lazy for the reason `recover` gives: the service imports us.
-            from repro.controller.service import withdraw_with_retries
 
-            try:
-                withdraw_with_retries(self.submit, packet.fid, self.refused_withdrawals)
-            except AllocationError as exc:
-                raise ControllerError(str(exc)) from exc
-        elif packet.has_flag(ControlFlags.SNAPSHOT_COMPLETE):
-            if self.on_snapshot_complete is not None:
-                self.on_snapshot_complete(packet.fid)
-        return []
+def withdraw_with_retries(
+    submit: Callable[[ProvisioningRequest], ProvisioningReport],
+    fid: int,
+    refused: List[int],
+) -> List[int]:
+    """Withdraw *fid* through *submit*, after re-sending the withdrawals
+    in *refused*; returns the fids that left.
+
+    A withdrawal the switch refuses (``ROLLED_BACK``: a grown
+    neighbour's range did not fit the TCAM, or the device faulted)
+    leaves its fid resident, and nobody asks for it again.  So whoever
+    drives departures -- :meth:`ActiveRmtController.serve_digest`, an
+    experiment harness -- keeps one *refused* list, updated in place,
+    and sends those again at each later departure.
+    """
+    leaving, refused[:] = [*refused, fid], []
+    left: List[int] = []
+    for candidate in leaving:
+        report = submit(ProvisioningRequest.withdrawal(candidate))
+        (left if report.success else refused).append(candidate)
+    return left

@@ -424,6 +424,11 @@ class AdmissionService:
     # ------------------------------------------------------------------
 
     def _process(self, ticket: AdmissionTicket[Any]) -> None:
+        """Serve one ticket: admissions take :meth:`_admit`, a what-if
+        probe plans on a shadow, a withdrawal runs under the commit lock.
+        Every admission or withdrawal that lands (wire ones included) is
+        appended to :attr:`commit_log`.
+        """
         request = ticket.requests[0]
         if request.kind is RequestKind.ADMIT and not request.dry_run:
             # Every group is made of these (submit_many checks).
@@ -438,11 +443,11 @@ class AdmissionService:
             plan = shadow.plan(request.fid, request.pattern, ctx=ticket.span)
             self._resolve(ticket, (self.controller.report_dry_run(plan),))
             return
-        # Withdrawals and digests mutate for sure: serialize the whole
-        # request on the commit path (they are short).
+        # Withdrawals mutate for sure: serialize the whole request on
+        # the commit path (they are short).
         with self._commit_lock:
             report = self.controller.submit(request, ctx=ticket.span)
-            if report.success and request.kind is RequestKind.WITHDRAW:
+            if report.success:
                 self.commit_log.append(("withdraw", request.fid))
         self._resolve(ticket, (report,))
 
@@ -674,29 +679,6 @@ class AdmissionService:
                 "admission_queue_depth",
                 help="Requests waiting in the admission queue",
             ).set(depth)
-
-
-def withdraw_with_retries(
-    submit: Callable[[ProvisioningRequest], ProvisioningReport],
-    fid: int,
-    refused: List[int],
-) -> List[int]:
-    """Withdraw *fid* through *submit*, after re-sending the withdrawals
-    in *refused*; returns the fids that left.
-
-    A withdrawal the switch refuses (``ROLLED_BACK``: a grown
-    neighbour's range did not fit the TCAM, or the device faulted)
-    leaves its fid resident, and nobody asks for it again.  So whoever
-    drives departures -- the packet-driven API, the simulated-time
-    provisioner, an experiment harness -- keeps one *refused* list,
-    updated in place, and sends those again at each later departure.
-    """
-    leaving, refused[:] = [*refused, fid], []
-    left: List[int] = []
-    for candidate in leaving:
-        report = submit(ProvisioningRequest.withdrawal(candidate))
-        (left if report.success else refused).append(candidate)
-    return left
 
 
 # ----------------------------------------------------------------------

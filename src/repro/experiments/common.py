@@ -17,8 +17,9 @@ from repro.controller.controller import (
     ProvisioningReport,
     ProvisioningRequest,
     ProvisioningStatus,
+    withdraw_with_retries,
 )
-from repro.controller.service import AdmissionTicket, withdraw_with_retries
+from repro.controller.service import AdmissionTicket
 from repro.controller.table_updater import TableUpdateEngine
 from repro.core.blocks import BlockRange
 from repro.core.constraints import (

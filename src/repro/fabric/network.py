@@ -39,8 +39,6 @@ class FabricNetwork:
         fabric: the shard fleet at the hub.
         link_delay_s: one-way access-link latency (same for every
             shard, as for a single-switch star).
-        batch_window_s / max_batch: per-shard arrival batching, passed
-            through to each underlying :class:`SimNetwork`.
     """
 
     def __init__(
@@ -48,19 +46,11 @@ class FabricNetwork:
         loop: EventLoop,
         fabric: Fabric,
         link_delay_s: float = 2e-6,
-        batch_window_s: Optional[float] = None,
-        max_batch: Optional[int] = None,
     ) -> None:
         self.loop = loop
         self.fabric = fabric
         self.networks: List[SimNetwork] = [
-            SimNetwork(
-                loop,
-                shard.device,
-                link_delay_s=link_delay_s,
-                batch_window_s=batch_window_s,
-                max_batch=max_batch,
-            )
+            SimNetwork(loop, shard.device, link_delay_s=link_delay_s)
             for shard in fabric.shards
         ]
         self.provisioners: List[SimProvisioner] = []

@@ -15,14 +15,13 @@ servers, links, and time.  This package provides:
   deactivate, snapshot, table update, reactivate (Section 4.3).
 """
 
-from repro.sim.eventloop import BatchDrain, EventLoop, SimEvent
+from repro.sim.eventloop import EventLoop, SimEvent
 from repro.sim.kvstore import KVStore, encode_get, encode_value, decode_get, decode_value
 from repro.sim.network import Host, SimNetwork
 from repro.sim.hosts import CacheClientHost, KVServerHost
 from repro.sim.provisioner import SimProvisioner
 
 __all__ = [
-    "BatchDrain",
     "EventLoop",
     "SimEvent",
     "KVStore",

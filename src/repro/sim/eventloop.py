@@ -1,19 +1,12 @@
-"""A minimal discrete-event loop (times in seconds).
-
-Besides the heap-ordered executor, this module provides
-:class:`BatchDrain`, the coalescing primitive behind the simulator's
-batched data path: producers submit items as they arrive, and the drain
-flushes them through a single handler call per scheduled window --
-one event (and one handler invocation) per batch instead of per item.
-"""
+"""A minimal discrete-event loop (times in seconds)."""
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from repro.telemetry import SIZE_BUCKETS, MetricsRegistry, resolve
+from repro.telemetry import MetricsRegistry, resolve
 
 
 class SimEvent:
@@ -112,92 +105,3 @@ class EventLoop:
     @property
     def pending(self) -> int:
         return sum(1 for _t, _s, e in self._heap if not e.cancelled)
-
-
-class BatchDrain:
-    """Coalesce submitted items into one handler call per drain window.
-
-    The first :meth:`submit` after an empty queue schedules a flush
-    ``window_s`` seconds later; everything submitted before the flush
-    fires is handed to *handler* as one list.  With ``window_s == 0``
-    items submitted at the same simulation instant still coalesce
-    (the flush runs after all same-time events), so batching never
-    reorders across simulated time.
-
-    Args:
-        loop: the owning event loop.
-        handler: called with the list of drained items.
-        window_s: drain window; items arriving within it batch together.
-        max_batch: flush immediately once this many items are pending
-            (bounds per-flush work); None means unbounded.
-        name: label distinguishing this drain's metrics from other
-            drains sharing a registry.
-        telemetry: metrics registry; when enabled each flush advances
-            a counter and a batch-size histogram labeled with *name*.
-    """
-
-    def __init__(
-        self,
-        loop: EventLoop,
-        handler: Callable[[List[Any]], None],
-        window_s: float = 0.0,
-        max_batch: Optional[int] = None,
-        name: str = "drain",
-        telemetry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        if window_s < 0:
-            raise ValueError("drain window cannot be negative")
-        if max_batch is not None and max_batch <= 0:
-            raise ValueError("max_batch must be positive")
-        self.loop = loop
-        self.handler = handler
-        self.window_s = window_s
-        self.max_batch = max_batch
-        self.name = name
-        self.telemetry = resolve(telemetry)
-        self._pending: List[Any] = []
-        self._scheduled = False
-        self.flushes = 0
-        self.drained = 0
-
-    def submit(self, item: Any) -> None:
-        """Queue one item; schedules a flush if none is in flight."""
-        self._pending.append(item)
-        if self.max_batch is not None and len(self._pending) >= self.max_batch:
-            self.flush()
-            return
-        if not self._scheduled:
-            self._scheduled = True
-            self.loop.schedule(self.window_s, self._on_window)
-
-    def flush(self) -> Sequence[Any]:
-        """Drain everything pending through the handler immediately."""
-        items = self._pending
-        if not items:
-            return items
-        self._pending = []
-        self.flushes += 1
-        self.drained += len(items)
-        tel = self.telemetry
-        if tel.enabled:
-            tel.counter(
-                "eventloop_drain_flushes_total",
-                help="BatchDrain flushes, by drain name",
-                drain=self.name,
-            ).inc()
-            tel.histogram(
-                "eventloop_drain_batch_size",
-                buckets=SIZE_BUCKETS,
-                help="Items per BatchDrain flush, by drain name",
-                drain=self.name,
-            ).observe(len(items))
-        self.handler(items)
-        return items
-
-    def _on_window(self) -> None:
-        self._scheduled = False
-        self.flush()
-
-    @property
-    def pending_items(self) -> int:
-        return len(self._pending)

@@ -3,25 +3,16 @@
 Packets sent by a host traverse a link to the switch, execute in the
 pipeline, and the outputs traverse a link to their destination host --
 all as scheduled events, so latency and interleaving are explicit.
-
-With ``batch_window_s`` set, switch arrivals within the window are
-coalesced through a :class:`~repro.sim.eventloop.BatchDrain` and
-executed via :meth:`ActiveSwitch.receive_batch` -- one scheduled event
-and one stats roll-up per batch instead of per packet.  Outputs carry
-the same per-packet switch latency either way, so end-to-end delivery
-times are unchanged; only simulator overhead shrinks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-from typing import Union
+from typing import Dict, Optional, Union
 
 from repro.device import Device
 from repro.packets.codec import ActivePacket
 from repro.packets.ethernet import MacAddress
-from repro.sim.eventloop import BatchDrain, EventLoop
+from repro.sim.eventloop import EventLoop
 from repro.switchsim.switch import ActiveSwitch
 
 
@@ -54,12 +45,8 @@ class SimNetwork:
         switch: the switch at the hub -- a bare
             :class:`~repro.switchsim.switch.ActiveSwitch` or anything
             implementing the :class:`~repro.device.Device` data-path
-            surface (``register_host``/``receive``/``receive_batch``).
+            surface (``register_host``/``receive``).
         link_delay_s: one-way access-link latency.
-        batch_window_s: when not None, coalesce switch arrivals within
-            this window and drain them through ``receive_batch``; 0.0
-            batches only arrivals landing at the same simulated instant.
-        max_batch: optional cap on packets per drained batch.
     """
 
     def __init__(
@@ -67,24 +54,12 @@ class SimNetwork:
         loop: EventLoop,
         switch: Union[ActiveSwitch, Device],
         link_delay_s: float = 2e-6,
-        batch_window_s: Optional[float] = None,
-        max_batch: Optional[int] = None,
     ) -> None:
         self.loop = loop
         self.switch = switch
         self.link_delay_s = link_delay_s
         self._hosts_by_port: Dict[int, Host] = {}
         self._ports_by_mac: Dict[MacAddress, int] = {}
-        self._drain: Optional[BatchDrain] = (
-            BatchDrain(
-                loop,
-                self._drain_batch,
-                window_s=batch_window_s,
-                max_batch=max_batch,
-            )
-            if batch_window_s is not None
-            else None
-        )
 
     # ------------------------------------------------------------------
 
@@ -104,12 +79,6 @@ class SimNetwork:
     def transmit(self, host: Host, packet: ActivePacket) -> None:
         """Host -> switch, then switch outputs -> destination hosts."""
         in_port = self._ports_by_mac[host.mac]
-        if self._drain is not None:
-            self.loop.schedule(
-                self.link_delay_s,
-                lambda: self._drain.submit((packet, in_port)),
-            )
-            return
 
         def arrive() -> None:
             outputs = self.switch.receive(packet, in_port)
@@ -117,12 +86,6 @@ class SimNetwork:
                 self._deliver(output.port, output.packet, output.latency_us * 1e-6)
 
         self.loop.schedule(self.link_delay_s, arrive)
-
-    def _drain_batch(self, items: List[Tuple[ActivePacket, int]]) -> None:
-        """Flush one arrival batch through the switch's batched path."""
-        result = self.switch.receive_batch(items)
-        for output in result.outputs:
-            self._deliver(output.port, output.packet, output.latency_us * 1e-6)
 
     def inject(self, packet: ActivePacket) -> None:
         """Controller/switch-originated packet to its destination host."""

@@ -13,6 +13,11 @@ reflect each phase:
 4. table updates take ``table_update_seconds``,
 5. everyone is reactivated; updated responses reach the incumbents and
    the allocation response reaches the requester.
+
+What a digest asks for is decided by the controller's one decoder,
+:meth:`ActiveRmtController.serve_digest`; this module owns only the
+clock: when the deactivation window opens and closes and when the
+replies leave.
 """
 
 from __future__ import annotations
@@ -21,12 +26,12 @@ from typing import Dict, List, Optional
 
 from repro.controller.controller import (
     ActiveRmtController,
-    ProvisioningRequest,
+    ControllerError,
+    ProvisioningReport,
 )
-from repro.controller.service import AdmissionService, withdraw_with_retries
+from repro.controller.service import AdmissionService
 from repro.core.constraints import AccessPattern
 from repro.packets.codec import ActivePacket
-from repro.packets.headers import ControlFlags, PacketType
 from repro.sim.eventloop import EventLoop
 from repro.sim.network import SimNetwork
 
@@ -63,38 +68,22 @@ class SimProvisioner:
     # ------------------------------------------------------------------
 
     def _poll(self) -> None:
-        for digest in self.controller.device.poll_digests():
-            if digest.ptype == PacketType.ALLOC_REQUEST:
-                self._admit(digest)
-            elif digest.ptype == PacketType.CONTROL:
-                self._control(digest)
-
-    def _control(self, packet: ActivePacket) -> None:
-        if packet.has_flag(ControlFlags.DEALLOCATE):
+        controller = self.controller
+        for digest in controller.device.poll_digests():
             try:
-                withdraw_with_retries(
-                    self.service.submit_and_wait,
-                    packet.fid,
-                    self.controller.refused_withdrawals,
+                report = controller.serve_digest(
+                    digest, self.service.submit_and_wait, self.pattern_overrides
                 )
-            except Exception:
-                pass
-        elif packet.has_flag(ControlFlags.SNAPSHOT_COMPLETE):
-            if self.controller.on_snapshot_complete is not None:
-                self.controller.on_snapshot_complete(packet.fid)
+            except ControllerError:
+                # A malformed digest, or a DEALLOCATE for a fid that is
+                # not resident: nobody waits for an answer to either.
+                continue
+            if report is not None:
+                self._respond(report, digest)
 
-    # ------------------------------------------------------------------
-
-    def _admit(self, request: ActivePacket) -> None:
-        assert request.request is not None
+    def _respond(self, report: ProvisioningReport, request: ActivePacket) -> None:
+        """Log one wire admission and schedule its window and replies."""
         fid = request.fid
-        pattern = self.pattern_overrides.get(fid) or AccessPattern.from_request(
-            request.request, name=f"fid{fid}"
-        )
-        self.controller.register_client(fid, request.eth.src)
-        report = self.service.submit_and_wait(
-            ProvisioningRequest.admission(fid=fid, pattern=pattern)
-        )
         self.provisioning_log.append(
             {
                 "time": self.loop.now,
@@ -122,7 +111,7 @@ class SimProvisioner:
         impacted = report.reallocated_fids
         t_deactivate = report.compute_seconds
         t_reactivate = report.total_seconds
-        # Phase 2: admit() left everyone active; re-impose the
+        # Phase 2: the commit left everyone active; re-impose the
         # deactivation window the protocol actually spends.
         for other in impacted:
             device.deactivate_fid(other)

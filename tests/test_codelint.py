@@ -1,11 +1,13 @@
 """Mutation-discipline lint: rule detection and the clean-tree gate.
 
-Synthetic sources exercise each rule (CL000-CL003) and its exemptions;
+Synthetic sources exercise each rule (CL000-CL004) and its exemptions;
 the final test pins the real ``src/repro`` tree clean, which is the
 same gate the CI ``audit-smoke`` job enforces.
 """
 
 import os
+
+import pytest
 
 from repro.analysis.codelint import (
     CodeFinding,
@@ -120,6 +122,45 @@ def test_cl003_try_block_still_counts(tmp_path):
         "    controller = None\n",
     )
     assert _rules(findings) == ["CL003"]
+
+
+@pytest.mark.parametrize(
+    "handler",
+    [
+        "except:\n        pass\n",
+        "except Exception:\n        pass\n",
+        "except Exception as exc:\n        return None\n",
+        "except (ValueError, BaseException):\n        return None\n",
+        "except builtins.Exception:\n        pass\n",
+    ],
+)
+def test_cl004_broad_handler_that_swallows(tmp_path, handler):
+    findings = _lint(
+        tmp_path,
+        "src/repro/rogue.py",
+        "def run(work):\n    try:\n        work()\n    " + handler,
+    )
+    assert _rules(findings) == ["CL004"]
+    assert findings[0].line == 4
+
+
+@pytest.mark.parametrize(
+    "handler",
+    [
+        "except Exception:\n        raise\n",
+        "except BaseException as exc:\n        log(exc)\n        raise\n",
+        "except Exception as exc:\n        log(exc)\n",
+        "except Exception as exc:\n        raise RuntimeError() from exc\n",
+        "except ValueError:\n        pass\n",
+    ],
+)
+def test_cl004_handler_that_raises_reads_or_is_narrow(tmp_path, handler):
+    findings = _lint(
+        tmp_path,
+        "src/repro/fine.py",
+        "def run(work, log):\n    try:\n        work()\n    " + handler,
+    )
+    assert findings == []
 
 
 def test_finding_str_and_formatting():

@@ -1,9 +1,9 @@
 """Tests for the unified control-plane facade and the public surface.
 
-``ActiveRmtController.submit`` is the single entry point; ``admit``,
-``withdraw``, and ``handle_digest`` are thin wrappers that must behave
-exactly as before.  The blessed API re-exports from ``repro`` are
-pinned here too.
+``ActiveRmtController.submit`` is the single entry point; ``admit``
+and ``withdraw`` are thin wrappers that must behave exactly as before,
+and ``serve_digest`` decodes a digest into one of their requests.
+The blessed API re-exports from ``repro`` are pinned here too.
 """
 
 import pytest
@@ -78,7 +78,7 @@ def test_withdraw_wrapper_returns_seconds(controller):
     assert seconds > 0
 
 
-def test_submit_digest_carries_replies(controller, switch):
+def test_serve_digest_reports_the_admission(controller, switch):
     request = ActivePacket.alloc_request(
         src=CLIENT,
         dst=controller.mac,
@@ -87,11 +87,13 @@ def test_submit_digest_carries_replies(controller, switch):
     )
     switch.receive(request, in_port=1)
     digest = switch.poll_digests()[0]
-    report = controller.submit(ProvisioningRequest.from_digest(digest))
+    report = controller.serve_digest(digest)
     assert report.success
     assert report.fid == 7
-    assert len(report.replies) == 1
-    assert report.replies[0].ptype == PacketType.ALLOC_RESPONSE
+    assert controller.reports == [report]  # an admission like any other
+    replies = controller.allocation_replies(report, digest)
+    assert len(replies) == 1
+    assert replies[0].ptype == PacketType.ALLOC_RESPONSE
 
 
 def test_handle_digest_wrapper_returns_replies(controller, switch):
@@ -108,7 +110,7 @@ def test_handle_digest_wrapper_returns_replies(controller, switch):
     [
         ProvisioningRequest(kind=RequestKind.ADMIT),  # missing fid+pattern
         ProvisioningRequest(kind=RequestKind.WITHDRAW),  # missing fid
-        ProvisioningRequest(kind=RequestKind.DIGEST),  # missing packet
+        ProvisioningRequest(kind=RequestKind.ADMIT, fid=1),  # missing pattern
     ],
 )
 def test_submit_rejects_malformed_requests(controller, request_):
@@ -127,7 +129,6 @@ def test_failed_admission_report_shape(controller):
     report = controller.reports[-1]
     assert not report.success
     assert report.reason
-    assert report.replies == []
 
 
 # ----------------------------------------------------------------------

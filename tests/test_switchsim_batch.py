@@ -18,7 +18,6 @@ from repro.switchsim import (
     StageGrant,
     SwitchConfig,
 )
-from repro.sim import BatchDrain, EventLoop
 from repro.telemetry import MetricsRegistry
 
 from tests.test_switchsim_differential import _instructions, _programs, _words
@@ -337,41 +336,3 @@ def test_suppressed_counted_in_batch():
     result = switch.receive_batch([(_program(long_program), 1)])
     assert result.suppressed == 1
     assert result.programs == 0
-
-
-# ----------------------------------------------------------------------
-# BatchDrain (eventloop coalescing)
-# ----------------------------------------------------------------------
-
-
-def test_batch_drain_coalesces_same_instant():
-    loop = EventLoop()
-    batches = []
-    drain = BatchDrain(loop, batches.append, window_s=0.0)
-    loop.schedule(0.0, lambda: drain.submit("a"))
-    loop.schedule(0.0, lambda: drain.submit("b"))
-    loop.schedule(1.0, lambda: drain.submit("c"))
-    loop.run()
-    assert batches == [["a", "b"], ["c"]]
-    assert drain.flushes == 2
-    assert drain.drained == 3
-
-
-def test_batch_drain_max_batch_flushes_immediately():
-    loop = EventLoop()
-    batches = []
-    drain = BatchDrain(loop, batches.append, window_s=10.0, max_batch=2)
-    drain.submit(1)
-    drain.submit(2)  # hits max_batch: flushed without waiting
-    assert batches == [[1, 2]]
-    drain.submit(3)
-    loop.run()
-    assert batches == [[1, 2], [3]]
-
-
-def test_batch_drain_rejects_bad_args():
-    loop = EventLoop()
-    with pytest.raises(ValueError):
-        BatchDrain(loop, lambda items: None, window_s=-1.0)
-    with pytest.raises(ValueError):
-        BatchDrain(loop, lambda items: None, max_batch=0)

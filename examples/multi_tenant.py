@@ -27,7 +27,7 @@ def main() -> None:
         allocator = controller.allocator
         if report.success:
             app_of_fid[event.fid] = event.app_name
-            stages = sorted(report.decision.regions)
+            stages = sorted(report.plan.regions)
             blocks = allocator.app_total_blocks(event.fid)
         else:
             stages, blocks = [], 0

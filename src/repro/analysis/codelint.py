@@ -13,8 +13,9 @@ layering the docstrings promise:
   :class:`~repro.switchsim.tables.StageTable` (``_residents``,
   ``_grants``, ...) outside the modules that define them.
 - **CL002** -- calls to state-mutating table/pool methods
-  (``install_grant``, ``deactivate_fid``, ``load_residents``, ...)
-  outside the journaled call sites allowlisted per method.
+  (``install_grant``, ``deactivate_fid``, ``load_residents``, ...) and
+  to the allocator's ``commit`` / ``rollback`` / ``release`` outside
+  the journaled call sites allowlisted per method.
 - **CL003** -- module-level imports that violate the layering
   (``switchsim`` below ``device`` below ``controller`` below
   ``fabric``/``experiments``; ``analysis`` never imports the
@@ -105,6 +106,11 @@ MUTATOR_ALLOWLIST: Dict[str, Tuple[str, ...]] = {
         "core/blocks.py",
         "core/transactions.py",
     ),
+    # The allocator's live-state transitions: the controller's one
+    # admission commit and its withdrawal/unwind are their only callers.
+    "commit": ("core/allocator.py", "controller/controller.py"),
+    "rollback": ("core/allocator.py", "controller/controller.py"),
+    "release": ("core/allocator.py", "controller/controller.py"),
 }
 
 #: Package layering: importing package prefix -> package prefixes it

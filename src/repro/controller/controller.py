@@ -16,12 +16,13 @@ returns a :class:`ProvisioningReport`.  Two usage styles sit on top:
   :class:`~repro.sim.provisioner.SimProvisioner` after the modeled
   deactivation window (Figures 9-10).
 
-Every admission -- through `submit`, or a pre-computed plan through
-`commit_plan` / `commit_batch` -- is committed by one method,
-:meth:`ActiveRmtController._commit`: a batch of N plans under one
-journal, N=1 being the common case.  A withdrawal is the same
-transaction without a plan (`_do_withdraw`): both apply through
-`_apply_layout` and, when the switch refuses, unwind through `_unwind`.
+Every admission is committed through one door,
+:meth:`ActiveRmtController.commit_plan`: N plans under one journal, N=1
+(what `submit` plans on the live allocator) being the smallest group.
+The committed :class:`AllocationPlan` is the admission's one record.
+A withdrawal is the same transaction without a plan (`_do_withdraw`):
+both apply through `_apply_layout` and, when the switch refuses,
+unwind through `_unwind`.
 """
 
 from __future__ import annotations
@@ -59,12 +60,7 @@ from repro.analysis.isolation import (
     record_certificate,
 )
 from repro.analysis.verifier import verify_plan
-from repro.core.allocator import (
-    ActiveRmtAllocator,
-    AllocationDecision,
-    AllocationError,
-    ReallocationMap,
-)
+from repro.core.allocator import ActiveRmtAllocator, AllocationError, ReallocationMap
 from repro.core.blocks import BlockRange
 from repro.core.constraints import AccessPattern, AllocationPolicy, MOST_CONSTRAINED
 from repro.core.schemes import AllocationScheme
@@ -199,13 +195,13 @@ class ProvisioningReport:
 
     fid: int
     success: bool
-    decision: Optional[AllocationDecision] = None
     reason: str = ""
     compute_seconds: float = 0.0
     table_update_seconds: float = 0.0
     snapshot_seconds: float = 0.0
-    #: The plan behind this admission (also set for dry runs, where it
-    #: is the entire result).
+    #: The plan behind this admission: the decision itself once
+    #: committed, the entire result of a dry run, the planner's verdict
+    #: when infeasible.
     plan: Optional[AllocationPlan] = None
     #: True when this was a what-if probe: nothing was mutated.
     dry_run: bool = False
@@ -265,7 +261,14 @@ class ProvisioningReport:
 
     @property
     def reallocated_fids(self) -> List[int]:
-        return self.decision.reallocated_fids if self.decision else []
+        """Incumbents this admission moves: a rolled-back (or rejected)
+        plan moved nobody, whatever it had planned."""
+        if self.plan is None or self.status not in (
+            ProvisioningStatus.ADMITTED,
+            ProvisioningStatus.DRY_RUN,
+        ):
+            return []
+        return self.plan.reallocated_fids
 
 
 class ActiveRmtController:
@@ -428,17 +431,25 @@ class ActiveRmtController:
         :class:`ProvisioningRequest` and funnel through here.  *ctx* is
         the trace context the controller's spans are parented under
         (the admission service passes its per-request span).
+
+        An admission is two-phase: the plan is computed on the live
+        allocator without touching allocator or switch state; a dry run
+        stops there, anything else is committed by :meth:`commit_plan`.
         """
         if request.kind is RequestKind.ADMIT:
             if request.fid is None or request.pattern is None:
                 raise ControllerError("admission requires fid and pattern")
-            return self._do_admit(
-                request.fid,
-                request.pattern,
-                dry_run=request.dry_run,
-                program=request.program,
-                ctx=ctx,
-            )
+            with self.tracer.span(
+                "controller.admit", parent=ctx, fid=request.fid, dry_run=request.dry_run
+            ) as span:
+                plan = self.allocator.plan(request.fid, request.pattern, ctx=span)
+                if request.dry_run:
+                    report = self.report_dry_run(plan)
+                else:
+                    (report,) = self.commit_plan([plan], [request.program], span)
+                assert report.status is not None
+                span.set(status=report.status.value)
+                return report
         if request.kind is RequestKind.WITHDRAW:
             if request.fid is None:
                 raise ControllerError("withdrawal requires fid")
@@ -495,66 +506,11 @@ class ActiveRmtController:
             raise ControllerError(f"withdrawal of fid {fid} refused: {report.reason}")
         return report.table_update_seconds
 
-    def _do_admit(
-        self,
-        fid: int,
-        pattern: AccessPattern,
-        dry_run: bool = False,
-        program: Optional[ActiveProgram] = None,
-        ctx: ParentLike = None,
-    ) -> ProvisioningReport:
-        """Two-phase admission: plan, then (unless probing) :meth:`_commit`.
-
-        Phase 1 (*plan*) computes the entire decision without touching
-        allocator or switch state; a dry run stops there.  Phase 2 is
-        the one commit path every entry point shares.
-        """
-        with self.tracer.span(
-            "controller.admit", parent=ctx, fid=fid, dry_run=dry_run
-        ) as span:
-            plan = self.allocator.plan(fid, pattern, ctx=span)
-            if dry_run:
-                report = self.report_dry_run(plan)
-            else:
-                (report,) = self._commit([plan], [program], span, "single")
-            assert report.status is not None
-            span.set(status=report.status.value)
-            return report
-
     # ------------------------------------------------------------------
-    # Optimistic plan/commit entry points (used by AdmissionService)
+    # The one admission commit
     # ------------------------------------------------------------------
 
     def commit_plan(
-        self,
-        plan: AllocationPlan,
-        program: Optional[ActiveProgram] = None,
-        ctx: ParentLike = None,
-    ) -> ProvisioningReport:
-        """Commit a plan computed elsewhere -- typically against a shadow.
-
-        The optimistic half of the concurrent control plane: planner
-        workers compute plans against copy-on-write shadows in
-        parallel, then funnel through this short serialized path.  A
-        plan whose basis version no longer matches raises
-        :class:`StalePlanError` *before* any state is touched -- even
-        for infeasible plans, whose infeasibility may itself be an
-        artifact of the stale shadow -- and the caller re-plans.
-        """
-        # The stale check runs inside the span so a StalePlanError is
-        # recorded as this commit attempt's error before propagating.
-        with self.tracer.span(
-            "controller.commit_plan",
-            parent=ctx,
-            fid=plan.fid,
-            basis_version=plan.basis_version,
-        ) as span:
-            (report,) = self._commit([plan], [program], span, "single")
-            assert report.status is not None
-            span.set(status=report.status.value)
-            return report
-
-    def commit_batch(
         self,
         plans: Sequence[AllocationPlan],
         programs: Optional[Sequence[Optional[ActiveProgram]]] = None,
@@ -562,174 +518,172 @@ class ActiveRmtController:
     ) -> List[ProvisioningReport]:
         """Commit a group of plans under one journal, all-or-nothing.
 
-        The plans must have been computed consecutively against one
-        shadow (each feasible one rehearsed before the next was
-        planned), so their basis stamps replay exactly onto the real
+        The one admission commit: :meth:`submit` brings the plan it
+        computed on the live allocator, the admission service a ticket's
+        plans computed against a shadow -- N = 1 is simply the smallest
+        group.  A group's plans must have been computed consecutively
+        against one shadow (each feasible one rehearsed before the next
+        was planned), so their basis stamps replay exactly onto the real
         allocator.  A member without a feasible mutant rejects the whole
         group before anything is touched (one ``REJECTED`` report per
-        member, the infeasible one carrying the planner's verdict).  Every
-        switch-side mutation across the whole group lands in a single
-        :class:`TableUpdateJournal`: a mid-batch TCAM rejection replays
-        the journal backwards and rolls back every already-committed
-        member, leaving the switch and allocator byte-identical to the
-        pre-batch state (all reports carry ``ROLLED_BACK``).
+        member, the infeasible one carrying the planner's verdict).
+        Every switch-side mutation of the group lands in a single
+        :class:`TableUpdateJournal`: a TCAM rejection or device fault
+        replays it backwards and rolls back every committed member,
+        leaving the switch and allocator byte-identical to the
+        pre-commit state (all reports carry ``ROLLED_BACK``).  One report
+        per plan, in order; *programs* are the members' compact programs
+        (for the verifier), none by default.
 
         Raises:
             StalePlanError: when the group's basis version no longer
                 matches (nothing touched; the caller re-plans).
         """
-        if not plans:
-            return []
         if programs is None:
             programs = [None] * len(plans)
+        # Whether a lone plan or a group failed labels anomalies, the
+        # ``during=`` telemetry and the stale and rollback reasons --
+        # nothing else.
+        scope = "single" if len(plans) == 1 else "batch"
+        # The stale check runs inside the span so a StalePlanError is
+        # recorded as this commit attempt's error before propagating.
         with self.tracer.span(
-            "controller.commit_batch",
+            "controller.commit_plan",
             parent=ctx,
             size=len(plans),
             basis_version=plans[0].basis_version,
         ) as span:
-            reports = self._commit(plans, programs, span, "batch")
-            span.set(rolled_back=any(r.rolled_back for r in reports))
+            # 1. Check basis: nothing is touched for a stale group -- not
+            # even an infeasible plan is reported, since its
+            # infeasibility may itself be an artifact of the stale shadow.
+            if plans[0].basis_version != self.allocator.version:
+                what = (
+                    f"plan for fid {plans[0].fid}"
+                    if scope == "single"
+                    else f"batch of {len(plans)} plans"
+                )
+                raise StalePlanError(
+                    f"{what} computed against version {plans[0].basis_version}, "
+                    f"allocator is at {self.allocator.version}"
+                )
+            # A member without a feasible mutant is a planning-time
+            # rejection of the whole group, before any sibling is touched.
+            culprit = next((plan for plan in plans if not plan.feasible), None)
+
+            # 2. Verify and certify every member of a feasible group
+            # while nothing is mutated (all plans still pending).  Both
+            # are computed in every mode but "off"; only strict mode acts
+            # on them, and then the first refusal fails the whole group.
+            verifications: List[Optional[AnalysisReport]] = []
+            certificates: List[Optional[IsolationCertificate]] = []
+            refusal: Optional[Tuple[str, str]] = None
+            if culprit is None:
+                for plan, program in zip(plans, programs):
+                    verifications.append(self._verify_admission(plan.pattern, plan, program))
+                    certificates.append(self._certify_admission(plan, program))
+                    refusal = self._strict_refusal(verifications[-1], certificates[-1])
+                    if refusal is not None:
+                        break
+
+            if culprit is not None:
+                reports = [self._report_infeasible(plan, culprit) for plan in plans]
+            elif refusal is not None:
+                reports = self._reject(plans, verifications, certificates, *refusal)
+            else:
+                # 3. Commit each plan to the allocator (keeping its
+                # checkpoint) and apply it to the switch, every mutation
+                # of the whole group under one journal.  Decision
+                # telemetry is deferred (record=False) until the
+                # switch-side updates also succeed, so a rolled-back
+                # admission never pollutes the decision counters.
+                journal = TableUpdateJournal(tracer=self.tracer, ctx=span)
+                results: List[CommitResult] = []
+                table_seconds: List[float] = []
+                try:
+                    for plan in plans:
+                        results.append(self.allocator.commit(plan, record=False, ctx=span))
+                        table_seconds.append(
+                            self._apply_layout(
+                                plan.fid, {}, plan.regions, plan.reallocations, journal, span
+                            )
+                        )
+                except (TcamCapacityError, DeviceError) as exc:
+                    # No member survives: exact pre-request state.  The
+                    # rollback leaves every plan the fault reached
+                    # ABORTED, the members it pre-empted PENDING.
+                    failed = results[-1].plan.fid
+                    fault, cause = self._unwind(exc, journal, results, span, scope, failed)
+                    if scope == "single":
+                        reason = f"{cause}: {exc}"
+                    else:
+                        reason = f"batch rolled back: {cause} admitting fid {failed}: {exc}"
+                    outcome = "tcam_exhausted" if fault == "tcam" else "device_fault"
+                    reports = [
+                        self._record_report(
+                            ProvisioningReport(
+                                fid=plan.fid,
+                                success=False,
+                                reason=reason,
+                                compute_seconds=plan.total_seconds,
+                                plan=plan,
+                                rolled_back=True,
+                                verification=verification,
+                                certificate=certificate,
+                                fault=fault,
+                            ),
+                            outcome,
+                        )
+                        for plan, verification, certificate in zip(
+                            plans, verifications, certificates
+                        )
+                    ]
+                else:
+                    # 4. The switch took everything: close the journal,
+                    # publish.
+                    journal.commit_entries()
+                    self.tracer.layout_committed(span)
+                    reports = []
+                    for plan, seconds, verification, certificate in zip(
+                        plans, table_seconds, verifications, certificates
+                    ):
+                        self.allocator.record_decision(plan)
+                        reports.append(
+                            self._record_report(
+                                ProvisioningReport(
+                                    fid=plan.fid,
+                                    success=True,
+                                    compute_seconds=plan.total_seconds,
+                                    table_update_seconds=seconds,
+                                    snapshot_seconds=self._snapshot_seconds(plan),
+                                    plan=plan,
+                                    verification=verification,
+                                    certificate=certificate,
+                                ),
+                                "admitted",
+                            )
+                        )
+                    if self.sanitizer:
+                        self._sanitize()
+            first = reports[0]
+            assert first.status is not None
+            span.set(status=first.status.value)
             return reports
 
-    def _commit(
+    def _strict_refusal(
         self,
-        plans: Sequence[AllocationPlan],
-        programs: Sequence[Optional[ActiveProgram]],
-        ctx: ParentLike,
-        scope: str,
-    ) -> List[ProvisioningReport]:
-        """The one admission commit: N plans, one journal, all-or-nothing.
-
-        `_do_admit`, `commit_plan` (both N=1, *scope* ``"single"``) and
-        `commit_batch` (``"batch"``) all end here; *scope* only labels
-        anomalies, the ``during=`` telemetry and report reasons.  One
-        report per plan, in order.
-        """
-        # 1. Check basis: nothing is touched for a stale group -- not
-        # even an infeasible plan is reported, since its infeasibility
-        # may itself be an artifact of the stale shadow.
-        if plans[0].basis_version != self.allocator.version:
-            what = (
-                f"plan for fid {plans[0].fid}"
-                if scope == "single"
-                else f"batch of {len(plans)} plans"
+        verification: Optional[AnalysisReport],
+        certificate: Optional[IsolationCertificate],
+    ) -> Optional[Tuple[str, str]]:
+        """Who refuses a member in strict mode, and the findings why."""
+        if self.verify is not VerifyMode.STRICT:
+            return None
+        if verification is not None and verification.has_errors:
+            return "verifier", "; ".join(str(f) for f in verification.errors)
+        if certificate is not None and not certificate.valid:
+            return "certifier", "; ".join(
+                str(f) for f in certificate.findings if f.severity is Severity.ERROR
             )
-            raise StalePlanError(
-                f"{what} computed against version {plans[0].basis_version}, "
-                f"allocator is at {self.allocator.version}"
-            )
-        # A member without a feasible mutant is a planning-time
-        # rejection of the whole group, before any sibling is touched.
-        culprit = next((plan for plan in plans if not plan.feasible), None)
-        if culprit is not None:
-            return [self._report_infeasible(plan, culprit) for plan in plans]
-
-        # 2. Verify and certify every member while nothing is mutated
-        # (all plans still pending).  Both are computed in every mode
-        # but "off"; only strict mode acts on them, and then the first
-        # rejection fails the whole group.
-        strict = self.verify is VerifyMode.STRICT
-        verifications: List[Optional[AnalysisReport]] = []
-        certificates: List[Optional[IsolationCertificate]] = []
-        for plan, program in zip(plans, programs):
-            verification = self._verify_admission(plan.pattern, plan, program)
-            certificate = self._certify_admission(plan, program)
-            verifications.append(verification)
-            certificates.append(certificate)
-            if strict and verification is not None and verification.has_errors:
-                return self._reject(
-                    plans, verifications, certificates, "verifier",
-                    "; ".join(str(f) for f in verification.errors),
-                )
-            if strict and certificate is not None and not certificate.valid:
-                return self._reject(
-                    plans, verifications, certificates, "certifier",
-                    "; ".join(
-                        str(f)
-                        for f in certificate.findings
-                        if f.severity is Severity.ERROR
-                    ),
-                )
-
-        # 3. Commit each plan to the allocator (keeping its checkpoint)
-        # and apply it to the switch, every mutation of the whole group
-        # under one journal.  Decision telemetry is deferred
-        # (record=False) until the switch-side updates also succeed, so
-        # a rolled-back admission never pollutes the decision counters.
-        journal = TableUpdateJournal(tracer=self.tracer, ctx=ctx)
-        results: List[CommitResult] = []
-        table_seconds: List[float] = []
-        try:
-            for plan in plans:
-                results.append(self.allocator.commit(plan, record=False, ctx=ctx))
-                committed = results[-1].decision
-                table_seconds.append(
-                    self._apply_layout(
-                        plan.fid, {}, committed.regions, committed.reallocations, journal, ctx
-                    )
-                )
-        except (TcamCapacityError, DeviceError) as exc:
-            # No member survives: exact pre-request state.
-            culprit = results[-1].plan.fid
-            fault, cause = self._unwind(exc, journal, results, ctx, scope, culprit)
-            if scope == "single":
-                reason = f"{cause}: {exc}"
-            else:
-                reason = f"batch rolled back: {cause} admitting fid {culprit}: {exc}"
-            outcome = "tcam_exhausted" if fault == "tcam" else "device_fault"
-            # Members the fault pre-empted never committed: no decision.
-            decisions: List[Optional[AllocationDecision]] = [r.decision for r in results]
-            decisions += [None] * (len(plans) - len(results))
-            return [
-                self._record_report(
-                    ProvisioningReport(
-                        fid=plan.fid,
-                        success=False,
-                        decision=decision,
-                        reason=reason,
-                        compute_seconds=(decision or plan).total_seconds,
-                        plan=plan,
-                        rolled_back=True,
-                        verification=verification,
-                        certificate=certificate,
-                        fault=fault,
-                    ),
-                    outcome,
-                )
-                for plan, decision, verification, certificate in zip(
-                    plans, decisions, verifications, certificates
-                )
-            ]
-
-        # 4. The switch took everything: close the journal, publish.
-        journal.commit_entries()
-        self.tracer.layout_committed(ctx)
-        reports = []
-        for result, seconds, verification, certificate in zip(
-            results, table_seconds, verifications, certificates
-        ):
-            decision = result.decision
-            self.allocator.record_decision(decision)
-            reports.append(
-                self._record_report(
-                    ProvisioningReport(
-                        fid=decision.fid,
-                        success=True,
-                        decision=decision,
-                        compute_seconds=decision.total_seconds,
-                        table_update_seconds=seconds,
-                        snapshot_seconds=self._snapshot_seconds(decision),
-                        plan=result.plan,
-                        verification=verification,
-                        certificate=certificate,
-                    ),
-                    "admitted",
-                )
-            )
-        if self.sanitizer:
-            self._sanitize()
-        return reports
+        return None
 
     def _reject(
         self,
@@ -799,15 +753,13 @@ class ActiveRmtController:
                 success=False,
                 reason=f"batch aborted: no feasible mutant for fid {culprit.fid}",
             )
-        decision = self.allocator.decision_from_plan(plan)
-        self.allocator.record_decision(decision)
+        self.allocator.record_decision(plan)
         return self._record_report(
             ProvisioningReport(
                 fid=plan.fid,
                 success=False,
-                decision=decision,
                 reason=plan.reason,
-                compute_seconds=decision.total_seconds,
+                compute_seconds=plan.total_seconds,
                 plan=plan,
             ),
             "no_feasible_mutant",
@@ -999,7 +951,6 @@ class ActiveRmtController:
     def report_dry_run(self, plan: AllocationPlan) -> ProvisioningReport:
         """Package a what-if probe: the plan is the entire result."""
         self.allocator.abort(plan)
-        decision = self.allocator.decision_from_plan(plan)
         if self.telemetry.enabled:
             self.telemetry.counter(
                 "controller_whatif_probes_total",
@@ -1009,7 +960,6 @@ class ActiveRmtController:
         return ProvisioningReport(
             fid=plan.fid,
             success=plan.feasible,
-            decision=decision,
             reason=plan.reason,
             compute_seconds=plan.total_seconds,
             plan=plan,
@@ -1080,13 +1030,13 @@ class ActiveRmtController:
             fid, old, new, self.device.config.block_words, journal, ctx, moves, scrub=True
         )
 
-    def _snapshot_seconds(self, decision: AllocationDecision) -> float:
+    def _snapshot_seconds(self, plan: AllocationPlan) -> float:
         """Modeled time the displaced clients spend extracting state."""
         seconds = 0.0
-        for other in decision.reallocated_fids:
+        for other in plan.reallocated_fids:
             paged_blocks = sum(
                 old.count
-                for old, _new in decision.reallocations[other].values()
+                for old, _new in plan.reallocations[other].values()
                 if old is not None
             )
             seconds += (

@@ -455,15 +455,13 @@ class AdmissionService:
         """The optimistic loop: shadow-plan, commit, re-plan on conflict.
 
         One loop for every group size.  The members are planned against
-        one shadow and committed under the lock by one controller call
-        (``commit_plan`` for a lone plan, ``commit_batch`` for more --
-        the same ``_commit`` behind both), which lands the whole group
-        or none of it: every member's report carries the group's
-        outcome, so the first speaks for all below.
+        one shadow and committed under the lock by the controller's one
+        admission commit, :meth:`~ActiveRmtController.commit_plan`, which
+        lands the whole group or none of it: every member's report
+        carries the group's outcome, so the first speaks for all below.
         """
         requests = ticket.requests
-        lone = len(requests) == 1
-        label = {"fid": requests[0].fid} if lone else {"size": len(requests)}
+        label = {"fid": requests[0].fid} if len(requests) == 1 else {"size": len(requests)}
         tracer = self.tracer
         attempt = 0
         fault_retries = 0
@@ -499,16 +497,9 @@ class AdmissionService:
                     return
                 try:
                     with self._commit_lock:
-                        if lone:
-                            report = self.controller.commit_plan(
-                                plans[0], program=requests[0].program, ctx=attempt_span
-                            )
-                            reports = (report,)
-                        else:
-                            programs = [request.program for request in requests]
-                            reports = self.controller.commit_batch(
-                                plans, programs, ctx=attempt_span
-                            )
+                        reports = self.controller.commit_plan(
+                            plans, [request.program for request in requests], attempt_span
+                        )
                         if reports[0].success:
                             for request in requests:
                                 self.commit_log.append(("admit", request.fid))

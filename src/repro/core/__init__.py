@@ -35,7 +35,6 @@ from repro.core.fairness import jain_index, progressive_fill
 from repro.core.schemes import AllocationScheme
 from repro.core.allocator import (
     ActiveRmtAllocator,
-    AllocationDecision,
     AppRecord,
     AllocationError,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "progressive_fill",
     "AllocationScheme",
     "ActiveRmtAllocator",
-    "AllocationDecision",
     "AppRecord",
     "AllocationError",
     "AllocationPlan",

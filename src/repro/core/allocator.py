@@ -8,7 +8,7 @@ with the configured scheme, and applies the winner.  Existing
 applications never move across stages ("our online allocation mechanism
 does not consider relocating existing applications"), but elastic
 applications sharing a stage are resized by progressive filling, which
-the decision reports as reallocations (each costs the affected client a
+the plan reports as reallocations (each costs the affected client a
 snapshot/restore cycle, Section 4.3).
 
 Admission is transactional: :meth:`ActiveRmtAllocator.plan` computes
@@ -17,7 +17,8 @@ zero mutation during the search -- and :meth:`~ActiveRmtAllocator.commit`
 / :meth:`~ActiveRmtAllocator.abort` apply or discard it.  A committed
 admission can be undone byte-for-byte with
 :meth:`~ActiveRmtAllocator.rollback` (the controller uses this when the
-switch rejects the table updates).  The legacy single-call
+switch rejects the table updates).  The committed plan is the
+admission's one record; the legacy single-call
 :meth:`~ActiveRmtAllocator.allocate` survives as a plan+commit wrapper.
 """
 
@@ -74,44 +75,6 @@ class AppRecord:
 
 #: fid -> physical stage -> (old range or None, new range or None)
 ReallocationMap = Dict[int, Dict[int, Tuple[Optional[BlockRange], Optional[BlockRange]]]]
-
-
-@dataclasses.dataclass
-class AllocationDecision:
-    """Outcome of one admission attempt.
-
-    Attributes:
-        success: whether the application was admitted.
-        fid: the requesting application.
-        reason: failure explanation when not admitted.
-        mutant: the chosen mutant (None on failure).
-        regions: physical stage -> block range granted to the new app.
-        reallocations: resized/moved ranges of *other* applications.
-        candidates_considered: mutants enumerated during the search.
-        candidates_feasible: mutants that passed feasibility.
-        search_seconds: time spent enumerating and scoring.
-        assign_seconds: time spent computing final assignments
-            (the dominant term in the paper's Figure 5).
-    """
-
-    success: bool
-    fid: int
-    reason: str = ""
-    mutant: Optional[MutantCandidate] = None
-    regions: Dict[int, BlockRange] = dataclasses.field(default_factory=dict)
-    reallocations: ReallocationMap = dataclasses.field(default_factory=dict)
-    candidates_considered: int = 0
-    candidates_feasible: int = 0
-    search_seconds: float = 0.0
-    assign_seconds: float = 0.0
-
-    @property
-    def total_seconds(self) -> float:
-        return self.search_seconds + self.assign_seconds
-
-    @property
-    def reallocated_fids(self) -> List[int]:
-        return sorted(self.reallocations)
 
 
 def _moved_blocks(reallocations: ReallocationMap) -> int:
@@ -272,7 +235,9 @@ class ActiveRmtAllocator:
 
         Validates the plan first: it must be PENDING, feasible, and
         computed against the current state version (any commit, release,
-        or rollback since planning invalidates it).  Returns a
+        or rollback since planning invalidates it).  The committed plan
+        is the decision: its ``assign_seconds`` grows by the apply time,
+        so ``total_seconds`` is search + assign + apply.  Returns a
         :class:`CommitResult` whose checkpoint allows an exact undo via
         :meth:`rollback`.
 
@@ -303,17 +268,10 @@ class ActiveRmtAllocator:
         checkpoint = self._checkpoint(plan.fid, plan.demand_by_stage)
         self._apply_plan(plan)
         plan.state = PlanState.COMMITTED
-        apply_seconds = time.perf_counter() - apply_start
-        decision = self.decision_from_plan(plan)
-        decision.assign_seconds += apply_seconds
+        plan.assign_seconds += time.perf_counter() - apply_start
         if record:
-            self.record_decision(decision)
-        return CommitResult(
-            plan=plan,
-            decision=decision,
-            checkpoint=checkpoint,
-            apply_seconds=apply_seconds,
-        )
+            self.record_decision(plan)
+        return CommitResult(plan=plan, checkpoint=checkpoint)
 
     def _validate(self, plan: AllocationPlan, verb: str) -> None:
         """Refuse a spent, infeasible or stale *plan* before anything --
@@ -450,38 +408,20 @@ class ActiveRmtAllocator:
                     help="Committed layout changes undone after switch-side failure",
                 ).inc()
 
-    def allocate(self, fid: int, pattern: AccessPattern) -> AllocationDecision:
+    def allocate(self, fid: int, pattern: AccessPattern) -> AllocationPlan:
         """Attempt to admit *fid* with the given access pattern.
 
         Legacy single-call admission: exactly ``plan()`` followed by
         ``commit()`` (or ``abort()`` when infeasible), returning the
-        same :class:`AllocationDecision` either way.
+        plan either way -- committed, or carrying the planner's verdict.
         """
         plan = self.plan(fid, pattern)
         if not plan.feasible:
             self.abort(plan)
-            decision = self.decision_from_plan(plan)
-            self.record_decision(decision)
-            return decision
-        return self.commit(plan).decision
-
-    def decision_from_plan(self, plan: AllocationPlan) -> AllocationDecision:
-        """Materialize the decision a plan describes (copies, not views)."""
-        return AllocationDecision(
-            success=plan.feasible,
-            fid=plan.fid,
-            reason=plan.reason,
-            mutant=plan.mutant,
-            regions=dict(plan.regions),
-            reallocations={
-                fid: dict(per_stage)
-                for fid, per_stage in plan.reallocations.items()
-            },
-            candidates_considered=plan.candidates_considered,
-            candidates_feasible=plan.candidates_feasible,
-            search_seconds=plan.search_seconds,
-            assign_seconds=plan.assign_seconds,
-        )
+            self.record_decision(plan)
+            return plan
+        self.commit(plan)
+        return plan
 
     def release(self, fid: int) -> Tuple[ReallocationMap, AllocatorCheckpoint]:
         """Remove an application; elastic co-residents expand.
@@ -589,12 +529,13 @@ class ActiveRmtAllocator:
             record=self.apps.get(fid),
         )
 
-    def record_decision(self, decision: AllocationDecision) -> None:
-        """Publish one admission attempt into the telemetry registry."""
+    def record_decision(self, plan: AllocationPlan) -> None:
+        """Publish one admission attempt -- a committed or an infeasible
+        plan -- into the telemetry registry."""
         tel = self.telemetry
         if not tel.enabled:
             return
-        outcome = "admitted" if decision.success else "rejected"
+        outcome = "admitted" if plan.feasible else "rejected"
         tel.counter(
             "allocator_decisions_total",
             help="Admission attempts by outcome",
@@ -604,24 +545,24 @@ class ActiveRmtAllocator:
             "allocator_allocation_seconds",
             buckets=LATENCY_BUCKETS_S,
             help="End-to-end allocation decision latency (search + assign)",
-        ).observe(decision.total_seconds)
+        ).observe(plan.total_seconds)
         tel.counter(
             "allocator_candidates_considered_total",
             help="Mutants enumerated during admission searches",
-        ).inc(decision.candidates_considered)
+        ).inc(plan.candidates_considered)
         tel.counter(
             "allocator_candidates_feasible_total",
             help="Enumerated mutants that passed per-stage feasibility",
-        ).inc(decision.candidates_feasible)
-        if decision.success:
+        ).inc(plan.candidates_feasible)
+        if plan.feasible:
             tel.counter(
                 "allocator_apps_displaced_total",
                 help="Incumbent apps resized or moved per decision",
-            ).inc(len(decision.reallocations))
+            ).inc(len(plan.reallocations))
             tel.counter(
                 "allocator_blocks_moved_total",
                 help="Memory blocks whose placement changed (snapshot/restore cost)",
-            ).inc(_moved_blocks(decision.reallocations))
+            ).inc(_moved_blocks(plan.reallocations))
 
     def _layout_snapshot(
         self, stages: Iterable[int]

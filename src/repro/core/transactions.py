@@ -10,7 +10,8 @@ transactional semantics; this module supplies the pieces:
 - :class:`AllocationPlan` -- the side-effect-free output of
   :meth:`~repro.core.allocator.ActiveRmtAllocator.plan`: everything an
   admission *would* do, computed against copy-on-write shadows of the
-  stage pools.  Plans are committed, aborted, or simply discarded.
+  stage pools.  Plans are committed, aborted, or simply discarded; a
+  committed plan is the admission's one record of what it decided.
 - :class:`PoolSnapshot` -- a byte-identical capture of one
   :class:`~repro.core.blocks.StagePool` population.  Restoring a
   snapshot reproduces the exact deterministic layout, block for block.
@@ -43,7 +44,7 @@ from repro.core.blocks import BlockRange, StagePool
 from repro.telemetry.tracing import NULL_TRACER, AnyTracer, ParentLike
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.allocator import AllocationDecision, AppRecord
+    from repro.core.allocator import AppRecord
     from repro.core.constraints import AccessPattern
     from repro.core.mutants import MutantCandidate
 
@@ -130,10 +131,10 @@ class PoolSnapshot:
 
 @dataclasses.dataclass
 class AllocationPlan:
-    """A fully computed admission that has not touched any real state.
+    """A fully computed admission -- the decision, once committed.
 
-    Produced by :meth:`ActiveRmtAllocator.plan`; consumed by
-    :meth:`~ActiveRmtAllocator.commit` or
+    Produced by :meth:`ActiveRmtAllocator.plan` without touching any
+    real state; consumed by :meth:`~ActiveRmtAllocator.commit` or
     :meth:`~ActiveRmtAllocator.abort`.  All region and reallocation
     fields are computed against copy-on-write shadows of the stage
     pools, so a plan can be inspected, compared, or thrown away freely
@@ -152,7 +153,9 @@ class AllocationPlan:
         candidates_considered: mutants enumerated during the search.
         candidates_feasible: mutants that passed feasibility.
         search_seconds: time spent enumerating and scoring.
-        assign_seconds: time spent computing the shadow assignment.
+        assign_seconds: time spent computing the shadow assignment
+            and, once committed, applying it (the dominant term in the
+            paper's Figure 5).
         basis_version: allocator version the plan was computed against;
             commits of stale plans are refused.
         planned_arrival: arrival stamp the commit will assign.
@@ -237,16 +240,13 @@ class AllocatorCheckpoint:
 class CommitResult:
     """Outcome of committing an :class:`AllocationPlan`.
 
-    Carries the decision (identical in shape to the legacy single-call
-    :meth:`~ActiveRmtAllocator.allocate` result) plus the checkpoint
-    needed to undo the commit byte-for-byte via
+    Carries the committed plan -- the decision itself -- plus the
+    checkpoint needed to undo the commit byte-for-byte via
     :meth:`~ActiveRmtAllocator.rollback`.
     """
 
     plan: AllocationPlan
-    decision: "AllocationDecision"
     checkpoint: AllocatorCheckpoint
-    apply_seconds: float = 0.0
 
 
 # ----------------------------------------------------------------------

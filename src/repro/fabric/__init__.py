@@ -1,8 +1,7 @@
 """Sharded multi-switch fabric over the device abstraction layer.
 
 :class:`Fabric` routes provisioning requests across N independent
-(controller, device) shards under a pluggable placement policy;
-:class:`FabricNetwork` runs end-to-end simulations against the fleet.
+(controller, device) shards under a pluggable placement policy.
 """
 
 from repro.fabric.fabric import (
@@ -12,7 +11,6 @@ from repro.fabric.fabric import (
     Shard,
     replay_shard,
 )
-from repro.fabric.network import FabricNetwork
 from repro.fabric.placement import (
     POLICY_NAMES,
     FirstFitPlacement,
@@ -27,7 +25,6 @@ from repro.fabric.placement import (
 __all__ = [
     "Fabric",
     "FabricError",
-    "FabricNetwork",
     "FailoverReport",
     "FirstFitPlacement",
     "HashPlacement",

@@ -51,7 +51,6 @@ from repro.fabric.placement import (
     make_policy,
 )
 from repro.faults import RetryPolicy
-from repro.packets.codec import ActivePacket
 from repro.switchsim.config import SwitchConfig
 from repro.switchsim.switch import ActiveSwitch
 from repro.telemetry import AnyTracer, MetricsRegistry, resolve, resolve_tracer
@@ -328,25 +327,6 @@ class Fabric:
                 f"({shard.device_id}); run failover({index}) first"
             )
         return shard
-
-    def place_packet(self, packet: ActivePacket) -> int:
-        """Shard index for one wire packet (data-plane steering).
-
-        Routed fids go to their shard.  An unrouted ALLOC_REQUEST is
-        placed now -- the request digest must surface on the switch
-        whose controller will own the fid.  Unrouted non-request
-        traffic falls through to shard 0 (it will be treated as any
-        unknown flow would on a single switch).
-        """
-        index = self._routes.get(packet.fid)
-        if index is not None:
-            return index
-        if packet.request is not None:
-            pattern = AccessPattern.from_request(
-                packet.request, name=f"fid{packet.fid}"
-            )
-            return self._place(packet.fid, pattern, sticky=True)
-        return 0
 
     # ------------------------------------------------------------------
     # The request API (mirrors AdmissionService)

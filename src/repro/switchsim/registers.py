@@ -28,17 +28,25 @@ class RegisterArray:
     def __init__(self, size: int) -> None:
         if size <= 0:
             raise ValueError("register array must have positive size")
-        self._cells: List[int] = [0] * size
+        self._size = size
+        #: Made by the first access (:meth:`_check`), not here: a switch
+        #: holds 10 MB of words, and writing them all at construction
+        #: made ``ActiveSwitch()`` cost whatever page faults the heap
+        #: left behind -- a stage never granted is never touched.
+        self._cells: List[int] = []
         self._reads = 0
         self._writes = 0
 
     def __len__(self) -> int:
-        return len(self._cells)
+        return self._size
 
     def _check(self, index: int) -> None:
         if not 0 <= index < len(self._cells):
+            if 0 <= index < self._size:  # the first access
+                self._cells = [0] * self._size
+                return
             raise RegisterFault(
-                f"index {index} outside array of {len(self._cells)} words"
+                f"index {index} outside array of {self._size} words"
             )
 
     # ------------------------------------------------------------------
@@ -93,8 +101,10 @@ class RegisterArray:
     def load(self, start: int, values: Sequence[int]) -> None:
         """Bulk-write values at *start* (controller-driven restore)."""
         end = start + len(values)
-        if not 0 <= start <= end <= len(self._cells):
+        if not 0 <= start <= end <= self._size:
             raise RegisterFault(f"bad load range [{start}, {end})")
+        if start < end:
+            self._check(start)
         self._cells[start:end] = [u32(v) for v in values]
 
     def clear(self, start: int, end: int) -> None:

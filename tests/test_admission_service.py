@@ -33,7 +33,7 @@ from repro.controller import (
     ProvisioningStatus,
 )
 from repro.controller.service import pools_fingerprint, replay_commit_log
-from repro.core.transactions import StalePlanError
+from repro.core.transactions import PlanState, StalePlanError
 from repro.device import SimDevice
 from repro.faults import FaultKind, FaultyDevice
 from repro.switchsim import ActiveSwitch, SwitchConfig
@@ -198,7 +198,7 @@ def test_commit_plan_rejects_stale_basis_directly():
     plan = shadow.plan(1, pattern)
     assert controller.admit(fid=2, pattern=pattern).success  # version moves
     with pytest.raises(StalePlanError):
-        controller.commit_plan(plan)
+        controller.commit_plan([plan])
 
 
 # ----------------------------------------------------------------------
@@ -321,7 +321,8 @@ def test_batch_rolls_back_whole_group_on_tcam_exhaustion():
     assert report.status is ProvisioningStatus.ROLLED_BACK
     assert not report.success
     # Every member reports like a single rolled-back admission: its own
-    # certificate, and the decision it had committed before the fault.
+    # certificate, and its plan -- rolled back (ABORTED) if it had
+    # committed before the fault, still PENDING if the fault pre-empted it.
     culprit = next(
         index for index, member in enumerate(report.reports)
         if f"admitting fid {member.fid}:" in member.reason
@@ -330,7 +331,10 @@ def test_batch_rolls_back_whole_group_on_tcam_exhaustion():
         assert member.rolled_back and member.fault == "tcam"
         assert member.certificate is not None
         assert member.certificate.fid == member.fid
-        assert (member.decision is not None) == (index <= culprit)
+        assert member.plan.state is (
+            PlanState.ABORTED if index <= culprit else PlanState.PENDING
+        )
+        assert member.reallocated_fids == []  # nobody was moved
     assert allocator_fingerprint(controller.allocator) == before_alloc
     assert switch_fingerprint(controller) == before_switch
     assert all(("admit", fid) not in service.commit_log for fid in (1, 2, 3, 4))
@@ -542,7 +546,7 @@ def test_n_singles_equal_one_batch_of_n(apps, residents):
     assert singles.commit_log == batched.commit_log
     for lone, member in zip(one_by_one, group.reports):
         assert (lone.fid, lone.status) == (member.fid, member.status)
-        assert lone.decision.regions == member.decision.regions
+        assert lone.plan.regions == member.plan.regions
 
 
 @pytest.mark.parametrize("workers", [0, 1])
@@ -622,8 +626,8 @@ def test_batch_infeasible_member_reports_every_member():
     assert report.status is ProvisioningStatus.REJECTED
     assert [member.fid for member in report.reports] == [1, 2, 3]
     first, culprit, last = report.reports
-    assert culprit.decision is not None and not culprit.decision.success
-    assert culprit.reason == culprit.decision.reason
+    assert culprit.plan is not None and not culprit.plan.feasible
+    assert culprit.reason == culprit.plan.reason
     assert first.reason == last.reason == (
         "batch aborted: no feasible mutant for fid 2"
     )

@@ -117,7 +117,7 @@ def test_end_to_end_with_allocator(compiler):
     pattern = listing1_pattern()
     for fid in range(10):
         decision = allocator.allocate(fid, pattern)
-        assert decision.success
+        assert decision.feasible
         response = allocator.response_for(fid)
         synthesized = compiler.synthesize(_program(), pattern, response)
         granted = set(response.allocated_stages())

@@ -71,6 +71,17 @@ def test_cl002_bound_mutator_staged_outside_journal(tmp_path):
     assert _rules(findings) == ["CL002"]
 
 
+def test_cl002_allocator_commit_outside_the_one_door(tmp_path):
+    findings = _lint(
+        tmp_path,
+        "src/repro/rogue.py",
+        "def sneak(allocator, plan):\n    allocator.commit(plan)\n",
+    )
+    assert _rules(findings) == ["CL002"]
+    assert "commit" in findings[0].message
+    assert "controller/controller.py" in findings[0].message
+
+
 def test_cl002_allowed_in_journaled_path(tmp_path):
     findings = _lint(
         tmp_path,

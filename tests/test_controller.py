@@ -90,7 +90,7 @@ def test_newcomer_region_scrubbed(controller, switch):
         regs.write(index, 0xDEAD)
     report = controller.admit(fid=2, pattern=listing1_pattern())
     # Wherever fid 2 landed, its regions read back as zero.
-    for stage, block_range in report.decision.regions.items():
+    for stage, block_range in report.plan.regions.items():
         words = block_range.to_words(switch.config.block_words)
         stage_regs = switch.pipeline.stage(stage).registers
         assert stage_regs.read(words.start) == 0
@@ -158,6 +158,28 @@ def test_realloc_notices_sent_to_incumbents(switch):
     # The notice carries fid 1's updated (halved) region.
     notice = next(n for n in notices if n.fid == 1)
     assert notice.response.region_for_stage(2).size == 128 * 256
+
+
+def test_rolled_back_admission_reallocates_nobody():
+    """A TCAM-starved admission plans to move incumbents, commits, and is
+    undone: its report names none of them as reallocated (the
+    provisioning log and Fig. 7c/11's reallocated-cache counts read it)."""
+    from repro.apps.cache import cache_pattern
+
+    controller = ActiveRmtController(ActiveSwitch(SwitchConfig(tcam_entries_per_stage=8)))
+    fid = 0
+    report = None
+    while report is None or report.success:
+        fid += 1
+        assert fid < 64
+        regions = {other: controller.allocator.regions_for(other) for other in range(1, fid)}
+        report = controller.admit(fid=fid, pattern=cache_pattern())
+    assert report.rolled_back and report.fault == "tcam"
+    assert report.plan.reallocated_fids  # it had planned to move some...
+    for other, before in regions.items():  # ...but moved nobody
+        assert controller.allocator.regions_for(other) == before
+    assert report.reallocated_fids == []
+    assert report.snapshot_seconds == 0.0
 
 
 def test_deallocate_control_packet(controller, switch):

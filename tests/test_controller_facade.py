@@ -41,7 +41,7 @@ def test_submit_admission(controller):
     )
     assert isinstance(report, ProvisioningReport)
     assert report.success
-    assert report.decision is not None
+    assert report.plan is not None
     assert controller.reports == [report]  # admissions are recorded
 
 

@@ -45,7 +45,7 @@ def allocator():
 
 def test_first_cache_gets_whole_stages(allocator):
     decision = allocator.allocate(fid=1, pattern=listing1_pattern())
-    assert decision.success
+    assert decision.feasible
     assert decision.mutant.stages == (2, 5, 9)
     assert set(decision.regions) == {2, 5, 9}
     for block_range in decision.regions.values():
@@ -58,7 +58,7 @@ def test_second_cache_avoids_contention(allocator):
     """Figure 4: worst-fit mutates P2 away from P1's stages."""
     allocator.allocate(fid=1, pattern=listing1_pattern())
     decision = allocator.allocate(fid=2, pattern=listing1_pattern())
-    assert decision.success
+    assert decision.feasible
     assert not set(decision.regions) & {2, 5, 9}
     assert decision.reallocations == {}  # nobody disturbed
 
@@ -69,7 +69,7 @@ def test_sharing_begins_when_stages_exhausted(allocator):
     decisions = [
         allocator.allocate(fid=i, pattern=listing1_pattern()) for i in range(12)
     ]
-    assert all(d.success for d in decisions)
+    assert all(d.feasible for d in decisions)
     disturbed = [d for d in decisions if d.reallocations]
     assert disturbed, "sharing must eventually resize incumbents"
     # Shares within a stage are max-min fair (within one block).
@@ -79,23 +79,23 @@ def test_sharing_begins_when_stages_exhausted(allocator):
 
 def test_inelastic_pinned_and_never_reallocated(allocator):
     lb_decision = allocator.allocate(fid=1, pattern=lb_pattern())
-    assert lb_decision.success
+    assert lb_decision.feasible
     for block_range in lb_decision.regions.values():
         assert block_range.start == 0  # pinned at the pool bottom
         assert block_range.count == 1  # LB_DEMAND_BLOCKS
     # Subsequent elastic arrivals never disturb the inelastic app.
     for fid in range(2, 10):
         decision = allocator.allocate(fid=fid, pattern=listing1_pattern())
-        assert decision.success
+        assert decision.feasible
         assert 1 not in decision.reallocations
 
 
 def test_elastic_squeezed_by_inelastic_arrival(allocator):
     # Saturate every stage with elastic caches so the LB must overlap.
     for fid in range(20):
-        assert allocator.allocate(fid=fid, pattern=listing1_pattern()).success
+        assert allocator.allocate(fid=fid, pattern=listing1_pattern()).feasible
     lb = allocator.allocate(fid=100, pattern=lb_pattern())
-    assert lb.success
+    assert lb.feasible
     assert lb.reallocations, "incumbent caches must be squeezed"
     for block_range in lb.regions.values():
         assert block_range.start == 0  # pinned below every elastic app
@@ -112,14 +112,14 @@ def test_failure_leaves_state_unchanged(allocator):
     fid = 0
     while True:
         decision = allocator.allocate(fid=fid, pattern=hh_pattern())
-        if not decision.success:
+        if not decision.feasible:
             break
         fid += 1
         assert fid < 500, "device must eventually fill"
     residents_before = allocator.resident_fids()
     utilization_before = allocator.utilization()
     retry = allocator.allocate(fid=9999, pattern=hh_pattern())
-    assert not retry.success
+    assert not retry.feasible
     assert retry.reason
     assert allocator.resident_fids() == residents_before
     assert allocator.utilization() == utilization_before
@@ -130,7 +130,7 @@ def test_failed_allocations_are_fast(allocator):
     """Figure 5a: epochs with failed allocations are brief -- the search
     finds no feasible mutant and skips assignment entirely."""
     fid = 0
-    while allocator.allocate(fid=fid, pattern=hh_pattern()).success:
+    while allocator.allocate(fid=fid, pattern=hh_pattern()).feasible:
         fid += 1
     failure = allocator.allocate(fid=777, pattern=hh_pattern())
     assert failure.assign_seconds == 0.0
@@ -174,7 +174,7 @@ def test_least_constrained_places_more_heavy_hitters():
     for policy in (MOST_CONSTRAINED, LEAST_CONSTRAINED):
         allocator = ActiveRmtAllocator(SwitchConfig(), policy=policy)
         fid = 0
-        while allocator.allocate(fid=fid, pattern=hh_pattern()).success:
+        while allocator.allocate(fid=fid, pattern=hh_pattern()).feasible:
             fid += 1
             if fid > 400:
                 break
@@ -230,7 +230,7 @@ def test_allocator_invariants_under_churn(seed, steps):
         else:
             pattern = rng.choice(patterns)
             decision = allocator.allocate(next_fid, pattern)
-            if decision.success:
+            if decision.feasible:
                 live.append(next_fid)
             next_fid += 1
         # Invariants: per-stage layouts never overlap or overflow.

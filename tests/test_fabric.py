@@ -49,7 +49,6 @@ from repro.fabric import (
     replay_shard,
 )
 from repro.isa import assemble
-from repro.packets import ActivePacket, MacAddress
 from repro.switchsim import ActiveSwitch, SwitchConfig
 
 from tests.test_core_constraints import listing1_pattern
@@ -162,20 +161,6 @@ def test_dry_run_places_but_does_not_pin():
         assert fabric.route_of(7) is None  # what-ifs don't decide homes
         fabric.submit_and_wait(_admission(7))
         assert fabric.route_of(7) is not None
-
-
-def test_place_packet_steers_alloc_requests_to_the_placed_shard():
-    with Fabric.build(4, workers=0, seed=5) as fabric:
-        client = MacAddress.from_host_id(1)
-        packet = ActivePacket.alloc_request(
-            src=client,
-            dst=MacAddress.from_host_id(2),
-            fid=13,
-            request=listing1_pattern().to_request(),
-        )
-        index = fabric.place_packet(packet)
-        assert fabric.route_of(13) == index  # request placement pins
-        assert fabric.place_packet(packet) == index  # and is sticky
 
 
 def test_build_rejects_empty_fleet():

@@ -58,4 +58,4 @@ def test_extended_runtime_still_runs_programs():
     controller = ActiveRmtController(switch)
     report = controller.admit(fid=1, pattern=listing1_pattern())
     assert report.success
-    assert max(report.decision.regions) <= 19
+    assert max(report.plan.regions) <= 19

@@ -61,6 +61,19 @@ def test_out_of_bounds_faults():
         regs.increment(100)
 
 
+def test_cells_are_made_by_the_first_access():
+    regs = RegisterArray(8)
+    assert len(regs) == 8 and regs.stats == (0, 0)
+    with pytest.raises(RegisterFault):  # bounds hold before the first access
+        regs.read(8)
+    with pytest.raises(RegisterFault):
+        regs.load(6, [1, 2, 3])
+    regs.load(8, [])
+    assert regs._cells == []  # nothing touched the words yet
+    regs.load(6, [1, 2])
+    assert regs.snapshot(0, 8) == [0] * 6 + [1, 2]
+
+
 def test_snapshot_and_load():
     regs = RegisterArray(8)
     for i in range(8):

@@ -473,6 +473,33 @@ def test_single_admission_emits_one_correlated_tree():
     assert tracer.layout_context.trace_id == root.trace_id
 
 
+def test_direct_admission_span_tree():
+    """submit plans under ``controller.admit`` and commits through the
+    one door: ``controller.commit_plan`` beside the plan, the allocator
+    commit, the layout batch and its journal under it."""
+    tracer = Tracer(sample_rate=1.0)
+    controller = _traced_controller(tracer)
+    assert controller.admit(fid=1, pattern=listing1_pattern()).success
+
+    (root,) = find_spans(tracer.spans(), "controller.admit")
+    trace = tracer.spans_for(root.trace_id)
+    children = {s.parent_id: [] for s in trace}
+    for s in trace:
+        children[s.parent_id].append(s.name)
+    assert sorted(children[root.span_id]) == ["allocator.plan", "controller.commit_plan"]
+    (commit,) = find_spans(trace, "controller.commit_plan")
+    assert commit.attrs["size"] == 1 and commit.attrs["status"] == "admitted"
+    assert commit.attrs["basis_version"] == 0
+    assert sorted(children[commit.span_id]) == [
+        "allocator.commit",
+        "journal.commit",
+        "tables.apply_layout",
+    ]
+    assert len(trace) == 6  # nothing else, at any depth
+    # The data path continues under the commit, not the request.
+    assert tracer.layout_context.span_id == commit.span_id
+
+
 def test_withdraw_and_dry_run_traces():
     tracer = Tracer(sample_rate=1.0)
     controller = _traced_controller(tracer)
@@ -512,8 +539,9 @@ def test_reallocating_admit_traces_one_layout_span_per_layout_change():
         assert report.success and fid < 40
 
     spans = tracer.spans()
-    commit = find_spans(spans, "controller.admit")[-1]
-    trace = tracer.spans_for(commit.trace_id)
+    admit = find_spans(spans, "controller.admit")[-1]
+    trace = tracer.spans_for(admit.trace_id)
+    (commit,) = find_spans(trace, "controller.commit_plan")
     # The newcomer's entries, every displaced neighbour's and the
     # (de)activations are one batch: one span under the commit, and no
     # per-neighbour or per-FID span beside it.
@@ -527,6 +555,7 @@ def test_reallocating_admit_traces_one_layout_span_per_layout_change():
     assert layout.attrs["writes"] >= layout.attrs["installed"] + 2 * displaced
     assert {s.name for s in trace} <= {
         "controller.admit",
+        "controller.commit_plan",
         "allocator.plan",
         "allocator.commit",
         "tables.apply_layout",
@@ -823,7 +852,7 @@ def test_flight_dumps_reconstruct_full_causal_chain_by_ids():
     ]
 
     # 4. The rollback dump's trace: batch root -> attempt ->
-    #    commit_batch -> journal replay, linked hop by hop.
+    #    commit_plan -> journal replay, linked hop by hop.
     rollback_tree = rollback.tree()
     assert rollback_tree["orphans"] == []
     (batch_root,) = rollback_tree["roots"]
@@ -838,7 +867,7 @@ def test_flight_dumps_reconstruct_full_causal_chain_by_ids():
         cursor = ids.get(cursor.parent_id)
     assert hops == [
         "journal.rollback",
-        "controller.commit_batch",
+        "controller.commit_plan",
         "admission.attempt",
         "admission.batch",
     ]

@@ -9,9 +9,9 @@ via the plan -> validate -> commit pipeline):
 - an aborted or rolled-back admission leaves pools, table entries,
   TCAM occupancy, activation state, and register contents
   byte-identical to the pre-plan snapshot;
-- the controller has one commit path: an admission behaves the same
-  through ``admit``, ``commit_plan(plan)`` and ``commit_batch([plan])``
-  (only the reason prefix and the anomaly scope name the entry point).
+- the controller has one commit door: an admission behaves the same
+  through ``admit`` (plan on the live allocator, then ``commit_plan``)
+  and a plan computed first and handed to ``commit_plan([plan])``.
 """
 
 import dataclasses
@@ -88,47 +88,41 @@ def tiny_controller(tcam_entries: int = 2) -> ActiveRmtController:
     return ActiveRmtController(ActiveSwitch(config))
 
 
-#: The three ways into the controller's single commit path.
-ENTRY_POINTS = ("admit", "commit_plan", "commit_batch")
+#: The two ways into the controller's one commit door.
+ENTRY_POINTS = ("admit", "commit_plan")
 
 
 def admit_via(controller, entry, fid, pattern, program=None):
-    """One admission of *fid* through the named commit entry point."""
+    """One admission of *fid* through the named entry point."""
     if entry == "admit":
         return controller.admit(fid=fid, pattern=pattern, program=program)
-    plan = controller.allocator.plan(fid, pattern)
-    if entry == "commit_plan":
-        return controller.commit_plan(plan, program=program)
-    (report,) = controller.commit_batch([plan], [program])
+    (report,) = controller.commit_plan([controller.allocator.plan(fid, pattern)], [program])
     return report
 
 
 def outcome_fingerprint(controller, report) -> tuple:
     """What an admission did, comparable across entry points.
 
-    Every report field but the host timings and ``reason`` (whose
-    prefix names the entry point), plus the full allocator and switch
-    state (pools, table surface, registers, activation) afterwards.
+    Every report field but the host timings, plus the plan's decision
+    and the full allocator and switch state (pools, table surface,
+    registers, activation) afterwards.
     """
     fields = dataclasses.asdict(
-        dataclasses.replace(
-            report, reason="", compute_seconds=0.0, plan=None, decision=None
-        )
+        dataclasses.replace(report, compute_seconds=0.0, plan=None)
     )
-    decision = report.decision
-    if decision is not None:
-        fields["decision"] = (
-            decision.success,
-            decision.mutant,
-            decision.regions,
-            decision.reallocations,
-            decision.candidates_considered,
-            decision.candidates_feasible,
-        )
     plan = report.plan
     return (
         fields,
-        None if plan is None else (plan.state, plan.regions, plan.reallocations),
+        None if plan is None else (
+            plan.state,
+            plan.feasible,
+            plan.mutant,
+            plan.regions,
+            plan.reallocations,
+            plan.candidates_considered,
+            plan.candidates_feasible,
+        ),
+        report.reallocated_fids,
         full_fingerprint(controller),
     )
 
@@ -172,17 +166,16 @@ def test_plan_commit_equals_legacy_allocate():
         pattern = listing1_pattern() if fid % 3 else lb_pattern()
         expected = legacy.allocate(fid, pattern)
         plan = staged.plan(fid, pattern)
-        assert plan.feasible == expected.success
+        assert plan.feasible == expected.feasible
         if plan.feasible:
-            got = staged.commit(plan).decision
+            assert staged.commit(plan).plan is plan
         else:
             staged.abort(plan)
-            got = staged.decision_from_plan(plan)
-        assert got.success == expected.success
-        assert got.mutant == expected.mutant
-        assert got.regions == expected.regions
-        assert got.reallocations == expected.reallocations
-        assert got.candidates_feasible == expected.candidates_feasible
+        assert plan.state is expected.state
+        assert plan.mutant == expected.mutant
+        assert plan.regions == expected.regions
+        assert plan.reallocations == expected.reallocations
+        assert plan.candidates_feasible == expected.candidates_feasible
     assert allocator_fingerprint(legacy) == allocator_fingerprint(staged)
 
 
@@ -244,7 +237,7 @@ def test_release_rollback_round_trips_the_full_fingerprint():
     assert full_fingerprint(controller) == before
     assert (allocator.version, allocator._arrival_counter) == counters
     assert allocator.apps[2] is record
-    assert controller.commit_plan(plan).success  # no StalePlanError
+    assert controller.commit_plan([plan])[0].success  # no StalePlanError
 
 
 def test_pool_snapshot_roundtrip():
@@ -308,8 +301,8 @@ def test_dry_run_returns_committable_plan_without_mutation():
     # The real admission does exactly what the probe predicted.
     real = controller.admit(fid=77, pattern=listing1_pattern())
     assert real.success
-    assert real.decision.regions == probe.plan.regions
-    assert real.decision.reallocations == probe.plan.reallocations
+    assert real.plan.regions == probe.plan.regions
+    assert real.plan.reallocations == probe.plan.reallocations
 
 
 def test_what_if_helper():
@@ -338,7 +331,7 @@ def test_failed_admissions_leave_state_byte_identical(order, tcam_entries):
     activation state byte-identical to the pre-request snapshot.  The
     sequence runs in lockstep through every commit entry point, and
     every step -- admitted, infeasible, or rolled back -- must come out
-    the same through all three."""
+    the same through both."""
     controllers = {
         entry: tiny_controller(tcam_entries=tcam_entries)
         for entry in ENTRY_POINTS
@@ -352,9 +345,8 @@ def test_failed_admissions_leave_state_byte_identical(order, tcam_entries):
             if not report.success:
                 assert full_fingerprint(controller) == before
                 if report.rolled_back:
-                    assert report.reason.startswith("batch rolled back: ") == (
-                        entry == "commit_batch"
-                    )
+                    assert not report.reason.startswith("batch rolled back: ")
+                    assert report.reallocated_fids == []
             outcomes[entry] = outcome_fingerprint(controller, report)
         assert_entry_points_agree(outcomes)
         return report.rolled_back
@@ -395,6 +387,6 @@ def test_first_fit_plan_commit_round_trip():
     )
     for fid in range(6):
         expected = legacy.allocate(fid, listing1_pattern())
-        got = staged.commit(staged.plan(fid, listing1_pattern())).decision
+        got = staged.commit(staged.plan(fid, listing1_pattern())).plan
         assert got.regions == expected.regions
         assert got.reallocations == expected.reallocations

@@ -26,6 +26,10 @@ layering the docstrings promise:
   ``BaseException``) that neither raises nor reads the exception it
   bound: a swallowed failure, which the recover-by-replay and
   rollback proofs cannot see.  Catch the error you mean instead.
+- **CL005** -- an assignment to ``.instructions``, or to a subscript
+  or slice of it, outside ``packets/``.  A packet's program is its wire
+  ``code`` plus the ``executed`` count; ``instructions`` is a view
+  decoded from them, and an edit to the view reaches nothing.
 
 Tests and benchmarks are exempt from CL001/CL002: white-box tests may
 reach anywhere.  The CI ``audit-smoke`` job gates ``src/repro`` clean.
@@ -221,6 +225,28 @@ def _module_level_imports(
     return found
 
 
+def _program_edits(node: ast.AST) -> List[ast.expr]:
+    """Targets of *node* that write ``x.instructions`` or ``x.instructions[...]``."""
+    targets: List[ast.expr]
+    if isinstance(node, ast.Assign):
+        targets = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return []
+    edits: List[ast.expr] = []
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets.extend(target.elts)
+            continue
+        if isinstance(target, ast.Subscript):
+            target = target.value
+        if isinstance(target, ast.Attribute) and target.attr == "instructions":
+            edits.append(target)
+    return edits
+
+
 #: Exception classes whose handler catches (nearly) everything.
 BROAD_EXCEPTIONS = frozenset({"Exception", "BaseException"})
 
@@ -263,8 +289,22 @@ def _lint_file(path: str, source: str) -> List[CodeFinding]:
                 "CL000", path, exc.lineno or 0, f"syntax error: {exc.msg}"
             )
         ]
-    # CL001 / CL002: attribute and call discipline; CL004: handlers.
+    # CL001 / CL002: attribute and call discipline; CL004: handlers;
+    # CL005: edits to a packet's instruction view.
+    program_owner = "/packets/" in "/" + _module_suffix(path)
     for node in ast.walk(tree):
+        if not program_owner:
+            for target in _program_edits(node):
+                findings.append(
+                    CodeFinding(
+                        "CL005",
+                        path,
+                        target.lineno,
+                        "assignment to '.instructions' outside packets/; "
+                        "a packet's program is its 'code' and 'executed' "
+                        "count (the view is read-only)",
+                    )
+                )
         if isinstance(node, ast.ExceptHandler):
             if _is_broad(node.type) and _swallows(node):
                 findings.append(

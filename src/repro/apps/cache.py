@@ -126,7 +126,7 @@ class CacheClient:
             src=self.mac,
             dst=self.server_mac,
             fid=self.fid,
-            instructions=list(self.synthesized.program),
+            instructions=self.synthesized.program,
             args=[k0, k1, self._bucket_address(key), 0],
             payload=payload,
         )

@@ -168,7 +168,7 @@ class CheetahLbClient:
             src=self.mac,
             dst=self.vip_mac,
             fid=self.fid,
-            instructions=list(self.synthesized.program),
+            instructions=self.synthesized.program,
             args=[flow_id, self.salt, self._counter_address(), 0, mask, base, 0, 0],
             payload=payload,
         )
@@ -181,7 +181,7 @@ class CheetahLbClient:
             src=self.mac,
             dst=self.vip_mac,
             fid=self.fid,
-            instructions=list(lb_routing_program()),
+            instructions=lb_routing_program(),
             args=[flow_id, self.salt, 0, cookie],
         )
 

@@ -152,7 +152,7 @@ class HeavyHitterClient:
             src=self.mac,
             dst=self.server_mac,
             fid=self.fid,
-            instructions=list(self.synthesized.program),
+            instructions=self.synthesized.program,
             args=[
                 key0,
                 key1,

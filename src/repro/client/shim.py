@@ -139,7 +139,7 @@ class ClientShim:
             src=self.mac,
             dst=dst or self.switch_mac,
             fid=self.fid,
-            instructions=list(self.synthesized.program),
+            instructions=self.synthesized.program,
             args=list(args),
             payload=payload,
             seq=self._next_seq(),

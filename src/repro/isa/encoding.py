@@ -12,7 +12,7 @@ from __future__ import annotations
 import struct
 from typing import List, Sequence, Tuple
 
-from repro.isa.instructions import INTERNED, Instruction
+from repro.isa.instructions import INTERNED, Instruction, encode_words
 from repro.isa.opcodes import Opcode
 from repro.isa.program import ActiveProgram
 
@@ -34,11 +34,9 @@ def encode_instructions(
         shrink: drop instructions whose EXECUTED bit is set (the packet
             shrinking optimization of Section 3.1).
     """
-    if shrink:  # what is left is unexecuted: each word is its key
-        words = [instr.key for instr in instructions if not instr.executed]
-    else:
-        words = [instr.word for instr in instructions]
-    return struct.pack(f">{len(words) + 1}H", *words, Opcode.EOF)
+    if shrink:
+        instructions = [instr for instr in instructions if not instr.executed]
+    return encode_words(instructions) + bytes(INSTRUCTION_WIDTH)  # EOF
 
 
 def encode_program(program: ActiveProgram, shrink: bool = False) -> bytes:

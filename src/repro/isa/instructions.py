@@ -20,7 +20,8 @@ branch labelling and argument addressing the listings require.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict
+import struct
+from typing import Dict, Iterable
 
 from repro.isa.opcodes import (
     Opcode,
@@ -148,3 +149,11 @@ class _Interned(Dict[int, Instruction]):
 #: stream decoder all read it, so equal instructions decoded from the
 #: wire are one object.
 INTERNED = _Interned()
+
+
+def encode_words(instructions: Iterable[Instruction]) -> bytes:
+    """The wire words of *instructions*, EXECUTED bits included and no
+    EOF: what an :class:`~repro.packets.codec.ActivePacket` carries as
+    ``code`` (and an ``ActiveProgram`` caches as its own)."""
+    words = [instr.word for instr in instructions]
+    return struct.pack(f">{len(words)}H", *words)

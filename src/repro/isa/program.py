@@ -16,7 +16,7 @@ import dataclasses
 import functools
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.isa.instructions import Instruction
+from repro.isa.instructions import Instruction, encode_words
 from repro.isa.opcodes import (
     Opcode,
     INGRESS_PREFERRED_OPCODES,
@@ -58,6 +58,12 @@ class ActiveProgram:
             cached = hash((self.instructions, self.name))
             object.__setattr__(self, "_content_hash", cached)
         return cached
+
+    @functools.cached_property
+    def code(self) -> bytes:
+        """The program's wire words (no EOF), encoded once: every packet
+        built from this program shares them."""
+        return encode_words(self.instructions)
 
     def _validate(self) -> None:
         if not self.instructions:

@@ -26,7 +26,6 @@ from repro.packets.headers import (
     RESPONSE_STAGES,
 )
 from repro.packets.ethernet import EthernetHeader, MacAddress
-from repro.packets.inet import Ipv4Header, UdpHeader
 from repro.packets.codec import ActivePacket, encode_packet, decode_packet
 
 __all__ = [
@@ -44,8 +43,6 @@ __all__ = [
     "RESPONSE_STAGES",
     "EthernetHeader",
     "MacAddress",
-    "Ipv4Header",
-    "UdpHeader",
     "ActivePacket",
     "encode_packet",
     "decode_packet",

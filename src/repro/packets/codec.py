@@ -4,7 +4,10 @@
 network pass around.  It is mutable on purpose: the data plane rewrites
 argument fields (``MBR_STORE``), marks instructions executed (packet
 shrinking), and swaps addresses (``RTS``) exactly as the hardware
-rewrites the PHV and the deparser rebuilds the frame.
+rewrites the PHV and the deparser rebuilds the frame.  The program
+stays in its wire form, ``code``, as on the switch: the parser reads
+2-byte headers, the pipeline marks the ones it consumed (``executed``)
+and the deparser drops them on the way out (Sections 3.1 and 3.3).
 
 ``encode_packet``/``decode_packet`` realize the byte layout of
 Section 3.3 in one pass each, as the switch's parser and deparser do;
@@ -15,14 +18,12 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-from typing import Any, List, Optional, Type, TypeVar
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, TypeVar
 
-from repro.isa.encoding import (
-    INSTRUCTION_WIDTH,
-    decode_instructions,
-    encode_instructions,
-)
-from repro.isa.instructions import Instruction
+from repro.isa.encoding import INSTRUCTION_WIDTH, decode_instructions
+from repro.isa.instructions import INTERNED, Instruction, InstructionFlags, encode_words
+from repro.isa.opcodes import Opcode, has_operand
+from repro.isa.program import ActiveProgram
 from repro.packets.ethernet import EthernetHeader, MacAddress
 from repro.packets.headers import (
     ACTIVE_ETHERTYPE,
@@ -44,18 +45,44 @@ _ARG_COUNT_MASK = 0x3
 #: counters): the layout constants it adds up, as module globals.
 _FRAME_SIZE = EthernetHeader.SIZE + InitialHeader.SIZE
 _PROGRAM = PacketType.PROGRAM
+_NO_SHRINK = ControlFlags.NO_SHRINK
 _ARG_FIELDS = ArgumentHeader.FIELDS
 _ARG_SIZE = ArgumentHeader.SIZE
 
 #: The 24-byte Ethernet + initial-header prefix of every active frame,
-#: composed from the two headers' own layouts.
-_PREFIX = struct.Struct(">" + EthernetHeader.STRUCT.format[1:] + InitialHeader.STRUCT.format[1:])
+#: composed from the two headers' own layouts; the two MACs are read as
+#: one 12-byte field, the key of the Ethernet memo.
+_MACS = 2 * MacAddress.SIZE
+_PREFIX = struct.Struct(
+    f">{_MACS}s" + EthernetHeader.STRUCT.format[-1] + InitialHeader.STRUCT.format[1:]
+)
 #: One to three argument headers, by count.
 _ARGS = {
     count: struct.Struct(">" + ArgumentHeader.STRUCT.format[1:] * count)
     for count in range(1, _ARG_COUNT_MASK + 1)
 }
 _PADDING = (0,) * _ARG_FIELDS
+_EOF = bytes(INSTRUCTION_WIDTH)
+
+#: Byte tables over the code's two strides.  Opcodes stay below 0x80,
+#: so a byte at or above it is an EXECUTED flag byte: ``isascii`` tells
+#: a code with no marks.
+_EXECUTED = InstructionFlags.EXECUTED
+_MARK = bytes(byte | _EXECUTED for byte in range(256))
+#: Every opcode a header can carry before EOF ...
+_OPCODES = bytes(opcode for opcode in Opcode if opcode is not Opcode.EOF)
+#: ... and, by opcode, the flag bits it must leave clear: the operand of
+#: an opcode that takes none (``INTERNED`` ignores them; decode drops them).
+_JUNK = bytes(
+    0 if byte in _OPCODES and has_operand(Opcode(byte)) else InstructionFlags.OPERAND_MASK
+    for byte in range(256)
+)
+
+#: Decoded Ethernet headers by their 12 MAC bytes.  A header is frozen
+#: and equal to a validated one, so frames between the same two hosts
+#: share it; the memo starts over when it reaches the bound.
+_ETHERNET: Dict[bytes, EthernetHeader] = {}
+_ETHERNET_ENTRIES = 1024
 
 _Header = TypeVar("_Header")
 
@@ -82,7 +109,11 @@ class ActivePacket:
         initial: the 10-byte global active header.
         args: flattened 32-bit argument fields (4 per argument header);
             instruction operands index into this list.
-        instructions: program instructions (PROGRAM packets only).
+        code: the program's instruction headers as they travel, two
+            bytes each, EOF left out and EXECUTED bits as they arrived
+            (PROGRAM packets only).
+        executed: leading headers the pipeline has consumed; they travel
+            with EXECUTED set, or not at all when the packet shrinks.
         request: allocation-request header (ALLOC_REQUEST only).
         response: allocation-response header (ALLOC_RESPONSE only).
         payload: opaque transport payload following the active headers.
@@ -93,7 +124,8 @@ class ActivePacket:
     eth: EthernetHeader
     initial: InitialHeader
     args: List[int] = dataclasses.field(default_factory=lambda: [0, 0, 0, 0])
-    instructions: List[Instruction] = dataclasses.field(default_factory=list)
+    code: bytes = b""
+    executed: int = 0
     request: Optional[AllocationRequestHeader] = None
     response: Optional[AllocationResponseHeader] = None
     payload: bytes = b""
@@ -109,13 +141,17 @@ class ActivePacket:
         src: MacAddress,
         dst: MacAddress,
         fid: int,
-        instructions: List[Instruction],
+        instructions: Sequence[Instruction],
         args: Optional[List[int]] = None,
         seq: int = 0,
         flags: int = 0,
         payload: bytes = b"",
     ) -> "ActivePacket":
-        """Build an active-program packet."""
+        """Build an active-program packet.
+
+        An :class:`~repro.isa.program.ActiveProgram` lends its wire
+        words, encoded once per program; a plain sequence is encoded.
+        """
         arg_fields = list(args) if args is not None else [0, 0, 0, 0]
         if len(arg_fields) % ArgumentHeader.FIELDS:
             pad = ArgumentHeader.FIELDS - len(arg_fields) % ArgumentHeader.FIELDS
@@ -126,7 +162,11 @@ class ActivePacket:
                 ptype=PacketType.PROGRAM, fid=fid, seq=seq, flags=flags
             ),
             args=arg_fields,
-            instructions=list(instructions),
+            code=(
+                instructions.code
+                if isinstance(instructions, ActiveProgram)
+                else encode_words(instructions)
+            ),
             payload=payload,
         )
 
@@ -191,6 +231,19 @@ class ActivePacket:
     # ------------------------------------------------------------------
 
     @property
+    def instructions(self) -> Tuple[Instruction, ...]:
+        """The program as interned :class:`Instruction` objects, EXECUTED
+        marks included, decoded from ``code`` on every read.
+
+        Read-only: the packet's one program representation is ``code``
+        with ``executed``.  Only a program-cache build, the reference
+        interpreter and FORK clones need the objects.
+        """
+        code = _marked(self.code, self.executed)
+        words = struct.unpack(f">{len(code) // INSTRUCTION_WIDTH}H", code)
+        return tuple([INTERNED[word] for word in words])
+
+    @property
     def fid(self) -> int:
         return self.initial.fid
 
@@ -239,11 +292,7 @@ class ActivePacket:
                 raise HeaderError("too many argument headers (max 3)")
             # Instruction headers plus the EOF marker; wire_size models
             # the unshrunk frame, matching encode_packet's default.
-            return (
-                size
-                + arg_headers * _ARG_SIZE
-                + (len(self.instructions) + 1) * INSTRUCTION_WIDTH
-            )
+            return size + arg_headers * _ARG_SIZE + len(self.code) + INSTRUCTION_WIDTH
         if ptype == PacketType.ALLOC_REQUEST:
             if self.request is None:
                 raise HeaderError("ALLOC_REQUEST packet without request header")
@@ -254,18 +303,45 @@ class ActivePacket:
             size += AllocationResponseHeader.SIZE
         return size
 
+    def shrunk_size(self) -> int:
+        """Size in bytes of what the deparser emits, executed headers
+        dropped unless ``NO_SHRINK`` is set: ``len(encode_packet(self,
+        shrink=True))``, which the tx byte counters charge."""
+        size = self.wire_size()
+        initial = self.initial
+        if initial.ptype == _PROGRAM and not initial.flags & _NO_SHRINK:
+            code = self.code
+            tail = code[self.executed * INSTRUCTION_WIDTH :]
+            if not tail.isascii():  # later headers arrived marked
+                tail = _unexecuted(tail)
+            size -= len(code) - len(tail)
+        return size
+
     def clone(self) -> "ActivePacket":
         """Deep-enough copy for FORK semantics."""
         return ActivePacket(
-            eth=self.eth,
-            initial=self.initial,
-            args=list(self.args),
-            instructions=list(self.instructions),
-            request=self.request,
-            response=self.response,
-            payload=self.payload,
-            arrival_port=self.arrival_port,
+            self.eth, self.initial, list(self.args), self.code, self.executed,
+            self.request, self.response, self.payload, self.arrival_port,
         )
+
+
+def _marked(code: bytes, executed: int) -> bytes:
+    """*code* with EXECUTED set on its first *executed* headers: one
+    byte edit over their flag bytes."""
+    if not executed:
+        return code
+    edited = bytearray(code)
+    flags = slice(1, executed * INSTRUCTION_WIDTH, INSTRUCTION_WIDTH)
+    edited[flags] = code[flags].translate(_MARK)
+    return bytes(edited)
+
+
+def _unexecuted(tail: bytes) -> bytes:
+    """The headers of *tail* (what follows the executed prefix) that a
+    shrinking deparser keeps: those that did not arrive marked."""
+    words = struct.unpack(f">{len(tail) // INSTRUCTION_WIDTH}H", tail)
+    kept = [word for word in words if not word & _EXECUTED]
+    return struct.pack(f">{len(kept)}H", *kept)
 
 
 def encode_packet(packet: ActivePacket, shrink: bool = False) -> bytes:
@@ -290,9 +366,13 @@ def encode_packet(packet: ActivePacket, shrink: bool = False) -> bytes:
             body = _ARGS[count].pack(*args, *padding)
         except struct.error:  # a word past 32 bits travels masked
             body = _ARGS[count].pack(*[arg & 0xFFFFFFFF for arg in args], *padding)
-        body += encode_instructions(
-            packet.instructions, shrink and not flags & ControlFlags.NO_SHRINK
-        )
+        if shrink and not flags & _NO_SHRINK:
+            code = packet.code[packet.executed * INSTRUCTION_WIDTH :]
+            if not code.isascii():  # later headers arrived marked
+                code = _unexecuted(code)
+        else:
+            code = _marked(packet.code, packet.executed)
+        body += code + _EOF
     elif ptype == PacketType.ALLOC_REQUEST:
         if packet.request is None:
             raise HeaderError("ALLOC_REQUEST packet without request header")
@@ -304,7 +384,7 @@ def encode_packet(packet: ActivePacket, shrink: bool = False) -> bytes:
     else:  # CONTROL
         body = b""
     prefix = _PREFIX.pack(
-        eth.dst.encode(), eth.src.encode(), eth.ethertype,
+        (eth.dst.value << 48 | eth.src.value).to_bytes(_MACS, "big"), eth.ethertype,
         InitialHeader.VERSION, ptype, initial.fid, initial.seq, flags,
     )
     return prefix + body + packet.payload
@@ -315,6 +395,10 @@ def decode_packet(data: bytes) -> ActivePacket:
 
     What the struct codes bound (MACs, u16/u32 fields) is built
     :func:`_unchecked`; everything else the wire can get wrong is checked.
+    The instruction headers are sliced out as ``code`` once two byte
+    tables pass them (known opcodes, no operand bits on an opcode that
+    takes none); otherwise ``decode_instructions`` raises its error, or
+    the words are re-encoded canonical.
 
     Raises:
         HeaderError: on truncation, wrong EtherType, version or packet
@@ -327,23 +411,27 @@ def decode_packet(data: bytes) -> ActivePacket:
         if ethertype == ACTIVE_ETHERTYPE:
             raise HeaderError("initial header truncated")
     else:
-        dst, src, ethertype, version, ptype, fid, seq, flags = _PREFIX.unpack_from(data)
+        macs, ethertype, version, ptype, fid, seq, flags = _PREFIX.unpack_from(data)
     if ethertype != ACTIVE_ETHERTYPE:
         raise HeaderError(f"not an active packet (ethertype {ethertype:#06x})")
     if version != InitialHeader.VERSION:
         raise HeaderError(f"unsupported active header version {version}")
     if ptype not in PacketType.ALL:
         raise HeaderError(f"unknown packet type {ptype:#x}")
-    eth = _unchecked(
-        EthernetHeader,
-        dst=_unchecked(MacAddress, value=int.from_bytes(dst, "big")),
-        src=_unchecked(MacAddress, value=int.from_bytes(src, "big")),
-        ethertype=ethertype,
-    )
+    eth = _ETHERNET.get(macs)
+    if eth is None:
+        if len(_ETHERNET) >= _ETHERNET_ENTRIES:
+            _ETHERNET.clear()
+        eth = _ETHERNET[macs] = _unchecked(
+            EthernetHeader,
+            dst=_unchecked(MacAddress, value=int.from_bytes(macs[: MacAddress.SIZE], "big")),
+            src=_unchecked(MacAddress, value=int.from_bytes(macs[MacAddress.SIZE :], "big")),
+            ethertype=ethertype,
+        )
     initial = _unchecked(InitialHeader, ptype=ptype, fid=fid, seq=seq, flags=flags)
     offset = _FRAME_SIZE
     args: List[int] = []
-    instructions: List[Instruction] = []
+    code = b""
     request = response = None
     if ptype == _PROGRAM:
         count = (flags >> _ARG_COUNT_SHIFT) & _ARG_COUNT_MASK
@@ -354,12 +442,25 @@ def decode_packet(data: bytes) -> ActivePacket:
         if len(data) < offset + layout.size:
             raise HeaderError("argument header truncated")
         args = list(layout.unpack_from(data, offset))
-        instructions, consumed = decode_instructions(data, offset + layout.size)
-        offset += layout.size + consumed
+        offset += layout.size
+        # EOF is the first zero in the opcode stride.
+        opcodes = data[offset::INSTRUCTION_WIDTH]
+        eof = opcodes.find(Opcode.EOF, 0, (len(data) - offset) // INSTRUCTION_WIDTH)
+        code = data[offset : offset + eof * INSTRUCTION_WIDTH]
+        opcodes = opcodes[:eof]
+        if (
+            eof < 0
+            or opcodes.translate(None, _OPCODES)
+            or int.from_bytes(code[1::INSTRUCTION_WIDTH], "big")
+            & int.from_bytes(opcodes.translate(_JUNK), "big")
+        ):
+            instructions, _consumed = decode_instructions(data, offset)
+            code = encode_words(instructions)
+        offset += len(code) + INSTRUCTION_WIDTH
     elif ptype == PacketType.ALLOC_REQUEST:
         request = AllocationRequestHeader.decode(data, offset)
         offset += AllocationRequestHeader.SIZE
     elif ptype == PacketType.ALLOC_RESPONSE:
         response = AllocationResponseHeader.decode(data, offset)
         offset += AllocationResponseHeader.SIZE
-    return ActivePacket(eth, initial, args, instructions, request, response, data[offset:])
+    return ActivePacket(eth, initial, args, code, 0, request, response, data[offset:])

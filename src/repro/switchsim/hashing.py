@@ -30,10 +30,6 @@ class HashUnit:
         data = b"".join(struct.pack(">I", w & 0xFFFFFFFF) for w in words)
         return zlib.crc32(data, self._seed) & 0xFFFFFFFF
 
-    def digest_bytes(self, data: bytes) -> int:
-        """Hash raw bytes (used by the client shim for 5-tuples)."""
-        return zlib.crc32(data, self._seed) & 0xFFFFFFFF
-
 
 #: Hash engines exposed to HASH's 3-bit operand.  Engine k hashes the
 #: same way in every stage (a cookie computed in one stage verifies in

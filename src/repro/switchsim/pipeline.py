@@ -18,7 +18,7 @@ from repro.packets.headers import ControlFlags
 from repro.switchsim.config import SwitchConfig
 from repro.switchsim.hashing import stage_hash_unit
 from repro.switchsim.phv import Phv
-from repro.switchsim.progcache import ProgramBinding, ProgramCache
+from repro.switchsim.progcache import ProgramCache
 from repro.switchsim.registers import RegisterArray
 from repro.switchsim.stage import MatchActionStage
 from repro.switchsim.tables import StageTable
@@ -148,8 +148,13 @@ class Pipeline:
             phv.set_mar(packet.get_arg(2))
             phv.set_mbr(packet.get_arg(0))
             phv.set_mbr2(packet.get_arg(1))
-        if self.program_cache is not None:
-            return self._run_bound(packet, phv, self.program_cache.entry_for(packet))
+        cache = self.program_cache
+        if cache is not None:
+            # The cached engine: the binding's generated program under the
+            # binding's table operands, the same as _run for a packet
+            # entering at pc 0 (clones resume mid-program in _run).
+            binding = cache.entry_for(packet)
+            return binding.program.run(self, packet, phv, binding.args)
         return self._run(packet, phv)
 
     # ------------------------------------------------------------------
@@ -172,32 +177,20 @@ class Pipeline:
             stage.execute(instr, phv, packet)
             if phv.faulted:
                 break
-            # Mark the header consumed so the deparser can shrink the
-            # packet; skipped branch arms are dead and shrink too.
-            instructions[phv.pc] = instr.with_executed()
             if not was_disabled or not phv.disabled:
                 executed += 1
             if phv.fork_requested:
                 phv.fork_requested = False
+                # The clone carries this header's mark.
+                packet.executed = max(packet.executed, phv.pc + 1)
                 clones.append(self._fork(packet, phv))
             phv.pc += 1
             phv.logical_stage += 1
             phv.passes = self.config.pass_of(phv.logical_stage) + phv.pass_offset
+        # Mark the consumed headers so the deparser can shrink the
+        # packet; skipped branch arms are dead and shrink too.
+        packet.executed = max(packet.executed, phv.pc)
         return self._finish(packet, phv, clones, executed)
-
-    def _run_bound(
-        self, packet: ActivePacket, phv: Phv, binding: ProgramBinding
-    ) -> ExecutionResult:
-        """Run a packet through a cached program under one FID's binding.
-
-        Semantically identical to :meth:`_run` for first-entry packets
-        (``pc == 0``, no pass offset) -- the only kind the cache serves;
-        FORK clones resume mid-program and take the generic path.  The
-        program is one generated function
-        (:class:`~repro.switchsim.progcache.CachedProgram`); the binding
-        supplies the operands it reads from this FID's table entries.
-        """
-        return binding.program.run(self, packet, phv, binding.args)
 
     def _finish(
         self,

@@ -8,9 +8,9 @@ memory protection and ADDR_MASK/ADDR_OFFSET translation (Sections 3.1,
 * **Level 1**, :class:`CachedProgram`, is one instruction stream
   compiled to one straight-line Python function, keyed by its digest
   and shared by every tenant that runs that mutant: the stage mapping,
-  each stage's register array, the hash engines, the interned EXECUTED
-  copies and the recirculation budget are fixed ahead of the packet
-  (Packet Transactions' whole-transaction compilation).
+  each stage's register array, the hash engines and the recirculation
+  budget are fixed ahead of the packet (Packet Transactions'
+  whole-transaction compilation).
 * **Level 2**, :class:`ProgramBinding`, is what ``(fid, digest)`` adds:
   a reference to the level-1 program, the table-derived operands its
   function reads (translation pair, grant bounds) and the version
@@ -33,9 +33,9 @@ import linecache
 import weakref
 import zlib
 from collections import OrderedDict
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.isa.instructions import Instruction
+from repro.isa.instructions import Instruction, InstructionFlags, encode_words
 from repro.isa.opcodes import (
     BRANCH_OPCODES,
     MEMORY_OPCODES,
@@ -45,10 +45,15 @@ from repro.isa.opcodes import (
 from repro.packets.codec import ActivePacket
 from repro.switchsim.hashing import NUM_HASH_ENGINES, hash_engine
 
-#: A cached digest key: ``Instruction.key`` per instruction header.  The
-#: EXECUTED bit is deliberately excluded -- it never affects execution,
-#: only deparser shrinking.
-ProgramDigest = Tuple[int, ...]
+#: A cached digest key: a packet's ``code`` with every EXECUTED bit
+#: cleared (``Instruction.key`` per header, as wire words).  The bit is
+#: deliberately excluded -- it never affects execution, only deparser
+#: shrinking.
+ProgramDigest = bytes
+
+#: Clears bit 7 of every byte: only flag bytes carry it, as opcodes stay
+#: below 0x80, so a code with none set (``isascii``) is its own digest.
+_UNMARK = bytes(byte & ~InstructionFlags.EXECUTED for byte in range(256))
 
 
 def infer_recirculations(program_len: int, num_stages: int) -> int:
@@ -66,9 +71,10 @@ def infer_recirculations(program_len: int, num_stages: int) -> int:
     return (program_len + num_stages - 1) // num_stages - 1
 
 
-def program_digest(instructions: List[Instruction]) -> ProgramDigest:
-    """Digest of the semantic content of an instruction stream."""
-    return tuple([instr.key for instr in instructions])
+def program_digest(instructions: Sequence[Instruction]) -> ProgramDigest:
+    """Digest of the semantic content of an instruction stream: the
+    key :meth:`ProgramCache.entry_for` takes from a packet carrying it."""
+    return encode_words(instructions).translate(_UNMARK)
 
 
 # ----------------------------------------------------------------------
@@ -153,7 +159,7 @@ _TEMPLATES: Dict[Opcode, str] = {
     # brought up to date first.
     Opcode.FORK: (
         "phv.mar = mar; phv.mbr = mbr; phv.mbr2 = mbr2\n"
-        "packet.instructions[:{nxt}] = done[:{nxt}]\n"
+        "packet.executed = max(packet.executed, {nxt})\n"
         "phv.pc = {pc}; phv.logical_stage = {nxt}\n"
         "clones.append(pipeline._fork(packet, phv))"
     ),
@@ -203,7 +209,7 @@ class CachedProgram:
 
     __slots__ = ("run", "source", "table_reads", "__weakref__")
 
-    def __init__(self, pipeline, instructions: List[Instruction]) -> None:
+    def __init__(self, pipeline, instructions: Sequence[Instruction]) -> None:
         config = pipeline.config
         limit = min(len(instructions), config.max_logical_stages)
         self.table_reads: List[Tuple[object, bool]] = []
@@ -261,7 +267,7 @@ class CachedProgram:
             lines.append("    phv.disabled = disabled; phv.pending_label = pending")
         # Mark the consumed headers so the deparser can shrink the packet
         # (skipped branch arms are dead and shrink too).
-        lines.append("    packet.instructions[:pc] = done[:pc]")
+        lines.append("    if packet.executed < pc:\n        packet.executed = pc")
         lines.append("    phv.pc = pc; phv.logical_stage = pc + 1; phv.passes = passes[pc]")
         lines.append(
             "    return pipeline._finish(packet, phv, "
@@ -269,13 +275,11 @@ class CachedProgram:
             + ("pc - skipped)" if "disabled" in used else "pc)")
         )
         self.source = "\n".join(lines) + "\n"
-        wire = b"".join(instr.key.to_bytes(2, "big") for instr in instructions)
         filename = "<activermt program {:08x} on {}/{}/{} stages>".format(
-            zlib.crc32(wire),
+            zlib.crc32(program_digest(instructions)),
             config.ingress_stages, config.num_stages, config.max_logical_stages,
         )
         namespace: Dict[str, object] = {
-            "done": [instr.with_executed() for instr in instructions],
             "passes": [config.pass_of(n + 1) for n in range(limit + 1)],
         }
         for stage in pipeline.stages:
@@ -380,7 +384,9 @@ class ProgramCache:
         same level-1 program, against current table state.
         """
         fid = packet.initial.fid
-        digest = program_digest(packet.instructions)
+        digest = packet.code
+        if not digest.isascii():
+            digest = digest.translate(_UNMARK)
         key = (fid, digest)
         entry = self._entries.get(key)
         if entry is not None:

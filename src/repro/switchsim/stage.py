@@ -17,7 +17,7 @@ from repro.packets.codec import ActivePacket
 from repro.switchsim.hashing import HashUnit, hash_engine
 from repro.switchsim.phv import Phv
 from repro.switchsim.registers import RegisterArray
-from repro.switchsim.tables import StageGrant, StageTable
+from repro.switchsim.tables import StageTable
 
 
 class MatchActionStage:
@@ -62,9 +62,6 @@ class MatchActionStage:
             phv.fault(f"stage {self.index}: no decode entry for {op.name}")
             return
         handler(self, instr, phv, packet)
-
-    def _grant(self, phv: Phv, packet: ActivePacket) -> Optional[StageGrant]:
-        return self.table.grant_for(packet.fid)
 
     # --- special ------------------------------------------------------
 

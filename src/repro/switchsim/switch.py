@@ -30,6 +30,7 @@ from typing import (
     Union,
 )
 
+from repro.isa.encoding import INSTRUCTION_WIDTH
 from repro.packets.codec import ActivePacket
 from repro.packets.ethernet import MacAddress
 from repro.packets.headers import PacketType
@@ -262,7 +263,9 @@ class ActiveSwitch:
         Per-port statistics, digest delivery to the CPU queue, and perf
         counters are each applied once for the whole batch; execution
         itself is identical to calling :meth:`receive` per packet, and
-        outputs preserve arrival order.
+        outputs preserve arrival order.  A packet that raises leaves
+        the counters and the digest queue as :meth:`receive` would: the
+        packets before it are rolled up, then the exception propagates.
         """
         if in_port is not None:
             items: Iterable[Tuple[ActivePacket, int]] = (
@@ -279,7 +282,7 @@ class ActiveSwitch:
         #: ``[rx packets, rx bytes, tx packets, tx bytes]`` per port.
         ports: Dict[int, List[int]] = {}
         counts = [0, 0, 0, 0]  # indexed by _KIND_*
-        total = forwarded = returned = dropped = faulted = 0
+        forwarded = returned = dropped = faulted = 0
         process = self._process
         process_sampled = self._process_sampled
         pipeline = self.pipeline
@@ -293,78 +296,80 @@ class ActiveSwitch:
         # the default path pays one truth test on a local per packet.
         tracer = self.tracer
         sample = tracer.should_sample if tracer.enabled else None
-        for packet, port in items:
-            total += 1
-            packet.arrival_port = port
-            acc = ports.get(port)
-            if acc is None:
-                acc = ports[port] = [0, 0, 0, 0]
-            acc[0] += 1
-            acc[1] += packet.wire_size()
-            if fid_tally is not None:
-                recirculated = pipeline.total_recirculations
-            if sample is not None and sample():
-                kind, result = process_sampled(packet, port, outputs)
-            else:
-                kind, result = process(packet, port, outputs)
-            counts[kind] += 1
-            if kind == _KIND_PROGRAM:
-                disposition = result.disposition
-                if disposition is _FORWARD:
-                    forwarded += 1
-                elif disposition is _RETURN_TO_SENDER:
-                    returned += 1
-                elif disposition is _DROP:
-                    dropped += 1
+        try:
+            for packet, port in items:
+                packet.arrival_port = port
+                acc = ports.get(port)
+                if acc is None:
+                    acc = ports[port] = [0, 0, 0, 0]
+                acc[0] += 1
+                acc[1] += packet.wire_size()
+                if fid_tally is not None:
+                    recirculated = pipeline.total_recirculations
+                if sample is not None and sample():
+                    kind, result = process_sampled(packet, port, outputs)
                 else:
-                    faulted += 1
-            elif kind == _KIND_DIGEST:
-                digests.append(packet)
-            if fid_tally is not None and kind in (_KIND_PROGRAM, _KIND_SUPPRESSED):
-                fid = packet.initial.fid
-                tally = fid_tally.get(fid)
-                if tally is None:
-                    tally = fid_tally[fid] = [0, 0]
-                tally[0] += 1
-                # The pipeline accounts a FORK tree whole; so does the tally.
-                tally[1] += pipeline.total_recirculations - recirculated
-        # -- single roll-up of everything the scalar path does per packet
-        if digests:
-            self._digests.extend(digests)
-            self.digest_count += len(digests)
-        for output in outputs:
-            acc = ports.get(output.port)
-            if acc is None:
-                acc = ports[output.port] = [0, 0, 0, 0]
-            acc[2] += 1
-            acc[3] += output.packet.wire_size()
-        for port, (rx_packets, rx_bytes, tx_packets, tx_bytes) in ports.items():
-            stats = self._port(port)
-            stats.rx_packets += rx_packets
-            stats.rx_bytes += rx_bytes
-            stats.tx_packets += tx_packets
-            stats.tx_bytes += tx_bytes
-        batch = BatchResult(
-            outputs=outputs,
-            packets=total,
-            programs=counts[_KIND_PROGRAM],
-            plain_forwarded=counts[_KIND_PLAIN],
-            digested=counts[_KIND_DIGEST],
-            suppressed=counts[_KIND_SUPPRESSED],
-            forwarded=forwarded,
-            returned=returned,
-            dropped=dropped,
-            faulted=faulted,
-        )
-        self.perf.merge_batch(batch)
-        if fid_tally is not None:
-            self.telemetry.histogram(
-                "datapath_batch_size",
-                buckets=SIZE_BUCKETS,
-                help="Packets per receive_batch call",
-            ).observe(total)
-            for fid, (packets_n, recircs_n) in fid_tally.items():
-                self._count_fid(fid, recircs_n, packets_n)
+                    kind, result = process(packet, port, outputs)
+                counts[kind] += 1
+                if kind == _KIND_PROGRAM:
+                    disposition = result.disposition
+                    if disposition is _FORWARD:
+                        forwarded += 1
+                    elif disposition is _RETURN_TO_SENDER:
+                        returned += 1
+                    elif disposition is _DROP:
+                        dropped += 1
+                    else:
+                        faulted += 1
+                elif kind == _KIND_DIGEST:
+                    digests.append(packet)
+                if fid_tally is not None and kind in (_KIND_PROGRAM, _KIND_SUPPRESSED):
+                    fid = packet.initial.fid
+                    tally = fid_tally.get(fid)
+                    if tally is None:
+                        tally = fid_tally[fid] = [0, 0]
+                    tally[0] += 1
+                    # The pipeline accounts a FORK tree whole; so does the tally.
+                    tally[1] += pipeline.total_recirculations - recirculated
+        finally:
+            # -- single roll-up of everything the scalar path does per
+            # packet, also for the packets handled before one raised
+            if digests:
+                self._digests.extend(digests)
+                self.digest_count += len(digests)
+            for output in outputs:
+                acc = ports.get(output.port)
+                if acc is None:
+                    acc = ports[output.port] = [0, 0, 0, 0]
+                acc[2] += 1
+                acc[3] += output.packet.shrunk_size()
+            for port, (rx_packets, rx_bytes, tx_packets, tx_bytes) in ports.items():
+                stats = self._port(port)
+                stats.rx_packets += rx_packets
+                stats.rx_bytes += rx_bytes
+                stats.tx_packets += tx_packets
+                stats.tx_bytes += tx_bytes
+            batch = BatchResult(
+                outputs=outputs,
+                packets=sum(counts),
+                programs=counts[_KIND_PROGRAM],
+                plain_forwarded=counts[_KIND_PLAIN],
+                digested=counts[_KIND_DIGEST],
+                suppressed=counts[_KIND_SUPPRESSED],
+                forwarded=forwarded,
+                returned=returned,
+                dropped=dropped,
+                faulted=faulted,
+            )
+            self.perf.merge_batch(batch)
+            if fid_tally is not None:
+                self.telemetry.histogram(
+                    "datapath_batch_size",
+                    buckets=SIZE_BUCKETS,
+                    help="Packets per receive_batch call",
+                ).observe(batch.packets)
+                for fid, (packets_n, recircs_n) in fid_tally.items():
+                    self._count_fid(fid, recircs_n, packets_n)
         return batch
 
     def _process_sampled(
@@ -402,10 +407,10 @@ class ActiveSwitch:
         delivery so the batched path can defer it to one append.
         """
         ptype = packet.initial.ptype
-        if ptype == PacketType.PROGRAM and packet.instructions:
+        if ptype == PacketType.PROGRAM and packet.code:
             if self.governor is not None:
                 inferred = infer_recirculations(
-                    len(packet.instructions), self.config.num_stages
+                    len(packet.code) // INSTRUCTION_WIDTH, self.config.num_stages
                 )
                 now = self.clock() if self.clock is not None else 0.0
                 if not self.governor.admit(packet.fid, inferred, now):
@@ -588,4 +593,4 @@ class ActiveSwitch:
         for output in outputs:
             stats = self._port(output.port)
             stats.tx_packets += 1
-            stats.tx_bytes += output.packet.wire_size()
+            stats.tx_bytes += output.packet.shrunk_size()

@@ -1,6 +1,6 @@
 """Mutation-discipline lint: rule detection and the clean-tree gate.
 
-Synthetic sources exercise each rule (CL000-CL004) and its exemptions;
+Synthetic sources exercise each rule (CL000-CL005) and its exemptions;
 the final test pins the real ``src/repro`` tree clean, which is the
 same gate the CI ``audit-smoke`` job enforces.
 """
@@ -172,6 +172,32 @@ def test_cl004_handler_that_raises_reads_or_is_narrow(tmp_path, handler):
         "def run(work, log):\n    try:\n        work()\n    " + handler,
     )
     assert findings == []
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "packet.instructions[0] = packet.instructions[0].with_executed()",
+        "packet.instructions[:pc] = done[:pc]",
+        "packet.instructions = []",
+        "packet.instructions += extra",
+        "first, result.packet.instructions[1] = pair",
+    ],
+)
+def test_cl005_edit_of_the_instruction_view(tmp_path, statement):
+    source = f"def mark(packet, pc, done, extra, pair, result):\n    {statement}\n"
+    findings = _lint(tmp_path, "src/repro/switchsim/rogue.py", source)
+    assert _rules(findings) == ["CL005"]
+    assert "'code'" in findings[0].message
+    # The packet layer owns the representation; reads and locals are fine.
+    assert _lint(tmp_path, "src/repro/packets/rogue.py", source) == []
+    reads = (
+        "def run(packet, program):\n"
+        "    instructions = list(packet.instructions)\n"
+        "    instructions[0] = program.instructions[0]\n"
+        "    packet.executed = 1\n"
+    )
+    assert _lint(tmp_path, "src/repro/switchsim/reader.py", reads) == []
 
 
 def test_finding_str_and_formatting():

@@ -7,7 +7,14 @@ from typing import List
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.isa import INSTRUCTION_WIDTH, EncodingError, Instruction, InstructionFlags, Opcode
+from repro.isa import (
+    INSTRUCTION_WIDTH,
+    EncodingError,
+    Instruction,
+    InstructionFlags,
+    Opcode,
+    assemble,
+)
 from repro.isa.opcodes import has_operand, is_branch
 from repro.packets import (
     ACTIVE_ETHERTYPE,
@@ -62,7 +69,7 @@ def test_program_packet_round_trip():
 
 def test_shrink_omits_executed_instructions():
     packet = _program_packet()
-    packet.instructions[0] = packet.instructions[0].with_executed()
+    packet.executed = 1
     full = encode_packet(packet, shrink=False)
     shrunk = encode_packet(packet, shrink=True)
     assert len(shrunk) == len(full) - 2
@@ -75,7 +82,7 @@ def test_shrink_omits_executed_instructions():
 
 def test_no_shrink_flag_disables_shrinking():
     packet = _program_packet(flags=ControlFlags.NO_SHRINK)
-    packet.instructions[0] = packet.instructions[0].with_executed()
+    packet.executed = 1
     assert len(encode_packet(packet, shrink=True)) == len(
         encode_packet(packet, shrink=False)
     )
@@ -114,7 +121,7 @@ def test_control_packet_round_trip():
     decoded = decode_packet(encode_packet(packet))
     assert decoded.ptype == PacketType.CONTROL
     assert decoded.has_flag(ControlFlags.SNAPSHOT_COMPLETE)
-    assert decoded.instructions == []
+    assert decoded.instructions == ()
 
 
 def test_non_active_ethertype_rejected():
@@ -227,9 +234,11 @@ def test_clone_is_independent():
     packet = _program_packet()
     twin = packet.clone()
     twin.set_arg(0, 1)
-    twin.instructions.pop()
+    twin.executed = 2
+    twin.code = twin.code[:-INSTRUCTION_WIDTH]
     assert packet.get_arg(0) == 0xDEADBEEF
     assert len(packet.instructions) == 3
+    assert not any(instr.executed for instr in packet.instructions)
 
 
 @given(
@@ -403,7 +412,7 @@ def reference_decode_packet(data: bytes) -> ActivePacket:
         instructions, consumed = reference_decode_instructions(data, offset)
         offset += consumed
         packet.args = args
-        packet.instructions = instructions
+        packet.code = reference_encode_instructions(instructions)[:-INSTRUCTION_WIDTH]
     elif initial.ptype == PacketType.ALLOC_REQUEST:
         packet.request = AllocationRequestHeader.decode(data, offset)
         offset += AllocationRequestHeader.SIZE
@@ -547,3 +556,65 @@ def test_corrupted_frames_fail_like_the_reference(packet, shrink, flips):
             assert got == (HeaderError, "PROGRAM packet without argument headers")
         else:
             assert got == _outcome(reference_decode_packet, frame)
+
+
+# ----------------------------------------------------------------------
+# The program as wire words: ``code`` and ``executed``
+# ----------------------------------------------------------------------
+
+
+def test_the_instruction_view_reads_code_and_the_executed_prefix():
+    packet = _program_packet()
+    assert packet.code == bytes.fromhex("1302" "4000" "3000")
+    packet.executed = 2
+    view = packet.instructions
+    assert isinstance(view, tuple)  # read-only: the packet is its code
+    assert [instr.executed for instr in view] == [True, True, False]
+    assert view == tuple(reference_decode_packet(encode_packet(packet)).instructions)
+    assert packet.code == bytes.fromhex("1302" "4000" "3000")  # marks are on emit
+    assert encode_packet(packet)[-8:] == bytes.fromhex("1382" "4080" "3000" "0000")
+    assert encode_packet(packet, shrink=True)[-4:] == bytes.fromhex("3000" "0000")
+
+
+def test_a_program_lends_its_words_to_every_packet():
+    """Hosts build a packet per request: the words are encoded once per
+    program, and a plain list encodes to the same bytes."""
+    listing = assemble("NOP\nRETURN")
+    first, second = (
+        ActivePacket.program(src=SRC, dst=DST, fid=fid, instructions=listing)
+        for fid in (1, 2)
+    )
+    assert first.code is second.code is listing.code
+    from_list = ActivePacket.program(src=SRC, dst=DST, fid=1, instructions=list(listing))
+    assert from_list.code == listing.code == bytes.fromhex("0100" "3000")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    instructions=st.lists(_any_instruction(), max_size=20),
+    edits=st.lists(st.tuples(st.booleans(), st.integers(0, 7)), max_size=20),
+    executed=st.integers(0, 20),
+    flags=st.sampled_from([0, ControlFlags.NO_SHRINK]),
+)
+def test_marked_and_junk_words_decode_as_the_reference_does(
+    instructions, edits, executed, flags
+):
+    """Frames whose instruction words carry EXECUTED bits, and operand
+    bits on opcodes that take none, decode to the reference's packet
+    (junk made canonical in ``code``, marks kept) and, with any executed
+    prefix on top, encode to the reference's bytes, shrunk or not."""
+    packet = ActivePacket.program(
+        src=SRC, dst=DST, fid=3, flags=flags, instructions=instructions, payload=b"tail",
+    )
+    frame = bytearray(encode_packet(packet))
+    start = 24 + ArgumentHeader.SIZE
+    for at, (mark, bits) in zip(range(start + 1, start + 2 * len(instructions), 2), edits):
+        frame[at] |= bits | InstructionFlags.EXECUTED * mark
+    decoded, expected = decode_packet(bytes(frame)), reference_decode_packet(bytes(frame))
+    assert decoded == expected and repr(decoded) == repr(expected)
+    decoded.executed = expected.executed = min(executed, len(decoded.code) // 2)
+    for shrink in (False, True):
+        assert encode_packet(decoded, shrink=shrink) == reference_encode_packet(
+            expected, shrink=shrink
+        )
+    assert decoded.shrunk_size() == len(encode_packet(decoded, shrink=True))

@@ -10,11 +10,9 @@ from repro.packets import (
     EthernetHeader,
     HeaderError,
     InitialHeader,
-    Ipv4Header,
     MacAddress,
     PacketType,
     StageRegion,
-    UdpHeader,
 )
 
 
@@ -132,15 +130,3 @@ def test_ethernet_header_round_trip_and_swap():
     swapped = header.swapped()
     assert swapped.dst == header.src
     assert swapped.src == header.dst
-
-
-def test_ipv4_round_trip_and_swap():
-    header = Ipv4Header(src=0x0A000001, dst=0x0A000002)
-    assert Ipv4Header.decode(header.encode()) == header
-    assert header.swapped().src == header.dst
-
-
-def test_udp_round_trip_and_swap():
-    header = UdpHeader(src_port=4000, dst_port=5000)
-    assert UdpHeader.decode(header.encode()) == header
-    assert header.swapped().dst_port == 4000

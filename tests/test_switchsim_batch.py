@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa import Instruction, Opcode, assemble
-from repro.packets import ActivePacket, MacAddress
+from repro.packets import ActivePacket, ControlFlags, HeaderError, MacAddress
 from repro.packets.codec import encode_packet
 from repro.switchsim import (
     ActiveSwitch,
@@ -336,3 +336,93 @@ def test_suppressed_counted_in_batch():
     result = switch.receive_batch([(_program(long_program), 1)])
     assert result.suppressed == 1
     assert result.programs == 0
+
+
+# ----------------------------------------------------------------------
+# Byte counters and a packet that raises
+# ----------------------------------------------------------------------
+
+CACHE_QUERY = """
+    MAR_LOAD $2
+    MEM_READ
+    MBR_EQUALS_DATA_1
+    CRET
+    MEM_READ
+    MBR_EQUALS_DATA_2
+    CRET
+    RTS
+    MEM_READ
+    MBR_STORE $0
+    RETURN
+"""
+
+
+def _cache_switch():
+    switch = _switch()
+    for stage, word in ((2, 0xAAAA0001), (5, 0xBBBB0002), (9, 0xCAFED00D)):
+        switch.pipeline.stage(stage).table.install_grant(
+            StageGrant(fid=1, start=0, end=1024)
+        )
+        switch.pipeline.stage(stage).registers.write(17, word)
+    return switch
+
+
+def _query(flags=0):
+    return ActivePacket.program(
+        src=CLIENT, dst=SERVER, fid=1, flags=flags,
+        instructions=assemble(CACHE_QUERY), args=[0xAAAA0001, 0xBBBB0002, 17, 0],
+    )
+
+
+@pytest.mark.parametrize("door", ["receive", "receive_batch"])
+def test_tx_bytes_charge_the_frame_the_deparser_emits(door):
+    """A cache hit's eleven headers all ran, and the deparser drops
+    executed headers unless NO_SHRINK is set (Section 3.1): the 64 B
+    query leaves as a 42 B reply, and tx charges the 42."""
+    for flags, emitted in ((0, 42), (ControlFlags.NO_SHRINK, 64)):
+        switch = _cache_switch()
+        switch.receive(_query(flags), in_port=1)  # warm: built and bound
+        before = switch.port_stats[1].tx_bytes
+        if door == "receive":
+            (out,) = switch.receive(_query(flags), in_port=1)
+        else:
+            (out,) = switch.receive_batch([(_query(flags), 1)]).outputs
+        assert out.port == 1 and out.packet.wire_size() == 64
+        assert len(encode_packet(out.packet, shrink=True)) == emitted
+        assert out.packet.shrunk_size() == emitted
+        assert switch.port_stats[1].tx_bytes - before == emitted
+        assert switch.port_stats[1].rx_bytes == 2 * 64
+
+
+def test_receive_batch_keeps_what_it_handled_when_a_packet_raises():
+    """Thirteen arguments need four argument headers, one more than the
+    wire has: the third packet raises.  The control packet's digest,
+    the program's outputs and every counter survive it, as they do
+    when the same packets arrive one ``receive`` at a time."""
+
+    def arrivals():
+        return [
+            (ActivePacket.control(src=CLIENT, dst=SERVER, fid=5, flags=0), 1),
+            (_program("RTS\nRETURN"), 1),
+            (_program("NOP\nRETURN", args=list(range(13))), 1),
+        ]
+
+    scalar, batched = _switch(), _switch()
+    for packet, port in arrivals():
+        try:
+            scalar.receive(packet, port)
+        except HeaderError:
+            pass
+    with pytest.raises(HeaderError, match="too many argument headers"):
+        batched.receive_batch(arrivals())
+    assert batched.digests_pending == scalar.digests_pending == 1
+    assert [encode_packet(p) for p in batched.poll_digests()] == [
+        encode_packet(p) for p in scalar.poll_digests()
+    ]
+    assert batched.perf.packets == scalar.perf.packets == 2
+    assert batched.perf.programs == scalar.perf.programs == 1
+    assert batched.perf.digested == scalar.perf.digested == 1
+    assert batched.perf.returned == scalar.perf.returned == 1
+    assert batched.port_stats == scalar.port_stats
+    assert batched.port_stats[1].rx_packets == 3
+    assert batched.port_stats[1].tx_packets == 1

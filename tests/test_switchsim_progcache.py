@@ -13,7 +13,7 @@ import pytest
 from repro.controller import ActiveRmtController
 from repro.core import AllocationScheme
 from repro.isa import assemble
-from repro.packets import ActivePacket, MacAddress
+from repro.packets import ActivePacket, MacAddress, decode_packet, encode_packet
 from repro.switchsim import (
     ActiveSwitch,
     PacketDisposition,
@@ -95,6 +95,27 @@ def test_program_digest_ignores_executed_bit():
     fresh = list(assemble("NOP\nRETURN"))
     done = [instr.with_executed() for instr in fresh]
     assert program_digest(fresh) == program_digest(done)
+
+
+def test_built_and_decoded_packets_share_one_binding():
+    """The level-2 key is the packet's wire words with EXECUTED masked
+    out: a packet built in memory, its frame decoded, and a frame whose
+    headers arrived marked all hit the binding the first one made."""
+    pipeline = Pipeline(SwitchConfig())
+    program = assemble(CACHE_QUERY)
+    _grant_stages(pipeline, 1, (2, 5, 9))
+    built = _packet(program, args=[1, 2, 17, 0])
+    frame = encode_packet(built)
+    marked = _packet(program, args=[1, 2, 17, 0])
+    marked.executed = 4
+    arrivals = [built, decode_packet(frame), decode_packet(encode_packet(marked))]
+    assert arrivals[2].code != arrivals[1].code  # the marks travelled
+    for packet in arrivals:
+        pipeline.execute(packet)
+    stats = pipeline.program_cache.stats()
+    assert (stats["misses"], stats["hits"], stats["entries"]) == (1, 2, 1)
+    assert (stats["program_misses"], stats["programs"]) == (1, 1)
+    assert program_digest(program) == built.code
 
 
 # ----------------------------------------------------------------------

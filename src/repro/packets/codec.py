@@ -308,13 +308,8 @@ class ActivePacket:
         dropped unless ``NO_SHRINK`` is set: ``len(encode_packet(self,
         shrink=True))``, which the tx byte counters charge."""
         size = self.wire_size()
-        initial = self.initial
-        if initial.ptype == _PROGRAM and not initial.flags & _NO_SHRINK:
-            code = self.code
-            tail = code[self.executed * INSTRUCTION_WIDTH :]
-            if not tail.isascii():  # later headers arrived marked
-                tail = _unexecuted(tail)
-            size -= len(code) - len(tail)
+        if self.initial.ptype == _PROGRAM:
+            size -= len(self.code) - len(_emitted_code(self, shrink=True))
         return size
 
     def clone(self) -> "ActivePacket":
@@ -344,6 +339,19 @@ def _unexecuted(tail: bytes) -> bytes:
     return struct.pack(f">{len(kept)}H", *kept)
 
 
+def _emitted_code(packet: ActivePacket, shrink: bool) -> bytes:
+    """The instruction headers the deparser writes.  With *shrink*,
+    unless the packet sets ``NO_SHRINK``, executed headers are dropped;
+    otherwise they travel marked EXECUTED."""
+    code = packet.code
+    if shrink and not packet.initial.flags & _NO_SHRINK:
+        code = code[packet.executed * INSTRUCTION_WIDTH :]
+        if not code.isascii():  # later headers arrived marked
+            code = _unexecuted(code)
+        return code
+    return _marked(code, packet.executed)
+
+
 def encode_packet(packet: ActivePacket, shrink: bool = False) -> bytes:
     """Serialize an :class:`ActivePacket` to wire bytes.
 
@@ -366,13 +374,7 @@ def encode_packet(packet: ActivePacket, shrink: bool = False) -> bytes:
             body = _ARGS[count].pack(*args, *padding)
         except struct.error:  # a word past 32 bits travels masked
             body = _ARGS[count].pack(*[arg & 0xFFFFFFFF for arg in args], *padding)
-        if shrink and not flags & _NO_SHRINK:
-            code = packet.code[packet.executed * INSTRUCTION_WIDTH :]
-            if not code.isascii():  # later headers arrived marked
-                code = _unexecuted(code)
-        else:
-            code = _marked(packet.code, packet.executed)
-        body += code + _EOF
+        body += _emitted_code(packet, shrink) + _EOF
     elif ptype == PacketType.ALLOC_REQUEST:
         if packet.request is None:
             raise HeaderError("ALLOC_REQUEST packet without request header")

@@ -12,9 +12,14 @@ allowed to touch this address?) is the match table's job
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Sequence, Tuple
 
 from repro.switchsim.phv import u32
+
+
+#: One zero word; repeating it is how zeroed words are made (a memcpy).
+_ZERO = array("I", [0])
 
 
 class RegisterFault(Exception):
@@ -30,10 +35,13 @@ class RegisterArray:
             raise ValueError("register array must have positive size")
         self._size = size
         #: Made by the first access (:meth:`_check`), not here: a switch
-        #: holds 10 MB of words, and writing them all at construction
+        #: holds 5 MB of words, and writing them all at construction
         #: made ``ActiveSwitch()`` cost whatever page faults the heap
-        #: left behind -- a stage never granted is never touched.
-        self._cells: List[int] = []
+        #: left behind -- a stage never granted is never touched.  An
+        #: ``array`` holds no references, so the cyclic collector never
+        #: walks it; as a list, every full collection visited each word
+        #: (about 10 ms a switch).
+        self._cells = array("I")
         self._reads = 0
         self._writes = 0
 
@@ -43,7 +51,7 @@ class RegisterArray:
     def _check(self, index: int) -> None:
         if not 0 <= index < len(self._cells):
             if 0 <= index < self._size:  # the first access
-                self._cells = [0] * self._size
+                self._cells = _ZERO * self._size
                 return
             raise RegisterFault(
                 f"index {index} outside array of {self._size} words"
@@ -105,14 +113,14 @@ class RegisterArray:
             raise RegisterFault(f"bad load range [{start}, {end})")
         if start < end:
             self._check(start)
-        self._cells[start:end] = [u32(v) for v in values]
+        self._cells[start:end] = array("I", [u32(v) for v in values])
 
     def clear(self, start: int, end: int) -> None:
         """Zero ``[start, end)`` (region scrub between tenants)."""
         self._check(start)
         if not start <= end <= len(self._cells):
             raise RegisterFault(f"bad clear range [{start}, {end})")
-        self._cells[start:end] = [0] * (end - start)
+        self._cells[start:end] = _ZERO * (end - start)
 
     @property
     def stats(self) -> Tuple[int, int]:

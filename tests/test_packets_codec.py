@@ -199,6 +199,24 @@ def test_unvalidated_header_copies_equal_validated_ones(
         assert dataclasses.astuple(got) == dataclasses.astuple(want)
 
 
+def test_ethernet_headers_stay_right_past_the_memo_bound():
+    """More host pairs than the Ethernet memo holds: misses, the memo
+    starting over, then hits, each header equal to a validated one."""
+    from repro.packets import codec
+
+    pairs = codec._ETHERNET_ENTRIES + 300
+    hosts = [MacAddress.from_host_id(100 + index) for index in range(pairs)]
+    for _ in range(2):
+        for host in hosts:
+            packet = ActivePacket.program(
+                src=host, dst=DST, fid=1, instructions=[Instruction(Opcode.RETURN)]
+            )
+            eth = decode_packet(encode_packet(packet)).eth
+            assert eth == packet.eth and repr(eth) == repr(packet.eth)
+            assert len(codec._ETHERNET) <= codec._ETHERNET_ENTRIES
+    assert decode_packet(encode_packet(packet)).eth is eth  # a hit shares the header
+
+
 def test_validation_still_guards_the_constructors_and_the_wire():
     for flags in (-1, 0x10000):
         with pytest.raises(HeaderError):

@@ -104,9 +104,10 @@ class CacheClient:
 
     def bucket_for(self, key: bytes) -> int:
         """Local (client-side) hash-based bucket selection."""
-        if self.capacity == 0:
+        capacity = self.capacity
+        if capacity == 0:
             raise ValueError("cache has no allocation")
-        return zlib.crc32(key) % self.capacity
+        return zlib.crc32(key) % capacity
 
     def _bucket_address(self, key: bytes) -> int:
         bucket = self.bucket_for(key)

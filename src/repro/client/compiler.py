@@ -14,6 +14,7 @@ Given a compact active program, the compiler:
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.analysis.findings import AnalysisReport, VerifyMode
@@ -126,9 +127,10 @@ class SynthesizedProgram:
     def region_for_access(self, access_index: int) -> StageRegion:
         return self.regions[self.access_stages[access_index]]
 
-    @property
+    @functools.cached_property
     def min_region_words(self) -> int:
-        """Smallest granted region (bounds hash-table sizing)."""
+        """Smallest granted region (bounds hash-table sizing), taken once
+        per link: ``relink`` makes a new object."""
         return min(region.size for region in self.regions.values())
 
 

@@ -15,15 +15,18 @@ Packet layouts (argument slots):
   packet given the 8-slot argument budget).
 
 Stage-1 accesses use the PRELOAD flag (the compiler's "preloading"
-trick) because a ``MAR_LOAD`` cannot precede a stage-1 access.
+trick) because a ``MAR_LOAD`` cannot precede a stage-1 access.  A
+program depends only on its packet's shape, so each is built once.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import functools
+from typing import Any, Callable, List, Sequence, Tuple
 
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
+from repro.isa.program import ActiveProgram
 from repro.packets.codec import ActivePacket
 from repro.packets.ethernet import MacAddress
 from repro.packets.headers import ControlFlags
@@ -40,6 +43,8 @@ VALUE_SLOT = 0
 #: so stage results for slot 2's stage shadow the address -- we simply
 #: cap at 6 and skip slot 2).
 MULTI_READ_MAX_STAGES = 6
+#: Packet shapes whose program is kept (see :func:`_template`).
+_TEMPLATE_ENTRIES = 256
 
 
 def _pad_to_stage(instructions: List[Instruction], target_position: int) -> None:
@@ -48,20 +53,21 @@ def _pad_to_stage(instructions: List[Instruction], target_position: int) -> None
         instructions.append(Instruction(Opcode.NOP))
 
 
-def build_read_packet(
-    src: MacAddress,
-    dst: MacAddress,
-    fid: int,
-    stage: int,
-    address: int,
-    seq: int = 0,
-) -> ActivePacket:
-    """A Listing-5 style packet reading ``stage[address]``.
+@functools.lru_cache(maxsize=_TEMPLATE_ENTRIES)
+def _template(
+    listing: Callable[..., Tuple[List[Instruction], int]], *shape: Any
+) -> Tuple[ActiveProgram, int]:
+    """The program and initial-header flags of one packet shape.
 
-    The reply (RTS'd back to *src*) carries the value in slot 0.
+    A memory-sync packet differs from the next only in its headers and
+    arguments, so its program is built, and its wire words encoded,
+    once per shape.  A shape the listing refuses raises and is not kept.
     """
-    if stage < 1:
-        raise MemSyncError(f"stage {stage} out of range")
+    instructions, flags = listing(*shape)
+    return ActiveProgram(instructions, name="memsync"), flags
+
+
+def _read_listing(stage: int) -> Tuple[List[Instruction], int]:
     instructions: List[Instruction] = []
     flags = 0
     if stage == 1:
@@ -74,35 +80,10 @@ def build_read_packet(
     instructions.append(Instruction(Opcode.MBR_STORE, operand=VALUE_SLOT))
     instructions.append(Instruction(Opcode.RTS))
     instructions.append(Instruction(Opcode.RETURN))
-    packet = ActivePacket.program(
-        src=src,
-        dst=dst,
-        fid=fid,
-        instructions=instructions,
-        args=[0, 0, address, 0],
-        seq=seq,
-        flags=flags,
-    )
-    return packet
+    return instructions, flags
 
 
-def build_write_packet(
-    src: MacAddress,
-    dst: MacAddress,
-    fid: int,
-    stage: int,
-    address: int,
-    value: int,
-    seq: int = 0,
-    ack: bool = True,
-) -> ActivePacket:
-    """A Listing-6 style packet writing ``stage[address] = value``.
-
-    With *ack* (the default) the packet returns to the sender after the
-    write so the client can confirm success (Section 4.3).
-    """
-    if stage < 1:
-        raise MemSyncError(f"stage {stage} out of range")
+def _write_listing(stage: int, ack: bool) -> Tuple[List[Instruction], int]:
     instructions: List[Instruction] = []
     flags = 0
     if stage == 1:
@@ -123,32 +104,10 @@ def build_write_packet(
     if ack:
         instructions.append(Instruction(Opcode.RTS))
     instructions.append(Instruction(Opcode.RETURN))
-    return ActivePacket.program(
-        src=src,
-        dst=dst,
-        fid=fid,
-        instructions=instructions,
-        args=[value, 0, address, 0],
-        seq=seq,
-        flags=flags,
-    )
+    return instructions, flags
 
 
-def build_multi_read_packet(
-    src: MacAddress,
-    dst: MacAddress,
-    fid: int,
-    stages: Sequence[int],
-    address: int,
-    seq: int = 0,
-) -> ActivePacket:
-    """Read the same word index from several stages in one packet.
-
-    This is the bulk state-extraction primitive of Section 4.3; the
-    value read in the i-th requested stage returns in argument slot i
-    (slot 2 skipped -- it carries the address).
-    """
-    ordered = sorted(set(stages))
+def _multi_read_listing(*ordered: int) -> Tuple[List[Instruction], int]:
     if not ordered:
         raise MemSyncError("no stages requested")
     if len(ordered) > MULTI_READ_MAX_STAGES:
@@ -169,18 +128,91 @@ def build_multi_read_packet(
         # stages, so consecutive targets need a gap of >= 2.
         if instructions and len(instructions) + 1 > stage:
             raise MemSyncError(
-                f"stages {ordered} too tightly packed for one packet"
+                f"stages {list(ordered)} too tightly packed for one packet"
             )
         _pad_to_stage(instructions, stage)
         instructions.append(Instruction(Opcode.MEM_READ))
         instructions.append(Instruction(Opcode.MBR_STORE, operand=slots[index]))
     instructions.append(Instruction(Opcode.RTS))
     instructions.append(Instruction(Opcode.RETURN))
+    return instructions, flags
+
+
+def build_read_packet(
+    src: MacAddress,
+    dst: MacAddress,
+    fid: int,
+    stage: int,
+    address: int,
+    seq: int = 0,
+) -> ActivePacket:
+    """A Listing-5 style packet reading ``stage[address]``.
+
+    The reply (RTS'd back to *src*) carries the value in slot 0.
+    """
+    if stage < 1:
+        raise MemSyncError(f"stage {stage} out of range")
+    program, flags = _template(_read_listing, stage)
     return ActivePacket.program(
         src=src,
         dst=dst,
         fid=fid,
-        instructions=instructions,
+        instructions=program,
+        args=[0, 0, address, 0],
+        seq=seq,
+        flags=flags,
+    )
+
+
+def build_write_packet(
+    src: MacAddress,
+    dst: MacAddress,
+    fid: int,
+    stage: int,
+    address: int,
+    value: int,
+    seq: int = 0,
+    ack: bool = True,
+) -> ActivePacket:
+    """A Listing-6 style packet writing ``stage[address] = value``.
+
+    With *ack* (the default) the packet returns to the sender after the
+    write so the client can confirm success (Section 4.3).
+    """
+    if stage < 1:
+        raise MemSyncError(f"stage {stage} out of range")
+    program, flags = _template(_write_listing, stage, ack)
+    return ActivePacket.program(
+        src=src,
+        dst=dst,
+        fid=fid,
+        instructions=program,
+        args=[value, 0, address, 0],
+        seq=seq,
+        flags=flags,
+    )
+
+
+def build_multi_read_packet(
+    src: MacAddress,
+    dst: MacAddress,
+    fid: int,
+    stages: Sequence[int],
+    address: int,
+    seq: int = 0,
+) -> ActivePacket:
+    """Read the same word index from several stages in one packet.
+
+    This is the bulk state-extraction primitive of Section 4.3; the
+    value read in the i-th requested stage returns in argument slot i
+    (slot 2 skipped -- it carries the address).
+    """
+    program, flags = _template(_multi_read_listing, *sorted(set(stages)))
+    return ActivePacket.program(
+        src=src,
+        dst=dst,
+        fid=fid,
+        instructions=program,
         args=[0, 0, address, 0, 0, 0, 0, 0],
         seq=seq,
         flags=flags,

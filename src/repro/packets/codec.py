@@ -150,7 +150,8 @@ class ActivePacket:
         """Build an active-program packet.
 
         An :class:`~repro.isa.program.ActiveProgram` lends its wire
-        words, encoded once per program; a plain sequence is encoded.
+        words, encoded once per program; a plain sequence is encoded,
+        and an empty one (a server reply, an unactivated request) is not.
         """
         arg_fields = list(args) if args is not None else [0, 0, 0, 0]
         if len(arg_fields) % ArgumentHeader.FIELDS:
@@ -165,7 +166,7 @@ class ActivePacket:
             code=(
                 instructions.code
                 if isinstance(instructions, ActiveProgram)
-                else encode_words(instructions)
+                else encode_words(instructions) if instructions else b""
             ),
             payload=payload,
         )

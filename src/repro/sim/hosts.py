@@ -203,12 +203,11 @@ class CacheClientHost(Host):
             limit = min(limit, self.populate_limit)
         ranked = list(self.populate_source(limit))
         # One object per bucket: keep the most popular key that hashes
-        # there (Section 3.4's collision rule); *ranked* is best-first.
-        winners = {}
-        for key in ranked:
-            bucket = self.cache.bucket_for(key)
-            winners.setdefault(bucket, key)
-        items = [key for key in ranked if winners[self.cache.bucket_for(key)] == key]
+        # there (Section 3.4's collision rule); *ranked* is best-first,
+        # so walked in reverse its best key per bucket is written last.
+        pairs = [(key, self.cache.bucket_for(key)) for key in ranked]
+        winners = {bucket: key for key, bucket in reversed(pairs)}
+        items = [key for key, bucket in pairs if winners[bucket] == key]
         if not items:
             return
         # Chunks double in size: 1/15, 2/15, 4/15, 8/15 of the items.

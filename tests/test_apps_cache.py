@@ -1,12 +1,14 @@
 """End-to-end tests for the in-network cache service."""
 
+import zlib
+
 import pytest
 
 from repro.apps import CacheClient, cache_pattern, cache_query_program
 from repro.apps.cache import key_words
 from repro.client import ClientShim
 from repro.controller import ActiveRmtController
-from repro.packets import MacAddress
+from repro.packets import AllocationResponseHeader, MacAddress, StageRegion
 from repro.switchsim import ActiveSwitch
 
 CLIENT = MacAddress.from_host_id(1)
@@ -86,6 +88,24 @@ def test_capacity_tracks_allocation(stack):
     _switch, _controller, cache, _shim = stack
     # Whole-stage allocation: 256 blocks x 256 words.
     assert cache.capacity == 65536
+
+
+def test_capacity_follows_a_relink_to_smaller_regions(stack):
+    """The capacity is taken once per link, so a relink must not leave
+    ``capacity`` or ``bucket_for`` on the old regions."""
+    _switch, _controller, cache, shim = stack
+    before = cache.synthesized
+    key = b"objkey01"
+    assert cache.bucket_for(key) == zlib.crc32(key) % 65536
+    smaller = AllocationResponseHeader.from_map(
+        {stage: StageRegion(4096, 4096 + 1000) for stage in before.regions}
+    )
+    cache.attach(shim.compiler.relink(before, smaller))
+    assert cache.capacity == 1000
+    assert cache.bucket_for(key) == zlib.crc32(key) % 1000
+    assert before.min_region_words == 65536  # the old link keeps its own
+    address = cache.query_packet(key).get_arg(2)
+    assert 4096 <= address < 4096 + 1000
 
 
 def test_hit_rate_statistics(stack):

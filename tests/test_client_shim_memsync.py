@@ -1,6 +1,8 @@
 """Integration tests: shim state machine and memory-sync primitives
 running against a real switch + controller."""
 
+import itertools
+
 import pytest
 
 from repro.client import (
@@ -12,13 +14,15 @@ from repro.client import (
     build_write_packet,
     extract_read_value,
 )
-from repro.client.memsync import MemSyncError, multi_read_slots
+from repro.client.memsync import MemSyncError, _template, multi_read_slots
 from repro.controller import ActiveRmtController
 from repro.isa import assemble
-from repro.packets import ControlFlags, MacAddress
-from repro.switchsim import ActiveSwitch, StageGrant
+from repro.packets import ControlFlags, MacAddress, encode_packet
+from repro.switchsim import ActiveSwitch, StageGrant, SwitchConfig
 
+from tests.oracles import memsync as oracle
 from tests.test_core_constraints import LISTING_1
+from tests.test_switchsim_codegen import _python_calls
 
 CLIENT = MacAddress.from_host_id(1)
 SERVER = MacAddress.from_host_id(2)
@@ -214,3 +218,71 @@ def test_deallocate_goes_idle():
     packet = shim.deallocate()
     assert packet.has_flag(ControlFlags.DEALLOCATE)
     assert shim.state is ShimState.IDLE
+
+
+# ----------------------------------------------------------------------
+# Templates: one program per packet shape, checked against the oracle
+# ----------------------------------------------------------------------
+
+
+def _built_alike(new, old, **kwargs):
+    """Both builders' packets for *kwargs*, or both refusals, must agree."""
+    try:
+        expected = old(src=CLIENT, dst=SERVER, fid=3, address=77, seq=5, **kwargs)
+    except MemSyncError as refusal:
+        kept = _template.cache_info().currsize
+        with pytest.raises(MemSyncError) as raised:
+            new(src=CLIENT, dst=SERVER, fid=3, address=77, seq=5, **kwargs)
+        assert str(raised.value) == str(refusal)
+        assert _template.cache_info().currsize == kept  # never cached
+        return
+    for _ in range(2):  # the template's miss, then its hit
+        packet = new(src=CLIENT, dst=SERVER, fid=3, address=77, seq=5, **kwargs)
+        assert encode_packet(packet) == encode_packet(expected)
+        assert (packet.code, packet.args, packet.initial, packet.eth) == (
+            expected.code, expected.args, expected.initial, expected.eth,
+        )
+
+
+@pytest.mark.parametrize("ack", [True, False])
+def test_writes_and_reads_match_the_parent_builders(ack):
+    for stage in range(-1, 2 * SwitchConfig().num_stages + 1):
+        _built_alike(
+            build_write_packet, oracle.build_write_packet,
+            stage=stage, value=0xBEEF, ack=ack,
+        )
+        _built_alike(build_read_packet, oracle.build_read_packet, stage=stage)
+
+
+def test_multi_reads_match_the_parent_builder():
+    for size in range(4):
+        for stages in itertools.combinations(range(1, 13), size):
+            for order in (stages, stages[::-1] + stages[:1]):  # unsorted, repeated
+                _built_alike(
+                    build_multi_read_packet, oracle.build_multi_read_packet,
+                    stages=order,
+                )
+    _built_alike(
+        build_multi_read_packet, oracle.build_multi_read_packet,
+        stages=range(1, 24, 3),
+    )
+
+
+def test_python_calls_per_warm_write_packet():
+    """One stage-9 populate write with its template warm.
+
+    Measured: **8** Python-level calls (the builder,
+    ``ActivePacket.program``, ``EthernetHeader`` and ``InitialHeader``
+    with their checks, ``ActivePacket()``); the template memo is C.
+    Rebuilding and encoding the NOP-padded ``Instruction`` list per
+    packet took **46**.  A per-packet ``Instruction`` fails here.
+    """
+    measured, parent = 8, 46
+
+    def write():
+        build_write_packet(src=CLIENT, dst=SERVER, fid=1, stage=9, address=7, value=42)
+
+    write()
+    calls = _python_calls(write)
+    assert calls <= 15
+    assert calls <= measured * 1.2 < parent

@@ -594,6 +594,18 @@ def test_the_instruction_view_reads_code_and_the_executed_prefix():
     assert encode_packet(packet, shrink=True)[-4:] == bytes.fromhex("3000" "0000")
 
 
+def test_the_instruction_view_cannot_be_written():
+    """The runtime keeps the view read-only: no setter, and a tuple."""
+    packet = _program_packet()
+    with pytest.raises(AttributeError):
+        packet.instructions = [Instruction(Opcode.RETURN)]
+    with pytest.raises(TypeError):
+        packet.instructions[0] = Instruction(Opcode.RETURN)
+    with pytest.raises(TypeError):
+        packet.instructions[:2] = ()
+    assert packet.code == bytes.fromhex("1302" "4000" "3000")
+
+
 def test_a_program_lends_its_words_to_every_packet():
     """Hosts build a packet per request: the words are encoded once per
     program, and a plain list encodes to the same bytes."""
@@ -605,6 +617,10 @@ def test_a_program_lends_its_words_to_every_packet():
     assert first.code is second.code is listing.code
     from_list = ActivePacket.program(src=SRC, dst=DST, fid=1, instructions=list(listing))
     assert from_list.code == listing.code == bytes.fromhex("0100" "3000")
+    # A server reply carries no program: nothing to encode.
+    empty = ActivePacket.program(src=SRC, dst=DST, fid=1, instructions=[], args=[])
+    assert empty.code == b"" and empty.instructions == ()
+    assert decode_packet(encode_packet(empty)).code == b""
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

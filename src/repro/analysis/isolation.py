@@ -62,19 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime import
 WordRegions = Mapping[int, Tuple[int, int]]
 
 
-def _pow2_mask(words: int) -> int:
-    """Mask mapping a 32-bit hash into a region of *words* entries.
-
-    Uses the largest power-of-two prefix of the region so masked
-    addresses always stay inside it (non-power-of-two remainders are
-    unreachable by hashed addressing, but remain usable by direct
-    addressing).
-    """
-    if words <= 0:
-        return 0
-    return (1 << (words.bit_length() - 1)) - 1
-
-
 def implied_bounds(
     regions: WordRegions,
     translation_window: int = DEFAULT_TRANSLATION_WINDOW,
@@ -90,15 +77,23 @@ def implied_bounds(
     that stage's ``(mask, offset)`` pair, and where windows overlap the
     nearest upcoming access wins (regions are visited in descending
     stage order, so a nearer one overwrites).
+
+    A mask maps a 32-bit hash into the largest power-of-two prefix of
+    its region, so masked addresses always stay inside it (a
+    non-power-of-two remainder is unreachable by hashed addressing but
+    usable by direct addressing); an empty region's mask is 0.
     """
     grants: Dict[int, Tuple[int, int, int]] = {}
     translations: Dict[int, Tuple[int, int]] = {}
     for stage in sorted(regions, reverse=True):
         start, end = regions[stage]
-        mask = _pow2_mask(end - start)
+        words = end - start
+        mask = (1 << (words.bit_length() - 1)) - 1 if words > 0 else 0
         grants[stage] = (start, end, mask)
-        for prior in range(max(1, stage - translation_window), stage):
-            translations[prior] = (mask, start)
+        pair = (mask, start)
+        first = stage - translation_window
+        for prior in range(first if first > 1 else 1, stage):
+            translations[prior] = pair
     return grants, translations
 
 

@@ -732,7 +732,11 @@ class ActiveRmtController:
     def _record_report(
         self, report: ProvisioningReport, outcome: str
     ) -> ProvisioningReport:
-        """Keep *report* in :attr:`reports` and publish its outcome."""
+        """Keep *report* in :attr:`reports` and publish its outcome.  A
+        kept plan gives up its layouts (a member a rollback pre-empted is
+        still pending, and holds them)."""
+        if report.plan is not None:
+            report.plan.layouts = None
         self.reports.append(report)
         self._record_admission(report, outcome)
         return report
@@ -1000,31 +1004,43 @@ class ActiveRmtController:
 
         *fid* goes from regions *old* to *new* -- an arrival comes from
         none, a departure goes to none -- and *reallocations* is what
-        that does to its neighbours (each one's old map puts back the
-        ``old`` halves of its row).  The engine applies it as one staged
-        batch under one *journal* record.  Returns the modeled seconds.
-        A neighbour's maps cover only the stages within the translation
-        window of a changed one: a grant depends on its own stage and a
-        translation at stage p on the grants in (p, p + window] alone,
-        so the writes, their order and their seconds are the full maps'.
+        that does to its neighbours (a changed stage's row holds both
+        halves; an unchanged stage is read from its pool's layout, once
+        per stage).  The engine applies it as one staged batch under one
+        *journal* record.  Returns the modeled seconds.  A neighbour's
+        maps cover only the stages within the translation window of a
+        changed one: a grant depends on its own stage and a translation
+        at stage p on the grants in (p, p + window] alone, so the writes,
+        their order and their seconds are the full maps'.
         """
         window = TableUpdateEngine.TRANSLATION_WINDOW
         pools, apps = self.allocator.pools, self.allocator.apps
+        layouts: Dict[int, Mapping[int, BlockRange]] = {}
         moves: List[Move] = []
         for other in sorted(reallocations):
             changes = reallocations[other]
-            near = {s for c in changes for s in range(c - window, c + window + 1)}
+            before: Dict[int, BlockRange] = {}
             after: Dict[int, BlockRange] = {}
             for stage in apps[other].demand_by_stage:
-                block_range = pools[stage].range_for(other) if stage in near else None
-                if block_range is not None and block_range.count > 0:
-                    after[stage] = block_range
-            before = dict(after)
-            for stage, (block_range, _now) in changes.items():
-                if block_range is not None and block_range.count > 0:
-                    before[stage] = block_range
+                change = changes.get(stage)
+                if change is not None:
+                    was, now = change
+                    if was is not None and was.count > 0:
+                        before[stage] = was
+                    if now is not None and now.count > 0:
+                        after[stage] = now
+                    continue
+                for changed in changes:
+                    if changed - window <= stage <= changed + window:
+                        break
                 else:
-                    before.pop(stage, None)
+                    continue  # outside every changed stage's window
+                layout = layouts.get(stage)
+                if layout is None:
+                    layout = layouts[stage] = pools[stage].layout()
+                block_range = layout.get(other)
+                if block_range is not None and block_range.count > 0:
+                    before[stage] = after[stage] = block_range
             moves.append((other, before, after))
         return self.updater.apply_layout(
             fid, old, new, self.device.config.block_words, journal, ctx, moves, scrub=True

@@ -144,9 +144,18 @@ class _LayoutBatch:
     the cycle would leave a register snapshot for the collector."""
 
     def __init__(self, tables: Any, block_words: int, window: int, cost: TableUpdateCost) -> None:
-        self.tables, self.block_words, self.window, self.cost = tables, block_words, window, cost
+        self.tables, self.block_words, self.window = tables, block_words, window
+        self.install_s, self.remove_s = cost.install_entry_seconds, cost.remove_entry_seconds
+        self.activation_s = cost.activation_seconds
+        # Bound once per change, not once per write.
+        self.flush = tables.invalidate_program_cache
+        self.install_translation = tables.install_translation
+        self.remove_translation = tables.remove_translation
+        self.install_grant, self.remove_grant = tables.install_grant, tables.remove_grant
         self.groups: List[Union[_Flips, _Scrub, _Delta]] = []
         self.calls: List[List[Op]] = []
+        #: Device writes staged: every call but the groups' reads.
+        self.writes = 0
         #: Where the forward pass stopped: the groups it entered, and the
         #: calls it started in the last one (the one in flight included).
         self.reached = self.done = 0
@@ -159,8 +168,9 @@ class _LayoutBatch:
             self.groups.append(group)
             read = (group.read_held, (), OTHER)
             self.calls.append([read] + [(flip, (fid,), OTHER) for fid in fids])
+            self.writes += len(fids)
         for _ in fids:
-            seconds += self.cost.activation_seconds
+            seconds += self.activation_s
         return seconds
 
     def scrub(self, stage: int, block_range: BlockRange) -> None:
@@ -169,11 +179,7 @@ class _LayoutBatch:
         self.groups.append(group)
         scrub = (self.tables.scrub_registers, (stage, words.start, words.end), OTHER)
         self.calls.append([(group.snapshot, (), OTHER), scrub])
-
-    def _implied(self, regions: Mapping[int, BlockRange]) -> Tuple[Dict, Dict]:
-        words = self.block_words
-        bounds = {s: (r.start * words, (r.start + r.count) * words) for s, r in regions.items()}
-        return implied_bounds(bounds, self.window)
+        self.writes += 1
 
     def delta(
         self, fid: int, old: Mapping[int, BlockRange], new: Mapping[int, BlockRange]
@@ -181,39 +187,54 @@ class _LayoutBatch:
         """Stage *fid*'s writes from what *old* implies to what *new*
         implies; returns their modeled seconds, charged entry by entry
         (an in-place change as one install).  An unchanged FID stages
-        nothing, not even its cache flush."""
-        tables, cost = self.tables, self.cost
-        old_grants, old_pairs = self._implied(old)
-        new_grants, new_pairs = self._implied(new)
+        nothing, not even its cache flush.  Each write is built here
+        beside its undo entry; the undo's makers are :func:`_translation_op`
+        and :func:`_grant_op`, which build the same calls."""
+        tables, words, window = self.tables, self.block_words, self.window
+        install_s, remove_s = self.install_s, self.remove_s
+        # Word maps by loop: before Python 3.12 a comprehension is a call.
+        old_words: Dict[int, Tuple[int, int]] = {}
+        for stage, r in old.items():
+            old_words[stage] = (r.start * words, (r.start + r.count) * words)
+        new_words: Dict[int, Tuple[int, int]] = {}
+        for stage, r in new.items():
+            new_words[stage] = (r.start * words, (r.start + r.count) * words)
+        old_grants, old_pairs = implied_bounds(old_words, window)
+        new_grants, new_pairs = implied_bounds(new_words, window)
         # New decode state makes any cached schedule for this FID stale;
         # flush eagerly (the version stamps would also catch it, but
         # eager flushes keep the cache from serving dead entries).
-        ops: List[Op] = [(tables.invalidate_program_cache, (fid,), OTHER)]
+        ops: List[Op] = [(self.flush, (fid,), OTHER)]
         writes: List[Tuple[Any, ...]] = []
         seconds = 0.0
         # Translations before grants, each in ascending stage order.
-        for op_for, befores, afters in (
-            (_translation_op, old_pairs, new_pairs),
-            (_grant_op, old_grants, new_grants),
-        ):
-            for stage in sorted(befores.keys() | afters.keys()):
-                before, after = befores.get(stage), afters.get(stage)
-                if before != after:
-                    ops.append(op_for(tables, stage, fid, after))
-                    writes.append((op_for, stage, before))
-                    if after is None:
-                        seconds += cost.remove_entry_seconds
-                    else:
-                        seconds += cost.install_entry_seconds
+        for stage in sorted(old_pairs.keys() | new_pairs.keys()):
+            before, after = old_pairs.get(stage), new_pairs.get(stage)
+            if before != after:
+                if after is None:
+                    ops.append((self.remove_translation, (stage, fid), REMOVED))
+                    seconds += remove_s
+                else:
+                    ops.append((self.install_translation, (stage, fid, *after), INSTALLED))
+                    seconds += install_s
+                writes.append((_translation_op, stage, before))
+        for stage in sorted(old_grants.keys() | new_grants.keys()):
+            before, after = old_grants.get(stage), new_grants.get(stage)
+            if before != after:
+                if after is None:
+                    ops.append((self.remove_grant, (stage, fid), REMOVED))
+                    seconds += remove_s
+                else:
+                    start, end, mask = after
+                    grant = StageGrant(fid, start, end, mask, start)
+                    ops.append((self.install_grant, (stage, grant), INSTALLED))
+                    seconds += install_s
+                writes.append((_grant_op, stage, before))
         if writes:
             self.groups.append(_Delta(tables, fid, writes))
             self.calls.append(ops)
+            self.writes += len(ops)
         return seconds
-
-    @property
-    def writes(self) -> int:
-        """Device writes staged: every call but the groups' reads."""
-        return sum(len(calls) - group.reads for group, calls in zip(self.groups, self.calls))
 
     def started(self, index: int) -> int:
         """Calls of reached group *index* the forward pass started."""
@@ -359,7 +380,7 @@ class TableUpdateEngine:
         if journal is not None:
             journal.record(f"layout fid={fid}", batch.undo)
         reached = done = 0
-        retry, tally = self.retry, [0, 0, 0]
+        tally = [0, 0, 0]
         with self.tracer.span(
             "tables.apply_layout",
             parent=ctx,
@@ -368,13 +389,17 @@ class TableUpdateEngine:
             writes=batch.writes,
         ) as span:
             try:
-                for reached, calls in enumerate(batch.calls, 1):
-                    for done, (method, args, slot) in enumerate(calls, 1):
-                        if retry is None:
+                # One loop per retry rule, so no call tests it.
+                if self.retry is None:
+                    for reached, calls in enumerate(batch.calls, 1):
+                        for done, (method, args, slot) in enumerate(calls, 1):
                             method(*args)
-                        else:
+                            tally[slot] += 1
+                else:
+                    for reached, calls in enumerate(batch.calls, 1):
+                        for done, (method, args, slot) in enumerate(calls, 1):
                             self._retried(method, args)
-                        tally[slot] += 1
+                            tally[slot] += 1
             finally:
                 # The call in flight is started (the undo covers it) but
                 # not applied (the tally skips it).

@@ -223,6 +223,7 @@ class ActiveRmtAllocator:
             assign_seconds=assign_seconds,
             basis_version=self._version,
             planned_arrival=planned_arrival,
+            layouts=after,
         )
 
     def commit(
@@ -296,8 +297,11 @@ class ActiveRmtAllocator:
         self._arrival_counter += 1
         arrival = self._arrival_counter
         assert arrival == plan.planned_arrival
+        # The validated basis is the one the shadow laid out against, so
+        # its layouts are these pools' next ones; the plan gives them up.
+        layouts, plan.layouts = plan.layouts or {}, None
         for stage, demand in plan.demand_by_stage.items():
-            self.pools[stage].add(plan.fid, demand, arrival)
+            self.pools[stage].add(plan.fid, demand, arrival, layouts.get(stage))
         self.apps[plan.fid] = AppRecord(
             fid=plan.fid,
             pattern=plan.pattern,
@@ -361,6 +365,7 @@ class ActiveRmtAllocator:
                 f"plan for fid {plan.fid} is committed; use rollback()"
             )
         plan.state = PlanState.ABORTED
+        plan.layouts = None
 
     def rollback(
         self,
@@ -575,19 +580,27 @@ class ActiveRmtAllocator:
         before: Mapping[int, Mapping[int, BlockRange]],
         after: Mapping[int, Mapping[int, BlockRange]],
     ) -> Tuple[Dict[int, BlockRange], ReallocationMap]:
+        """*new_fid*'s regions in *after*, and every other FID's ranges
+        that differ between the two, stage by stage in *after*'s order."""
         regions: Dict[int, BlockRange] = {}
         reallocations: ReallocationMap = {}
-        for stage in after:
+        for stage, new_layout in after.items():
             old_layout = before.get(stage, {})
-            new_layout = after[stage]
-            fids = set(old_layout) | set(new_layout)
-            for fid in fids:
-                old = old_layout.get(fid)
-                new = new_layout.get(fid)
+            kept = 0
+            for fid, new in new_layout.items():
                 if fid == new_fid:
-                    if new is not None:
-                        regions[stage] = new
+                    regions[stage] = new
                     continue
-                if old != new:
+                old = old_layout.get(fid)
+                if old is None:
+                    reallocations.setdefault(fid, {})[stage] = (None, new)
+                    continue
+                kept += 1
+                if old.start != new.start or old.count != new.count:
                     reallocations.setdefault(fid, {})[stage] = (old, new)
+            # Walk the old layout only when some FID other than new_fid left it.
+            if kept + (new_fid in old_layout) < len(old_layout):
+                for fid, old in old_layout.items():
+                    if fid != new_fid and fid not in new_layout:
+                        reallocations.setdefault(fid, {})[stage] = (old, None)
         return regions, reallocations

@@ -70,8 +70,19 @@ class StagePool:
     # Membership
     # ------------------------------------------------------------------
 
-    def add(self, fid: int, demand: Optional[int], arrival: int) -> None:
-        """Admit *fid* with a block demand (None = elastic)."""
+    def add(
+        self,
+        fid: int,
+        demand: Optional[int],
+        arrival: int,
+        layout: Optional[Mapping[int, BlockRange]] = None,
+    ) -> None:
+        """Admit *fid* with a block demand (None = elastic).
+
+        *layout*, when given, is this pool's :meth:`layout` with *fid*
+        admitted -- the one a plan's shadow clone already computed --
+        and is kept instead of being laid out again.
+        """
         if fid in self._residents:
             raise ValueError(f"fid {fid} already resident in stage")
         resident = _Resident(
@@ -79,7 +90,7 @@ class StagePool:
         )
         self._residents[fid] = resident
         self._tally(resident, 1)
-        self._layout_cache = None
+        self._layout_cache = layout
 
     def remove(self, fid: int) -> None:
         resident = self._residents.pop(fid, None)

@@ -179,6 +179,13 @@ class AllocationPlan:
     basis_version: int = 0
     planned_arrival: int = 0
     state: PlanState = PlanState.PENDING
+    #: Each touched stage's layout with the plan applied, as its shadow
+    #: pool computed it: the commit adopts these instead of laying the
+    #: pools out again, and the plan gives them up once applied or
+    #: aborted, so a kept plan holds none.
+    layouts: Optional[Dict[int, Mapping[int, BlockRange]]] = dataclasses.field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def total_seconds(self) -> float:

@@ -22,6 +22,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    NoReturn,
     Optional,
     Sequence,
     Tuple,
@@ -45,11 +46,26 @@ def _next_device_id() -> str:
     return f"sw{next(_device_ids)}"
 
 
+class _ByStage(dict):
+    """A per-stage map keyed 1..N whose miss is the caller's bad stage
+    number: ``Pipeline.stage`` indexes a list, so stage 0 would wrap to
+    the last stage and -1 to the one before it."""
+
+    def __missing__(self, stage: int) -> NoReturn:
+        raise IndexError(f"no stage {stage}: physical stages are 1..{len(self)}")
+
+
 class PipelineTables:
-    """:class:`DeviceTables` over a bare simulated pipeline."""
+    """:class:`DeviceTables` over a bare simulated pipeline.
+
+    A pipeline's stages are never replaced, so each stage's table is
+    bound once here; stage numbers come from callers, and one outside
+    1..N raises :class:`IndexError`.
+    """
 
     def __init__(self, pipeline: Pipeline) -> None:
         self.pipeline = pipeline
+        self._tables = _ByStage((stage.index, stage.table) for stage in pipeline.stages)
 
     @property
     def num_stages(self) -> int:
@@ -58,39 +74,37 @@ class PipelineTables:
     # -- protection grants ------------------------------------------------
 
     def install_grant(self, stage: int, grant: StageGrant) -> None:
-        self.pipeline.stage(stage).table.install_grant(grant)
+        self._tables[stage].install_grant(grant)
 
     def grant_for(self, stage: int, fid: int) -> Optional[StageGrant]:
-        return self.pipeline.stage(stage).table.grant_for(fid)
+        return self._tables[stage].grant_for(fid)
 
     def remove_grant(self, stage: int, fid: int) -> Optional[StageGrant]:
-        return self.pipeline.stage(stage).table.remove_grant(fid)
+        return self._tables[stage].remove_grant(fid)
 
     # -- address translations ---------------------------------------------
 
     def install_translation(
         self, stage: int, fid: int, mask: int, offset: int
     ) -> None:
-        self.pipeline.stage(stage).table.install_translation(
-            fid, mask=mask, offset=offset
-        )
+        self._tables[stage].install_translation(fid, mask, offset)
 
     def translation_for(self, stage: int, fid: int) -> Optional[Tuple[int, int]]:
-        return self.pipeline.stage(stage).table.translation_for(fid)
+        return self._tables[stage].translation_for(fid)
 
     def remove_translation(self, stage: int, fid: int) -> bool:
-        return self.pipeline.stage(stage).table.remove_translation(fid)
+        return self._tables[stage].remove_translation(fid)
 
     # -- audit surface -----------------------------------------------------
 
     def stage_fids(self, stage: int) -> List[int]:
-        return self.pipeline.stage(stage).table.fids
+        return self._tables[stage].fids
 
     def stage_translation_fids(self, stage: int) -> List[int]:
-        return self.pipeline.stage(stage).table.translation_fids
+        return self._tables[stage].translation_fids
 
     def stage_tcam(self, stage: int) -> Tuple[int, int]:
-        table = self.pipeline.stage(stage).table
+        table = self._tables[stage]
         return table.tcam_used, table.tcam_capacity
 
     # -- activation and caches --------------------------------------------
@@ -122,6 +136,9 @@ class SimDevice(PipelineTables):
         self, switch: ActiveSwitch, device_id: Optional[str] = None
     ) -> None:
         super().__init__(switch.pipeline)
+        self._registers = _ByStage(
+            (stage.index, stage.registers) for stage in switch.pipeline.stages
+        )
         self.switch = switch
         self._device_id = device_id if device_id is not None else _next_device_id()
 
@@ -155,15 +172,15 @@ class SimDevice(PipelineTables):
     # -- register memory (control plane) ----------------------------------
 
     def read_registers(self, stage: int, start: int, end: int) -> List[int]:
-        return self.pipeline.stage(stage).registers.snapshot(start, end)
+        return self._registers[stage].snapshot(start, end)
 
     def write_registers(
         self, stage: int, start: int, values: Sequence[int]
     ) -> None:
-        self.pipeline.stage(stage).registers.load(start, values)
+        self._registers[stage].load(start, values)
 
     def scrub_registers(self, stage: int, start: int, end: int) -> None:
-        self.pipeline.stage(stage).registers.clear(start, end)
+        self._registers[stage].clear(start, end)
 
     # -- digest channel and injection -------------------------------------
 

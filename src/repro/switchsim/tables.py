@@ -121,8 +121,9 @@ class StageTable:
             TcamCapacityError: if the stage TCAM cannot hold the range.
         """
         previous = self._grants.get(grant.fid)
-        freed = previous.tcam_cost() if previous else 0
-        needed = grant.tcam_cost()
+        # tcam_cost() without its two calls: an empty range has no prefixes.
+        freed = _prefix_count(previous.start, previous.end) if previous else 0
+        needed = _prefix_count(grant.start, grant.end)
         if self._tcam_used - freed + needed > self._tcam_capacity:
             raise TcamCapacityError(
                 f"stage TCAM exhausted ({self._tcam_used - freed} + {needed} "

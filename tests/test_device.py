@@ -135,6 +135,30 @@ def test_activation_delegates():
     assert device.is_active(9)
 
 
+@pytest.mark.parametrize("stage", [0, -1, 21])
+def test_a_stage_outside_the_pipeline_is_refused_not_wrapped(stage):
+    """Stages are 1-indexed: stage 0 used to land in stage 20 and -1 in
+    stage 19, because ``Pipeline.stage`` indexes a list."""
+    device, switch = _device()
+    grant = StageGrant(fid=7, start=0, end=32, mask=0x1F, offset=0)
+    calls = [
+        lambda: device.install_grant(stage, grant),
+        lambda: device.install_translation(stage, 7, mask=0x1F, offset=0),
+        lambda: device.grant_for(stage, 7),
+        lambda: device.remove_grant(stage, 7),
+        lambda: device.stage_tcam(stage),
+        lambda: device.write_registers(stage, 0, [5]),
+        lambda: device.scrub_registers(stage, 0, 1),
+    ]
+    for call in calls:
+        with pytest.raises(IndexError, match=f"stage {stage}"):
+            call()
+    for index in range(1, switch.config.num_stages + 1):
+        assert switch.pipeline.stage(index).table.fids == []
+        assert switch.pipeline.stage(index).table.translation_fids == []
+        assert switch.pipeline.stage(index).registers.snapshot(0, 1) == [0]
+
+
 # ----------------------------------------------------------------------
 # Delegation: register memory
 # ----------------------------------------------------------------------

@@ -178,10 +178,10 @@ def test_transient_fault_raises_before_applying():
         telemetry=MetricsRegistry(),
     )
     controller = ActiveRmtController(device)
-    grant_calls_before = device.inner.stage_fids(0)
+    grant_calls_before = device.inner.stage_fids(1)
     with pytest.raises(TransientDeviceError):
-        device.install_grant(0, _probe_grant(controller))
-    assert device.inner.stage_fids(0) == grant_calls_before
+        device.install_grant(1, _probe_grant(controller))
+    assert device.inner.stage_fids(1) == grant_calls_before
     assert device.injected == {"transient": 1}
 
 
@@ -193,10 +193,10 @@ def test_partial_fault_applies_then_raises():
     controller = ActiveRmtController(device)
     grant = _probe_grant(controller)
     with pytest.raises(TransientDeviceError):
-        device.install_grant(0, grant)
+        device.install_grant(1, grant)
     # The op landed despite the error: that is the ambiguity retries heal.
-    assert device.inner.grant_for(0, grant.fid) == grant
-    device.install_grant(0, grant)  # idempotent retry succeeds
+    assert device.inner.grant_for(1, grant.fid) == grant
+    device.install_grant(1, grant)  # idempotent retry succeeds
 
 
 def test_delay_fault_sleeps_through_injected_clock():
@@ -208,7 +208,7 @@ def test_delay_fault_sleeps_through_injected_clock():
     )
     device.plan.delay_s = 0.25
     controller = ActiveRmtController(device)
-    device.install_grant(0, _probe_grant(controller))
+    device.install_grant(1, _probe_grant(controller))
     assert sleeps == [0.25]
 
 

@@ -3,176 +3,31 @@
 ``TableUpdateEngine.apply_layout`` runs a whole layout change -- the
 displaced FIDs' activation sets, every FID's entry delta, the newcomer's
 scrubs -- as one ordered list of device calls under one journal record.
-The reference below is the engine it replaced, kept verbatim in spirit:
-one journaled ``apply_delta`` per FID, one ``set_active`` record per
-activation set and one record per scrub, each forward call wrapped in
-its own closure.  Both are driven through an inline admission service
-by the same Hypothesis streams of admissions, withdrawals, batches and
-scripted transient / partial device faults on a starved TCAM, and must
-agree exactly: every device call, forward and undo (reads included), the
-applied-entry and healed-retry counters, and the modeled seconds.
+The reference is the engine it replaced, kept in
+:mod:`tests.oracles.layout`: one journaled ``apply_delta`` per FID, one
+``set_active`` record per activation set and one record per scrub, each
+forward call wrapped in its own closure.  Both are driven through an
+inline admission service by the same Hypothesis streams of admissions,
+withdrawals, batches and scripted transient / partial device faults on
+a starved TCAM, and must agree exactly: every device call, forward and
+undo (reads included), the applied-entry and healed-retry counters, and
+the modeled seconds.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.isolation import implied_entries
 from repro.controller import ActiveRmtController, AdmissionService, ProvisioningRequest
-from repro.controller.table_updater import TableUpdateEngine
 from repro.device import SimDevice
 from repro.experiments.common import exemplar_patterns
-from repro.faults import FaultKind, FaultyDevice, RetryPolicy, call_with_retries
+from repro.faults import FaultKind, FaultyDevice, RetryPolicy
 from repro.switchsim import ActiveSwitch, SwitchConfig
 
+from tests.oracles.layout import PerNeighbourController
 from tests.test_faults import ScriptedPlan
 
 PATTERNS = exemplar_patterns()
 RETRY = RetryPolicy(max_attempts=3, base_s=1e-9, cap_s=1e-8)
-
-
-# ----------------------------------------------------------------------
-# The reference: one engine round-trip per FID, as before batching
-# ----------------------------------------------------------------------
-
-
-def _guarded(engine, op):
-    if engine.retry is None:
-        return op()
-    before = engine.retries_attempted
-    result = call_with_retries(
-        op,
-        engine.retry,
-        engine._retry_rng,
-        clock=engine._clock,
-        sleep=engine._sleep,
-        on_retry=engine._note_retry,
-    )
-    if engine.retries_attempted > before:
-        engine.retries_healed += 1
-    return result
-
-
-def _put_grant(tables, stage, fid, grant):
-    if grant is None:
-        tables.remove_grant(stage, fid)
-    else:
-        tables.install_grant(stage, grant)
-
-
-def _put_translation(tables, stage, fid, pair):
-    if pair is None:
-        tables.remove_translation(stage, fid)
-    else:
-        tables.install_translation(stage, fid, mask=pair[0], offset=pair[1])
-
-
-def _differing(put, old, new):
-    return [
-        (put, stage, new.get(stage), old.get(stage))
-        for stage in sorted(old.keys() | new.keys())
-        if old.get(stage) != new.get(stage)
-    ]
-
-
-def _words(regions, block_words):
-    return {s: (r.start * block_words, r.end * block_words) for s, r in regions.items()}
-
-
-def _apply_delta(engine, fid, old_regions, new_regions, block_words, journal):
-    window = engine.TRANSLATION_WINDOW
-    old_grants, old_pairs = implied_entries(fid, _words(old_regions, block_words), window)
-    new_grants, new_pairs = implied_entries(fid, _words(new_regions, block_words), window)
-    writes = _differing(_put_translation, old_pairs, new_pairs)
-    writes += _differing(_put_grant, old_grants, new_grants)
-    if not writes:
-        return 0.0
-    tables = engine.tables
-    attempted = 0
-
-    def undo():
-        for put, stage, _new, old in reversed(writes[:attempted]):
-            put(tables, stage, fid, old)
-        tables.invalidate_program_cache(fid)
-
-    journal.record(f"delta fid={fid}", undo)
-    installed = removed = 0
-    seconds = 0.0
-    try:
-        _guarded(engine, lambda: tables.invalidate_program_cache(fid))
-        for put, stage, entry, _old in writes:
-            attempted += 1
-            _guarded(engine, lambda: put(tables, stage, fid, entry))
-            if entry is None:
-                removed += 1
-                seconds += engine.cost.remove_entry_seconds
-            else:
-                installed += 1
-                seconds += engine.cost.install_entry_seconds
-    finally:
-        engine._count(installed, removed)
-    return seconds
-
-
-def _set_active(engine, fids, active, journal, seconds=0.0):
-    tables = engine.tables
-    flip, unflip = tables.reactivate_fid, tables.deactivate_fid
-    if not active:
-        flip, unflip = unflip, flip
-    held = {fid for fid in fids if tables.is_active(fid) == active}
-    if fids:
-        journal.record("activation", lambda: [unflip(f) for f in fids if f not in held])
-    for fid in fids:
-        _guarded(engine, lambda: flip(fid))
-        seconds += engine.cost.activation_seconds
-    return seconds
-
-
-class PerNeighbourController(ActiveRmtController):
-    """The controller with the layout path the batch replaced."""
-
-    def _apply_layout(self, fid, old, new, reallocations, journal, ctx):
-        engine = self.updater
-        impacted = sorted(reallocations)
-        block_words = self.device.config.block_words
-        seconds = _set_active(engine, impacted, False, journal)
-        if old:
-            seconds += _apply_delta(engine, fid, old, {}, block_words, journal)
-        for other in impacted:
-            seconds += self._move_tables(other, reallocations[other], journal)
-        if new:
-            for stage, block_range in new.items():
-                self._scrub_region(stage, block_range, block_words, journal)
-            seconds += _apply_delta(engine, fid, {}, new, block_words, journal)
-        return _set_active(engine, impacted, True, journal, seconds)
-
-    def _scrub_region(self, stage, block_range, block_words, journal):
-        words = block_range.to_words(block_words)
-        device = self.device
-        previous = device.read_registers(stage, words.start, words.end)
-        journal.record(
-            "scrub", lambda: device.write_registers(stage, words.start, previous)
-        )
-        _guarded(
-            self.updater, lambda: device.scrub_registers(stage, words.start, words.end)
-        )
-
-    def _move_tables(self, fid, changes, journal):
-        window = TableUpdateEngine.TRANSLATION_WINDOW
-        near = {s for c in changes for s in range(c - window, c + window + 1)}
-        new = {
-            s: r
-            for s, r in self.allocator.regions_for(fid).items()
-            if s in near and r is not None and r.count > 0
-        }
-        old = dict(new)
-        for stage, (before, _after) in changes.items():
-            if before is not None and before.count > 0:
-                old[stage] = before
-            else:
-                old.pop(stage, None)
-        return _apply_delta(
-            self.updater, fid, old, new, self.device.config.block_words, journal
-        )
 
 
 # ----------------------------------------------------------------------

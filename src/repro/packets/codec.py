@@ -78,13 +78,36 @@ _JUNK = bytes(
     for byte in range(256)
 )
 
-#: Decoded Ethernet headers by their 12 MAC bytes.  A header is frozen
-#: and equal to a validated one, so frames between the same two hosts
-#: share it; the memo starts over when it reaches the bound.
+#: Header memos, each reset when it reaches the bound.  Headers are
+#: frozen, so packets share them, and a packet replaces its own rather
+#: than mutate it.  Decoded Ethernet headers by their 12 MAC bytes
+#: (equal to validated ones); built headers, validated on a miss, by
+#: ``(dst.value, src.value)`` and by ``(ptype, fid, seq, flags)``.
 _ETHERNET: Dict[bytes, EthernetHeader] = {}
+_BUILT_ETHERNET: Dict[Tuple[int, int], EthernetHeader] = {}
+_BUILT_INITIAL: Dict[Tuple[int, int, int, int], InitialHeader] = {}
 _ETHERNET_ENTRIES = 1024
 
 _Header = TypeVar("_Header")
+
+
+def _memo(memo: Dict[Any, _Header], key: Any, header: _Header) -> _Header:
+    if len(memo) >= _ETHERNET_ENTRIES:
+        memo.clear()
+    memo[key] = header
+    return header
+
+
+def _headers(
+    src: MacAddress, dst: MacAddress, ptype: int, fid: int, seq: int, flags: int
+) -> Tuple[EthernetHeader, InitialHeader]:
+    """The headers of a constructed packet: the class constructors' one builder."""
+    macs, fields = (dst.value, src.value), (ptype, fid, seq, flags)
+    return (
+        _BUILT_ETHERNET.get(macs)
+        or _memo(_BUILT_ETHERNET, macs, EthernetHeader(dst, src, ACTIVE_ETHERTYPE)),
+        _BUILT_INITIAL.get(fields) or _memo(_BUILT_INITIAL, fields, InitialHeader(*fields)),
+    )
 
 
 def _unchecked(cls: Type[_Header], **fields: Any) -> _Header:
@@ -154,14 +177,11 @@ class ActivePacket:
         and an empty one (a server reply, an unactivated request) is not.
         """
         arg_fields = list(args) if args is not None else [0, 0, 0, 0]
-        if len(arg_fields) % ArgumentHeader.FIELDS:
-            pad = ArgumentHeader.FIELDS - len(arg_fields) % ArgumentHeader.FIELDS
-            arg_fields.extend(0 for _ in range(pad))
+        arg_fields.extend(_PADDING[: -len(arg_fields) % _ARG_FIELDS])
+        eth, initial = _headers(src, dst, _PROGRAM, fid, seq, flags)
         return cls(
-            eth=EthernetHeader(dst=dst, src=src, ethertype=ACTIVE_ETHERTYPE),
-            initial=InitialHeader(
-                ptype=PacketType.PROGRAM, fid=fid, seq=seq, flags=flags
-            ),
+            eth,
+            initial,
             args=arg_fields,
             code=(
                 instructions.code
@@ -181,14 +201,8 @@ class ActivePacket:
         flags: int = 0,
         seq: int = 0,
     ) -> "ActivePacket":
-        return cls(
-            eth=EthernetHeader(dst=dst, src=src, ethertype=ACTIVE_ETHERTYPE),
-            initial=InitialHeader(
-                ptype=PacketType.ALLOC_REQUEST, fid=fid, seq=seq, flags=flags
-            ),
-            args=[],
-            request=request,
-        )
+        eth, initial = _headers(src, dst, PacketType.ALLOC_REQUEST, fid, seq, flags)
+        return cls(eth, initial, args=[], request=request)
 
     @classmethod
     def alloc_response(
@@ -200,14 +214,8 @@ class ActivePacket:
         flags: int = 0,
         seq: int = 0,
     ) -> "ActivePacket":
-        return cls(
-            eth=EthernetHeader(dst=dst, src=src, ethertype=ACTIVE_ETHERTYPE),
-            initial=InitialHeader(
-                ptype=PacketType.ALLOC_RESPONSE, fid=fid, seq=seq, flags=flags
-            ),
-            args=[],
-            response=response,
-        )
+        eth, initial = _headers(src, dst, PacketType.ALLOC_RESPONSE, fid, seq, flags)
+        return cls(eth, initial, args=[], response=response)
 
     @classmethod
     def control(
@@ -219,13 +227,8 @@ class ActivePacket:
         seq: int = 0,
     ) -> "ActivePacket":
         """A bare-header control packet (e.g. SNAPSHOT_COMPLETE)."""
-        return cls(
-            eth=EthernetHeader(dst=dst, src=src, ethertype=ACTIVE_ETHERTYPE),
-            initial=InitialHeader(
-                ptype=PacketType.CONTROL, fid=fid, seq=seq, flags=flags
-            ),
-            args=[],
-        )
+        eth, initial = _headers(src, dst, PacketType.CONTROL, fid, seq, flags)
+        return cls(eth, initial, args=[])
 
     # ------------------------------------------------------------------
     # Accessors
@@ -309,7 +312,7 @@ class ActivePacket:
         dropped unless ``NO_SHRINK`` is set: ``len(encode_packet(self,
         shrink=True))``, which the tx byte counters charge."""
         size = self.wire_size()
-        if self.initial.ptype == _PROGRAM:
+        if self.code and self.initial.ptype == _PROGRAM:
             size -= len(self.code) - len(_emitted_code(self, shrink=True))
         return size
 
@@ -421,16 +424,12 @@ def decode_packet(data: bytes) -> ActivePacket:
         raise HeaderError(f"unsupported active header version {version}")
     if ptype not in PacketType.ALL:
         raise HeaderError(f"unknown packet type {ptype:#x}")
-    eth = _ETHERNET.get(macs)
-    if eth is None:
-        if len(_ETHERNET) >= _ETHERNET_ENTRIES:
-            _ETHERNET.clear()
-        eth = _ETHERNET[macs] = _unchecked(
-            EthernetHeader,
-            dst=_unchecked(MacAddress, value=int.from_bytes(macs[: MacAddress.SIZE], "big")),
-            src=_unchecked(MacAddress, value=int.from_bytes(macs[MacAddress.SIZE :], "big")),
-            ethertype=ethertype,
-        )
+    eth = _ETHERNET.get(macs) or _memo(_ETHERNET, macs, _unchecked(
+        EthernetHeader,
+        dst=_unchecked(MacAddress, value=int.from_bytes(macs[: MacAddress.SIZE], "big")),
+        src=_unchecked(MacAddress, value=int.from_bytes(macs[MacAddress.SIZE :], "big")),
+        ethertype=ethertype,
+    ))
     initial = _unchecked(InitialHeader, ptype=ptype, fid=fid, seq=seq, flags=flags)
     offset = _FRAME_SIZE
     args: List[int] = []

@@ -24,6 +24,7 @@ from repro.sim.kvstore import (
     decode_value,
     encode_get,
     encode_value,
+    value_for_key,
 )
 from repro.sim.network import Host
 from repro.workloads.zipf import ZipfKeyGenerator
@@ -45,7 +46,7 @@ class KVServerHost(Host):
         self.service_delay_s = service_delay_s
 
     def on_packet(self, packet: ActivePacket) -> None:
-        super().on_packet(packet)
+        self.rx_packets += 1
         key = decode_get(packet.payload)
         if key is None:
             return
@@ -59,7 +60,7 @@ class KVServerHost(Host):
             payload=encode_value(key, value),
         )
         if self.loop is not None:
-            self.loop.schedule(self.service_delay_s, lambda: self.send(reply))
+            self.loop.schedule(self.service_delay_s, self.send, reply)
         else:
             self.send(reply)
 
@@ -166,7 +167,7 @@ class CacheClientHost(Host):
         )
 
     def on_packet(self, packet: ActivePacket) -> None:
-        super().on_packet(packet)
+        self.rx_packets += 1
         if self.rx_hook is not None and self.rx_hook(packet):
             return
         if packet.ptype != PacketType.PROGRAM:
@@ -224,25 +225,16 @@ class CacheClientHost(Host):
             cursor += len(chunk)
             if not chunk:
                 continue
-            self.loop.schedule(
-                delay, self._populate_round(generation, list(chunk))
-            )
+            self.loop.schedule(delay, self._populate_round, generation, chunk)
             delay *= 2
 
-    def _populate_round(self, generation: int, keys: List[bytes]):
-        def run() -> None:
-            # A newer (re)allocation supersedes this round.
-            if generation != self._populate_generation:
-                return
-            if self.shim.state is not ShimState.OPERATIONAL:
-                return
-            from repro.sim.kvstore import value_for_key
-
-            items = [(key, value_for_key(key)) for key in keys]
-            for packet in self.cache.populate_packets(items):
-                self.send(packet)
-
-        return run
+    def _populate_round(self, generation: int, keys: List[bytes]) -> None:
+        # A newer (re)allocation supersedes this round.
+        if generation != self._populate_generation or self.shim.state is not ShimState.OPERATIONAL:
+            return
+        items = [(key, value_for_key(key)) for key in keys]
+        for packet in self.cache.populate_packets(items):
+            self.send(packet)
 
     # ------------------------------------------------------------------
 

@@ -59,7 +59,8 @@ class SimNetwork:
         self.switch = switch
         self.link_delay_s = link_delay_s
         self._hosts_by_port: Dict[int, Host] = {}
-        self._ports_by_mac: Dict[MacAddress, int] = {}
+        #: Port by ``MacAddress.value``: an int hashes without Python code.
+        self._ports_by_mac: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
 
@@ -68,28 +69,24 @@ class SimNetwork:
             raise ValueError(f"port {port} already occupied")
         self.switch.register_host(host.mac, port)
         self._hosts_by_port[port] = host
-        self._ports_by_mac[host.mac] = port
+        self._ports_by_mac[host.mac.value] = port
         host.attach(self)
-
-    def host_at(self, port: int) -> Optional[Host]:
-        return self._hosts_by_port.get(port)
 
     # ------------------------------------------------------------------
 
     def transmit(self, host: Host, packet: ActivePacket) -> None:
         """Host -> switch, then switch outputs -> destination hosts."""
-        in_port = self._ports_by_mac[host.mac]
+        self.loop.schedule(
+            self.link_delay_s, self._arrive, packet, self._ports_by_mac[host.mac.value]
+        )
 
-        def arrive() -> None:
-            outputs = self.switch.receive(packet, in_port)
-            for output in outputs:
-                self._deliver(output.port, output.packet, output.latency_us * 1e-6)
-
-        self.loop.schedule(self.link_delay_s, arrive)
+    def _arrive(self, packet: ActivePacket, in_port: int) -> None:
+        for output in self.switch.receive(packet, in_port):
+            self._deliver(output.port, output.packet, output.latency_us * 1e-6)
 
     def inject(self, packet: ActivePacket) -> None:
         """Controller/switch-originated packet to its destination host."""
-        port = self._ports_by_mac.get(packet.eth.dst)
+        port = self._ports_by_mac.get(packet.eth.dst.value)
         if port is None:
             return
         self._deliver(port, packet, 0.0)
@@ -98,9 +95,7 @@ class SimNetwork:
         self, port: int, packet: ActivePacket, switch_latency_s: float
     ) -> None:
         host = self._hosts_by_port.get(port)
-        if host is None:
-            return
-        self.loop.schedule(
-            switch_latency_s + self.link_delay_s,
-            lambda: host.on_packet(packet),
-        )
+        if host is not None:
+            self.loop.schedule(
+                switch_latency_s + self.link_delay_s, host.on_packet, packet
+            )

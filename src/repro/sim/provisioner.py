@@ -102,9 +102,7 @@ class SimProvisioner:
         )
         if not report.success:
             (failure,) = self.controller.allocation_replies(report, request)
-            self.loop.schedule(
-                report.compute_seconds, lambda: self.network.inject(failure)
-            )
+            self.loop.schedule(report.compute_seconds, self.network.inject, failure)
             return
 
         device = self.controller.device
@@ -117,15 +115,18 @@ class SimProvisioner:
             device.deactivate_fid(other)
         device.deactivate_fid(fid)  # newcomer waits for its response
 
-        def reactivate() -> None:
-            for other in impacted:
-                device.reactivate_fid(other)
-            device.reactivate_fid(fid)
-            # Built now, not at admission: the regions an incumbent is
-            # told are the ones it holds when the notice leaves.
-            for reply in self.controller.allocation_replies(report, request):
-                self.network.inject(reply)
-
         # Phase 3-5 are serialized; the visible disruption for the
         # incumbents spans [t_deactivate, t_reactivate].
-        self.loop.schedule(max(t_reactivate, t_deactivate), reactivate)
+        self.loop.schedule(
+            max(t_reactivate, t_deactivate), self._reactivate, report, request
+        )
+
+    def _reactivate(self, report: ProvisioningReport, request: ActivePacket) -> None:
+        device = self.controller.device
+        for other in report.reallocated_fids:
+            device.reactivate_fid(other)
+        device.reactivate_fid(request.fid)
+        # Built now, not at admission: the regions an incumbent is
+        # told are the ones it holds when the notice leaves.
+        for reply in self.controller.allocation_replies(report, request):
+            self.network.inject(reply)

@@ -18,9 +18,10 @@ outputs are identical packet for packet.
 from __future__ import annotations
 
 import dataclasses
-from collections import deque
+from collections import defaultdict, deque
 from typing import (
     Callable,
+    DefaultDict,
     Deque,
     Dict,
     Iterable,
@@ -172,7 +173,7 @@ class ActiveSwitch:
         #: Port by ``MacAddress.value``: an int hashes without Python code.
         self._mac_table: Dict[int, int] = {}
         self._digests: Deque[ActivePacket] = deque()
-        self.port_stats: Dict[int, PortStats] = {}
+        self.port_stats: DefaultDict[int, PortStats] = defaultdict(PortStats)
         self.digest_count = 0
         self.perf = PerfCounters()
         # Per-FID counter objects, cached so the enabled hot path pays
@@ -192,9 +193,6 @@ class ActiveSwitch:
             raise ValueError(f"port {port} out of range")
         self._mac_table[mac.value] = port
 
-    def port_for(self, mac: MacAddress) -> Optional[int]:
-        return self._mac_table.get(mac.value)
-
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
@@ -206,7 +204,8 @@ class ActiveSwitch:
         and digested control traffic).
         """
         packet.arrival_port = in_port
-        stats = self._port(in_port)
+        port_stats = self.port_stats
+        stats = port_stats[in_port]
         stats.rx_packets += 1
         stats.rx_bytes += packet.wire_size()
         outputs: List[SwitchOutput] = []
@@ -243,7 +242,10 @@ class ActiveSwitch:
             self._count_fid(
                 packet.fid, pipeline.total_recirculations - recirculated
             )
-        self._count_tx(outputs)
+        for output in outputs:
+            stats = port_stats[output.port]
+            stats.tx_packets += 1
+            stats.tx_bytes += output.packet.shrunk_size()
         perf.touch()
         return outputs
 
@@ -344,7 +346,7 @@ class ActiveSwitch:
                 acc[2] += 1
                 acc[3] += output.packet.shrunk_size()
             for port, (rx_packets, rx_bytes, tx_packets, tx_bytes) in ports.items():
-                stats = self._port(port)
+                stats = self.port_stats[port]
                 stats.rx_packets += rx_packets
                 stats.rx_bytes += rx_bytes
                 stats.tx_packets += tx_packets
@@ -466,7 +468,10 @@ class ActiveSwitch:
         """Send a controller-originated packet (e.g. allocation response)."""
         outputs: List[SwitchOutput] = []
         self._forward_plain(packet, outputs)
-        self._count_tx(outputs)
+        for output in outputs:
+            stats = self.port_stats[output.port]
+            stats.tx_packets += 1
+            stats.tx_bytes += output.packet.shrunk_size()
         return outputs
 
     # ------------------------------------------------------------------
@@ -580,17 +585,3 @@ class ActiveSwitch:
                 f"progcache_{key}",
                 help="Program-cache statistic (mirrored from ProgramCache)",
             ).set(value)
-
-    # ------------------------------------------------------------------
-
-    def _port(self, port: int) -> PortStats:
-        stats = self.port_stats.get(port)
-        if stats is None:
-            stats = self.port_stats[port] = PortStats()
-        return stats
-
-    def _count_tx(self, outputs: List[SwitchOutput]) -> None:
-        for output in outputs:
-            stats = self._port(output.port)
-            stats.tx_packets += 1
-            stats.tx_bytes += output.packet.shrunk_size()

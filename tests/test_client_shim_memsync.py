@@ -271,13 +271,14 @@ def test_multi_reads_match_the_parent_builder():
 def test_python_calls_per_warm_write_packet():
     """One stage-9 populate write with its template warm.
 
-    Measured: **8** Python-level calls (the builder,
-    ``ActivePacket.program``, ``EthernetHeader`` and ``InitialHeader``
-    with their checks, ``ActivePacket()``); the template memo is C.
-    Rebuilding and encoding the NOP-padded ``Instruction`` list per
+    Measured: **5** Python-level calls (the builder,
+    ``ActivePacket.program``, its shared header memo, ``ActivePacket()``,
+    and ``write`` itself); the template memo is C.  Validating an
+    ``EthernetHeader`` and an ``InitialHeader`` per packet took **8**;
+    rebuilding and encoding the NOP-padded ``Instruction`` list per
     packet took **46**.  A per-packet ``Instruction`` fails here.
     """
-    measured, parent = 8, 46
+    measured, parent = 5, 46
 
     def write():
         build_write_packet(src=CLIENT, dst=SERVER, fid=1, stage=9, address=7, value=42)

@@ -217,6 +217,52 @@ def test_ethernet_headers_stay_right_past_the_memo_bound():
     assert decode_packet(encode_packet(packet)).eth is eth  # a hit shares the header
 
 
+def test_built_headers_stay_right_past_the_memo_bound():
+    """More host pairs and header fields than the constructor memos hold:
+    each built header equals a validated one, a warm key shares it."""
+    from repro.packets import codec
+
+    count = codec._ETHERNET_ENTRIES + 300
+    for _ in range(2):
+        for index in range(count):
+            host = MacAddress.from_host_id(100 + index)
+            packet = ActivePacket.control(src=host, dst=DST, fid=index % 7, flags=0, seq=index)
+            assert packet.eth == EthernetHeader(dst=DST, src=host, ethertype=ACTIVE_ETHERTYPE)
+            assert packet.initial == InitialHeader(
+                ptype=PacketType.CONTROL, fid=index % 7, seq=index, flags=0
+            )
+            assert len(codec._BUILT_ETHERNET) <= codec._ETHERNET_ENTRIES
+            assert len(codec._BUILT_INITIAL) <= codec._ETHERNET_ENTRIES
+    again = ActivePacket.control(src=host, dst=DST, fid=index % 7, flags=0, seq=index)
+    assert again.eth is packet.eth and again.initial is packet.initial
+
+
+def test_bad_header_fields_still_raise_once_the_memo_is_warm():
+    for _ in range(2):
+        ActivePacket.program(src=SRC, dst=DST, fid=3, instructions=[])
+    for fields in ({"fid": -1}, {"fid": 0x10000}, {"seq": -1}, {"flags": 0x10000}):
+        with pytest.raises(HeaderError):
+            ActivePacket.program(src=SRC, dst=DST, instructions=[], **{"fid": 3, **fields})
+        with pytest.raises(HeaderError):
+            ActivePacket.control(src=SRC, dst=DST, **{"fid": 3, "flags": 0, **fields})
+    # Nothing invalid was kept: the same call still raises.
+    with pytest.raises(HeaderError):
+        ActivePacket.program(src=SRC, dst=DST, fid=-1, instructions=[])
+
+
+def test_return_to_sender_leaves_a_sibling_sharing_its_headers_alone():
+    packet, sibling = _program_packet(), _program_packet()
+    assert packet.eth is sibling.eth and packet.initial is sibling.initial
+    eth, initial = sibling.eth, sibling.initial
+    packet.return_to_sender()
+    assert (packet.eth.dst, packet.eth.src) == (SRC, DST)
+    assert packet.has_flag(ControlFlags.FROM_SWITCH)
+    assert sibling.eth is eth and sibling.initial is initial
+    assert (sibling.eth.dst, sibling.eth.src) == (DST, SRC)
+    assert not sibling.has_flag(ControlFlags.FROM_SWITCH)
+    assert _program_packet().eth == eth
+
+
 def test_validation_still_guards_the_constructors_and_the_wire():
     for flags in (-1, 0x10000):
         with pytest.raises(HeaderError):

@@ -66,8 +66,6 @@ from repro.controller.controller import (
 )
 from repro.controller.service import (
     AdmissionService,
-    AdmissionTicket,
-    BackoffPolicy,
     BatchReport,
 )
 from repro.core.transactions import (
@@ -107,8 +105,6 @@ __all__ = [
     # Control plane
     "ActiveRmtController",
     "AdmissionService",
-    "AdmissionTicket",
-    "BackoffPolicy",
     "BatchReport",
     "ControllerError",
     "ProvisioningReport",

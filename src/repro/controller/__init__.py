@@ -22,8 +22,6 @@ from repro.controller.controller import (
 from repro.controller.service import (
     AdmissionService,
     AdmissionServiceError,
-    AdmissionTicket,
-    BackoffPolicy,
     BatchReport,
     replay_commit_log,
 )
@@ -34,8 +32,6 @@ __all__ = [
     "ActiveRmtController",
     "AdmissionService",
     "AdmissionServiceError",
-    "AdmissionTicket",
-    "BackoffPolicy",
     "BatchReport",
     "ControllerError",
     "ProvisioningReport",

@@ -121,10 +121,10 @@ class RequestKind(enum.Enum):
 class ProvisioningStatus(enum.Enum):
     """Typed outcome of one provisioning request.
 
-    ``ADMITTED`` doubles as the "withdrawal executed" status; ``SHED``
-    is produced only by the admission service when a request is dropped
-    (full queue, missed deadline) with a retry-after hint rather than
-    an error.
+    ``ADMITTED`` doubles as the "withdrawal executed" status.  The
+    controller and the admission service never produce ``SHED``: it
+    marks an application a fabric failover dropped because no surviving
+    shard could host it (the chaos scenario's tally).
     """
 
     ADMITTED = "admitted"
@@ -218,15 +218,9 @@ class ProvisioningReport:
     #: and region exclusivity against all incumbents (None when the
     #: controller runs with ``verify="off"`` or no plan was produced).
     certificate: Optional[IsolationCertificate] = None
-    #: Typed outcome.  Left unset, it is derived from the legacy flags
-    #: (``success``/``dry_run``/``rolled_back``) so existing
-    #: construction sites stay valid; the admission service sets SHED
-    #: explicitly.
+    #: Typed outcome.  Left unset, it is derived from the flags
+    #: (``success``/``dry_run``/``rolled_back``).
     status: Optional[ProvisioningStatus] = None
-    #: For SHED outcomes: how long the client should wait before
-    #: resubmitting (the graceful-degradation contract -- a shed is an
-    #: allocation response, not an error).
-    retry_after_s: float = 0.0
     #: What switch-side failure produced this outcome: ``"tcam"``
     #: (capacity rejection), ``"transient"`` (retries exhausted on a
     #: recoverable fault -- the admission service may re-plan and try
@@ -245,11 +239,6 @@ class ProvisioningReport:
                 self.status = ProvisioningStatus.ADMITTED
             else:
                 self.status = ProvisioningStatus.REJECTED
-
-    @property
-    def shed(self) -> bool:
-        """Was this request shed (retry later) rather than decided?"""
-        return self.status is ProvisioningStatus.SHED
 
     @property
     def total_seconds(self) -> float:
@@ -518,10 +507,10 @@ class ActiveRmtController:
     ) -> List[ProvisioningReport]:
         """Commit a group of plans under one journal, all-or-nothing.
 
-        The one admission commit: :meth:`submit` brings the plan it
-        computed on the live allocator, the admission service a ticket's
-        plans computed against a shadow -- N = 1 is simply the smallest
-        group.  A group's plans must have been computed consecutively
+        The one admission commit: :meth:`submit` and the admission
+        service bring a lone plan computed on the live allocator, the
+        service a group's plans computed against a shadow -- N = 1 is
+        simply the smallest group.  A group's plans must have been computed consecutively
         against one shadow (each feasible one rehearsed before the next
         was planned), so their basis stamps replay exactly onto the real
         allocator.  A member without a feasible mutant rejects the whole
@@ -537,7 +526,7 @@ class ActiveRmtController:
 
         Raises:
             StalePlanError: when the group's basis version no longer
-                matches (nothing touched; the caller re-plans).
+                matches (nothing touched).
         """
         if programs is None:
             programs = [None] * len(plans)

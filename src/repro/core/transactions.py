@@ -59,10 +59,9 @@ class StalePlanError(TransactionError):
     Raised by :meth:`~repro.core.allocator.ActiveRmtAllocator.commit`
     (and the controller's plan-commit entry points) when some other
     commit, release, or rollback moved the state on after the plan was
-    computed.  This is the expected-and-recoverable outcome of
-    optimistic concurrency -- the admission service catches it and
-    re-plans against a fresh shadow -- as opposed to the programming
-    errors the :class:`TransactionError` base signals.
+    computed.  Nothing re-plans it: the control plane commits each plan
+    against the version it was made on, so this names a caller that
+    let the state move in between.
     """
 
 

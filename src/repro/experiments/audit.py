@@ -4,7 +4,7 @@ Not a paper figure: this is the third leg of the invariant catalog in
 :mod:`repro.analysis.invariants` (the other two are the controller's
 commit-time sanitizer and ``Fabric.audit()``).  A fixed-seed churn
 workload runs through a sanitizer-enabled controller; its commit log --
-the serialization-order witness every concurrent run must equal -- is
+the serialization-order witness every run must equal -- is
 then replayed entry by entry onto a fresh stack, and after *every*
 replayed commit the whole-state invariant catalog runs again and each
 admission's isolation certificate is re-derived.  The replayed final
@@ -248,11 +248,11 @@ def run_audit(epochs: int = 30, seed: int = 7) -> AuditResult:
 def _run_leg(epochs: int, seed: int, config: SwitchConfig) -> AuditResult:
     """Churn, audit live, replay the log, re-audit every epoch."""
     live = make_controller(config=config, sanitizer=True)
-    service = AdmissionService(live, workers=0)
+    service = AdmissionService(live)
     drive = ChurnDriver(service.submit)
     drive.drive(poisson_events(epochs=epochs, seed=seed))
     outcomes = drive.outcomes()
-    reports = [ticket.result() for ticket in drive.tickets.values()]
+    reports = drive.reports.values()
     uncertified = sum(
         1
         for report in reports

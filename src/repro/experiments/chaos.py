@@ -191,7 +191,7 @@ def run_chaos(epochs: int = 60, seed: int = 7) -> ChaosResult:
         seed=seed,
         shards=SHARDS,
         events=len(events),
-        outcomes=drive.outcomes(fid for fid in drive.tickets if fid not in drive.withdrawn),
+        outcomes=drive.outcomes(fid for fid in drive.reports if fid not in drive.withdrawn),
         failover_shed=len(redistribute_report.shed),
         failover_readmitted=len(redistribute_report.readmitted)
         + len(replace_report.readmitted),
@@ -209,7 +209,6 @@ def run_chaos(epochs: int = 60, seed: int = 7) -> ChaosResult:
         # Post-recovery proof obligations across every live shard.
         proofs=Proofs.of(fabric.audit().values(), fabric.certificates().values()),
     )
-    fabric.close()
     publish_gauges(
         registry,
         "chaos_run",

@@ -1,25 +1,24 @@
-"""Admission churn through the concurrent control plane.
+"""Admission churn through the inline admission service.
 
 Not a paper figure: the paper provisions one request at a time (~1 s
 each, Figure 8a).  This experiment drives Poisson arrivals and
 departures (Section 6.1's online process) through the
-:class:`AdmissionService` at several worker counts and reports admission
-throughput, latency percentiles, and shed rate -- the concurrency win
-the optimistic plan/commit pipeline buys over the serial front door.
+:class:`AdmissionService` once, inline, and reports what provisioning
+with k windows outstanding would take, in modeled seconds
+(:func:`~repro.experiments.common.windowed_seconds` over the run's
+reports): client snapshots overlap across windows, table updates share
+the switch's one control channel, planning is host time and stays out.
+k = 1 is the paper's serial provisioning.
 
-Each admission dwells ``PACING`` x its *modeled* provisioning time
-after commit (standing in for the switch RPCs and client snapshots the
-controller waits out in a hardware deployment); planning and the dwell
-overlap across workers, only the short commit is serialized.  After
-every run the service's commit log is replayed serially onto a fresh
-controller and the stage pools must match byte for byte -- the
-linearizability check that makes the speedup trustworthy.
+After the run the service's commit log is replayed serially onto a
+fresh controller and the stage pools must match byte for byte, and the
+final state must pass the invariant audit and certify every resident.
+A run at a given seed prints the same report every time.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import List, Optional, Sequence
 
 from repro.apps.base import EXEMPLAR_APPS
@@ -30,203 +29,147 @@ from repro.controller.service import (
     replay_commit_log,
 )
 from repro.experiments.common import (
-    PACING,
-    THREADED_SERVICE,
     ChurnDriver,
     ChurnRun,
     Proofs,
     ScenarioResult,
-    counter_total,
     make_controller,
     run_registry,
     run_violations,
+    windowed_seconds,
 )
 from repro.telemetry import FlightRecorder, Tracer, resolve_tracer
 from repro.workloads.arrivals import ArrivalEvent, poisson_events
 
-#: The largest share of admissions a run may shed.
-SHED_LIMIT = 0.05
-
 
 @dataclasses.dataclass
 class ChurnRow(ChurnRun):
-    """One worker-count configuration's measurements."""
+    """The run's modeled time with ``windows`` provisioning windows."""
 
-    workers: int
-    conflicts: int
-    retries: int
-    p50_ms: float
-    p99_ms: float
+    windows: int
 
 
 @dataclasses.dataclass
 class ChurnResult(ScenarioResult):
+    #: One row per window count; all of them read the same run, so they
+    #: share its outcomes, replay verdict and proofs.
     rows: List[ChurnRow]
     arrivals: int
     departures: int
     seed: int
     batch_status: str
     batch_size: int
-    #: Flight-recorder anomaly dumps captured across the runs (0 when
+    #: Flight-recorder anomaly dumps captured in the run (0 when
     #: tracing is off or nothing anomalous fired).
     flight_dumps: int = 0
 
     @property
     def speedup(self) -> float:
-        """Throughput at the highest worker count over single-worker."""
-        base = next((r for r in self.rows if r.workers == 1), self.rows[0])
-        peak = max(self.rows, key=lambda r: r.workers)
+        """Modeled throughput at the most windows over one window."""
+        base = next((r for r in self.rows if r.windows == 1), self.rows[0])
+        peak = max(self.rows, key=lambda r: r.windows)
         return peak.throughput / base.throughput if base.throughput else 0.0
 
     @property
     def violations(self) -> List[str]:
-        return [
-            problem
-            for row in self.rows
-            for problem in run_violations(
-                f"{row.workers} worker(s)", row.outcomes, row.proofs, row.diverged, SHED_LIMIT
-            )
-        ]
+        run = self.rows[0]
+        return run_violations("inline run", run.outcomes, run.proofs, run.diverged, 0.0)
 
     def __str__(self) -> str:
+        run = self.rows[0]
         lines = [
-            "Admission churn through the concurrent control plane",
-            "(optimistic plan/commit: parallel shadow planning, serial commit)",
+            "Admission churn through the inline admission service",
+            "(k provisioning windows: client snapshots overlap, table updates",
+            " share the switch's one control channel; planning not modeled)",
             "",
             f"workload: {self.arrivals} arrivals / {self.departures} "
-            f"departures (Poisson, seed {self.seed}); dwell = "
-            f"{PACING:g} x modeled provisioning time",
+            f"departures (Poisson, seed {self.seed}); one inline run: "
+            f"{run.outcomes.admitted} admitted / {run.outcomes.rejected} rejected, "
+            f"commit-log replay {'DIVERGED' if run.diverged else 'identical'}",
             "",
-            f"{'workers':>7} {'tput(adm/s)':>12} {'p50(ms)':>8} {'p99(ms)':>8} "
-            f"{'admitted':>8} {'rejected':>8} {'shed':>5} {'conflicts':>9} "
-            f"{'retries':>8} {'diverged':>8}",
+            f"{'windows':>7} {'modeled(s)':>11} {'tput(adm/s)':>12}",
         ]
         for row in self.rows:
             lines.append(
-                f"{row.workers:>7} {row.throughput:>12.1f} {row.p50_ms:>8.1f} "
-                f"{row.p99_ms:>8.1f} {row.outcomes.admitted:>8} "
-                f"{row.outcomes.rejected:>8} {row.outcomes.shed:>5} "
-                f"{row.conflicts:>9} {row.retries:>8} "
-                f"{'YES' if row.diverged else 'no':>8}"
+                f"{row.windows:>7} {row.modeled_s:>11.3f} {row.throughput:>12.2f}"
             )
-        peak = max(self.rows, key=lambda r: r.workers)
+        peak = max(self.rows, key=lambda r: r.windows)
         lines += [
             "",
-            f"state audit: {sum((row.proofs for row in self.rows), Proofs())}",
-            f"speedup at {peak.workers} workers vs 1: {self.speedup:.2f}x "
-            f"(target >= 2.0x at equal rejection rate)",
+            f"state audit: {run.proofs}",
+            f"modeled speedup at {peak.windows} windows vs 1: {self.speedup:.2f}x",
             f"batch admission: {self.batch_size} fids under one journal -> "
             f"{self.batch_status}",
         ]
         if self.flight_dumps:
             lines.append(
                 f"flight recorder: {self.flight_dumps} anomaly dump(s) "
-                f"captured (sheds / rollbacks / retry storms)"
+                f"captured (rollbacks)"
             )
         return "\n".join(lines)
 
 
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(q * (len(sorted_values) - 1) + 0.5))
-    return sorted_values[index]
-
-
 def run_churn(
     epochs: int = 30,
-    worker_counts: Sequence[int] = (1, 2, 4),
+    windows: Sequence[int] = (1, 2, 4),
     seed: int = 7,
     batch_size: int = 6,
 ) -> ChurnResult:
-    """Drive one Poisson workload through the service per worker count.
-
-    The same event sequence (same seed) runs at every worker count, so
-    rows differ only in concurrency.
-    """
+    """Drive one Poisson workload through the service, then model it
+    with each of *windows* provisioning windows outstanding."""
     registry = run_registry()
-    # With a recording tracer installed (the CLI's --trace-out), every
-    # run gets a flight recorder whose dumps snapshot the live pools at
-    # anomaly time -- sheds, rollbacks, and retry storms under churn
-    # each ship with their own causal reconstruction.
+    # With a recording tracer installed (the CLI's --trace-out), the run
+    # gets a flight recorder whose dumps snapshot the live pools at
+    # anomaly time, each with its own causal reconstruction.
     tracer = resolve_tracer(None)
-    flight_dumps = 0
-    rows: List[ChurnRow] = []
     events = list(poisson_events(epochs=epochs, seed=seed))
     arrivals = sum(1 for e in events if isinstance(e, ArrivalEvent))
-    for workers in worker_counts:
-        controller = make_controller()
-        recorder: Optional[FlightRecorder] = None
-        if isinstance(tracer, Tracer):
-            recorder = FlightRecorder(
-                tracer,
-                fingerprint=lambda ctl=controller: pools_fingerprint(
-                    ctl.allocator
-                ),
-            )
-        service = AdmissionService(
-            controller, workers=workers, seed=seed, telemetry=registry, **THREADED_SERVICE
+    controller = make_controller()
+    recorder: Optional[FlightRecorder] = None
+    if isinstance(tracer, Tracer):
+        recorder = FlightRecorder(
+            tracer, fingerprint=lambda: pools_fingerprint(controller.allocator)
         )
-        conflicts = counter_total(registry, "admission_commit_conflicts_total")
-        retries = counter_total(registry, "admission_plan_retries_total")
-
-        drive = ChurnDriver(service.submit)
-        started = time.perf_counter()
-        drive.drive(events)
-        service.drain()
-        elapsed = time.perf_counter() - started
-
-        latencies = sorted(
-            ticket.resolved_at - ticket.submitted_at
-            for ticket in drive.tickets.values()
-            if ticket.resolved_at is not None
+    service = AdmissionService(controller, telemetry=registry)
+    drive = ChurnDriver(service.submit)
+    drive.drive(events)
+    # The commit-log witness: the run equals the serial execution of
+    # its own commit log, byte for byte.
+    replay = make_controller()
+    replay_commit_log(service.commit_log, drive.pattern_of_fid, replay)
+    diverged = pools_fingerprint(controller.allocator) != pools_fingerprint(
+        replay.allocator
+    )
+    flight_dumps = 0
+    if recorder is not None:
+        flight_dumps = len(recorder.dumps)
+        recorder.detach()
+    outcomes = drive.outcomes()
+    proofs = Proofs.of([controller.audit()], [controller.certificates()])
+    rows = [
+        ChurnRow(
+            modeled_s=windowed_seconds(drive.history, k),
+            outcomes=outcomes,
+            diverged=diverged,
+            proofs=proofs,
+            windows=k,
         )
-        # Linearizability witness: the concurrent run must equal the
-        # serial execution of its own commit log, byte for byte.
-        replay = make_controller()
-        replay_commit_log(service.commit_log, drive.pattern_of_fid, replay)
-        diverged = pools_fingerprint(controller.allocator) != pools_fingerprint(
-            replay.allocator
-        )
-        service.close()
-        if recorder is not None:
-            flight_dumps += len(recorder.dumps)
-            recorder.detach()
-
-        rows.append(
-            ChurnRow(
-                workers=workers,
-                elapsed_s=elapsed,
-                outcomes=drive.outcomes(),
-                conflicts=counter_total(registry, "admission_commit_conflicts_total")
-                - conflicts,
-                retries=counter_total(registry, "admission_plan_retries_total") - retries,
-                p50_ms=_percentile(latencies, 0.50) * 1e3,
-                p99_ms=_percentile(latencies, 0.99) * 1e3,
-                diverged=diverged,
-                # The concurrent run must leave a provably isolated layout.
-                proofs=Proofs.of([controller.audit()], [controller.certificates()]),
-            )
-        )
+        for k in windows
+    ]
 
     # Batched admission: one shadow, one journal, all-or-nothing.
-    controller = make_controller()
-    with AdmissionService(controller, workers=2, telemetry=registry) as service:
-        cache = EXEMPLAR_APPS["cache"].pattern()
-        batch = service.submit_many(
-            [
-                ProvisioningRequest.admission(fid=9000 + i, pattern=cache)
-                for i in range(batch_size)
-            ]
-        )
-        batch_status = batch.result(timeout=60.0).status.value
+    batch_service = AdmissionService(make_controller(), telemetry=registry)
+    cache = EXEMPLAR_APPS["cache"].pattern()
+    batch = batch_service.submit_many(
+        [ProvisioningRequest.admission(fid=9000 + i, pattern=cache) for i in range(batch_size)]
+    )
 
     return ChurnResult(
         rows=rows,
         arrivals=arrivals,
         departures=len(events) - arrivals,
         seed=seed,
-        batch_status=batch_status,
+        batch_status=batch.status.value,
         batch_size=batch_size,
         flight_dumps=flight_dumps,
     )

@@ -197,11 +197,11 @@ EXPERIMENTS: Dict[str, Callable[..., object]] = {
     # Not a paper figure: dry-run admission probing enabled by the
     # transactional control plane (plans are free until committed).
     "whatif": _whatif,
-    # Not a paper figure: Poisson churn through the concurrent
-    # admission service (throughput/latency/shed vs worker count).
+    # Not a paper figure: Poisson churn through the inline admission
+    # service (modeled throughput vs provisioning windows outstanding).
     "churn": _churn,
     # Not a paper figure: the same churn workload scaled across a
-    # sharded multi-switch fabric (throughput vs shard count, plus
+    # sharded multi-switch fabric (modeled throughput vs shard count, plus
     # single-shard parity and per-shard commit-log replay checks).
     "fabric": _fabric,
     # Not a paper figure: fixed-seed churn under injected device faults
@@ -425,8 +425,11 @@ def main(argv=None) -> int:
                 _write_report(report_out, payload_for(output))
             if not output.clean:
                 exit_code = 1
+        # Host time goes to stderr, so a seeded run's report on stdout
+        # repeats byte for byte.
         elapsed = time.perf_counter() - started
-        print(f"[{name} regenerated in {elapsed:.1f} s]\n")
+        print(f"[{name} regenerated in {elapsed:.1f} s]", file=sys.stderr)
+        print()
         if stats_out:
             print(f"[telemetry snapshot written to {stats_out}]\n")
         if trace_out:

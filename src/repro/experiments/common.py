@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import heapq
 import os
-from typing import Any, Callable, Collection, Dict, Iterable, List, Mapping, Optional
+from typing import Callable, Collection, Dict, Iterable, List, Mapping, Optional
 from typing import Sequence, Set
 
 from repro.analysis.findings import AnalysisReport
@@ -19,7 +20,6 @@ from repro.controller.controller import (
     ProvisioningStatus,
     withdraw_with_retries,
 )
-from repro.controller.service import AdmissionTicket
 from repro.controller.table_updater import TableUpdateEngine
 from repro.core.blocks import BlockRange
 from repro.core.constraints import (
@@ -148,47 +148,31 @@ def drive_events(
 # result schema
 # ----------------------------------------------------------------------
 
-#: How long a scenario waits for one ticket; also the threaded
-#: services' request deadline.
-DEADLINE_S = 30.0
-#: Each threaded admission dwells PACING x its *modeled* provisioning
-#: time after commit, standing in for the switch RPCs and client
-#: snapshots a hardware deployment waits out.
-PACING = 3e-2
-#: The threaded churn and fabric services' settings.
-THREADED_SERVICE: Dict[str, Any] = {
-    "queue_limit": 1024,
-    "default_deadline_s": DEADLINE_S,
-    "pacing": PACING,
-}
-
-
 class ChurnDriver:
-    """Streams Poisson churn through any ticket-returning *submit*.
+    """Streams Poisson churn through any report-returning *submit*.
 
     The one submit/withdraw loop of the churn scenarios: *submit* is an
-    inline or threaded :class:`AdmissionService`'s, or a ``Fabric``'s.
-    Arrivals are submitted without waiting.  A departure waits for its
-    own fid's admission and, if it was admitted, withdraws through
+    :class:`~repro.controller.service.AdmissionService`'s or a
+    ``Fabric``'s.  A departure of an admitted fid withdraws it through
     :func:`withdraw_with_retries`, so a withdrawal the switch refused is
-    sent again at the next departure.  Every departure thus leaves in
-    its place in the event order, at any worker count: a threaded run
-    admits against the same residents as the inline run, except where
-    concurrent arrivals commit in another order.
+    sent again at the next departure.
 
     ``status_of_fid`` and ``pattern_of_fid`` stay readable and amendable
     between :meth:`drive` calls (chaos marks the fids a failover shed).
     """
 
     def __init__(
-        self, submit: Callable[[ProvisioningRequest], AdmissionTicket[ProvisioningReport]]
+        self, submit: Callable[[ProvisioningRequest], ProvisioningReport]
     ) -> None:
         self.submit = submit
         self.patterns = exemplar_patterns()
-        #: Every arrival's admission ticket.
-        self.tickets: Dict[int, AdmissionTicket[ProvisioningReport]] = {}
+        #: Every arrival's admission report.
+        self.reports: Dict[int, ProvisioningReport] = {}
+        #: Every report *submit* returned (withdrawals too), in order:
+        #: the input of :func:`windowed_seconds`.
+        self.history: List[ProvisioningReport] = []
         self.pattern_of_fid: Dict[int, AccessPattern] = {}
-        #: Admission outcomes, filled as they are read.
+        #: Admission outcomes, as amended.
         self.status_of_fid: Dict[int, ProvisioningStatus] = {}
         self.withdrawn: Set[int] = set()
         #: Refused withdrawals, sent again at the next departure.
@@ -201,25 +185,22 @@ class ChurnDriver:
             if isinstance(event, ArrivalEvent):
                 pattern = self.patterns[event.app_name]
                 self.pattern_of_fid[event.fid] = pattern
-                self.tickets[event.fid] = self.submit(
+                report = self._submit(
                     ProvisioningRequest.admission(fid=event.fid, pattern=pattern)
                 )
-            elif self.status(event.fid) is ProvisioningStatus.ADMITTED:
+                self.reports[event.fid] = report
+                assert report.status is not None
+                self.status_of_fid[event.fid] = report.status
+            elif self.status_of_fid.get(event.fid) is ProvisioningStatus.ADMITTED:
                 self.withdrawn.update(
-                    withdraw_with_retries(self._submit_and_wait, event.fid, self.refused)
+                    withdraw_with_retries(self._submit, event.fid, self.refused)
                 )
                 self.refused_withdrawals += len(self.refused)
 
-    def _submit_and_wait(self, request: ProvisioningRequest) -> ProvisioningReport:
-        return self.submit(request).result(DEADLINE_S)
-
-    def status(self, fid: int) -> ProvisioningStatus:
-        """*fid*'s admission outcome (waiting for it), as amended."""
-        if fid not in self.status_of_fid:
-            status = self.tickets[fid].result(DEADLINE_S).status
-            assert status is not None
-            self.status_of_fid[fid] = status
-        return self.status_of_fid[fid]
+    def _submit(self, request: ProvisioningRequest) -> ProvisioningReport:
+        report = self.submit(request)
+        self.history.append(report)
+        return report
 
     def shed(self, fids: Collection[int]) -> None:
         """Mark *fids* ``SHED`` (a failover dropped them): never withdrawn."""
@@ -229,8 +210,30 @@ class ChurnDriver:
     def outcomes(self, fids: Optional[Iterable[int]] = None) -> "Outcomes":
         """The tally of *fids*' admissions (default: every arrival)."""
         return Outcomes.of(
-            self.status(fid) for fid in (self.tickets if fids is None else fids)
+            self.status_of_fid[fid] for fid in (self.reports if fids is None else fids)
         )
+
+
+def windowed_seconds(reports: Iterable[ProvisioningReport], windows: int) -> float:
+    """Modeled seconds to provision *reports* with *windows* outstanding.
+
+    *reports* come in commit order.  Each one holds a provisioning
+    window from its client snapshot (``snapshot_seconds``, which
+    overlaps with up to ``windows - 1`` others) through its table update
+    (``table_update_seconds``, withdrawals included), which waits for
+    the switch's one control channel.  Planning is host time and stays
+    out.  One window is the paper's serial provisioning: the sum of the
+    modeled seconds.  No window count beats the table updates alone.
+    """
+    if windows < 1:
+        raise ValueError("windows must be >= 1")
+    free = [0.0] * windows  # when each window is next free, a min-heap
+    channel = 0.0  # when the control channel is next free
+    for report in reports:
+        snapshot_done = heapq.heappop(free) + report.snapshot_seconds
+        channel = max(snapshot_done, channel) + report.table_update_seconds
+        heapq.heappush(free, channel)
+    return channel
 
 
 @dataclasses.dataclass
@@ -303,9 +306,10 @@ class Proofs:
 
 @dataclasses.dataclass
 class ChurnRun:
-    """One threaded run of a churn scenario (a churn or fabric row)."""
+    """One inline run of a churn scenario (a churn or fabric row)."""
 
-    elapsed_s: float
+    #: Modeled provisioning seconds (:func:`windowed_seconds`).
+    modeled_s: float
     outcomes: Outcomes
     #: The commit log(s) did not replay to the live pools.
     diverged: bool
@@ -313,8 +317,8 @@ class ChurnRun:
 
     @property
     def throughput(self) -> float:
-        """Committed admissions per wall-clock second."""
-        return self.outcomes.admitted / self.elapsed_s if self.elapsed_s > 0 else 0.0
+        """Committed admissions per modeled second."""
+        return self.outcomes.admitted / self.modeled_s if self.modeled_s > 0 else 0.0
 
 
 def run_violations(

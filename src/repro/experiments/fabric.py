@@ -1,36 +1,35 @@
-"""Churn across a sharded fabric: throughput vs shard count.
+"""Churn across a sharded fabric: modeled throughput vs shard count.
 
 Not a paper figure: the paper manages one switch's memory.  This
 experiment lifts the churn workload (Poisson arrivals/departures
-through the concurrent admission service) onto the
-:class:`~repro.fabric.Fabric` and scales the shard count instead of
-the worker count: every shard is an independent switch with its own
-controller, admission service, and commit lock, so aggregate admission
-throughput should scale with the fleet while each shard's commit log
-still replays serially to its exact pool state.
+through the inline admission service) onto the
+:class:`~repro.fabric.Fabric` and scales the shard count: every shard
+is an independent switch with its own controller, admission service and
+control channel.  Each configuration runs once, inline; a shard's
+modeled provisioning time is its reports' serial time
+(:func:`~repro.experiments.common.windowed_seconds` with one window),
+and the fleet's makespan is the slowest shard's.  A run at a given seed
+prints the same report every time.
 
 Two checks anchor the numbers:
 
-- **Single-shard parity**: the same event sequence driven serially
-  (inline services, ``workers=0``) through a bare controller and
-  through a 1-shard fabric must produce byte-identical pool
-  fingerprints and identical outcome tallies -- the fabric front door
-  adds routing, not behavior.
-- **Per-shard linearizability**: each shard's commit log, replayed
-  serially onto a fresh controller, must reproduce that shard's pools
+- **Single-shard parity**: the same event sequence driven through a
+  bare controller's service and through a 1-shard fabric must produce
+  byte-identical pool fingerprints, commit logs and outcome tallies --
+  the fabric front door adds routing, not behavior.
+- **Per-shard commit logs**: each shard's commit log, replayed serially
+  onto a fresh controller, must reproduce that shard's pools
   fingerprint.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.controller.controller import ProvisioningReport
 from repro.controller.service import AdmissionService, pools_fingerprint
 from repro.experiments.common import (
-    PACING,
-    THREADED_SERVICE,
     ChurnDriver,
     ChurnRun,
     Outcomes,
@@ -41,14 +40,10 @@ from repro.experiments.common import (
     run_registry,
     run_violations,
     sanitizer_enabled,
+    windowed_seconds,
 )
 from repro.fabric import Fabric, replay_shard
 from repro.workloads.arrivals import ArrivalEvent, Event, poisson_events
-
-#: Planner threads per shard: every switch brings its own control CPU.
-WORKERS_PER_SHARD = 2
-#: The largest share of admissions a run may shed.
-SHED_LIMIT = 0.05
 
 
 @dataclasses.dataclass
@@ -59,11 +54,14 @@ class ShardRow:
     outcomes: Outcomes
     commits: int
     utilization: float
+    #: This shard's serial modeled provisioning seconds.
+    modeled_s: float
 
 
 @dataclasses.dataclass
 class FabricRow(ChurnRun):
-    """One shard-count configuration's fleet-wide measurements."""
+    """One shard-count configuration's fleet-wide measurements; its
+    ``modeled_s`` is the slowest shard's."""
 
     shards: int
     per_shard: List[ShardRow]
@@ -82,12 +80,12 @@ class FabricResult(ScenarioResult):
 
     @property
     def best(self) -> FabricRow:
-        """The best-scaling configuration (highest aggregate throughput)."""
+        """The best-scaling configuration (highest modeled throughput)."""
         return max(self.rows, key=lambda r: r.throughput)
 
     @property
     def speedup(self) -> float:
-        """Best aggregate throughput over single-shard throughput."""
+        """Best modeled throughput over single-shard throughput."""
         base = next((r for r in self.rows if r.shards == 1), self.rows[0])
         return self.best.throughput / base.throughput if base.throughput else 0.0
 
@@ -96,7 +94,7 @@ class FabricResult(ScenarioResult):
         problems = [] if self.parity_ok else ["1-shard fabric diverged from the bare stack"]
         for row in self.rows:
             problems += run_violations(
-                f"{row.shards} shard(s)", row.outcomes, row.proofs, row.diverged, SHED_LIMIT
+                f"{row.shards} shard(s)", row.outcomes, row.proofs, row.diverged, 0.0
             )
         one = next((r for r in self.rows if r.shards == 1), None)
         widest = max(self.rows, key=lambda r: r.shards)
@@ -115,35 +113,34 @@ class FabricResult(ScenarioResult):
         )
         lines = [
             "Admission churn across a sharded fabric",
-            "(independent shards: per-switch controller, service, commit lock)",
+            "(independent shards: per-switch controller, service, control channel;",
+            " modeled seconds, the fleet's makespan is its slowest shard's)",
             "",
             f"workload: {self.arrivals} arrivals / {self.departures} "
-            f"departures (Poisson, seed {self.seed}); placement = hash; "
-            f"dwell = {PACING:g} x modeled time",
+            f"departures (Poisson, seed {self.seed}); placement = hash",
             "",
             f"single-shard parity vs bare stack: {parity}",
             "",
-            f"{'shards':>6} {'tput(adm/s)':>12} {'admitted':>8} {'rejected':>8} "
-            f"{'shed':>5} {'shed%':>6} {'diverged':>8}",
+            f"{'shards':>6} {'modeled(s)':>11} {'tput(adm/s)':>12} {'admitted':>8} "
+            f"{'rejected':>8} {'diverged':>8}",
         ]
         for row in self.rows:
             outcomes = row.outcomes
             lines.append(
-                f"{row.shards:>6} {row.throughput:>12.1f} {outcomes.admitted:>8} "
-                f"{outcomes.rejected:>8} {outcomes.shed:>5} {outcomes.shed_rate:>6.1%} "
+                f"{row.shards:>6} {row.modeled_s:>11.3f} {row.throughput:>12.2f} "
+                f"{outcomes.admitted:>8} {outcomes.rejected:>8} "
                 f"{'YES' if row.diverged else 'no':>8}"
             )
             for shard in row.per_shard:
                 lines.append(
                     f"       - {shard.device}: {shard.outcomes.admitted} admitted, "
-                    f"{shard.outcomes.rejected} rejected, {shard.outcomes.shed} shed, "
-                    f"{shard.commits} commits, {shard.utilization:.1%} utilized"
+                    f"{shard.outcomes.rejected} rejected, {shard.commits} commits, "
+                    f"{shard.utilization:.1%} utilized, {shard.modeled_s:.3f} s modeled"
                 )
         lines += [
             "",
             f"fleet audit: {sum((row.proofs for row in self.rows), Proofs())}",
-            f"speedup at {self.best.shards} shards vs 1: {self.speedup:.2f}x "
-            f"(target >= 2.0x at <= 5% shed)",
+            f"modeled speedup at {self.best.shards} shards vs 1: {self.speedup:.2f}x",
         ]
         return "\n".join(lines)
 
@@ -151,12 +148,11 @@ class FabricResult(ScenarioResult):
 def _parity_check(events: Sequence[Event], seed: int) -> Tuple[bool, Outcomes]:
     """Serial bare stack vs serial 1-shard fabric: identical, or not.
 
-    Both sides run inline (``workers=0``), so execution is a pure
-    function of the event sequence; any divergence is the fabric layer
-    changing behavior, which the refactor promises not to do.
+    Execution is a pure function of the event sequence, so any
+    divergence is the fabric layer changing behavior.
     """
     bare = make_controller()
-    bare_service = AdmissionService(bare, workers=0, seed=seed)
+    bare_service = AdmissionService(bare)
     bare_drive = ChurnDriver(bare_service.submit)
     bare_drive.drive(events)
 
@@ -177,12 +173,7 @@ def run_fabric(
     shard_counts: Sequence[int] = (1, 2, 4, 8),
     seed: int = 7,
 ) -> FabricResult:
-    """Run one Poisson workload per shard count (same seed throughout).
-
-    Each configuration gets ``WORKERS_PER_SHARD`` planner threads per
-    shard, so concurrency grows with the fleet, which is precisely the
-    scaling a sharded control plane is meant to buy.
-    """
+    """Run one Poisson workload per shard count (same seed throughout)."""
     registry = run_registry()
     events = list(poisson_events(epochs=epochs, seed=seed))
     arrivals = sum(1 for e in events if isinstance(e, ArrivalEvent))
@@ -191,44 +182,39 @@ def run_fabric(
     rows: List[FabricRow] = []
     for num_shards in shard_counts:
         fabric = Fabric.build(
-            num_shards,
-            seed=seed,
-            workers=WORKERS_PER_SHARD,
-            telemetry=registry,
-            sanitizer=sanitizer_enabled(),
-            **THREADED_SERVICE,
+            num_shards, seed=seed, telemetry=registry, sanitizer=sanitizer_enabled()
         )
         drive = ChurnDriver(fabric.submit)
-        started = time.perf_counter()
         drive.drive(events)
-        fabric.drain()
-        elapsed = time.perf_counter() - started
+        # Each shard's reports in commit order: routes are sticky.
+        history: Dict[Optional[int], List[ProvisioningReport]] = {}
+        for report in drive.history:
+            history.setdefault(fabric.route_of(report.fid), []).append(report)
 
-        # Per-shard linearizability: each commit log replays serially
-        # to its shard's exact pool state.
+        # Each commit log replays serially to its shard's exact pools.
         diverged = False
         per_shard: List[ShardRow] = []
         for shard in fabric.shards:
             live, replayed = replay_shard(shard, drive.pattern_of_fid)
             diverged = diverged or live != replayed
-            owned = [fid for fid in drive.tickets if fabric.route_of(fid) == shard.index]
+            owned = [fid for fid in drive.reports if fabric.route_of(fid) == shard.index]
             per_shard.append(
                 ShardRow(
                     device=shard.device_id,
                     outcomes=drive.outcomes(owned),
                     commits=len(shard.commit_log),
                     utilization=shard.controller.allocator.utilization(),
+                    modeled_s=windowed_seconds(history.get(shard.index, []), 1),
                 )
             )
         row = FabricRow(
             shards=num_shards,
-            elapsed_s=elapsed,
+            modeled_s=max(shard.modeled_s for shard in per_shard),
             outcomes=drive.outcomes(),
             diverged=diverged,
             per_shard=per_shard,
             proofs=Proofs.of(fabric.audit().values(), fabric.certificates().values()),
         )
-        fabric.close()
         rows.append(row)
         publish_gauges(
             registry,

@@ -9,13 +9,14 @@ application is delegated to a pluggable
 :class:`~repro.fabric.placement.PlacementPolicy`; once placed, a fid's
 route is sticky, so all of its subsequent traffic (withdrawals,
 re-admissions, digests) serializes on the same shard and each shard's
-``commit_log`` remains an independent linearizability witness.
+``commit_log`` remains an independent replay witness.
 
 There is no cross-shard coordination on the hot path: shards share
-nothing but the routing table, which only the submitting thread
-mutates.  That is the point -- admission throughput scales with shard
-count because the per-switch commit locks never contend with each
-other.
+nothing but the routing table.  Every request is served inline on the
+caller's thread by its shard's service; how the shards' switch-side
+work would overlap is modeled from the reports
+(:func:`repro.experiments.common.windowed_seconds`), with the fleet's
+makespan the slowest shard's.
 
 Telemetry is labeled per device (``device="sw3"``) so one registry
 scrape shows the whole fleet; :meth:`Fabric.fingerprint` snapshots
@@ -37,7 +38,6 @@ from repro.controller.controller import (
 )
 from repro.controller.service import (
     AdmissionService,
-    AdmissionTicket,
     CommitLogEntry,
     pools_fingerprint,
     replay_commit_log,
@@ -91,13 +91,12 @@ class Shard:
         return self.service.commit_log
 
     def used_blocks(self) -> int:
-        """Blocks allocated on this shard (from a commit-consistent shadow)."""
-        shadow = self.service.snapshot_shadow()
-        return sum(pool.used_blocks for pool in shadow.pools.values())
+        """Blocks allocated on this shard."""
+        return sum(pool.used_blocks for pool in self.controller.allocator.pools.values())
 
     def probe(self, fid: int, pattern: AccessPattern) -> bool:
         """Feasibility of admitting *pattern* here, without side effects."""
-        shadow = self.service.snapshot_shadow()
+        shadow = self.controller.allocator.shadow()
         try:
             plan = shadow.plan(fid, pattern)
         except AllocationError:
@@ -176,8 +175,8 @@ class Fabric:
         self.placement = make_policy(placement, seed=seed)
         self.telemetry = resolve(telemetry)
         self.tracer = resolve_tracer(tracer)
-        #: Sticky fid -> shard-index routes.  Only the submitting
-        #: thread writes; shards never do.
+        #: Sticky fid -> shard-index routes.  Only the fabric writes;
+        #: shards never do.
         self._routes: Dict[int, int] = {}
         #: Access pattern of every sticky-placed fid, kept so a shard
         #: failover can re-admit or replay its residents (the commit log
@@ -202,10 +201,6 @@ class Fabric:
         placement: Union[str, PlacementPolicy] = "hash",
         seed: int = 0,
         workers: int = 0,
-        queue_limit: int = 256,
-        default_deadline_s: Optional[float] = None,
-        retry_after_s: float = 0.05,
-        pacing: float = 0.0,
         scheme: AllocationScheme = AllocationScheme.WORST_FIT,
         policy: AllocationPolicy = MOST_CONSTRAINED,
         telemetry: Optional[MetricsRegistry] = None,
@@ -217,10 +212,8 @@ class Fabric:
         """Build *num_shards* identical sim-backed shards.
 
         Each shard gets its own simulated switch (device ids ``sw0`` ..
-        ``sw{N-1}``), controller, and admission service; *workers*,
-        *queue_limit*, *pacing* etc. configure every shard's service
-        identically, with per-shard backoff seeds derived from *seed*
-        so runs are reproducible.  *device_factory* overrides the
+        ``sw{N-1}``), controller, and inline admission service
+        (*workers* must be 0).  *device_factory* overrides the
         default sim device per index -- the chaos harness passes one
         that wraps each device in a
         :class:`~repro.faults.FaultyDevice`; *retry* is each
@@ -249,15 +242,7 @@ class Fabric:
                 retry=retry,
             )
             service = AdmissionService(
-                controller,
-                workers=workers,
-                queue_limit=queue_limit,
-                default_deadline_s=default_deadline_s,
-                retry_after_s=retry_after_s,
-                pacing=pacing,
-                seed=seed + index,
-                telemetry=registry,
-                tracer=tracer,
+                controller, workers=workers, telemetry=registry, tracer=tracer
             )
             shards.append(Shard(index, controller, service))
         return cls(
@@ -332,11 +317,7 @@ class Fabric:
     # The request API (mirrors AdmissionService)
     # ------------------------------------------------------------------
 
-    def submit(
-        self,
-        request: ProvisioningRequest,
-        deadline_s: Optional[float] = None,
-    ) -> AdmissionTicket[ProvisioningReport]:
+    def submit(self, request: ProvisioningRequest) -> ProvisioningReport:
         """Route one request to its shard's admission service."""
         shard = self._route(request)
         if self.telemetry.enabled:
@@ -345,29 +326,15 @@ class Fabric:
                 help="Requests routed through the fabric, by device and kind",
                 labels={"device": shard.device_id, "kind": request.kind.value},
             ).inc()
-        return shard.service.submit(request, deadline_s=deadline_s)
+        return shard.service.submit(request)
 
-    def submit_and_wait(
-        self,
-        request: ProvisioningRequest,
-        deadline_s: Optional[float] = None,
-        timeout: Optional[float] = None,
-    ) -> ProvisioningReport:
-        return self.submit(request, deadline_s=deadline_s).result(timeout)
+    def submit_and_wait(self, request: ProvisioningRequest) -> ProvisioningReport:
+        """:meth:`submit` under the name the wire-driven callers use."""
+        return self.submit(request)
 
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until every shard's queue has resolved."""
-        return all(shard.service.drain(timeout) for shard in self.shards)
-
-    def close(self, wait: bool = True) -> None:
-        for shard in self.shards:
-            shard.service.close(wait=wait)
-
-    def __enter__(self) -> "Fabric":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+    def close(self) -> None:
+        """Nothing to release: every request is served inline.  Kept
+        for callers that close what they build."""
 
     def __len__(self) -> int:
         return len(self.shards)
@@ -380,7 +347,6 @@ class Fabric:
         self,
         index: int,
         replacement: Optional[Union[Device, object]] = None,
-        deadline_s: Optional[float] = None,
     ) -> FailoverReport:
         """Declare shard *index* dead and recover its applications.
 
@@ -433,7 +399,7 @@ class Fabric:
             )
         if replacement is not None:
             return self._failover_replace(index, failed, replacement, residents)
-        return self._failover_redistribute(index, failed, residents, deadline_s)
+        return self._failover_redistribute(index, failed, residents)
 
     def _failover_replace(
         self,
@@ -477,7 +443,6 @@ class Fabric:
         index: int,
         failed: Shard,
         residents: List[int],
-        deadline_s: Optional[float],
     ) -> FailoverReport:
         """Re-admit the dead shard's residents on the survivors."""
         report = FailoverReport(
@@ -486,10 +451,7 @@ class Fabric:
         for fid in residents:
             pattern = self._patterns[fid]
             self._routes.pop(fid, None)
-            outcome = self.submit_and_wait(
-                ProvisioningRequest.admission(fid, pattern),
-                deadline_s=deadline_s,
-            )
+            outcome = self.submit(ProvisioningRequest.admission(fid, pattern))
             if outcome.success:
                 report.readmitted.append(fid)
             else:
@@ -607,7 +569,7 @@ def replay_shard(
     """Serial-replay one shard's commit log onto a fresh controller.
 
     Returns ``(live_fingerprint, replayed_fingerprint)`` -- equal iff
-    the shard's concurrent history linearized (the per-shard witness
+    the shard's commit log is its history (the per-shard witness
     the fabric tests assert).  The fresh controller takes the shard's
     own switch configuration, allocation scheme and policy.
     """

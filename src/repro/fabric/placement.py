@@ -89,9 +89,8 @@ class HashPlacement:
 class LeastLoadedPlacement:
     """Send the newcomer to the shard holding the fewest blocks.
 
-    Load is read from a commit-consistent shadow, so concurrent
-    admissions cannot tear the count.  Ties break on the lower shard
-    index for reproducibility.
+    Load is read from each shard's live allocator.  Ties break on the
+    lower shard index for reproducibility.
     """
 
     name = "least-loaded"

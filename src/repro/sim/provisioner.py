@@ -51,12 +51,10 @@ class SimProvisioner:
         self.loop = loop
         self.network = network
         self.controller = controller
-        #: Admissions flow through the unified request API.  The
-        #: default inline service (workers=0) runs the plan/commit
-        #: pipeline on the event-loop thread -- simulated time is
-        #: single-threaded -- while still exercising the same code
-        #: path the concurrent deployment uses.
-        self.service = service or AdmissionService(controller, workers=0)
+        #: Admissions flow through the unified request API: the
+        #: admission service runs the plan/commit pipeline on the
+        #: event-loop thread and keeps the commit log.
+        self.service = service or AdmissionService(controller)
         self.provisioning_log: List[Dict] = []
         #: fid -> AccessPattern used instead of the wire-decoded one;
         #: lets locally-known constraints (e.g. the heavy hitter's

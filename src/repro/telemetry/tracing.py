@@ -28,7 +28,7 @@ layout it committed":
   tests ``tracer.enabled`` (gated by
   ``benchmarks/test_hotpath_throughput.py::test_telemetry_overhead``).
 - :class:`FlightRecorder` -- a bounded ring of anomaly dumps.  When a
-  rollback, shed, deadline miss, or stale-plan retry storm fires, the
+  rollback, a device failure or a shard failure fires, the
   recorder captures the full correlated span tree plus a caller-
   supplied state fingerprint, so every anomaly ships with its own
   reconstruction (RBFRT-style per-request latency breakdowns, but
@@ -536,8 +536,6 @@ class FlightRecorder:
             ``tracer.recorder`` so instrumented code can fire
             :meth:`Tracer.anomaly` without holding a recorder handle.
         capacity: dump ring size (oldest dumps evict first).
-        retry_threshold: stale-plan retries per request after which the
-            admission service fires a ``stale_retries`` anomaly.
         fingerprint: zero-arg callable capturing ambient state (e.g.
             :func:`~repro.controller.service.pools_fingerprint` of the
             live allocator) evaluated at dump time.
@@ -547,15 +545,11 @@ class FlightRecorder:
         self,
         tracer: Tracer,
         capacity: int = 32,
-        retry_threshold: int = 3,
         fingerprint: Optional[Callable[[], object]] = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError("flight recorder capacity must be positive")
-        if retry_threshold < 1:
-            raise ValueError("retry threshold must be >= 1")
         self.tracer = tracer
-        self.retry_threshold = retry_threshold
         self.fingerprint = fingerprint
         self.dumps: Deque[FlightDump] = deque(maxlen=capacity)
         self.triggered = 0

@@ -1,16 +1,14 @@
-"""Concurrent admission service: optimistic plan/commit under churn.
+"""The inline admission service: plan/commit, groups and the commit log.
 
 The contracts under test:
 
-- **Linearizability**: interleaved concurrent admissions leave the
-  pools byte-identical to the serial execution of the service's own
-  commit log (some serial admission order).
-- **Stale-plan retry**: a commit that lost the race re-plans and
-  succeeds; conflict/retry counters advance.
-- **Deadline shed**: a request past its deadline resolves with a
-  ``SHED`` report carrying a retry-after hint -- never an exception.
-- **Queue-full shed**: submissions beyond the queue bound shed
-  immediately.
+- **The commit-log witness**: admissions and withdrawals leave the
+  pools byte-identical to the serial replay of the service's own
+  commit log, however many provisioning windows the run is modeled
+  with.
+- **The basis guard**: a plan made against another allocator version
+  is refused, and on the inline path the ``StalePlanError`` propagates
+  (nothing re-plans it).
 - **Batch atomicity**: a mid-batch switch-side failure rolls the whole
   group back byte-identically; an infeasible member rejects the whole
   group before anything is touched.
@@ -28,13 +26,13 @@ from repro.controller import (
     ActiveRmtController,
     AdmissionService,
     AdmissionServiceError,
-    BackoffPolicy,
     ProvisioningRequest,
     ProvisioningStatus,
 )
 from repro.controller.service import pools_fingerprint, replay_commit_log
 from repro.core.transactions import PlanState, StalePlanError
 from repro.device import SimDevice
+from repro.experiments.common import windowed_seconds
 from repro.faults import FaultKind, FaultyDevice
 from repro.switchsim import ActiveSwitch, SwitchConfig
 from repro.telemetry import MetricsRegistry
@@ -59,19 +57,6 @@ def _admission(fid: int) -> ProvisioningRequest:
     return ProvisioningRequest.admission(fid=fid, pattern=listing1_pattern())
 
 
-class FakeClock:
-    """Deterministic clock + sleep pair for deadline tests."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def sleep(self, seconds: float) -> None:
-        self.now += seconds
-
-
 # ----------------------------------------------------------------------
 # Linearizability
 # ----------------------------------------------------------------------
@@ -80,28 +65,27 @@ class FakeClock:
 @settings(max_examples=15, deadline=None)
 @given(
     count=st.integers(min_value=2, max_value=10),
-    workers=st.integers(min_value=2, max_value=4),
-    seed=st.integers(min_value=0, max_value=2**16),
+    windows=st.integers(min_value=2, max_value=4),
 )
-def test_concurrent_admissions_linearize(count, workers, seed):
-    """Pools after a concurrent run == serial replay of its commit log."""
+def test_concurrent_admissions_linearize(count, windows):
+    """Admissions modeled with several provisioning windows outstanding
+    are still the serial execution of the commit log: the pools equal
+    its replay, and the modeled time lies between the table updates
+    alone and the serial sum."""
     pattern = listing1_pattern()
     controller = _controller()
-    with AdmissionService(controller, workers=workers, seed=seed) as service:
-        tickets = [
-            service.submit(
-                ProvisioningRequest.admission(fid=fid, pattern=pattern)
-            )
-            for fid in range(1, count + 1)
-        ]
-        reports = [ticket.result(timeout=30) for ticket in tickets]
+    service = AdmissionService(controller)
+    reports = [
+        service.submit(ProvisioningRequest.admission(fid=fid, pattern=pattern))
+        for fid in range(1, count + 1)
+    ]
     assert all(
         report.status
         in (ProvisioningStatus.ADMITTED, ProvisioningStatus.REJECTED)
         for report in reports
     )
     admitted = {r.fid for r in reports if r.success}
-    assert {fid for op, fid in service.commit_log} == admitted
+    assert service.commit_log == [("admit", fid) for fid in sorted(admitted)]
 
     replay = _controller()
     replay_commit_log(
@@ -113,30 +97,27 @@ def test_concurrent_admissions_linearize(count, workers, seed):
     assert allocator_fingerprint(controller.allocator)[:2] == (
         allocator_fingerprint(replay.allocator)[:2]
     )
+    modeled = windowed_seconds(reports, windows)
+    tables = sum(r.table_update_seconds for r in reports)
+    serial = sum(r.table_update_seconds + r.snapshot_seconds for r in reports)
+    assert tables <= modeled <= serial
 
 
 def test_concurrent_mixed_churn_linearizes():
-    """Admissions racing withdrawals still replay byte-identically."""
+    """Withdrawals interleaved with two waves of admissions replay
+    byte-identically, in the order the service committed them."""
     pattern = listing1_pattern()
     controller = _controller()
-    service = AdmissionService(controller, workers=3, seed=1)
-    first_wave = [
-        service.submit(ProvisioningRequest.admission(fid=fid, pattern=pattern))
-        for fid in range(1, 5)
-    ]
-    for ticket in first_wave:
-        assert ticket.result(timeout=30).success
-    # Race withdrawals of the first wave against a second wave.
+    service = AdmissionService(controller)
+    for fid in range(1, 5):
+        assert service.submit(
+            ProvisioningRequest.admission(fid=fid, pattern=pattern)
+        ).success
     for fid in (1, 3):
-        service.submit(ProvisioningRequest.withdrawal(fid=fid))
-    second_wave = [
+        assert service.submit(ProvisioningRequest.withdrawal(fid=fid)).success
+    for fid in range(5, 9):
         service.submit(ProvisioningRequest.admission(fid=fid, pattern=pattern))
-        for fid in range(5, 9)
-    ]
-    for ticket in second_wave:
-        ticket.result(timeout=30)
-    service.drain(timeout=30)
-    service.close()
+    assert service.commit_log[4:6] == [("withdraw", 1), ("withdraw", 3)]
 
     replay = _controller()
     replay_commit_log(
@@ -150,45 +131,33 @@ def test_concurrent_mixed_churn_linearizes():
 
 
 # ----------------------------------------------------------------------
-# Stale-plan retry
+# The basis guard
 # ----------------------------------------------------------------------
 
 
-def test_stale_plan_retries_and_succeeds():
-    """A rival commit between snapshot and commit forces one re-plan."""
-    telemetry = MetricsRegistry()
+def test_stale_plan_propagates_inline():
+    """Nothing moves the allocator between an inline plan and its
+    commit, so a stale plan is a bug: the guard refuses it, the error
+    reaches the caller, nothing is committed or logged."""
     controller = _controller()
-    service = AdmissionService(
-        controller, workers=0, telemetry=telemetry, sleep=lambda s: None
-    )
-    pattern = listing1_pattern()
-    original = service._snapshot_shadow
-    rigged = {"fired": False}
+    service = AdmissionService(controller)
+    allocator = controller.allocator
+    original = allocator.plan
 
-    def racing_snapshot():
-        shadow = original()
-        if not rigged["fired"]:
-            rigged["fired"] = True
-            # Rival lands after our shadow was taken: our plan is stale.
-            assert controller.admit(fid=777, pattern=pattern).success
-        return shadow
+    def stale_plan(*args, **kwargs):
+        plan = original(*args, **kwargs)
+        allocator._version += 1  # the version moves under the plan
+        return plan
 
-    service._snapshot_shadow = racing_snapshot
-    report = service.submit_and_wait(
-        ProvisioningRequest.admission(fid=1, pattern=pattern)
-    )
-    assert report.status is ProvisioningStatus.ADMITTED
-    snap = telemetry.snapshot()["counters"]
-    assert sum(
-        v for k, v in snap.items()
-        if k.startswith("admission_commit_conflicts_total")
-    ) == 1
-    assert sum(
-        v for k, v in snap.items()
-        if k.startswith("admission_plan_retries_total")
-    ) == 1
-    # Both tenants resident; the retry planned around the rival.
-    assert set(controller.allocator.resident_fids()) == {1, 777}
+    allocator.plan = stale_plan
+    before = allocator_fingerprint(allocator)
+    with pytest.raises(StalePlanError):
+        service.submit(_admission(1))
+    del allocator.plan
+    assert service.commit_log == []
+    assert allocator_fingerprint(allocator)[:2] == before[:2]
+    # The service is still up.
+    assert service.submit(_admission(1)).success
 
 
 def test_commit_plan_rejects_stale_basis_directly():
@@ -202,97 +171,15 @@ def test_commit_plan_rejects_stale_basis_directly():
 
 
 # ----------------------------------------------------------------------
-# Shedding
-# ----------------------------------------------------------------------
-
-
-def test_deadline_shed_is_a_response_not_an_error():
-    telemetry = MetricsRegistry()
-    clock = FakeClock()
-    controller = _controller()
-    service = AdmissionService(
-        controller,
-        workers=0,
-        telemetry=telemetry,
-        clock=clock,
-        sleep=clock.sleep,
-        retry_after_s=0.25,
-    )
-    ticket = service.submit(_admission(1), deadline_s=1.0)
-    report = ticket.result(timeout=0)
-    assert report.status is not ProvisioningStatus.SHED  # in time: admitted
-    clock.now = 100.0
-    report = service.submit_and_wait(_admission(2), deadline_s=-1.0)
-    assert report.status is ProvisioningStatus.SHED
-    assert report.shed
-    assert not report.success
-    assert report.retry_after_s == 0.25
-    snap = telemetry.snapshot()["counters"]
-    assert snap.get('admission_shed_total{reason="deadline"}') == 1
-    assert 2 not in controller.allocator.apps
-
-
-def test_deadline_shed_during_backoff():
-    """Deadline expiring while backing off sheds instead of retrying."""
-    clock = FakeClock()
-    controller = _controller()
-    service = AdmissionService(
-        controller,
-        workers=0,
-        clock=clock,
-        sleep=clock.sleep,
-        backoff=BackoffPolicy(base_s=10.0, jitter=0.0),
-    )
-    pattern = listing1_pattern()
-    original = service._snapshot_shadow
-
-    def always_stale():
-        shadow = original()
-        controller.allocator._version += 1  # every plan goes stale
-        return shadow
-
-    service._snapshot_shadow = always_stale
-    report = service.submit_and_wait(
-        ProvisioningRequest.admission(fid=1, pattern=pattern), deadline_s=5.0
-    )
-    assert report.status is ProvisioningStatus.SHED
-    assert 1 not in controller.allocator.apps
-
-
-def test_queue_full_sheds_immediately():
-    telemetry = MetricsRegistry()
-    controller = _controller(telemetry=telemetry)
-    # Workers never started: the queue can only fill.
-    service = AdmissionService(
-        controller, workers=1, queue_limit=2, autostart=False,
-        telemetry=telemetry,
-    )
-    first = service.submit(_admission(1))
-    second = service.submit(_admission(2))
-    third = service.submit(_admission(3))
-    assert not first.done() and not second.done()
-    report = third.result(timeout=0)
-    assert report.status is ProvisioningStatus.SHED
-    assert report.retry_after_s > 0
-    snap = telemetry.snapshot()["counters"]
-    assert snap.get('admission_shed_total{reason="queue_full"}') == 1
-    # Workers drain the backlog once started.
-    service.start()
-    assert first.result(timeout=30).success
-    assert second.result(timeout=30).success
-    service.close()
-
-
-# ----------------------------------------------------------------------
 # Batched admission
 # ----------------------------------------------------------------------
 
 
 def test_batch_commits_atomically():
     controller = _controller()
-    service = AdmissionService(controller, workers=0)
+    service = AdmissionService(controller)
     batch = service.submit_many([_admission(fid) for fid in (1, 2, 3)])
-    report = batch.result(timeout=0)
+    report = batch
     assert report.status is ProvisioningStatus.ADMITTED
     assert report.success
     assert [r.success for r in report.reports] == [True, True, True]
@@ -303,7 +190,7 @@ def test_batch_commits_atomically():
 def test_batch_rolls_back_whole_group_on_tcam_exhaustion():
     """A mid-batch TCAM overflow undoes every member, byte-identically."""
     controller = _controller(tcam_entries_per_stage=2)
-    service = AdmissionService(controller, workers=0)
+    service = AdmissionService(controller)
     pattern = listing1_pattern()
     # Fill most of the TCAM with singles first.
     resident = 0
@@ -317,7 +204,7 @@ def test_batch_rolls_back_whole_group_on_tcam_exhaustion():
     before_alloc = allocator_fingerprint(controller.allocator)
     before_switch = switch_fingerprint(controller)
     batch = service.submit_many([_admission(fid) for fid in (1, 2, 3, 4)])
-    report = batch.result(timeout=0)
+    report = batch
     assert report.status is ProvisioningStatus.ROLLED_BACK
     assert not report.success
     # Every member reports like a single rolled-back admission: its own
@@ -343,7 +230,7 @@ def test_batch_rolls_back_whole_group_on_tcam_exhaustion():
 def test_batch_rejects_infeasible_member_without_touching_state():
     # A small register file saturates in a few dozen admissions.
     controller = _controller(words_per_stage=1024)
-    service = AdmissionService(controller, workers=0)
+    service = AdmissionService(controller)
     pattern = listing1_pattern()
     # Saturate the device so a later member cannot fit.
     fid = 100
@@ -352,7 +239,7 @@ def test_batch_rejects_infeasible_member_without_touching_state():
         assert fid < 500
     before = allocator_fingerprint(controller.allocator)
     batch = service.submit_many([_admission(1), _admission(2)])
-    report = batch.result(timeout=0)
+    report = batch
     assert report.status is ProvisioningStatus.REJECTED
     assert allocator_fingerprint(controller.allocator) == before
     assert service.commit_log == []
@@ -363,7 +250,7 @@ def test_batch_strict_rejection_reports_every_member():
     is touched -- and says so: one report per member, nothing logged
     (an empty report list would read as an all-admitted group)."""
     controller = ActiveRmtController(ActiveSwitch(), verify="strict")
-    service = AdmissionService(controller, workers=0)
+    service = AdmissionService(controller)
     before = allocator_fingerprint(controller.allocator)
     clean = _counter_program()
     batch = service.submit_many(
@@ -379,7 +266,7 @@ def test_batch_strict_rejection_reports_every_member():
             ),
         ]
     )
-    report = batch.result(timeout=0)
+    report = batch
     assert report.status is ProvisioningStatus.REJECTED
     assert [member.fid for member in report.reports] == [1, 2, 3]
     assert not any(member.success for member in report.reports)
@@ -393,7 +280,7 @@ def test_batch_strict_rejection_reports_every_member():
 
 def test_batch_validates_inputs():
     controller = _controller()
-    service = AdmissionService(controller, workers=0)
+    service = AdmissionService(controller)
     with pytest.raises(AdmissionServiceError):
         service.submit_many([])
     with pytest.raises(AdmissionServiceError):
@@ -475,34 +362,32 @@ def test_compile_options_supplies_other_knobs():
 # ----------------------------------------------------------------------
 
 
-def test_close_rejects_new_submissions_but_drains_queue():
+def test_only_the_inline_mode_exists():
     controller = _controller()
-    service = AdmissionService(controller, workers=2)
-    tickets = [service.submit(_admission(fid)) for fid in (1, 2, 3)]
-    service.close()
-    for ticket in tickets:
-        ticket.result(timeout=30)
-    with pytest.raises(AdmissionServiceError):
-        service.submit(_admission(4))
+    assert AdmissionService(controller, workers=0).submit(_admission(1)).success
+    for workers in (1, 4, -1):
+        with pytest.raises(ValueError, match="workers must be 0"):
+            AdmissionService(controller, workers=workers)
 
 
-def test_worker_errors_propagate_through_ticket():
+def test_planner_errors_propagate_to_the_caller():
     controller = _controller()
-    service = AdmissionService(controller, workers=1)
+    service = AdmissionService(controller)
 
-    def boom():
+    def boom(*args, **kwargs):
         raise RuntimeError("rigged")
 
-    service._snapshot_shadow = boom
-    ticket = service.submit(_admission(1))
+    controller.allocator.plan = boom
     with pytest.raises(RuntimeError, match="rigged"):
-        ticket.result(timeout=30)
-    service.close()
+        service.submit(_admission(1))
+    del controller.allocator.plan
+    assert service.commit_log == []
+    assert service.submit(_admission(1)).success
 
 
 def test_duplicate_fid_race_resolves_as_rejection():
     controller = _controller()
-    service = AdmissionService(controller, workers=0)
+    service = AdmissionService(controller)
     assert service.submit_and_wait(_admission(1)).success
     report = service.submit_and_wait(_admission(1))
     assert not report.success
@@ -532,13 +417,13 @@ def test_n_singles_equal_one_batch_of_n(apps, residents):
         )
         for fid, name in enumerate(apps, start=1)
     ]
-    singles = AdmissionService(_controller(), workers=0)
-    batched = AdmissionService(_controller(), workers=0)
+    singles = AdmissionService(_controller())
+    batched = AdmissionService(_controller())
     for service in (singles, batched):
         for fid in range(100, 100 + residents):  # same non-empty start
             assert service.submit_and_wait(_admission(fid)).success
     one_by_one = [singles.submit_and_wait(request) for request in requests]
-    group = batched.submit_many(requests).result(timeout=0)
+    group = batched.submit_many(requests)
     assert group.status is ProvisioningStatus.ADMITTED
     assert pools_fingerprint(singles.controller.allocator) == pools_fingerprint(
         batched.controller.allocator
@@ -549,31 +434,28 @@ def test_n_singles_equal_one_batch_of_n(apps, residents):
         assert lone.plan.regions == member.plan.regions
 
 
-@pytest.mark.parametrize("workers", [0, 1])
-def test_batch_with_resident_fid_is_a_rejection_not_an_error(workers):
+def test_batch_with_resident_fid_is_a_rejection_not_an_error():
     """Misuse gets the same answer at every N: re-submitting a resident
-    fid inside a group used to raise AllocationError out of the ticket
+    fid inside a group used to raise AllocationError out of the service
     where a lone submit() reports REJECTED."""
     controller = _controller()
-    with AdmissionService(controller, workers=workers) as service:
-        assert service.submit_and_wait(_admission(2), timeout=30).success
-        before = pools_fingerprint(controller.allocator)
-        report = service.submit_many(
-            [_admission(1), _admission(2), _admission(3)]
-        ).result(timeout=30)
-        assert report.status is ProvisioningStatus.REJECTED
-        assert [member.fid for member in report.reports] == [1, 2, 3]
-        assert all(
-            member.status is ProvisioningStatus.REJECTED
-            for member in report.reports
-        )
-        assert {member.reason for member in report.reports} == {
-            "fid 2 already admitted"
-        }
-        assert service.commit_log == [("admit", 2)]
-        assert pools_fingerprint(controller.allocator) == before
-        # The service is still up.
-        assert service.submit_and_wait(_admission(4), timeout=30).success
+    service = AdmissionService(controller)
+    assert service.submit_and_wait(_admission(2)).success
+    before = pools_fingerprint(controller.allocator)
+    report = service.submit_many([_admission(1), _admission(2), _admission(3)])
+    assert report.status is ProvisioningStatus.REJECTED
+    assert [member.fid for member in report.reports] == [1, 2, 3]
+    assert all(
+        member.status is ProvisioningStatus.REJECTED
+        for member in report.reports
+    )
+    assert {member.reason for member in report.reports} == {
+        "fid 2 already admitted"
+    }
+    assert service.commit_log == [("admit", 2)]
+    assert pools_fingerprint(controller.allocator) == before
+    # The service is still up.
+    assert service.submit_and_wait(_admission(4)).success
 
 
 def test_batch_replans_after_transient_rollback():
@@ -593,12 +475,10 @@ def test_batch_replans_after_transient_rollback():
         SimDevice(ActiveSwitch(), device_id="sw0"), ScriptedPlan(fault_one_install)
     )
     controller = ActiveRmtController(device, telemetry=telemetry)
-    service = AdmissionService(
-        controller, workers=0, telemetry=telemetry, sleep=lambda s: None
-    )
+    service = AdmissionService(controller, telemetry=telemetry)
     report = service.submit_many(
         [_admission(fid) for fid in (1, 2, 3)]
-    ).result(timeout=0)
+    )
     assert report.status is ProvisioningStatus.ADMITTED
     assert service.commit_log == [("admit", 1), ("admit", 2), ("admit", 3)]
     counters = telemetry.snapshot()["counters"]
@@ -611,7 +491,7 @@ def test_batch_infeasible_member_reports_every_member():
     member without a feasible mutant carries the planner's verdict, its
     siblings say why they were aborted, nothing is logged."""
     controller = _controller(words_per_stage=1024)
-    service = AdmissionService(controller, workers=0)
+    service = AdmissionService(controller)
     fid = 100
     while controller.admit(fid=fid, pattern=listing1_pattern()).success:
         fid += 1
@@ -622,7 +502,7 @@ def test_batch_infeasible_member_reports_every_member():
     recorded = len(controller.reports)
     report = service.submit_many(
         [_admission(1), _admission(2), _admission(3)]
-    ).result(timeout=0)
+    )
     assert report.status is ProvisioningStatus.REJECTED
     assert [member.fid for member in report.reports] == [1, 2, 3]
     first, culprit, last = report.reports

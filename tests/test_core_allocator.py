@@ -20,6 +20,7 @@ from repro.core import (
 from repro.core import mutants as mutants_module
 from repro.core.mutants import merge_demands
 from repro.switchsim import SwitchConfig
+from repro.telemetry import MetricsRegistry
 
 from tests.test_core_constraints import listing1_pattern
 
@@ -148,6 +149,26 @@ def test_release_expands_elastic_neighbors(allocator):
     assert 1 not in allocator.apps
     # Departure must have expanded someone.
     assert reallocations
+
+
+def test_blocks_moved_counts_the_displaced_ranges():
+    """The fourth cache halves the first one's ranges in stages 2 and 5,
+    and its release restores them: ``allocator_blocks_moved_total``
+    counts each displaced range's blocks, before the move."""
+    registry = MetricsRegistry()
+    allocator = ActiveRmtAllocator(SwitchConfig(), telemetry=registry)
+    moved = registry.counter("allocator_blocks_moved_total")
+    for fid in range(3):
+        assert allocator.allocate(fid=fid, pattern=listing1_pattern()).reallocations == {}
+    assert moved.value == 0
+    whole, half = BlockRange(0, 256), BlockRange(0, 128)
+    decision = allocator.allocate(fid=3, pattern=listing1_pattern())
+    assert decision.reallocations == {0: {2: (whole, half), 5: (whole, half)}}
+    assert moved.value == 2 * 256
+    reallocations, _checkpoint = allocator.release(3)
+    allocator.record_release(reallocations)
+    assert reallocations == {0: {2: (half, whole), 5: (half, whole)}}
+    assert moved.value == 2 * 256 + 2 * 128
 
 
 def test_release_unknown_fid_raises(allocator):

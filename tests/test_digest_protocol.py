@@ -54,7 +54,7 @@ def _control(controller, fid, flags):
 def test_wire_tenants_land_in_the_commit_log():
     switch = _switch()
     controller = ActiveRmtController(switch)
-    service = AdmissionService(controller, workers=0)
+    service = AdmissionService(controller)
     switch.receive(_request(controller, 7, listing1_pattern()), in_port=1)
     switch.receive(_request(controller, 8, listing1_pattern()), in_port=1)
     switch.receive(_control(controller, 7, ControlFlags.DEALLOCATE), in_port=1)

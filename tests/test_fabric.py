@@ -29,7 +29,6 @@ from repro.analysis import VerifyMode
 from repro.controller import (
     ActiveRmtController,
     AdmissionService,
-    BackoffPolicy,
     ProvisioningRequest,
     ProvisioningStatus,
     SnapshotCost,
@@ -131,36 +130,36 @@ def test_make_policy_resolves_names_and_passes_instances_through():
 
 
 def test_routes_are_sticky_and_withdrawals_follow_them():
-    with Fabric.build(4, workers=0, seed=11) as fabric:
-        report = fabric.submit_and_wait(_admission(42))
-        assert report.success
-        home = fabric.route_of(42)
-        assert home is not None
-        fabric.submit_and_wait(ProvisioningRequest.withdrawal(fid=42))
-        # Withdrawal stays on the admission shard; the route survives.
-        assert fabric.route_of(42) == home
-        assert fabric.shards[home].commit_log == [
-            ("admit", 42),
-            ("withdraw", 42),
-        ]
+    fabric = Fabric.build(4, seed=11)
+    report = fabric.submit_and_wait(_admission(42))
+    assert report.success
+    home = fabric.route_of(42)
+    assert home is not None
+    fabric.submit_and_wait(ProvisioningRequest.withdrawal(fid=42))
+    # Withdrawal stays on the admission shard; the route survives.
+    assert fabric.route_of(42) == home
+    assert fabric.shards[home].commit_log == [
+        ("admit", 42),
+        ("withdraw", 42),
+    ]
 
 
 def test_unplaced_withdrawal_is_a_fabric_error():
-    with Fabric.build(2, workers=0) as fabric:
-        with pytest.raises(FabricError, match="not placed"):
-            fabric.submit(ProvisioningRequest.withdrawal(fid=99))
+    fabric = Fabric.build(2)
+    with pytest.raises(FabricError, match="not placed"):
+        fabric.submit(ProvisioningRequest.withdrawal(fid=99))
 
 
 def test_dry_run_places_but_does_not_pin():
-    with Fabric.build(2, workers=0) as fabric:
-        probe = ProvisioningRequest.admission(
-            fid=7, pattern=listing1_pattern(), dry_run=True
-        )
-        report = fabric.submit_and_wait(probe)
-        assert report.success
-        assert fabric.route_of(7) is None  # what-ifs don't decide homes
-        fabric.submit_and_wait(_admission(7))
-        assert fabric.route_of(7) is not None
+    fabric = Fabric.build(2)
+    probe = ProvisioningRequest.admission(
+        fid=7, pattern=listing1_pattern(), dry_run=True
+    )
+    report = fabric.submit_and_wait(probe)
+    assert report.success
+    assert fabric.route_of(7) is None  # what-ifs don't decide homes
+    fabric.submit_and_wait(_admission(7))
+    assert fabric.route_of(7) is not None
 
 
 def test_build_rejects_empty_fleet():
@@ -178,31 +177,31 @@ def test_single_shard_fabric_matches_bare_stack_exactly():
     withdrawn = {2, 5}
 
     bare_controller = ActiveRmtController(ActiveSwitch(SwitchConfig()))
-    bare = AdmissionService(bare_controller, workers=0, seed=0)
+    bare = AdmissionService(bare_controller)
     bare_reports = {}
     for fid in fids:
-        bare_reports[fid] = bare.submit(_admission(fid)).result()
+        bare_reports[fid] = bare.submit(_admission(fid))
         if fid in withdrawn and bare_reports[fid].success:
-            bare.submit(ProvisioningRequest.withdrawal(fid=fid)).result()
+            bare.submit(ProvisioningRequest.withdrawal(fid=fid))
 
-    with Fabric.build(1, workers=0, seed=0) as fabric:
-        fabric_reports = {}
-        for fid in fids:
-            fabric_reports[fid] = fabric.submit_and_wait(_admission(fid))
-            if fid in withdrawn and fabric_reports[fid].success:
-                fabric.submit_and_wait(ProvisioningRequest.withdrawal(fid=fid))
+    fabric = Fabric.build(1, seed=0)
+    fabric_reports = {}
+    for fid in fids:
+        fabric_reports[fid] = fabric.submit_and_wait(_admission(fid))
+        if fid in withdrawn and fabric_reports[fid].success:
+            fabric.submit_and_wait(ProvisioningRequest.withdrawal(fid=fid))
 
-        assert {f: r.status for f, r in fabric_reports.items()} == {
-            f: r.status for f, r in bare_reports.items()
-        }
-        assert fabric.shards[0].commit_log == bare.commit_log
-        assert fabric.shards[0].fingerprint() == pools_fingerprint(
-            bare_controller.allocator
-        )
+    assert {f: r.status for f, r in fabric_reports.items()} == {
+        f: r.status for f, r in bare_reports.items()
+    }
+    assert fabric.shards[0].commit_log == bare.commit_log
+    assert fabric.shards[0].fingerprint() == pools_fingerprint(
+        bare_controller.allocator
+    )
 
 
 # ----------------------------------------------------------------------
-# Per-shard linearizability under concurrent churn (Hypothesis)
+# Per-shard commit logs under churn (Hypothesis)
 # ----------------------------------------------------------------------
 
 
@@ -210,32 +209,23 @@ def test_single_shard_fabric_matches_bare_stack_exactly():
 @given(
     count=st.integers(min_value=3, max_value=12),
     shard_count=st.sampled_from([1, 2, 3]),
-    workers=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_each_shard_commit_log_replays_to_its_fingerprint(
-    count, shard_count, workers, seed
-):
+def test_each_shard_commit_log_replays_to_its_fingerprint(count, shard_count, seed):
     pattern = listing1_pattern()
     patterns = {fid: pattern for fid in range(count)}
-    with Fabric.build(shard_count, workers=workers, seed=seed) as fabric:
-        tickets = [fabric.submit(_admission(fid)) for fid in range(count)]
-        reports = {fid: t.result() for fid, t in zip(range(count), tickets)}
-        # Withdraw every other successfully admitted fid, concurrently.
-        withdrawals = [
-            fabric.submit(ProvisioningRequest.withdrawal(fid=fid))
-            for fid in range(0, count, 2)
-            if reports[fid].success
-        ]
-        for ticket in withdrawals:
-            ticket.result()
-        fabric.drain()
-        for shard in fabric.shards:
-            live, replayed = replay_shard(shard, patterns)
-            assert live == replayed, (
-                f"{shard.device_id}: commit log does not replay to the "
-                f"live pools fingerprint"
-            )
+    fabric = Fabric.build(shard_count, seed=seed)
+    reports = {fid: fabric.submit(_admission(fid)) for fid in range(count)}
+    # Withdraw every other successfully admitted fid.
+    for fid in range(0, count, 2):
+        if reports[fid].success:
+            assert fabric.submit(ProvisioningRequest.withdrawal(fid=fid)).success
+    for shard in fabric.shards:
+        live, replayed = replay_shard(shard, patterns)
+        assert live == replayed, (
+            f"{shard.device_id}: commit log does not replay to the "
+            f"live pools fingerprint"
+        )
 
 
 @settings(max_examples=10, deadline=None)
@@ -244,14 +234,14 @@ def test_fabric_routes_deterministic_under_fixed_seed(seed):
     """Two fabrics, same seed and fid set, different submission order:
     identical fid -> shard maps (hash placement is load-oblivious)."""
     fids = [3, 14, 15, 92, 65, 35]
-    with Fabric.build(3, workers=0, seed=seed) as first:
-        for fid in fids:
-            first.submit_and_wait(_admission(fid))
-        forward = {fid: first.route_of(fid) for fid in fids}
-    with Fabric.build(3, workers=0, seed=seed) as second:
-        for fid in reversed(fids):
-            second.submit_and_wait(_admission(fid))
-        backward = {fid: second.route_of(fid) for fid in fids}
+    first = Fabric.build(3, seed=seed)
+    for fid in fids:
+        first.submit_and_wait(_admission(fid))
+    forward = {fid: first.route_of(fid) for fid in fids}
+    second = Fabric.build(3, seed=seed)
+    for fid in reversed(fids):
+        second.submit_and_wait(_admission(fid))
+    backward = {fid: second.route_of(fid) for fid in fids}
     assert forward == backward
 
 
@@ -261,15 +251,15 @@ def test_fabric_routes_deterministic_under_fixed_seed(seed):
 
 
 def test_fingerprint_and_stats_cover_every_shard():
-    with Fabric.build(3, workers=0) as fabric:
-        for fid in range(5):
-            fabric.submit_and_wait(_admission(fid))
-        prints = fabric.fingerprint()
-        assert set(prints) == {"sw0", "sw1", "sw2"}
-        rows = fabric.stats()
-        assert [row["device"] for row in rows] == ["sw0", "sw1", "sw2"]
-        assert sum(row["routed_fids"] for row in rows) == 5
-        assert sum(len(log) for log in fabric.commit_logs().values()) == 5
+    fabric = Fabric.build(3)
+    for fid in range(5):
+        fabric.submit_and_wait(_admission(fid))
+    prints = fabric.fingerprint()
+    assert set(prints) == {"sw0", "sw1", "sw2"}
+    rows = fabric.stats()
+    assert [row["device"] for row in rows] == ["sw0", "sw1", "sw2"]
+    assert sum(row["routed_fids"] for row in rows) == 5
+    assert sum(len(log) for log in fabric.commit_logs().values()) == 5
 
 
 # ----------------------------------------------------------------------
@@ -287,15 +277,15 @@ def test_settings_cover_every_constructor_keyword():
     it does not list silently reverts to its default on the replacement."""
     controller = ActiveRmtController(ActiveSwitch())
     assert set(controller.settings()) == _keywords(ActiveRmtController)
-    service = AdmissionService(controller, workers=0)
-    assert set(service.settings()) == _keywords(AdmissionService, "autostart")
+    service = AdmissionService(controller)
+    assert set(service.settings()) == _keywords(AdmissionService, "workers")
 
 
 def test_failover_replace_keeps_the_failed_shards_settings():
     """Regression: the replacement column used to be rebuilt from a
     hand-copied knob list that dropped verify / table_cost /
-    snapshot_cost (controller) and backoff / clock / sleep (service) --
-    a strict shard came back from a failover in warn mode."""
+    snapshot_cost (controller) -- a strict shard came back from a
+    failover in warn mode."""
     config = SwitchConfig(num_stages=8, ingress_stages=4, max_recirculations=0)
     controller = ActiveRmtController(
         SimDevice(ActiveSwitch(config), device_id="sw0"),
@@ -303,14 +293,7 @@ def test_failover_replace_keeps_the_failed_shards_settings():
         table_cost=TableUpdateCost(install_entry_seconds=1.0),
         snapshot_cost=SnapshotCost(per_block_seconds=2.0),
     )
-    service = AdmissionService(
-        controller,
-        workers=0,
-        backoff=BackoffPolicy(base_s=9.0),
-        clock=lambda: 0.0,
-        sleep=lambda seconds: None,
-        seed=5,
-    )
+    service = AdmissionService(controller, fault_retry_limit=5)
     fabric = Fabric([Shard(0, controller, service)])
     filler = assemble(FILLER, name="filler")
     assert fabric.submit_and_wait(
@@ -328,7 +311,7 @@ def test_failover_replace_keeps_the_failed_shards_settings():
     assert shard.controller.verify is VerifyMode.STRICT
     assert shard.controller.updater.cost.install_entry_seconds == 1.0
     assert shard.controller.snapshot_cost.per_block_seconds == 2.0
-    assert shard.service.backoff.base_s == 9.0
+    assert shard.service.fault_retry_limit == 5
     assert shard.controller.settings() == controller.settings()
     assert shard.service.settings() == service.settings()
 
@@ -344,4 +327,3 @@ def test_failover_replace_keeps_the_failed_shards_settings():
     assert refused.status is ProvisioningStatus.REJECTED
     assert "ARMT010" in refused.reason
     assert shard.fingerprint() == before
-    fabric.close()

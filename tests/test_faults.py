@@ -448,11 +448,10 @@ def test_device_error_mid_batch_rolls_back_whole_group():
 
     device = FaultyDevice(_sim(), ScriptedPlan(fault_fourth_install))
     controller = ActiveRmtController(device)  # no retry: the fault escapes
-    service = AdmissionService(controller, workers=0, fault_retry_limit=0)
+    service = AdmissionService(controller, fault_retry_limit=0)
     before_alloc = allocator_fingerprint(controller.allocator)
     before_switch = switch_fingerprint(controller)
-    batch = service.submit_many([_admission(fid) for fid in (1, 2, 3)])
-    report = batch.result(timeout=0)
+    report = service.submit_many([_admission(fid) for fid in (1, 2, 3)])
     assert report.status is ProvisioningStatus.ROLLED_BACK
     assert not report.success
     assert all(r.rolled_back for r in report.reports)
@@ -474,8 +473,8 @@ def test_service_replans_after_transient_rollback():
     telemetry = MetricsRegistry()
     device = FaultyDevice(_sim(), ScriptedPlan(fault_first_install_once))
     controller = ActiveRmtController(device, telemetry=telemetry)
-    service = AdmissionService(controller, workers=0, telemetry=telemetry)
-    report = service.submit(_admission(1)).result(timeout=0)
+    service = AdmissionService(controller, telemetry=telemetry)
+    report = service.submit(_admission(1))
     # The first attempt rolled back on the injected fault; the service
     # re-planned and the second attempt committed.
     assert report.status is ProvisioningStatus.ADMITTED
@@ -551,9 +550,9 @@ def test_exhausted_retries_mid_withdrawal_roll_the_withdrawal_back():
     controller = ActiveRmtController(
         device, retry=FAST_RETRY, telemetry=telemetry, tracer=tracer
     )
-    service = AdmissionService(controller, workers=0, telemetry=telemetry)
+    service = AdmissionService(controller, telemetry=telemetry)
     for fid in range(1, 7):
-        assert service.submit(_admission(fid)).result(timeout=0).success
+        assert service.submit(_admission(fid)).success
     before = (
         allocator_fingerprint(controller.allocator),
         switch_fingerprint(controller),
@@ -561,7 +560,7 @@ def test_exhausted_retries_mid_withdrawal_roll_the_withdrawal_back():
     state["armed"] = True
     report = service.submit(
         ProvisioningRequest.withdrawal(fid=2)
-    ).result(timeout=0)
+    )
     # The departing entries were removed and a neighbour's grown range
     # half-written when the retries ran out; all of it is undone.
     assert not report.success
@@ -593,7 +592,7 @@ def test_exhausted_retries_mid_withdrawal_roll_the_withdrawal_back():
     state["armed"] = False
     assert service.submit(
         ProvisioningRequest.withdrawal(fid=2)
-    ).result(timeout=0).success
+    ).success
     assert service.commit_log[-1] == ("withdraw", 2)
     assert telemetry.snapshot()["counters"]["controller_withdrawals_total"] == 1.0
     assert controller.audit().clean
@@ -698,12 +697,12 @@ def test_recover_rebuilds_pools_from_commit_log():
         _sim(), FaultPlan(seed=11, transient_rate=0.3, max_transients=4)
     )
     controller = ActiveRmtController(device, retry=FAST_RETRY)
-    service = AdmissionService(controller, workers=0)
+    service = AdmissionService(controller)
     for fid in (1, 2, 3, 4):
-        assert service.submit(_admission(fid)).result(timeout=0).success
+        assert service.submit(_admission(fid)).success
     service.submit(
         ProvisioningRequest.withdrawal(fid=2)
-    ).result(timeout=0)
+    )
 
     recovered = ActiveRmtController.recover(
         _sim("sw0-replacement"),
@@ -743,17 +742,17 @@ def test_recovery_matches_live_under_random_fault_schedules(
     controller = ActiveRmtController(
         FaultyDevice(_sim(), plan), retry=FAST_RETRY
     )
-    service = AdmissionService(controller, workers=0)
+    service = AdmissionService(controller)
     withdraw_rng = random.Random(seed)
     admitted = []
     for fid in range(1, 7):
-        if service.submit(_admission(fid)).result(timeout=0).success:
+        if service.submit(_admission(fid)).success:
             admitted.append(fid)
         if admitted and withdraw_rng.random() < 0.3:
             victim = admitted.pop(withdraw_rng.randrange(len(admitted)))
             service.submit(
                 ProvisioningRequest.withdrawal(fid=victim)
-            ).result(timeout=0)
+            )
 
     recovered = ActiveRmtController.recover(
         _sim("fresh"),
@@ -784,7 +783,6 @@ def _faulty_fabric(num_shards=3, **config_kwargs):
     fabric = Fabric.build(
         num_shards,
         config=SwitchConfig(**config_kwargs),
-        workers=0,
         device_factory=factory,
         retry=FAST_RETRY,
     )
@@ -815,7 +813,6 @@ def test_failover_replace_proves_fingerprint_equality():
     assert fabric.submit_and_wait(
         ProvisioningRequest.withdrawal(fid=residents[0])
     ).success
-    fabric.close()
 
 
 def test_device_death_mid_withdrawal_fails_over_with_the_fid_resident():
@@ -849,7 +846,6 @@ def test_device_death_mid_withdrawal_fails_over_with_the_fid_resident():
     ).success
     assert victim not in recovered.allocator.apps
     assert recovered.audit().clean
-    fabric.close()
 
 
 def test_failover_redistribute_readmits_on_survivors():
@@ -868,7 +864,6 @@ def test_failover_redistribute_readmits_on_survivors():
         assert fabric.route_of(fid) != 1
     # The degraded fleet still audits clean (dead shard skipped).
     assert all(not r.errors for r in fabric.audit().values())
-    fabric.close()
 
 
 def test_failover_redistribute_sheds_when_survivors_are_full():
@@ -890,7 +885,6 @@ def test_failover_redistribute_sheds_when_survivors_are_full():
     assert report.shed  # survivor had no room for everyone
     for fid in report.shed:
         assert fabric.route_of(fid) is None
-    fabric.close()
 
 
 def test_routing_to_dead_shard_raises_until_failover():
@@ -904,7 +898,6 @@ def test_routing_to_dead_shard_raises_until_failover():
     fabric.shards[2].alive = False
     with pytest.raises(FabricError, match="dead shard"):
         fabric.submit(ProvisioningRequest.withdrawal(fid=residents[0]))
-    fabric.close()
 
 
 def test_failover_validates_index_and_liveness():
@@ -915,4 +908,3 @@ def test_failover_validates_index_and_liveness():
     fabric.failover(0)
     with pytest.raises(FabricError, match="already"):
         fabric.failover(0)
-    fabric.close()

@@ -518,15 +518,15 @@ def test_fabric_audit_and_certificates():
     from repro.fabric import Fabric
     from repro.controller.controller import ProvisioningRequest
 
-    fabric = Fabric.build(2, workers=0, sanitizer=True)
+    fabric = Fabric.build(2, sanitizer=True)
     program = assemble(COUNTER, name="counter")
     for fid in range(1, 7):
-        ticket = fabric.submit(
+        report = fabric.submit(
             ProvisioningRequest.admission(
                 fid=fid, pattern=_pattern(program, [2])
             )
         )
-        assert ticket.result().success
+        assert report.success
     audits = fabric.audit()
     assert set(audits) == {"sw0", "sw1"}
     assert all(report.clean for report in audits.values())
@@ -536,7 +536,6 @@ def test_fabric_audit_and_certificates():
     for per_shard in certificates.values():
         for certificate in per_shard.values():
             assert certificate.valid
-    fabric.close()
 
 
 def test_certificate_and_violation_counters():

@@ -65,7 +65,7 @@ class Side:
         faulty = FaultyDevice(SimDevice(ActiveSwitch(config)), ScriptedPlan(self._decide))
         self.device = RecordingDevice(faulty)
         self.controller = cls(self.device, retry=retry)
-        self.service = AdmissionService(self.controller, workers=0, fault_retry_limit=0)
+        self.service = AdmissionService(self.controller, fault_retry_limit=0)
 
     def _decide(self, op, index):
         if self.skip:
@@ -80,14 +80,14 @@ class Side:
             return None
         if kind == "withdraw":
             request = ProvisioningRequest.withdrawal(fids[argument % len(fids)])
-            return [self.service.submit(request).result(timeout=0)]
+            return [self.service.submit(request)]
         requests = [
             ProvisioningRequest.admission(fid, PATTERNS[app])
             for fid, app in zip(argument[0], argument[1])
         ]
         if kind == "admit":
-            return [self.service.submit(requests[0]).result(timeout=0)]
-        return self.service.submit_many(requests).result(timeout=0).reports
+            return [self.service.submit(requests[0])]
+        return self.service.submit_many(requests).reports
 
     def observed(self):
         updater = self.controller.updater

@@ -161,20 +161,20 @@ def test_submit_commits_adopt_the_plans_layouts(adoption_log):
 
 def test_batched_commits_adopt_on_the_shadow_and_the_pools(adoption_log):
     controller = ActiveRmtController(ActiveSwitch(SwitchConfig()))
-    service = AdmissionService(controller, workers=0)
+    service = AdmissionService(controller)
     resident, group = set(), []
     for event, pattern in _churn(7, 80):
         if isinstance(event, ArrivalEvent):
             group.append(ProvisioningRequest.admission(event.fid, pattern))
             if len(group) < 3:
                 continue
-            for report in service.submit_many(group).result(timeout=0).reports:
+            for report in service.submit_many(group).reports:
                 if report.success:
                     resident.add(report.fid)
             group = []
         elif event.fid in resident:
             request = ProvisioningRequest.withdrawal(event.fid)
-            if service.submit(request).result(timeout=0).success:
+            if service.submit(request).success:
                 resident.discard(event.fid)
         assert _no_kept_layouts(controller)
     assert adoption_log["rehearse"] >= 80

@@ -1,24 +1,26 @@
 """Golden counts for the four churn scenarios: churn, fabric, chaos, audit.
 
 Each scenario streams Section 6.1's Poisson arrivals and departures
-through the control plane.  The inline runs are pure functions of
-(epochs, seed), so they are pinned count for count at seed 7 and at
-seed 29, which no other test uses.  The threaded rows are pinned on what
-must hold under any interleaving -- the commit log replays to the live
-pools, the proofs are clean, every arrival resolves exactly once -- and
-on admitting what the inline run of the same events admits: a departure
-waits for its own fid's admission, so the workers see the same
-residents the inline run does.
+through the inline control plane.  Every run is a pure function of
+(epochs, seed), so the counts are pinned at seed 7 and at seed 29,
+which no other test uses, and two runs at one seed print the same
+report byte for byte.  The churn and fabric rows report modeled
+seconds, which one small function computes from a run's reports
+(:func:`~repro.experiments.common.windowed_seconds`); its contract is
+tested here too.
 """
 
 import importlib
 import json
+import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import telemetry
+from repro.controller import ProvisioningReport
 from repro.experiments import audit, chaos, churn, cli, fabric
-from repro.experiments.common import payload_for
+from repro.experiments.common import payload_for, windowed_seconds
 
 SEEDS = (7, 29)
 
@@ -151,28 +153,31 @@ def test_chaos_fields_and_gauges_are_pinned(seed):
     ] == failovers
 
 
-THREADED_EPOCHS = 40
-#: seed -> (arrivals, inline admitted, inline rejected) of the
-#: THREADED_EPOCHS workload: the fabric's parity run.
+SCENARIO_EPOCHS = 40
+#: seed -> (arrivals, admitted, rejected) of the SCENARIO_EPOCHS
+#: workload through one switch.
 INLINE = {7: (83, 78, 5), 29: (83, 83, 0)}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_fabric_parity_line_and_threaded_rows(seed):
-    result = fabric.run_fabric(
-        epochs=THREADED_EPOCHS, shard_counts=(1, 2), seed=seed
+def test_fabric_runs_are_deterministic(seed):
+    first, second = (
+        fabric.run_fabric(epochs=SCENARIO_EPOCHS, shard_counts=(1, 2), seed=seed)
+        for _ in range(2)
     )
+    assert str(first) == str(second)
     arrivals, admitted, rejected = INLINE[seed]
     assert (
         f"single-shard parity vs bare stack: OK ({admitted} admitted / "
         f"{rejected} rejected, identical fingerprint and commit log)"
-    ) in str(result).splitlines()
-    assert result.arrivals == arrivals
-    for row in result.rows:
+    ) in str(first).splitlines()
+    assert first.arrivals == arrivals
+    for row in first.rows:
         assert row.diverged is False
         assert not row.proofs.audit_errors and not row.proofs.invalid_certificates
         assert row.outcomes.total == arrivals
-    (one_shard, _) = result.rows
+        assert row.modeled_s == max(shard.modeled_s for shard in row.per_shard)
+    (one_shard, _) = first.rows
     assert (one_shard.outcomes.admitted, one_shard.outcomes.rejected) == (
         admitted,
         rejected,
@@ -180,18 +185,77 @@ def test_fabric_parity_line_and_threaded_rows(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_churn_threaded_rows_hold_their_invariants(seed):
-    result = churn.run_churn(
-        epochs=THREADED_EPOCHS, worker_counts=(1, 2), seed=seed, batch_size=2
+def test_churn_runs_are_deterministic(seed):
+    first, second = (
+        churn.run_churn(epochs=SCENARIO_EPOCHS, seed=seed, batch_size=2)
+        for _ in range(2)
     )
+    assert str(first) == str(second)
     arrivals, admitted, rejected = INLINE[seed]
-    assert result.arrivals == arrivals
-    assert result.batch_status == "admitted"
-    for row in result.rows:
+    assert first.arrivals == arrivals
+    assert first.batch_status == "admitted"
+    assert [row.windows for row in first.rows] == [1, 2, 4]
+    for row in first.rows:
         assert row.diverged is False
         assert not row.proofs.audit_errors and not row.proofs.invalid_certificates
         assert (row.outcomes.admitted, row.outcomes.rejected) == (admitted, rejected)
         assert row.outcomes.total == arrivals
+    modeled = [row.modeled_s for row in first.rows]
+    assert modeled == sorted(modeled, reverse=True)
+
+
+def test_a_churn_run_starts_no_thread(monkeypatch):
+    def refuse(thread):
+        raise AssertionError(f"the churn run started thread {thread.name!r}")
+
+    before = threading.active_count()
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    result = churn.run_churn(epochs=5, seed=7, batch_size=2)
+    assert result.clean
+    assert threading.active_count() == before
+
+
+def _report(snapshot_s, table_s):
+    return ProvisioningReport(
+        fid=1, success=True, snapshot_seconds=snapshot_s, table_update_seconds=table_s
+    )
+
+
+def test_windowed_seconds_overlaps_snapshots_not_table_updates():
+    # Two admissions and a withdrawal: the second snapshot overlaps the
+    # first admission's window, the table updates queue on the channel.
+    reports = [_report(1.0, 1.0), _report(1.0, 1.0), _report(0.0, 0.5)]
+    assert windowed_seconds(reports, 1) == 4.5
+    assert windowed_seconds(reports, 2) == 3.5
+    assert windowed_seconds(reports, 3) == 3.5
+    assert windowed_seconds([], 4) == 0.0
+    with pytest.raises(ValueError):
+        windowed_seconds(reports, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    phases=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=2.0),
+            st.floats(min_value=0.0, max_value=2.0),
+        ),
+        max_size=30,
+    )
+)
+def test_windowed_seconds_contract(phases):
+    """One window is the serial sum; more windows never lower
+    throughput; no window count beats the table updates alone."""
+    reports = [_report(snapshot_s, table_s) for snapshot_s, table_s in phases]
+    serial = sum(snapshot_s + table_s for snapshot_s, table_s in phases)
+    tables = sum(table_s for _, table_s in phases)
+    assert windowed_seconds(reports, 1) == pytest.approx(serial)
+    previous = serial
+    for windows in range(1, 7):
+        modeled = windowed_seconds(reports, windows)
+        assert modeled <= previous + 1e-9
+        assert modeled >= tables - 1e-9
+        previous = modeled
 
 
 def _shed_everything(result):

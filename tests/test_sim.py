@@ -269,7 +269,7 @@ def _reallocating_world(loop, until=1.0):
     network.attach(KVServerHost(SERVER, loop=loop), 2)
     provisioner = SimProvisioner(
         loop, network, controller, horizon_s=60.0,
-        service=_ModeledCompute(AdmissionService(controller, workers=0)),
+        service=_ModeledCompute(AdmissionService(controller)),
     )
     clients = []
     for index in range(4):

@@ -86,7 +86,7 @@ class ControlPlaneMachine(RuleBasedStateMachine):
         self.controller = ActiveRmtController(device, retry=RETRY)
         # No service-level re-plan: a rolled-back step stays visible.
         self.service = AdmissionService(
-            self.controller, workers=0, fault_retry_limit=0
+            self.controller, fault_retry_limit=0
         )
         self.resident = {}  # the model: fid -> app name
         self.pattern_of_fid = {}
@@ -115,7 +115,7 @@ class ControlPlaneMachine(RuleBasedStateMachine):
     def admit(self, app):
         request = self._admission(app)
         report = self._step(
-            lambda: self.service.submit(request).result(timeout=0),
+            lambda: self.service.submit(request),
             lambda report: report.success,
         )
         if report.success:
@@ -125,7 +125,7 @@ class ControlPlaneMachine(RuleBasedStateMachine):
     def admit_batch(self, apps):
         requests = [self._admission(app) for app in apps]
         report = self._step(
-            lambda: self.service.submit_many(requests).result(timeout=0),
+            lambda: self.service.submit_many(requests),
             lambda report: report.success,
         )
         assert len({r.success for r in report.reports}) == 1  # all or none
@@ -141,7 +141,7 @@ class ControlPlaneMachine(RuleBasedStateMachine):
         report = self._step(
             lambda: self.service.submit(
                 ProvisioningRequest.withdrawal(fid)
-            ).result(timeout=0),
+            ),
             lambda report: report.success,
         )
         if report.success:
@@ -153,7 +153,7 @@ class ControlPlaneMachine(RuleBasedStateMachine):
     def dry_run(self, app):
         request = ProvisioningRequest.admission(0, PATTERNS[app], dry_run=True)
         report = self._step(
-            lambda: self.service.submit(request).result(timeout=0),
+            lambda: self.service.submit(request),
             lambda report: False,  # a probe never changes anything
         )
         assert report.status is ProvisioningStatus.DRY_RUN

@@ -5,21 +5,20 @@ The contracts under test:
 - **Deterministic IDs**: trace/span IDs come from the injected
   :class:`IdSource` counters, so tests assert them literally.
 - **Explicit propagation**: every span of one control-plane request
-  shares that request's trace ID, and parent links form a tree -- even
-  when planner workers run on different threads.
+  shares that request's trace ID, and parent links form a tree, its
+  re-planned attempts included.
 - **Control->data causality**: a sampled packet processed after a
   commit parents on the committing span (``Tracer.layout_context``).
-- **Flight recorder**: rollbacks, sheds, deadline misses, and
-  stale-retry storms each dump the full correlated span tree plus a
-  pools fingerprint, and the acceptance rig reconstructs the chain
-  request -> retries -> journal replay -> first packet by IDs alone.
+- **Flight recorder**: each rollback dumps the full correlated span
+  tree plus a pools fingerprint, and the acceptance rig reconstructs
+  the chain request -> re-planned attempts -> journal replay -> first
+  packet by IDs alone.
 - The satellites: spans copy their attrs and the clock is injectable
   everywhere -- sampled packet spans included, which both switch front
   doors record through one helper.
 """
 
 import json
-import threading
 
 import pytest
 
@@ -30,6 +29,8 @@ from repro.controller import (
     ProvisioningStatus,
 )
 from repro.controller.service import pools_fingerprint
+from repro.device import SimDevice
+from repro.faults import FaultKind, FaultyDevice
 from repro.isa import assemble
 from repro.packets import ActivePacket, MacAddress
 from repro.switchsim import ActiveSwitch, SwitchConfig
@@ -51,6 +52,7 @@ from repro.telemetry import (
 )
 
 from tests.test_core_constraints import listing1_pattern
+from tests.test_faults import ScriptedPlan
 
 CLIENT = MacAddress.from_host_id(1)
 SERVER = MacAddress.from_host_id(2)
@@ -88,13 +90,16 @@ def _packet(fid: int) -> ActivePacket:
     )
 
 
-def _traced_controller(tracer, **config_kwargs):
+def _traced_controller(tracer, plan=None, **config_kwargs):
     """Controller + switch pair sharing one tracer (built with
-    ``sample_rate=1.0`` where data-path continuation is observed)."""
+    ``sample_rate=1.0`` where data-path continuation is observed); a
+    fault *plan* puts a :class:`FaultyDevice` between them."""
     switch = ActiveSwitch(SwitchConfig(**config_kwargs), tracer=tracer)
     switch.register_host(CLIENT, 1)
     switch.register_host(SERVER, 2)
-    return ActiveRmtController(switch, tracer=tracer)
+    if plan is None:
+        return ActiveRmtController(switch, tracer=tracer)
+    return ActiveRmtController(FaultyDevice(SimDevice(switch), plan), tracer=tracer)
 
 
 # ----------------------------------------------------------------------
@@ -426,8 +431,6 @@ def test_flight_recorder_trigger_captures_tree_and_fingerprint():
 
     with pytest.raises(ValueError):
         FlightRecorder(tracer, capacity=0)
-    with pytest.raises(ValueError):
-        FlightRecorder(tracer, retry_threshold=0)
 
 
 def test_anomaly_without_context_dumps_no_spans():
@@ -613,157 +616,48 @@ def test_receive_and_receive_batch_record_identical_packet_spans():
 
 
 # ----------------------------------------------------------------------
-# Satellite 4: multi-worker service, one tree per request
-# ----------------------------------------------------------------------
-
-
-def test_multiworker_service_one_trace_per_request_with_nested_retries():
-    tracer = Tracer(sample_rate=1.0)
-    controller = _traced_controller(tracer)
-    service = AdmissionService(controller, workers=2, sleep=lambda s: None)
-    # Force the first few plans stale so retry spans appear: bumping the
-    # version after the shadow snapshot makes the commit lose its race.
-    original = service._snapshot_shadow
-    stale_budget = {"left": 3}
-    rig_lock = threading.Lock()
-
-    def contended_snapshot():
-        shadow = original()
-        with rig_lock:
-            if stale_budget["left"] > 0:
-                stale_budget["left"] -= 1
-                controller.allocator._version += 1
-        return shadow
-
-    service._snapshot_shadow = contended_snapshot
-    with service:
-        tickets = [service.submit(_admission(fid)) for fid in (1, 2, 3, 4)]
-        reports = [ticket.result(timeout=30) for ticket in tickets]
-    assert all(r.status is ProvisioningStatus.ADMITTED for r in reports)
-
-    spans = tracer.spans()
-    roots = find_spans(spans, "admission.request")
-    assert len(roots) == 4
-    assert len({root.trace_id for root in roots}) == 4  # one trace each
-    assert all(root.attrs["status"] == "admitted" for root in roots)
-
-    retries_seen = 0
-    for root in roots:
-        trace = tracer.spans_for(root.trace_id)
-        # Every span of the request -- planned on whichever worker
-        # thread won it -- carries the request's trace ID and links
-        # into one tree under the request root.
-        assert all(s.trace_id == root.trace_id for s in trace)
-        tree = span_tree(trace)
-        assert tree["roots"] == [root]
-        assert tree["orphans"] == []
-        attempts = find_spans(trace, "admission.attempt")
-        assert attempts, "worker never recorded an attempt"
-        assert all(a.parent_id == root.span_id for a in attempts)
-        assert [a.attrs["attempt"] for a in attempts] == list(
-            range(1, len(attempts) + 1)
-        )
-        # Retry attempts are marked stale and nest under the same
-        # request root as the attempt that finally committed.
-        stale = [a for a in attempts if a.attrs.get("stale")]
-        retries_seen += len(stale)
-        for attempt in stale:
-            assert "StalePlanError" in attempt.attrs["error"]
-        commits = find_spans(trace, "controller.commit_plan")
-        parents = {c.parent_id for c in commits}
-        assert parents <= {a.span_id for a in attempts}
-    assert retries_seen >= 1, "rig failed to force any stale retry"
-    # Worker threads, not the submitter, ran the attempts.
-    attempt_threads = {
-        s.thread for s in find_spans(spans, "admission.attempt")
-    }
-    assert attempt_threads <= {f"admission-worker-{i}" for i in range(2)}
-
-
-# ----------------------------------------------------------------------
-# Flight-recorder triggers through the service
-# ----------------------------------------------------------------------
-
-
-def test_queue_full_shed_triggers_flight_dump():
-    tracer = Tracer(sample_rate=1.0)
-    controller = _traced_controller(tracer)
-    recorder = FlightRecorder(tracer)
-    service = AdmissionService(
-        controller, workers=1, queue_limit=1, autostart=False
-    )
-    service.submit(_admission(1))
-    report = service.submit(_admission(2)).result(timeout=0)
-    assert report.status is ProvisioningStatus.SHED
-    (dump,) = recorder.dumps_for("shed")
-    assert dump.attrs["cause"] == "queue_full"
-    # The shed request's own (still-open) root span is in the dump.
-    (root,) = dump.find("admission.request")
-    assert root.attrs["fid"] == 2
-    service.start()
-    service.close()
-    recorder.detach()
-
-
-def test_deadline_miss_triggers_flight_dump():
-    clock = FakeClock()
-    tracer = Tracer(sample_rate=1.0)
-    controller = _traced_controller(tracer)
-    recorder = FlightRecorder(tracer)
-    service = AdmissionService(
-        controller, workers=0, clock=clock, sleep=clock.sleep
-    )
-    report = service.submit_and_wait(_admission(1), deadline_s=-1.0)
-    assert report.status is ProvisioningStatus.SHED
-    (dump,) = recorder.dumps_for("deadline")
-    (root,) = dump.find("admission.request")
-    assert root.attrs["fid"] == 1
-    recorder.detach()
-
-
-# ----------------------------------------------------------------------
-# Acceptance rig: stale retries + mid-batch rollback, chain by IDs
+# Acceptance rig: re-planned admission + mid-batch rollback, chain by IDs
 # ----------------------------------------------------------------------
 
 
 def test_flight_dumps_reconstruct_full_causal_chain_by_ids():
-    """Rigged churn: a retried admission commits, a batch rolls back.
+    """Rigged churn: a re-planned admission commits, a batch rolls back.
 
-    The whole chain -- request span -> retry spans -> journal-replay
+    The whole chain -- request span -> attempt spans -> journal-replay
     span -> first data-path packet under the new layout -- must be
     reconstructible from the flight dumps and span set using only
     trace/span/parent IDs (no names-as-hints shortcuts: every hop
     below follows an ID edge).
     """
     tracer = Tracer(sample_rate=1.0)
-    controller = _traced_controller(tracer, tcam_entries_per_stage=2)
-    recorder = FlightRecorder(
-        tracer,
-        retry_threshold=3,
-        fingerprint=lambda: pools_fingerprint(controller.allocator),
+    installs = {"count": 0}
+
+    def fault_two_installs(op, index):
+        # The first two grant installs fault transiently, with no
+        # per-operation retry: two rolled-back attempts, then a commit.
+        if op == "install_grant" and installs["count"] < 2:
+            installs["count"] += 1
+            return FaultKind.TRANSIENT
+        return None
+
+    controller = _traced_controller(
+        tracer, ScriptedPlan(fault_two_installs), tcam_entries_per_stage=2
     )
-    service = AdmissionService(controller, workers=0, sleep=lambda s: None)
+    recorder = FlightRecorder(
+        tracer, fingerprint=lambda: pools_fingerprint(controller.allocator)
+    )
+    service = AdmissionService(controller)
     pattern = listing1_pattern()
 
-    # --- Rig 1: force a stale-plan retry storm, then let it commit.
-    original = service._snapshot_shadow
-    stale_left = {"count": 3}
-
-    def always_stale_thrice():
-        shadow = original()
-        if stale_left["count"] > 0:
-            stale_left["count"] -= 1
-            controller.allocator._version += 1
-        return shadow
-
-    service._snapshot_shadow = always_stale_thrice
+    # --- Rig 1: two transient-fault rollbacks, then the third attempt
+    # commits.
     report = service.submit_and_wait(_admission(1))
     assert report.status is ProvisioningStatus.ADMITTED
-    service._snapshot_shadow = original
 
-    # The third consecutive retry fired the storm anomaly mid-flight.
-    (storm,) = recorder.dumps_for("stale_retries")
-    assert storm.attrs["attempts"] == 3
+    # Each rolled-back attempt fired a rollback anomaly mid-flight.
+    first_fault, storm = recorder.dumps_for("rollback")
+    assert first_fault.trace_id == storm.trace_id
+    assert storm.attrs["scope"] == "single"
     assert storm.fingerprint is not None
 
     # --- The first packet under the just-committed layout.
@@ -781,7 +675,7 @@ def test_flight_dumps_reconstruct_full_causal_chain_by_ids():
     fingerprint_before = pools_fingerprint(controller.allocator)
     batch_report = service.submit_many(
         [_admission(fid) for fid in (2, 3, 4, 5)]
-    ).result(timeout=30)
+    )
     assert not batch_report.success
     assert pools_fingerprint(controller.allocator) == fingerprint_before
 
@@ -798,7 +692,8 @@ def test_flight_dumps_reconstruct_full_causal_chain_by_ids():
     # Reconstruction, by IDs alone.
     # ------------------------------------------------------------------
 
-    # 1. The storm dump's trace: request root -> stale attempt spans.
+    # 1. The second fault's dump: request root -> attempt spans (the
+    #    second still open when it fired).
     storm_tree = storm.tree()
     assert storm_tree["orphans"] == []
     (request_root,) = storm_tree["roots"]
@@ -808,14 +703,14 @@ def test_flight_dumps_reconstruct_full_causal_chain_by_ids():
         for s in storm.spans
         if s.parent_id == request_root.span_id
     }
-    assert len(attempt_ids) == 3  # the three stale attempts, by ID link
+    assert len(attempt_ids) == 2  # the two faulted attempts, by ID link
 
-    # 2. The completed trace extends the same tree: a fourth attempt
+    # 2. The completed trace extends the same tree: a third attempt
     #    under the same root carried the commit.
     trace = tracer.spans_for(storm.trace_id)
     by_id = {s.span_id: s for s in trace}
     attempts = [s for s in trace if s.parent_id == request_root.span_id]
-    assert len(attempts) == 4
+    assert [a.attrs["attempt"] for a in attempts] == [1, 2, 3]
     final_attempt = max(attempts, key=lambda s: s.attrs["attempt"])
     assert final_attempt.span_id not in attempt_ids
     # The attempt's children: the shadow plan and the commit, both
@@ -874,4 +769,3 @@ def test_flight_dumps_reconstruct_full_causal_chain_by_ids():
     assert find_spans(rollback.spans, "allocator.rollback")
 
     recorder.detach()
-    service.close()

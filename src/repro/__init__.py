@@ -78,7 +78,6 @@ from repro.core.transactions import (
     TransactionError,
 )
 from repro.switchsim.config import SwitchConfig
-from repro.switchsim.perf import PerfCounters
 from repro.switchsim.progcache import (
     ProgramCache,
     infer_recirculations,
@@ -98,7 +97,6 @@ __all__ = [
     "ActiveSwitch",
     "BatchResult",
     "SwitchConfig",
-    "PerfCounters",
     "ProgramCache",
     "infer_recirculations",
     "program_digest",

@@ -27,7 +27,6 @@ from repro.analysis.findings import (
     Severity,
     VerificationError,
     VerifyMode,
-    record_report,
     summarize_reports,
 )
 from repro.analysis.invariants import (
@@ -36,7 +35,6 @@ from repro.analysis.invariants import (
     Invariant,
     audit_journal,
     audit_state,
-    record_audit,
     replay_findings,
 )
 from repro.analysis.isolation import (
@@ -46,7 +44,6 @@ from repro.analysis.isolation import (
     certify_fid,
     certify_plan,
     effective_translations,
-    record_certificate,
 )
 from repro.analysis.lint import catalog_reports, lint_catalog
 from repro.analysis.stats import (
@@ -86,7 +83,6 @@ __all__ = [
     "catalog_reports",
     "lint_catalog",
     "linked_verdict",
-    "record_report",
     "require",
     "summarize_reports",
     "verify_linked",
@@ -100,14 +96,12 @@ __all__ = [
     "certify_fid",
     "certify_plan",
     "effective_translations",
-    "record_certificate",
     # invariant auditor
     "AuditScope",
     "INVARIANTS",
     "Invariant",
     "audit_journal",
     "audit_state",
-    "record_audit",
     "replay_findings",
     # mutation-discipline lint
     "CodeFinding",

@@ -86,14 +86,6 @@ class ControlFlowGraph:
             reachable=frozenset(reachable),
         )
 
-    def predecessors(self) -> Dict[int, Tuple[int, ...]]:
-        """Inverted edge map (1-indexed)."""
-        preds: Dict[int, List[int]] = {p: [] for p in self.successors}
-        for position, succs in self.successors.items():
-            for succ in succs:
-                preds[succ].append(position)
-        return {p: tuple(sorted(v)) for p, v in preds.items()}
-
     def unreachable_positions(self, program: ActiveProgram) -> List[int]:
         """Positions of dead instructions, NOPs excluded.
 
@@ -107,8 +99,3 @@ class ControlFlowGraph:
             if idx + 1 not in self.reachable
             and instr.opcode is not Opcode.NOP
         ]
-
-    def topological_order(self) -> List[int]:
-        """Positions in execution order (ascending -- edges only go
-        forward, so numeric order IS a topological order)."""
-        return sorted(self.successors)

@@ -290,13 +290,6 @@ class AnalysisReport:
         """Rule IDs of all findings, in report order (with repeats)."""
         return tuple(f.rule_id for f in self.findings)
 
-    def by_rule(self) -> Dict[str, int]:
-        """Occurrence count per rule ID."""
-        counts: Dict[str, int] = {}
-        for finding in self.findings:
-            counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
-        return counts
-
     def acceptable(self, mode: VerifyMode) -> bool:
         """Does this report pass under *mode*?"""
         if mode is VerifyMode.STRICT:
@@ -339,31 +332,6 @@ class VerificationError(Exception):
         super().__init__(
             f"{report.program}: verification failed ({summary})"
         )
-
-
-def record_report(
-    telemetry: Any, report: AnalysisReport, plane: str
-) -> None:
-    """Publish a report's finding counts to a metrics registry.
-
-    ``telemetry`` is duck-typed (``enabled`` + ``counter``) so this
-    module does not import :mod:`repro.telemetry`; passing the inert
-    NullRegistry is free.
-    """
-    if not getattr(telemetry, "enabled", False):
-        return
-    counts: Dict[Tuple[str, str], int] = {}
-    for finding in report.findings:
-        key = (finding.rule_id, finding.severity.value)
-        counts[key] = counts.get(key, 0) + 1
-    for (rule_id, severity), count in counts.items():
-        telemetry.counter(
-            "verifier_findings_total",
-            help="Static-verifier findings by rule and severity",
-            plane=plane,
-            rule=rule_id,
-            severity=severity,
-        ).inc(count)
 
 
 def summarize_reports(

@@ -6,7 +6,7 @@ records, and the device's installed table entries -- against a
 declarative catalog of invariants.  Each invariant is a named,
 rule-tagged predicate producing zero or more findings; the audit result
 is a standard :class:`~repro.analysis.findings.AnalysisReport`, so the
-same severity policy (``VerifyMode``), telemetry plumbing, and golden
+same severity policy (``VerifyMode``), counting, and golden
 tests apply.
 
 The catalog runs three ways:
@@ -31,7 +31,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Dict,
     List,
     Optional,
     Tuple,
@@ -334,18 +333,3 @@ def replay_findings(
             "committed state)",
         )
     ]
-
-
-def record_audit(telemetry: Any, report: AnalysisReport) -> None:
-    """Publish audit violations as ``invariant_violations_total{rule}``."""
-    if not getattr(telemetry, "enabled", False):
-        return
-    counts: Dict[str, int] = {}
-    for finding in report.errors:
-        counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
-    for rule_id, count in counts.items():
-        telemetry.counter(
-            "invariant_violations_total",
-            help="State-audit invariant violations by rule",
-            rule=rule_id,
-        ).inc(count)

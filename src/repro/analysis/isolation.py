@@ -176,10 +176,6 @@ class IsolationCertificate:
     def static_accesses(self) -> int:
         return sum(1 for a in self.accesses if a.verdict == "static")
 
-    @property
-    def runtime_accesses(self) -> int:
-        return sum(1 for a in self.accesses if a.verdict == "runtime")
-
     def report(self) -> AnalysisReport:
         """The findings as a standard verifier report."""
         return AnalysisReport(
@@ -526,17 +522,3 @@ def certify_all(
         )
         for fid in allocator.resident_fids()
     }
-
-
-def record_certificate(
-    telemetry: Any, certificate: IsolationCertificate, plane: str
-) -> None:
-    """Publish one certificate outcome to a metrics registry."""
-    if not getattr(telemetry, "enabled", False):
-        return
-    telemetry.counter(
-        "isolation_certificates_total",
-        help="Isolation certificates emitted by the certifier",
-        plane=plane,
-        outcome="valid" if certificate.valid else "invalid",
-    ).inc()

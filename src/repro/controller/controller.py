@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+from collections import Counter
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -50,15 +51,9 @@ from repro.analysis.findings import (
     Finding,
     Severity,
     VerifyMode,
-    record_report,
 )
-from repro.analysis.invariants import audit_state, record_audit
-from repro.analysis.isolation import (
-    IsolationCertificate,
-    certify_all,
-    certify_plan,
-    record_certificate,
-)
+from repro.analysis.invariants import audit_state
+from repro.analysis.isolation import IsolationCertificate, certify_all, certify_plan
 from repro.analysis.verifier import verify_plan
 from repro.core.allocator import ActiveRmtAllocator, AllocationError, ReallocationMap
 from repro.core.blocks import BlockRange
@@ -309,7 +304,7 @@ class ActiveRmtController:
         #: Sanitizer mode: re-audit the whole committed state (pool
         #: accounting, table entries, exclusivity) after every commit
         #: and withdrawal.  Violations are recorded -- never raised --
-        #: in :attr:`audit_violations` and telemetry; off by default
+        #: in :attr:`audit_violations` and counted; off by default
         #: and zero-cost when off (a single attribute test per commit).
         self.sanitizer = sanitizer
         self.audit_violations: List[Finding] = []
@@ -337,6 +332,30 @@ class ActiveRmtController:
         self.refused_withdrawals: List[int] = []
         #: Hook invoked with (fid,) when a SNAPSHOT_COMPLETE arrives.
         self.on_snapshot_complete: Optional[Callable[[int], None]] = None
+        # The controller's counts; :meth:`metrics` is their registry view.
+        self.admissions: Counter[str] = Counter()  # by outcome
+        self.withdrawals = self.recoveries = self.verifier_rejections = 0
+        self.device_failures: Counter[str] = Counter()  # by where observed
+        self.whatif_probes: Counter[str] = Counter()  # by feasible yes/no
+        self.digests: Counter[str] = Counter()  # by packet kind
+        self.findings: Counter[Tuple[str, str]] = Counter()  # (rule, severity)
+        self.certified: Counter[str] = Counter()  # by certificate outcome
+        self.violations: Counter[str] = Counter()  # audit errors by rule
+        self.telemetry.register(self)
+
+    def metrics(self) -> Dict[str, object]:
+        return {
+            "controller_admissions_total{outcome}": self.admissions,
+            "controller_withdrawals_total": self.withdrawals,
+            "controller_recoveries_total": self.recoveries,
+            "controller_device_failures_total{during}": self.device_failures,
+            "controller_whatif_probes_total{feasible}": self.whatif_probes,
+            "controller_digests_total{kind}": self.digests,
+            "verifier_rejections_total{plane=controller}": self.verifier_rejections,
+            "verifier_findings_total{rule,severity,plane=controller}": self.findings,
+            "isolation_certificates_total{outcome,plane=controller}": self.certified,
+            "invariant_violations_total{rule}": self.violations,
+        }
 
     @property
     def switch(self) -> object:
@@ -396,11 +415,7 @@ class ActiveRmtController:
         from repro.controller.service import replay_commit_log
 
         replay_commit_log(list(commit_log), dict(patterns), controller)
-        if controller.telemetry.enabled:
-            controller.telemetry.counter(
-                "controller_recoveries_total",
-                help="Controllers rebuilt from a commit log onto a new device",
-            ).inc()
+        controller.recoveries += 1
         return controller
 
     def register_client(self, fid: int, mac: MacAddress) -> None:
@@ -531,7 +546,7 @@ class ActiveRmtController:
         if programs is None:
             programs = [None] * len(plans)
         # Whether a lone plan or a group failed labels anomalies, the
-        # ``during=`` telemetry and the stale and rollback reasons --
+        # ``during=`` device-failure count and the stale and rollback reasons --
         # nothing else.
         scope = "single" if len(plans) == 1 else "batch"
         # The stale check runs inside the span so a StalePlanError is
@@ -582,7 +597,7 @@ class ActiveRmtController:
                 # 3. Commit each plan to the allocator (keeping its
                 # checkpoint) and apply it to the switch, every mutation
                 # of the whole group under one journal.  Decision
-                # telemetry is deferred (record=False) until the
+                # counts are deferred (record=False) until the
                 # switch-side updates also succeed, so a rolled-back
                 # admission never pollutes the decision counters.
                 journal = TableUpdateJournal(tracer=self.tracer, ctx=span)
@@ -710,12 +725,7 @@ class ActiveRmtController:
                     "verifier_rejected",
                 )
             )
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "verifier_rejections_total",
-                help="Admissions rejected by the static verifier",
-                plane="controller",
-            ).inc()
+        self.verifier_rejections += 1
         return reports
 
     def _record_report(
@@ -807,12 +817,7 @@ class ActiveRmtController:
         """Latch :attr:`device_failed` and say where it was observed."""
         self.device_failed = True
         self.tracer.anomaly("device_failed", ctx, scope=scope, fid=fid, cause=cause)
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "controller_device_failures_total",
-                help="Permanent device failures observed",
-                during=during,
-            ).inc()
+        self.device_failures[during] += 1
 
     def _verify_admission(
         self,
@@ -823,9 +828,9 @@ class ActiveRmtController:
         """Run the static verifier on the mutant this plan installs.
 
         Returns None when verification is off or the request carried no
-        program (wire-digested admissions).  Findings are exported via
-        the ``verifier_findings_total`` counter regardless of mode;
-        only strict mode acts on them.
+        program (wire-digested admissions).  Findings are counted in
+        :attr:`findings` regardless of mode; only strict mode acts on
+        them.
         """
         if self.verify is VerifyMode.OFF or program is None:
             return None
@@ -836,7 +841,7 @@ class ActiveRmtController:
             config=self.device.config,
             translation_window=TableUpdateEngine.TRANSLATION_WINDOW,
         )
-        record_report(self.telemetry, report, plane="controller")
+        self.findings.update((f.rule_id, f.severity.value) for f in report.findings)
         return report
 
     def _certify_admission(
@@ -862,7 +867,7 @@ class ActiveRmtController:
             incumbents=self._incumbent_regions(plan),
             translation_window=TableUpdateEngine.TRANSLATION_WINDOW,
         )
-        record_certificate(self.telemetry, certificate, plane="controller")
+        self.certified["valid" if certificate.valid else "invalid"] += 1
         return certificate
 
     def _incumbent_regions(
@@ -898,8 +903,8 @@ class ActiveRmtController:
 
         Checks pool exclusivity and accounting, grant/translation
         enforcement, orphaned entries, and TCAM occupancy against the
-        live allocator and device tables.  Violations are exported via
-        ``invariant_violations_total{rule}``; callers decide policy.
+        live allocator and device tables.  Violations are counted in
+        :attr:`violations` by rule; callers decide policy.
         """
         report = audit_state(
             self.allocator,
@@ -907,7 +912,7 @@ class ActiveRmtController:
             config=self.device.config,
             translation_window=TableUpdateEngine.TRANSLATION_WINDOW,
         )
-        record_audit(self.telemetry, report)
+        self.violations.update(finding.rule_id for finding in report.errors)
         return report
 
     def certificates(self) -> Dict[int, IsolationCertificate]:
@@ -918,10 +923,10 @@ class ActiveRmtController:
             config=self.device.config,
             translation_window=TableUpdateEngine.TRANSLATION_WINDOW,
         )
-        for certificate in certificates.values():
-            record_certificate(
-                self.telemetry, certificate, plane="controller"
-            )
+        self.certified.update(
+            "valid" if certificate.valid else "invalid"
+            for certificate in certificates.values()
+        )
         return certificates
 
     def _sanitize(self) -> None:
@@ -929,7 +934,7 @@ class ActiveRmtController:
 
         Never raises -- a sanitizer is a detector, not a gate.  Errors
         accumulate in :attr:`audit_violations` for the harness to
-        assert on, and land in telemetry like any other audit.
+        assert on, and are counted like any other audit's.
         """
         report = self.audit()
         if report.has_errors:
@@ -944,12 +949,7 @@ class ActiveRmtController:
     def report_dry_run(self, plan: AllocationPlan) -> ProvisioningReport:
         """Package a what-if probe: the plan is the entire result."""
         self.allocator.abort(plan)
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "controller_whatif_probes_total",
-                help="Dry-run admission probes (no state mutated)",
-                feasible="yes" if plan.feasible else "no",
-            ).inc()
+        self.whatif_probes["yes" if plan.feasible else "no"] += 1
         return ProvisioningReport(
             fid=plan.fid,
             success=plan.feasible,
@@ -960,15 +960,11 @@ class ActiveRmtController:
         )
 
     def _record_admission(self, report: ProvisioningReport, outcome: str) -> None:
-        """Publish one admission outcome and its modeled cost breakdown."""
+        """Count one admission outcome; record its modeled cost breakdown."""
+        self.admissions[outcome] += 1
         tel = self.telemetry
         if not tel.enabled:
             return
-        tel.counter(
-            "controller_admissions_total",
-            help="Admission requests by outcome",
-            outcome=outcome,
-        ).inc()
         tel.histogram(
             "controller_provisioning_seconds",
             buckets=LATENCY_BUCKETS_S,
@@ -1078,13 +1074,10 @@ class ActiveRmtController:
             return report
 
     def _record_withdrawal(self, seconds: float) -> None:
-        """Publish one withdrawal that happened; sanitize after it."""
+        """Count one withdrawal that happened; sanitize after it."""
+        self.withdrawals += 1
         tel = self.telemetry
         if tel.enabled:
-            tel.counter(
-                "controller_withdrawals_total",
-                help="Applications withdrawn from the switch",
-            ).inc()
             tel.histogram(
                 "controller_table_update_seconds",
                 buckets=LATENCY_BUCKETS_S,
@@ -1151,12 +1144,7 @@ class ActiveRmtController:
         elif packet.has_flag(ControlFlags.SNAPSHOT_COMPLETE):
             if self.on_snapshot_complete is not None:
                 self.on_snapshot_complete(fid)
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "controller_digests_total",
-                help="Switch digests handled, by packet kind",
-                kind="control" if report is None else "alloc_request",
-            ).inc()
+        self.digests["control" if report is None else "alloc_request"] += 1
         return report
 
     def allocation_replies(

@@ -116,6 +116,12 @@ class AdmissionService:
         #: Committed operations in commit order: replaying them serially
         #: reproduces the pools (:func:`replay_commit_log`).
         self.commit_log: List[CommitLogEntry] = []
+        #: Admissions re-planned after a transient-fault rollback.
+        self.fault_retries = 0
+        self.telemetry.register(self)
+
+    def metrics(self) -> Dict[str, int]:
+        return {"admission_fault_retries_total": self.fault_retries}
 
     def settings(self) -> Dict[str, Any]:
         """The constructor keywords this service was built with: what the
@@ -262,11 +268,7 @@ class AdmissionService:
                 # state is byte-identical to pre-commit, so the request
                 # is safe to re-plan -- bounded, so a persistently sick
                 # device eventually surfaces as ROLLED_BACK.
-                if self.telemetry.enabled:
-                    self.telemetry.counter(
-                        "admission_fault_retries_total",
-                        help="Admissions re-planned after a transient-fault rollback",
-                    ).inc()
+                self.fault_retries += 1
                 continue
             return reports
 

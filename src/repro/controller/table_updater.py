@@ -268,7 +268,6 @@ class TableUpdateEngine:
             tables = PipelineTables(tables)
         self.tables: DeviceTables = tables
         self.cost = cost or TableUpdateCost()
-        self.telemetry = resolve(telemetry)
         self.tracer = resolve_tracer(tracer)
         self.retry = retry
         self._retry_rng = random.Random(0)
@@ -278,6 +277,15 @@ class TableUpdateEngine:
         self.entries_removed = 0
         self.retries_attempted = 0
         self.retries_healed = 0
+        resolve(telemetry).register(self)
+
+    def metrics(self) -> Dict[str, int]:
+        return {
+            "table_entries_installed_total": self.entries_installed,
+            "table_entries_removed_total": self.entries_removed,
+            "device_retry_attempts_total": self.retries_attempted,
+            "device_retries_healed_total": self.retries_healed,
+        }
 
     # ------------------------------------------------------------------
     # Retry rule for forward device calls
@@ -285,12 +293,6 @@ class TableUpdateEngine:
 
     def _note_retry(self, attempt: int, fault: TransientDeviceError) -> None:
         self.retries_attempted += 1
-        tel = self.telemetry
-        if tel.enabled:
-            tel.counter(
-                "device_retry_attempts_total",
-                help="Transient device faults retried by the table engine",
-            ).inc()
 
     def _retried(self, method: Callable[..., Any], args: Tuple[Any, ...]) -> None:
         """Run one forward device call under the retry policy.
@@ -311,29 +313,6 @@ class TableUpdateEngine:
         )
         if self.retries_attempted > before:
             self.retries_healed += 1
-            tel = self.telemetry
-            if tel.enabled:
-                tel.counter(
-                    "device_retries_healed_total",
-                    help="Device operations that succeeded after retries",
-                ).inc()
-
-    def _count(self, installed: int, removed: int) -> None:
-        """The one place applied entries are counted: the attributes and
-        the registry move together, also when a change fails mid-way."""
-        self.entries_installed += installed
-        self.entries_removed += removed
-        tel = self.telemetry
-        if tel.enabled and installed:
-            tel.counter(
-                "table_entries_installed_total",
-                help="Match-table entries installed by the controller",
-            ).inc(installed)
-        if tel.enabled and removed:
-            tel.counter(
-                "table_entries_removed_total",
-                help="Match-table entries removed by the controller",
-            ).inc(removed)
 
     # ------------------------------------------------------------------
 
@@ -402,9 +381,11 @@ class TableUpdateEngine:
                             tally[slot] += 1
             finally:
                 # The call in flight is started (the undo covers it) but
-                # not applied (the tally skips it).
+                # not applied (the tally skips it), and the entries a
+                # failed change did apply are counted.
                 batch.reached, batch.done = reached, done
-                self._count(tally[INSTALLED], tally[REMOVED])
+                self.entries_installed += tally[INSTALLED]
+                self.entries_removed += tally[REMOVED]
                 span.set(installed=tally[INSTALLED], removed=tally[REMOVED])
         return seconds
 

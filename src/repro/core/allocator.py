@@ -41,7 +41,7 @@ from repro.core.transactions import (
     StalePlanError,
     TransactionError,
 )
-from repro.packets.headers import AllocationResponseHeader, StageRegion
+from repro.packets.headers import AllocationResponseHeader
 from repro.switchsim.config import SwitchConfig
 from repro.telemetry import (
     LATENCY_BUCKETS_S,
@@ -88,7 +88,14 @@ def _moved_blocks(reallocations: ReallocationMap) -> int:
 
 
 class ActiveRmtAllocator:
-    """Online, block-granular, per-stage memory allocator."""
+    """Online, block-granular, per-stage memory allocator.
+
+    Its counts start as these class-level zeros, so a shadow starts with
+    none; :meth:`metrics` is the registry's view of the live allocator's.
+    """
+
+    admitted = rejected = releases = rollbacks = 0
+    candidates_considered = candidates_feasible = apps_displaced = blocks_moved = 0
 
     def __init__(
         self,
@@ -116,6 +123,20 @@ class ActiveRmtAllocator:
         #: rollback.  Plans stamp the version they were computed against
         #: and cannot be committed once it has moved on.
         self._version = 0
+        self.telemetry.register(self)
+
+    def metrics(self) -> Dict[str, object]:
+        return {
+            "allocator_decisions_total{outcome}": {
+                "admitted": self.admitted, "rejected": self.rejected
+            },
+            "allocator_candidates_considered_total": self.candidates_considered,
+            "allocator_candidates_feasible_total": self.candidates_feasible,
+            "allocator_apps_displaced_total": self.apps_displaced,
+            "allocator_blocks_moved_total": self.blocks_moved,
+            "allocator_releases_total": self.releases,
+            "allocator_rollbacks_total": self.rollbacks,
+        }
 
     @property
     def version(self) -> int:
@@ -248,11 +269,11 @@ class ActiveRmtAllocator:
 
         Args:
             plan: the plan to apply.
-            record: publish decision telemetry now.  Two-phase callers
-                (the controller) pass False and call
-                :meth:`record_decision` only once the switch-side
-                updates have also succeeded, so rolled-back admissions
-                never pollute the decision counters.
+            record: count the decision now.  Two-phase callers (the
+                controller) pass False and call :meth:`record_decision`
+                only once the switch-side updates have also succeeded,
+                so rolled-back admissions never pollute the decision
+                counts.
             ctx: optional trace context this commit belongs to.
         """
         with self.tracer.span(
@@ -320,14 +341,10 @@ class ActiveRmtAllocator:
         against it carry this allocator's current version stamp, so
         they commit cleanly here as long as no other commit, release,
         or rollback intervened -- and raise :class:`StalePlanError`
-        otherwise.  This is the speculative half of the optimistic
-        plan/commit pipeline: many shadows can plan in parallel while
-        only the short commit path serializes.
+        otherwise.  A group plans on one, and a what-if probe may.
 
-        Shadows record no telemetry (their planning is speculative and
-        may be discarded), and taking one must be serialized with
-        commits -- the caller snapshots under the same lock that
-        guards :meth:`commit`.
+        A shadow is not registered with the telemetry and records no
+        histograms: its planning is speculative and may be discarded.
         """
         twin = ActiveRmtAllocator.__new__(ActiveRmtAllocator)
         twin.config = self.config
@@ -378,9 +395,9 @@ class ActiveRmtAllocator:
         Pools are restored from the checkpoint's byte-identical
         snapshots (not by release-and-relayout), the arrival counter
         and version stamps rewind, and the app record disappears -- or,
-        for a release, comes back.  The only telemetry touched is
-        ``allocator_rollbacks_total`` -- a rollback is not a release
-        and moves no client state.  An ``allocator.rollback`` span
+        for a release, comes back.  The only count touched is
+        :attr:`rollbacks` -- a rollback is not a release and moves no
+        client state.  An ``allocator.rollback`` span
         lands under *ctx*, so the undo is part of the request's causal
         tree.
         """
@@ -406,12 +423,7 @@ class ActiveRmtAllocator:
                 snapshot.restore(self.pools[stage])
             self._arrival_counter = checkpoint.arrival_counter
             self._version = checkpoint.version
-            tel = self.telemetry
-            if tel.enabled:
-                tel.counter(
-                    "allocator_rollbacks_total",
-                    help="Committed layout changes undone after switch-side failure",
-                ).inc()
+            self.rollbacks += 1
 
     def allocate(self, fid: int, pattern: AccessPattern) -> AllocationPlan:
         """Attempt to admit *fid* with the given access pattern.
@@ -434,9 +446,9 @@ class ActiveRmtAllocator:
         Returns the reallocation map of applications whose ranges
         changed as a result of the departure, and the checkpoint
         :meth:`rollback` undoes the release with -- the one a commit
-        takes, over the stages *fid* held.  Publishes no telemetry: the
-        caller calls :meth:`record_release` once the switch has taken
-        the departure too.
+        takes, over the stages *fid* held.  Counts nothing: the caller
+        calls :meth:`record_release` once the switch has taken the
+        departure too.
         """
         app = self.apps.get(fid)
         if app is None:
@@ -453,21 +465,10 @@ class ActiveRmtAllocator:
         return reallocations, checkpoint
 
     def record_release(self, reallocations: ReallocationMap) -> None:
-        """Publish one departure into the telemetry registry."""
-        tel = self.telemetry
-        if tel.enabled:
-            tel.counter(
-                "allocator_releases_total",
-                help="Applications released from the allocator",
-            ).inc()
-            tel.counter(
-                "allocator_apps_displaced_total",
-                help="Incumbent apps resized or moved per decision",
-            ).inc(len(reallocations))
-            tel.counter(
-                "allocator_blocks_moved_total",
-                help="Memory blocks whose placement changed (snapshot/restore cost)",
-            ).inc(_moved_blocks(reallocations))
+        """Count one departure the switch has taken too."""
+        self.releases += 1
+        self.apps_displaced += len(reallocations)
+        self.blocks_moved += _moved_blocks(reallocations)
 
     # ------------------------------------------------------------------
     # Queries
@@ -514,9 +515,6 @@ class ActiveRmtAllocator:
         }
         return AllocationResponseHeader.from_map(regions)
 
-    def word_region(self, stage: int, block_range: BlockRange) -> StageRegion:
-        return block_range.to_words(self.config.block_words)
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -535,39 +533,21 @@ class ActiveRmtAllocator:
         )
 
     def record_decision(self, plan: AllocationPlan) -> None:
-        """Publish one admission attempt -- a committed or an infeasible
-        plan -- into the telemetry registry."""
-        tel = self.telemetry
-        if not tel.enabled:
-            return
-        outcome = "admitted" if plan.feasible else "rejected"
-        tel.counter(
-            "allocator_decisions_total",
-            help="Admission attempts by outcome",
-            outcome=outcome,
-        ).inc()
-        tel.histogram(
-            "allocator_allocation_seconds",
-            buckets=LATENCY_BUCKETS_S,
-            help="End-to-end allocation decision latency (search + assign)",
-        ).observe(plan.total_seconds)
-        tel.counter(
-            "allocator_candidates_considered_total",
-            help="Mutants enumerated during admission searches",
-        ).inc(plan.candidates_considered)
-        tel.counter(
-            "allocator_candidates_feasible_total",
-            help="Enumerated mutants that passed per-stage feasibility",
-        ).inc(plan.candidates_feasible)
+        """Count one admission attempt: a committed or an infeasible plan."""
+        self.candidates_considered += plan.candidates_considered
+        self.candidates_feasible += plan.candidates_feasible
         if plan.feasible:
-            tel.counter(
-                "allocator_apps_displaced_total",
-                help="Incumbent apps resized or moved per decision",
-            ).inc(len(plan.reallocations))
-            tel.counter(
-                "allocator_blocks_moved_total",
-                help="Memory blocks whose placement changed (snapshot/restore cost)",
-            ).inc(_moved_blocks(plan.reallocations))
+            self.admitted += 1
+            self.apps_displaced += len(plan.reallocations)
+            self.blocks_moved += _moved_blocks(plan.reallocations)
+        else:
+            self.rejected += 1
+        if self.telemetry.enabled:
+            self.telemetry.histogram(
+                "allocator_allocation_seconds",
+                buckets=LATENCY_BUCKETS_S,
+                help="End-to-end allocation decision latency (search + assign)",
+            ).observe(plan.total_seconds)
 
     def _layout_snapshot(
         self, stages: Iterable[int]

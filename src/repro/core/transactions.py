@@ -220,11 +220,6 @@ class AllocationPlan:
             out[stage] = (words.start, words.end)
         return out
 
-    def covers_mutant(self, physical_stages: "Tuple[int, ...]") -> bool:
-        """Does every stage a mutant touches carry a granted region?"""
-        granted = set(self.granted_stages())
-        return all(stage in granted for stage in physical_stages)
-
 
 @dataclasses.dataclass(frozen=True)
 class AllocatorCheckpoint:

@@ -32,9 +32,7 @@ from repro.experiments.common import (
     Outcomes,
     Proofs,
     ScenarioResult,
-    counter_total,
     publish_gauges,
-    run_registry,
     run_violations,
     sanitizer_enabled,
 )
@@ -136,7 +134,6 @@ def run_chaos(epochs: int = 60, seed: int = 7) -> ChaosResult:
     Everything -- workload, fault schedules, placement -- derives from
     *seed*, so the admitted/recovered/shed table is reproducible.
     """
-    registry = run_registry()
     config = SwitchConfig()
     faulty: List[FaultyDevice] = []
 
@@ -150,7 +147,6 @@ def run_chaos(epochs: int = 60, seed: int = 7) -> ChaosResult:
                 partial_rate=0.01,
                 digest_drop_rate=0.05,
             ),
-            telemetry=registry,
         )
         faulty.append(device)
         return device
@@ -159,12 +155,13 @@ def run_chaos(epochs: int = 60, seed: int = 7) -> ChaosResult:
         SHARDS,
         config=config,
         seed=seed,
-        telemetry=registry,
         sanitizer=sanitizer_enabled(),
         device_factory=factory,
         retry=RetryPolicy(max_attempts=5, base_s=1e-6, cap_s=1e-5, jitter=0.5),
     )
 
+    # Every column that served: the one the replace retires stays here.
+    columns = list(fabric.shards)
     events = list(poisson_events(epochs=epochs, seed=seed))
     third = max(1, len(events) // 3)
     drive = ChurnDriver(fabric.submit)
@@ -175,6 +172,7 @@ def run_chaos(epochs: int = 60, seed: int = 7) -> ChaosResult:
     replace_report = fabric.failover(
         0, replacement=SimDevice(ActiveSwitch(config), device_id="sw0r")
     )
+    columns.append(fabric.shards[0])
     live_fp, replayed_fp = replay_shard(fabric.shards[0], drive.pattern_of_fid)
 
     # Phase 2: more churn, then shard 1 dies with no spare: survivors
@@ -202,15 +200,12 @@ def run_chaos(epochs: int = 60, seed: int = 7) -> ChaosResult:
             device.injected.get("transient", 0) + device.injected.get("partial", 0)
             for device in faulty
         ),
-        retries_healed=sum(
-            shard.controller.updater.retries_healed for shard in fabric.shards
-        ),
-        fault_retries=counter_total(registry, "admission_fault_retries_total"),
+        retries_healed=sum(shard.controller.updater.retries_healed for shard in columns),
+        fault_retries=sum(shard.service.fault_retries for shard in columns),
         # Post-recovery proof obligations across every live shard.
         proofs=Proofs.of(fabric.audit().values(), fabric.certificates().values()),
     )
     publish_gauges(
-        registry,
         "chaos_run",
         {
             **dataclasses.asdict(result.outcomes),

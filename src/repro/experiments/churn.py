@@ -34,7 +34,6 @@ from repro.experiments.common import (
     Proofs,
     ScenarioResult,
     make_controller,
-    run_registry,
     run_violations,
     windowed_seconds,
 )
@@ -117,7 +116,6 @@ def run_churn(
 ) -> ChurnResult:
     """Drive one Poisson workload through the service, then model it
     with each of *windows* provisioning windows outstanding."""
-    registry = run_registry()
     # With a recording tracer installed (the CLI's --trace-out), the run
     # gets a flight recorder whose dumps snapshot the live pools at
     # anomaly time, each with its own causal reconstruction.
@@ -130,7 +128,7 @@ def run_churn(
         recorder = FlightRecorder(
             tracer, fingerprint=lambda: pools_fingerprint(controller.allocator)
         )
-    service = AdmissionService(controller, telemetry=registry)
+    service = AdmissionService(controller)
     drive = ChurnDriver(service.submit)
     drive.drive(events)
     # The commit-log witness: the run equals the serial execution of
@@ -158,7 +156,7 @@ def run_churn(
     ]
 
     # Batched admission: one shadow, one journal, all-or-nothing.
-    batch_service = AdmissionService(make_controller(), telemetry=registry)
+    batch_service = AdmissionService(make_controller())
     cache = EXEMPLAR_APPS["cache"].pattern()
     batch = batch_service.submit_many(
         [ProvisioningRequest.admission(fid=9000 + i, pattern=cache) for i in range(batch_size)]

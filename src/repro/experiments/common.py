@@ -32,7 +32,7 @@ from repro.core.fairness import jain_index
 from repro.core.schemes import AllocationScheme
 from repro.switchsim.config import SwitchConfig
 from repro.switchsim.switch import ActiveSwitch
-from repro.telemetry import MetricsRegistry, resolve
+from repro.telemetry import resolve
 from repro.workloads.arrivals import ArrivalEvent, DepartureEvent, Event
 
 POLICIES: Dict[str, AllocationPolicy] = {
@@ -44,13 +44,6 @@ POLICIES: Dict[str, AllocationPolicy] = {
 def sanitizer_enabled() -> bool:
     """ACTIVERMT_SANITIZE=1 re-audits every commit during experiments."""
     return os.environ.get("ACTIVERMT_SANITIZE", "") not in ("", "0")
-
-
-def run_registry() -> MetricsRegistry:
-    """The process registry when recording (so ``--stats-out`` captures
-    the service counters), else a private one for the run's numbers."""
-    registry = resolve(None)
-    return registry if registry.enabled else MetricsRegistry()
 
 
 def exemplar_patterns() -> Dict[str, AccessPattern]:
@@ -363,21 +356,14 @@ def payload_for(result: ScenarioResult) -> Dict[str, object]:
     return payload
 
 
-def counter_total(registry: MetricsRegistry, name: str) -> int:
-    """Counter *name* summed over all its label sets."""
-    counters = registry.snapshot()["counters"]
-    return int(
-        sum(value for series, value in counters.items() if series.split("{")[0] == name)
-    )
-
-
 def publish_gauges(
-    registry: MetricsRegistry,
     prefix: str,
     fields: Mapping[str, float],
     labels: Optional[Mapping[str, str]] = None,
 ) -> None:
-    """One ``{prefix}_{field}`` gauge per result field (a bool as 0/1)."""
+    """One ``{prefix}_{field}`` gauge per result field (a bool as 0/1),
+    in the process registry (inert unless one was installed)."""
+    registry = resolve(None)
     for field, value in fields.items():
         registry.gauge(
             f"{prefix}_{field}",

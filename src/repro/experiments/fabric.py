@@ -37,7 +37,6 @@ from repro.experiments.common import (
     ScenarioResult,
     make_controller,
     publish_gauges,
-    run_registry,
     run_violations,
     sanitizer_enabled,
     windowed_seconds,
@@ -174,16 +173,13 @@ def run_fabric(
     seed: int = 7,
 ) -> FabricResult:
     """Run one Poisson workload per shard count (same seed throughout)."""
-    registry = run_registry()
     events = list(poisson_events(epochs=epochs, seed=seed))
     arrivals = sum(1 for e in events if isinstance(e, ArrivalEvent))
     parity_ok, parity = _parity_check(events, seed)
 
     rows: List[FabricRow] = []
     for num_shards in shard_counts:
-        fabric = Fabric.build(
-            num_shards, seed=seed, telemetry=registry, sanitizer=sanitizer_enabled()
-        )
+        fabric = Fabric.build(num_shards, seed=seed, sanitizer=sanitizer_enabled())
         drive = ChurnDriver(fabric.submit)
         drive.drive(events)
         # Each shard's reports in commit order: routes are sticky.
@@ -217,7 +213,6 @@ def run_fabric(
         )
         rows.append(row)
         publish_gauges(
-            registry,
             "fabric_run",
             {
                 **dataclasses.asdict(row.outcomes),
@@ -226,7 +221,7 @@ def run_fabric(
             },
             labels={"shards": str(num_shards)},
         )
-    publish_gauges(registry, "fabric_run", {"parity": parity_ok})
+    publish_gauges("fabric_run", {"parity": parity_ok})
 
     return FabricResult(
         rows=rows,

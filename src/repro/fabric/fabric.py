@@ -18,14 +18,16 @@ work would overlap is modeled from the reports
 (:func:`repro.experiments.common.windowed_seconds`), with the fleet's
 makespan the slowest shard's.
 
-Telemetry is labeled per device (``device="sw3"``) so one registry
-scrape shows the whole fleet; :meth:`Fabric.fingerprint` snapshots
-every shard's pool state for flight-recorder dumps.
+The fabric's counts (routing, and what each failover did, read off its
+:class:`FailoverReport` list) are labeled per device (``device="sw3"``)
+so one registry scrape shows the whole fleet; :meth:`Fabric.fingerprint`
+snapshots every shard's pool state for flight-recorder dumps.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.findings import AnalysisReport
@@ -153,10 +155,9 @@ class Fabric:
         seed: seeds hash placement; with a fixed seed the fid -> shard
             map is a pure function of the fid (the determinism the
             fabric property tests pin).
-        telemetry: metrics registry for fabric-level, device-labeled
-            series; defaults to the process default.  When recording,
-            a collector is registered so per-shard utilization gauges
-            refresh on every scrape.
+        telemetry: metrics registry that reads the fabric-level,
+            device-labeled series (:meth:`metrics`); defaults to the
+            process default.
         tracer: span tracer threaded to nothing fabric-side yet; held
             so :meth:`build` can hand one tracer to every shard.
     """
@@ -182,8 +183,13 @@ class Fabric:
         #: failover can re-admit or replay its residents (the commit log
         #: records fids; the patterns live here).
         self._patterns: Dict[int, AccessPattern] = {}
-        if self.telemetry.enabled:
-            self.telemetry.register_collector(self._collect)
+        #: New applications placed, by ``(device, policy)``, and
+        #: requests routed, by ``(device, kind)``.
+        self.placements: Counter[Tuple[str, str]] = Counter()
+        self.requests: Counter[Tuple[str, str]] = Counter()
+        #: What each :meth:`failover` did, in order.
+        self.failovers: List[FailoverReport] = []
+        self.telemetry.register(self)
 
     def live_shards(self) -> List[Shard]:
         """The shards currently taking traffic."""
@@ -261,10 +267,6 @@ class Fabric:
         """The shard index *fid* is routed to, if placed."""
         return self._routes.get(fid)
 
-    def shard_for(self, fid: int) -> Optional[Shard]:
-        index = self._routes.get(fid)
-        return None if index is None else self.shards[index]
-
     def _place(self, fid: int, pattern: AccessPattern, sticky: bool) -> int:
         # Policies see only the live shards (dead ones take no
         # placements); the chosen position maps back to a fleet index.
@@ -281,15 +283,7 @@ class Fabric:
         if sticky:
             self._routes[fid] = index
             self._patterns[fid] = pattern
-            if self.telemetry.enabled:
-                self.telemetry.counter(
-                    "fabric_placements_total",
-                    help="New applications placed onto a shard",
-                    labels={
-                        "device": self.shards[index].device_id,
-                        "policy": self.placement.name,
-                    },
-                ).inc()
+            self.placements[self.shards[index].device_id, self.placement.name] += 1
         return index
 
     def _route(self, request: ProvisioningRequest) -> Shard:
@@ -320,12 +314,7 @@ class Fabric:
     def submit(self, request: ProvisioningRequest) -> ProvisioningReport:
         """Route one request to its shard's admission service."""
         shard = self._route(request)
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "fabric_requests_total",
-                help="Requests routed through the fabric, by device and kind",
-                labels={"device": shard.device_id, "kind": request.kind.value},
-            ).inc()
+        self.requests[shard.device_id, request.kind.value] += 1
         return shard.service.submit(request)
 
     def submit_and_wait(self, request: ProvisioningRequest) -> ProvisioningReport:
@@ -379,12 +368,6 @@ class Fabric:
             index=index,
             mode=mode,
         )
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "fabric_failovers_total",
-                help="Shard failovers performed, by mode",
-                labels={"device": failed.device_id, "mode": mode},
-            ).inc()
         residents = sorted(failed.controller.allocator.resident_fids())
         # Routes of fids no longer resident (withdrawn history) must not
         # pin future re-admissions to the dead column.
@@ -398,8 +381,11 @@ class Fabric:
                 f"pattern for resident fids {missing}"
             )
         if replacement is not None:
-            return self._failover_replace(index, failed, replacement, residents)
-        return self._failover_redistribute(index, failed, residents)
+            report = self._failover_replace(index, failed, replacement, residents)
+        else:
+            report = self._failover_redistribute(index, failed, residents)
+        self.failovers.append(report)
+        return report
 
     def _failover_replace(
         self,
@@ -424,12 +410,6 @@ class Fabric:
         service.commit_log.extend(failed.commit_log)
         self.shards[index] = Shard(index, recovered, service)
         self.shards[index].alive = True
-        if self.telemetry.enabled:
-            self.telemetry.gauge(
-                "fabric_recovery_fingerprint_match",
-                help="1 when the recovered shard's pools matched the failed one",
-                labels={"device": failed.device_id},
-            ).set(1.0 if match else 0.0)
         return FailoverReport(
             index=index,
             device_id=failed.device_id,
@@ -460,18 +440,6 @@ class Fabric:
                 report.shed.append(fid)
                 self._routes.pop(fid, None)
                 self._patterns.pop(fid, None)
-        if self.telemetry.enabled:
-            labels = {"device": failed.device_id}
-            self.telemetry.counter(
-                "fabric_failover_readmitted_total",
-                help="Applications re-admitted on survivors after a failover",
-                labels=labels,
-            ).inc(len(report.readmitted))
-            self.telemetry.counter(
-                "fabric_failover_shed_total",
-                help="Applications shed because no survivor could host them",
-                labels=labels,
-            ).inc(len(report.shed))
         return report
 
     # ------------------------------------------------------------------
@@ -539,28 +507,34 @@ class Fabric:
             )
         return rows
 
-    def _collect(self, registry: MetricsRegistry) -> None:
-        """Refresh per-device gauges on every scrape (pull-style)."""
-        for shard in self.shards:
-            if not shard.alive:
-                continue
-            allocator = shard.controller.allocator
-            labels = {"device": shard.device_id}
-            registry.gauge(
-                "fabric_shard_utilization",
-                help="Fraction of a shard's register memory allocated",
-                labels=labels,
-            ).set(allocator.utilization())
-            registry.gauge(
-                "fabric_shard_resident_fids",
-                help="Applications resident on a shard",
-                labels=labels,
-            ).set(len(allocator.resident_fids()))
-            registry.gauge(
-                "fabric_shard_commits",
-                help="Committed operations in a shard's commit log",
-                labels=labels,
-            ).set(len(shard.commit_log))
+    def metrics(self) -> Dict[str, object]:
+        """The registry's view: routing counts, what the failovers did
+        (a replace re-admits every resident onto the replacement) and
+        each live shard's load."""
+        failovers: Counter[Tuple[str, str]] = Counter()
+        readmitted: Counter[str] = Counter()
+        shed: Counter[str] = Counter()
+        match: Dict[str, int] = {}
+        for report in self.failovers:
+            failovers[report.device_id, report.mode] += 1
+            readmitted[report.device_id] += len(report.readmitted)
+            shed[report.device_id] += len(report.shed)
+            if report.fingerprint_match is not None:
+                match[report.device_id] = int(report.fingerprint_match)
+        live = self.live_shards()
+        return {
+            "fabric_placements_total{device,policy}": self.placements,
+            "fabric_requests_total{device,kind}": self.requests,
+            "fabric_failovers_total{device,mode}": failovers,
+            "fabric_failover_readmitted_total{device}": readmitted,
+            "fabric_failover_shed_total{device}": shed,
+            "fabric_recovery_fingerprint_match{device}": match,
+            "fabric_shard_used_blocks{device}": {s.device_id: s.used_blocks() for s in live},
+            "fabric_shard_resident_fids{device}": {
+                s.device_id: len(s.controller.allocator.resident_fids()) for s in live
+            },
+            "fabric_shard_commits{device}": {s.device_id: len(s.commit_log) for s in live},
+        }
 
 
 def replay_shard(

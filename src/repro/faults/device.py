@@ -24,6 +24,7 @@ fault fires.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import (
     Callable,
     Dict,
@@ -55,9 +56,9 @@ class FaultyDevice:
     Args:
         inner: the real device every non-faulted call delegates to.
         plan: the deterministic fault schedule.
-        telemetry: metrics registry for the
-            ``device_faults_injected_total{device,op,kind}`` counter;
-            defaults to the process registry.
+        telemetry: metrics registry that reads
+            ``device_faults_injected_total{device,op,kind}``
+            (:meth:`metrics`); defaults to the process registry.
         sleep: injected sleep used for DELAY faults (tests pass a
             recording fake).
     """
@@ -71,12 +72,12 @@ class FaultyDevice:
     ) -> None:
         self.inner = inner
         self.plan = plan
-        self.telemetry = resolve(telemetry)
         self._sleep = sleep
         self.dead = False
-        #: Injection counts by fault kind (harness reporting).
-        self.injected: Dict[str, int] = {}
+        #: Injection counts by ``(op, fault kind)``.
+        self.faults: Counter[Tuple[str, str]] = Counter()
         self.digests_dropped = 0
+        resolve(telemetry).register(self)
 
     def __repr__(self) -> str:
         state = "dead" if self.dead else "live"
@@ -93,15 +94,20 @@ class FaultyDevice:
             self._count("kill", FaultKind.PERMANENT)
 
     def _count(self, op: str, kind: FaultKind) -> None:
-        self.injected[kind.value] = self.injected.get(kind.value, 0) + 1
-        if self.telemetry.enabled:
-            self.telemetry.counter(
-                "device_faults_injected_total",
-                help="Faults injected into device operations, by kind",
-                device=self.inner.device_id,
-                op=op,
-                kind=kind.value,
-            ).inc()
+        self.faults[op, kind.value] += 1
+
+    @property
+    def injected(self) -> Dict[str, int]:
+        """Injection counts by fault kind (harness reporting)."""
+        by_kind: Dict[str, int] = {}
+        for (_op, kind), count in self.faults.items():
+            by_kind[kind] = by_kind.get(kind, 0) + count
+        return by_kind
+
+    def metrics(self) -> Dict[str, object]:
+        return {
+            f"device_faults_injected_total{{op,kind,device={self.inner.device_id}}}": self.faults
+        }
 
     def _check_dead(self, op: str) -> None:
         if self.dead:

@@ -142,14 +142,6 @@ class ActiveProgram:
             if is_memory_access(instr.opcode)
         ]
 
-    def memory_access_opcodes(self) -> List[Opcode]:
-        """Opcodes of the memory accesses, in program order."""
-        return [
-            instr.opcode
-            for instr in self.instructions
-            if is_memory_access(instr.opcode)
-        ]
-
     def ingress_bound_positions(self) -> List[int]:
         """1-indexed positions of instructions that prefer an ingress stage.
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.telemetry import MetricsRegistry, resolve
 
@@ -28,9 +28,8 @@ class EventLoop:
     """Heap-ordered discrete-event executor.
 
     Args:
-        telemetry: metrics registry; when enabled, a collector mirrors
-            the executed-event count and live queue depth as gauges
-            (``eventloop_events_processed``, ``eventloop_pending``).
+        telemetry: metrics registry; when enabled, it reads the
+            executed-event count and live queue depth (:meth:`metrics`).
     """
 
     def __init__(self, telemetry: Optional[MetricsRegistry] = None) -> None:
@@ -39,18 +38,10 @@ class EventLoop:
         self._counter = itertools.count()
         self.processed = 0
         self.telemetry = resolve(telemetry)
-        if self.telemetry.enabled:
-            self.telemetry.register_collector(self._collect_telemetry)
+        self.telemetry.register(self)
 
-    def _collect_telemetry(self, registry) -> None:
-        registry.gauge(
-            "eventloop_events_processed",
-            help="Events executed by the simulation loop",
-        ).set(self.processed)
-        registry.gauge(
-            "eventloop_pending",
-            help="Live (uncancelled) events waiting in the heap",
-        ).set(self.pending)
+    def metrics(self) -> Dict[str, int]:
+        return {"eventloop_events_processed": self.processed, "eventloop_pending": self.pending}
 
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> SimEvent:
         """Call ``fn(*args)`` at ``now + delay`` (delay >= 0)."""

@@ -134,9 +134,6 @@ class CacheClientHost(Host):
     def request_cache_allocation(self) -> None:
         self.send(self.shim.request_allocation())
 
-    def deallocate_cache(self) -> None:
-        self.send(self.shim.deallocate())
-
     # ------------------------------------------------------------------
     # Request loop
     # ------------------------------------------------------------------

@@ -52,8 +52,8 @@ class SimProvisioner:
         self.network = network
         self.controller = controller
         #: Admissions flow through the unified request API: the
-        #: admission service runs the plan/commit pipeline on the
-        #: event-loop thread and keeps the commit log.
+        #: admission service runs the plan/commit pipeline inline and
+        #: keeps the commit log.
         self.service = service or AdmissionService(controller)
         self.provisioning_log: List[Dict] = []
         #: fid -> AccessPattern used instead of the wire-decoded one;

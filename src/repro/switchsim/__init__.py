@@ -37,7 +37,6 @@ from repro.switchsim.progcache import (
     infer_recirculations,
     program_digest,
 )
-from repro.switchsim.perf import PerfCounters
 from repro.switchsim.switch import ActiveSwitch, BatchResult, PortStats, SwitchOutput
 from repro.switchsim.latency import LatencyModel
 from repro.switchsim.governor import RecirculationGovernor
@@ -71,7 +70,6 @@ __all__ = [
     "ProgramCache",
     "infer_recirculations",
     "program_digest",
-    "PerfCounters",
     "ActiveSwitch",
     "BatchResult",
     "PortStats",

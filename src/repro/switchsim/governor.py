@@ -66,8 +66,3 @@ class RecirculationGovernor:
             return False
         bucket.tokens -= recirculations
         return True
-
-    def tokens_for(self, fid: int, now: float) -> float:
-        bucket = self._bucket(fid, now)
-        self._refill(bucket, now)
-        return bucket.tokens

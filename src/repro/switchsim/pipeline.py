@@ -22,7 +22,6 @@ from repro.switchsim.progcache import ProgramCache
 from repro.switchsim.registers import RegisterArray
 from repro.switchsim.stage import MatchActionStage
 from repro.switchsim.tables import StageTable
-from repro.telemetry import MetricsRegistry, resolve
 
 
 class PacketDisposition(enum.Enum):
@@ -62,13 +61,8 @@ class ExecutionResult:
 class Pipeline:
     """The 20-stage logical pipeline of the ActiveRMT runtime."""
 
-    def __init__(
-        self,
-        config: Optional[SwitchConfig] = None,
-        telemetry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, config: Optional[SwitchConfig] = None) -> None:
         self.config = config or SwitchConfig()
-        self.telemetry = resolve(telemetry)
         self.stages: List[MatchActionStage] = [
             MatchActionStage(
                 index=stage,
@@ -115,15 +109,8 @@ class Pipeline:
         if self.program_cache is None:
             return 0
         if fid is None:
-            dropped = self.program_cache.invalidate_all()
-        else:
-            dropped = self.program_cache.invalidate_fid(fid)
-        if dropped and self.telemetry.enabled:
-            self.telemetry.counter(
-                "progcache_invalidations_total",
-                help="Program-cache entries flushed by control-plane updates",
-            ).inc(dropped)
-        return dropped
+            return self.program_cache.invalidate_all()
+        return self.program_cache.invalidate_fid(fid)
 
     # ------------------------------------------------------------------
 

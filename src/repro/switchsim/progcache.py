@@ -346,12 +346,13 @@ class ProgramCache:
         pipeline: the owning :class:`~repro.switchsim.pipeline.Pipeline`
             (stages are resolved against it at build time).
         capacity: maximum resident bindings; the least recently used
-            one is evicted beyond it.
+            one is evicted beyond it.  A cache of capacity 0 holds none:
+            its all-zero :meth:`stats` are a disabled cache's.
     """
 
     def __init__(self, pipeline, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise ValueError("cache capacity must be positive")
+        if capacity < 0:
+            raise ValueError("cache capacity must not be negative")
         self.pipeline = pipeline
         self.capacity = capacity
         self._entries: "OrderedDict[Tuple[int, ProgramDigest], ProgramBinding]" = (
@@ -453,25 +454,4 @@ class ProgramCache:
             "programs": len(self._programs),
             "program_hits": self.program_hits,
             "program_misses": self.program_misses,
-        }
-
-    @staticmethod
-    def empty_stats() -> Dict[str, float]:
-        """The all-zero :meth:`stats` shape, for when caching is off.
-
-        ``ActiveSwitch.stats`` returns this instead of None so that
-        consumers (exporters, dashboards) read one stable schema
-        whether or not the cache exists.
-        """
-        return {
-            "entries": 0,
-            "capacity": 0,
-            "hits": 0,
-            "misses": 0,
-            "hit_rate": 0.0,
-            "evictions": 0,
-            "invalidations": 0,
-            "programs": 0,
-            "program_hits": 0,
-            "program_misses": 0,
         }

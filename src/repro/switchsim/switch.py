@@ -10,7 +10,7 @@ Two data-path entry points exist: :meth:`ActiveSwitch.receive` handles
 one packet, and :meth:`ActiveSwitch.receive_batch` drains a whole
 arrival batch while amortizing the per-packet Python overhead -- port
 statistics are rolled up once per batch, digests are delivered to the
-CPU queue in one append, and perf counters advance with a single merge.
+CPU queue in one append, and the switch's counts advance once a batch.
 Both paths share the same classification/execution core, so their
 outputs are identical packet for packet.
 """
@@ -18,8 +18,9 @@ outputs are identical packet for packet.
 from __future__ import annotations
 
 import dataclasses
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from typing import (
+    Any,
     Callable,
     DefaultDict,
     Deque,
@@ -37,7 +38,6 @@ from repro.packets.ethernet import MacAddress
 from repro.packets.headers import PacketType
 from repro.switchsim.config import SwitchConfig
 from repro.switchsim.latency import LatencyModel
-from repro.switchsim.perf import PerfCounters
 from repro.switchsim.pipeline import ExecutionResult, PacketDisposition, Pipeline
 from repro.switchsim.progcache import ProgramCache, infer_recirculations
 from repro.telemetry import (
@@ -128,13 +128,25 @@ _KIND_SUPPRESSED = 3
 #: Trace-attribute names for the classifications, indexed by _KIND_*.
 _KIND_NAMES = ("digest", "plain", "program", "suppressed")
 
+#: The switch's own counts: attributes, keys of :meth:`ActiveSwitch.stats`
+#: and ``datapath_*`` series.  All but the two batch counts are also
+#: :class:`BatchResult` fields.
+_COUNTS = (
+    "packets", "programs", "plain_forwarded", "digested", "suppressed",
+    "forwarded", "returned", "dropped", "faulted", "batches", "batched_packets",
+)
+_BATCH_TALLIES = _COUNTS[:-2]
+
 
 class ActiveSwitch:
     """A switch running the shared ActiveRMT runtime.
 
+    The switch owns its counts (:data:`_COUNTS`, plus the per-FID
+    tallies it keeps while telemetry records); :meth:`stats` and
+    :meth:`metrics` are two views of them.
+
     Args:
         config: modeled device parameters.
-        latency: forwarding-latency model.
         governor: optional recirculation-bandwidth governor (Section
             7.2).  When set, programs whose *inferred* recirculation
             cost (from the program length, as the paper notes the
@@ -157,7 +169,6 @@ class ActiveSwitch:
     def __init__(
         self,
         config: Optional[SwitchConfig] = None,
-        latency: Optional[LatencyModel] = None,
         governor=None,
         clock: Optional[Callable[[], float]] = None,
         telemetry: Optional[MetricsRegistry] = None,
@@ -166,22 +177,21 @@ class ActiveSwitch:
         self.config = config or SwitchConfig()
         self.telemetry = resolve(telemetry)
         self.tracer = resolve_tracer(tracer)
-        self.pipeline = Pipeline(self.config, telemetry=self.telemetry)
-        self.latency = latency or LatencyModel()
+        self.pipeline = Pipeline(self.config)
+        self.latency = LatencyModel()
         self.governor = governor
         self.clock = clock
         #: Port by ``MacAddress.value``: an int hashes without Python code.
         self._mac_table: Dict[int, int] = {}
         self._digests: Deque[ActivePacket] = deque()
         self.port_stats: DefaultDict[int, PortStats] = defaultdict(PortStats)
-        self.digest_count = 0
-        self.perf = PerfCounters()
-        # Per-FID counter objects, cached so the enabled hot path pays
-        # one dict probe per packet instead of a registry lookup.
-        self._fid_packets: Dict[int, object] = {}
-        self._fid_recircs: Dict[int, object] = {}
-        if self.telemetry.enabled:
-            self.telemetry.register_collector(self._collect_telemetry)
+        for name in _COUNTS:
+            setattr(self, name, 0)
+        #: Active-program packets and recirculations by FID, tallied only
+        #: while telemetry records (the default data path skips them).
+        self.fid_packets: Counter = Counter()
+        self.fid_recirculations: Counter = Counter()
+        self.telemetry.register(self)
 
     # ------------------------------------------------------------------
     # Topology management
@@ -216,37 +226,35 @@ class ActiveSwitch:
             kind, result = self._process_sampled(packet, in_port, outputs)
         else:
             kind, result = self._process(packet, in_port, outputs)
-        perf = self.perf
-        perf.packets += 1
+        self.packets += 1
         if kind == _KIND_PROGRAM:
-            perf.programs += 1
+            self.programs += 1
             disposition = result.disposition
             if disposition is _FORWARD:
-                perf.forwarded += 1
+                self.forwarded += 1
             elif disposition is _RETURN_TO_SENDER:
-                perf.returned += 1
+                self.returned += 1
             elif disposition is _DROP:
-                perf.dropped += 1
+                self.dropped += 1
             else:
-                perf.faulted += 1
+                self.faulted += 1
         elif kind == _KIND_DIGEST:
             self._digests.append(packet)
-            self.digest_count += 1
-            perf.digested += 1
+            self.digested += 1
         elif kind == _KIND_SUPPRESSED:
-            perf.suppressed += 1
+            self.suppressed += 1
         else:
-            perf.plain_forwarded += 1
+            self.plain_forwarded += 1
         if self.telemetry.enabled and kind in (_KIND_PROGRAM, _KIND_SUPPRESSED):
             # The pipeline accounts a FORK tree whole; so does the tally.
-            self._count_fid(
-                packet.fid, pipeline.total_recirculations - recirculated
+            self.fid_packets[packet.fid] += 1
+            self.fid_recirculations[packet.fid] += (
+                pipeline.total_recirculations - recirculated
             )
         for output in outputs:
             stats = port_stats[output.port]
             stats.tx_packets += 1
             stats.tx_bytes += output.packet.shrunk_size()
-        perf.touch()
         return outputs
 
     def receive_batch(
@@ -262,8 +270,8 @@ class ActiveSwitch:
             in_port: arrival port applied to every packet (only when
                 *packets* holds bare packets).
 
-        Per-port statistics, digest delivery to the CPU queue, and perf
-        counters are each applied once for the whole batch; execution
+        Per-port statistics, digest delivery to the CPU queue, and the
+        switch's counts are each applied once for the whole batch; execution
         itself is identical to calling :meth:`receive` per packet, and
         outputs preserve arrival order.  A packet that raises leaves
         the counters and the digest queue as :meth:`receive` would: the
@@ -275,10 +283,6 @@ class ActiveSwitch:
             )
         else:
             items = packets  # type: ignore[assignment]
-        # Open the throughput window before the work: merge_batch's
-        # closing touch() then spans the batch's processing time (a
-        # single-touch window would have zero width and report 0 pps).
-        self.perf.touch()
         outputs: List[SwitchOutput] = []
         digests: List[ActivePacket] = []
         #: ``[rx packets, rx bytes, tx packets, tx bytes]`` per port.
@@ -288,12 +292,12 @@ class ActiveSwitch:
         process = self._process
         process_sampled = self._process_sampled
         pipeline = self.pipeline
-        # Telemetry tallies accumulate locally and roll into the
-        # registry once per batch; None when telemetry is disabled so
-        # the default path pays a single predicate per packet.
-        fid_tally: Optional[Dict[int, List[int]]] = (
-            {} if self.telemetry.enabled else None
+        # The per-FID tallies, or None when telemetry is disabled so the
+        # default path pays a single predicate per packet.
+        fid_packets: Optional[Counter] = (
+            self.fid_packets if self.telemetry.enabled else None
         )
+        fid_recirculations = self.fid_recirculations
         # The tracer's bound sampler, or None when tracing is off, so
         # the default path pays one truth test on a local per packet.
         tracer = self.tracer
@@ -306,7 +310,7 @@ class ActiveSwitch:
                     acc = ports[port] = [0, 0, 0, 0]
                 acc[0] += 1
                 acc[1] += packet.wire_size()
-                if fid_tally is not None:
+                if fid_packets is not None:
                     recirculated = pipeline.total_recirculations
                 if sample is not None and sample():
                     kind, result = process_sampled(packet, port, outputs)
@@ -325,20 +329,16 @@ class ActiveSwitch:
                         faulted += 1
                 elif kind == _KIND_DIGEST:
                     digests.append(packet)
-                if fid_tally is not None and kind in (_KIND_PROGRAM, _KIND_SUPPRESSED):
+                if fid_packets is not None and kind in (_KIND_PROGRAM, _KIND_SUPPRESSED):
                     fid = packet.initial.fid
-                    tally = fid_tally.get(fid)
-                    if tally is None:
-                        tally = fid_tally[fid] = [0, 0]
-                    tally[0] += 1
+                    fid_packets[fid] += 1
                     # The pipeline accounts a FORK tree whole; so does the tally.
-                    tally[1] += pipeline.total_recirculations - recirculated
+                    fid_recirculations[fid] += pipeline.total_recirculations - recirculated
         finally:
             # -- single roll-up of everything the scalar path does per
             # packet, also for the packets handled before one raised
             if digests:
                 self._digests.extend(digests)
-                self.digest_count += len(digests)
             for output in outputs:
                 acc = ports.get(output.port)
                 if acc is None:
@@ -363,15 +363,16 @@ class ActiveSwitch:
                 dropped=dropped,
                 faulted=faulted,
             )
-            self.perf.merge_batch(batch)
-            if fid_tally is not None:
+            for name in _BATCH_TALLIES:
+                setattr(self, name, getattr(self, name) + getattr(batch, name))
+            self.batches += 1
+            self.batched_packets += batch.packets
+            if fid_packets is not None:
                 self.telemetry.histogram(
                     "datapath_batch_size",
                     buckets=SIZE_BUCKETS,
                     help="Packets per receive_batch call",
                 ).observe(batch.packets)
-                for fid, (packets_n, recircs_n) in fid_tally.items():
-                    self._count_fid(fid, recircs_n, packets_n)
         return batch
 
     def _process_sampled(
@@ -504,15 +505,16 @@ class ActiveSwitch:
     def stats(self) -> Dict[str, object]:
         """One consolidated snapshot of the data path's health.
 
-        Merges the perf counters (throughput, dispositions, batching),
-        the program cache's hit/miss statistics, pipeline drop/fault
-        totals, and the governor's suppression count.  With caching
-        disabled the ``program_cache`` entry is an all-zero stats dict
-        (same keys), so consumers never need a None branch.
+        The switch's counts (dispositions, batching, digests), the
+        pipeline's drop/fault/recirculation totals, the program cache's
+        statistics and the governor's suppression count.  With caching
+        disabled the ``program_cache`` entry is an empty cache's
+        all-zero statistics (same keys), so consumers never need a None
+        branch.
         """
-        data: Dict[str, object] = self.perf.snapshot()
+        data: Dict[str, object] = {name: getattr(self, name) for name in _COUNTS}
         data["digests_pending"] = len(self._digests)
-        data["digests_delivered"] = self.digest_count
+        data["digests_delivered"] = self.digested
         pipeline = self.pipeline
         data["pipeline"] = {
             "drops": pipeline.drops,
@@ -520,68 +522,28 @@ class ActiveSwitch:
             "total_recirculations": pipeline.total_recirculations,
         }
         cache = pipeline.program_cache
-        data["program_cache"] = (
-            cache.stats() if cache is not None else ProgramCache.empty_stats()
-        )
+        if cache is None:
+            cache = ProgramCache(pipeline, capacity=0)
+        data["program_cache"] = cache.stats()
         data["governor_suppressed"] = (
             self.governor.suppressed if self.governor is not None else 0
         )
         return data
 
-    def _count_fid(self, fid: int, recirculations: int, packets: int = 1) -> None:
-        """Advance the per-FID registry counters (telemetry enabled only)."""
-        counter = self._fid_packets.get(fid)
-        if counter is None:
-            counter = self._fid_packets[fid] = self.telemetry.counter(
-                "datapath_fid_packets_total",
-                help="Active-program packets processed, by FID",
-                fid=fid,
-            )
-        counter.inc(packets)
-        if recirculations:
-            recirc = self._fid_recircs.get(fid)
-            if recirc is None:
-                recirc = self._fid_recircs[fid] = self.telemetry.counter(
-                    "datapath_fid_recirculations_total",
-                    help="Recirculations consumed, by FID",
-                    fid=fid,
-                )
-            recirc.inc(recirculations)
-
-    def _collect_telemetry(self, registry) -> None:
-        """Mirror pull-style data-path state into the registry.
-
-        Registered as a collector when telemetry is enabled, so the
-        perf counters (the hot path's plain-int accumulators), the
-        digest queue depth, pipeline totals, and program-cache stats
-        surface in every snapshot/scrape without hot-path writes.
-        """
-        registry.gauge(
-            "datapath_digest_queue_depth",
-            help="Digests waiting for the switch CPU",
-        ).set(len(self._digests))
-        for key, value in self.perf.snapshot().items():
-            registry.gauge(
-                f"datapath_{key}",
-                help="Data-path perf counter (mirrored from PerfCounters)",
-            ).set(value)
-        pipeline = self.pipeline
-        registry.gauge(
-            "pipeline_drops", help="Packets dropped by the pipeline"
-        ).set(pipeline.drops)
-        registry.gauge(
-            "pipeline_faults", help="Packets faulted by the pipeline"
-        ).set(pipeline.faults)
-        registry.gauge(
-            "pipeline_recirculations",
-            help="Total recirculations charged by the pipeline",
-        ).set(pipeline.total_recirculations)
-        cache = pipeline.program_cache
-        cache_stats = (
-            cache.stats() if cache is not None else ProgramCache.empty_stats()
-        )
-        for key, value in cache_stats.items():
-            registry.gauge(
-                f"progcache_{key}",
-                help="Program-cache statistic (mirrored from ProgramCache)",
-            ).set(value)
+    def metrics(self) -> Dict[str, object]:
+        """The registry's view of :meth:`stats`, plus the per-FID tallies.
+        The cache's hit rate is left out: a ratio does not add up over
+        switches (its hits and misses do)."""
+        stats: Dict[str, Any] = self.stats()
+        pipeline = stats["pipeline"]
+        series: Dict[str, object] = {f"datapath_{name}": stats[name] for name in _COUNTS}
+        series["datapath_digest_queue_depth"] = stats["digests_pending"]
+        series["pipeline_drops"] = pipeline["drops"]
+        series["pipeline_faults"] = pipeline["faults"]
+        series["pipeline_recirculations"] = pipeline["total_recirculations"]
+        for key, value in stats["program_cache"].items():
+            if key != "hit_rate":
+                series[f"progcache_{key}"] = value
+        series["datapath_fid_packets_total{fid}"] = self.fid_packets
+        series["datapath_fid_recirculations_total{fid}"] = self.fid_recirculations
+        return series

@@ -10,9 +10,10 @@ for scrape endpoints, :func:`dump_trace` for ``--trace-out``).
 
 Telemetry is **off by default and zero-cost when off**: every
 instrumented component (allocator, controller, table updater, switch,
-pipeline, event loop) takes a ``telemetry=None`` parameter that
-resolves to the process default -- an inert :class:`NullRegistry` --
-at construction time.  Enable it for a whole process with::
+event loop, ...) keeps its own counts and takes a ``telemetry=None``
+parameter that resolves to the process default -- an inert
+:class:`NullRegistry` -- at construction time, where it registers
+itself to be read.  Enable it for a whole process with::
 
     from repro import telemetry
 

@@ -14,13 +14,7 @@ import json
 import math
 from typing import Dict, List, Optional
 
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    format_series,
-)
+from repro.telemetry.registry import Histogram, MetricsRegistry, format_series
 from repro.telemetry.tracing import AnyTracer
 
 
@@ -82,7 +76,6 @@ def prometheus_text(registry: MetricsRegistry) -> str:
     Series are ordered by (name, labels); each metric family emits its
     ``# HELP``/``# TYPE`` header once, before its first series.
     """
-    registry.collect()
     lines: List[str] = []
     seen_families = set()
 
@@ -94,41 +87,21 @@ def prometheus_text(registry: MetricsRegistry) -> str:
         lines.append(f"# HELP {name} {help_text}")
         lines.append(f"# TYPE {name} {mtype}")
 
-    for instrument in registry.instruments():
-        if isinstance(instrument, Counter):
-            header(instrument.name, "counter")
+    for kind, name, labels, value in registry.samples():
+        header(name, kind)
+        if not isinstance(value, Histogram):
+            lines.append(f"{_series(name, labels)} {_format_value(value)}")
+            continue
+        cumulative = 0
+        for index, count in enumerate(value.bucket_counts):
+            cumulative += count
+            bound = math.inf if index >= len(value.bounds) else value.bounds[index]
             lines.append(
-                f"{_series(instrument.name, instrument.labels)} "
-                f"{_format_value(instrument.value)}"
+                f"{_series(name + '_bucket', labels, {'le': _format_value(bound)})} "
+                f"{cumulative}"
             )
-        elif isinstance(instrument, Gauge):
-            header(instrument.name, "gauge")
-            lines.append(
-                f"{_series(instrument.name, instrument.labels)} "
-                f"{_format_value(instrument.value)}"
-            )
-        elif isinstance(instrument, Histogram):
-            header(instrument.name, "histogram")
-            cumulative = 0
-            for index, count in enumerate(instrument.bucket_counts):
-                cumulative += count
-                bound = (
-                    math.inf
-                    if index >= len(instrument.bounds)
-                    else instrument.bounds[index]
-                )
-                lines.append(
-                    f"{_series(instrument.name + '_bucket', instrument.labels, {'le': _format_value(bound)})} "
-                    f"{cumulative}"
-                )
-            lines.append(
-                f"{_series(instrument.name + '_sum', instrument.labels)} "
-                f"{_format_value(instrument.sum)}"
-            )
-            lines.append(
-                f"{_series(instrument.name + '_count', instrument.labels)} "
-                f"{instrument.count}"
-            )
+        lines.append(f"{_series(name + '_sum', labels)} {_format_value(value.sum)}")
+        lines.append(f"{_series(name + '_count', labels)} {value.count}")
     return "\n".join(lines) + "\n" if lines else ""
 
 

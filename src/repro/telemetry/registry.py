@@ -1,36 +1,40 @@
-"""Process-local metrics: counters, gauges, fixed-bucket histograms.
+"""Process-local metrics: counts read from their owners, plus pushed
+gauges and fixed-bucket histograms.
 
-The registry is the single sink every plane reports into: the
-allocator's decision latencies, the controller's admission outcomes,
-and the data path's per-FID packet counters all become named
-instruments here, exported as one JSON snapshot or one Prometheus
-scrape (:mod:`repro.telemetry.export`).
+A count lives on the object that does the counted work -- the switch,
+the allocator, the controller's table engine -- as a plain integer
+attribute, or as a :class:`collections.Counter` keyed by its label
+values.  Such an *owner* registers once with :meth:`MetricsRegistry.register`
+and exposes its counts through ``metrics()``, a ``{spec: value}`` dict
+whose specs name the series (``"controller_admissions_total{outcome}"``:
+one series per key of the Counter; ``"...{plane=controller}"`` fixes a
+label).  A snapshot reads every owner ever registered and sums each
+series over them, so two switches, or a controller and its failover
+replacement, add up; nothing is pushed or mirrored.  A series whose
+name ends in ``_total`` is a counter and appears once it has counted
+something; any other is a gauge (a level, such as a queue depth).
+
+Histograms hold distributions, not counts, so they stay push:
+``histogram(name).observe(value)``.  :meth:`MetricsRegistry.counter` and
+:meth:`MetricsRegistry.gauge` remain for harness-level values (an
+experiment's result fields).  Everything exports as one JSON snapshot
+or one Prometheus scrape (:mod:`repro.telemetry.export`).
 
 Two implementations share one API.  :class:`MetricsRegistry` records
 everything; :class:`NullRegistry` -- the process default -- records
 nothing and exists so instrumented code can run unconditionally with
-near-zero overhead.  Hot paths additionally guard per-packet work on
-``registry.enabled`` so the disabled mode costs one attribute read per
-batch, not per-packet dictionary traffic.
-
-Instruments are get-or-create by ``(name, labels)``: asking twice for
-``counter("packets_total", fid="3")`` returns the same object, and two
-label sets under one name form one exported metric family.  Labels are
-passed as keyword arguments and/or an explicit ``labels=`` mapping
-(``counter("admitted_total", labels={"device": "sw3"})``) -- the
-mapping form exists for label names that are not Python identifiers
-and for callers that thread a shared label dict (the fabric's
-per-device identity) through instrumented code.  Histograms use fixed
-upper-bound buckets (Prometheus ``le`` semantics) and derive
-p50/p95/p99 by linear interpolation within the owning bucket, exactly
-like ``histogram_quantile``.
+near-zero overhead.  Hot paths guard per-packet work on
+``registry.enabled``.  Histograms use fixed upper-bound buckets
+(Prometheus ``le`` semantics) and derive p50/p95/p99 by linear
+interpolation within the owning bucket, exactly like
+``histogram_quantile``.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Default histogram buckets for control-plane latencies, spanning the
 #: paper's Figure 5/8a range (tens of microseconds to the ~1 s
@@ -70,6 +74,21 @@ def _merge_labels(
             )
         merged[key] = value
     return merged
+
+
+def _parse_spec(spec: str) -> Tuple[str, Tuple[str, ...], Labels]:
+    """``"name{a,b=x}"`` -> ``("name", ("a",), (("b", "x"),))``: the
+    label names an owner's Counter keys fill, and the fixed labels."""
+    name, _, inner = spec.partition("{")
+    names: List[str] = []
+    fixed: List[Tuple[str, str]] = []
+    for part in inner.rstrip("}").split(",") if inner else ():
+        label, equals, value = part.partition("=")
+        if equals:
+            fixed.append((label, value))
+        else:
+            names.append(label)
+    return name, tuple(names), tuple(fixed)
 
 
 def format_series(name: str, labels: Labels) -> str:
@@ -205,10 +224,8 @@ class MetricsRegistry:
 
     Thread-safe at instrument creation (the simulator itself is
     single-threaded, but exporters may scrape from another thread).
-    Collector callbacks registered with :meth:`register_collector` are
-    invoked before every snapshot/export so pull-style metrics (queue
-    depths, cache occupancy, perf-counter mirrors) refresh without any
-    hot-path writes.
+    Owners registered with :meth:`register` are read at every
+    snapshot/export, so their counts cost the hot path nothing.
     """
 
     enabled = True
@@ -217,7 +234,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._instruments: Dict[Tuple[str, Labels], object] = {}
         self._help: Dict[str, str] = {}
-        self._collectors: List[Callable[["MetricsRegistry"], None]] = []
+        self._owners: List[object] = []
 
     # ------------------------------------------------------------------
     # Instrument accessors (get-or-create)
@@ -290,53 +307,65 @@ class MetricsRegistry:
     # Collection
     # ------------------------------------------------------------------
 
-    def register_collector(
-        self, collector: Callable[["MetricsRegistry"], None]
-    ) -> None:
-        """Add a callback run before every snapshot/export."""
-        self._collectors.append(collector)
+    def register(self, owner: object) -> None:
+        """Read *owner*'s ``metrics()`` at every later snapshot."""
+        self._owners.append(owner)
 
-    def collect(self) -> None:
-        for collector in list(self._collectors):
-            collector(self)
-
-    def instruments(self) -> List[object]:
-        """All instruments, sorted by (name, labels) for stable export."""
-        return [
-            self._instruments[key] for key in sorted(self._instruments)
+    def samples(self) -> List[Tuple[str, str, Labels, object]]:
+        """Every series as ``(kind, name, labels, value)``, sorted by name
+        and labels: the owners' series, each summed over every owner,
+        and the instruments pushed here (a histogram's value is the
+        instrument itself).  A counter that counted nothing is left out.
+        """
+        owned: Dict[Tuple[str, Labels], float] = {}
+        for owner in self._owners:
+            for spec, value in owner.metrics().items():
+                name, names, fixed = _parse_spec(spec)
+                for key, count in value.items() if names else (((), value),):
+                    labels = dict(zip(names, key if isinstance(key, tuple) else (key,)))
+                    series = (name, _label_key({**dict(fixed), **labels}))
+                    owned[series] = owned.get(series, 0) + count
+        rows: List[Tuple[str, str, Labels, object]] = [
+            ("counter" if name.endswith("_total") else "gauge", name, labels, float(value))
+            for (name, labels), value in owned.items()
+            if value or not name.endswith("_total")
         ]
+        for (name, labels), instrument in self._instruments.items():
+            kind = type(instrument).__name__.lower()
+            value = instrument if kind == "histogram" else instrument.value
+            rows.append((kind, name, labels, value))
+        return sorted(rows, key=lambda row: (row[1], row[2]))
 
     def help_for(self, name: str) -> str:
         return self._help.get(name, "")
 
     def snapshot(self) -> Dict[str, object]:
         """One JSON-able dict of everything the registry holds."""
-        self.collect()
         counters: Dict[str, float] = {}
         gauges: Dict[str, float] = {}
         histograms: Dict[str, object] = {}
-        for instrument in self.instruments():
-            series = format_series(instrument.name, instrument.labels)
-            if isinstance(instrument, Counter):
-                counters[series] = instrument.value
-            elif isinstance(instrument, Gauge):
-                gauges[series] = instrument.value
-            elif isinstance(instrument, Histogram):
-                data = instrument.summary()
+        for kind, name, labels, value in self.samples():
+            series = format_series(name, labels)
+            if kind == "counter":
+                counters[series] = value
+            elif kind == "gauge":
+                gauges[series] = value
+            else:
+                data = value.summary()
                 data["buckets"] = {
-                    ("+Inf" if i >= len(instrument.bounds)
-                     else repr(instrument.bounds[i])): count
-                    for i, count in enumerate(instrument.bucket_counts)
+                    ("+Inf" if i >= len(value.bounds)
+                     else repr(value.bounds[i])): count
+                    for i, count in enumerate(value.bucket_counts)
                 }
                 histograms[series] = data
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
     def reset(self) -> None:
-        """Drop every instrument and collector (between benchmark phases)."""
+        """Drop every instrument and owner (between benchmark phases)."""
         with self._lock:
             self._instruments.clear()
             self._help.clear()
-            self._collectors.clear()
+            self._owners.clear()
 
 
 class _NullInstrument:
@@ -392,7 +421,7 @@ class NullRegistry(MetricsRegistry):
     ):
         return _NULL_INSTRUMENT
 
-    def register_collector(self, collector) -> None:
+    def register(self, owner: object) -> None:
         pass
 
     def snapshot(self) -> Dict[str, object]:

@@ -188,7 +188,8 @@ def _apply_delta(engine, fid, old_regions, new_regions, block_words, journal):
                 installed += 1
                 seconds += engine.cost.install_entry_seconds
     finally:
-        engine._count(installed, removed)
+        engine.entries_installed += installed
+        engine.entries_removed += removed
     return seconds
 
 

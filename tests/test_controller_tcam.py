@@ -8,7 +8,7 @@ must deny the admission and leave every incumbent's state untouched.
 
 from repro.controller import ActiveRmtController
 from repro.switchsim import ActiveSwitch, SwitchConfig
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, format_series
 
 from tests.test_core_constraints import listing1_pattern
 
@@ -98,7 +98,8 @@ def test_rollback_telemetry_is_not_release_telemetry():
         assert fid < 100
 
     def value(name: str, **labels) -> float:
-        return registry.counter(name, **labels).value
+        series = format_series(name, tuple(sorted(labels.items())))
+        return registry.snapshot()["counters"].get(series, 0.0)
 
     releases_before = value("allocator_releases_total")
     moved_before = value("allocator_blocks_moved_total")

@@ -157,18 +157,19 @@ def test_blocks_moved_counts_the_displaced_ranges():
     counts each displaced range's blocks, before the move."""
     registry = MetricsRegistry()
     allocator = ActiveRmtAllocator(SwitchConfig(), telemetry=registry)
-    moved = registry.counter("allocator_blocks_moved_total")
     for fid in range(3):
         assert allocator.allocate(fid=fid, pattern=listing1_pattern()).reallocations == {}
-    assert moved.value == 0
+    assert allocator.blocks_moved == 0
     whole, half = BlockRange(0, 256), BlockRange(0, 128)
     decision = allocator.allocate(fid=3, pattern=listing1_pattern())
     assert decision.reallocations == {0: {2: (whole, half), 5: (whole, half)}}
-    assert moved.value == 2 * 256
+    assert allocator.blocks_moved == 2 * 256
     reallocations, _checkpoint = allocator.release(3)
     allocator.record_release(reallocations)
     assert reallocations == {0: {2: (half, whole), 5: (half, whole)}}
-    assert moved.value == 2 * 256 + 2 * 128
+    assert allocator.blocks_moved == 2 * 256 + 2 * 128
+    counters = registry.snapshot()["counters"]
+    assert counters["allocator_blocks_moved_total"] == 2 * 256 + 2 * 128
 
 
 def test_release_unknown_fid_raises(allocator):

@@ -83,20 +83,21 @@ def test_audit_counts_and_report_are_pinned(seed):
 
 
 CHAOS_EPOCHS = 100
-#: seed -> every ``chaos_run_*`` gauge.
+#: seed -> every ``chaos_run_*`` gauge.  ``retries_healed`` counts the
+#: retired replace column's table engine too.
 CHAOS_GAUGES = {
     7: {
         "admitted": 99, "rejected": 6, "rolled_back": 0, "shed": 0,
         "failovers": 2, "failover_readmitted": 43,
         "recovery_fingerprint_match": 1, "replay_match": 1,
-        "transient_faults": 313, "retries_healed": 288,
+        "transient_faults": 313, "retries_healed": 304,
         "audit_errors": 0, "certificates": 99, "invalid_certificates": 0,
     },
     29: {
         "admitted": 93, "rejected": 9, "rolled_back": 0, "shed": 3,
         "failovers": 2, "failover_readmitted": 29,
         "recovery_fingerprint_match": 1, "replay_match": 1,
-        "transient_faults": 276, "retries_healed": 248,
+        "transient_faults": 276, "retries_healed": 268,
         "audit_errors": 0, "certificates": 93, "invalid_certificates": 0,
     },
 }

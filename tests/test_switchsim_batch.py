@@ -1,4 +1,4 @@
-"""Tests for the batched data path, perf counters, and switch stats.
+"""Tests for the batched data path, the switch's counts, and its stats.
 
 The invariant: ``receive_batch`` is observably identical to calling
 ``receive`` per packet -- same outputs in the same order, same port
@@ -112,18 +112,17 @@ def test_receive_batch_uniform_port():
 def test_perf_counters_track_dispositions():
     switch = _switch()
     switch.receive_batch(_workload())
-    perf = switch.perf
-    assert perf.packets == 7
-    assert perf.programs == 6
-    assert perf.batches == 1
-    assert perf.batched_packets == 7
-    assert perf.returned == 1
-    assert perf.dropped == 1
-    assert perf.faulted == 1
+    assert switch.packets == 7
+    assert switch.programs == 6
+    assert switch.batches == 1
+    assert switch.batched_packets == 7
+    assert switch.returned == 1
+    assert switch.dropped == 1
+    assert switch.faulted == 1
     # Scalar path counts into the same counters.
     switch.receive(_program("NOP\nRETURN"), in_port=1)
-    assert perf.packets == 8
-    assert perf.batched_packets == 7
+    assert switch.packets == 8
+    assert switch.batched_packets == 7
 
 
 def test_stats_surface():
@@ -133,7 +132,6 @@ def test_stats_surface():
     for key in (
         "packets",
         "programs",
-        "packets_per_second",
         "digests_pending",
         "digests_delivered",
         "pipeline",
@@ -218,10 +216,10 @@ _forky_programs = st.lists(
 
 
 def _observable(switch, registry):
-    """What both front doors must agree on: every counter but the batch
-    counts and the wall-clock window."""
+    """What both front doors must agree on: every count but the batch
+    counts."""
     stats = switch.stats()
-    for key in ("batches", "batched_packets", "packets_per_second", "elapsed_seconds"):
+    for key in ("batches", "batched_packets"):
         del stats[key]
     counters = registry.snapshot()["counters"]
     return stats, switch.port_stats, counters
@@ -325,7 +323,7 @@ def test_governor_and_clock_constructor_injection():
     assert first[0].result is not None  # admitted: burst covers it
     second = switch.receive(_program(long_program), in_port=1)
     assert second[0].result is None  # suppressed -> plain forwarding
-    assert switch.perf.suppressed == 1
+    assert switch.suppressed == 1
     assert switch.stats()["governor_suppressed"] == governor.suppressed
 
 
@@ -419,10 +417,10 @@ def test_receive_batch_keeps_what_it_handled_when_a_packet_raises():
     assert [encode_packet(p) for p in batched.poll_digests()] == [
         encode_packet(p) for p in scalar.poll_digests()
     ]
-    assert batched.perf.packets == scalar.perf.packets == 2
-    assert batched.perf.programs == scalar.perf.programs == 1
-    assert batched.perf.digested == scalar.perf.digested == 1
-    assert batched.perf.returned == scalar.perf.returned == 1
+    assert batched.packets == scalar.packets == 2
+    assert batched.programs == scalar.programs == 1
+    assert batched.digested == scalar.digested == 1
+    assert batched.returned == scalar.returned == 1
     assert batched.port_stats == scalar.port_stats
     assert batched.port_stats[1].rx_packets == 3
     assert batched.port_stats[1].tx_packets == 1

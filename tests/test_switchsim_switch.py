@@ -206,7 +206,7 @@ def test_emitted_latency_matches_the_reference_formula(switch):
 
 
 # ----------------------------------------------------------------------
-# stats() schema and perf-counter lifecycle
+# stats() schema
 # ----------------------------------------------------------------------
 
 #: The pinned stats() key schema.  Exporters and dashboards key off
@@ -219,12 +219,10 @@ STATS_SCHEMA = [
     "digests_delivered",
     "digests_pending",
     "dropped",
-    "elapsed_seconds",
     "faulted",
     "forwarded",
     "governor_suppressed",
     "packets",
-    "packets_per_second",
     "pipeline",
     "plain_forwarded",
     "program_cache",
@@ -267,24 +265,3 @@ def test_stats_schema_identical_with_cache_disabled():
     )
     assert isinstance(uncached.stats()["program_cache"], dict)
     assert uncached.stats()["program_cache"]["capacity"] == 0
-
-
-def test_perf_counters_reset(switch):
-    switch.receive(_program_packet("NOP\nRETURN"), in_port=1)
-    switch.receive(_program_packet("RTS\nRETURN"), in_port=1)
-    perf = switch.perf
-    assert perf.packets == 2
-    assert perf.elapsed_seconds >= 0.0
-    perf.reset()
-    assert perf.packets == 0
-    assert perf.forwarded == 0
-    assert perf.returned == 0
-    assert perf.elapsed_seconds == 0.0
-    assert perf.packets_per_second == 0.0
-    # A fresh window starts cleanly after the reset.
-    switch.receive(_program_packet("NOP\nRETURN"), in_port=1)
-    assert perf.packets == 1
-    snapshot = perf.snapshot()
-    assert snapshot["packets"] == 1
-    assert isinstance(snapshot["packets"], int)
-    assert isinstance(snapshot["packets_per_second"], float)

@@ -405,10 +405,7 @@ def test_entry_counters_agree_when_an_install_fails_mid_app():
         assert fid < 100
     updater = controller.updater
     # The rolled-back admission applied entries before the TCAM tripped;
-    # they are counted once, on the attribute and in the registry alike.
-    assert updater.entries_installed == registry.counter(
-        "table_entries_installed_total"
-    ).value
-    assert updater.entries_removed == registry.counter(
-        "table_entries_removed_total"
-    ).value
+    # they are counted once, and the registry reads that count.
+    counters = registry.snapshot()["counters"]
+    assert updater.entries_installed == counters["table_entries_installed_total"] > 0
+    assert updater.entries_removed == counters.get("table_entries_removed_total", 0)

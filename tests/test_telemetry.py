@@ -9,6 +9,7 @@ line-by-line Prometheus text-format validator that the integration
 tests reuse against real instrumented runs.
 """
 
+import collections
 import json
 import math
 import re
@@ -234,14 +235,36 @@ def test_process_default_registry_roundtrip():
     assert telemetry.get_registry() is NULL_REGISTRY
 
 
-def test_collectors_run_before_snapshot(registry):
-    state = {"depth": 7}
-    registry.register_collector(
-        lambda reg: reg.gauge("depth").set(state["depth"])
-    )
-    assert registry.snapshot()["gauges"]["depth"] == 7
-    state["depth"] = 3
-    assert registry.snapshot()["gauges"]["depth"] == 3
+class _Owner:
+    """A counting object: its counts are attributes, ``metrics()`` its
+    registry view."""
+
+    def __init__(self):
+        self.depth = 7
+        self.requests = collections.Counter()
+
+    def metrics(self):
+        return {"depth": self.depth, "requests_total{kind,plane=cp}": self.requests}
+
+
+def test_owners_are_read_at_every_snapshot_and_summed(registry):
+    first, second = _Owner(), _Owner()
+    registry.register(first)
+    registry.register(second)
+    NULL_REGISTRY.register(first)  # the inert registry keeps nobody
+    snapshot = registry.snapshot()
+    assert snapshot["gauges"] == {"depth": 14.0}
+    # A counter appears once it has counted something.
+    assert snapshot["counters"] == {}
+    first.depth = 3
+    first.requests["admit"] += 2
+    second.requests["admit"] += 1
+    second.requests["withdraw"] += 0
+    snapshot = registry.snapshot()
+    assert snapshot["gauges"] == {"depth": 10.0}
+    assert snapshot["counters"] == {'requests_total{kind="admit",plane="cp"}': 3.0}
+    assert 'requests_total{kind="admit",plane="cp"} 3' in prometheus_text(registry)
+    assert NULL_REGISTRY.snapshot()["gauges"] == {}
 
 
 # ----------------------------------------------------------------------

@@ -107,7 +107,7 @@ def test_instrumented_run_snapshot_and_exposition():
 
     # Collector-backed gauges mirror the live data path.
     gauges = snapshot["gauges"]
-    assert gauges["datapath_packets"] == switch.perf.packets
+    assert gauges["datapath_packets"] == switch.packets
     assert gauges["datapath_digest_queue_depth"] == switch.digests_pending
     assert gauges["progcache_hits"] == switch.stats()["program_cache"]["hits"]
 

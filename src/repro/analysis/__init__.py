@@ -54,7 +54,7 @@ from repro.analysis.stats import (
     windowed_rate,
 )
 from repro.analysis.verifier import (
-    DEFAULT_TRANSLATION_WINDOW,
+    TRANSLATION_WINDOW,
     analyze_many,
     analyze_program,
     linked_verdict,
@@ -69,12 +69,12 @@ __all__ = [
     "AnalysisReport",
     "ControlFlowGraph",
     "DataflowResult",
-    "DEFAULT_TRANSLATION_WINDOW",
     "Finding",
     "MarValue",
     "RULES",
     "Rule",
     "Severity",
+    "TRANSLATION_WINDOW",
     "VerificationError",
     "VerifyMode",
     "analyze_dataflow",

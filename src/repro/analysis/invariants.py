@@ -38,7 +38,7 @@ from typing import (
 
 from repro.analysis.findings import AnalysisReport, Finding
 from repro.analysis.isolation import certify_all
-from repro.analysis.verifier import DEFAULT_TRANSLATION_WINDOW, _ordered
+from repro.analysis.verifier import _ordered
 from repro.switchsim.config import SwitchConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime import
@@ -54,7 +54,6 @@ class AuditScope:
     allocator: "ActiveRmtAllocator"
     tables: "DeviceTables"
     config: SwitchConfig
-    translation_window: int = DEFAULT_TRANSLATION_WINDOW
 
 
 @dataclasses.dataclass(frozen=True)
@@ -160,12 +159,7 @@ def _check_table_certificates(scope: AuditScope) -> List[Finding]:
     invariant holds iff every resident FID's live certificate is valid.
     """
     findings: List[Finding] = []
-    for certificate in certify_all(
-        scope.allocator,
-        scope.tables,
-        config=scope.config,
-        translation_window=scope.translation_window,
-    ).values():
+    for certificate in certify_all(scope.allocator, scope.tables, config=scope.config).values():
         findings.extend(certificate.findings)
     return findings
 
@@ -275,14 +269,12 @@ def audit_state(
     allocator: "ActiveRmtAllocator",
     tables: "DeviceTables",
     config: Optional[SwitchConfig] = None,
-    translation_window: int = DEFAULT_TRANSLATION_WINDOW,
 ) -> AnalysisReport:
     """Run the whole catalog against one committed state."""
     scope = AuditScope(
         allocator=allocator,
         tables=tables,
         config=config if config is not None else allocator.config,
-        translation_window=translation_window,
     )
     findings: List[Finding] = []
     for invariant in INVARIANTS:

@@ -42,7 +42,7 @@ from repro.analysis.cfg import ControlFlowGraph
 from repro.analysis.dataflow import AddressInterval, analyze_address_intervals
 from repro.analysis.findings import AnalysisReport, Finding
 from repro.analysis.verifier import (
-    DEFAULT_TRANSLATION_WINDOW,
+    TRANSLATION_WINDOW,
     _ordered,
     _padded_for_plan,
 )
@@ -64,7 +64,6 @@ WordRegions = Mapping[int, Tuple[int, int]]
 
 def implied_bounds(
     regions: WordRegions,
-    translation_window: int = DEFAULT_TRANSLATION_WINDOW,
 ) -> Tuple[Dict[int, Tuple[int, int, int]], Dict[int, Tuple[int, int]]]:
     """The table entries a region map implies, as plain tuples.
 
@@ -73,7 +72,7 @@ def implied_bounds(
     compares one (as :func:`implied_entries`) against the installed
     surface.  Every granted stage carries a grant ``(start, end, mask)``
     with exactly the region's bounds (its offset is its start); every
-    stage in the ``translation_window`` before a granted stage carries
+    stage in the :data:`TRANSLATION_WINDOW` before a granted stage carries
     that stage's ``(mask, offset)`` pair, and where windows overlap the
     nearest upcoming access wins (regions are visited in descending
     stage order, so a nearer one overwrites).
@@ -91,7 +90,7 @@ def implied_bounds(
         mask = (1 << (words.bit_length() - 1)) - 1 if words > 0 else 0
         grants[stage] = (start, end, mask)
         pair = (mask, start)
-        first = stage - translation_window
+        first = stage - TRANSLATION_WINDOW
         for prior in range(first if first > 1 else 1, stage):
             translations[prior] = pair
     return grants, translations
@@ -100,10 +99,9 @@ def implied_bounds(
 def implied_entries(
     fid: int,
     regions: WordRegions,
-    translation_window: int = DEFAULT_TRANSLATION_WINDOW,
 ) -> Tuple[Dict[int, StageGrant], Dict[int, Tuple[int, int]]]:
     """:func:`implied_bounds` with each grant as *fid*'s :class:`StageGrant`."""
-    bounds, translations = implied_bounds(regions, translation_window)
+    bounds, translations = implied_bounds(regions)
     grants = {
         stage: StageGrant(fid, start, end, mask, start)
         for stage, (start, end, mask) in bounds.items()
@@ -111,17 +109,14 @@ def implied_entries(
     return grants, translations
 
 
-def effective_translations(
-    regions: WordRegions,
-    translation_window: int = DEFAULT_TRANSLATION_WINDOW,
-) -> Dict[int, Tuple[int, int]]:
+def effective_translations(regions: WordRegions) -> Dict[int, Tuple[int, int]]:
     """The ``(mask, offset)`` pair ADDR_MASK/ADDR_OFFSET resolves per stage.
 
     The implied translation entries (:func:`implied_bounds`), plus the
     runtime's fallback in ``switchsim/stage.py``: a granted stage with
     no explicit entry resolves to its own grant's pair.
     """
-    grants, effective = implied_bounds(regions, translation_window)
+    grants, effective = implied_bounds(regions)
     for stage, (start, _end, mask) in grants.items():
         effective.setdefault(stage, (mask, start))
     return effective
@@ -199,7 +194,6 @@ def _access_proofs(
     program: ActiveProgram,
     regions: WordRegions,
     config: SwitchConfig,
-    translation_window: int,
 ) -> Tuple[List[AccessProof], List[Finding]]:
     """Classify every reachable memory access of *program*.
 
@@ -212,7 +206,7 @@ def _access_proofs(
     graph = ControlFlowGraph.build(program)
     intervals = analyze_address_intervals(
         program,
-        effective_translations(regions, translation_window),
+        effective_translations(regions),
         cfg=graph,
         config=config,
     )
@@ -290,7 +284,6 @@ def certify_plan(
     program: Optional[ActiveProgram] = None,
     pattern: Optional["AccessPattern"] = None,
     incumbents: Optional[Mapping[int, WordRegions]] = None,
-    translation_window: int = DEFAULT_TRANSLATION_WINDOW,
 ) -> IsolationCertificate:
     """Certify a *planned* admission before any state is touched.
 
@@ -311,9 +304,7 @@ def certify_plan(
         padded, mismatch = _padded_for_plan(program, pattern, plan)
         findings.extend(mismatch)
         if not mismatch:
-            proofs, interval_findings = _access_proofs(
-                padded, regions, cfg, translation_window
-            )
+            proofs, interval_findings = _access_proofs(padded, regions, cfg)
             findings.extend(interval_findings)
     return IsolationCertificate(
         fid=plan.fid,
@@ -370,7 +361,6 @@ def certify_fid(
     allocator: "ActiveRmtAllocator",
     tables: "DeviceTables",
     config: Optional[SwitchConfig] = None,
-    translation_window: int = DEFAULT_TRANSLATION_WINDOW,
     snapshot: Optional[TableSnapshot] = None,
 ) -> IsolationCertificate:
     """Certify one *live* FID: installed entries vs the allocator layout.
@@ -393,9 +383,7 @@ def certify_fid(
             continue
         words = block_range.to_words(block_words)
         regions[stage] = (words.start, words.end)
-    implied_grants, implied_pairs = implied_entries(
-        fid, regions, translation_window
-    )
+    implied_grants, implied_pairs = implied_entries(fid, regions)
     surface = snapshot if snapshot is not None else TableSnapshot.of(tables)
 
     def stages_with(implied: Mapping[int, Any], installed: Mapping[int, Any]) -> List[int]:
@@ -503,7 +491,6 @@ def certify_all(
     allocator: "ActiveRmtAllocator",
     tables: "DeviceTables",
     config: Optional[SwitchConfig] = None,
-    translation_window: int = DEFAULT_TRANSLATION_WINDOW,
 ) -> Dict[int, IsolationCertificate]:
     """Live certificates for every resident FID (batch audit hook).
 
@@ -517,7 +504,6 @@ def certify_all(
             allocator,
             tables,
             config=config,
-            translation_window=translation_window,
             snapshot=snapshot,
         )
         for fid in allocator.resident_fids()

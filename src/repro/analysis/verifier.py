@@ -15,8 +15,9 @@ Three entry points, one rule set:
 
 This module must not import :mod:`repro.client` or
 :mod:`repro.controller` at runtime (both import it); plan and
-synthesized-program inputs are accessed structurally, and the
-controller passes its translation window as a plain integer.
+synthesized-program inputs are accessed structurally; the translation
+window is :data:`TRANSLATION_WINDOW`, which the controller's table
+engine installs by.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime import
     from repro.packets.headers import StageRegion
 
 #: Stages before a granted stage where the controller installs
-#: translation entries (mirrors TableUpdateEngine.TRANSLATION_WINDOW;
-#: passed explicitly by the controller so this module stays decoupled).
-DEFAULT_TRANSLATION_WINDOW = 3
+#: translation entries: the one definition, which the table engine
+#: installs by and the verifier, certifier and auditor check against.
+TRANSLATION_WINDOW = 3
 
 #: Every input the verifier consumes is a frozen dataclass (programs,
 #: patterns, configs) and every output is immutable (reports, findings
@@ -111,7 +112,6 @@ def _analyze_cached(
 def verify_linked(
     synthesized: "SynthesizedProgram",
     config: Optional[SwitchConfig] = None,
-    translation_window: int = DEFAULT_TRANSLATION_WINDOW,
 ) -> AnalysisReport:
     """Verify a synthesized mutant against its linked regions.
 
@@ -127,7 +127,7 @@ def verify_linked(
         for stage, region in synthesized.regions.items()
         if not region.is_none and region.size > 0
     )
-    return _linked_report(program, granted, cfg, translation_window)
+    return _linked_report(program, granted, cfg)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -135,10 +135,9 @@ def _linked_report(
     program: ActiveProgram,
     granted: FrozenSet[int],
     cfg: SwitchConfig,
-    translation_window: int,
 ) -> AnalysisReport:
     report = _analyze_cached(program, cfg, None)
-    extra = _region_findings(program, granted, cfg, translation_window)
+    extra = _region_findings(program, granted, cfg)
     return report.merged(
         AnalysisReport(program=program.name, findings=extra)
     )
@@ -149,7 +148,6 @@ def linked_verdict(
     region_items: Tuple[Tuple[int, "StageRegion"], ...],
     config: SwitchConfig,
     mode: VerifyMode,
-    translation_window: int = DEFAULT_TRANSLATION_WINDOW,
 ) -> AnalysisReport:
     """Memoized ``require(verify_linked(...))`` for the compile path.
 
@@ -158,7 +156,7 @@ def linked_verdict(
     raises or returns its input), so the whole verdict is cacheable;
     strict-mode failures raise and are simply never cached.
     """
-    return _cached_verdict(program, region_items, config, mode, translation_window)
+    return _cached_verdict(program, region_items, config, mode)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -167,16 +165,13 @@ def _cached_verdict(
     region_items: Tuple[Tuple[int, "StageRegion"], ...],
     cfg: SwitchConfig,
     mode: VerifyMode,
-    translation_window: int,
 ) -> AnalysisReport:
     granted = frozenset(
         stage
         for stage, region in region_items
         if not region.is_none and region.size > 0
     )
-    return require(
-        _linked_report(program, granted, cfg, translation_window), mode
-    )
+    return require(_linked_report(program, granted, cfg), mode)
 
 
 def verify_plan(
@@ -184,7 +179,6 @@ def verify_plan(
     pattern: "AccessPattern",
     plan: "AllocationPlan",
     config: Optional[SwitchConfig] = None,
-    translation_window: int = DEFAULT_TRANSLATION_WINDOW,
 ) -> AnalysisReport:
     """Verify the mutant an admission would install, pre-commit.
 
@@ -201,9 +195,7 @@ def verify_plan(
     findings: List[Finding] = list(mismatch)
     report = analyze_program(mutant_program, cfg, pattern=None)
     granted = frozenset(plan.granted_stages())
-    findings.extend(
-        _region_findings(mutant_program, granted, cfg, translation_window)
-    )
+    findings.extend(_region_findings(mutant_program, granted, cfg))
     merged = report.merged(
         AnalysisReport(program=mutant_program.name, findings=tuple(findings))
     )
@@ -394,7 +386,6 @@ def _region_findings(
     program: ActiveProgram,
     granted: FrozenSet[int],
     config: SwitchConfig,
-    translation_window: int,
 ) -> Tuple[Finding, ...]:
     """ARMT003/ARMT008: stage-level checks against granted regions."""
     findings: List[Finding] = []
@@ -416,14 +407,14 @@ def _region_findings(
                 )
             )
         if instr.opcode in TABLE_OPERAND_OPCODES and not _translation_available(
-            stage, granted, translation_window
+            stage, granted
         ):
             findings.append(
                 Finding.of(
                     "ARMT008",
                     f"{instr.opcode.name} at {position} executes in "
                     f"physical stage {stage}, outside the "
-                    f"{translation_window}-stage translation window of "
+                    f"{TRANSLATION_WINDOW}-stage translation window of "
                     f"every granted stage {sorted(granted)}; the "
                     "instruction faults at runtime",
                     position=position,
@@ -433,18 +424,14 @@ def _region_findings(
     return tuple(findings)
 
 
-def _translation_available(
-    stage: int, granted: AbstractSet[int], translation_window: int
-) -> bool:
+def _translation_available(stage: int, granted: AbstractSet[int]) -> bool:
     """Can ADDR_MASK/ADDR_OFFSET resolve a (mask, offset) in *stage*?
 
     The controller installs translation entries in the
-    ``translation_window`` stages before each granted stage; the
+    :data:`TRANSLATION_WINDOW` stages before each granted stage; the
     runtime additionally falls back to the stage's own grant.
     """
-    return any(
-        g - translation_window <= stage <= g for g in granted
-    )
+    return any(g - TRANSLATION_WINDOW <= stage <= g for g in granted)
 
 
 def _padded_for_plan(

@@ -53,7 +53,12 @@ from repro.analysis.findings import (
     VerifyMode,
 )
 from repro.analysis.invariants import audit_state
-from repro.analysis.isolation import IsolationCertificate, certify_all, certify_plan
+from repro.analysis.isolation import (
+    TRANSLATION_WINDOW,
+    IsolationCertificate,
+    certify_all,
+    certify_plan,
+)
 from repro.analysis.verifier import verify_plan
 from repro.core.allocator import ActiveRmtAllocator, AllocationError, ReallocationMap
 from repro.core.blocks import BlockRange
@@ -81,12 +86,11 @@ from repro.packets.headers import AllocationResponseHeader, ControlFlags, Packet
 from repro.switchsim.tables import TcamCapacityError
 from repro.telemetry import (
     AnyTracer,
-    LATENCY_BUCKETS_S,
+    Histogram,
     MetricsRegistry,
     resolve,
     resolve_tracer,
 )
-from repro.telemetry.tracing import ParentLike
 
 
 class ControllerError(Exception):
@@ -341,6 +345,11 @@ class ActiveRmtController:
         self.findings: Counter[Tuple[str, str]] = Counter()  # (rule, severity)
         self.certified: Counter[str] = Counter()  # by certificate outcome
         self.violations: Counter[str] = Counter()  # audit errors by rule
+        #: Modeled end-to-end provisioning time per admission outcome
+        #: (Fig. 8a's bands), and table-update time per admission
+        #: outcome and per withdrawal.
+        self.provisioning_seconds = Histogram()
+        self.table_update_seconds = Histogram()
         self.telemetry.register(self)
 
     def metrics(self) -> Dict[str, object]:
@@ -355,6 +364,8 @@ class ActiveRmtController:
             "verifier_findings_total{rule,severity,plane=controller}": self.findings,
             "isolation_certificates_total{outcome,plane=controller}": self.certified,
             "invariant_violations_total{rule}": self.violations,
+            "controller_provisioning_seconds": self.provisioning_seconds,
+            "controller_table_update_seconds": self.table_update_seconds,
         }
 
     @property
@@ -426,15 +437,13 @@ class ActiveRmtController:
     # Unified entry point
     # ------------------------------------------------------------------
 
-    def submit(
-        self, request: ProvisioningRequest, ctx: ParentLike = None
-    ) -> ProvisioningReport:
+    def submit(self, request: ProvisioningRequest) -> ProvisioningReport:
         """Execute one admission or withdrawal and report the outcome.
 
         `admit`, `withdraw` and :meth:`serve_digest` all build their
-        :class:`ProvisioningRequest` and funnel through here.  *ctx* is
-        the trace context the controller's spans are parented under
-        (the admission service passes its per-request span).
+        :class:`ProvisioningRequest` and funnel through here.  The
+        controller's spans open under the caller's open span (the
+        admission service's per-request span).
 
         An admission is two-phase: the plan is computed on the live
         allocator without touching allocator or switch state; a dry run
@@ -444,20 +453,20 @@ class ActiveRmtController:
             if request.fid is None or request.pattern is None:
                 raise ControllerError("admission requires fid and pattern")
             with self.tracer.span(
-                "controller.admit", parent=ctx, fid=request.fid, dry_run=request.dry_run
+                "controller.admit", fid=request.fid, dry_run=request.dry_run
             ) as span:
-                plan = self.allocator.plan(request.fid, request.pattern, ctx=span)
+                plan = self.allocator.plan(request.fid, request.pattern)
                 if request.dry_run:
                     report = self.report_dry_run(plan)
                 else:
-                    (report,) = self.commit_plan([plan], [request.program], span)
+                    (report,) = self.commit_plan([plan], [request.program])
                 assert report.status is not None
                 span.set(status=report.status.value)
                 return report
         if request.kind is RequestKind.WITHDRAW:
             if request.fid is None:
                 raise ControllerError("withdrawal requires fid")
-            return self._do_withdraw(request.fid, ctx=ctx)
+            return self._do_withdraw(request.fid)
         raise ControllerError(f"unknown request kind {request.kind!r}")
 
     # ------------------------------------------------------------------
@@ -518,7 +527,6 @@ class ActiveRmtController:
         self,
         plans: Sequence[AllocationPlan],
         programs: Optional[Sequence[Optional[ActiveProgram]]] = None,
-        ctx: ParentLike = None,
     ) -> List[ProvisioningReport]:
         """Commit a group of plans under one journal, all-or-nothing.
 
@@ -553,7 +561,6 @@ class ActiveRmtController:
         # recorded as this commit attempt's error before propagating.
         with self.tracer.span(
             "controller.commit_plan",
-            parent=ctx,
             size=len(plans),
             basis_version=plans[0].basis_version,
         ) as span:
@@ -600,15 +607,15 @@ class ActiveRmtController:
                 # counts are deferred (record=False) until the
                 # switch-side updates also succeed, so a rolled-back
                 # admission never pollutes the decision counters.
-                journal = TableUpdateJournal(tracer=self.tracer, ctx=span)
+                journal = TableUpdateJournal(tracer=self.tracer)
                 results: List[CommitResult] = []
                 table_seconds: List[float] = []
                 try:
                     for plan in plans:
-                        results.append(self.allocator.commit(plan, record=False, ctx=span))
+                        results.append(self.allocator.commit(plan, record=False))
                         table_seconds.append(
                             self._apply_layout(
-                                plan.fid, {}, plan.regions, plan.reallocations, journal, span
+                                plan.fid, {}, plan.regions, plan.reallocations, journal
                             )
                         )
                 except (TcamCapacityError, DeviceError) as exc:
@@ -616,7 +623,7 @@ class ActiveRmtController:
                     # rollback leaves every plan the fault reached
                     # ABORTED, the members it pre-empted PENDING.
                     failed = results[-1].plan.fid
-                    fault, cause = self._unwind(exc, journal, results, span, scope, failed)
+                    fault, cause = self._unwind(exc, journal, results, scope, failed)
                     if scope == "single":
                         reason = f"{cause}: {exc}"
                     else:
@@ -645,7 +652,7 @@ class ActiveRmtController:
                     # 4. The switch took everything: close the journal,
                     # publish.
                     journal.commit_entries()
-                    self.tracer.layout_committed(span)
+                    self.tracer.layout_committed()
                     reports = []
                     for plan, seconds, verification, certificate in zip(
                         plans, table_seconds, verifications, certificates
@@ -773,7 +780,6 @@ class ActiveRmtController:
         exc: Exception,
         journal: TableUpdateJournal,
         undo: Sequence[Union[CommitResult, AllocatorCheckpoint]],
-        ctx: ParentLike,
         scope: str,
         fid: int,
     ) -> Tuple[str, str]:
@@ -792,7 +798,7 @@ class ActiveRmtController:
         elif isinstance(exc, PermanentDeviceError):
             # The journal replay below is best-effort against a dead device.
             fault, cause = "device", "device fault (device)"
-            self._device_died(ctx, scope, fid, str(exc), during=scope)
+            self._device_died(scope, fid, str(exc), during=scope)
         else:
             fault, cause = "transient", "device fault (transient)"
         try:
@@ -804,19 +810,17 @@ class ActiveRmtController:
             # marked failed, and the fabric's failover path rebuilds a
             # consistent device from the commit log.
             self._device_died(
-                ctx, scope, fid, f"rollback failed: {rollback_exc}", during="rollback"
+                scope, fid, f"rollback failed: {rollback_exc}", during="rollback"
             )
         for result in reversed(undo):
-            self.allocator.rollback(result, ctx=ctx)
-        self.tracer.anomaly("rollback", ctx, scope=scope, fid=fid, cause=str(exc))
+            self.allocator.rollback(result)
+        self.tracer.anomaly("rollback", scope=scope, fid=fid, cause=str(exc))
         return fault, cause
 
-    def _device_died(
-        self, ctx: ParentLike, scope: str, fid: int, cause: str, during: str
-    ) -> None:
+    def _device_died(self, scope: str, fid: int, cause: str, during: str) -> None:
         """Latch :attr:`device_failed` and say where it was observed."""
         self.device_failed = True
-        self.tracer.anomaly("device_failed", ctx, scope=scope, fid=fid, cause=cause)
+        self.tracer.anomaly("device_failed", scope=scope, fid=fid, cause=cause)
         self.device_failures[during] += 1
 
     def _verify_admission(
@@ -834,13 +838,7 @@ class ActiveRmtController:
         """
         if self.verify is VerifyMode.OFF or program is None:
             return None
-        report = verify_plan(
-            program,
-            pattern,
-            plan,
-            config=self.device.config,
-            translation_window=TableUpdateEngine.TRANSLATION_WINDOW,
-        )
+        report = verify_plan(program, pattern, plan, config=self.device.config)
         self.findings.update((f.rule_id, f.severity.value) for f in report.findings)
         return report
 
@@ -865,7 +863,6 @@ class ActiveRmtController:
             program=program,
             pattern=plan.pattern if program is not None else None,
             incumbents=self._incumbent_regions(plan),
-            translation_window=TableUpdateEngine.TRANSLATION_WINDOW,
         )
         self.certified["valid" if certificate.valid else "invalid"] += 1
         return certificate
@@ -906,23 +903,13 @@ class ActiveRmtController:
         live allocator and device tables.  Violations are counted in
         :attr:`violations` by rule; callers decide policy.
         """
-        report = audit_state(
-            self.allocator,
-            self.device,
-            config=self.device.config,
-            translation_window=TableUpdateEngine.TRANSLATION_WINDOW,
-        )
+        report = audit_state(self.allocator, self.device, config=self.device.config)
         self.violations.update(finding.rule_id for finding in report.errors)
         return report
 
     def certificates(self) -> Dict[int, IsolationCertificate]:
         """Live isolation certificates for every resident FID."""
-        certificates = certify_all(
-            self.allocator,
-            self.device,
-            config=self.device.config,
-            translation_window=TableUpdateEngine.TRANSLATION_WINDOW,
-        )
+        certificates = certify_all(self.allocator, self.device, config=self.device.config)
         self.certified.update(
             "valid" if certificate.valid else "invalid"
             for certificate in certificates.values()
@@ -934,14 +921,14 @@ class ActiveRmtController:
 
         Never raises -- a sanitizer is a detector, not a gate.  Errors
         accumulate in :attr:`audit_violations` for the harness to
-        assert on, and are counted like any other audit's.
+        assert on, and are counted like any other audit's.  The anomaly
+        lands in the trace of the commit or withdrawal that ran it.
         """
         report = self.audit()
         if report.has_errors:
             self.audit_violations.extend(report.errors)
             self.tracer.anomaly(
                 "invariant_violation",
-                None,
                 scope="sanitizer",
                 rules=",".join(sorted({f.rule_id for f in report.errors})),
             )
@@ -962,19 +949,8 @@ class ActiveRmtController:
     def _record_admission(self, report: ProvisioningReport, outcome: str) -> None:
         """Count one admission outcome; record its modeled cost breakdown."""
         self.admissions[outcome] += 1
-        tel = self.telemetry
-        if not tel.enabled:
-            return
-        tel.histogram(
-            "controller_provisioning_seconds",
-            buckets=LATENCY_BUCKETS_S,
-            help="Modeled end-to-end provisioning time (Fig. 8a bands)",
-        ).observe(report.total_seconds)
-        tel.histogram(
-            "controller_table_update_seconds",
-            buckets=LATENCY_BUCKETS_S,
-            help="Modeled match-table update time per request",
-        ).observe(report.table_update_seconds)
+        self.provisioning_seconds.observe(report.total_seconds)
+        self.table_update_seconds.observe(report.table_update_seconds)
 
     def _apply_layout(
         self,
@@ -983,7 +959,6 @@ class ActiveRmtController:
         new: Mapping[int, BlockRange],
         reallocations: ReallocationMap,
         journal: TableUpdateJournal,
-        ctx: ParentLike,
     ) -> float:
         """Apply a committed layout change to the switch (Section 4.3).
 
@@ -998,7 +973,7 @@ class ActiveRmtController:
         at stage p on the grants in (p, p + window] alone, so the writes,
         their order and their seconds are the full maps'.
         """
-        window = TableUpdateEngine.TRANSLATION_WINDOW
+        window = TRANSLATION_WINDOW
         pools, apps = self.allocator.pools, self.allocator.apps
         layouts: Dict[int, Mapping[int, BlockRange]] = {}
         moves: List[Move] = []
@@ -1028,7 +1003,7 @@ class ActiveRmtController:
                     before[stage] = after[stage] = block_range
             moves.append((other, before, after))
         return self.updater.apply_layout(
-            fid, old, new, self.device.config.block_words, journal, ctx, moves, scrub=True
+            fid, old, new, self.device.config.block_words, journal, moves, scrub=True
         )
 
     def _snapshot_seconds(self, plan: AllocationPlan) -> float:
@@ -1046,21 +1021,21 @@ class ActiveRmtController:
             )
         return seconds
 
-    def _do_withdraw(self, fid: int, ctx: ParentLike = None) -> ProvisioningReport:
+    def _do_withdraw(self, fid: int) -> ProvisioningReport:
         """A departure is a layout change like an arrival: allocator
         checkpoint, one journal, and :meth:`_unwind` when the switch
         refuses it -- the report then says ``ROLLED_BACK`` over state
         byte-identical to before the request, and *fid* stays resident.
         """
-        with self.tracer.span("controller.withdraw", parent=ctx, fid=fid) as span:
+        with self.tracer.span("controller.withdraw", fid=fid) as span:
             regions = self.allocator.regions_for(fid).items()
             departing = {s: r for s, r in regions if r is not None and r.count > 0}
             reallocations, checkpoint = self.allocator.release(fid)
-            journal = TableUpdateJournal(tracer=self.tracer, ctx=span)
+            journal = TableUpdateJournal(tracer=self.tracer)
             try:
-                seconds = self._apply_layout(fid, departing, {}, reallocations, journal, span)
+                seconds = self._apply_layout(fid, departing, {}, reallocations, journal)
             except (TcamCapacityError, DeviceError) as exc:
-                fault, cause = self._unwind(exc, journal, [checkpoint], span, "withdraw", fid)
+                fault, cause = self._unwind(exc, journal, [checkpoint], "withdraw", fid)
                 report = ProvisioningReport(
                     fid=fid, success=False, reason=f"{cause}: {exc}", rolled_back=True, fault=fault
                 )
@@ -1076,13 +1051,7 @@ class ActiveRmtController:
     def _record_withdrawal(self, seconds: float) -> None:
         """Count one withdrawal that happened; sanitize after it."""
         self.withdrawals += 1
-        tel = self.telemetry
-        if tel.enabled:
-            tel.histogram(
-                "controller_table_update_seconds",
-                buckets=LATENCY_BUCKETS_S,
-                help="Modeled match-table update time per request",
-            ).observe(seconds)
+        self.table_update_seconds.observe(seconds)
         if self.sanitizer:
             self._sanitize()
 

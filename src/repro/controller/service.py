@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.controller.controller import (
     ActiveRmtController,
@@ -46,8 +46,7 @@ from repro.controller.controller import (
 from repro.core.allocator import ActiveRmtAllocator, AllocationError
 from repro.core.constraints import AccessPattern
 from repro.core.transactions import AllocationPlan
-from repro.telemetry import AnyTracer, LATENCY_BUCKETS_S, MetricsRegistry
-from repro.telemetry.tracing import Span
+from repro.telemetry import Histogram
 
 
 class AdmissionServiceError(Exception):
@@ -93,10 +92,10 @@ class AdmissionService:
         fault_retry_limit: how many times one admission (or group) is
             re-planned after its commit rolled back on a *transient*
             device fault.  Permanent faults are never re-tried.
-        telemetry: metrics registry; defaults to the controller's.
-        tracer: span tracer; defaults to the controller's, so the
-            request spans opened here parent the controller's
-            plan/commit/journal spans into one tree per request.
+
+    The service registers with its controller's registry and opens its
+    request spans on its controller's tracer, so they hold the
+    controller's plan/commit/journal spans: one tree per request.
     """
 
     def __init__(
@@ -104,33 +103,32 @@ class AdmissionService:
         controller: ActiveRmtController,
         workers: int = 0,
         fault_retry_limit: int = 2,
-        telemetry: Optional[MetricsRegistry] = None,
-        tracer: Optional[AnyTracer] = None,
     ) -> None:
         if workers != 0:
             raise ValueError("the admission service runs inline: workers must be 0")
         self.controller = controller
         self.fault_retry_limit = fault_retry_limit
-        self.telemetry = telemetry if telemetry is not None else controller.telemetry
-        self.tracer = tracer if tracer is not None else controller.tracer
+        self.telemetry = controller.telemetry
+        self.tracer = controller.tracer
         #: Committed operations in commit order: replaying them serially
         #: reproduces the pools (:func:`replay_commit_log`).
         self.commit_log: List[CommitLogEntry] = []
         #: Admissions re-planned after a transient-fault rollback.
         self.fault_retries = 0
+        #: Submit-to-report wall time of each served request or group.
+        self.latency_seconds = Histogram()
         self.telemetry.register(self)
 
-    def metrics(self) -> Dict[str, int]:
-        return {"admission_fault_retries_total": self.fault_retries}
+    def metrics(self) -> Dict[str, object]:
+        return {
+            "admission_fault_retries_total": self.fault_retries,
+            "admission_latency_seconds": self.latency_seconds,
+        }
 
     def settings(self) -> Dict[str, Any]:
         """The constructor keywords this service was built with: what the
         one fronting a recovered controller is given."""
-        return {
-            "fault_retry_limit": self.fault_retry_limit,
-            "telemetry": self.telemetry,
-            "tracer": self.tracer,
-        }
+        return {"fault_retry_limit": self.fault_retry_limit}
 
     # ------------------------------------------------------------------
     # The request API
@@ -138,12 +136,8 @@ class AdmissionService:
 
     def submit(self, request: ProvisioningRequest) -> ProvisioningReport:
         """Serve one :class:`ProvisioningRequest`; returns its report."""
-        span = self.tracer.start(
-            "admission.request",
-            fid=request.fid if request.fid is not None else -1,
-            kind=request.kind.value,
-        )
-        return self._serve((request,), span)[0]
+        fid = request.fid if request.fid is not None else -1
+        return self._serve((request,), "admission.request", fid=fid, kind=request.kind.value)[0]
 
     def submit_and_wait(self, request: ProvisioningRequest) -> ProvisioningReport:
         """:meth:`submit` under the name the wire-driven callers use."""
@@ -167,8 +161,7 @@ class AdmissionService:
         fids = [request.fid for request in requests]
         if len(set(fids)) != len(fids):
             raise AdmissionServiceError(f"duplicate fids in batch: {sorted(fids)}")
-        span = self.tracer.start("admission.batch", fids=fids, size=len(fids))
-        reports = self._serve(tuple(requests), span)
+        reports = self._serve(tuple(requests), "admission.batch", fids=fids, size=len(fids))
         return BatchReport(reports, reports[0].status)
 
     # ------------------------------------------------------------------
@@ -176,36 +169,25 @@ class AdmissionService:
     # ------------------------------------------------------------------
 
     def _serve(
-        self, requests: Tuple[ProvisioningRequest, ...], span: Span
+        self, requests: Tuple[ProvisioningRequest, ...], name: str, **attrs: object
     ) -> List[ProvisioningReport]:
-        """Process *requests* under their root *span*, one report each.
+        """Process *requests* inside their root span *name*, one report
+        each.
 
         The reports all carry the same status (a group is admitted,
         refused or rolled back as a whole), so the first one's is the
         span's.
         """
-        started = time.perf_counter()
-        try:
-            reports = self._process(requests, span)
-        except BaseException as exc:
-            span.set(error=f"{type(exc).__name__}: {exc}")
-            self.tracer.finish(span)
-            raise
-        if self.telemetry.enabled:
-            self.telemetry.histogram(
-                "admission_latency_seconds",
-                buckets=LATENCY_BUCKETS_S,
-                help="Submit-to-report latency through the service",
-            ).observe(time.perf_counter() - started)
-        status = reports[0].status
-        assert status is not None
-        span.set(status=status.value)
-        self.tracer.finish(span)
-        return reports
+        with self.tracer.span(name, **attrs) as span:
+            started = time.perf_counter()
+            reports = self._process(requests)
+            self.latency_seconds.observe(time.perf_counter() - started)
+            status = reports[0].status
+            assert status is not None
+            span.set(status=status.value)
+            return reports
 
-    def _process(
-        self, requests: Tuple[ProvisioningRequest, ...], span: Span
-    ) -> List[ProvisioningReport]:
+    def _process(self, requests: Tuple[ProvisioningRequest, ...]) -> List[ProvisioningReport]:
         """Admissions take :meth:`_admit`; a what-if plans on the live
         allocator; a withdrawal goes to the controller.  Every admission
         or withdrawal that lands is appended to :attr:`commit_log`.
@@ -213,18 +195,16 @@ class AdmissionService:
         request = requests[0]
         if request.kind is RequestKind.ADMIT and not request.dry_run:
             # Every group is made of these (submit_many checks).
-            return self._admit(requests, span)
+            return self._admit(requests)
         if request.kind is RequestKind.ADMIT:
-            plan = self.controller.allocator.plan(request.fid, request.pattern, ctx=span)
+            plan = self.controller.allocator.plan(request.fid, request.pattern)
             return [self.controller.report_dry_run(plan)]
-        report = self.controller.submit(request, ctx=span)
+        report = self.controller.submit(request)
         if report.success:
             self.commit_log.append(("withdraw", request.fid))
         return [report]
 
-    def _admit(
-        self, requests: Tuple[ProvisioningRequest, ...], span: Span
-    ) -> List[ProvisioningReport]:
+    def _admit(self, requests: Tuple[ProvisioningRequest, ...]) -> List[ProvisioningReport]:
         """Plan, commit, and re-plan after a transient-fault rollback.
 
         One loop for every group size.  The controller's one admission
@@ -239,21 +219,16 @@ class AdmissionService:
             attempt += 1
             # Per-attempt span, nested under the request's root span, so
             # a re-planned request stays one trace tree.
-            attempt_span = tracer.start(
-                "admission.attempt", parent=span, attempt=attempt, **label
-            )
-            try:
+            with tracer.span("admission.attempt", attempt=attempt, **label):
                 try:
-                    plans = self._plan(requests, attempt_span)
+                    plans = self._plan(requests)
                 except AllocationError as exc:
                     # The caller submitted a resident fid: a rejection,
                     # not an error.  The reason names the offender.
                     return [_refusal(request, str(exc)) for request in requests]
                 reports = self.controller.commit_plan(
-                    plans, [request.program for request in requests], attempt_span
+                    plans, [request.program for request in requests]
                 )
-            finally:
-                tracer.finish(attempt_span)
             first = reports[0]
             if first.success:
                 self.commit_log.extend(("admit", request.fid) for request in requests)
@@ -272,9 +247,7 @@ class AdmissionService:
                 continue
             return reports
 
-    def _plan(
-        self, requests: Tuple[ProvisioningRequest, ...], ctx: Span
-    ) -> List[AllocationPlan]:
+    def _plan(self, requests: Tuple[ProvisioningRequest, ...]) -> List[AllocationPlan]:
         """One plan per member.  A lone admission plans on the live
         allocator; a group plans on one shadow, each feasible member
         rehearsed onto it so the next member's plan sees its grant (the
@@ -282,13 +255,13 @@ class AdmissionService:
         allocator = self.controller.allocator
         if len(requests) == 1:
             (request,) = requests
-            return [allocator.plan(request.fid, request.pattern, ctx=ctx)]
+            return [allocator.plan(request.fid, request.pattern)]
         shadow = allocator.shadow()
         plans: List[AllocationPlan] = []
         for request in requests:
             if plans and plans[-1].feasible:
                 shadow.rehearse(plans[-1])
-            plans.append(shadow.plan(request.fid, request.pattern, ctx=ctx))
+            plans.append(shadow.plan(request.fid, request.pattern))
         return plans
 
 

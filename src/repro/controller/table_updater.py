@@ -32,7 +32,6 @@ from repro.faults import RetryPolicy, call_with_retries
 from repro.switchsim.pipeline import Pipeline
 from repro.switchsim.tables import StageGrant
 from repro.telemetry import AnyTracer, MetricsRegistry, resolve, resolve_tracer
-from repro.telemetry.tracing import ParentLike
 
 #: A displaced neighbour's entry move: ``(fid, old regions, new regions)``.
 Move = Tuple[int, Mapping[int, BlockRange], Mapping[int, BlockRange]]
@@ -143,8 +142,8 @@ class _LayoutBatch:
     their group, not in it: a read is a bound method of its group, and
     the cycle would leave a register snapshot for the collector."""
 
-    def __init__(self, tables: Any, block_words: int, window: int, cost: TableUpdateCost) -> None:
-        self.tables, self.block_words, self.window = tables, block_words, window
+    def __init__(self, tables: Any, block_words: int, cost: TableUpdateCost) -> None:
+        self.tables, self.block_words = tables, block_words
         self.install_s, self.remove_s = cost.install_entry_seconds, cost.remove_entry_seconds
         self.activation_s = cost.activation_seconds
         # Bound once per change, not once per write.
@@ -190,7 +189,7 @@ class _LayoutBatch:
         nothing, not even its cache flush.  Each write is built here
         beside its undo entry; the undo's makers are :func:`_translation_op`
         and :func:`_grant_op`, which build the same calls."""
-        tables, words, window = self.tables, self.block_words, self.window
+        tables, words = self.tables, self.block_words
         install_s, remove_s = self.install_s, self.remove_s
         # Word maps by loop: before Python 3.12 a comprehension is a call.
         old_words: Dict[int, Tuple[int, int]] = {}
@@ -199,8 +198,8 @@ class _LayoutBatch:
         new_words: Dict[int, Tuple[int, int]] = {}
         for stage, r in new.items():
             new_words[stage] = (r.start * words, (r.start + r.count) * words)
-        old_grants, old_pairs = implied_bounds(old_words, window)
-        new_grants, new_pairs = implied_bounds(new_words, window)
+        old_grants, old_pairs = implied_bounds(old_words)
+        new_grants, new_pairs = implied_bounds(new_words)
         # New decode state makes any cached schedule for this FID stale;
         # flush eagerly (the version stamps would also catch it, but
         # eager flushes keep the cache from serving dead entries).
@@ -251,10 +250,6 @@ class _LayoutBatch:
 
 class TableUpdateEngine:
     """Applies allocation decisions to the device's match tables."""
-
-    #: Stages immediately before a memory access where the controller
-    #: installs translation entries for ADDR_MASK/ADDR_OFFSET.
-    TRANSLATION_WINDOW = 3
 
     def __init__(
         self,
@@ -323,7 +318,6 @@ class TableUpdateEngine:
         new: Mapping[int, BlockRange],
         block_words: int,
         journal: Optional[TableUpdateJournal] = None,
-        ctx: ParentLike = None,
         moves: Sequence[Move] = (),
         scrub: bool = False,
     ) -> float:
@@ -342,7 +336,7 @@ class TableUpdateEngine:
         implies (what the forward pass trusts the device to hold, so
         none is read) is idempotent either way.
         """
-        batch = _LayoutBatch(self.tables, block_words, self.TRANSLATION_WINDOW, self.cost)
+        batch = _LayoutBatch(self.tables, block_words, self.cost)
         displaced = [other for other, _before, _after in moves]
         seconds = batch.flips(displaced, False, 0.0)
         if old:
@@ -362,7 +356,6 @@ class TableUpdateEngine:
         tally = [0, 0, 0]
         with self.tracer.span(
             "tables.apply_layout",
-            parent=ctx,
             fid=fid,
             displaced=len(displaced),
             writes=batch.writes,
@@ -395,10 +388,9 @@ class TableUpdateEngine:
         regions: Mapping[int, BlockRange],
         block_words: int,
         journal: Optional[TableUpdateJournal] = None,
-        ctx: ParentLike = None,
     ) -> float:
         """Install a newcomer's entries: the layout change from no regions."""
-        return self.apply_layout(fid, {}, regions, block_words, journal, ctx)
+        return self.apply_layout(fid, {}, regions, block_words, journal)
 
     def remove_app(
         self,
@@ -406,7 +398,6 @@ class TableUpdateEngine:
         regions: Mapping[int, BlockRange],
         block_words: int,
         journal: Optional[TableUpdateJournal] = None,
-        ctx: ParentLike = None,
     ) -> float:
         """Remove a departing app's entries: the layout change to no regions.
 
@@ -414,4 +405,4 @@ class TableUpdateEngine:
         visited, so an entry the allocator does not know about stays for
         the auditor to report (ARMT012).
         """
-        return self.apply_layout(fid, regions, {}, block_words, journal, ctx)
+        return self.apply_layout(fid, regions, {}, block_words, journal)

@@ -44,14 +44,13 @@ from repro.core.transactions import (
 from repro.packets.headers import AllocationResponseHeader
 from repro.switchsim.config import SwitchConfig
 from repro.telemetry import (
-    LATENCY_BUCKETS_S,
     AnyTracer,
+    Histogram,
     MetricsRegistry,
     NULL_REGISTRY,
     resolve,
     resolve_tracer,
 )
-from repro.telemetry.tracing import ParentLike
 
 
 class AllocationError(Exception):
@@ -91,7 +90,8 @@ class ActiveRmtAllocator:
     """Online, block-granular, per-stage memory allocator.
 
     Its counts start as these class-level zeros, so a shadow starts with
-    none; :meth:`metrics` is the registry's view of the live allocator's.
+    none; :meth:`metrics` is the registry's view of the live allocator's
+    counts and of :attr:`allocation_seconds`.
     """
 
     admitted = rejected = releases = rollbacks = 0
@@ -123,6 +123,8 @@ class ActiveRmtAllocator:
         #: rollback.  Plans stamp the version they were computed against
         #: and cannot be committed once it has moved on.
         self._version = 0
+        #: Decision latency (search + assign) of each counted decision.
+        self.allocation_seconds = Histogram()
         self.telemetry.register(self)
 
     def metrics(self) -> Dict[str, object]:
@@ -136,6 +138,7 @@ class ActiveRmtAllocator:
             "allocator_blocks_moved_total": self.blocks_moved,
             "allocator_releases_total": self.releases,
             "allocator_rollbacks_total": self.rollbacks,
+            "allocator_allocation_seconds": self.allocation_seconds,
         }
 
     @property
@@ -147,9 +150,7 @@ class ActiveRmtAllocator:
     # Admission: plan -> validate -> commit
     # ------------------------------------------------------------------
 
-    def plan(
-        self, fid: int, pattern: AccessPattern, ctx: ParentLike = None
-    ) -> AllocationPlan:
+    def plan(self, fid: int, pattern: AccessPattern) -> AllocationPlan:
         """Compute what admitting *fid* would do -- without doing it.
 
         The mutant search only reads pool state (feasibility checks and
@@ -159,11 +160,10 @@ class ActiveRmtAllocator:
         returned plan is committed with :meth:`commit`, discarded with
         :meth:`abort`, or inspected as a what-if probe.
 
-        The search is recorded as an ``allocator.plan`` span under
-        *ctx* (the caller's trace context, threaded explicitly from the
-        admission request).
+        The search is recorded as an ``allocator.plan`` span, under the
+        caller's open span.
         """
-        with self.tracer.span("allocator.plan", parent=ctx, fid=fid) as span:
+        with self.tracer.span("allocator.plan", fid=fid) as span:
             plan = self._plan_impl(fid, pattern)
             span.set(
                 feasible=plan.feasible,
@@ -251,7 +251,6 @@ class ActiveRmtAllocator:
         self,
         plan: AllocationPlan,
         record: bool = True,
-        ctx: ParentLike = None,
     ) -> CommitResult:
         """Apply a feasible plan to the real pools.
 
@@ -263,9 +262,9 @@ class ActiveRmtAllocator:
         :class:`CommitResult` whose checkpoint allows an exact undo via
         :meth:`rollback`.
 
-        The apply is recorded as an ``allocator.commit`` span under
-        *ctx*; a stale-plan rejection records the span with an
-        ``error`` attribute before raising.
+        The apply is recorded as an ``allocator.commit`` span; a
+        stale-plan rejection records the span with an ``error``
+        attribute before raising.
 
         Args:
             plan: the plan to apply.
@@ -274,10 +273,9 @@ class ActiveRmtAllocator:
                 only once the switch-side updates have also succeeded,
                 so rolled-back admissions never pollute the decision
                 counts.
-            ctx: optional trace context this commit belongs to.
         """
         with self.tracer.span(
-            "allocator.commit", parent=ctx, fid=plan.fid,
+            "allocator.commit", fid=plan.fid,
             basis_version=plan.basis_version,
         ) as span:
             result = self._commit_impl(plan, record)
@@ -343,14 +341,16 @@ class ActiveRmtAllocator:
         or rollback intervened -- and raise :class:`StalePlanError`
         otherwise.  A group plans on one, and a what-if probe may.
 
-        A shadow is not registered with the telemetry and records no
-        histograms: its planning is speculative and may be discarded.
+        A shadow is not registered with the telemetry, and its decision
+        histogram is its own: its planning is speculative and may be
+        discarded.
         """
         twin = ActiveRmtAllocator.__new__(ActiveRmtAllocator)
         twin.config = self.config
         twin.scheme = self.scheme
         twin.policy = self.policy
         twin.telemetry = NULL_REGISTRY
+        twin.allocation_seconds = Histogram()
         # Shadows *do* share the tracer: speculative planning is
         # exactly what the causal story needs to show (a retried
         # request's abandoned plan spans stay in its tree).
@@ -387,7 +387,6 @@ class ActiveRmtAllocator:
     def rollback(
         self,
         result: Union[CommitResult, AllocatorCheckpoint],
-        ctx: ParentLike = None,
     ) -> None:
         """Undo a commit (its :class:`CommitResult`) or a release (the
         checkpoint it handed back), restoring the exact state before it.
@@ -398,14 +397,14 @@ class ActiveRmtAllocator:
         for a release, comes back.  The only count touched is
         :attr:`rollbacks` -- a rollback is not a release and moves no
         client state.  An ``allocator.rollback`` span
-        lands under *ctx*, so the undo is part of the request's causal
-        tree.
+        lands under the open span, so the undo is part of the request's
+        causal tree.
         """
         checkpoint, plan = result, None
         if isinstance(result, CommitResult):
             checkpoint, plan = result.checkpoint, result.plan
         with self.tracer.span(
-            "allocator.rollback", parent=ctx, fid=checkpoint.fid,
+            "allocator.rollback", fid=checkpoint.fid,
             restored_version=checkpoint.version,
         ):
             if plan is not None:
@@ -542,12 +541,7 @@ class ActiveRmtAllocator:
             self.blocks_moved += _moved_blocks(plan.reallocations)
         else:
             self.rejected += 1
-        if self.telemetry.enabled:
-            self.telemetry.histogram(
-                "allocator_allocation_seconds",
-                buckets=LATENCY_BUCKETS_S,
-                help="End-to-end allocation decision latency (search + assign)",
-            ).observe(plan.total_seconds)
+        self.allocation_seconds.observe(plan.total_seconds)
 
     def _layout_snapshot(
         self, stages: Iterable[int]

@@ -41,7 +41,7 @@ from typing import (
 )
 
 from repro.core.blocks import BlockRange, StagePool
-from repro.telemetry.tracing import NULL_TRACER, AnyTracer, ParentLike
+from repro.telemetry.tracing import NULL_TRACER, AnyTracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.allocator import AppRecord
@@ -286,19 +286,13 @@ class TableUpdateJournal:
             :meth:`rollback` records a ``journal.rollback`` span (the
             *journal-replay* event every anomaly reconstruction hinges
             on) and :meth:`commit_entries` a ``journal.commit`` span,
-            both parented under *ctx*.
-        ctx: the trace context of the transaction this journal covers.
+            both under the open span of the transaction it covers.
     """
 
-    def __init__(
-        self,
-        tracer: Optional[AnyTracer] = None,
-        ctx: ParentLike = None,
-    ) -> None:
+    def __init__(self, tracer: Optional[AnyTracer] = None) -> None:
         self._entries: List[JournalEntry] = []
         self._closed = False
         self._tracer: AnyTracer = tracer if tracer is not None else NULL_TRACER
-        self._ctx = ctx
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -327,9 +321,7 @@ class TableUpdateJournal:
         """
         if self._closed:
             raise TransactionError("journal already closed")
-        with self._tracer.span(
-            "journal.rollback", parent=self._ctx, entries=len(self._entries)
-        ):
+        with self._tracer.span("journal.rollback", entries=len(self._entries)):
             self._closed = True
             reversed_count = 0
             entries, self._entries = self._entries, []
@@ -348,8 +340,5 @@ class TableUpdateJournal:
         self._closed = True
         count = len(self._entries)
         self._entries = []
-        tracer = self._tracer
-        tracer.finish(
-            tracer.start("journal.commit", parent=self._ctx, entries=count)
-        )
-        return count
+        with self._tracer.span("journal.commit", entries=count):
+            return count

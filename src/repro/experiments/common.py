@@ -7,6 +7,7 @@ import collections
 import dataclasses
 import heapq
 import os
+import types
 from typing import Callable, Collection, Dict, Iterable, List, Mapping, Optional
 from typing import Sequence, Set
 
@@ -361,15 +362,13 @@ def publish_gauges(
     fields: Mapping[str, float],
     labels: Optional[Mapping[str, str]] = None,
 ) -> None:
-    """One ``{prefix}_{field}`` gauge per result field (a bool as 0/1),
-    in the process registry (inert unless one was installed)."""
-    registry = resolve(None)
-    for field, value in fields.items():
-        registry.gauge(
-            f"{prefix}_{field}",
-            help=f"Field {field!r} of the last {prefix} result",
-            labels=labels,
-        ).set(float(value))
+    """One ``{prefix}_{field}`` gauge per result field (a bool as 0/1):
+    the fields register as one more owner of the process registry
+    (inert unless one was installed)."""
+    fixed = ",".join(f"{key}={value}" for key, value in (labels or {}).items())
+    suffix = f"{{{fixed}}}" if fixed else ""
+    series = {f"{prefix}_{field}{suffix}": float(value) for field, value in fields.items()}
+    resolve(None).register(types.SimpleNamespace(metrics=lambda: series))
 
 
 def table_surface_mismatches(controller: ActiveRmtController) -> List[str]:

@@ -247,9 +247,7 @@ class Fabric:
                 sanitizer=sanitizer,
                 retry=retry,
             )
-            service = AdmissionService(
-                controller, workers=workers, telemetry=registry, tracer=tracer
-            )
+            service = AdmissionService(controller, workers=workers)
             shards.append(Shard(index, controller, service))
         return cls(
             shards,
@@ -363,7 +361,6 @@ class Fabric:
         mode = "replace" if replacement is not None else "redistribute"
         self.tracer.anomaly(
             "shard_failed",
-            None,
             device=failed.device_id,
             index=index,
             mode=mode,

@@ -43,6 +43,7 @@ from repro.switchsim.progcache import ProgramCache, infer_recirculations
 from repro.telemetry import (
     SIZE_BUCKETS,
     AnyTracer,
+    Histogram,
     MetricsRegistry,
     resolve,
     resolve_tracer,
@@ -191,6 +192,9 @@ class ActiveSwitch:
         #: while telemetry records (the default data path skips them).
         self.fid_packets: Counter = Counter()
         self.fid_recirculations: Counter = Counter()
+        #: Packets per ``receive_batch`` call, observed while telemetry
+        #: records.
+        self.batch_size = Histogram(SIZE_BUCKETS)
         self.telemetry.register(self)
 
     # ------------------------------------------------------------------
@@ -368,11 +372,7 @@ class ActiveSwitch:
             self.batches += 1
             self.batched_packets += batch.packets
             if fid_packets is not None:
-                self.telemetry.histogram(
-                    "datapath_batch_size",
-                    buckets=SIZE_BUCKETS,
-                    help="Packets per receive_batch call",
-                ).observe(batch.packets)
+                self.batch_size.observe(batch.packets)
         return batch
 
     def _process_sampled(
@@ -531,7 +531,8 @@ class ActiveSwitch:
         return data
 
     def metrics(self) -> Dict[str, object]:
-        """The registry's view of :meth:`stats`, plus the per-FID tallies.
+        """The registry's view of :meth:`stats`, plus the per-FID tallies
+        and the batch-size histogram.
         The cache's hit rate is left out: a ratio does not add up over
         switches (its hits and misses do)."""
         stats: Dict[str, Any] = self.stats()
@@ -546,4 +547,5 @@ class ActiveSwitch:
                 series[f"progcache_{key}"] = value
         series["datapath_fid_packets_total{fid}"] = self.fid_packets
         series["datapath_fid_recirculations_total{fid}"] = self.fid_recirculations
+        series["datapath_batch_size"] = self.batch_size
         return series

@@ -1,8 +1,9 @@
 """repro.telemetry: metrics, traces, and exporters for all three planes.
 
 The observability layer the paper's measurements imply: a process-local
-:class:`MetricsRegistry` (counters, gauges, fixed-bucket histograms
-with p50/p95/p99 summaries), one bounded span-trace layer
+:class:`MetricsRegistry` that reads counts, levels and fixed-bucket
+histograms (p50/p95/p99 summaries) from the objects that keep them, one
+bounded span-trace layer
 (:class:`Tracer`: causal span trees across the planes, with seeded
 per-packet sampling on the data path), and the exporters
 (:func:`json_snapshot` for ``--stats-out`` files, :func:`prometheus_text`
@@ -10,7 +11,7 @@ for scrape endpoints, :func:`dump_trace` for ``--trace-out``).
 
 Telemetry is **off by default and zero-cost when off**: every
 instrumented component (allocator, controller, table updater, switch,
-event loop, ...) keeps its own counts and takes a ``telemetry=None``
+event loop, ...) keeps its own counts and histograms and takes a ``telemetry=None``
 parameter that resolves to the process default -- an inert
 :class:`NullRegistry` -- at construction time, where it registers
 itself to be read.  Enable it for a whole process with::
@@ -32,8 +33,6 @@ from typing import Optional
 from repro.telemetry.registry import (
     LATENCY_BUCKETS_S,
     SIZE_BUCKETS,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     NullRegistry,
@@ -49,10 +48,8 @@ from repro.telemetry.tracing import (
     NULL_TRACER,
     NullTracer,
     Span,
-    SpanContext,
     Tracer,
     chrome_trace_events,
-    context_of,
     dump_trace,
     find_spans,
     span_tree,
@@ -123,10 +120,8 @@ __all__ = [
     "LATENCY_BUCKETS_S",
     "SIZE_BUCKETS",
     "AnyTracer",
-    "Counter",
     "FlightDump",
     "FlightRecorder",
-    "Gauge",
     "Histogram",
     "IdSource",
     "MetricsRegistry",
@@ -136,10 +131,8 @@ __all__ = [
     "NULL_SPAN",
     "NULL_TRACER",
     "Span",
-    "SpanContext",
     "Tracer",
     "chrome_trace_events",
-    "context_of",
     "dump_json",
     "dump_trace",
     "find_spans",

@@ -74,7 +74,8 @@ def prometheus_text(registry: MetricsRegistry) -> str:
     """Render the registry in Prometheus text exposition format.
 
     Series are ordered by (name, labels); each metric family emits its
-    ``# HELP``/``# TYPE`` header once, before its first series.
+    ``# HELP``/``# TYPE`` header once, before its first series, the help
+    text being the name in words.
     """
     lines: List[str] = []
     seen_families = set()
@@ -83,8 +84,7 @@ def prometheus_text(registry: MetricsRegistry) -> str:
         if name in seen_families:
             return
         seen_families.add(name)
-        help_text = registry.help_for(name) or name.replace("_", " ")
-        lines.append(f"# HELP {name} {help_text}")
+        lines.append(f"# HELP {name} {name.replace('_', ' ')}")
         lines.append(f"# TYPE {name} {mtype}")
 
     for kind, name, labels, value in registry.samples():

@@ -7,17 +7,20 @@ layout it committed":
 - :class:`Span` -- one timed operation with an explicit ``trace_id``,
   ``span_id``, and ``parent_id``.  All spans of one control-plane
   request share a trace ID; parent links form the tree.
-- :class:`SpanContext` -- the (trace, span) pair a caller threads
-  through the call chain.  Propagation is **explicit**: the admission
-  service passes a context to the controller, the controller to the
-  allocator / table-update engine / journal, and a *sampled* data-path
-  packet adopts the context of the commit that installed the layout it
-  executes under -- making control->data causality visible by IDs.
+- Propagation follows the **stack**: ``with tracer.span(name)`` parents
+  the new span on the innermost span still open on that tracer, and a
+  span opened with none open starts a new trace.  One thread drives a
+  tracer, so the admission service's request span holds the
+  controller's, which holds the allocator's, the table engine's and the
+  journal's, with no context passed down.  The one explicit parent is a
+  *sampled* data-path packet's: it adopts the commit that installed the
+  layout it executes under (:attr:`Tracer.layout_context`) -- making
+  control->data causality visible by IDs.
 - :class:`Tracer` -- the recording sink: a bounded ring of completed
-  spans plus the in-flight set.  IDs come from an injected
-  :class:`IdSource` (deterministic counters by default -- no
-  ``Date.now``-style ambient state), the clock is injected the same
-  way, so tests assert exact IDs and durations with fakes.  Per-packet
+  spans plus the stack of open ones.  IDs come from its
+  :class:`IdSource` (deterministic counters -- no ``Date.now``-style
+  ambient state) and the clock is injected, so tests assert exact IDs
+  and durations with fakes.  Per-packet
   tracing at line rate would swamp the ring and the hot path, so the
   data path samples: :meth:`Tracer.should_sample` draws from a seeded
   RNG at ``sample_rate`` (the same (rate, seed) always selects the same
@@ -29,8 +32,8 @@ layout it committed":
   ``benchmarks/test_hotpath_throughput.py::test_telemetry_overhead``).
 - :class:`FlightRecorder` -- a bounded ring of anomaly dumps.  When a
   rollback, a device failure or a shard failure fires, the
-  recorder captures the full correlated span tree plus a caller-
-  supplied state fingerprint, so every anomaly ships with its own
+  recorder captures the full correlated span tree of the open span
+  plus a caller-supplied state fingerprint, so every anomaly ships with its own
   reconstruction (RBFRT-style per-request latency breakdowns, but
   centered on the failures).
 
@@ -61,20 +64,13 @@ from typing import (
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class SpanContext:
-    """The propagation handle: which trace, and which parent span."""
-
-    trace_id: str
-    span_id: str
-
-
 @dataclasses.dataclass
 class Span:
     """One timed operation in a trace tree.
 
-    ``end_s`` is None while the span is in flight; :meth:`Tracer.finish`
-    stamps it and moves the span into the completed ring.
+    ``end_s`` is None while the span is in flight; closing its
+    :meth:`Tracer.span` block stamps it and moves the span into the
+    completed ring.
     """
 
     name: str
@@ -85,11 +81,6 @@ class Span:
     end_s: Optional[float] = None
     attrs: Dict[str, object] = dataclasses.field(default_factory=dict)
     thread: str = ""
-
-    @property
-    def context(self) -> SpanContext:
-        """This span as a parent for children."""
-        return SpanContext(trace_id=self.trace_id, span_id=self.span_id)
 
     @property
     def duration_s(self) -> float:
@@ -118,20 +109,6 @@ class Span:
         }
 
 
-#: Anything usable as a parent: a context, a live/finished span, or None
-#: (which starts a new root trace).
-ParentLike = Union[SpanContext, Span, None]
-
-
-def context_of(parent: ParentLike) -> Optional[SpanContext]:
-    """Normalize a parent argument to a :class:`SpanContext` (or None)."""
-    if parent is None:
-        return None
-    if isinstance(parent, Span):
-        return parent.context
-    return parent
-
-
 class IdSource:
     """Deterministic trace/span ID generator.
 
@@ -139,31 +116,32 @@ class IdSource:
     regardless of wall clock, PID, or interleaving order of *other*
     traces, so fixed-seed runs produce byte-identical trace files and
     tests can assert IDs literally.  Thread-safe (IDs are handed out
-    under a lock); inject a subclass for different schemes.
+    under a lock).
     """
 
-    def __init__(self, trace_prefix: str = "t", span_prefix: str = "s") -> None:
-        self._trace_prefix = trace_prefix
-        self._span_prefix = span_prefix
+    def __init__(self) -> None:
         self._traces = itertools.count(1)
         self._spans = itertools.count(1)
         self._lock = threading.Lock()
 
     def next_trace_id(self) -> str:
         with self._lock:
-            return f"{self._trace_prefix}-{next(self._traces):06d}"
+            return f"t-{next(self._traces):06d}"
 
     def next_span_id(self) -> str:
         with self._lock:
-            return f"{self._span_prefix}-{next(self._spans):08d}"
+            return f"s-{next(self._spans):08d}"
 
 
 class Tracer:
-    """Recording tracer: bounded completed-span ring + in-flight set.
+    """Recording tracer: bounded completed-span ring + open-span stack.
+
+    One thread drives a tracer: the open spans are a stack, pushed and
+    popped by :meth:`span`, and a new span parents on its top.  IDs come
+    from deterministic counters (:class:`IdSource`).
 
     Args:
         capacity: completed-span ring size (oldest spans evict first).
-        ids: trace/span ID source; defaults to deterministic counters.
         clock: monotonic time source (injectable for exact-duration
             tests; defaults to :func:`time.perf_counter`).
         sample_rate: fraction of data-path packets traced as
@@ -177,7 +155,6 @@ class Tracer:
     def __init__(
         self,
         capacity: int = 16384,
-        ids: Optional[IdSource] = None,
         clock: Callable[[], float] = time.perf_counter,
         sample_rate: float = 0.0,
         seed: int = 0,
@@ -187,7 +164,7 @@ class Tracer:
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError("sample rate must be within [0, 1]")
         self.capacity = capacity
-        self.ids = ids or IdSource()
+        self.ids = IdSource()
         self.clock = clock
         self.sample_rate = sample_rate
         self._rng = random.Random(seed)
@@ -196,91 +173,80 @@ class Tracer:
         #: Set by :class:`FlightRecorder` on attach; anomaly triggers
         #: are dropped while it is None.
         self.recorder: Optional["FlightRecorder"] = None
-        #: Context of the last successfully committed layout change.
+        #: The span of the last successfully committed layout change.
         #: The data path parents sampled packet spans here, so packets
         #: running under a just-committed layout join the committing
         #: trace (control->data causality).
-        self.layout_context: Optional[SpanContext] = None
+        self.layout_context: Optional[Span] = None
         self._completed: Deque[Span] = deque(maxlen=capacity)
-        self._live: Dict[str, Span] = {}
+        #: The open spans, innermost last.
+        self._stack: List[Span] = []
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Span lifecycle
     # ------------------------------------------------------------------
 
-    def start(
-        self, name: str, parent: ParentLike = None, **attrs: object
-    ) -> Span:
-        """Open a span; root (fresh trace ID) when *parent* is None."""
-        ctx = context_of(parent)
-        span = Span(
-            name=name,
-            trace_id=ctx.trace_id if ctx else self.ids.next_trace_id(),
-            span_id=self.ids.next_span_id(),
-            parent_id=ctx.span_id if ctx else None,
-            start_s=self.clock(),
-            attrs=dict(attrs),
-            thread=threading.current_thread().name,
-        )
-        with self._lock:
-            self._live[span.span_id] = span
-        return span
-
-    def finish(self, span: Span) -> Span:
-        """Stamp the end time and move the span to the ring (idempotent)."""
-        if span.end_s is not None:
-            return span
-        span.end_s = self.clock()
-        with self._lock:
-            self._live.pop(span.span_id, None)
-            if len(self._completed) == self.capacity:
-                self.dropped += 1
-            self._completed.append(span)
-            self.recorded += 1
-        return span
-
     @contextmanager
-    def span(
-        self, name: str, parent: ParentLike = None, **attrs: object
-    ) -> Iterator[Span]:
+    def span(self, name: str, **attrs: object) -> Iterator[Span]:
         """Time a block as one span; yields it for late attributes.
 
-        A raising body still records the span -- with an ``error``
-        attribute naming the exception -- because the failing operation
-        is exactly the one worth seeing.  The exception propagates.
+        The span parents on the innermost span open on this tracer (a
+        root, with a fresh trace ID, when none is open) and is the
+        parent of the spans opened inside the block.  A raising body
+        still records the span -- with an ``error`` attribute naming
+        the exception -- because the failing operation is exactly the
+        one worth seeing.  The exception propagates.
         """
-        span = self.start(name, parent=parent, **attrs)
+        stack = self._stack
+        parent = stack[-1] if stack else None
+        span = Span(
+            name=name,
+            trace_id=parent.trace_id if parent else self.ids.next_trace_id(),
+            span_id=self.ids.next_span_id(),
+            parent_id=parent.span_id if parent else None,
+            start_s=self.clock(),
+            attrs=attrs,
+            thread=threading.current_thread().name,
+        )
+        stack.append(span)
         try:
             yield span
         except BaseException as exc:
             span.attrs.setdefault("error", f"{type(exc).__name__}: {exc}")
             raise
         finally:
-            self.finish(span)
+            span.end_s = self.clock()
+            stack.pop()
+            with self._lock:
+                if len(self._completed) == self.capacity:
+                    self.dropped += 1
+                self._completed.append(span)
+                self.recorded += 1
 
     def record_span(
         self,
         name: str,
         start_s: float,
         end_s: float,
-        parent: ParentLike = None,
+        parent: Optional[Span] = None,
         trace_id: Optional[str] = None,
         **attrs: object,
     ) -> Span:
         """Record an already-timed span directly (data-path fast path).
 
         The caller supplies both timestamps, so the hot path pays two
-        clock reads and one deque append -- no live-set traffic.
+        clock reads and one deque append -- no stack traffic.  The
+        parent is explicit, not the open span: a sampled packet parents
+        on :attr:`layout_context`.
         """
-        ctx = context_of(parent)
         if trace_id is None:
-            trace_id = ctx.trace_id if ctx else self.ids.next_trace_id()
+            trace_id = parent.trace_id if parent else self.ids.next_trace_id()
         span = Span(
             name=name,
             trace_id=trace_id,
             span_id=self.ids.next_span_id(),
-            parent_id=ctx.span_id if ctx else None,
+            parent_id=parent.span_id if parent else None,
             start_s=start_s,
             end_s=end_s,
             attrs=dict(attrs),
@@ -316,8 +282,8 @@ class Tracer:
         """Every retained span, completed first (oldest to newest)."""
         with self._lock:
             out = list(self._completed)
-            if include_live:
-                out.extend(self._live.values())
+        if include_live:
+            out.extend(self._stack)
         return out
 
     def spans_for(self, trace_id: str) -> List[Span]:
@@ -326,44 +292,40 @@ class Tracer:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._completed) + len(self._live)
+            return len(self._completed) + len(self._stack)
 
     def clear(self) -> None:
+        """Drop the completed spans (the open ones close into the ring)."""
         with self._lock:
             self._completed.clear()
-            self._live.clear()
 
     # ------------------------------------------------------------------
     # Anomaly hook
     # ------------------------------------------------------------------
 
-    def anomaly(
-        self, reason: str, context: ParentLike = None, **attrs: object
-    ) -> Optional["FlightDump"]:
-        """Report an anomaly; dumps the trace if a recorder is attached."""
+    def anomaly(self, reason: str, **attrs: object) -> Optional["FlightDump"]:
+        """Report an anomaly in the open span's trace; dumps that trace
+        (no spans when none is open) if a recorder is attached."""
         if self.recorder is None:
             return None
-        return self.recorder.trigger(reason, context, **attrs)
+        return self.recorder.trigger(reason, self._stack[-1] if self._stack else None, **attrs)
 
-    def layout_committed(self, parent: ParentLike) -> None:
-        """Note that the commit running under *parent* installed a layout.
+    def layout_committed(self) -> None:
+        """Note that the commit running in the open span installed a
+        layout.
 
         Packets processed from here on run under that layout; sampled
         data-path spans parent on :attr:`layout_context`.
         """
-        self.layout_context = context_of(parent)
+        self.layout_context = self._stack[-1] if self._stack else None
 
 
 class _NullSpan(Span):
     """The shared do-nothing span the NullTracer hands out.
 
     Its own context manager, so ``with NULL_TRACER.span(...)`` costs one
-    call and no generator; as a parent it is no parent at all.
+    call and no generator.
     """
-
-    @property
-    def context(self) -> None:  # type: ignore[override]
-        return None
 
     def set(self, **attrs: object) -> "Span":
         return self
@@ -383,8 +345,8 @@ NULL_SPAN = _NullSpan(
 class NullTracer:
     """Inert tracer: same API, records nothing, near-zero overhead.
 
-    The control plane calls these unconditionally -- ``span``/``start``
-    hand back the shared :data:`NULL_SPAN`, one no-op call per span --
+    The control plane calls these unconditionally -- ``span`` hands
+    back the shared :data:`NULL_SPAN`, one no-op call per span --
     so no instrumented method needs a tracing-off copy of its body.
     It never samples a packet; the switch's sampling guard tests
     ``enabled`` first so the data path does not even pay the call.
@@ -397,13 +359,7 @@ class NullTracer:
     recorded = 0
     dropped = 0
 
-    def start(self, name: str, parent: ParentLike = None, **attrs: object) -> Span:
-        return NULL_SPAN
-
-    def finish(self, span: Span) -> Span:
-        return span
-
-    def span(self, name: str, parent: ParentLike = None, **attrs: object) -> _NullSpan:
+    def span(self, name: str, **attrs: object) -> _NullSpan:
         return NULL_SPAN
 
     def record_span(self, name: str, start_s: float, end_s: float, **kw: object) -> Span:
@@ -424,12 +380,10 @@ class NullTracer:
     def clear(self) -> None:
         pass
 
-    def anomaly(
-        self, reason: str, context: ParentLike = None, **attrs: object
-    ) -> None:
+    def anomaly(self, reason: str, **attrs: object) -> None:
         return None
 
-    def layout_committed(self, parent: ParentLike) -> None:
+    def layout_committed(self) -> None:
         return None
 
 
@@ -556,11 +510,11 @@ class FlightRecorder:
         tracer.recorder = self
 
     def trigger(
-        self, reason: str, context: ParentLike = None, **attrs: object
+        self, reason: str, span: Optional[Span] = None, **attrs: object
     ) -> FlightDump:
-        """Capture the anomaly's trace tree (plus fingerprint) now."""
-        ctx = context_of(context)
-        trace_id = ctx.trace_id if ctx else None
+        """Capture the trace tree *span* belongs to (plus the
+        fingerprint) now; no spans without one."""
+        trace_id = span.trace_id if span else None
         spans = self.tracer.spans_for(trace_id) if trace_id else []
         dump = FlightDump(
             reason=reason,
@@ -707,12 +661,9 @@ __all__ = [
     "NULL_SPAN",
     "NULL_TRACER",
     "NullTracer",
-    "ParentLike",
     "Span",
-    "SpanContext",
     "Tracer",
     "chrome_trace_events",
-    "context_of",
     "dump_trace",
     "find_spans",
     "span_tree",

@@ -8,7 +8,7 @@
 - :func:`implied_bounds` (with :func:`_pow2_mask`) and
   :func:`diff_layouts` are that commit's ``repro.analysis.isolation
   .implied_bounds`` and ``ActiveRmtAllocator._diff_layouts``, verbatim
-  (the latter as a free function); ``tests/test_layout_oracles.py``
+  (the latter as a free function); ``tests/test_layout_change.py``
   checks the live ones against them.
 """
 
@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Tuple
 
-from repro.analysis.verifier import DEFAULT_TRANSLATION_WINDOW
+from repro.analysis.verifier import TRANSLATION_WINDOW as DEFAULT_TRANSLATION_WINDOW
 from repro.controller import ActiveRmtController
-from repro.controller.table_updater import TableUpdateEngine
 from repro.core.blocks import BlockRange
 from repro.faults import call_with_retries
 from repro.switchsim.tables import StageGrant
@@ -158,7 +157,7 @@ def _words(regions, block_words):
 
 
 def _apply_delta(engine, fid, old_regions, new_regions, block_words, journal):
-    window = engine.TRANSLATION_WINDOW
+    window = DEFAULT_TRANSLATION_WINDOW
     old_grants, old_pairs = implied_entries(fid, _words(old_regions, block_words), window)
     new_grants, new_pairs = implied_entries(fid, _words(new_regions, block_words), window)
     writes = _differing(_put_translation, old_pairs, new_pairs)
@@ -210,7 +209,7 @@ def _set_active(engine, fids, active, journal, seconds=0.0):
 class PerNeighbourController(ActiveRmtController):
     """The controller with the layout path the batch replaced."""
 
-    def _apply_layout(self, fid, old, new, reallocations, journal, ctx):
+    def _apply_layout(self, fid, old, new, reallocations, journal):
         engine = self.updater
         impacted = sorted(reallocations)
         block_words = self.device.config.block_words
@@ -237,7 +236,7 @@ class PerNeighbourController(ActiveRmtController):
         )
 
     def _move_tables(self, fid, changes, journal):
-        window = TableUpdateEngine.TRANSLATION_WINDOW
+        window = DEFAULT_TRANSLATION_WINDOW
         near = {s for c in changes for s in range(c - window, c + window + 1)}
         new = {
             s: r

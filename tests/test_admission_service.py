@@ -475,7 +475,7 @@ def test_batch_replans_after_transient_rollback():
         SimDevice(ActiveSwitch(), device_id="sw0"), ScriptedPlan(fault_one_install)
     )
     controller = ActiveRmtController(device, telemetry=telemetry)
-    service = AdmissionService(controller, telemetry=telemetry)
+    service = AdmissionService(controller)
     report = service.submit_many(
         [_admission(fid) for fid in (1, 2, 3)]
     )

@@ -473,7 +473,7 @@ def test_service_replans_after_transient_rollback():
     telemetry = MetricsRegistry()
     device = FaultyDevice(_sim(), ScriptedPlan(fault_first_install_once))
     controller = ActiveRmtController(device, telemetry=telemetry)
-    service = AdmissionService(controller, telemetry=telemetry)
+    service = AdmissionService(controller)
     report = service.submit(_admission(1))
     # The first attempt rolled back on the injected fault; the service
     # re-planned and the second attempt committed.
@@ -550,7 +550,7 @@ def test_exhausted_retries_mid_withdrawal_roll_the_withdrawal_back():
     controller = ActiveRmtController(
         device, retry=FAST_RETRY, telemetry=telemetry, tracer=tracer
     )
-    service = AdmissionService(controller, telemetry=telemetry)
+    service = AdmissionService(controller)
     for fid in range(1, 7):
         assert service.submit(_admission(fid)).success
     before = (

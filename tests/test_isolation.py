@@ -29,7 +29,7 @@ from repro.isa import assemble
 from repro.switchsim.config import SwitchConfig
 from repro.switchsim.switch import ActiveSwitch
 from repro.switchsim.tables import StageGrant
-from repro.telemetry import MetricsRegistry, json_snapshot
+from repro.telemetry import FlightRecorder, MetricsRegistry, Tracer, json_snapshot
 from repro.workloads.arrivals import (
     ArrivalEvent,
     DepartureEvent,
@@ -134,7 +134,7 @@ def test_analyze_address_intervals_counter():
 
 
 def test_effective_translations_window_and_fallback():
-    effective = effective_translations({5: (2048, 3072)}, 3)
+    effective = effective_translations({5: (2048, 3072)})
     assert effective == {
         2: (1023, 2048),
         3: (1023, 2048),
@@ -497,6 +497,33 @@ def test_sanitizer_detects_corruption_on_next_commit():
     ).success
     assert controller.audit_violations
     assert "ARMT012" in {f.rule_id for f in controller.audit_violations}
+
+
+def test_sanitizer_dump_carries_the_commit_that_found_it():
+    """The sanitizer's anomaly lands in the trace of the commit whose
+    audit found the corruption: fid 2's ``controller.commit_plan`` tree,
+    not an empty dump."""
+    tracer = Tracer()
+    recorder = FlightRecorder(tracer)
+    controller = _controller(sanitizer=True, tracer=tracer)
+    program = assemble(COUNTER, name="counter")
+    assert controller.admit(fid=1, pattern=_pattern(program, [2]), program=program).success
+    (stage,) = [
+        s for s, r in controller.allocator.regions_for(1).items() if r is not None and r.count > 0
+    ]
+    controller.switch.pipeline.stage(stage).table.remove_grant(1)
+    assert controller.admit(fid=2, pattern=_pattern(program, [2]), program=program).success
+    (dump,) = recorder.dumps_for("invariant_violation")
+    assert "ARMT012" in dump.attrs["rules"]
+    (commit,) = dump.find("controller.commit_plan")
+    (admit,) = dump.find("controller.admit")
+    assert admit.attrs["fid"] == 2 and commit.parent_id == admit.span_id
+    assert dump.trace_id == commit.trace_id
+    tree = dump.tree()
+    assert tree["roots"] == [admit] and tree["orphans"] == []
+    assert {s.name for s in tree["children"][commit.span_id]} == {
+        "allocator.commit", "tables.apply_layout", "journal.commit"
+    }
 
 
 def test_sanitizer_off_records_nothing():

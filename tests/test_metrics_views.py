@@ -2,8 +2,8 @@
 
 The switch, the controller and its allocator, table engine and
 admission service, a faulty device, the fabric and the event loop each
-keep their counts as attributes; ``stats()`` and the registry are two
-views of them.  A snapshot sums every series over every owner ever
+keep their counts (and histograms) as attributes; ``stats()`` and the
+registry are two views of them.  A snapshot sums every series over every owner ever
 registered.  Each series an owner can export is pinned here by value,
 and the last test fails on a new series until it is.
 """
@@ -36,6 +36,11 @@ def _series(registry):
     """Counters and gauges of one snapshot, in one dict."""
     snapshot = registry.snapshot()
     return {**snapshot["counters"], **snapshot["gauges"]}
+
+
+def _histogram_counts(registry):
+    """Each histogram series of one snapshot, with its count."""
+    return {name: data["count"] for name, data in registry.snapshot()["histograms"].items()}
 
 
 def _families(series):
@@ -105,6 +110,9 @@ def test_switch_series_are_pinned():
     busy.receive(response, 2)
     busy.pipeline.invalidate_program_cache(1)
     assert _series(registry) == SWITCH_VIEW
+    # The one batch, observed by the busy switch; the idle one's empty
+    # histogram is left out.
+    assert _histogram_counts(registry) == {"datapath_batch_size": 1}
     stats = busy.stats()
     assert stats["packets"] == stats["programs"] + stats["digested"] + 1
     assert stats["program_cache"]["invalidations"] == 6
@@ -168,8 +176,9 @@ def test_chaos_report_counts_equal_the_registry():
 
 
 def test_fabric_run_gauges_are_its_result_fields():
-    """The harness's own gauges (pushed, as experiment results) carry the
-    rows the report prints, one label set per shard count."""
+    """The harness's own gauges (experiment results, registered as one
+    owner per result) carry the rows the report prints, one label set
+    per shard count."""
     registry = MetricsRegistry()
     previous = telemetry.set_registry(registry)
     try:
@@ -264,10 +273,10 @@ def test_control_plane_series_are_pinned():
     series = _series(registry)
     pinned = {name: series.get(name) for name in CONTROL_VIEW}
     assert pinned == CONTROL_VIEW
-    # Histograms stay push: one observation per decision, per recorded
-    # admission or withdrawal, and per request the service served.
-    histograms = registry.snapshot()["histograms"]
-    assert {name: data["count"] for name, data in histograms.items()} == {
+    # Histograms live on their owners: one observation per decision,
+    # per recorded admission or withdrawal, and per request the service
+    # served, none of them labelled.
+    assert _histogram_counts(registry) == {
         "admission_latency_seconds": 5,
         "allocator_allocation_seconds": 2,
         "controller_provisioning_seconds": 5,
@@ -289,6 +298,16 @@ def test_failover_shed_is_counted_off_the_report():
     assert 'fabric_failover_readmitted_total{device="sw0"}' not in series
     assert series['fabric_failovers_total{device="sw0",mode="redistribute"}'] == 1
     assert 'fabric_recovery_fingerprint_match{device="sw0"}' not in series
+
+
+#: The five histogram series, each on its one owner.
+HISTOGRAMS = (
+    "admission_latency_seconds",
+    "allocator_allocation_seconds",
+    "controller_provisioning_seconds",
+    "controller_table_update_seconds",
+    "datapath_batch_size",
+)
 
 
 class _Recording(MetricsRegistry):
@@ -332,7 +351,9 @@ def test_every_exported_series_is_pinned():
     }
     pinned = {
         name.split("{")[0]
-        for name in [*SWITCH_VIEW, *CHAOS_FAMILIES, *CONTROL_VIEW, "fabric_failover_shed_total"]
+        for name in [
+            *SWITCH_VIEW, *CHAOS_FAMILIES, *CONTROL_VIEW, *HISTOGRAMS, "fabric_failover_shed_total"
+        ]
     }
     assert exported == pinned
     assert fabric.shards[0].controller in registry.owners

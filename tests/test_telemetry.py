@@ -1,7 +1,7 @@
 """Tests for repro.telemetry: registry, traces, sampling, exporters.
 
-Covers the registry's instrument semantics (counter monotonicity,
-histogram bucket boundaries, gauge set/add, label identity), the
+Covers the registry's reading of its owners (series, labels, sums over
+owners, histogram bucket boundaries and merging), the
 tracer's span timing and sampling determinism under a seeded RNG (ring
 eviction and capacity checks live in ``test_tracing.py``), and both
 exporters -- including a golden-file comparison and a
@@ -18,6 +18,7 @@ import pytest
 
 from repro import telemetry
 from repro.telemetry import (
+    Histogram,
     MetricsRegistry,
     NullRegistry,
     NULL_REGISTRY,
@@ -33,60 +34,53 @@ def registry():
     return MetricsRegistry()
 
 
+class _View:
+    """An owner whose ``metrics()`` is the dict it was given."""
+
+    def __init__(self, **series):
+        self.series = series
+
+    def metrics(self):
+        return self.series
+
+
+def _owned(registry, series):
+    registry.register(_View(**series))
+    return registry
+
+
 # ----------------------------------------------------------------------
-# Counter semantics
+# Series and labels, read off owners
 # ----------------------------------------------------------------------
-
-
-def test_counter_monotonic(registry):
-    counter = registry.counter("requests_total")
-    counter.inc()
-    counter.inc(4)
-    assert counter.value == 5
-    with pytest.raises(ValueError):
-        counter.inc(-1)
-    assert counter.value == 5
-
-
-def test_counter_get_or_create_identity(registry):
-    assert registry.counter("x_total") is registry.counter("x_total")
 
 
 def test_counter_labels_create_distinct_series(registry):
-    a = registry.counter("packets_total", fid=1)
-    b = registry.counter("packets_total", fid=2)
-    assert a is not b
-    a.inc(3)
-    b.inc(7)
+    packets = collections.Counter({1: 3, 2: 7})
+    _owned(registry, {"packets_total{fid}": packets})
     snap = registry.snapshot()
     assert snap["counters"]['packets_total{fid="1"}'] == 3
     assert snap["counters"]['packets_total{fid="2"}'] == 7
 
 
 def test_instrument_type_conflict_raises(registry):
-    registry.counter("thing")
-    with pytest.raises(TypeError):
-        registry.gauge("thing")
-    with pytest.raises(TypeError):
-        registry.histogram("thing")
-
-
-# ----------------------------------------------------------------------
-# The labels= mapping form (device-labeled fleet series)
-# ----------------------------------------------------------------------
+    """One series cannot be a histogram on one owner and a number on
+    another."""
+    _owned(registry, {"thing": 1})
+    _owned(registry, {"thing": Histogram()})
+    with pytest.raises(TypeError, match="thing"):
+        registry.snapshot()
 
 
 def test_labels_mapping_is_equivalent_to_kwargs(registry):
-    via_mapping = registry.counter("requests_total", labels={"device": "sw0"})
-    via_kwargs = registry.counter("requests_total", device="sw0")
-    assert via_mapping is via_kwargs
+    """A label fixed in the spec and the same label filled by a
+    Counter key name one series, which sums both owners."""
+    _owned(registry, {"requests_total{device=sw0}": 2})
+    _owned(registry, {"requests_total{device}": collections.Counter({"sw0": 3})})
+    assert registry.snapshot()["counters"] == {'requests_total{device="sw0"}': 5.0}
 
 
 def test_labels_mapping_merges_with_kwargs(registry):
-    counter = registry.counter(
-        "requests_total", labels={"device": "sw1"}, kind="admit"
-    )
-    counter.inc()
+    _owned(registry, {"requests_total{kind,device=sw1}": collections.Counter(admit=1)})
     snap = registry.snapshot()
     assert (
         snap["counters"]['requests_total{device="sw1",kind="admit"}'] == 1
@@ -94,22 +88,15 @@ def test_labels_mapping_merges_with_kwargs(registry):
 
 
 def test_conflicting_duplicate_label_raises(registry):
+    _owned(registry, {"requests_total{device,device=sw1}": collections.Counter(sw0=1)})
     with pytest.raises(ValueError, match="device"):
-        registry.counter(
-            "requests_total", labels={"device": "sw0"}, device="sw1"
-        )
-    # Agreeing duplicates are fine (the merge is a no-op).
-    counter = registry.counter(
-        "agree_total", labels={"device": "sw0"}, device="sw0"
-    )
-    assert counter is registry.counter("agree_total", device="sw0")
+        registry.snapshot()
 
 
 def test_gauge_and_histogram_accept_labels(registry):
-    registry.gauge("shard_util", labels={"device": "sw2"}).set(0.5)
-    registry.histogram(
-        "lat", buckets=(1.0,), labels={"device": "sw2"}
-    ).observe(0.2)
+    lat = Histogram(buckets=(1.0,))
+    lat.observe(0.2)
+    _owned(registry, {"shard_util{device=sw2}": 0.5, "lat{device=sw2}": lat})
     snap = registry.snapshot()
     assert snap["gauges"]['shard_util{device="sw2"}'] == 0.5
     assert snap["histograms"]['lat{device="sw2"}']["count"] == 1
@@ -117,9 +104,7 @@ def test_gauge_and_histogram_accept_labels(registry):
 
 def test_device_labels_render_in_prometheus_text(registry):
     for device in ("sw1", "sw0"):
-        registry.counter(
-            "fleet_total", help="Per-device series", labels={"device": device}
-        ).inc()
+        _owned(registry, {f"fleet_total{{device={device}}}": 1})
     text = prometheus_text(registry)
     assert 'fleet_total{device="sw0"} 1' in text
     assert 'fleet_total{device="sw1"} 1' in text
@@ -128,27 +113,8 @@ def test_device_labels_render_in_prometheus_text(registry):
 
 def test_null_registry_accepts_labels_form():
     null = NullRegistry()
-    null.counter("x_total", labels={"device": "sw0"}).inc()
-    null.gauge("g", labels={"device": "sw0"}).set(1)
-    null.histogram("h", labels={"device": "sw0"}).observe(1.0)
+    _owned(null, {"x_total{device=sw0}": 1, "g{device=sw0}": 1})
     assert null.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-# ----------------------------------------------------------------------
-# Gauge semantics
-# ----------------------------------------------------------------------
-
-
-def test_gauge_set_and_add(registry):
-    gauge = registry.gauge("queue_depth")
-    gauge.set(10)
-    assert gauge.value == 10
-    gauge.add(5)
-    assert gauge.value == 15
-    gauge.add(-20)
-    assert gauge.value == -5  # gauges may go negative
-    gauge.set(0)
-    assert gauge.value == 0
 
 
 # ----------------------------------------------------------------------
@@ -156,8 +122,8 @@ def test_gauge_set_and_add(registry):
 # ----------------------------------------------------------------------
 
 
-def test_histogram_bucket_boundaries(registry):
-    hist = registry.histogram("latency", buckets=(1.0, 2.0, 4.0))
+def test_histogram_bucket_boundaries():
+    hist = Histogram(buckets=(1.0, 2.0, 4.0))
     # 'le' semantics: a value equal to a bound lands in that bucket.
     hist.observe(1.0)
     hist.observe(1.5)
@@ -169,17 +135,17 @@ def test_histogram_bucket_boundaries(registry):
     assert hist.sum == pytest.approx(108.5)
 
 
-def test_histogram_rejects_bad_buckets(registry):
+def test_histogram_rejects_bad_buckets():
     with pytest.raises(ValueError):
-        registry.histogram("bad", buckets=())
+        Histogram(buckets=())
     with pytest.raises(ValueError):
-        registry.histogram("bad2", buckets=(1.0, 1.0))
+        Histogram(buckets=(1.0, 1.0))
     with pytest.raises(ValueError):
-        registry.histogram("bad3", buckets=(2.0, 1.0))
+        Histogram(buckets=(2.0, 1.0))
 
 
-def test_histogram_percentiles_interpolate(registry):
-    hist = registry.histogram("t", buckets=(10.0, 20.0, 40.0))
+def test_histogram_percentiles_interpolate():
+    hist = Histogram(buckets=(10.0, 20.0, 40.0))
     for _ in range(50):
         hist.observe(5.0)  # first bucket
     for _ in range(50):
@@ -194,14 +160,37 @@ def test_histogram_percentiles_interpolate(registry):
     assert set(summary) == {"count", "sum", "mean", "p50", "p95", "p99"}
 
 
-def test_histogram_percentiles_empty_and_overflow(registry):
-    hist = registry.histogram("t", buckets=(1.0, 2.0))
+def test_histogram_percentiles_empty_and_overflow():
+    hist = Histogram(buckets=(1.0, 2.0))
     assert math.isnan(hist.quantile(0.5))
     hist.observe(50.0)  # only observation is in +Inf
     # Clamps to the highest finite bound, like histogram_quantile.
     assert hist.quantile(0.99) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         hist.quantile(1.5)
+
+
+def test_histograms_sum_bucket_by_bucket_over_owners(registry):
+    """Two owners' histograms are one series, summed bucket by bucket;
+    one that observed nothing is left out, and so is a series no owner
+    observed into."""
+    first, second, idle = (Histogram(buckets=(1.0, 2.0)) for _ in range(3))
+    first.observe(0.5)
+    second.observe(1.5)
+    second.observe(9.0)
+    for owner in (first, second):
+        _owned(registry, {"lat": owner, "idle": idle})
+    (histogram,) = registry.snapshot()["histograms"].items()
+    assert histogram == ("lat", {
+        "count": 3, "sum": 11.0, "mean": pytest.approx(11.0 / 3),
+        "p50": pytest.approx(1.5), "p95": 2.0, "p99": 2.0,
+        "buckets": {"1.0": 1, "2.0": 1, "+Inf": 1},
+    })
+    # The snapshot is a view: the owners' histograms are untouched.
+    assert (first.count, second.count) == (1, 2)
+    _owned(registry, {"lat": Histogram(buckets=(5.0,))})
+    with pytest.raises(ValueError, match="bounds"):
+        registry.snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -212,10 +201,9 @@ def test_histogram_percentiles_empty_and_overflow(registry):
 def test_null_registry_is_inert():
     null = NullRegistry()
     assert null.enabled is False
-    counter = null.counter("anything", fid=9)
-    counter.inc(100)
-    null.gauge("g").set(5)
-    null.histogram("h").observe(1.0)
+    hist = Histogram()
+    hist.observe(1.0)
+    _owned(null, {"anything_total{fid=9}": 100, "g": 5, "h": hist})
     assert null.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
     assert prometheus_text(null) == ""
 
@@ -371,31 +359,29 @@ def assert_valid_prometheus(text: str) -> None:
 
 def test_prometheus_golden_output():
     registry = MetricsRegistry()
-    registry.counter(
-        "packets_total", help="Packets seen", fid=1
-    ).inc(3)
-    registry.counter("packets_total", fid=2).inc(1)
-    registry.gauge("queue_depth", help="Digest queue depth").set(4)
-    hist = registry.histogram(
-        "alloc_seconds", buckets=(0.1, 1.0), help="Alloc latency"
-    )
+    hist = Histogram(buckets=(0.1, 1.0))
     hist.observe(0.05)
     hist.observe(0.5)
     hist.observe(5.0)
+    _owned(registry, {
+        "packets_total{fid}": collections.Counter({1: 3, 2: 1}),
+        "queue_depth": 4,
+        "alloc_seconds": hist,
+    })
     expected = "\n".join(
         [
-            "# HELP alloc_seconds Alloc latency",
+            "# HELP alloc_seconds alloc seconds",
             "# TYPE alloc_seconds histogram",
             'alloc_seconds_bucket{le="0.1"} 1',
             'alloc_seconds_bucket{le="1"} 2',
             'alloc_seconds_bucket{le="+Inf"} 3',
             "alloc_seconds_sum 5.55",
             "alloc_seconds_count 3",
-            "# HELP packets_total Packets seen",
+            "# HELP packets_total packets total",
             "# TYPE packets_total counter",
             'packets_total{fid="1"} 3',
             'packets_total{fid="2"} 1',
-            "# HELP queue_depth Digest queue depth",
+            "# HELP queue_depth queue depth",
             "# TYPE queue_depth gauge",
             "queue_depth 4",
         ]
@@ -406,10 +392,12 @@ def test_prometheus_golden_output():
 
 
 def test_json_snapshot_shape(registry):
-    registry.counter("c_total").inc(2)
-    registry.histogram("h", buckets=(1.0,)).observe(0.5)
+    hist = Histogram(buckets=(1.0,))
+    hist.observe(0.5)
+    _owned(registry, {"c_total": 2, "h": hist})
     tracer = Tracer(capacity=4)
-    tracer.finish(tracer.start("evt", fid=1))
+    with tracer.span("evt", fid=1):
+        pass
     data = json_snapshot(registry, trace=tracer)
     # Must round-trip through JSON unchanged.
     rehydrated = json.loads(json.dumps(data))

@@ -4,9 +4,10 @@ The contracts under test:
 
 - **Deterministic IDs**: trace/span IDs come from the injected
   :class:`IdSource` counters, so tests assert them literally.
-- **Explicit propagation**: every span of one control-plane request
-  shares that request's trace ID, and parent links form a tree, its
-  re-planned attempts included.
+- **Stack propagation**: a span parents on the innermost span open on
+  its tracer, so every span of one control-plane request shares that
+  request's trace ID, and parent links form a tree, its re-planned
+  attempts included.
 - **Control->data causality**: a sampled packet processed after a
   commit parents on the committing span (``Tracer.layout_context``).
 - **Flight recorder**: each rollback dumps the full correlated span
@@ -40,10 +41,8 @@ from repro.telemetry import (
     FlightRecorder,
     IdSource,
     Span,
-    SpanContext,
     Tracer,
     chrome_trace_events,
-    context_of,
     dump_trace,
     find_spans,
     span_tree,
@@ -120,37 +119,27 @@ def test_id_source_is_deterministic():
 def test_root_and_child_spans_share_trace_exact_durations():
     clock = FakeClock()
     tracer = Tracer(clock=clock)
-    root = tracer.start("controller.admit", fid=7)
-    assert root.trace_id == "t-000001"
-    assert root.span_id == "s-00000001"
-    assert root.parent_id is None
-    assert root.in_flight
-
-    clock.tick(0.5)
-    child = tracer.start("allocator.plan", parent=root)
-    assert child.trace_id == root.trace_id
-    assert child.parent_id == root.span_id
-    clock.tick(0.25)
-    tracer.finish(child)
-    clock.tick(0.25)
-    tracer.finish(root)
+    with tracer.span("controller.admit", fid=7) as root:
+        assert root.trace_id == "t-000001"
+        assert root.span_id == "s-00000001"
+        assert root.parent_id is None
+        assert root.in_flight
+        clock.tick(0.5)
+        with tracer.span("allocator.plan") as child:
+            assert child.trace_id == root.trace_id
+            assert child.parent_id == root.span_id
+            clock.tick(0.25)
+        # The closed child parents nothing: its sibling hangs off the root.
+        with tracer.span("allocator.commit") as sibling:
+            assert (sibling.trace_id, sibling.parent_id) == (root.trace_id, root.span_id)
+        clock.tick(0.25)
 
     assert child.duration_s == pytest.approx(0.25)
     assert root.duration_s == pytest.approx(1.0)
-    # finish() is idempotent: a second call neither re-stamps nor
-    # double-counts.
-    clock.tick(5.0)
-    tracer.finish(root)
-    assert root.duration_s == pytest.approx(1.0)
-    assert tracer.recorded == 2
-
-    # SpanContext parents work identically to Span parents.
-    ctx = SpanContext(trace_id=root.trace_id, span_id=root.span_id)
-    assert context_of(ctx) == ctx
-    assert context_of(root) == ctx
-    assert context_of(None) is None
-    sibling = tracer.start("allocator.commit", parent=ctx)
-    assert (sibling.trace_id, sibling.parent_id) == (root.trace_id, root.span_id)
+    assert tracer.recorded == 3
+    # With nothing open, the next span starts a new trace.
+    with tracer.span("controller.admit") as other:
+        assert (other.trace_id, other.parent_id) == ("t-000002", None)
 
 
 def test_span_context_manager_records_error_and_reraises():
@@ -162,14 +151,17 @@ def test_span_context_manager_records_error_and_reraises():
     assert not span.in_flight
     assert span.attrs["error"] == "ValueError: boom"
     assert span.attrs["fid"] == 3
+    # The raising span left the stack: the next one is a root.
+    with tracer.span("controller.commit_plan") as after:
+        assert after.parent_id is None
 
 
 def test_record_span_fast_path_parents_and_explicit_trace():
     tracer = Tracer(clock=FakeClock())
-    parent = tracer.start("controller.commit_plan")
-    tracer.finish(parent)
+    with tracer.span("controller.commit_plan") as parent:
+        pass
     packet = tracer.record_span(
-        "datapath.packet", start_s=1.0, end_s=2.5, parent=parent.context, fid=9
+        "datapath.packet", start_s=1.0, end_s=2.5, parent=parent, fid=9
     )
     assert packet.trace_id == parent.trace_id
     assert packet.parent_id == parent.span_id
@@ -195,22 +187,21 @@ def test_tracer_ring_evicts_oldest_and_counts_drops():
 
 def test_spans_include_live_and_spans_for_filters():
     tracer = Tracer(clock=FakeClock())
-    root = tracer.start("admission.request")
-    other = tracer.start("admission.request")
-    tracer.finish(other)
-    # The in-flight root is visible -- flight dumps fired mid-request
-    # rely on this.
-    assert root in tracer.spans()
-    assert root not in tracer.spans(include_live=False)
-    assert tracer.spans_for(root.trace_id) == [root]
-    assert len(tracer) == 2
+    with tracer.span("admission.request"):
+        pass
+    with tracer.span("admission.request") as root:
+        # The in-flight root is visible -- flight dumps fired
+        # mid-request rely on this.
+        assert root in tracer.spans()
+        assert root not in tracer.spans(include_live=False)
+        assert tracer.spans_for(root.trace_id) == [root]
+        assert len(tracer) == 2
     tracer.clear()
     assert len(tracer) == 0
 
 
 def test_null_tracer_is_inert():
     assert NULL_TRACER.enabled is False
-    assert NULL_TRACER.start("x") is NULL_SPAN
     assert NULL_TRACER.record_span("x", start_s=0.0, end_s=1.0) is NULL_SPAN
     with NULL_TRACER.span("x") as span:
         assert span is NULL_SPAN
@@ -218,6 +209,8 @@ def test_null_tracer_is_inert():
     assert NULL_SPAN.attrs == {}
     assert NULL_TRACER.spans() == []
     assert NULL_TRACER.anomaly("rollback") is None
+    NULL_TRACER.layout_committed()
+    assert NULL_TRACER.layout_context is None
     assert len(NULL_TRACER) == 0
 
 
@@ -265,8 +258,8 @@ def test_span_tree_detects_cycles():
 def test_trace_event_copies_caller_attrs():
     attrs = {"fid": 1}
     tracer = Tracer(clock=FakeClock())
-    live = tracer.start("packet", **attrs)
-    timed = tracer.record_span("packet", start_s=0.0, end_s=0.0, **attrs)
+    with tracer.span("packet", **attrs) as live:
+        timed = tracer.record_span("packet", start_s=0.0, end_s=0.0, **attrs)
     attrs["fid"] = 999
     attrs["late"] = True
     assert live.attrs == timed.attrs == {"fid": 1}
@@ -319,8 +312,8 @@ def test_sampled_packet_span_is_stamped_by_the_injected_clock():
 
 def _two_thread_spans():
     tracer = Tracer(clock=FakeClock())
-    root = tracer.start("admission.request", fid=1)
-    tracer.finish(root)
+    with tracer.span("admission.request", fid=1) as root:
+        pass
     tracer.record_span(
         "datapath.packet",
         start_s=root.start_s + 0.001,
@@ -402,32 +395,33 @@ def test_flight_recorder_trigger_captures_tree_and_fingerprint():
     )
     assert tracer.recorder is recorder
 
-    root = tracer.start("admission.request", fid=1)
-    child = tracer.start("admission.attempt", parent=root)
-    state["pools"] = "v2"  # fingerprint must be evaluated at dump time
-    dump = tracer.anomaly("stale_retries", child, attempts=3)
-    assert dump.reason == "stale_retries"
-    assert dump.trace_id == root.trace_id
-    assert dump.attrs == {"attempts": 3}
-    assert dump.fingerprint == {"pools": "v2"}
-    # Live spans are part of the dump; the tree reconstructs from it.
-    assert {s.span_id for s in dump.spans} == {root.span_id, child.span_id}
-    tree = dump.tree()
-    assert tree["roots"] == [root]
-    assert tree["orphans"] == []
-    assert dump.find("admission.attempt") == [child]
-    json.dumps(dump.as_dict(), default=repr)
+    with tracer.span("admission.request", fid=1) as root:
+        with tracer.span("admission.attempt") as child:
+            state["pools"] = "v2"  # fingerprint must be evaluated at dump time
+            dump = tracer.anomaly("stale_retries", attempts=3)
+        assert dump.reason == "stale_retries"
+        assert dump.trace_id == root.trace_id
+        assert dump.attrs == {"attempts": 3}
+        assert dump.fingerprint == {"pools": "v2"}
+        # Live spans are part of the dump; the tree reconstructs from it.
+        assert {s.span_id for s in dump.spans} == {root.span_id, child.span_id}
+        tree = dump.tree()
+        assert tree["roots"] == [root]
+        assert tree["orphans"] == []
+        assert dump.find("admission.attempt") == [child]
+        json.dumps(dump.as_dict(), default=repr)
 
-    # Ring bound: oldest dumps evict first.
-    tracer.anomaly("shed", root)
-    tracer.anomaly("rollback", root)
-    assert [d.reason for d in recorder.dumps] == ["shed", "rollback"]
-    assert recorder.triggered == 3
-    assert recorder.dumps_for("shed")[0].reason == "shed"
+        # Ring bound: oldest dumps evict first.
+        tracer.anomaly("shed")
+        tracer.anomaly("rollback")
+        assert [d.reason for d in recorder.dumps] == ["shed", "rollback"]
+        assert recorder.triggered == 3
+        assert recorder.dumps_for("shed")[0].reason == "shed"
+        assert recorder.dumps_for("shed")[0].trace_id == root.trace_id
 
-    recorder.detach()
-    assert tracer.recorder is None
-    assert tracer.anomaly("shed", root) is None  # no recorder -> dropped
+        recorder.detach()
+        assert tracer.recorder is None
+        assert tracer.anomaly("shed") is None  # no recorder -> dropped
 
     with pytest.raises(ValueError):
         FlightRecorder(tracer, capacity=0)
@@ -436,7 +430,7 @@ def test_flight_recorder_trigger_captures_tree_and_fingerprint():
 def test_anomaly_without_context_dumps_no_spans():
     tracer = Tracer(clock=FakeClock())
     recorder = FlightRecorder(tracer, fingerprint=lambda: "fp")
-    dump = tracer.anomaly("shed", None, cause="queue_full")
+    dump = tracer.anomaly("shed", cause="queue_full")
     assert dump.trace_id is None
     assert dump.spans == []
     assert dump.fingerprint == "fp"

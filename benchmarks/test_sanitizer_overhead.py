@@ -19,12 +19,8 @@ import time
 from unittest import mock
 
 from repro.apps.base import EXEMPLAR_APPS
-from repro.controller.controller import ActiveRmtController
-from repro.controller.service import (
-    AdmissionService,
-    pools_fingerprint,
-    replay_commit_log,
-)
+from repro.controller.controller import ActiveRmtController, replay_commit_log
+from repro.controller.service import AdmissionService, pools_fingerprint
 from repro.experiments.common import (
     ChurnDriver,
     Proofs,

@@ -17,13 +17,13 @@ from repro.controller.controller import (
     ProvisioningStatus,
     RequestKind,
     SnapshotCost,
+    replay_commit_log,
     withdraw_with_retries,
 )
 from repro.controller.service import (
     AdmissionService,
     AdmissionServiceError,
     BatchReport,
-    replay_commit_log,
 )
 
 __all__ = [

@@ -22,7 +22,9 @@ Every admission is committed through one door,
 The committed :class:`AllocationPlan` is the admission's one record.
 A withdrawal is the same transaction without a plan (`_do_withdraw`):
 both apply through `_apply_layout` and, when the switch refuses,
-unwind through `_unwind`.
+unwind through `_unwind`.  Each admission and withdrawal that lands is
+appended to :attr:`ActiveRmtController.commit_log`, the history
+:meth:`~ActiveRmtController.recover` replays (:func:`replay_commit_log`).
 """
 
 from __future__ import annotations
@@ -95,6 +97,11 @@ from repro.telemetry import (
 
 class ControllerError(Exception):
     """Raised on controller misuse (unknown FID, malformed digest)."""
+
+
+#: One committed control-plane operation, in commit order: ("admit", fid)
+#: or ("withdraw", fid).
+CommitLogEntry = Tuple[str, int]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -221,8 +228,9 @@ class ProvisioningReport:
     #: (``success``/``dry_run``/``rolled_back``).
     status: Optional[ProvisioningStatus] = None
     #: What switch-side failure produced this outcome: ``"tcam"``
-    #: (capacity rejection), ``"transient"`` (retries exhausted on a
-    #: recoverable fault -- the admission service may re-plan and try
+    #: (capacity rejection), ``"transient"`` (the update engine's
+    #: per-operation retries exhausted on a recoverable fault; state is
+    #: byte-identical to before the request, so the caller may submit it
     #: again), or ``"device"`` (permanent; the device is dead and the
     #: controller's :attr:`~ActiveRmtController.device_failed` flag is
     #: set).  None for clean outcomes.
@@ -292,8 +300,7 @@ class ActiveRmtController:
         #: = no retries, historical behavior).
         self.retry = retry
         #: Latched when a permanent device fault is observed (commit,
-        #: rollback, or withdrawal).  The admission service stops
-        #: fault-retrying and the fabric fails the shard over.
+        #: rollback, or withdrawal); the fabric fails the shard over.
         self.device_failed = False
         #: Admission-time static verification policy: ``strict`` rejects
         #: any error-severity finding before commit, ``warn`` (default)
@@ -329,6 +336,10 @@ class ActiveRmtController:
         self.snapshot_cost = snapshot_cost or SnapshotCost()
         self.mac = MacAddress.from_host_id(0xC0FFEE)
         self.reports: List[ProvisioningReport] = []
+        #: Every admission and withdrawal that landed, in commit order:
+        #: replaying it serially on a fresh controller reproduces the
+        #: pools byte for byte (:func:`replay_commit_log`).
+        self.commit_log: List[CommitLogEntry] = []
         self._client_macs: Dict[int, MacAddress] = {}
         #: Packet-driven withdrawals the switch refused: the fid is
         #: still resident and its client, gone idle, will not ask again,
@@ -400,7 +411,7 @@ class ActiveRmtController:
     def recover(
         cls,
         device: Union[Device, object],
-        commit_log: Sequence[Tuple[str, int]],
+        commit_log: Sequence[CommitLogEntry],
         patterns: Mapping[int, AccessPattern],
         **settings: Any,
     ) -> "ActiveRmtController":
@@ -410,22 +421,18 @@ class ActiveRmtController:
         constructed on *device* (a fresh or replacement switch) with
         *settings* -- constructor keywords, normally the failed
         instance's own :meth:`settings` -- and the failed instance's
-        commit log is replayed serially -- the same linearization
-        witness the admission service maintains -- so the recovered
-        allocator pools and device tables are byte-identical to what a
-        clean serial execution of the committed history produces.
-        *patterns* must cover every fid the log admits.
+        :attr:`commit_log` is replayed serially onto it, so the
+        recovered allocator pools and device tables are byte-identical
+        to what a clean serial execution of the committed history
+        produces, and the recovered controller's own log is the one the
+        replay wrote.  *patterns* must cover every fid the log admits.
 
         The replacement device must be empty (same capabilities, no
         resident state); recovery proves nothing about a device with
         prior tenants.
         """
         controller = cls(device, **settings)
-        # Imported lazily: the service sits above the controller in the
-        # module graph (it imports this module at load time).
-        from repro.controller.service import replay_commit_log
-
-        replay_commit_log(list(commit_log), dict(patterns), controller)
+        replay_commit_log(commit_log, patterns, controller)
         controller.recoveries += 1
         return controller
 
@@ -448,6 +455,7 @@ class ActiveRmtController:
         An admission is two-phase: the plan is computed on the live
         allocator without touching allocator or switch state; a dry run
         stops there, anything else is committed by :meth:`commit_plan`.
+        Admitting a resident fid is a ``REJECTED`` report naming it.
         """
         if request.kind is RequestKind.ADMIT:
             if request.fid is None or request.pattern is None:
@@ -455,11 +463,15 @@ class ActiveRmtController:
             with self.tracer.span(
                 "controller.admit", fid=request.fid, dry_run=request.dry_run
             ) as span:
-                plan = self.allocator.plan(request.fid, request.pattern)
-                if request.dry_run:
-                    report = self.report_dry_run(plan)
+                try:
+                    plan = self.allocator.plan(request.fid, request.pattern)
+                except AllocationError as exc:  # a resident fid
+                    report = ProvisioningReport(fid=request.fid, success=False, reason=str(exc))
                 else:
-                    (report,) = self.commit_plan([plan], [request.program])
+                    if request.dry_run:
+                        report = self.report_dry_run(plan)
+                    else:
+                        (report,) = self.commit_plan([plan], [request.program])
                 assert report.status is not None
                 span.set(status=report.status.value)
                 return report
@@ -530,10 +542,10 @@ class ActiveRmtController:
     ) -> List[ProvisioningReport]:
         """Commit a group of plans under one journal, all-or-nothing.
 
-        The one admission commit: :meth:`submit` and the admission
-        service bring a lone plan computed on the live allocator, the
-        service a group's plans computed against a shadow -- N = 1 is
-        simply the smallest group.  A group's plans must have been computed consecutively
+        The one admission commit: :meth:`submit` brings a lone plan
+        computed on the live allocator, the admission service a group's
+        plans computed against a shadow -- N = 1 is simply the smallest
+        group.  A group's plans must have been computed consecutively
         against one shadow (each feasible one rehearsed before the next
         was planned), so their basis stamps replay exactly onto the real
         allocator.  A member without a feasible mutant rejects the whole
@@ -543,7 +555,8 @@ class ActiveRmtController:
         :class:`TableUpdateJournal`: a TCAM rejection or device fault
         replays it backwards and rolls back every committed member,
         leaving the switch and allocator byte-identical to the
-        pre-commit state (all reports carry ``ROLLED_BACK``).  One report
+        pre-commit state (all reports carry ``ROLLED_BACK``).  A group
+        that lands appends each member to :attr:`commit_log`.  One report
         per plan, in order; *programs* are the members' compact programs
         (for the verifier), none by default.
 
@@ -658,6 +671,7 @@ class ActiveRmtController:
                         plans, table_seconds, verifications, certificates
                     ):
                         self.allocator.record_decision(plan)
+                        self.commit_log.append(("admit", plan.fid))
                         reports.append(
                             self._record_report(
                                 ProvisioningReport(
@@ -1042,6 +1056,7 @@ class ActiveRmtController:
             else:
                 journal.commit_entries()
                 self.allocator.record_release(reallocations)
+                self.commit_log.append(("withdraw", fid))
                 report = ProvisioningReport(fid=fid, success=True, table_update_seconds=seconds)
                 self._record_withdrawal(seconds)
             assert report.status is not None
@@ -1162,6 +1177,31 @@ class ActiveRmtController:
             )
         )
         return replies
+
+
+def replay_commit_log(
+    log: Sequence[CommitLogEntry],
+    patterns: Mapping[int, AccessPattern],
+    controller: ActiveRmtController,
+) -> None:
+    """Replay a commit log serially onto a fresh *controller*.
+
+    The logged run's pools must end byte-identical to this replay: every
+    commit was validated against the exact allocator version it applied
+    to, so the run *is* the serial execution of its commit log.
+    """
+    for kind, fid in log:
+        if kind == "admit":
+            report = controller.admit(fid=fid, pattern=patterns[fid])
+            if not report.success:
+                raise AssertionError(
+                    f"serial replay rejected fid {fid} admitted in the run: "
+                    f"{report.reason}"
+                )
+        elif kind == "withdraw":
+            controller.withdraw(fid=fid)
+        else:
+            raise ValueError(f"unknown commit-log entry kind {kind!r}")
 
 
 def withdraw_with_retries(

@@ -81,7 +81,7 @@ class PermanentDeviceError(DeviceError):
 class DeviceInfo:
     """Static identity and capability summary of one device.
 
-    The fields mirror what a fabric placement policy or an inventory
+    The fields mirror what fabric placement or an inventory
     endpoint needs without holding the device itself: who the device
     is, what kind of backend serves it, and how much memory it brings.
     """

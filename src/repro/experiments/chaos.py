@@ -68,7 +68,6 @@ class ChaosResult(ScenarioResult):
     replay_match: bool
     transient_faults: int
     retries_healed: int
-    fault_retries: int
     proofs: Proofs
 
     @property
@@ -91,8 +90,7 @@ class ChaosResult(ScenarioResult):
             f"workload: {self.events} events (Poisson, seed {self.seed}) "
             f"across {self.shards} shards",
             f"faults injected: {self.transient_faults} transient/partial "
-            f"({self.retries_healed} ops healed by per-op retries, "
-            f"{self.fault_retries} admission-level re-plans)",
+            f"({self.retries_healed} ops healed by per-op retries)",
             "",
             f"{'outcome':>12} {'count':>6}",
             f"{'resident':>12} {outcomes.admitted:>6}",
@@ -201,7 +199,6 @@ def run_chaos(epochs: int = 60, seed: int = 7) -> ChaosResult:
             for device in faulty
         ),
         retries_healed=sum(shard.controller.updater.retries_healed for shard in columns),
-        fault_retries=sum(shard.service.fault_retries for shard in columns),
         # Post-recovery proof obligations across every live shard.
         proofs=Proofs.of(fabric.audit().values(), fabric.certificates().values()),
     )

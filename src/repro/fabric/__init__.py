@@ -1,7 +1,7 @@
 """Sharded multi-switch fabric over the device abstraction layer.
 
 :class:`Fabric` routes provisioning requests across N independent
-(controller, device) shards under a pluggable placement policy.
+(controller, device) shards, placing each new application by hash.
 """
 
 from repro.fabric.fabric import (
@@ -9,31 +9,15 @@ from repro.fabric.fabric import (
     Fabric,
     FabricError,
     Shard,
+    hash_placement,
     replay_shard,
-)
-from repro.fabric.placement import (
-    POLICY_NAMES,
-    FirstFitPlacement,
-    HashPlacement,
-    LeastLoadedPlacement,
-    PlacementError,
-    PlacementPolicy,
-    ShardView,
-    make_policy,
 )
 
 __all__ = [
     "Fabric",
     "FabricError",
     "FailoverReport",
-    "FirstFitPlacement",
-    "HashPlacement",
-    "LeastLoadedPlacement",
-    "POLICY_NAMES",
-    "PlacementError",
-    "PlacementPolicy",
     "Shard",
-    "ShardView",
-    "make_policy",
+    "hash_placement",
     "replay_shard",
 ]

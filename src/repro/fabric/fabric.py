@@ -4,12 +4,12 @@ A :class:`Fabric` owns a fleet of shards -- each an independent
 :class:`~repro.device.Device` with its own
 :class:`~repro.controller.controller.ActiveRmtController` and
 :class:`~repro.controller.service.AdmissionService` -- and routes every
-provisioning request to exactly one of them.  Placement of a new
-application is delegated to a pluggable
-:class:`~repro.fabric.placement.PlacementPolicy`; once placed, a fid's
+provisioning request to exactly one of them.  A new application is
+placed by hash (:func:`hash_placement`: ``crc32(fid, seed)`` over the
+live shards, oblivious to load and arrival order); once placed, a fid's
 route is sticky, so all of its subsequent traffic (withdrawals,
-re-admissions, digests) serializes on the same shard and each shard's
-``commit_log`` remains an independent replay witness.
+re-admissions, digests) serializes on the same shard and each shard
+controller's ``commit_log`` remains an independent replay witness.
 
 There is no cross-shard coordination on the hot path: shards share
 nothing but the routing table.  Every request is served inline on the
@@ -27,6 +27,7 @@ snapshots every shard's pool state for flight-recorder dumps.
 from __future__ import annotations
 
 import dataclasses
+import zlib
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -34,24 +35,16 @@ from repro.analysis.findings import AnalysisReport
 from repro.analysis.isolation import IsolationCertificate
 from repro.controller.controller import (
     ActiveRmtController,
+    CommitLogEntry,
     ProvisioningReport,
     RequestKind,
     ProvisioningRequest,
-)
-from repro.controller.service import (
-    AdmissionService,
-    CommitLogEntry,
-    pools_fingerprint,
     replay_commit_log,
 )
-from repro.core.allocator import AllocationError
+from repro.controller.service import AdmissionService, pools_fingerprint
 from repro.core.constraints import AccessPattern, AllocationPolicy, MOST_CONSTRAINED
 from repro.core.schemes import AllocationScheme
 from repro.device import Device, SimDevice
-from repro.fabric.placement import (
-    PlacementPolicy,
-    make_policy,
-)
 from repro.faults import RetryPolicy
 from repro.switchsim.config import SwitchConfig
 from repro.switchsim.switch import ActiveSwitch
@@ -60,6 +53,16 @@ from repro.telemetry import AnyTracer, MetricsRegistry, resolve, resolve_tracer
 
 class FabricError(Exception):
     """Raised on fabric misuse (unroutable request, bad shard count)."""
+
+
+def hash_placement(fid: int, seed: int, count: int) -> int:
+    """The shard position, among *count* live shards, of a new *fid*.
+
+    ``crc32(fid, seed) % count``: the same (fid, seed, count) always
+    lands on the same shard, whatever the arrival order or the shards'
+    load -- the determinism the fabric property tests pin.
+    """
+    return zlib.crc32(f"{fid}:{seed}".encode("ascii")) % count
 
 
 class Shard:
@@ -77,7 +80,8 @@ class Shard:
         self.device: Device = controller.device
         #: Cleared by :meth:`Fabric.failover` when the shard's device is
         #: declared dead.  A dead shard takes no traffic; its host-side
-        #: allocator and commit log stay readable for recovery.
+        #: allocator and its controller's commit log stay readable for
+        #: recovery.
         self.alive = True
 
     def __repr__(self) -> str:
@@ -90,20 +94,12 @@ class Shard:
 
     @property
     def commit_log(self) -> List[CommitLogEntry]:
-        return self.service.commit_log
+        """The shard controller's commit log (read it, do not append)."""
+        return self.controller.commit_log
 
     def used_blocks(self) -> int:
         """Blocks allocated on this shard."""
         return sum(pool.used_blocks for pool in self.controller.allocator.pools.values())
-
-    def probe(self, fid: int, pattern: AccessPattern) -> bool:
-        """Feasibility of admitting *pattern* here, without side effects."""
-        shadow = self.controller.allocator.shadow()
-        try:
-            plan = shadow.plan(fid, pattern)
-        except AllocationError:
-            return False
-        return plan.feasible
 
     def fingerprint(self) -> Tuple[object, ...]:
         """Byte-identity fingerprint of this shard's stage pools."""
@@ -149,12 +145,9 @@ class Fabric:
     Args:
         shards: the columns this fabric owns (see :meth:`build` for the
             common construction from a shard count).
-        placement: a :class:`~repro.fabric.placement.PlacementPolicy`
-            instance or one of the built-in names (``"hash"``,
-            ``"least-loaded"``, ``"first-fit"``).
-        seed: seeds hash placement; with a fixed seed the fid -> shard
-            map is a pure function of the fid (the determinism the
-            fabric property tests pin).
+        seed: seeds hash placement (:func:`hash_placement`); with a
+            fixed seed the fid -> shard map is a pure function of the
+            fid and the live shard count.
         telemetry: metrics registry that reads the fabric-level,
             device-labeled series (:meth:`metrics`); defaults to the
             process default.
@@ -165,7 +158,6 @@ class Fabric:
     def __init__(
         self,
         shards: Sequence[Shard],
-        placement: Union[str, PlacementPolicy] = "hash",
         seed: int = 0,
         telemetry: Optional[MetricsRegistry] = None,
         tracer: Optional[AnyTracer] = None,
@@ -173,7 +165,7 @@ class Fabric:
         if not shards:
             raise FabricError("a fabric needs at least one shard")
         self.shards: List[Shard] = list(shards)
-        self.placement = make_policy(placement, seed=seed)
+        self.seed = seed
         self.telemetry = resolve(telemetry)
         self.tracer = resolve_tracer(tracer)
         #: Sticky fid -> shard-index routes.  Only the fabric writes;
@@ -183,9 +175,9 @@ class Fabric:
         #: failover can re-admit or replay its residents (the commit log
         #: records fids; the patterns live here).
         self._patterns: Dict[int, AccessPattern] = {}
-        #: New applications placed, by ``(device, policy)``, and
-        #: requests routed, by ``(device, kind)``.
-        self.placements: Counter[Tuple[str, str]] = Counter()
+        #: New applications placed, by device, and requests routed, by
+        #: ``(device, kind)``.
+        self.placements: Counter[str] = Counter()
         self.requests: Counter[Tuple[str, str]] = Counter()
         #: What each :meth:`failover` did, in order.
         self.failovers: List[FailoverReport] = []
@@ -204,7 +196,6 @@ class Fabric:
         cls,
         num_shards: int,
         config: Optional[SwitchConfig] = None,
-        placement: Union[str, PlacementPolicy] = "hash",
         seed: int = 0,
         workers: int = 0,
         scheme: AllocationScheme = AllocationScheme.WORST_FIT,
@@ -249,13 +240,7 @@ class Fabric:
             )
             service = AdmissionService(controller, workers=workers)
             shards.append(Shard(index, controller, service))
-        return cls(
-            shards,
-            placement=placement,
-            seed=seed,
-            telemetry=registry,
-            tracer=tracer,
-        )
+        return cls(shards, seed=seed, telemetry=registry, tracer=tracer)
 
     # ------------------------------------------------------------------
     # Routing
@@ -266,22 +251,16 @@ class Fabric:
         return self._routes.get(fid)
 
     def _place(self, fid: int, pattern: AccessPattern, sticky: bool) -> int:
-        # Policies see only the live shards (dead ones take no
-        # placements); the chosen position maps back to a fleet index.
+        # Only the live shards take placements; the hashed position maps
+        # back to a fleet index.
         live = self.live_shards()
         if not live:
             raise FabricError("no live shards left in the fabric")
-        position = self.placement.place(fid, pattern, live)
-        if not 0 <= position < len(live):
-            raise FabricError(
-                f"placement policy {self.placement.name!r} returned shard "
-                f"{position} for fid {fid}; fabric has {len(live)} live shards"
-            )
-        index = live[position].index
+        index = live[hash_placement(fid, self.seed, len(live))].index
         if sticky:
             self._routes[fid] = index
             self._patterns[fid] = pattern
-            self.placements[self.shards[index].device_id, self.placement.name] += 1
+            self.placements[self.shards[index].device_id] += 1
         return index
 
     def _route(self, request: ProvisioningRequest) -> Shard:
@@ -321,7 +300,8 @@ class Fabric:
 
     def close(self) -> None:
         """Nothing to release: every request is served inline.  Kept
-        for callers that close what they build."""
+        for callers that close what they build (the repository
+        benchmark's fault workload does)."""
 
     def __len__(self) -> int:
         return len(self.shards)
@@ -340,11 +320,11 @@ class Fabric:
         With a *replacement* device (anything
         :func:`~repro.device.as_device` accepts, empty and
         capability-identical), the dead shard's controller state is
-        rebuilt onto it from the commit log
-        (:meth:`ActiveRmtController.recover`) and the new column takes
-        over the old routes in place; ``fingerprint_match`` proves the
-        recovered pools are byte-identical to the failed shard's
-        host-side pools.
+        rebuilt onto it from its controller's commit log
+        (:meth:`ActiveRmtController.recover`, whose replay writes the
+        replacement's own log) and the new column takes over the old
+        routes in place; ``fingerprint_match`` proves the recovered
+        pools are byte-identical to the failed shard's host-side pools.
 
         Without a replacement, the dead shard's residents are
         re-admitted on the surviving shards through the normal
@@ -392,21 +372,15 @@ class Fabric:
         residents: List[int],
     ) -> FailoverReport:
         """Rebuild the dead shard's state onto *replacement*, in place,
-        configured by the failed column's own ``settings()``."""
+        configured by the failed controller's own ``settings()``."""
         old = failed.controller
         recovered = ActiveRmtController.recover(
-            replacement, failed.commit_log, self._patterns, **old.settings()
+            replacement, old.commit_log, self._patterns, **old.settings()
         )
         match = pools_fingerprint(recovered.allocator) == pools_fingerprint(
             old.allocator
         )
-        service = AdmissionService(recovered, **failed.service.settings())
-        # The replacement column inherits the serialization history: its
-        # log must replay to the state it starts from, so audits and
-        # replay_shard() keep holding across the failover.
-        service.commit_log.extend(failed.commit_log)
-        self.shards[index] = Shard(index, recovered, service)
-        self.shards[index].alive = True
+        self.shards[index] = Shard(index, recovered, AdmissionService(recovered))
         return FailoverReport(
             index=index,
             device_id=failed.device_id,
@@ -520,7 +494,7 @@ class Fabric:
                 match[report.device_id] = int(report.fingerprint_match)
         live = self.live_shards()
         return {
-            "fabric_placements_total{device,policy}": self.placements,
+            "fabric_placements_total{device}": self.placements,
             "fabric_requests_total{device,kind}": self.requests,
             "fabric_failovers_total{device,mode}": failovers,
             "fabric_failover_readmitted_total{device}": readmitted,

@@ -22,12 +22,13 @@ replies leave.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.controller.controller import (
     ActiveRmtController,
     ControllerError,
     ProvisioningReport,
+    ProvisioningRequest,
 )
 from repro.controller.service import AdmissionService
 from repro.core.constraints import AccessPattern
@@ -51,10 +52,11 @@ class SimProvisioner:
         self.loop = loop
         self.network = network
         self.controller = controller
-        #: Admissions flow through the unified request API: the
-        #: admission service runs the plan/commit pipeline inline and
-        #: keeps the commit log.
-        self.service = service or AdmissionService(controller)
+        #: Where wire requests go: *service*'s front door when given,
+        #: else the controller's own :meth:`~ActiveRmtController.submit`.
+        self._submit: Callable[[ProvisioningRequest], ProvisioningReport] = (
+            controller.submit if service is None else service.submit_and_wait
+        )
         self.provisioning_log: List[Dict] = []
         #: fid -> AccessPattern used instead of the wire-decoded one;
         #: lets locally-known constraints (e.g. the heavy hitter's
@@ -70,7 +72,7 @@ class SimProvisioner:
         for digest in controller.device.poll_digests():
             try:
                 report = controller.serve_digest(
-                    digest, self.service.submit_and_wait, self.pattern_overrides
+                    digest, self._submit, self.pattern_overrides
                 )
             except ControllerError:
                 # A malformed digest, or a DEALLOCATE for a fid that is

@@ -3,9 +3,9 @@
 The contracts under test:
 
 - **The commit-log witness**: admissions and withdrawals leave the
-  pools byte-identical to the serial replay of the service's own
-  commit log, however many provisioning windows the run is modeled
-  with.
+  pools byte-identical to the serial replay of the controller's commit
+  log (which the service reads), however many provisioning windows the
+  run is modeled with; only operations that landed are logged.
 - **The basis guard**: a plan made against another allocator version
   is refused, and on the inline path the ``StalePlanError`` propagates
   (nothing re-plans it).
@@ -28,14 +28,14 @@ from repro.controller import (
     AdmissionServiceError,
     ProvisioningRequest,
     ProvisioningStatus,
+    replay_commit_log,
 )
-from repro.controller.service import pools_fingerprint, replay_commit_log
+from repro.controller.service import pools_fingerprint
 from repro.core.transactions import PlanState, StalePlanError
 from repro.device import SimDevice
 from repro.experiments.common import windowed_seconds
 from repro.faults import FaultKind, FaultyDevice
 from repro.switchsim import ActiveSwitch, SwitchConfig
-from repro.telemetry import MetricsRegistry
 
 from tests.test_analysis_verifier import (
     _counter_pattern,
@@ -128,6 +128,53 @@ def test_concurrent_mixed_churn_linearizes():
     assert pools_fingerprint(controller.allocator) == pools_fingerprint(
         replay.allocator
     )
+
+
+def test_the_commit_log_holds_only_what_landed():
+    """The controller logs an admission or a withdrawal once it landed,
+    and nothing else: a rolled-back (8-entry TCAM), rejected, dry-run
+    or strict-refused admission and a refused withdrawal add no entry."""
+    pattern = listing1_pattern()
+    armed = {"remove_grant": False}
+    device = FaultyDevice(
+        SimDevice(ActiveSwitch(SwitchConfig(tcam_entries_per_stage=8))),
+        ScriptedPlan(lambda op, index: FaultKind.TRANSIENT if armed.get(op) else None),
+    )
+    controller = ActiveRmtController(device)  # no retry: a fault escapes
+    statuses = [controller.admit(fid=fid, pattern=pattern).status for fid in range(1, 9)]
+    assert statuses == [ProvisioningStatus.ADMITTED] * 6 + [ProvisioningStatus.ROLLED_BACK] * 2
+    landed = [("admit", fid) for fid in range(1, 7)]
+    assert controller.commit_log == landed
+    resident = controller.admit(fid=1, pattern=pattern)
+    assert resident.status is ProvisioningStatus.REJECTED
+    assert resident.reason == "fid 1 already admitted"
+    assert controller.admit(fid=9, pattern=pattern, dry_run=True).status is (
+        ProvisioningStatus.DRY_RUN
+    )
+    armed["remove_grant"] = True
+    refused = controller.submit(ProvisioningRequest.withdrawal(fid=2))
+    assert refused.status is ProvisioningStatus.ROLLED_BACK
+    assert controller.commit_log == landed
+    armed["remove_grant"] = False
+    assert controller.submit(ProvisioningRequest.withdrawal(fid=2)).success
+    assert controller.commit_log == [*landed, ("withdraw", 2)]
+
+    # No feasible mutant: a small register file fills up.
+    full = _controller(words_per_stage=1024)
+    fid = 1
+    while (report := full.admit(fid=fid, pattern=pattern)).success:
+        fid += 1
+        assert fid < 50
+    assert report.status is ProvisioningStatus.REJECTED
+    assert full.commit_log == [("admit", admitted) for admitted in range(1, fid)]
+
+    strict = ActiveRmtController(ActiveSwitch(), verify="strict")
+    liar = strict.submit(
+        ProvisioningRequest.admission(fid=1, pattern=_liar_pattern(), program=_liar_program())
+    )
+    assert liar.status is ProvisioningStatus.REJECTED
+    assert liar.reason.startswith("verifier rejected:")
+    assert strict.commit_log == []
 
 
 # ----------------------------------------------------------------------
@@ -238,11 +285,12 @@ def test_batch_rejects_infeasible_member_without_touching_state():
         fid += 1
         assert fid < 500
     before = allocator_fingerprint(controller.allocator)
+    logged = list(service.commit_log)  # the fillers, admitted directly
     batch = service.submit_many([_admission(1), _admission(2)])
     report = batch
     assert report.status is ProvisioningStatus.REJECTED
     assert allocator_fingerprint(controller.allocator) == before
-    assert service.commit_log == []
+    assert service.commit_log == logged
 
 
 def test_batch_strict_rejection_reports_every_member():
@@ -458,34 +506,6 @@ def test_batch_with_resident_fid_is_a_rejection_not_an_error():
     assert service.submit_and_wait(_admission(4)).success
 
 
-def test_batch_replans_after_transient_rollback():
-    """The bounded transient-fault re-plan applies to groups too: the
-    first attempt rolls the whole group back on one scripted install
-    fault, the second commits it."""
-    faulted = {"done": False}
-
-    def fault_one_install(op, index):
-        if op == "install_grant" and not faulted["done"]:
-            faulted["done"] = True
-            return FaultKind.TRANSIENT
-        return None
-
-    telemetry = MetricsRegistry()
-    device = FaultyDevice(
-        SimDevice(ActiveSwitch(), device_id="sw0"), ScriptedPlan(fault_one_install)
-    )
-    controller = ActiveRmtController(device, telemetry=telemetry)
-    service = AdmissionService(controller)
-    report = service.submit_many(
-        [_admission(fid) for fid in (1, 2, 3)]
-    )
-    assert report.status is ProvisioningStatus.ADMITTED
-    assert service.commit_log == [("admit", 1), ("admit", 2), ("admit", 3)]
-    counters = telemetry.snapshot()["counters"]
-    assert counters.get("admission_fault_retries_total") == 1.0
-    assert not controller.audit().errors
-
-
 def test_batch_infeasible_member_reports_every_member():
     """The controller's commit owns group infeasibility: the first
     member without a feasible mutant carries the planner's verdict, its
@@ -500,6 +520,7 @@ def test_batch_infeasible_member_reports_every_member():
     controller.withdraw(fid=100)
     before = allocator_fingerprint(controller.allocator)
     recorded = len(controller.reports)
+    logged = list(service.commit_log)  # the fillers, admitted directly
     report = service.submit_many(
         [_admission(1), _admission(2), _admission(3)]
     )
@@ -512,5 +533,5 @@ def test_batch_infeasible_member_reports_every_member():
         "batch aborted: no feasible mutant for fid 2"
     )
     assert controller.reports[recorded:] == [culprit]
-    assert service.commit_log == []
+    assert service.commit_log == logged
     assert allocator_fingerprint(controller.allocator) == before

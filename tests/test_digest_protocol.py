@@ -161,7 +161,7 @@ def test_both_clocks_serve_the_same_protocol():
         [],
         [1],
     ]
-    assert provisioner.service.commit_log == [
+    assert simulated.commit_log == instant.commit_log == [
         ("admit", 1),
         ("admit", 50),
         ("withdraw", 1),

@@ -15,9 +15,9 @@ The contracts under test:
 - **Sticky routing**: withdrawals follow the fid's admission shard;
   unplaced withdrawals are a :class:`FabricError`; dry-run probes do
   not pin a route.
-- **Policies**: least-loaded picks the emptiest shard (ties to the
-  lower index), first-fit takes the first feasible shard and falls
-  back to least-loaded when nothing fits.
+- **One history per shard**: a replace failover's replacement
+  controller holds the log its own replay wrote, equal to the failed
+  shard's, and the shard and its service read that one list.
 """
 
 import inspect
@@ -39,12 +39,8 @@ from repro.device import SimDevice
 from repro.fabric import (
     Fabric,
     FabricError,
-    FirstFitPlacement,
-    HashPlacement,
-    LeastLoadedPlacement,
-    PlacementError,
     Shard,
-    make_policy,
+    hash_placement,
     replay_shard,
 )
 from repro.isa import assemble
@@ -59,23 +55,8 @@ def _admission(fid: int) -> ProvisioningRequest:
 
 
 # ----------------------------------------------------------------------
-# Placement policies (pure, via stub shards)
+# Hash placement
 # ----------------------------------------------------------------------
-
-
-class StubShard:
-    def __init__(self, device_id, blocks, fits=True):
-        self.device_id = device_id
-        self._blocks = blocks
-        self._fits = fits
-        self.probes = 0
-
-    def used_blocks(self):
-        return self._blocks
-
-    def probe(self, fid, pattern):
-        self.probes += 1
-        return self._fits
 
 
 @settings(max_examples=60, deadline=None)
@@ -85,43 +66,9 @@ class StubShard:
     count=st.integers(min_value=1, max_value=16),
 )
 def test_hash_placement_is_a_pure_function_of_fid_seed_count(fid, seed, count):
-    shards = [StubShard(f"sw{i}", blocks=i * 7) for i in range(count)]
-    policy = HashPlacement(seed=seed)
-    first = policy.place(fid, None, shards)
-    # Same inputs, fresh policy instance, loads perturbed: same answer.
-    perturbed = [StubShard(f"sw{i}", blocks=100 - i) for i in range(count)]
-    assert HashPlacement(seed=seed).place(fid, None, perturbed) == first
+    first = hash_placement(fid, seed, count)
+    assert hash_placement(fid, seed, count) == first
     assert 0 <= first < count
-
-
-def test_least_loaded_picks_emptiest_with_index_ties():
-    shards = [StubShard("a", 5), StubShard("b", 2), StubShard("c", 2)]
-    assert LeastLoadedPlacement().place(1, None, shards) == 1
-
-
-def test_first_fit_takes_first_feasible_shard():
-    shards = [
-        StubShard("a", 0, fits=False),
-        StubShard("b", 9, fits=True),
-        StubShard("c", 1, fits=True),
-    ]
-    assert FirstFitPlacement().place(1, None, shards) == 1
-    assert shards[2].probes == 0  # stopped at the first fit
-
-
-def test_first_fit_falls_back_to_least_loaded_when_nothing_fits():
-    shards = [StubShard("a", 5, fits=False), StubShard("b", 3, fits=False)]
-    assert FirstFitPlacement().place(1, None, shards) == 1
-
-
-def test_make_policy_resolves_names_and_passes_instances_through():
-    assert make_policy("hash", seed=3).seed == 3
-    assert make_policy("least-loaded").name == "least-loaded"
-    assert make_policy("first-fit").name == "first-fit"
-    policy = LeastLoadedPlacement()
-    assert make_policy(policy) is policy
-    with pytest.raises(PlacementError, match="unknown placement"):
-        make_policy("round-robin")
 
 
 # ----------------------------------------------------------------------
@@ -267,9 +214,8 @@ def test_fingerprint_and_stats_cover_every_shard():
 # ----------------------------------------------------------------------
 
 
-def _keywords(cls, *excluded):
-    parameters = list(inspect.signature(cls.__init__).parameters)[2:]
-    return {name for name in parameters if name not in excluded}
+def _keywords(cls):
+    return set(list(inspect.signature(cls.__init__).parameters)[2:])
 
 
 def test_settings_cover_every_constructor_keyword():
@@ -277,8 +223,6 @@ def test_settings_cover_every_constructor_keyword():
     it does not list silently reverts to its default on the replacement."""
     controller = ActiveRmtController(ActiveSwitch())
     assert set(controller.settings()) == _keywords(ActiveRmtController)
-    service = AdmissionService(controller)
-    assert set(service.settings()) == _keywords(AdmissionService, "workers")
 
 
 def test_failover_replace_keeps_the_failed_shards_settings():
@@ -293,7 +237,7 @@ def test_failover_replace_keeps_the_failed_shards_settings():
         table_cost=TableUpdateCost(install_entry_seconds=1.0),
         snapshot_cost=SnapshotCost(per_block_seconds=2.0),
     )
-    service = AdmissionService(controller, fault_retry_limit=5)
+    service = AdmissionService(controller)
     fabric = Fabric([Shard(0, controller, service)])
     filler = assemble(FILLER, name="filler")
     assert fabric.submit_and_wait(
@@ -311,9 +255,7 @@ def test_failover_replace_keeps_the_failed_shards_settings():
     assert shard.controller.verify is VerifyMode.STRICT
     assert shard.controller.updater.cost.install_entry_seconds == 1.0
     assert shard.controller.snapshot_cost.per_block_seconds == 2.0
-    assert shard.service.fault_retry_limit == 5
     assert shard.controller.settings() == controller.settings()
-    assert shard.service.settings() == service.settings()
 
     # Strict before, strict after: the rigged mutant (ADDR_OFFSET twice
     # re-adds the region base) is still refused, state untouched.
@@ -327,3 +269,29 @@ def test_failover_replace_keeps_the_failed_shards_settings():
     assert refused.status is ProvisioningStatus.REJECTED
     assert "ARMT010" in refused.reason
     assert shard.fingerprint() == before
+
+
+def test_replacement_holds_the_log_its_replay_wrote():
+    """A replace failover copies no log: the replacement controller's
+    own replay of the failed shard's history writes an equal one, and
+    the shard and its service read that list, not a copy of it."""
+    fabric = Fabric.build(2, seed=3)
+    for fid in range(1, 9):
+        assert fabric.submit_and_wait(_admission(fid)).success
+    index = fabric.route_of(1)
+    assert fabric.submit_and_wait(ProvisioningRequest.withdrawal(fid=1)).success
+    failed = fabric.shards[index].controller
+    history = list(failed.commit_log)
+    assert ("withdraw", 1) in history
+
+    report = fabric.failover(
+        index, replacement=SimDevice(ActiveSwitch(), device_id="spare")
+    )
+    assert report.fingerprint_match
+    shard = fabric.shards[index]
+    recovered = shard.controller
+    assert recovered.recoveries == 1
+    assert recovered.commit_log == failed.commit_log == history
+    assert recovered.commit_log is not failed.commit_log
+    assert shard.commit_log is recovered.commit_log
+    assert shard.service.commit_log is recovered.commit_log

@@ -448,7 +448,7 @@ def test_device_error_mid_batch_rolls_back_whole_group():
 
     device = FaultyDevice(_sim(), ScriptedPlan(fault_fourth_install))
     controller = ActiveRmtController(device)  # no retry: the fault escapes
-    service = AdmissionService(controller, fault_retry_limit=0)
+    service = AdmissionService(controller)
     before_alloc = allocator_fingerprint(controller.allocator)
     before_switch = switch_fingerprint(controller)
     report = service.submit_many([_admission(fid) for fid in (1, 2, 3)])
@@ -459,28 +459,6 @@ def test_device_error_mid_batch_rolls_back_whole_group():
     assert allocator_fingerprint(controller.allocator) == before_alloc
     assert switch_fingerprint(controller) == before_switch
     assert all(("admit", fid) not in service.commit_log for fid in (1, 2, 3))
-
-
-def test_service_replans_after_transient_rollback():
-    faulted = {"done": False}
-
-    def fault_first_install_once(op, index):
-        if op == "install_grant" and not faulted["done"]:
-            faulted["done"] = True
-            return FaultKind.TRANSIENT
-        return None
-
-    telemetry = MetricsRegistry()
-    device = FaultyDevice(_sim(), ScriptedPlan(fault_first_install_once))
-    controller = ActiveRmtController(device, telemetry=telemetry)
-    service = AdmissionService(controller)
-    report = service.submit(_admission(1))
-    # The first attempt rolled back on the injected fault; the service
-    # re-planned and the second attempt committed.
-    assert report.status is ProvisioningStatus.ADMITTED
-    assert service.commit_log == [("admit", 1)]
-    counters = telemetry.snapshot()["counters"]
-    assert counters.get("admission_fault_retries_total") == 1.0
 
 
 @pytest.mark.parametrize("op", ["install_grant", "scrub_registers"])

@@ -65,7 +65,7 @@ class Side:
         faulty = FaultyDevice(SimDevice(ActiveSwitch(config)), ScriptedPlan(self._decide))
         self.device = RecordingDevice(faulty)
         self.controller = cls(self.device, retry=retry)
-        self.service = AdmissionService(self.controller, fault_retry_limit=0)
+        self.service = AdmissionService(self.controller)
 
     def _decide(self, op, index):
         if self.skip:

@@ -205,7 +205,6 @@ def test_fabric_run_gauges_are_its_result_fields():
 
 #: The control-plane series after :func:`test_control_plane_series_are_pinned`.
 CONTROL_VIEW = {
-    'admission_fault_retries_total': 1.0,
     'allocator_decisions_total{outcome="admitted"}': 2.0,
     'allocator_rollbacks_total': 2.0,
     'controller_admissions_total{outcome="admitted"}': 2.0,
@@ -225,8 +224,8 @@ CONTROL_VIEW = {
 
 
 def test_control_plane_series_are_pinned():
-    """A what-if, a transient-fault re-plan, two wire digests, a strict
-    verifier rejection, an audit that finds a missing grant, a device
+    """A what-if, a transient-fault rollback and its resubmission, two
+    wire digests, a strict verifier rejection, an audit that finds a missing grant, a device
     that dies mid-admission, and an event loop halfway through."""
     registry = MetricsRegistry()
     faulted = []
@@ -244,6 +243,9 @@ def test_control_plane_series_are_pinned():
     service = AdmissionService(controller)
     pattern = listing1_pattern()
     assert service.submit(ProvisioningRequest.admission(1, pattern, dry_run=True)).success
+    rolled_back = service.submit(ProvisioningRequest.admission(1, pattern))
+    assert rolled_back.rolled_back and rolled_back.fault == "transient"
+    # Nothing was left behind, so the caller may simply submit it again.
     assert service.submit(ProvisioningRequest.admission(1, pattern)).success
     request = ActivePacket.alloc_request(
         src=CLIENT, dst=controller.mac, fid=2, request=pattern.to_request()
@@ -277,7 +279,7 @@ def test_control_plane_series_are_pinned():
     # per recorded admission or withdrawal, and per request the service
     # served, none of them labelled.
     assert _histogram_counts(registry) == {
-        "admission_latency_seconds": 5,
+        "admission_latency_seconds": 6,
         "allocator_allocation_seconds": 2,
         "controller_provisioning_seconds": 5,
         "controller_table_update_seconds": 6,

@@ -101,10 +101,10 @@ CHAOS_GAUGES = {
         "audit_errors": 0, "certificates": 93, "invalid_certificates": 0,
     },
 }
-#: seed -> (events, failover_shed, fault_retries, failovers as
+#: seed -> (events, failover_shed, failovers as
 #: (mode, readmitted, shed, fingerprint_match)).
 CHAOS_FIELDS = {
-    7: (289, 0, 0, [
+    7: (289, 0, [
         ("replace", [31, 36, 39, 43, 47, 52, 54, 55, 63, 64, 67, 68, 69],
          [], True),
         ("redistribute", [
@@ -113,7 +113,7 @@ CHAOS_FIELDS = {
             130, 131,
         ], [], None),
     ]),
-    29: (308, 3, 0, [
+    29: (308, 3, [
         ("replace", [28, 45, 46, 50, 65], [], True),
         ("redistribute", [
             54, 55, 56, 62, 63, 66, 67, 75, 77, 79, 83, 85, 87, 91, 95,
@@ -144,10 +144,9 @@ def test_chaos_fields_and_gauges_are_pinned(seed):
         if series.startswith("chaos_run_")
     }
     assert gauges == CHAOS_GAUGES[seed]
-    events, failover_shed, fault_retries, failovers = CHAOS_FIELDS[seed]
+    events, failover_shed, failovers = CHAOS_FIELDS[seed]
     assert (result.seed, result.shards, result.events) == (seed, 3, events)
     assert result.failover_shed == failover_shed
-    assert result.fault_retries == fault_retries
     assert [
         (report.mode, report.readmitted, report.shed, report.fingerprint_match)
         for report in result.failovers

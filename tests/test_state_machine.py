@@ -84,10 +84,7 @@ class ControlPlaneMachine(RuleBasedStateMachine):
             ScriptedPlan(lambda op, i: self.faults.pop(0) if self.faults else None),
         )
         self.controller = ActiveRmtController(device, retry=RETRY)
-        # No service-level re-plan: a rolled-back step stays visible.
-        self.service = AdmissionService(
-            self.controller, fault_retry_limit=0
-        )
+        self.service = AdmissionService(self.controller)
         self.resident = {}  # the model: fid -> app name
         self.pattern_of_fid = {}
         self.next_fid = 1

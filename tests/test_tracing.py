@@ -6,14 +6,13 @@ The contracts under test:
   :class:`IdSource` counters, so tests assert them literally.
 - **Stack propagation**: a span parents on the innermost span open on
   its tracer, so every span of one control-plane request shares that
-  request's trace ID, and parent links form a tree, its re-planned
-  attempts included.
+  request's trace ID, and parent links form a tree.
 - **Control->data causality**: a sampled packet processed after a
   commit parents on the committing span (``Tracer.layout_context``).
 - **Flight recorder**: each rollback dumps the full correlated span
   tree plus a pools fingerprint, and the acceptance rig reconstructs
-  the chain request -> re-planned attempts -> journal replay -> first
-  packet by IDs alone.
+  the chains request -> admit -> commit -> journal replay and commit ->
+  first packet by IDs alone.
 - The satellites: spans copy their attrs and the clock is injectable
   everywhere -- sampled packet spans included, which both switch front
   doors record through one helper.
@@ -232,7 +231,7 @@ def _span(span_id, parent_id, name="op", trace_id="t-000001", start=0.0):
 
 def test_span_tree_roots_children_orphans():
     root = _span("s-1", None, name="admission.request")
-    mid = _span("s-2", "s-1", name="admission.attempt", start=1.0)
+    mid = _span("s-2", "s-1", name="controller.admit", start=1.0)
     leaf = _span("s-3", "s-2", name="controller.commit_plan", start=2.0)
     orphan = _span("s-9", "s-404", name="evicted-child", start=3.0)
     tree = span_tree([leaf, orphan, mid, root])
@@ -240,7 +239,7 @@ def test_span_tree_roots_children_orphans():
     assert tree["children"]["s-1"] == [mid]
     assert tree["children"]["s-2"] == [leaf]
     assert tree["orphans"] == [orphan]
-    assert find_spans([leaf, mid], "admission.attempt") == [mid]
+    assert find_spans([leaf, mid], "controller.admit") == [mid]
 
 
 def test_span_tree_detects_cycles():
@@ -396,7 +395,7 @@ def test_flight_recorder_trigger_captures_tree_and_fingerprint():
     assert tracer.recorder is recorder
 
     with tracer.span("admission.request", fid=1) as root:
-        with tracer.span("admission.attempt") as child:
+        with tracer.span("controller.admit") as child:
             state["pools"] = "v2"  # fingerprint must be evaluated at dump time
             dump = tracer.anomaly("stale_retries", attempts=3)
         assert dump.reason == "stale_retries"
@@ -408,7 +407,7 @@ def test_flight_recorder_trigger_captures_tree_and_fingerprint():
         tree = dump.tree()
         assert tree["roots"] == [root]
         assert tree["orphans"] == []
-        assert dump.find("admission.attempt") == [child]
+        assert dump.find("controller.admit") == [child]
         json.dumps(dump.as_dict(), default=repr)
 
         # Ring bound: oldest dumps evict first.
@@ -610,25 +609,26 @@ def test_receive_and_receive_batch_record_identical_packet_spans():
 
 
 # ----------------------------------------------------------------------
-# Acceptance rig: re-planned admission + mid-batch rollback, chain by IDs
+# Acceptance rig: rolled-back requests + mid-batch rollback, chain by IDs
 # ----------------------------------------------------------------------
 
 
 def test_flight_dumps_reconstruct_full_causal_chain_by_ids():
-    """Rigged churn: a re-planned admission commits, a batch rolls back.
+    """Rigged churn: two requests roll back, a third commits, a batch
+    rolls back.
 
-    The whole chain -- request span -> attempt spans -> journal-replay
-    span -> first data-path packet under the new layout -- must be
-    reconstructible from the flight dumps and span set using only
-    trace/span/parent IDs (no names-as-hints shortcuts: every hop
-    below follows an ID edge).
+    The whole chain -- request span -> admit span -> journal-replay
+    span, and commit span -> first data-path packet under the new
+    layout -- must be reconstructible from the flight dumps and span
+    set using only trace/span/parent IDs (no names-as-hints shortcuts:
+    every hop below follows an ID edge).
     """
     tracer = Tracer(sample_rate=1.0)
     installs = {"count": 0}
 
     def fault_two_installs(op, index):
         # The first two grant installs fault transiently, with no
-        # per-operation retry: two rolled-back attempts, then a commit.
+        # per-operation retry: two rolled-back requests, then a commit.
         if op == "install_grant" and installs["count"] < 2:
             installs["count"] += 1
             return FaultKind.TRANSIENT
@@ -643,14 +643,19 @@ def test_flight_dumps_reconstruct_full_causal_chain_by_ids():
     service = AdmissionService(controller)
     pattern = listing1_pattern()
 
-    # --- Rig 1: two transient-fault rollbacks, then the third attempt
-    # commits.
+    # --- Rig 1: two transient-fault rollbacks, then the same request,
+    # submitted a third time, commits.
+    for _ in range(2):
+        report = service.submit_and_wait(_admission(1))
+        assert report.status is ProvisioningStatus.ROLLED_BACK
+        assert report.fault == "transient"
     report = service.submit_and_wait(_admission(1))
     assert report.status is ProvisioningStatus.ADMITTED
 
-    # Each rolled-back attempt fired a rollback anomaly mid-flight.
+    # Each rolled-back request fired a rollback anomaly mid-flight, in
+    # its own trace.
     first_fault, storm = recorder.dumps_for("rollback")
-    assert first_fault.trace_id == storm.trace_id
+    assert first_fault.trace_id != storm.trace_id
     assert storm.attrs["scope"] == "single"
     assert storm.fingerprint is not None
 
@@ -686,48 +691,51 @@ def test_flight_dumps_reconstruct_full_causal_chain_by_ids():
     # Reconstruction, by IDs alone.
     # ------------------------------------------------------------------
 
-    # 1. The second fault's dump: request root -> attempt spans (the
-    #    second still open when it fired).
+    # 1. The second fault's dump: request root -> admit span -> commit
+    #    span -> journal replay, each still open when it fired.
     storm_tree = storm.tree()
     assert storm_tree["orphans"] == []
-    (request_root,) = storm_tree["roots"]
-    assert request_root.name == "admission.request"
-    attempt_ids = {
-        s.span_id
-        for s in storm.spans
-        if s.parent_id == request_root.span_id
-    }
-    assert len(attempt_ids) == 2  # the two faulted attempts, by ID link
-
-    # 2. The completed trace extends the same tree: a third attempt
-    #    under the same root carried the commit.
-    trace = tracer.spans_for(storm.trace_id)
-    by_id = {s.span_id: s for s in trace}
-    attempts = [s for s in trace if s.parent_id == request_root.span_id]
-    assert [a.attrs["attempt"] for a in attempts] == [1, 2, 3]
-    final_attempt = max(attempts, key=lambda s: s.attrs["attempt"])
-    assert final_attempt.span_id not in attempt_ids
-    # The attempt's children: the shadow plan and the commit, both
-    # linked by parent ID.
-    attempt_children = [
-        s for s in trace if s.parent_id == final_attempt.span_id
+    (storm_root,) = storm_tree["roots"]
+    assert storm_root.name == "admission.request"
+    (storm_replay,) = storm.find("journal.rollback")
+    storm_ids = {s.span_id: s for s in storm.spans}
+    hops = []
+    cursor = storm_replay
+    while cursor is not None:
+        hops.append(cursor.name)
+        cursor = storm_ids.get(cursor.parent_id)
+    assert hops == [
+        "journal.rollback",
+        "controller.commit_plan",
+        "controller.admit",
+        "admission.request",
     ]
-    assert {s.name for s in attempt_children} == {
+
+    # 2. The committed request is a tree of its own: one admit span
+    #    under its root, holding the plan and the commit, all linked by
+    #    parent ID.
+    packets = find_spans(tracer.spans(), "datapath.packet")
+    first_packet = packets[0]
+    trace = tracer.spans_for(first_packet.trace_id)
+    by_id = {s.span_id: s for s in trace}
+    (request_root,) = [s for s in trace if s.parent_id is None]
+    assert request_root.name == "admission.request"
+    assert request_root.trace_id not in (first_fault.trace_id, storm.trace_id)
+    (admit,) = [s for s in trace if s.parent_id == request_root.span_id]
+    admit_children = [s for s in trace if s.parent_id == admit.span_id]
+    assert {s.name for s in admit_children} == {
         "allocator.plan",
         "controller.commit_plan",
     }
     (commit,) = [
-        s for s in attempt_children if s.name == "controller.commit_plan"
+        s for s in admit_children if s.name == "controller.commit_plan"
     ]
 
     # 3. The first data-path packet under the new layout parents on
     #    that commit span: control->data causality closes by IDs.
-    packets = find_spans(tracer.spans(), "datapath.packet")
-    first_packet = packets[0]
     assert first_packet.parent_id == commit.span_id
-    assert first_packet.trace_id == request_root.trace_id
     assert first_packet.attrs["fid"] == 1
-    # Walk the chain packet -> commit -> attempt -> request root.
+    # Walk the chain packet -> commit -> admit -> request root.
     chain = []
     cursor = first_packet
     while cursor is not None:
@@ -736,12 +744,12 @@ def test_flight_dumps_reconstruct_full_causal_chain_by_ids():
     assert chain == [
         "datapath.packet",
         "controller.commit_plan",
-        "admission.attempt",
+        "controller.admit",
         "admission.request",
     ]
 
-    # 4. The rollback dump's trace: batch root -> attempt ->
-    #    commit_plan -> journal replay, linked hop by hop.
+    # 4. The rollback dump's trace: batch root -> commit_plan ->
+    #    journal replay, linked hop by hop.
     rollback_tree = rollback.tree()
     assert rollback_tree["orphans"] == []
     (batch_root,) = rollback_tree["roots"]
@@ -757,7 +765,6 @@ def test_flight_dumps_reconstruct_full_causal_chain_by_ids():
     assert hops == [
         "journal.rollback",
         "controller.commit_plan",
-        "admission.attempt",
         "admission.batch",
     ]
     assert find_spans(rollback.spans, "allocator.rollback")

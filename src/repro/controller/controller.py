@@ -25,6 +25,8 @@ both apply through `_apply_layout` and, when the switch refuses,
 unwind through `_unwind`.  Each admission and withdrawal that lands is
 appended to :attr:`ActiveRmtController.commit_log`, the history
 :meth:`~ActiveRmtController.recover` replays (:func:`replay_commit_log`).
+Every request is answered by its report, whose ``status`` is the one
+outcome: a request the controller declines is ``REJECTED``, not raised.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ from repro.telemetry import (
 
 
 class ControllerError(Exception):
-    """Raised on controller misuse (unknown FID, malformed digest)."""
+    """Raised on a malformed request or digest (and by ``withdraw``)."""
 
 
 #: One committed control-plane operation, in commit order: ("admit", fid)
@@ -127,7 +129,9 @@ class RequestKind(enum.Enum):
 class ProvisioningStatus(enum.Enum):
     """Typed outcome of one provisioning request.
 
-    ``ADMITTED`` doubles as the "withdrawal executed" status.  The
+    ``ADMITTED`` doubles as the "withdrawal executed" status; a
+    ``REJECTED`` request (say, a withdrawal of a non-resident fid)
+    touched nothing.  The
     controller and the admission service never produce ``SHED``: it
     marks an application a fabric failover dropped because no surviving
     shard could host it (the chaos scenario's tally).
@@ -156,7 +160,7 @@ class ProvisioningRequest:
     """
 
     kind: RequestKind
-    fid: Optional[int] = None
+    fid: int
     pattern: Optional[AccessPattern] = None
     #: Plan only -- report what the admission would do without touching
     #: any allocator or switch state.
@@ -200,7 +204,8 @@ class ProvisioningReport:
     """
 
     fid: int
-    success: bool
+    #: The one outcome (``success``, ``dry_run`` and ``rolled_back`` read it).
+    status: ProvisioningStatus
     reason: str = ""
     compute_seconds: float = 0.0
     table_update_seconds: float = 0.0
@@ -209,12 +214,6 @@ class ProvisioningReport:
     #: committed, the entire result of a dry run, the planner's verdict
     #: when infeasible.
     plan: Optional[AllocationPlan] = None
-    #: True when this was a what-if probe: nothing was mutated.
-    dry_run: bool = False
-    #: True when the layout change (admission or withdrawal) was
-    #: committed and then exactly undone because the switch refused the
-    #: table updates (TCAM exhaustion, device fault).
-    rolled_back: bool = False
     #: The static verifier's verdict on the mutant being installed
     #: (None when the controller runs with ``verify="off"`` or the
     #: request carried no program).
@@ -224,9 +223,6 @@ class ProvisioningReport:
     #: and region exclusivity against all incumbents (None when the
     #: controller runs with ``verify="off"`` or no plan was produced).
     certificate: Optional[IsolationCertificate] = None
-    #: Typed outcome.  Left unset, it is derived from the flags
-    #: (``success``/``dry_run``/``rolled_back``).
-    status: Optional[ProvisioningStatus] = None
     #: What switch-side failure produced this outcome: ``"tcam"``
     #: (capacity rejection), ``"transient"`` (the update engine's
     #: per-operation retries exhausted on a recoverable fault; state is
@@ -236,16 +232,27 @@ class ProvisioningReport:
     #: set).  None for clean outcomes.
     fault: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.status is None:
-            if self.dry_run:
-                self.status = ProvisioningStatus.DRY_RUN
-            elif self.rolled_back:
-                self.status = ProvisioningStatus.ROLLED_BACK
-            elif self.success:
-                self.status = ProvisioningStatus.ADMITTED
-            else:
-                self.status = ProvisioningStatus.REJECTED
+    @classmethod
+    def rejected(cls, fid: int, reason: str) -> "ProvisioningReport":
+        """A request declined with nothing touched."""
+        return cls(fid=fid, status=ProvisioningStatus.REJECTED, reason=reason)
+
+    @property
+    def success(self) -> bool:
+        """Admitted or withdrawn; a dry run: its plan is feasible."""
+        if self.status is ProvisioningStatus.DRY_RUN:
+            return self.plan is not None and self.plan.feasible
+        return self.status is ProvisioningStatus.ADMITTED
+
+    @property
+    def dry_run(self) -> bool:
+        """A what-if probe: nothing was mutated."""
+        return self.status is ProvisioningStatus.DRY_RUN
+
+    @property
+    def rolled_back(self) -> bool:
+        """Committed, then exactly undone: the switch refused the update."""
+        return self.status is ProvisioningStatus.ROLLED_BACK
 
     @property
     def total_seconds(self) -> float:
@@ -345,8 +352,6 @@ class ActiveRmtController:
         #: still resident and its client, gone idle, will not ask again,
         #: so each is re-sent with the next ``DEALLOCATE`` digest.
         self.refused_withdrawals: List[int] = []
-        #: Hook invoked with (fid,) when a SNAPSHOT_COMPLETE arrives.
-        self.on_snapshot_complete: Optional[Callable[[int], None]] = None
         # The controller's counts; :meth:`metrics` is their registry view.
         self.admissions: Counter[str] = Counter()  # by outcome
         self.withdrawals = self.recoveries = self.verifier_rejections = 0
@@ -455,29 +460,27 @@ class ActiveRmtController:
         An admission is two-phase: the plan is computed on the live
         allocator without touching allocator or switch state; a dry run
         stops there, anything else is committed by :meth:`commit_plan`.
-        Admitting a resident fid is a ``REJECTED`` report naming it.
+        Admitting a resident fid, or withdrawing one that is not, is a
+        ``REJECTED`` report naming it.
         """
         if request.kind is RequestKind.ADMIT:
-            if request.fid is None or request.pattern is None:
-                raise ControllerError("admission requires fid and pattern")
+            if request.pattern is None:
+                raise ControllerError("admission requires a pattern")
             with self.tracer.span(
                 "controller.admit", fid=request.fid, dry_run=request.dry_run
             ) as span:
                 try:
                     plan = self.allocator.plan(request.fid, request.pattern)
                 except AllocationError as exc:  # a resident fid
-                    report = ProvisioningReport(fid=request.fid, success=False, reason=str(exc))
+                    report = ProvisioningReport.rejected(request.fid, str(exc))
                 else:
                     if request.dry_run:
                         report = self.report_dry_run(plan)
                     else:
                         (report,) = self.commit_plan([plan], [request.program])
-                assert report.status is not None
                 span.set(status=report.status.value)
                 return report
         if request.kind is RequestKind.WITHDRAW:
-            if request.fid is None:
-                raise ControllerError("withdrawal requires fid")
             return self._do_withdraw(request.fid)
         raise ControllerError(f"unknown request kind {request.kind!r}")
 
@@ -522,9 +525,9 @@ class ActiveRmtController:
     def withdraw(self, *, fid: int) -> float:
         """Release an application's allocation; returns modeled seconds.
 
-        Raises :class:`ControllerError` when the switch refused the
-        withdrawal (state untouched, *fid* still resident);
-        :meth:`submit` is the door that reports a refusal instead.
+        Raises :class:`ControllerError` when the withdrawal did not
+        happen (*fid* not resident, or the switch refused it: state
+        untouched); :meth:`submit` is the door that reports it instead.
         """
         report = self.submit(ProvisioningRequest.withdrawal(fid))
         if not report.success:
@@ -646,11 +649,10 @@ class ActiveRmtController:
                         self._record_report(
                             ProvisioningReport(
                                 fid=plan.fid,
-                                success=False,
+                                status=ProvisioningStatus.ROLLED_BACK,
                                 reason=reason,
                                 compute_seconds=plan.total_seconds,
                                 plan=plan,
-                                rolled_back=True,
                                 verification=verification,
                                 certificate=certificate,
                                 fault=fault,
@@ -676,7 +678,7 @@ class ActiveRmtController:
                             self._record_report(
                                 ProvisioningReport(
                                     fid=plan.fid,
-                                    success=True,
+                                    status=ProvisioningStatus.ADMITTED,
                                     compute_seconds=plan.total_seconds,
                                     table_update_seconds=seconds,
                                     snapshot_seconds=self._snapshot_seconds(plan),
@@ -689,9 +691,7 @@ class ActiveRmtController:
                         )
                     if self.sanitizer:
                         self._sanitize()
-            first = reports[0]
-            assert first.status is not None
-            span.set(status=first.status.value)
+            span.set(status=reports[0].status.value)
             return reports
 
     def _strict_refusal(
@@ -732,7 +732,7 @@ class ActiveRmtController:
                 self._record_report(
                     ProvisioningReport(
                         fid=plan.fid,
-                        success=False,
+                        status=ProvisioningStatus.REJECTED,
                         reason=(
                             f"{kind} rejected: {findings}"
                             if plan is culprit
@@ -772,16 +772,14 @@ class ActiveRmtController:
         """
         self.allocator.abort(plan)
         if plan is not culprit:
-            return ProvisioningReport(
-                fid=plan.fid,
-                success=False,
-                reason=f"batch aborted: no feasible mutant for fid {culprit.fid}",
+            return ProvisioningReport.rejected(
+                plan.fid, f"batch aborted: no feasible mutant for fid {culprit.fid}"
             )
         self.allocator.record_decision(plan)
         return self._record_report(
             ProvisioningReport(
                 fid=plan.fid,
-                success=False,
+                status=ProvisioningStatus.REJECTED,
                 reason=plan.reason,
                 compute_seconds=plan.total_seconds,
                 plan=plan,
@@ -953,11 +951,10 @@ class ActiveRmtController:
         self.whatif_probes["yes" if plan.feasible else "no"] += 1
         return ProvisioningReport(
             fid=plan.fid,
-            success=plan.feasible,
+            status=ProvisioningStatus.DRY_RUN,
             reason=plan.reason,
             compute_seconds=plan.total_seconds,
             plan=plan,
-            dry_run=True,
         )
 
     def _record_admission(self, report: ProvisioningReport, outcome: str) -> None:
@@ -1040,8 +1037,12 @@ class ActiveRmtController:
         checkpoint, one journal, and :meth:`_unwind` when the switch
         refuses it -- the report then says ``ROLLED_BACK`` over state
         byte-identical to before the request, and *fid* stays resident.
+        A fid that is not resident is ``REJECTED`` with nothing touched.
         """
         with self.tracer.span("controller.withdraw", fid=fid) as span:
+            if fid not in self.allocator.apps:
+                span.set(seconds=0.0, status=ProvisioningStatus.REJECTED.value)
+                return ProvisioningReport.rejected(fid, f"fid {fid} not admitted")
             regions = self.allocator.regions_for(fid).items()
             departing = {s: r for s, r in regions if r is not None and r.count > 0}
             reallocations, checkpoint = self.allocator.release(fid)
@@ -1051,44 +1052,35 @@ class ActiveRmtController:
             except (TcamCapacityError, DeviceError) as exc:
                 fault, cause = self._unwind(exc, journal, [checkpoint], "withdraw", fid)
                 report = ProvisioningReport(
-                    fid=fid, success=False, reason=f"{cause}: {exc}", rolled_back=True, fault=fault
+                    fid, ProvisioningStatus.ROLLED_BACK, f"{cause}: {exc}", fault=fault
                 )
             else:
                 journal.commit_entries()
                 self.allocator.record_release(reallocations)
                 self.commit_log.append(("withdraw", fid))
-                report = ProvisioningReport(fid=fid, success=True, table_update_seconds=seconds)
-                self._record_withdrawal(seconds)
-            assert report.status is not None
+                report = ProvisioningReport(
+                    fid, ProvisioningStatus.ADMITTED, table_update_seconds=seconds
+                )
+                self.withdrawals += 1
+                self.table_update_seconds.observe(seconds)
+                if self.sanitizer:
+                    self._sanitize()
             span.set(seconds=report.table_update_seconds, status=report.status.value)
             return report
-
-    def _record_withdrawal(self, seconds: float) -> None:
-        """Count one withdrawal that happened; sanitize after it."""
-        self.withdrawals += 1
-        self.table_update_seconds.observe(seconds)
-        if self.sanitizer:
-            self._sanitize()
 
     # ------------------------------------------------------------------
     # Packet-driven API
     # ------------------------------------------------------------------
 
     def process_pending(self) -> List[ActivePacket]:
-        """Drain switch digests; returns the packets sent in reply."""
+        """Drain switch digests, serving each and sending its replies."""
         replies: List[ActivePacket] = []
         for digest in self.device.poll_digests():
-            replies.extend(self.handle_digest(digest))
-        return replies
-
-    def handle_digest(self, packet: ActivePacket) -> List[ActivePacket]:
-        """Serve one digest and send its replies now; returns them."""
-        report = self.serve_digest(packet)
-        if report is None:
-            return []
-        replies = self.allocation_replies(report, packet)
-        for reply in replies:
-            self.device.inject(reply)
+            report = self.serve_digest(digest)
+            if report is not None:
+                for reply in self.allocation_replies(report, digest):
+                    self.device.inject(reply)
+                    replies.append(reply)
         return replies
 
     def serve_digest(
@@ -1102,9 +1094,9 @@ class ActiveRmtController:
         An ``ALLOC_REQUEST`` registers its client and is one admission
         through *submit* (default :meth:`submit`) of the wire pattern,
         or of the fid's override in *patterns*; its report is returned.
-        ``DEALLOCATE`` withdraws through :func:`withdraw_with_retries`
-        and ``SNAPSHOT_COMPLETE`` calls :attr:`on_snapshot_complete`;
-        both return None.  Nothing is sent: the caller sends
+        ``DEALLOCATE`` withdraws through :func:`withdraw_with_retries`;
+        any other control digest (``SNAPSHOT_COMPLETE``) is only counted.
+        Both return None.  Nothing is sent: the caller sends
         :meth:`allocation_replies` when its own clock says so.
         """
         submit = submit or self.submit
@@ -1121,13 +1113,7 @@ class ActiveRmtController:
         elif packet.ptype != PacketType.CONTROL:
             raise ControllerError(f"unexpected digest type {packet.ptype:#x}")
         elif packet.has_flag(ControlFlags.DEALLOCATE):
-            try:
-                withdraw_with_retries(submit, fid, self.refused_withdrawals)
-            except AllocationError as exc:
-                raise ControllerError(str(exc)) from exc
-        elif packet.has_flag(ControlFlags.SNAPSHOT_COMPLETE):
-            if self.on_snapshot_complete is not None:
-                self.on_snapshot_complete(fid)
+            withdraw_with_retries(submit, fid, self.refused_withdrawals)
         self.digests["control" if report is None else "alloc_request"] += 1
         return report
 
@@ -1217,11 +1203,15 @@ def withdraw_with_retries(
     leaves its fid resident, and nobody asks for it again.  So whoever
     drives departures -- :meth:`ActiveRmtController.serve_digest`, an
     experiment harness -- keeps one *refused* list, updated in place,
-    and sends those again at each later departure.
+    and sends those again at each later departure (not a ``REJECTED``
+    one: its fid is not resident).
     """
     leaving, refused[:] = [*refused, fid], []
     left: List[int] = []
     for candidate in leaving:
         report = submit(ProvisioningRequest.withdrawal(candidate))
-        (left if report.success else refused).append(candidate)
+        if report.success:
+            left.append(candidate)
+        elif report.rolled_back:
+            refused.append(candidate)
     return left

@@ -100,8 +100,7 @@ class AdmissionService:
 
     def submit(self, request: ProvisioningRequest) -> ProvisioningReport:
         """Serve one :class:`ProvisioningRequest`; returns its report."""
-        fid = request.fid if request.fid is not None else -1
-        with self.tracer.span("admission.request", fid=fid, kind=request.kind.value) as span:
+        with self.tracer.span("admission.request", fid=request.fid, kind=request.kind.value) as span:
             started = time.perf_counter()
             report = self.controller.submit(request)
             self._served(span, started, report)
@@ -144,7 +143,6 @@ class AdmissionService:
     def _served(self, span: Any, started: float, report: ProvisioningReport) -> None:
         """Record a served request's latency and status on its root span."""
         self.latency_seconds.observe(time.perf_counter() - started)
-        assert report.status is not None
         span.set(status=report.status.value)
 
     def _admit_group(self, requests: Sequence[ProvisioningRequest]) -> List[ProvisioningReport]:
@@ -164,10 +162,7 @@ class AdmissionService:
                 plans.append(shadow.plan(request.fid, request.pattern))
         except AllocationError as exc:
             # A resident fid: a rejection of the group, not an error.
-            return [
-                ProvisioningReport(fid=request.fid, success=False, reason=str(exc))
-                for request in requests
-            ]
+            return [ProvisioningReport.rejected(request.fid, str(exc)) for request in requests]
         return self.controller.commit_plan(plans, [request.program for request in requests])
 
 

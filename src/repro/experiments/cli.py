@@ -312,7 +312,7 @@ def _write_report(path: str, payload: object) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"[report written to {path}]")
+    print(f"[report written to {path}]", file=sys.stderr)
 
 
 def run_codelint(root: Optional[str] = None) -> int:
@@ -425,15 +425,15 @@ def main(argv=None) -> int:
                 _write_report(report_out, payload_for(output))
             if not output.clean:
                 exit_code = 1
-        # Host time goes to stderr, so a seeded run's report on stdout
-        # repeats byte for byte.
+        # Host time and the notices naming output files go to stderr,
+        # so a seeded run's report on stdout repeats byte for byte.
         elapsed = time.perf_counter() - started
         print(f"[{name} regenerated in {elapsed:.1f} s]", file=sys.stderr)
         print()
         if stats_out:
-            print(f"[telemetry snapshot written to {stats_out}]\n")
+            print(f"[telemetry snapshot written to {stats_out}]\n", file=sys.stderr)
         if trace_out:
-            print(f"[span trace written to {trace_out}]\n")
+            print(f"[span trace written to {trace_out}]\n", file=sys.stderr)
     return exit_code
 
 

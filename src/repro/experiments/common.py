@@ -8,8 +8,8 @@ import dataclasses
 import heapq
 import os
 import types
-from typing import Callable, Collection, Dict, Iterable, List, Mapping, Optional
-from typing import Sequence, Set
+from typing import Callable, Collection, Dict, Iterable, Iterator, List, Mapping
+from typing import Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import AnalysisReport
 from repro.analysis.isolation import IsolationCertificate, TableSnapshot
@@ -34,7 +34,7 @@ from repro.core.schemes import AllocationScheme
 from repro.switchsim.config import SwitchConfig
 from repro.switchsim.switch import ActiveSwitch
 from repro.telemetry import resolve
-from repro.workloads.arrivals import ArrivalEvent, DepartureEvent, Event
+from repro.workloads.arrivals import ArrivalEvent, Event
 
 POLICIES: Dict[str, AllocationPolicy] = {
     "mc": MOST_CONSTRAINED,
@@ -102,39 +102,17 @@ class OnlineRun:
         return [getattr(record, field) for record in self.records]
 
 
-def drive_events(
-    controller: ActiveRmtController, events: Iterable[Event]
-) -> OnlineRun:
-    """Feed arrival/departure events to a controller, recording metrics.
-
-    Departures of instances that failed admission are skipped (they
-    hold no allocation).  Cache-specific metrics (fairness, realloc
-    fraction) follow the paper's Figure 7c/7d focus on the elastic app.
+def drive_events(controller: ActiveRmtController, events: Iterable[Event]) -> OnlineRun:
+    """Feed events to a controller through a :class:`ChurnDriver`, one
+    :class:`EpochRecord` per arrival.  Cache-specific metrics (fairness,
+    realloc fraction) follow the paper's Figure 7c/7d focus on the
+    elastic app.
     """
-    patterns = exemplar_patterns()
-    app_of_fid: Dict[int, str] = {}
-    refused: List[int] = []
-    records: List[EpochRecord] = []
-    admitted = 0
-    failed = 0
-    for event in events:
-        if isinstance(event, DepartureEvent):
-            if event.fid in app_of_fid:
-                for fid in withdraw_with_retries(controller.submit, event.fid, refused):
-                    del app_of_fid[fid]
-            continue
-        assert isinstance(event, ArrivalEvent)
-        pattern = patterns[event.app_name]
-        report = controller.admit(fid=event.fid, pattern=pattern)
-        if report.success:
-            admitted += 1
-            app_of_fid[event.fid] = event.app_name
-        else:
-            failed += 1
-        records.append(
-            _record_for(controller, event, report, app_of_fid)
-        )
-    return OnlineRun(records=records, failed=failed, admitted=admitted)
+    driver = ChurnDriver(controller.submit)
+    steps = driver.steps(events)
+    records = [_record_for(controller, driver, event, report) for event, report in steps]
+    admitted = sum(record.success for record in records)
+    return OnlineRun(records=records, failed=len(records) - admitted, admitted=admitted)
 
 
 # ----------------------------------------------------------------------
@@ -145,9 +123,10 @@ def drive_events(
 class ChurnDriver:
     """Streams Poisson churn through any report-returning *submit*.
 
-    The one submit/withdraw loop of the churn scenarios: *submit* is an
-    :class:`~repro.controller.service.AdmissionService`'s or a
-    ``Fabric``'s.  A departure of an admitted fid withdraws it through
+    The one submit/withdraw loop of the churn scenarios and the
+    allocation figures (:func:`drive_events`): *submit* is a
+    controller's, an :class:`~repro.controller.service.AdmissionService`'s
+    or a ``Fabric``'s.  A departure of an admitted fid withdraws it through
     :func:`withdraw_with_retries`, so a withdrawal the switch refused is
     sent again at the next departure.
 
@@ -175,6 +154,11 @@ class ChurnDriver:
         self.refused_withdrawals = 0
 
     def drive(self, events: Iterable[Event]) -> None:
+        for _ in self.steps(events):
+            pass
+
+    def steps(self, events: Iterable[Event]) -> Iterator[Tuple[ArrivalEvent, ProvisioningReport]]:
+        """Drive *events*, yielding each arrival with its report once served."""
         for event in events:
             if isinstance(event, ArrivalEvent):
                 pattern = self.patterns[event.app_name]
@@ -183,8 +167,8 @@ class ChurnDriver:
                     ProvisioningRequest.admission(fid=event.fid, pattern=pattern)
                 )
                 self.reports[event.fid] = report
-                assert report.status is not None
                 self.status_of_fid[event.fid] = report.status
+                yield event, report
             elif self.status_of_fid.get(event.fid) is ProvisioningStatus.ADMITTED:
                 self.withdrawn.update(
                     withdraw_with_retries(self._submit, event.fid, self.refused)
@@ -415,16 +399,16 @@ def table_surface_mismatches(controller: ActiveRmtController) -> List[str]:
 
 def _record_for(
     controller: ActiveRmtController,
+    driver: ChurnDriver,
     event: ArrivalEvent,
     report: ProvisioningReport,
-    app_of_fid: Dict[int, str],
 ) -> EpochRecord:
     allocator = controller.allocator
-    cache_fids = [fid for fid, name in app_of_fid.items() if name == "cache"]
+    # The driven caches (a resident admitted before the drive is none).
+    cache, pattern_of = driver.patterns["cache"], driver.pattern_of_fid.get
+    cache_fids = [fid for fid in allocator.resident_fids() if pattern_of(fid) is cache]
     cache_shares = [allocator.app_total_blocks(fid) for fid in cache_fids]
-    reallocated_caches = sum(
-        1 for fid in report.reallocated_fids if app_of_fid.get(fid) == "cache"
-    )
+    reallocated_caches = sum(1 for fid in report.reallocated_fids if pattern_of(fid) is cache)
     return EpochRecord(
         epoch=event.epoch,
         app_name=event.app_name,

@@ -37,8 +37,8 @@ from repro.controller.controller import (
     ActiveRmtController,
     CommitLogEntry,
     ProvisioningReport,
-    RequestKind,
     ProvisioningRequest,
+    RequestKind,
     replay_commit_log,
 )
 from repro.controller.service import AdmissionService, pools_fingerprint
@@ -52,7 +52,7 @@ from repro.telemetry import AnyTracer, MetricsRegistry, resolve, resolve_tracer
 
 
 class FabricError(Exception):
-    """Raised on fabric misuse (unroutable request, bad shard count)."""
+    """Raised on fabric misuse that needs an operator (dead shard, bad index)."""
 
 
 def hash_placement(fid: int, seed: int, count: int) -> int:
@@ -263,16 +263,15 @@ class Fabric:
             self.placements[self.shards[index].device_id] += 1
         return index
 
-    def _route(self, request: ProvisioningRequest) -> Shard:
+    def _route(self, request: ProvisioningRequest) -> Optional[Shard]:
+        """*request*'s shard; None for a withdrawal of an unplaced fid."""
         fid = request.fid
-        if fid is None:
-            raise FabricError("fabric requests must carry a fid")
         index = self._routes.get(fid)
         if index is None:
-            if request.kind is not RequestKind.ADMIT or request.pattern is None:
-                raise FabricError(
-                    f"fid {fid} is not placed on any shard; admit it first"
-                )
+            if request.kind is not RequestKind.ADMIT:
+                return None
+            if request.pattern is None:
+                raise FabricError(f"admission of fid {fid} carries no pattern")
             # Dry-run probes place but do not pin: a what-if must not
             # decide where the eventual real admission lands.
             index = self._place(fid, request.pattern, sticky=not request.dry_run)
@@ -289,8 +288,11 @@ class Fabric:
     # ------------------------------------------------------------------
 
     def submit(self, request: ProvisioningRequest) -> ProvisioningReport:
-        """Route one request to its shard's admission service."""
+        """Route one request to its shard's admission service (a
+        withdrawal of an unplaced fid is ``REJECTED``, and not counted)."""
         shard = self._route(request)
+        if shard is None:
+            return ProvisioningReport.rejected(request.fid, f"fid {request.fid} not admitted")
         self.requests[shard.device_id, request.kind.value] += 1
         return shard.service.submit(request)
 

@@ -17,7 +17,8 @@ reflect each phase:
 What a digest asks for is decided by the controller's one decoder,
 :meth:`ActiveRmtController.serve_digest`; this module owns only the
 clock: when the deactivation window opens and closes and when the
-replies leave.
+replies leave.  A refused admission is answered ``ALLOC_FAILED``; only
+a malformed digest, which nobody waits for, is skipped.
 """
 
 from __future__ import annotations
@@ -75,8 +76,7 @@ class SimProvisioner:
                     digest, self._submit, self.pattern_overrides
                 )
             except ControllerError:
-                # A malformed digest, or a DEALLOCATE for a fid that is
-                # not resident: nobody waits for an answer to either.
+                # A malformed digest: nobody waits for an answer.
                 continue
             if report is not None:
                 self._respond(report, digest)
@@ -94,10 +94,6 @@ class SimProvisioner:
                 "snapshot_seconds": report.snapshot_seconds,
                 "table_update_seconds": report.table_update_seconds,
                 "reallocated": report.reallocated_fids,
-                # Distinguishes "no feasible mutant" denials from
-                # admissions that were committed and then exactly
-                # undone when the switch rejected the table updates.
-                "rolled_back": report.rolled_back,
             }
         )
         if not report.success:

@@ -5,8 +5,10 @@ import pytest
 from repro.controller import (
     ActiveRmtController,
     ProvisioningReport,
+    ProvisioningStatus,
     TableUpdateEngine,
     TableUpdateCost,
+    withdraw_with_retries,
 )
 from repro.core import BlockRange
 from repro.packets import (
@@ -192,15 +194,41 @@ def test_deallocate_control_packet(controller, switch):
     assert 3 not in controller.allocator.apps
 
 
-def test_snapshot_complete_hook(controller, switch):
-    seen = []
-    controller.on_snapshot_complete = seen.append
-    packet = ActivePacket.control(
-        src=CLIENT, dst=controller.mac, fid=9, flags=ControlFlags.SNAPSHOT_COMPLETE
-    )
-    switch.receive(packet, in_port=1)
-    controller.process_pending()
-    assert seen == [9]
+def test_a_deallocate_for_a_non_resident_fid_does_not_abort_the_poll(
+    controller, switch
+):
+    for fid, flags in ((99, ControlFlags.DEALLOCATE), (5, ControlFlags.SNAPSHOT_COMPLETE)):
+        switch.receive(
+            ActivePacket.control(src=CLIENT, dst=controller.mac, fid=fid, flags=flags),
+            in_port=1,
+        )
+    assert controller.process_pending() == []
+    assert controller.digests == {"control": 2}
+    assert controller.refused_withdrawals == []  # a rejection is not re-sent
+    assert controller.device.poll_digests() == []
+
+
+def test_withdraw_with_retries_resends_only_what_the_switch_refused():
+    status = {
+        1: ProvisioningStatus.ROLLED_BACK,
+        2: ProvisioningStatus.REJECTED,
+        3: ProvisioningStatus.ADMITTED,
+    }
+    sent = []
+
+    def submit(request):
+        sent.append(request.fid)
+        return ProvisioningReport(fid=request.fid, status=status[request.fid])
+
+    refused = []
+    assert withdraw_with_retries(submit, 1, refused) == []
+    assert refused == [1]
+    assert withdraw_with_retries(submit, 2, refused) == []
+    assert refused == [1]  # the switch refused 1 again; 2 is not resident
+    status[1] = ProvisioningStatus.ADMITTED
+    assert withdraw_with_retries(submit, 3, refused) == [1, 3]
+    assert refused == []
+    assert sent == [1, 1, 2, 1, 3]
 
 
 def test_table_update_engine_costs():

@@ -13,10 +13,14 @@ from repro.controller import (
     ControllerError,
     ProvisioningReport,
     ProvisioningRequest,
+    ProvisioningStatus,
     RequestKind,
 )
+from repro.controller.service import pools_fingerprint
+from repro.fabric import Fabric
 from repro.packets import ActivePacket, ControlFlags, MacAddress, PacketType
 from repro.switchsim import ActiveSwitch
+from repro.telemetry import MetricsRegistry
 
 from tests.test_core_constraints import listing1_pattern
 
@@ -96,26 +100,56 @@ def test_serve_digest_reports_the_admission(controller, switch):
     assert replies[0].ptype == PacketType.ALLOC_RESPONSE
 
 
-def test_handle_digest_wrapper_returns_replies(controller, switch):
+def test_process_pending_sends_no_reply_to_a_control_digest(controller, switch):
     packet = ActivePacket.control(
         src=CLIENT, dst=controller.mac, fid=9, flags=ControlFlags.SNAPSHOT_COMPLETE
     )
     switch.receive(packet, in_port=1)
-    replies = controller.handle_digest(switch.poll_digests()[0])
-    assert replies == []
+    assert controller.process_pending() == []
+    assert controller.digests == {"control": 1}
 
 
 @pytest.mark.parametrize(
     "request_",
     [
-        ProvisioningRequest(kind=RequestKind.ADMIT),  # missing fid+pattern
-        ProvisioningRequest(kind=RequestKind.WITHDRAW),  # missing fid
         ProvisioningRequest(kind=RequestKind.ADMIT, fid=1),  # missing pattern
+        ProvisioningRequest(kind="evict", fid=1),  # not a request kind
     ],
 )
 def test_submit_rejects_malformed_requests(controller, request_):
     with pytest.raises(ControllerError):
         controller.submit(request_)
+
+
+@pytest.mark.parametrize("door", ["controller", "service", "fabric"])
+def test_withdrawal_of_a_non_resident_fid_is_rejected(door):
+    registry = MetricsRegistry()
+    fabric = Fabric.build(1, telemetry=registry)
+    (shard,) = fabric.shards
+    controller = shard.controller
+    submit = {
+        "controller": controller.submit,
+        "service": shard.service.submit,
+        "fabric": fabric.submit,
+    }[door]
+    assert submit(ProvisioningRequest.admission(1, listing1_pattern())).success
+
+    def state():
+        counters = registry.snapshot()["counters"]
+        return pools_fingerprint(controller.allocator), list(controller.commit_log), counters
+
+    before = state()
+    report = submit(ProvisioningRequest.withdrawal(99))  # never admitted
+    assert report.status is ProvisioningStatus.REJECTED
+    assert not report.success
+    assert report.reason == "fid 99 not admitted"
+    assert state() == before
+
+    assert submit(ProvisioningRequest.withdrawal(1)).success
+    again = submit(ProvisioningRequest.withdrawal(1))  # withdrawn already
+    assert again.status is ProvisioningStatus.REJECTED
+    assert again.reason == "fid 1 not admitted"
+    assert controller.commit_log == [("admit", 1), ("withdraw", 1)]
 
 
 def test_failed_admission_report_shape(controller):

@@ -13,7 +13,7 @@ The contracts under test:
   byte-identical to the bare controller + admission-service stack --
   same fingerprint, same commit log, same admitted/rejected counts.
 - **Sticky routing**: withdrawals follow the fid's admission shard;
-  unplaced withdrawals are a :class:`FabricError`; dry-run probes do
+  an unplaced withdrawal is a ``REJECTED`` report; dry-run probes do
   not pin a route.
 - **One history per shard**: a replace failover's replacement
   controller holds the log its own replay wrote, equal to the failed
@@ -91,10 +91,13 @@ def test_routes_are_sticky_and_withdrawals_follow_them():
     ]
 
 
-def test_unplaced_withdrawal_is_a_fabric_error():
+def test_unplaced_withdrawal_is_rejected():
     fabric = Fabric.build(2)
-    with pytest.raises(FabricError, match="not placed"):
-        fabric.submit(ProvisioningRequest.withdrawal(fid=99))
+    report = fabric.submit(ProvisioningRequest.withdrawal(fid=99))
+    assert report.status is ProvisioningStatus.REJECTED
+    assert report.reason == "fid 99 not admitted"
+    assert fabric.route_of(99) is None
+    assert fabric.requests == {}  # routed nowhere, counted nowhere
 
 
 def test_dry_run_places_but_does_not_pin():

@@ -616,8 +616,6 @@ def test_a_refused_deallocate_digest_is_resent_with_the_next_one():
         allocator_fingerprint(controller.allocator),
         switch_fingerprint(controller),
     )
-    seen = []
-    controller.on_snapshot_complete = seen.append
     state["armed"] = True
     deallocate(2)
     controller.switch.receive(
@@ -629,7 +627,8 @@ def test_a_refused_deallocate_digest_is_resent_with_the_next_one():
     )
     assert controller.process_pending() == []
     assert state["hits"] == FAST_RETRY.max_attempts
-    assert seen == [4]  # the digest behind the refused one was not dropped
+    # The digest behind the refused one was not dropped.
+    assert controller.digests == {"control": 2}
     assert controller.refused_withdrawals == [2]
     assert (
         allocator_fingerprint(controller.allocator),

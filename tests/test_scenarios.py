@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import telemetry
-from repro.controller import ProvisioningReport
+from repro.controller import ProvisioningReport, ProvisioningStatus
 from repro.experiments import audit, chaos, churn, cli, fabric
 from repro.experiments.common import payload_for, windowed_seconds
 
@@ -217,7 +217,10 @@ def test_a_churn_run_starts_no_thread(monkeypatch):
 
 def _report(snapshot_s, table_s):
     return ProvisioningReport(
-        fid=1, success=True, snapshot_seconds=snapshot_s, table_update_seconds=table_s
+        fid=1,
+        status=ProvisioningStatus.ADMITTED,
+        snapshot_seconds=snapshot_s,
+        table_update_seconds=table_s,
     )
 
 
@@ -296,3 +299,15 @@ def test_each_scenario_cli_exits_1_on_a_violation(scenario, monkeypatch, tmp_pat
     payload = json.loads(report.read_text())
     assert payload["clean"] is False and payload["violations"]
     assert f"{scenario}: VIOLATIONS" in capsys.readouterr().out
+
+
+def test_churn_stdout_does_not_name_its_output_files(tmp_path, capsys):
+    # CI's churn-soak diffs two runs that trace to two different files.
+    outputs = []
+    for run in (1, 2):
+        trace = tmp_path / f"churn-{run}.trace.json"
+        assert cli.main(["churn", "--epochs", "20", "--trace-out", str(trace)]) == 0
+        captured = capsys.readouterr()
+        assert str(trace) in captured.err
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]

@@ -34,7 +34,6 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
-    precondition,
     rule,
     run_state_machine_as_test,
 )
@@ -131,10 +130,12 @@ class ControlPlaneMachine(RuleBasedStateMachine):
                 (request.fid, app) for request, app in zip(requests, apps)
             )
 
-    @precondition(lambda self: self.resident)
     @rule(pick=st.integers(0, 1 << 16))
     def withdraw(self, pick):
-        fid = sorted(self.resident)[pick % len(self.resident)]
+        """Any fid ever handed out (or 0, the probes' fid), resident or
+        not: a withdrawal of a non-resident one is ``REJECTED``."""
+        fid = pick % self.next_fid
+        logged = len(self.service.commit_log)
         report = self._step(
             lambda: self.service.submit(
                 ProvisioningRequest.withdrawal(fid)
@@ -143,8 +144,12 @@ class ControlPlaneMachine(RuleBasedStateMachine):
         )
         if report.success:
             del self.resident[fid]
-        else:
+        elif fid in self.resident:
             assert report.status is ProvisioningStatus.ROLLED_BACK
+        else:
+            assert report.status is ProvisioningStatus.REJECTED
+            assert report.reason == f"fid {fid} not admitted"
+            assert len(self.service.commit_log) == logged
 
     @rule(app=APPS)
     def dry_run(self, app):

@@ -9,8 +9,8 @@ Data path::
     from repro import ActiveSwitch, SwitchConfig
 
     switch = ActiveSwitch(SwitchConfig())
-    result = switch.receive_batch(packets)      # hot path
-    print(switch.stats()["packets_per_second"])
+    result = switch.receive_batch(packets, in_port=1)   # hot path
+    print(switch.stats()["packets"])
 
 Control plane::
 

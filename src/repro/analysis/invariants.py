@@ -44,7 +44,7 @@ from repro.switchsim.config import SwitchConfig
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime import
     from repro.core.allocator import ActiveRmtAllocator
     from repro.core.transactions import TableUpdateJournal
-    from repro.device import DeviceTables
+    from repro.device import Device
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,7 +52,7 @@ class AuditScope:
     """Everything one audit pass may look at (read-only by contract)."""
 
     allocator: "ActiveRmtAllocator"
-    tables: "DeviceTables"
+    tables: "Device"
     config: SwitchConfig
 
 
@@ -168,7 +168,7 @@ def _check_orphan_entries(scope: AuditScope) -> List[Finding]:
     """No table entry names a FID the allocator has never admitted."""
     findings: List[Finding] = []
     admitted = set(scope.allocator.apps)
-    for stage in range(1, scope.tables.num_stages + 1):
+    for stage in range(1, scope.tables.config.num_stages + 1):
         for fid in scope.tables.stage_fids(stage):
             if fid not in admitted:
                 findings.append(
@@ -195,7 +195,7 @@ def _check_orphan_entries(scope: AuditScope) -> List[Finding]:
 def _check_tcam_accounting(scope: AuditScope) -> List[Finding]:
     """Stage TCAM occupancy equals the sum of installed grant costs."""
     findings: List[Finding] = []
-    for stage in range(1, scope.tables.num_stages + 1):
+    for stage in range(1, scope.tables.config.num_stages + 1):
         used, capacity = scope.tables.stage_tcam(stage)
         expected = 0
         for fid in scope.tables.stage_fids(stage):
@@ -267,7 +267,7 @@ INVARIANTS: Tuple[Invariant, ...] = (
 
 def audit_state(
     allocator: "ActiveRmtAllocator",
-    tables: "DeviceTables",
+    tables: "Device",
     config: Optional[SwitchConfig] = None,
 ) -> AnalysisReport:
     """Run the whole catalog against one committed state."""

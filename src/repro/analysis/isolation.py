@@ -12,7 +12,7 @@ artifact.  For each FID it joins three sources of truth --
   :class:`~repro.core.transactions.AllocationPlan` or the live
   :class:`~repro.core.allocator.ActiveRmtAllocator` layout), and
 - the grant/translation entries installed on the device's table
-  surface (:class:`~repro.device.DeviceTables`)
+  surface (:class:`~repro.device.Device`)
 
 -- and emits an :class:`IsolationCertificate`: every reachable memory
 access is either *statically proven* to land inside the FID's regions
@@ -55,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime import
     from repro.core.allocator import ActiveRmtAllocator
     from repro.core.constraints import AccessPattern
     from repro.core.transactions import AllocationPlan
-    from repro.device import DeviceTables
+    from repro.device import Device
 
 #: ``{stage: (start_word, end_word)}`` -- the word-level view of one
 #: FID's allocation (end exclusive).
@@ -331,10 +331,10 @@ class TableSnapshot:
     translations: Mapping[int, Mapping[int, Tuple[int, int]]]
 
     @classmethod
-    def of(cls, tables: "DeviceTables") -> "TableSnapshot":
+    def of(cls, tables: "Device") -> "TableSnapshot":
         grants: Dict[int, Dict[int, Any]] = {}
         translations: Dict[int, Dict[int, Tuple[int, int]]] = {}
-        for stage in range(1, tables.num_stages + 1):
+        for stage in range(1, tables.config.num_stages + 1):
             grants[stage] = {
                 entry_fid: tables.grant_for(stage, entry_fid)
                 for entry_fid in tables.stage_fids(stage)
@@ -346,7 +346,7 @@ class TableSnapshot:
                     per_stage[entry_fid] = pair
             translations[stage] = per_stage
         return cls(
-            num_stages=tables.num_stages,
+            num_stages=tables.config.num_stages,
             grants=grants,
             translations=translations,
         )
@@ -359,7 +359,7 @@ def _pair_text(pair: Optional[Tuple[int, int]]) -> str:
 def certify_fid(
     fid: int,
     allocator: "ActiveRmtAllocator",
-    tables: "DeviceTables",
+    tables: "Device",
     config: Optional[SwitchConfig] = None,
     snapshot: Optional[TableSnapshot] = None,
 ) -> IsolationCertificate:
@@ -489,7 +489,7 @@ def certify_fid(
 
 def certify_all(
     allocator: "ActiveRmtAllocator",
-    tables: "DeviceTables",
+    tables: "Device",
     config: Optional[SwitchConfig] = None,
 ) -> Dict[int, IsolationCertificate]:
     """Live certificates for every resident FID (batch audit hook).

@@ -342,7 +342,6 @@ class ActiveRmtController:
         )
         self.snapshot_cost = snapshot_cost or SnapshotCost()
         self.mac = MacAddress.from_host_id(0xC0FFEE)
-        self.reports: List[ProvisioningReport] = []
         #: Every admission and withdrawal that landed, in commit order:
         #: replaying it serially on a fresh controller reproduces the
         #: pools byte for byte (:func:`replay_commit_log`).
@@ -752,12 +751,11 @@ class ActiveRmtController:
     def _record_report(
         self, report: ProvisioningReport, outcome: str
     ) -> ProvisioningReport:
-        """Keep *report* in :attr:`reports` and publish its outcome.  A
-        kept plan gives up its layouts (a member a rollback pre-empted is
-        still pending, and holds them)."""
+        """Publish *report*'s outcome.  A reported plan gives up its
+        layouts (a member a rollback pre-empted is still pending, and
+        holds them): a caller may keep the report."""
         if report.plan is not None:
             report.plan.layouts = None
-        self.reports.append(report)
         self._record_admission(report, outcome)
         return report
 

@@ -3,8 +3,7 @@
 Provisioning time in the paper is "dominated by the time taken to
 update table entries on the switch, including removing old entries and
 installing new ones" (Section 6.2).  :meth:`TableUpdateEngine.apply_layout`
-applies one layout change to the device's table surface
-(:class:`~repro.device.DeviceTables`; a bare pipeline is adapted) as one
+applies one layout change to a :class:`~repro.device.Device` as one
 staged batch of device calls for every FID it touches, run by one loop,
 and charges a per-entry latency for Figure 8a's breakdown.  A FID's
 entries are a delta of the tuples its old and new maps imply
@@ -27,9 +26,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, 
 from repro.analysis.isolation import implied_bounds
 from repro.core.blocks import BlockRange
 from repro.core.transactions import TableUpdateJournal
-from repro.device import DeviceTables, PipelineTables, TransientDeviceError
+from repro.device import Device, TransientDeviceError
 from repro.faults import RetryPolicy, call_with_retries
-from repro.switchsim.pipeline import Pipeline
 from repro.switchsim.tables import StageGrant
 from repro.telemetry import AnyTracer, MetricsRegistry, resolve, resolve_tracer
 
@@ -253,15 +251,13 @@ class TableUpdateEngine:
 
     def __init__(
         self,
-        tables: Union[DeviceTables, Pipeline],
+        tables: Device,
         cost: Optional[TableUpdateCost] = None,
         telemetry: Optional[MetricsRegistry] = None,
         tracer: Optional[AnyTracer] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
-        if isinstance(tables, Pipeline):
-            tables = PipelineTables(tables)
-        self.tables: DeviceTables = tables
+        self.tables = tables
         self.cost = cost or TableUpdateCost()
         self.tracer = resolve_tracer(tracer)
         self.retry = retry

@@ -1,29 +1,23 @@
-"""Device abstraction layer: the runtime-control surface of a switch.
+"""Device abstraction layer: what the switch CPU drives.
 
-The controller stack programs against :class:`Device` (or its
-table-only subset :class:`DeviceTables`), never against a concrete
-backend.  :class:`SimDevice` adapts the in-process simulator;
-:func:`as_device` coerces legacy call sites that still hand over a bare
+The controller stack programs against :class:`Device`, never against a
+concrete backend.  :class:`SimDevice` adapts the in-process simulator;
+:func:`as_device` coerces call sites that hand over a bare
 :class:`~repro.switchsim.switch.ActiveSwitch`.
 """
 
 from repro.device.base import (
     Device,
     DeviceError,
-    DeviceInfo,
-    DeviceTables,
     PermanentDeviceError,
     TransientDeviceError,
 )
-from repro.device.sim import PipelineTables, SimDevice, as_device
+from repro.device.sim import SimDevice, as_device
 
 __all__ = [
     "Device",
     "DeviceError",
-    "DeviceInfo",
-    "DeviceTables",
     "PermanentDeviceError",
-    "PipelineTables",
     "SimDevice",
     "TransientDeviceError",
     "as_device",

@@ -1,48 +1,29 @@
-"""The device abstraction: what a runtime-programmable switch exposes.
+"""The device abstraction: what the switch CPU drives.
 
 Every layer above the simulated hardware -- the controller, the table
 updater, the admission service, the fabric -- talks to a
 :class:`Device`, never to :class:`~repro.switchsim.switch.ActiveSwitch`
-directly.  The protocol is deliberately shaped like a thin
-runtime-control API (the RBFRT/BFRT surface a Tofino exposes): typed
-table operations, bulk register access, digest polling, and a stats
-snapshot.  Swapping the simulator for real hardware -- or for a remote
-gRPC shim -- means implementing this protocol and nothing else.
+directly.  The protocol is shaped like the runtime-control API a Tofino
+exposes to its CPU (BFRT, and the RBFRT surface measured per
+operation): typed table writes and reads, activation flips, a program
+cache flush, bulk register access, and the digest channel.  It is
+exactly what the control plane calls; the data path (packets in and
+out) is the switch's own, and the simulators drive it there.  Swapping
+the simulator for real hardware -- or for a remote gRPC shim -- means
+implementing this protocol and nothing else.
 
-Two protocols split the surface by consumer:
-
-- :class:`DeviceTables` is the control-plane subset the
-  :class:`~repro.controller.table_updater.TableUpdateEngine` and the
-  transaction journal's undo closures need: grants, translations,
-  activation, and program-cache invalidation.
-- :class:`Device` is the full north/south surface: tables plus
-  registers, the digest channel, packet injection, the data path, and
-  identity/stats.  The controller and the sharded fabric require this.
-
-Both are :func:`typing.runtime_checkable`, so adapters can be detected
-structurally -- an object either implements the surface or it does not;
-no inheritance is required.
+:class:`Device` is :func:`typing.runtime_checkable`, so adapters are
+detected structurally -- an object either implements the surface or it
+does not; no inheritance is required.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    Union,
-    runtime_checkable,
-)
+from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro.packets.codec import ActivePacket
-from repro.packets.ethernet import MacAddress
 from repro.switchsim.config import SwitchConfig
-from repro.switchsim.switch import BatchResult, SwitchOutput
+from repro.switchsim.switch import SwitchOutput
 from repro.switchsim.tables import StageGrant
 
 
@@ -77,43 +58,32 @@ class PermanentDeviceError(DeviceError):
     """
 
 
-@dataclasses.dataclass(frozen=True)
-class DeviceInfo:
-    """Static identity and capability summary of one device.
-
-    The fields mirror what fabric placement or an inventory
-    endpoint needs without holding the device itself: who the device
-    is, what kind of backend serves it, and how much memory it brings.
-    """
-
-    device_id: str
-    kind: str
-    num_stages: int
-    blocks_per_stage: int
-    block_words: int
-    words_per_stage: int
-    tcam_entries_per_stage: int
-
-    @property
-    def total_blocks(self) -> int:
-        """Allocatable memory blocks across the whole pipeline."""
-        return self.num_stages * self.blocks_per_stage
-
-
 @runtime_checkable
-class DeviceTables(Protocol):
-    """Typed match-table and activation operations, per physical stage.
+class Device(Protocol):
+    """The surface the controller, the table updater and the fabric
+    program against.
 
     Stages are 1-indexed (matching
-    :meth:`~repro.switchsim.pipeline.Pipeline.stage`).  Everything the
-    table updater journals -- grants, translations, activation flips,
-    cache flushes -- goes through this surface, so an undo closure
-    recorded against one device replays against the same device.
+    :meth:`~repro.switchsim.pipeline.Pipeline.stage`); the pipeline
+    depth is ``config.num_stages``.  Everything the table updater
+    journals -- grants, translations, activation flips, cache flushes,
+    register scrubs -- goes through this surface, so an undo recorded
+    against one device replays against the same device.
     """
 
     @property
-    def num_stages(self) -> int:
-        """Physical pipeline depth (stages are ``1..num_stages``)."""
+    def device_id(self) -> str:
+        """Stable identity used in telemetry labels and fabric routing."""
+        ...
+
+    @property
+    def config(self) -> SwitchConfig:
+        """Modeled device parameters (capabilities)."""
+        ...
+
+    @property
+    def underlying(self) -> object:
+        """The backend object behind this adapter (simulator escape hatch)."""
         ...
 
     # -- protection grants ------------------------------------------------
@@ -182,37 +152,7 @@ class DeviceTables(Protocol):
         """Flush cached schedules for *fid* (all when None); returns count."""
         ...
 
-
-@runtime_checkable
-class Device(DeviceTables, Protocol):
-    """The full device surface the controller and fabric program against.
-
-    Extends :class:`DeviceTables` with identity, bulk register access
-    (the BFRT-style snapshot/restore/scrub primitives of Section 4.3),
-    the digest channel, controller packet injection, the data path the
-    simulators drive, and a consolidated stats snapshot.
-    """
-
-    @property
-    def device_id(self) -> str:
-        """Stable identity used in telemetry labels and fabric routing."""
-        ...
-
-    @property
-    def config(self) -> SwitchConfig:
-        """Modeled device parameters (capabilities)."""
-        ...
-
-    @property
-    def underlying(self) -> object:
-        """The backend object behind this adapter (simulator escape hatch)."""
-        ...
-
-    def info(self) -> DeviceInfo:
-        """Static identity/capability summary."""
-        ...
-
-    # -- register memory (control plane) ----------------------------------
+    # -- register memory (the BFRT snapshot/restore/scrub of Section 4.3) --
 
     def read_registers(self, stage: int, start: int, end: int) -> List[int]:
         """Copy out words ``[start, end)`` of *stage*'s register array."""
@@ -234,35 +174,6 @@ class Device(DeviceTables, Protocol):
         """Drain queued digests (allocation requests, control packets)."""
         ...
 
-    @property
-    def digests_pending(self) -> int:
-        """Digests waiting for the switch CPU."""
-        ...
-
     def inject(self, packet: ActivePacket) -> List[SwitchOutput]:
         """Send a controller-originated packet toward its destination."""
-        ...
-
-    # -- data path (driven by the simulators) ------------------------------
-
-    def register_host(self, mac: MacAddress, port: int) -> None:
-        """Bind a MAC address to a front-panel port (static L2 table)."""
-        ...
-
-    def receive(self, packet: ActivePacket, in_port: int) -> List[SwitchOutput]:
-        """Process one arriving packet."""
-        ...
-
-    def receive_batch(
-        self,
-        packets: Iterable[Union[ActivePacket, Tuple[ActivePacket, int]]],
-        in_port: Optional[int] = None,
-    ) -> BatchResult:
-        """Process an arrival batch through the amortized path."""
-        ...
-
-    # -- observability ------------------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        """Consolidated data-path health snapshot."""
         ...

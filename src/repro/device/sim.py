@@ -1,40 +1,25 @@
-"""Simulator-backed device adapters.
+"""The simulator-backed device adapter.
 
 :class:`SimDevice` puts an :class:`~repro.switchsim.switch.ActiveSwitch`
 behind the :class:`~repro.device.base.Device` protocol -- a pure
 delegation layer, so a controller driving a ``SimDevice`` is
-byte-identical to one poking the switch directly.  :class:`PipelineTables`
-is the smaller adapter over a bare
-:class:`~repro.switchsim.pipeline.Pipeline` implementing only the
-:class:`~repro.device.base.DeviceTables` subset (what the table updater
-needs when it is constructed without a full device, as some tests do).
+byte-identical to one poking the switch directly.
 
 :func:`as_device` is the coercion point the controller uses: it accepts
 anything already implementing :class:`Device` (pass-through) or an
-``ActiveSwitch`` (wrapped), so call sites that historically passed the
-raw switch keep working unchanged.
+``ActiveSwitch`` (wrapped), so call sites that pass the raw switch keep
+working unchanged.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    NoReturn,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import List, NoReturn, Optional, Sequence, Tuple
 
-from repro.device.base import Device, DeviceError, DeviceInfo
+from repro.device.base import Device, DeviceError
 from repro.packets.codec import ActivePacket
-from repro.packets.ethernet import MacAddress
 from repro.switchsim.config import SwitchConfig
-from repro.switchsim.pipeline import Pipeline
-from repro.switchsim.switch import ActiveSwitch, BatchResult, SwitchOutput
+from repro.switchsim.switch import ActiveSwitch, SwitchOutput
 from repro.switchsim.tables import StageGrant
 
 #: Process-wide source of default device ids ("sw0", "sw1", ...) for
@@ -55,21 +40,43 @@ class _ByStage(dict):
         raise IndexError(f"no stage {stage}: physical stages are 1..{len(self)}")
 
 
-class PipelineTables:
-    """:class:`DeviceTables` over a bare simulated pipeline.
+class SimDevice:
+    """One simulated switch behind the :class:`Device` protocol.
 
-    A pipeline's stages are never replaced, so each stage's table is
-    bound once here; stage numbers come from callers, and one outside
-    1..N raises :class:`IndexError`.
+    Every method is a one-hop delegation -- no caching, no translation
+    of arguments -- so the adapted switch's observable behavior is
+    exactly the unadapted switch's.  A pipeline's stages are never
+    replaced, so each stage's table and register array is bound once
+    here; a stage number outside 1..N raises :class:`IndexError`.  The
+    wrapped switch stays reachable through :attr:`underlying` for
+    simulator-level assertions (tests poking the pipeline, harnesses
+    reading port stats).
     """
 
-    def __init__(self, pipeline: Pipeline) -> None:
-        self.pipeline = pipeline
-        self._tables = _ByStage((stage.index, stage.table) for stage in pipeline.stages)
+    def __init__(
+        self, switch: ActiveSwitch, device_id: Optional[str] = None
+    ) -> None:
+        self._switch = switch
+        self._pipeline = switch.pipeline
+        stages = switch.pipeline.stages
+        self._tables = _ByStage((stage.index, stage.table) for stage in stages)
+        self._registers = _ByStage((stage.index, stage.registers) for stage in stages)
+        self._device_id = device_id if device_id is not None else _next_device_id()
+
+    def __repr__(self) -> str:
+        return f"SimDevice({self._device_id!r})"
 
     @property
-    def num_stages(self) -> int:
-        return self.pipeline.config.num_stages
+    def device_id(self) -> str:
+        return self._device_id
+
+    @property
+    def config(self) -> SwitchConfig:
+        return self._switch.config
+
+    @property
+    def underlying(self) -> object:
+        return self._switch
 
     # -- protection grants ------------------------------------------------
 
@@ -110,66 +117,18 @@ class PipelineTables:
     # -- activation and caches --------------------------------------------
 
     def deactivate_fid(self, fid: int) -> None:
-        self.pipeline.deactivate_fid(fid)
+        self._pipeline.deactivate_fid(fid)
 
     def reactivate_fid(self, fid: int) -> None:
-        self.pipeline.reactivate_fid(fid)
+        self._pipeline.reactivate_fid(fid)
 
     def is_active(self, fid: int) -> bool:
-        return self.pipeline.is_active(fid)
+        return self._pipeline.is_active(fid)
 
     def invalidate_program_cache(self, fid: Optional[int] = None) -> int:
-        return self.pipeline.invalidate_program_cache(fid)
+        return self._pipeline.invalidate_program_cache(fid)
 
-
-class SimDevice(PipelineTables):
-    """One simulated switch behind the :class:`Device` protocol.
-
-    Every method is a one-hop delegation -- no caching, no translation
-    of arguments -- so the adapted switch's observable behavior is
-    exactly the unadapted switch's.  The wrapped switch stays reachable
-    through :attr:`underlying` for simulator-level assertions (tests
-    poking the pipeline, harnesses reading port stats).
-    """
-
-    def __init__(
-        self, switch: ActiveSwitch, device_id: Optional[str] = None
-    ) -> None:
-        super().__init__(switch.pipeline)
-        self._registers = _ByStage(
-            (stage.index, stage.registers) for stage in switch.pipeline.stages
-        )
-        self.switch = switch
-        self._device_id = device_id if device_id is not None else _next_device_id()
-
-    def __repr__(self) -> str:
-        return f"SimDevice({self._device_id!r})"
-
-    @property
-    def device_id(self) -> str:
-        return self._device_id
-
-    @property
-    def config(self) -> SwitchConfig:
-        return self.switch.config
-
-    @property
-    def underlying(self) -> object:
-        return self.switch
-
-    def info(self) -> DeviceInfo:
-        config = self.switch.config
-        return DeviceInfo(
-            device_id=self._device_id,
-            kind="sim",
-            num_stages=config.num_stages,
-            blocks_per_stage=config.blocks_per_stage,
-            block_words=config.block_words,
-            words_per_stage=config.words_per_stage,
-            tcam_entries_per_stage=config.tcam_entries_per_stage,
-        )
-
-    # -- register memory (control plane) ----------------------------------
+    # -- register memory ----------------------------------------------------
 
     def read_registers(self, stage: int, start: int, end: int) -> List[int]:
         return self._registers[stage].snapshot(start, end)
@@ -185,54 +144,22 @@ class SimDevice(PipelineTables):
     # -- digest channel and injection -------------------------------------
 
     def poll_digests(self, limit: Optional[int] = None) -> List[ActivePacket]:
-        return self.switch.poll_digests(limit)
-
-    @property
-    def digests_pending(self) -> int:
-        return self.switch.digests_pending
+        return self._switch.poll_digests(limit)
 
     def inject(self, packet: ActivePacket) -> List[SwitchOutput]:
-        return self.switch.inject(packet)
-
-    # -- data path ----------------------------------------------------------
-
-    def register_host(self, mac: MacAddress, port: int) -> None:
-        self.switch.register_host(mac, port)
-
-    def receive(self, packet: ActivePacket, in_port: int) -> List[SwitchOutput]:
-        return self.switch.receive(packet, in_port)
-
-    def receive_batch(
-        self,
-        packets: Iterable[Union[ActivePacket, Tuple[ActivePacket, int]]],
-        in_port: Optional[int] = None,
-    ) -> BatchResult:
-        return self.switch.receive_batch(packets, in_port)
-
-    # -- observability ------------------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        return self.switch.stats()
+        return self._switch.inject(packet)
 
 
-def as_device(
-    target: object, device_id: Optional[str] = None
-) -> Device:
+def as_device(target: object) -> Device:
     """Coerce *target* into a :class:`Device`.
 
-    Objects already implementing the protocol pass through unchanged
-    (an explicit *device_id* must then match, since identities are
-    immutable); an :class:`ActiveSwitch` is wrapped in a
-    :class:`SimDevice`.  Anything else is a programming error.
+    Objects already implementing the protocol pass through unchanged;
+    an :class:`ActiveSwitch` is wrapped in a :class:`SimDevice`.
+    Anything else is a programming error.
     """
     if isinstance(target, ActiveSwitch):
-        return SimDevice(target, device_id=device_id)
+        return SimDevice(target)
     if isinstance(target, Device):
-        if device_id is not None and target.device_id != device_id:
-            raise DeviceError(
-                f"device already identifies as {target.device_id!r}; "
-                f"cannot relabel it {device_id!r}"
-            )
         return target
     raise DeviceError(
         f"cannot adapt {type(target).__name__} into a Device: expected an "

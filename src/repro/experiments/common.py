@@ -31,6 +31,7 @@ from repro.core.constraints import (
 )
 from repro.core.fairness import jain_index
 from repro.core.schemes import AllocationScheme
+from repro.device import SimDevice
 from repro.switchsim.config import SwitchConfig
 from repro.switchsim.switch import ActiveSwitch
 from repro.telemetry import resolve
@@ -370,7 +371,7 @@ def table_surface_mismatches(controller: ActiveRmtController) -> List[str]:
         for fid, block_range in pool.layout().items():
             if block_range.count > 0:
                 regions.setdefault(fid, {})[stage] = block_range
-    scratch = TableUpdateEngine(ActiveSwitch(config).pipeline)
+    scratch = TableUpdateEngine(SimDevice(ActiveSwitch(config), device_id="scratch"))
     for fid in sorted(regions):
         scratch.install_app(fid, regions[fid], config.block_words)
     live = TableSnapshot.of(controller.device)

@@ -471,11 +471,6 @@ class Fabric:
                     "utilization": allocator.utilization(),
                     "resident_fids": len(allocator.resident_fids()),
                     "commits": len(shard.commit_log),
-                    "routed_fids": sum(
-                        1
-                        for index in self._routes.values()
-                        if index == shard.index
-                    ),
                 }
             )
         return rows

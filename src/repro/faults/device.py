@@ -12,38 +12,27 @@ which every call raises
 
 Reads pass through untouched (a flaky control channel corrupts
 commands, not the installed state), and identity stays readable after
-death -- ``device_id``/``config``/``info`` describe the chassis, not
-the control channel, and the fabric's failover bookkeeping needs them.
+death -- ``device_id``/``config``/``underlying`` describe the chassis,
+not the control channel, and the fabric's failover bookkeeping needs
+them.
 
-The wrapper implements the full :class:`~repro.device.Device`
-protocol, so :func:`~repro.device.as_device` passes it through and a
-controller stacked on top cannot tell it from bare hardware until a
-fault fires.
+The wrapper implements exactly the :class:`~repro.device.Device`
+protocol (plus its fault controls), so :func:`~repro.device.as_device`
+passes it through and a controller stacked on top cannot tell it from
+bare hardware until a fault fires.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-    Union,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.device import Device, PermanentDeviceError, TransientDeviceError
-from repro.device.base import DeviceInfo
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.packets.codec import ActivePacket
-from repro.packets.ethernet import MacAddress
 from repro.switchsim.config import SwitchConfig
-from repro.switchsim.switch import BatchResult, SwitchOutput
+from repro.switchsim.switch import SwitchOutput
 from repro.switchsim.tables import StageGrant
 from repro.telemetry import MetricsRegistry, resolve
 
@@ -164,13 +153,6 @@ class FaultyDevice:
     def underlying(self) -> object:
         return self.inner.underlying
 
-    def info(self) -> DeviceInfo:
-        return self.inner.info()
-
-    @property
-    def num_stages(self) -> int:
-        return self.inner.num_stages
-
     # ------------------------------------------------------------------
     # Table surface (mutations faulted, reads death-checked)
     # ------------------------------------------------------------------
@@ -276,42 +258,6 @@ class FaultyDevice:
                 kept.append(digest)
         return kept
 
-    @property
-    def digests_pending(self) -> int:
-        self._check_dead("digests_pending")
-        return self.inner.digests_pending
-
     def inject(self, packet: ActivePacket) -> List[SwitchOutput]:
         return self._read("inject", lambda: self.inner.inject(packet))
 
-    # ------------------------------------------------------------------
-    # Data path
-    # ------------------------------------------------------------------
-
-    def register_host(self, mac: MacAddress, port: int) -> None:
-        self._read("register_host", lambda: self.inner.register_host(mac, port))
-
-    def receive(self, packet: ActivePacket, in_port: int) -> List[SwitchOutput]:
-        return self._read(
-            "receive", lambda: self.inner.receive(packet, in_port)
-        )
-
-    def receive_batch(
-        self,
-        packets: Iterable[Union[ActivePacket, Tuple[ActivePacket, int]]],
-        in_port: Optional[int] = None,
-    ) -> BatchResult:
-        return self._read(
-            "receive_batch", lambda: self.inner.receive_batch(packets, in_port)
-        )
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        self._check_dead("stats")
-        stats = dict(self.inner.stats())
-        stats["faults_injected"] = dict(self.injected)
-        stats["digests_dropped"] = self.digests_dropped
-        return stats

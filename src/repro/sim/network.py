@@ -7,9 +7,8 @@ all as scheduled events, so latency and interleaving are explicit.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
-from repro.device import Device
 from repro.packets.codec import ActivePacket
 from repro.packets.ethernet import MacAddress
 from repro.sim.eventloop import EventLoop
@@ -42,17 +41,15 @@ class SimNetwork:
 
     Args:
         loop: the discrete-event loop driving the simulation.
-        switch: the switch at the hub -- a bare
-            :class:`~repro.switchsim.switch.ActiveSwitch` or anything
-            implementing the :class:`~repro.device.Device` data-path
-            surface (``register_host``/``receive``).
+        switch: the switch at the hub; the network drives its data
+            path (``register_host``/``receive``) directly.
         link_delay_s: one-way access-link latency.
     """
 
     def __init__(
         self,
         loop: EventLoop,
-        switch: Union[ActiveSwitch, Device],
+        switch: ActiveSwitch,
         link_delay_s: float = 2e-6,
     ) -> None:
         self.loop = loop

@@ -11,6 +11,7 @@ from repro.controller import (
     withdraw_with_retries,
 )
 from repro.core import BlockRange
+from repro.device import SimDevice
 from repro.packets import (
     ActivePacket,
     ControlFlags,
@@ -55,9 +56,8 @@ def test_admit_failure_reports_reason(controller):
     from tests.test_core_allocator import hh_pattern
 
     fid = 0
-    while controller.admit(fid=fid, pattern=hh_pattern()).success:
+    while (report := controller.admit(fid=fid, pattern=hh_pattern())).success:
         fid += 1
-    report = controller.reports[-1]
     assert not report.success
     assert report.reason
     assert report.table_update_seconds == 0.0
@@ -234,7 +234,7 @@ def test_withdraw_with_retries_resends_only_what_the_switch_refused():
 def test_table_update_engine_costs():
     switch = ActiveSwitch(SwitchConfig())
     engine = TableUpdateEngine(
-        switch.pipeline, TableUpdateCost(install_entry_seconds=0.01)
+        SimDevice(switch), TableUpdateCost(install_entry_seconds=0.01)
     )
     seconds = engine.install_app(
         fid=1, regions={5: BlockRange(0, 4)}, block_words=256

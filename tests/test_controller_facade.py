@@ -46,7 +46,7 @@ def test_submit_admission(controller):
     assert isinstance(report, ProvisioningReport)
     assert report.success
     assert report.plan is not None
-    assert controller.reports == [report]  # admissions are recorded
+    assert controller.commit_log == [("admit", 1)]  # the admission landed
 
 
 def test_admit_wrapper_delegates_to_submit(controller, monkeypatch):
@@ -71,8 +71,7 @@ def test_submit_withdrawal_reports_table_seconds(controller):
     assert report.fid == 1
     assert report.table_update_seconds > 0
     assert report.total_seconds == report.table_update_seconds
-    # Withdrawals are not admission reports.
-    assert len(controller.reports) == 1
+    assert controller.commit_log == [("admit", 1), ("withdraw", 1)]
 
 
 def test_withdraw_wrapper_returns_seconds(controller):
@@ -94,7 +93,7 @@ def test_serve_digest_reports_the_admission(controller, switch):
     report = controller.serve_digest(digest)
     assert report.success
     assert report.fid == 7
-    assert controller.reports == [report]  # an admission like any other
+    assert controller.commit_log == [("admit", 7)]  # an admission like any other
     replies = controller.allocation_replies(report, digest)
     assert len(replies) == 1
     assert replies[0].ptype == PacketType.ALLOC_RESPONSE
@@ -156,11 +155,10 @@ def test_failed_admission_report_shape(controller):
     from tests.test_core_allocator import hh_pattern
 
     fid = 0
-    while controller.submit(
-        ProvisioningRequest.admission(fid, hh_pattern())
+    while (
+        report := controller.submit(ProvisioningRequest.admission(fid, hh_pattern()))
     ).success:
         fid += 1
-    report = controller.reports[-1]
     assert not report.success
     assert report.reason
 
@@ -215,6 +213,24 @@ def test_repro_public_surface():
     ):
         assert name in repro.__all__
         assert getattr(repro, name) is not None
+
+
+def test_package_docstring_data_path_example_runs(capsys):
+    """The data-path snippet of ``repro.__doc__``, run as written on a
+    batch of unactivated program packets."""
+    import textwrap
+
+    import repro
+
+    text = repro.__doc__.split("Data path::\n", 1)[1].split("Control plane::", 1)[0]
+    packets = [
+        ActivePacket.program(src=CLIENT, dst=CLIENT, fid=1, instructions=[])
+        for _ in range(3)
+    ]
+    namespace = {"packets": packets}
+    exec(textwrap.dedent(text), namespace)
+    assert namespace["result"].outputs == []  # no host is registered
+    assert capsys.readouterr().out == "3\n"
 
 
 def test_repro_star_import_is_bounded():

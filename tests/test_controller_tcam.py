@@ -77,12 +77,10 @@ def test_tcam_failure_counts_as_failed_report():
     controller = _tiny_tcam_controller(tcam_entries=2)
     pattern = listing1_pattern()
     fid = 0
-    while controller.admit(fid=fid, pattern=pattern).success:
+    while (report := controller.admit(fid=fid, pattern=pattern)).success:
         fid += 1
-    failures = [r for r in controller.reports if not r.success]
-    assert failures
-    assert failures[-1].table_update_seconds == 0.0
-    assert failures[-1].rolled_back
+    assert report.table_update_seconds == 0.0
+    assert report.rolled_back
 
 
 def test_rollback_telemetry_is_not_release_telemetry():

@@ -3,14 +3,14 @@
 The contracts under test:
 
 - :class:`SimDevice` satisfies the runtime-checkable :class:`Device`
-  protocol (and :class:`PipelineTables` the :class:`DeviceTables`
-  subset), so controllers typed against the protocol accept them.
+  protocol, so controllers typed against the protocol accept it, and
+  its public surface -- like :class:`FaultyDevice`'s beside its fault
+  controls -- is exactly the protocol's.
 - Every ``SimDevice`` method is a one-hop delegation: table ops,
   register ops, digests, and injection observed through the device are
   byte-identical to poking the wrapped switch directly.
 - :func:`as_device` coerces an ``ActiveSwitch`` (wrap), passes an
-  existing ``Device`` through, refuses to relabel one, and rejects
-  foreign objects.
+  existing ``Device`` through, and rejects foreign objects.
 - A controller built from a raw switch still exposes it via the
   ``.switch`` escape hatch, and never imports the simulator itself
   (the grep-clean guarantee, pinned here as an import-graph test).
@@ -19,16 +19,13 @@ The contracts under test:
 import pytest
 
 from repro.controller import ActiveRmtController
-from repro.device import (
-    Device,
-    DeviceError,
-    DeviceTables,
-    PipelineTables,
-    SimDevice,
-    as_device,
-)
+from repro.device import Device, DeviceError, SimDevice, as_device
+from repro.faults import FaultPlan, FaultyDevice
+from repro.packets import ActivePacket, MacAddress
 from repro.switchsim import ActiveSwitch, SwitchConfig
 from repro.switchsim.tables import StageGrant
+
+from tests.test_core_constraints import listing1_pattern
 
 
 def _device(**config_kwargs):
@@ -44,26 +41,26 @@ def _device(**config_kwargs):
 def test_sim_device_satisfies_device_protocol():
     device, _ = _device()
     assert isinstance(device, Device)
-    assert isinstance(device, DeviceTables)
 
 
-def test_pipeline_tables_satisfies_tables_subset_only():
-    switch = ActiveSwitch(SwitchConfig())
-    tables = PipelineTables(switch.pipeline)
-    assert isinstance(tables, DeviceTables)
-    assert not isinstance(tables, Device)
+def _public(obj):
+    return {name for name in dir(obj) if not name.startswith("_")}
 
 
-def test_device_info_mirrors_switch_config():
-    device, switch = _device()
-    info = device.info()
-    config = switch.config
-    assert info.device_id == "dut"
-    assert info.kind == "sim"
-    assert info.num_stages == config.num_stages
-    assert info.blocks_per_stage == config.blocks_per_stage
-    assert info.block_words == config.block_words
-    assert info.total_blocks == config.num_stages * config.blocks_per_stage
+#: What :class:`FaultyDevice` adds to the protocol: the fault plan, its
+#: counts, and the device it wraps.
+FAULT_CONTROLS = {
+    "kill", "injected", "metrics", "plan", "dead", "faults", "digests_dropped", "inner",
+}
+
+
+def test_adapters_expose_exactly_the_protocol():
+    """No adapter grows a method the control plane does not call
+    through a :class:`Device`; the data path is the switch's own."""
+    members = {name for name in vars(Device) if not name.startswith("_")}
+    device, _ = _device()
+    assert _public(device) == members
+    assert _public(FaultyDevice(device, FaultPlan())) - FAULT_CONTROLS == members
 
 
 def test_default_device_ids_are_unique():
@@ -81,22 +78,14 @@ def test_default_device_ids_are_unique():
 
 def test_as_device_wraps_a_raw_switch():
     switch = ActiveSwitch(SwitchConfig())
-    device = as_device(switch, device_id="edge0")
+    device = as_device(switch)
     assert isinstance(device, SimDevice)
-    assert device.device_id == "edge0"
     assert device.underlying is switch
 
 
 def test_as_device_passes_an_existing_device_through():
     device, _ = _device()
     assert as_device(device) is device
-    assert as_device(device, device_id="dut") is device
-
-
-def test_as_device_refuses_to_relabel():
-    device, _ = _device()
-    with pytest.raises(DeviceError, match="already identifies"):
-        as_device(device, device_id="other")
 
 
 def test_as_device_rejects_foreign_objects():
@@ -174,11 +163,18 @@ def test_register_roundtrip_through_the_device():
     assert device.read_registers(1, 4, 7) == [0, 0, 30]
 
 
-def test_stats_and_digests_delegate():
+def test_digests_delegate():
     device, switch = _device()
-    assert device.stats() == switch.stats()
-    assert device.digests_pending == switch.digests_pending
     assert device.poll_digests() == []
+    request = ActivePacket.alloc_request(
+        src=MacAddress.from_host_id(1),
+        dst=MacAddress.from_host_id(2),
+        fid=7,
+        request=listing1_pattern().to_request(),
+    )
+    switch.receive(request, in_port=1)
+    assert [digest.fid for digest in device.poll_digests()] == [7]
+    assert switch.digests_pending == 0
 
 
 # ----------------------------------------------------------------------
@@ -218,9 +214,10 @@ def test_controller_package_does_not_import_the_simulator():
             continue
         with open(source, "r", encoding="utf-8") as handle:
             text = handle.read()
-        assert "from repro.switchsim.switch import" not in text, (
-            f"{name} imports the simulator switch directly"
-        )
-        assert "import repro.switchsim.switch" not in text, (
-            f"{name} imports the simulator switch directly"
-        )
+        for module_name in ("repro.switchsim.switch", "repro.switchsim.pipeline"):
+            assert f"from {module_name} import" not in text, (
+                f"{name} imports {module_name} directly"
+            )
+            assert f"import {module_name}" not in text, (
+                f"{name} imports {module_name} directly"
+            )

@@ -208,7 +208,7 @@ def test_fingerprint_and_stats_cover_every_shard():
     assert set(prints) == {"sw0", "sw1", "sw2"}
     rows = fabric.stats()
     assert [row["device"] for row in rows] == ["sw0", "sw1", "sw2"]
-    assert sum(row["routed_fids"] for row in rows) == 5
+    assert sum(row["resident_fids"] for row in rows) == 5
     assert sum(len(log) for log in fabric.commit_logs().values()) == 5
 
 

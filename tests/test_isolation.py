@@ -205,7 +205,7 @@ def test_verify_off_skips_certification():
 def _table_surface(controller):
     tables = controller.device
     out = []
-    for stage in range(1, tables.num_stages + 1):
+    for stage in range(1, tables.config.num_stages + 1):
         out.append(
             (
                 stage,

@@ -134,13 +134,13 @@ def _churn(seed, epochs):
         yield event, patterns.get(getattr(event, "app_name", None))
 
 
-def _no_kept_layouts(controller):
-    return all(r.plan is None or r.plan.layouts is None for r in controller.reports)
+def _no_kept_layouts(reports):
+    return all(r.plan is None or r.plan.layouts is None for r in reports)
 
 
 def test_submit_commits_adopt_the_plans_layouts(adoption_log):
     controller = ActiveRmtController(ActiveSwitch(SwitchConfig()))
-    resident = set()
+    resident, reports = set(), []
     for event, pattern in _churn(7, 80):
         if isinstance(event, ArrivalEvent):
             request = ProvisioningRequest.admission(event.fid, pattern)
@@ -149,11 +149,12 @@ def test_submit_commits_adopt_the_plans_layouts(adoption_log):
         else:
             continue
         report = controller.submit(request)
+        reports.append(report)
         if report.success and isinstance(event, ArrivalEvent):
             resident.add(event.fid)
         elif report.success:
             resident.discard(event.fid)
-        assert _no_kept_layouts(controller)
+        assert _no_kept_layouts(reports)
     assert adoption_log["commit"] >= 100
     assert adoption_log["adopted"] == adoption_log["commit"]
     assert sorted(resident) == controller.allocator.resident_fids()
@@ -162,21 +163,23 @@ def test_submit_commits_adopt_the_plans_layouts(adoption_log):
 def test_batched_commits_adopt_on_the_shadow_and_the_pools(adoption_log):
     controller = ActiveRmtController(ActiveSwitch(SwitchConfig()))
     service = AdmissionService(controller)
-    resident, group = set(), []
+    resident, group, reports = set(), [], []
     for event, pattern in _churn(7, 80):
         if isinstance(event, ArrivalEvent):
             group.append(ProvisioningRequest.admission(event.fid, pattern))
             if len(group) < 3:
                 continue
-            for report in service.submit_many(group).reports:
+            members = service.submit_many(group).reports
+            reports.extend(members)
+            for report in members:
                 if report.success:
                     resident.add(report.fid)
             group = []
         elif event.fid in resident:
-            request = ProvisioningRequest.withdrawal(event.fid)
-            if service.submit(request).success:
+            reports.append(service.submit(ProvisioningRequest.withdrawal(event.fid)))
+            if reports[-1].success:
                 resident.discard(event.fid)
-        assert _no_kept_layouts(controller)
+        assert _no_kept_layouts(reports)
     assert adoption_log["rehearse"] >= 80
     assert adoption_log["commit"] >= 100
     # Every rehearsal and each group's last commit adopt.

@@ -158,7 +158,7 @@ def _build_world(num_clients=1, request_interval_s=200e-6):
     network = SimNetwork(loop, switch)
     server = KVServerHost(SERVER, loop=loop)
     network.attach(server, 2)
-    _provisioner = SimProvisioner(loop, network, controller, horizon_s=60.0)
+    provisioner = SimProvisioner(loop, network, controller, horizon_s=60.0)
     clients = []
     for index in range(num_clients):
         workload = ZipfKeyGenerator(num_keys=5000, alpha=0.99, seed=index)
@@ -173,11 +173,11 @@ def _build_world(num_clients=1, request_interval_s=200e-6):
         )
         network.attach(client, 10 + index)
         clients.append(client)
-    return loop, switch, controller, network, clients
+    return loop, switch, controller, provisioner, clients
 
 
 def test_unactivated_requests_all_miss():
-    loop, _switch, _controller, _network, clients = _build_world()
+    loop, _switch, _controller, _provisioner, clients = _build_world()
     client = clients[0]
     client.start_requests()
     loop.run_until(0.2)
@@ -187,7 +187,7 @@ def test_unactivated_requests_all_miss():
 
 def test_cache_allocation_over_sim_time_then_hits():
     """End-to-end: allocate, populate, and observe a rising hit rate."""
-    loop, _switch, _controller, _network, clients = _build_world()
+    loop, _switch, _controller, _provisioner, clients = _build_world()
     client = clients[0]
     client.populate_limit = 2000
     client.start_requests()
@@ -205,11 +205,13 @@ def test_cache_allocation_over_sim_time_then_hits():
 
 
 def test_provisioning_log_records_admission():
-    loop, _switch, _controller, _network, clients = _build_world()
+    loop, _switch, _controller, provisioner, clients = _build_world()
     client = clients[0]
     client.request_cache_allocation()
     loop.run_until(2.0)
-    # Find the provisioner via the loop-closure: re-create instead.
+    assert [(entry["fid"], entry["success"]) for entry in provisioner.provisioning_log] == [
+        (1, True)
+    ]
     assert client.shim.synthesized is not None
     assert client.cache.capacity > 0
 
@@ -217,7 +219,7 @@ def test_provisioning_log_records_admission():
 def test_second_tenant_disrupts_first_only_when_sharing():
     """Figure 9b/10 dynamics: a fourth tenant sharing stages briefly
     disrupts the incumbent, then both stabilize at lower hit rates."""
-    loop, switch, controller, _network, clients = _build_world(
+    loop, _switch, _controller, provisioner, clients = _build_world(
         num_clients=4, request_interval_s=500e-6
     )
     for client in clients:
@@ -232,8 +234,8 @@ def test_second_tenant_disrupts_first_only_when_sharing():
         assert client.shim.synthesized is not None, "tenant not allocated"
     # The fourth tenant shares stages with an incumbent: someone was
     # reallocated at least once.
-    assert controller.reports, "no admissions recorded"
-    realloc_waves = [r for r in controller.reports if r.reallocated_fids]
+    assert provisioner.provisioning_log, "no admissions recorded"
+    realloc_waves = [r for r in provisioner.provisioning_log if r["reallocated"]]
     assert realloc_waves, "fourth tenant must have squeezed an incumbent"
     # After the dust settles everyone serves hits again.
     for client in clients:

@@ -89,7 +89,7 @@ region_maps = st.dictionaries(
 
 def _surface(tables):
     snapshot = TableSnapshot.of(tables)
-    tcam = [tables.stage_tcam(s) for s in range(1, tables.num_stages + 1)]
+    tcam = [tables.stage_tcam(s) for s in range(1, tables.config.num_stages + 1)]
     return snapshot.grants, snapshot.translations, tcam
 
 

@@ -52,7 +52,6 @@ from repro.analysis import (
 from repro.client.compiler import (
     ActiveCompiler,
     CompilationError,
-    CompileOptions,
     SynthesizedProgram,
     compile_mutant,
 )
@@ -120,7 +119,6 @@ __all__ = [
     # Client
     "ActiveCompiler",
     "CompilationError",
-    "CompileOptions",
     "SynthesizedProgram",
     "compile_mutant",
     # Static verification

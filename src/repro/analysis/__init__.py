@@ -55,7 +55,6 @@ from repro.analysis.stats import (
 )
 from repro.analysis.verifier import (
     TRANSLATION_WINDOW,
-    analyze_many,
     analyze_program,
     linked_verdict,
     require,
@@ -78,7 +77,6 @@ __all__ = [
     "VerificationError",
     "VerifyMode",
     "analyze_dataflow",
-    "analyze_many",
     "analyze_program",
     "catalog_reports",
     "lint_catalog",

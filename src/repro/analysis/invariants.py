@@ -2,7 +2,8 @@
 
 Where :mod:`repro.analysis.isolation` certifies one FID at a time, this
 module audits the *entire* committed state -- allocator pools, app
-records, and the device's installed table entries -- against a
+records, and the device's installed table entries, read once as a
+:class:`~repro.analysis.isolation.TableSnapshot` -- against a
 declarative catalog of invariants.  Each invariant is a named,
 rule-tagged predicate producing zero or more findings; the audit result
 is a standard :class:`~repro.analysis.findings.AnalysisReport`, so the
@@ -37,7 +38,7 @@ from typing import (
 )
 
 from repro.analysis.findings import AnalysisReport, Finding
-from repro.analysis.isolation import certify_all
+from repro.analysis.isolation import TableSnapshot, certify_snapshot
 from repro.analysis.verifier import _ordered
 from repro.switchsim.config import SwitchConfig
 
@@ -52,7 +53,7 @@ class AuditScope:
     """Everything one audit pass may look at (read-only by contract)."""
 
     allocator: "ActiveRmtAllocator"
-    tables: "Device"
+    snapshot: TableSnapshot
     config: SwitchConfig
 
 
@@ -159,7 +160,7 @@ def _check_table_certificates(scope: AuditScope) -> List[Finding]:
     invariant holds iff every resident FID's live certificate is valid.
     """
     findings: List[Finding] = []
-    for certificate in certify_all(scope.allocator, scope.tables, config=scope.config).values():
+    for certificate in certify_snapshot(scope.allocator, scope.snapshot, scope.config).values():
         findings.extend(certificate.findings)
     return findings
 
@@ -168,8 +169,8 @@ def _check_orphan_entries(scope: AuditScope) -> List[Finding]:
     """No table entry names a FID the allocator has never admitted."""
     findings: List[Finding] = []
     admitted = set(scope.allocator.apps)
-    for stage in range(1, scope.tables.config.num_stages + 1):
-        for fid in scope.tables.stage_fids(stage):
+    for stage, grants in scope.snapshot.grants.items():
+        for fid in grants:
             if fid not in admitted:
                 findings.append(
                     Finding.of(
@@ -179,7 +180,7 @@ def _check_orphan_entries(scope: AuditScope) -> List[Finding]:
                         stage=stage,
                     )
                 )
-        for fid in scope.tables.stage_translation_fids(stage):
+        for fid in scope.snapshot.translations[stage]:
             if fid not in admitted:
                 findings.append(
                     Finding.of(
@@ -195,13 +196,10 @@ def _check_orphan_entries(scope: AuditScope) -> List[Finding]:
 def _check_tcam_accounting(scope: AuditScope) -> List[Finding]:
     """Stage TCAM occupancy equals the sum of installed grant costs."""
     findings: List[Finding] = []
-    for stage in range(1, scope.tables.config.num_stages + 1):
-        used, capacity = scope.tables.stage_tcam(stage)
-        expected = 0
-        for fid in scope.tables.stage_fids(stage):
-            grant = scope.tables.grant_for(stage, fid)
-            if grant is not None:
-                expected += grant.tcam_cost()
+    for stage, (used, capacity) in scope.snapshot.tcam.items():
+        expected = sum(
+            grant.tcam_cost() for grant in scope.snapshot.grants[stage].values() if grant is not None
+        )
         if used != expected:
             findings.append(
                 Finding.of(
@@ -270,10 +268,10 @@ def audit_state(
     tables: "Device",
     config: Optional[SwitchConfig] = None,
 ) -> AnalysisReport:
-    """Run the whole catalog against one committed state."""
+    """Run the whole catalog against one committed state, reading *tables* once."""
     scope = AuditScope(
         allocator=allocator,
-        tables=tables,
+        snapshot=TableSnapshot.of(tables),
         config=config if config is not None else allocator.config,
     )
     findings: List[Finding] = []

@@ -12,7 +12,8 @@ artifact.  For each FID it joins three sources of truth --
   :class:`~repro.core.transactions.AllocationPlan` or the live
   :class:`~repro.core.allocator.ActiveRmtAllocator` layout), and
 - the grant/translation entries installed on the device's table
-  surface (:class:`~repro.device.Device`)
+  surface (:class:`~repro.device.Device`), read once per audit as a
+  :class:`TableSnapshot` and diffed FID by FID against the implied set
 
 -- and emits an :class:`IsolationCertificate`: every reachable memory
 access is either *statically proven* to land inside the FID's regions
@@ -28,6 +29,7 @@ allocator inputs are accessed structurally.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -316,87 +318,95 @@ def certify_plan(
 
 @dataclasses.dataclass(frozen=True)
 class TableSnapshot:
-    """One read of a device's whole grant/translation surface.
+    """One read of a device's whole table surface: per stage one
+    ``stage_fids``, one ``stage_translation_fids`` and one ``stage_tcam``
+    call, then one ``grant_for`` or ``translation_for`` per installed
+    entry (each a runtime RPC on a real switch).  Every proof about the
+    live state is made against this one read."""
 
-    Auditing every resident against the live device is quadratic in
-    per-entry ``grant_for`` calls; snapshotting the installed entries
-    once (O(stages + entries)) and certifying every FID against the
-    snapshot keeps sanitizer mode cheap.
-    """
-
-    num_stages: int
     #: ``{stage: {fid: StageGrant}}`` for every installed grant.
     grants: Mapping[int, Mapping[int, Any]]
     #: ``{stage: {fid: (mask, offset)}}`` for every installed entry.
-    translations: Mapping[int, Mapping[int, Tuple[int, int]]]
+    translations: Mapping[int, Mapping[int, Optional[Tuple[int, int]]]]
+    #: ``{stage: (used, capacity)}`` of each stage's TCAM.
+    tcam: Mapping[int, Tuple[int, int]]
 
     @classmethod
     def of(cls, tables: "Device") -> "TableSnapshot":
-        grants: Dict[int, Dict[int, Any]] = {}
-        translations: Dict[int, Dict[int, Tuple[int, int]]] = {}
-        for stage in range(1, tables.config.num_stages + 1):
-            grants[stage] = {
-                entry_fid: tables.grant_for(stage, entry_fid)
-                for entry_fid in tables.stage_fids(stage)
-            }
-            per_stage: Dict[int, Tuple[int, int]] = {}
-            for entry_fid in tables.stage_translation_fids(stage):
-                pair = tables.translation_for(stage, entry_fid)
-                if pair is not None:
-                    per_stage[entry_fid] = pair
-            translations[stage] = per_stage
+        stages = range(1, tables.config.num_stages + 1)
         return cls(
-            num_stages=tables.config.num_stages,
-            grants=grants,
-            translations=translations,
+            grants={s: {f: tables.grant_for(s, f) for f in tables.stage_fids(s)} for s in stages},
+            translations={
+                s: {f: tables.translation_for(s, f) for f in tables.stage_translation_fids(s)}
+                for s in stages
+            },
+            tcam={s: tables.stage_tcam(s) for s in stages},
         )
+
+    @functools.cached_property
+    def grants_by_fid(self) -> Dict[int, Dict[int, Any]]:
+        """``{fid: {stage: StageGrant}}``: the grants indexed once."""
+        return _by_fid(self.grants)
+
+    @functools.cached_property
+    def translations_by_fid(self) -> Dict[int, Dict[int, Any]]:
+        """``{fid: {stage: (mask, offset)}}``: the translations indexed once."""
+        return _by_fid(self.translations)
+
+    @functools.cached_property
+    def overlaps(self) -> Dict[int, Dict[int, List[int]]]:
+        """``{stage: {fid: [fids whose grants overlap fid's, in entry order]}}``."""
+        return {stage: _overlapping(per_stage) for stage, per_stage in self.grants.items()}
+
+
+def _by_fid(surface: Mapping[int, Mapping[int, Any]]) -> Dict[int, Dict[int, Any]]:
+    index: Dict[int, Dict[int, Any]] = {}
+    for stage, per_stage in surface.items():
+        for fid, entry in per_stage.items():
+            index.setdefault(fid, {})[stage] = entry
+    return index
+
+
+def _overlapping(per_stage: Mapping[int, Any]) -> Dict[int, List[int]]:
+    """One stage's overlapping grant pairs from one start-sorted sweep:
+    a grant stays open while its end lies past the current start, and a
+    pair is found once, at its later start, and recorded for both."""
+    order = {fid: index for index, fid in enumerate(per_stage)}
+    found: Dict[int, List[int]] = {}
+    open_fids: List[int] = []
+    for start, fid in sorted((g.start, fid) for fid, g in per_stage.items() if g is not None):
+        open_fids = [other for other in open_fids if per_stage[other].end > start]
+        for other in open_fids:
+            if per_stage[other].start < per_stage[fid].end:
+                found.setdefault(fid, []).append(other)
+                found.setdefault(other, []).append(fid)
+        open_fids.append(fid)
+    return {fid: sorted(others, key=order.__getitem__) for fid, others in found.items()}
 
 
 def _pair_text(pair: Optional[Tuple[int, int]]) -> str:
     return "none" if pair is None else f"(mask={pair[0]}, offset={pair[1]})"
 
 
-def certify_fid(
-    fid: int,
-    allocator: "ActiveRmtAllocator",
-    tables: "Device",
-    config: Optional[SwitchConfig] = None,
-    snapshot: Optional[TableSnapshot] = None,
+def _word_regions(ranges: Mapping[int, Any], block_words: int) -> Dict[int, Tuple[int, int]]:
+    return {
+        stage: (r.start * block_words, r.end * block_words)
+        for stage, r in ranges.items()
+        if r is not None and r.count > 0
+    }
+
+
+def _live_certificate(
+    fid: int, regions: Dict[int, Tuple[int, int]], surface: TableSnapshot
 ) -> IsolationCertificate:
-    """Certify one *live* FID: installed entries vs the allocator layout.
-
-    Checks that the runtime actually enforces what the allocator
-    granted: the installed grants and translations are exactly the
-    entry set the layout implies (:func:`implied_entries`) -- none
-    missing, orphaned, mis-ranged or pointing at a region other than
-    the nearest upcoming one (ARMT012) -- every installed translation
-    maps masked addresses into a granted region (ARMT013), and no other
-    installed grant overlaps (ARMT011).  Batch callers pass a shared
-    *snapshot* so the device surface is read once, not per FID.
-    """
-    cfg = config or SwitchConfig()
-    block_words = cfg.block_words
-    findings: List[Finding] = []
-    regions: Dict[int, Tuple[int, int]] = {}
-    for stage, block_range in allocator.regions_for(fid).items():
-        if block_range is None or block_range.count <= 0:
-            continue
-        words = block_range.to_words(block_words)
-        regions[stage] = (words.start, words.end)
+    """*fid*'s implied entries diffed against its installed ones, over the
+    stages where either holds one, plus the grants overlapping its own."""
     implied_grants, implied_pairs = implied_entries(fid, regions)
-    surface = snapshot if snapshot is not None else TableSnapshot.of(tables)
-
-    def stages_with(implied: Mapping[int, Any], installed: Mapping[int, Any]) -> List[int]:
-        # Only stages that imply or hold an entry for this FID can
-        # produce findings; skipping the rest keeps batch audits linear.
-        return sorted(
-            set(implied).union(
-                stage for stage, per_stage in installed.items() if fid in per_stage
-            )
-        )
-
-    for stage in stages_with(implied_grants, surface.grants):
-        grant = surface.grants.get(stage, {}).get(fid)
+    grants = surface.grants_by_fid.get(fid, {})
+    pairs = surface.translations_by_fid.get(fid, {})
+    findings: List[Finding] = []
+    for stage in sorted(implied_grants.keys() | grants.keys()):
+        grant = grants.get(stage)
         expected = implied_grants.get(stage)
         if expected is None:
             if grant is not None:
@@ -434,42 +444,36 @@ def certify_fid(
                     stage=stage,
                 )
             )
-        # Grant-level exclusivity: the table surface is ground truth.
-        for other_fid, other in surface.grants.get(stage, {}).items():
-            if other_fid == fid or other is None:
-                continue
-            if grant.start < other.end and other.start < grant.end:
-                findings.append(
-                    Finding.of(
-                        "ARMT011",
-                        f"fid {fid} grant [{grant.start}, {grant.end}) "
-                        f"overlaps fid {other_fid} grant "
-                        f"[{other.start}, {other.end}) in stage {stage}",
-                        stage=stage,
-                    )
-                )
-    for stage in stages_with(implied_pairs, surface.translations):
-        pair = surface.translations.get(stage, {}).get(fid)
-        implied = implied_pairs.get(stage)
-        if pair != implied:
+        for other_fid in surface.overlaps[stage].get(fid, ()):
+            other = surface.grants[stage][other_fid]
             findings.append(
                 Finding.of(
-                    "ARMT012",
-                    f"fid {fid} stage {stage}: translation installed is "
-                    f"{_pair_text(pair)}, the allocation implies "
-                    f"{_pair_text(implied)} (the nearest upcoming "
-                    "region's pair)",
+                    "ARMT011",
+                    f"fid {fid} grant [{grant.start}, {grant.end}) "
+                    f"overlaps fid {other_fid} grant "
+                    f"[{other.start}, {other.end}) in stage {stage}",
                     stage=stage,
                 )
             )
+    for stage in sorted(implied_pairs.keys() | pairs.keys()):
+        pair = pairs.get(stage)
+        implied = implied_pairs.get(stage)
+        if pair == implied:
+            continue  # an implied pair masks into its own region
+        findings.append(
+            Finding.of(
+                "ARMT012",
+                f"fid {fid} stage {stage}: translation installed is "
+                f"{_pair_text(pair)}, the allocation implies "
+                f"{_pair_text(implied)} (the nearest upcoming "
+                "region's pair)",
+                stage=stage,
+            )
+        )
         if pair is None:
             continue
         mask, offset = pair
-        lands_inside = any(
-            start == offset and offset + mask < end
-            for start, end in regions.values()
-        )
-        if not lands_inside:
+        if not any(start == offset and offset + mask < end for start, end in regions.values()):
             findings.append(
                 Finding.of(
                     "ARMT013",
@@ -480,11 +484,50 @@ def certify_fid(
                     stage=stage,
                 )
             )
-    return IsolationCertificate(
-        fid=fid,
-        regions=regions,
-        findings=tuple(_ordered(findings)),
-    )
+    return IsolationCertificate(fid=fid, regions=regions, findings=tuple(_ordered(findings)))
+
+
+def certify_fid(
+    fid: int,
+    allocator: "ActiveRmtAllocator",
+    tables: "Device",
+    config: Optional[SwitchConfig] = None,
+    snapshot: Optional[TableSnapshot] = None,
+) -> IsolationCertificate:
+    """Certify one *live* FID: installed entries vs the allocator layout.
+
+    Checks that the runtime actually enforces what the allocator
+    granted: the installed grants and translations are exactly the
+    entry set the layout implies (:func:`implied_entries`) -- none
+    missing, orphaned, mis-ranged or pointing at a region other than
+    the nearest upcoming one (ARMT012) -- every installed translation
+    maps masked addresses into a granted region (ARMT013), and no other
+    installed grant overlaps (ARMT011).  A *snapshot* already read is
+    used instead of reading *tables*.
+    """
+    block_words = (config or SwitchConfig()).block_words
+    regions = _word_regions(allocator.regions_for(fid), block_words)
+    surface = snapshot if snapshot is not None else TableSnapshot.of(tables)
+    return _live_certificate(fid, regions, surface)
+
+
+def certify_snapshot(
+    allocator: "ActiveRmtAllocator",
+    snapshot: TableSnapshot,
+    config: Optional[SwitchConfig] = None,
+) -> Dict[int, IsolationCertificate]:
+    """Live certificates for every resident FID against one read surface
+    (each pool layout read once for every resident's regions)."""
+    block_words = (config or SwitchConfig()).block_words
+    layouts = {stage: pool.layout() for stage, pool in allocator.pools.items()}
+    return {
+        fid: _live_certificate(
+            fid,
+            _word_regions({s: layouts[s].get(fid) for s in record.demand_by_stage}, block_words),
+            snapshot,
+        )
+        for fid, record in sorted(allocator.apps.items())
+    }
 
 
 def certify_all(
@@ -492,19 +535,5 @@ def certify_all(
     tables: "Device",
     config: Optional[SwitchConfig] = None,
 ) -> Dict[int, IsolationCertificate]:
-    """Live certificates for every resident FID (batch audit hook).
-
-    The device surface is snapshotted once and shared, so the batch is
-    linear in installed entries rather than quadratic.
-    """
-    snapshot = TableSnapshot.of(tables)
-    return {
-        fid: certify_fid(
-            fid,
-            allocator,
-            tables,
-            config=config,
-            snapshot=snapshot,
-        )
-        for fid in allocator.resident_fids()
-    }
+    """Live certificates for every resident FID, from one read of *tables*."""
+    return certify_snapshot(allocator, TableSnapshot.of(tables), config)

@@ -26,7 +26,6 @@ import functools
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
-    Dict,
     FrozenSet,
     List,
     Optional,
@@ -149,29 +148,18 @@ def linked_verdict(
     config: SwitchConfig,
     mode: VerifyMode,
 ) -> AnalysisReport:
-    """Memoized ``require(verify_linked(...))`` for the compile path.
+    """``require(verify_linked(...))`` for the compile path.
 
-    *region_items* is ``tuple(synthesized.regions.items())`` -- a
-    hashable view of the linked regions.  ``require`` is pure (it
-    raises or returns its input), so the whole verdict is cacheable;
-    strict-mode failures raise and are simply never cached.
+    *region_items* is ``tuple(synthesized.regions.items())``; the linked
+    report is memoized (:func:`_linked_report`) and ``require`` is pure,
+    so a repeated link costs one cache lookup.
     """
-    return _cached_verdict(program, region_items, config, mode)
-
-
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _cached_verdict(
-    program: ActiveProgram,
-    region_items: Tuple[Tuple[int, "StageRegion"], ...],
-    cfg: SwitchConfig,
-    mode: VerifyMode,
-) -> AnalysisReport:
     granted = frozenset(
         stage
         for stage, region in region_items
         if not region.is_none and region.size > 0
     )
-    return require(_linked_report(program, granted, cfg), mode)
+    return require(_linked_report(program, granted, config), mode)
 
 
 def verify_plan(
@@ -304,7 +292,7 @@ def _resource_findings(
         for idx, instr in enumerate(program)
         if instr.opcode in INGRESS_PREFERRED_OPCODES
         and idx + 1 in graph.reachable
-        and not _ingress_ok(idx + 1, config)
+        and not config.is_ingress(config.physical_stage(idx + 1))
     ]
     recirculations = passes - 1 + len(egress_ingress_ops)
     if recirculations > config.max_recirculations:
@@ -334,11 +322,6 @@ def _resource_findings(
             )
         )
     return findings
-
-
-def _ingress_ok(position: int, config: SwitchConfig) -> bool:
-    """Does a 1-indexed logical position fall in an ingress window?"""
-    return (position - 1) % config.num_stages < config.ingress_stages
 
 
 def _pattern_findings(
@@ -480,19 +463,3 @@ def _padded_for_plan(
         )
         return program, mismatch
     return padded, mismatch
-
-
-# ----------------------------------------------------------------------
-# Batch helper (lint CLI, CI smoke job)
-# ----------------------------------------------------------------------
-
-
-def analyze_many(
-    programs: Dict[str, Tuple[ActiveProgram, Optional["AccessPattern"]]],
-    config: Optional[SwitchConfig] = None,
-) -> Dict[str, AnalysisReport]:
-    """Analyze a named batch of (program, optional pattern) pairs."""
-    return {
-        name: analyze_program(program, config, pattern)
-        for name, (program, pattern) in programs.items()
-    }

@@ -42,50 +42,6 @@ _DEFAULT_CONFIG = SwitchConfig()
 
 
 @dataclasses.dataclass(frozen=True)
-class CompileOptions:
-    """Every compile-time knob in one frozen bag.
-
-    Consolidates the keyword sprawl of :class:`ActiveCompiler` and
-    :func:`compile_mutant` (config, synthesis policy, demands, name,
-    verify mode) into a single reusable value.  An instance is accepted
-    everywhere a verify mode is today -- ``ActiveCompiler(verify=opts)``,
-    ``compile_mutant(..., verify=opts)``, and
-    ``ActiveRmtController(verify=opts)`` all read ``opts.verify`` (and,
-    where it applies, the other fields).
-
-    Attributes:
-        config: device model to compile against (None = shared default).
-        synthesis_policy: mutant-enumeration policy for synthesis
-            (None = least constrained, the synthesis default).
-        demands: per-access block demands for pattern derivation.
-        name: pattern name for diagnostics.
-        verify: static-verification policy (default ``warn``).
-    """
-
-    config: Optional[SwitchConfig] = None
-    synthesis_policy: Optional[AllocationPolicy] = None
-    demands: Optional[Tuple[Optional[int], ...]] = None
-    name: Optional[str] = None
-    verify: VerifyMode = VerifyMode.WARN
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "verify", VerifyMode.coerce(self.verify))
-        if self.demands is not None:
-            object.__setattr__(self, "demands", tuple(self.demands))
-
-    @classmethod
-    def coerce(
-        cls, value: "Union[CompileOptions, VerifyMode, str, None]"
-    ) -> "CompileOptions":
-        """Options from an options bag, a verify mode, or its name."""
-        if value is None:
-            return cls()
-        if isinstance(value, CompileOptions):
-            return value
-        return cls(verify=VerifyMode.coerce(value))
-
-
-@dataclasses.dataclass(frozen=True)
 class SynthesizedProgram:
     """A mutant linked against a concrete allocation.
 
@@ -141,22 +97,16 @@ class ActiveCompiler:
         self,
         config: Optional[SwitchConfig] = None,
         synthesis_policy: Optional[AllocationPolicy] = None,
-        verify: Union[CompileOptions, VerifyMode, str] = VerifyMode.WARN,
+        verify: Union[VerifyMode, str] = VerifyMode.WARN,
     ) -> None:
-        # A CompileOptions bag supplies any knob not given explicitly.
-        options = (
-            verify if isinstance(verify, CompileOptions) else CompileOptions.coerce(verify)
-        )
-        self.config = config or options.config or _DEFAULT_CONFIG
+        self.config = config or _DEFAULT_CONFIG
         # Synthesis considers recirculating mutants too: the response
         # dictates the stages, and the client must reach them.
-        self.synthesis_policy = (
-            synthesis_policy or options.synthesis_policy or LEAST_CONSTRAINED
-        )
+        self.synthesis_policy = synthesis_policy or LEAST_CONSTRAINED
         #: Static-verification policy (fail fast before submission):
         #: ``strict`` raises VerificationError on any error-severity
         #: finding, ``warn`` attaches the report, ``off`` skips analysis.
-        self.verify = options.verify
+        self.verify = VerifyMode.coerce(verify)
 
     # ------------------------------------------------------------------
 
@@ -313,7 +263,7 @@ def compile_mutant(
     config: Optional[SwitchConfig] = None,
     demands: Optional[Sequence[Optional[int]]] = None,
     name: Optional[str] = None,
-    verify: Union[CompileOptions, VerifyMode, str] = VerifyMode.WARN,
+    verify: Union[VerifyMode, str] = VerifyMode.WARN,
 ) -> SynthesizedProgram:
     """One-shot front door: derive the pattern and synthesize the mutant.
 
@@ -321,17 +271,8 @@ def compile_mutant(
     derive_pattern(program, ...), response)`` -- the common case when a
     client already holds an allocation response and just wants the
     linked program.  *verify* selects the static-verification policy
-    (default ``warn``: the report rides on the result without blocking)
-    and also accepts a :class:`CompileOptions` bag, whose fields stand
-    in for any of the other keywords not given explicitly.
+    (default ``warn``: the report rides on the result without blocking).
     """
-    options = (
-        verify if isinstance(verify, CompileOptions) else CompileOptions.coerce(verify)
-    )
-    compiler = ActiveCompiler(config or options.config, verify=options)
-    pattern = compiler.derive_pattern(
-        program,
-        demands=demands if demands is not None else options.demands,
-        name=name or options.name,
-    )
+    compiler = ActiveCompiler(config, verify=verify)
+    pattern = compiler.derive_pattern(program, demands=demands, name=name)
     return compiler.synthesize(program, pattern, response)

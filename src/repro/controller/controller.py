@@ -35,7 +35,6 @@ import dataclasses
 import enum
 from collections import Counter
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -46,9 +45,6 @@ from typing import (
     Tuple,
     Union,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime import
-    from repro.client.compiler import CompileOptions
 
 from repro.analysis.findings import (
     AnalysisReport,
@@ -295,7 +291,7 @@ class ActiveRmtController:
         table_cost: Optional[TableUpdateCost] = None,
         snapshot_cost: Optional[SnapshotCost] = None,
         telemetry: Optional[MetricsRegistry] = None,
-        verify: Union["CompileOptions", VerifyMode, str] = VerifyMode.WARN,
+        verify: Union[VerifyMode, str] = VerifyMode.WARN,
         tracer: Optional[AnyTracer] = None,
         sanitizer: bool = False,
         retry: Optional[RetryPolicy] = None,
@@ -313,12 +309,7 @@ class ActiveRmtController:
         #: any error-severity finding before commit, ``warn`` (default)
         #: records findings without blocking, ``off`` skips analysis
         #: entirely (byte-identical to the pre-verifier admission path).
-        #: Also accepts a :class:`~repro.client.compiler.CompileOptions`
-        #: bag, whose ``verify`` field is used.  Imported lazily: the
-        #: controller sits below the client in the package layering.
-        from repro.client.compiler import CompileOptions
-
-        self.verify = CompileOptions.coerce(verify).verify
+        self.verify = VerifyMode.coerce(verify)
         #: Sanitizer mode: re-audit the whole committed state (pool
         #: accounting, table entries, exclusivity) after every commit
         #: and withdrawal.  Violations are recorded -- never raised --

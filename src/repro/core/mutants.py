@@ -46,13 +46,6 @@ class MutantCandidate:
         return self.passes - 1 + (1 if self.ingress_violation else 0)
 
 
-def _ingress_ok(position: int, config: SwitchConfig) -> bool:
-    """Is a logical position inside some pass's ingress window?"""
-    if position < 1:
-        return False
-    return (position - 1) % config.num_stages < config.ingress_stages
-
-
 def enumerate_mutants(
     pattern: AccessPattern,
     policy: AllocationPolicy,
@@ -79,7 +72,7 @@ def enumerate_mutants(
         ingress_violation = False
         if pattern.ingress_bound_position:
             shifted = pattern.shifted_ingress_position(stages)
-            if not _ingress_ok(shifted, config):
+            if shifted < 1 or not config.is_ingress(config.physical_stage(shifted)):
                 if policy.enforce_ingress:
                     return None
                 ingress_violation = True

@@ -373,11 +373,11 @@ def table_surface_mismatches(controller: ActiveRmtController) -> List[str]:
                 regions.setdefault(fid, {})[stage] = block_range
     scratch = TableUpdateEngine(SimDevice(ActiveSwitch(config), device_id="scratch"))
     for fid in sorted(regions):
-        scratch.install_app(fid, regions[fid], config.block_words)
+        scratch.apply_layout(fid, {}, regions[fid], config.block_words)
     live = TableSnapshot.of(controller.device)
     want = TableSnapshot.of(scratch.tables)
     mismatches: List[str] = []
-    for stage in range(1, live.num_stages + 1):
+    for stage in live.grants:
         for kind, have, expected in (
             ("grant", live.grants[stage], want.grants[stage]),
             ("translation", live.translations[stage], want.translations[stage]),
@@ -388,8 +388,7 @@ def table_surface_mismatches(controller: ActiveRmtController) -> List[str]:
                         f"stage {stage} fid {fid}: installed {kind} "
                         f"{have.get(fid)} != from-scratch {expected.get(fid)}"
                     )
-        tcam = controller.device.stage_tcam(stage)
-        expected_tcam = scratch.tables.stage_tcam(stage)
+        tcam, expected_tcam = live.tcam[stage], want.tcam[stage]
         if tcam != expected_tcam:
             mismatches.append(
                 f"stage {stage}: TCAM (used, capacity) {tcam} != "

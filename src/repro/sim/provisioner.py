@@ -6,7 +6,7 @@ protocol of Section 4.3 unfolds in phases, and the data plane must
 reflect each phase:
 
 1. the controller polls digests (the paper's ~100 us poll loop),
-2. computing the allocation takes ``compute_seconds``; the impacted
+2. computing the allocation takes :data:`PLANNING_S`; the impacted
    incumbents are then deactivated and notified,
 3. incumbents extract state for ``snapshot_seconds`` (their traffic
    bypasses active processing -- the visible disruption of Figure 10),
@@ -17,7 +17,10 @@ reflect each phase:
 What a digest asks for is decided by the controller's one decoder,
 :meth:`ActiveRmtController.serve_digest`; this module owns only the
 clock: when the deactivation window opens and closes and when the
-replies leave.  A refused admission is answered ``ALLOC_FAILED``; only
+replies leave.  Every delay it schedules is modeled (the planning
+constant plus the report's modeled snapshot and table-update seconds),
+never the planner's measured host time, so a simulation is a function
+of its seed.  A refused admission is answered ``ALLOC_FAILED``; only
 a malformed digest, which nobody waits for, is skipped.
 """
 
@@ -36,6 +39,9 @@ from repro.core.constraints import AccessPattern
 from repro.packets.codec import ActivePacket
 from repro.sim.eventloop import EventLoop
 from repro.sim.network import SimNetwork
+
+#: Simulated seconds every admission's planning takes.
+PLANNING_S = 0.002
 
 
 class SimProvisioner:
@@ -90,7 +96,6 @@ class SimProvisioner:
                 "fid": fid,
                 "success": report.success,
                 "status": report.status.value,
-                "compute_seconds": report.compute_seconds,
                 "snapshot_seconds": report.snapshot_seconds,
                 "table_update_seconds": report.table_update_seconds,
                 "reallocated": report.reallocated_fids,
@@ -98,13 +103,12 @@ class SimProvisioner:
         )
         if not report.success:
             (failure,) = self.controller.allocation_replies(report, request)
-            self.loop.schedule(report.compute_seconds, self.network.inject, failure)
+            self.loop.schedule(PLANNING_S, self.network.inject, failure)
             return
 
         device = self.controller.device
         impacted = report.reallocated_fids
-        t_deactivate = report.compute_seconds
-        t_reactivate = report.total_seconds
+        t_reactivate = PLANNING_S + report.table_update_seconds + report.snapshot_seconds
         # Phase 2: the commit left everyone active; re-impose the
         # deactivation window the protocol actually spends.
         for other in impacted:
@@ -112,10 +116,8 @@ class SimProvisioner:
         device.deactivate_fid(fid)  # newcomer waits for its response
 
         # Phase 3-5 are serialized; the visible disruption for the
-        # incumbents spans [t_deactivate, t_reactivate].
-        self.loop.schedule(
-            max(t_reactivate, t_deactivate), self._reactivate, report, request
-        )
+        # incumbents spans [PLANNING_S, t_reactivate].
+        self.loop.schedule(t_reactivate, self._reactivate, report, request)
 
     def _reactivate(self, report: ProvisioningReport, request: ActivePacket) -> None:
         device = self.controller.device

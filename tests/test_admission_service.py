@@ -13,7 +13,8 @@ The contracts under test:
   group back byte-identically; an infeasible member rejects the whole
   group before anything is touched.
 - The satellite API changes: ``ProvisioningStatus``, keyword-only
-  ``admit``/``withdraw``/``what_if``, and the ``CompileOptions`` bag.
+  ``admit``/``withdraw``/``what_if``, and one way to set the verify
+  policy (a ``VerifyMode`` or its name).
 """
 
 from collections import Counter
@@ -23,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import VerifyMode
 from repro.apps.base import EXEMPLAR_APPS
-from repro.client.compiler import ActiveCompiler, CompileOptions
+from repro.client.compiler import ActiveCompiler
 from repro.controller import (
     ActiveRmtController,
     AdmissionService,
@@ -377,34 +378,16 @@ def test_submit_is_the_single_front_door():
 
 
 # ----------------------------------------------------------------------
-# CompileOptions (satellite)
+# The verify policy
 # ----------------------------------------------------------------------
 
 
-def test_compile_options_bag_everywhere():
-    options = CompileOptions(verify="strict")
-    assert options.verify is VerifyMode.STRICT
-    compiler = ActiveCompiler(verify=options)
-    assert compiler.verify is VerifyMode.STRICT
-    controller = ActiveRmtController(ActiveSwitch(), verify=options)
-    assert controller.verify is VerifyMode.STRICT
-    # Plain strings and VerifyMode still work.
-    assert ActiveCompiler(verify="off").verify is VerifyMode.OFF
-    assert CompileOptions.coerce(None).verify is VerifyMode.WARN
-    assert CompileOptions.coerce(options) is options
-
-
-def test_compile_options_supplies_other_knobs():
-    from repro.core.constraints import LEAST_CONSTRAINED
-
-    config = SwitchConfig(num_stages=10, ingress_stages=5)
-    options = CompileOptions(
-        config=config, synthesis_policy=LEAST_CONSTRAINED, verify="off"
-    )
-    compiler = ActiveCompiler(verify=options)
-    assert compiler.config is config
-    assert compiler.synthesis_policy is LEAST_CONSTRAINED
-    assert compiler.verify is VerifyMode.OFF
+def test_verify_takes_a_mode_or_its_name():
+    for verify in ("strict", VerifyMode.STRICT):
+        assert ActiveCompiler(verify=verify).verify is VerifyMode.STRICT
+        assert ActiveRmtController(ActiveSwitch(), verify=verify).verify is VerifyMode.STRICT
+    with pytest.raises(ValueError):
+        ActiveRmtController(ActiveSwitch(), verify="paranoid")
 
 
 # ----------------------------------------------------------------------

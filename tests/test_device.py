@@ -214,7 +214,11 @@ def test_controller_package_does_not_import_the_simulator():
             continue
         with open(source, "r", encoding="utf-8") as handle:
             text = handle.read()
-        for module_name in ("repro.switchsim.switch", "repro.switchsim.pipeline"):
+        for module_name in (
+            "repro.switchsim.switch",
+            "repro.switchsim.pipeline",
+            "repro.client.compiler",
+        ):
             assert f"from {module_name} import" not in text, (
                 f"{name} imports {module_name} directly"
             )

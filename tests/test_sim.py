@@ -1,6 +1,8 @@
 """Tests for the discrete-event simulation harness, culminating in an
 end-to-end cache scenario with real provisioning over simulated time."""
 
+from unittest import mock
+
 import pytest
 
 from repro.controller import ActiveRmtController, AdmissionService
@@ -248,19 +250,6 @@ def test_second_tenant_disrupts_first_only_when_sharing():
 # ----------------------------------------------------------------------
 
 
-class _ModeledCompute:
-    """The inline admission service, reporting a fixed planning time so
-    that simulated time does not depend on the host."""
-
-    def __init__(self, service):
-        self.service = service
-
-    def submit_and_wait(self, request):
-        report = self.service.submit_and_wait(request)
-        report.compute_seconds = 0.002
-        return report
-
-
 def _reallocating_world(loop, until=1.0):
     """Four tenants join 0.2 s apart and the fourth squeezes the first;
     the first and the fourth send requests.  Returns the provisioner and
@@ -271,7 +260,7 @@ def _reallocating_world(loop, until=1.0):
     network.attach(KVServerHost(SERVER, loop=loop), 2)
     provisioner = SimProvisioner(
         loop, network, controller, horizon_s=60.0,
-        service=_ModeledCompute(AdmissionService(controller)),
+        service=AdmissionService(controller),
     )
     clients = []
     for index in range(4):
@@ -300,6 +289,31 @@ def test_world_counts_the_same_on_the_oracle_loop():
     theirs, their_clients = _reallocating_world(their_loop := oracle.EventLoop())
     assert [entry["reallocated"] for entry in provisioner.provisioning_log] == [[], [], [], [1]]
     assert all(client.cache.hits for client in clients)
+    assert loop.processed == their_loop.processed
+    for mine, other in zip(clients, their_clients):
+        assert mine.events == other.events
+    assert provisioner.provisioning_log == theirs.provisioning_log
+
+
+class _SlowPlannerClock:
+    """A planner clock that moves 50 ms per reading."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += 0.05
+        return self.now
+
+
+def test_world_counts_the_same_whatever_the_planner_measured():
+    """The provisioner schedules modeled seconds only: a planner whose
+    host clock reads 50 ms per call moves no packet in simulated time."""
+    provisioner, clients = _reallocating_world(loop := EventLoop())
+    with mock.patch("repro.core.allocator.time", _SlowPlannerClock()):
+        theirs, their_clients = _reallocating_world(their_loop := EventLoop())
+    switch, their_switch = (p.controller.device.underlying for p in (provisioner, theirs))
+    assert switch.packets == their_switch.packets > 0
     assert loop.processed == their_loop.processed
     for mine, other in zip(clients, their_clients):
         assert mine.events == other.events

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Dict
 
 from repro.core.constraints import AccessPattern
@@ -26,9 +27,18 @@ class AppSpec:
     pattern_factory: Callable[[], AccessPattern]
 
     def program(self) -> ActiveProgram:
-        return self.program_factory()
+        return self._program
 
     def pattern(self) -> AccessPattern:
+        return self._pattern
+
+    # Both immutable, from constant listings: built on first use, then shared.
+    @functools.cached_property
+    def _program(self) -> ActiveProgram:
+        return self.program_factory()
+
+    @functools.cached_property
+    def _pattern(self) -> AccessPattern:
         return self.pattern_factory()
 
 

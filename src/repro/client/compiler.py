@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple, Union
 
 from repro.analysis.findings import AnalysisReport, VerifyMode
 from repro.analysis.verifier import analyze_program, linked_verdict
@@ -90,6 +90,28 @@ class SynthesizedProgram:
         return min(region.size for region in self.regions.values())
 
 
+@functools.lru_cache(maxsize=256)
+def _granted_mutant(shape: AccessPattern, policy: AllocationPolicy, config: SwitchConfig,
+                    granted: FrozenSet[int]) -> Optional[MutantCandidate]:
+    """The first mutant with the fewest recirculations whose stages are all
+    *granted* (None: none reaches them).  Pure, so memoized like the padding
+    and the linked verdict after it: one search per shape and grant."""
+    best: Optional[MutantCandidate] = None
+    # No mutant recirculates less than the compact program does.
+    fewest = shape.compact_passes(config.num_stages) - 1
+    for candidate in enumerate_mutants(shape, policy, config):
+        if not granted.issuperset(candidate.physical_stages):
+            continue
+        if best is None or (
+            (candidate.recirculations, candidate.stages)
+            < (best.recirculations, best.stages)
+        ):
+            best = candidate
+        if best.recirculations == fewest:
+            break  # lexicographic order: no better candidate exists
+    return best
+
+
 class ActiveCompiler:
     """Compiles and links active programs for one switch configuration."""
 
@@ -151,23 +173,8 @@ class ActiveCompiler:
         }
         if not granted:
             raise CompilationError("allocation response grants no stages")
-        best: Optional[MutantCandidate] = None
-        # No mutant recirculates less than the compact program does.
-        fewest = pattern.compact_passes(self.config.num_stages) - 1
-        for candidate in enumerate_mutants(
-            pattern, self.synthesis_policy, self.config
-        ):
-            if not all(
-                stage in granted for stage in candidate.physical_stages
-            ):
-                continue
-            if best is None or (
-                (candidate.recirculations, candidate.stages)
-                < (best.recirculations, best.stages)
-            ):
-                best = candidate
-            if best.recirculations == fewest:
-                break  # lexicographic order: no better candidate exists
+        best = _granted_mutant(pattern.shape, self.synthesis_policy, self.config,
+                               frozenset(granted))
         if best is None:
             raise CompilationError(
                 f"no mutant of {pattern.name!r} reaches granted stages "

@@ -20,6 +20,7 @@ instructions must actually land in the ingress half.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import List, Optional, Sequence, Tuple
 
 from repro.isa.program import ActiveProgram
@@ -173,6 +174,13 @@ class AccessPattern:
     @property
     def num_accesses(self) -> int:
         return len(self.lower_bounds)
+
+    @functools.cached_property
+    def shape(self) -> "AccessPattern":
+        """This pattern as the mutant search reads it: ``name`` and
+        ``demands`` erased.  Equal shapes enumerate equal mutants, so
+        every memo of the search keys on this."""
+        return dataclasses.replace(self, demands=(None,) * self.num_accesses, name="shape")
 
     @property
     def elastic(self) -> bool:

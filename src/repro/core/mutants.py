@@ -66,6 +66,7 @@ def enumerate_mutants(
     lbs = pattern.lower_bounds
     dists = pattern.min_distances
     m = pattern.num_accesses
+    n = config.num_stages
     def emit(stages: Tuple[int, ...]) -> Optional[MutantCandidate]:
         end_stage = stages[-1] + pattern.trailing_instructions
         passes = config.pass_of(max(end_stage, 1))
@@ -98,11 +99,11 @@ def enumerate_mutants(
         if index > 0:
             low = max(low, prefix[index - 1] + dists[index])
         alias = pattern.alias_of(index)
-        for value in range(low, ubs[index] + 1):
-            if alias >= 0 and config.physical_stage(
-                value
-            ) != config.physical_stage(prefix[alias]):
-                continue  # must revisit the aliased access's stage
+        if alias < 0:
+            values = range(low, ubs[index] + 1)
+        else:  # only the aliased access's physical stage, once per pass
+            values = range(low + (prefix[alias] - low) % n, ubs[index] + 1, n)
+        for value in values:
             yield from search(index + 1, prefix + (value,))
 
     emitted = 0
@@ -156,12 +157,11 @@ def mutant_table(tables: Dict[Hashable, MutantTable], pattern: AccessPattern,
                  policy: AllocationPolicy, config: SwitchConfig) -> MutantTable:
     """*pattern*'s table in an owner's *tables*, built there on first use.
 
-    The key is the pattern's constraints, the policy and the config --
-    not its diagnostic ``name``, which the wire path sets per FID.  A
+    The key is the pattern's shape and demands, the policy and the config
+    -- not its diagnostic ``name``, which the wire path sets per FID.  A
     build that raises adds nothing; two threads that race build twice.
     """
-    key = (pattern.program_length, pattern.lower_bounds, pattern.min_distances,
-           pattern.demands, pattern.ingress_bound_position, pattern.aliases, policy, config)
+    key = (pattern.shape, pattern.demands, policy, config)
     table = tables.get(key)
     if table is None:
         table = tables.setdefault(key, tuple(_rows(pattern, policy, config)))

@@ -1,9 +1,15 @@
 """Unit tests for the client compiler: synthesis and linking."""
 
+import dataclasses
+import sys
+
 import pytest
 
-from repro.client import ActiveCompiler, CompilationError
-from repro.core import ActiveRmtAllocator
+from repro.apps import EXEMPLAR_APPS
+from repro.client import ActiveCompiler, CompilationError, compile_mutant
+from repro.client.compiler import _granted_mutant
+from repro.core import ActiveRmtAllocator, MOST_CONSTRAINED, enumerate_mutants
+from repro.core.mutants import insertions_for, mutant_table
 from repro.isa import assemble
 from repro.packets import AllocationResponseHeader, StageRegion
 from repro.switchsim import SwitchConfig
@@ -122,3 +128,101 @@ def test_end_to_end_with_allocator(compiler):
         synthesized = compiler.synthesize(_program(), pattern, response)
         granted = set(response.allocated_stages())
         assert set(synthesized.access_stages) <= granted
+
+
+# ----------------------------------------------------------------------
+# The mutant choice is memoized per (shape, policy, config, granted stages)
+# ----------------------------------------------------------------------
+
+
+def _grant(stages):
+    return AllocationResponseHeader.from_map(
+        {stage: StageRegion(0, 1024) for stage in stages}
+    )
+
+
+def _enumerate_calls(function):
+    """Entries into ``enumerate_mutants``' frame (its first call and each
+    resumption, one per emitted mutant) while *function* runs."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is enumerate_mutants.__code__:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        function()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.mark.parametrize("app", sorted(EXEMPLAR_APPS))
+def test_memoized_choice_equals_the_plain_search(compiler, app):
+    """Every grant an allocator can make from the app's most-constrained
+    table: a cold and a warm memo give the same linked program, and its
+    mutant is the plain search's -- the fewest recirculations, then the
+    most compact, over every mutant the policy enumerates."""
+    spec = EXEMPLAR_APPS[app]
+    pattern, program = spec.pattern(), spec.program()
+    everything = list(
+        enumerate_mutants(pattern, compiler.synthesis_policy, compiler.config)
+    )
+    rows = mutant_table({}, pattern, MOST_CONSTRAINED, compiler.config)
+    assert rows
+    chosen = {}
+    for candidate, _demands in rows:
+        response = _grant(candidate.physical_stages)
+        granted = set(candidate.physical_stages)
+        expected = min(
+            (c for c in everything if granted.issuperset(c.physical_stages)),
+            key=lambda c: (c.recirculations, c.stages),
+        )
+        _granted_mutant.cache_clear()
+        cold = compiler.synthesize(program, pattern, response)
+        warm = compiler.synthesize(program, pattern, response)
+        assert cold == warm
+        assert cold.mutant == expected
+        assert cold.program == program.with_nops_before(
+            insertions_for(pattern, expected.stages)
+        )
+        chosen[candidate.physical_stages] = cold
+    # Every grant again, the memo warm with the others: no entry answers
+    # for another grant.
+    for stages, cold in chosen.items():
+        assert compiler.synthesize(program, pattern, _grant(stages)) == cold
+
+
+def test_unreachable_grant_raises_on_every_call(compiler):
+    _granted_mutant.cache_clear()
+    for _ in range(2):
+        with pytest.raises(CompilationError, match="no mutant of 'cache-query'"):
+            compiler.synthesize(_program(), listing1_pattern(), _grant([1]))
+
+
+def test_patterns_differing_only_in_name_share_one_entry(compiler):
+    _granted_mutant.cache_clear()
+    response = _grant([3, 6, 10])
+    first = compiler.synthesize(_program(), listing1_pattern(), response)
+    renamed = dataclasses.replace(listing1_pattern(), name="fid7")
+    second = compiler.synthesize(_program(), renamed, response)
+    assert second == first
+    info = _granted_mutant.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+
+def test_second_compile_of_a_shape_and_grant_emits_no_mutant():
+    """A cold ``compile_mutant`` of the cache query on a padded grant
+    enters the search 467 times (once per mutant it emits up to
+    (3, 6, 10)); the same shape and grant again -- another tenant of
+    the app, under a new name -- enters it 0 times."""
+    _granted_mutant.cache_clear()
+    program = EXEMPLAR_APPS["cache"].program()
+    response = _grant([3, 6, 10])
+    cold = _enumerate_calls(lambda: compile_mutant(program, response, name="fid1"))
+    warm = _enumerate_calls(lambda: compile_mutant(program, response, name="fid2"))
+    assert cold == 467
+    assert warm == 0

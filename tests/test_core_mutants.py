@@ -1,6 +1,7 @@
 """Unit + property tests for mutant enumeration (Section 4.1-4.2)."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from repro.core.mutants import insertions_for, merge_demands, mutant_table
 from repro.isa import assemble
 from repro.switchsim import SwitchConfig
 
+from tests.oracles import mutants as oracle
 from tests.test_core_constraints import LISTING_1, listing1_pattern
 
 CONFIG = SwitchConfig()
@@ -211,6 +213,46 @@ def test_alias_constrains_to_same_physical_stage():
             mutant.stages[1]
         )
         assert len(mutant.physical_stages) == 1
+
+
+def _aliased_pattern(rng):
+    """A random pattern whose later accesses may alias earlier ones."""
+    m = rng.randint(2, 5)
+    positions = sorted(rng.sample(range(1, 40), m))
+    aliases = tuple([-1] + [rng.choice([-1, rng.randrange(j)]) for j in range(1, m)])
+    return AccessPattern(
+        program_length=positions[-1] + rng.randint(0, 4),
+        lower_bounds=tuple(positions),
+        min_distances=tuple([1] + [b - a for a, b in zip(positions, positions[1:])]),
+        demands=(None,) * m,
+        ingress_bound_position=rng.choice([0, rng.randint(1, positions[-1])]),
+        aliases=aliases,
+        name="random-aliased",
+    )
+
+
+ORACLE_POLICIES = ("mc", "lc", "none")
+
+
+@pytest.mark.parametrize("policy", ORACLE_POLICIES)
+@pytest.mark.parametrize("app", sorted(EXEMPLAR_APPS))
+def test_alias_stepping_equals_the_filtering_oracle(app, policy):
+    """Stepping an aliased access through its congruent stages emits the
+    filter-after-range search's mutants, in its order."""
+    pattern = EXEMPLAR_APPS[app].pattern()
+    expected = list(oracle.enumerate_mutants(pattern, POLICIES[policy], CONFIG))
+    assert list(enumerate_mutants(pattern, POLICIES[policy], CONFIG)) == expected
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_alias_stepping_equals_the_oracle_on_random_aliased_patterns(seed):
+    rng = random.Random(seed)
+    for config in (CONFIG, SwitchConfig(num_stages=8, ingress_stages=4)):
+        for _ in range(6):
+            pattern = _aliased_pattern(rng)
+            for policy in ORACLE_POLICIES:
+                expected = list(oracle.enumerate_mutants(pattern, POLICIES[policy], config))
+                assert list(enumerate_mutants(pattern, POLICIES[policy], config)) == expected
 
 
 def test_heavy_hitter_has_exactly_one_mc_mutant():

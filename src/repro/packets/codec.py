@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, TypeVar
 
 from repro.isa.encoding import INSTRUCTION_WIDTH, decode_instructions
 from repro.isa.instructions import INTERNED, Instruction, InstructionFlags, encode_words
@@ -41,7 +41,7 @@ from repro.packets.headers import (
 _ARG_COUNT_SHIFT = 12
 _ARG_COUNT_MASK = 0x3
 
-#: ``wire_size`` runs twice per packet on the data path (rx and tx byte
+#: A packet's size runs twice per packet on the data path (rx and tx byte
 #: counters): the layout constants it adds up, as module globals.
 _FRAME_SIZE = EthernetHeader.SIZE + InitialHeader.SIZE
 _PROGRAM = PacketType.PROGRAM
@@ -121,6 +121,43 @@ def _unchecked(cls: Type[_Header], **fields: Any) -> _Header:
     header = object.__new__(cls)
     header.__dict__.update(fields)
     return header
+
+
+def _frame_size(shrink: bool) -> Callable[["ActivePacket"], int]:
+    """``len(encode_packet(packet, shrink=shrink))`` as a method, from the
+    header layout: the rx and tx byte counters charge it per packet, where
+    a full encode would dominate.  One body for ``wire_size`` and
+    ``shrunk_size``, each a single call (pinned to the encoder by tests).
+    """
+
+    def frame_size(self: "ActivePacket") -> int:
+        size = _FRAME_SIZE + len(self.payload)
+        initial = self.initial
+        ptype = initial.ptype
+        if ptype == _PROGRAM:
+            # An empty argument list still travels as one zeroed header.
+            arg_headers = (len(self.args) + _ARG_FIELDS - 1) // _ARG_FIELDS or 1
+            if arg_headers > _ARG_COUNT_MASK:
+                raise HeaderError("too many argument headers (max 3)")
+            code = len(self.code)
+            if shrink and code and not initial.flags & _NO_SHRINK:
+                if self.code.isascii():  # no header arrived marked
+                    code -= self.executed * INSTRUCTION_WIDTH
+                else:
+                    code = len(_emitted_code(self, shrink=True))
+            # Instruction headers plus the EOF marker.
+            return size + arg_headers * _ARG_SIZE + code + INSTRUCTION_WIDTH
+        if ptype == PacketType.ALLOC_REQUEST:
+            if self.request is None:
+                raise HeaderError("ALLOC_REQUEST packet without request header")
+            size += AllocationRequestHeader.SIZE
+        elif ptype == PacketType.ALLOC_RESPONSE:
+            if self.response is None:
+                raise HeaderError("ALLOC_RESPONSE packet without response header")
+            size += AllocationResponseHeader.SIZE
+        return size
+
+    return frame_size
 
 
 @dataclasses.dataclass
@@ -277,44 +314,11 @@ class ActivePacket:
     def return_to_sender(self) -> None:
         """Swap layer-2 addresses and mark the packet as switch-originated."""
         self.eth = self.eth.swapped()
-        self.set_flag(ControlFlags.FROM_SWITCH)
+        self.initial = self.initial.with_flags(set_bits=ControlFlags.FROM_SWITCH)
 
-    def wire_size(self) -> int:
-        """Size in bytes of the encoded packet.
-
-        Computed arithmetically from the header layout -- the data path
-        charges byte counters on every rx/tx, and a full encode per
-        packet would dominate the hot path.  Kept exactly equal to
-        ``len(encode_packet(self))`` (pinned by the codec tests).
-        """
-        size = _FRAME_SIZE + len(self.payload)
-        ptype = self.initial.ptype
-        if ptype == _PROGRAM:
-            # An empty argument list still travels as one zeroed header.
-            arg_headers = (len(self.args) + _ARG_FIELDS - 1) // _ARG_FIELDS or 1
-            if arg_headers > _ARG_COUNT_MASK:
-                raise HeaderError("too many argument headers (max 3)")
-            # Instruction headers plus the EOF marker; wire_size models
-            # the unshrunk frame, matching encode_packet's default.
-            return size + arg_headers * _ARG_SIZE + len(self.code) + INSTRUCTION_WIDTH
-        if ptype == PacketType.ALLOC_REQUEST:
-            if self.request is None:
-                raise HeaderError("ALLOC_REQUEST packet without request header")
-            size += AllocationRequestHeader.SIZE
-        elif ptype == PacketType.ALLOC_RESPONSE:
-            if self.response is None:
-                raise HeaderError("ALLOC_RESPONSE packet without response header")
-            size += AllocationResponseHeader.SIZE
-        return size
-
-    def shrunk_size(self) -> int:
-        """Size in bytes of what the deparser emits, executed headers
-        dropped unless ``NO_SHRINK`` is set: ``len(encode_packet(self,
-        shrink=True))``, which the tx byte counters charge."""
-        size = self.wire_size()
-        if self.code and self.initial.ptype == _PROGRAM:
-            size -= len(self.code) - len(_emitted_code(self, shrink=True))
-        return size
+    #: ``len(encode_packet(self))`` and ``len(encode_packet(self, shrink=True))``.
+    wire_size = _frame_size(shrink=False)
+    shrunk_size = _frame_size(shrink=True)
 
     def clone(self) -> "ActivePacket":
         """Deep-enough copy for FORK semantics."""

@@ -16,14 +16,10 @@ from typing import Iterable
 
 
 class HashUnit:
-    """A per-stage CRC32 hash engine with a configurable seed."""
+    """A CRC32 hash engine with a configurable seed."""
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed & 0xFFFFFFFF
-
-    @property
-    def seed(self) -> int:
-        return self._seed
 
     def digest(self, words: Iterable[int]) -> int:
         """Hash a sequence of 32-bit words to a 32-bit digest."""
@@ -46,8 +42,3 @@ _ENGINES = tuple(
 def hash_engine(index: int) -> HashUnit:
     """The device-wide hash engine selected by HASH's operand."""
     return _ENGINES[index % NUM_HASH_ENGINES]
-
-
-def stage_hash_unit(physical_stage: int) -> HashUnit:
-    """Default engine for a stage (engine 0; kept for compatibility)."""
-    return _ENGINES[0]

@@ -10,7 +10,7 @@ end-host processing.  We model the RTT as::
 where ``half_pipes`` counts traversed half-pipelines (ingress or
 egress), so a program answered from the ingress pipeline (RTS within
 the first 10 stages) is cheaper than a full pass, and each
-recirculation adds a whole pass (two halves).
+recirculation adds a whole pass (two halves), a FORK clone's entry too.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ class LatencyModel:
         else:
             # Forwarded packets always complete the full pipeline.
             halves += halves & 1
-        return halves
+        # A FORK clone entered by recirculation: two halves a charged pass.
+        return halves + 2 * phv.pass_offset
 
     def rtt_us(self, result: ExecutionResult, config: SwitchConfig) -> float:
         """Client-observed RTT for an RTS'd active packet."""

@@ -10,7 +10,7 @@ Section 3.1).  All arithmetic wraps at 32 bits like the ALUs it models.
 from __future__ import annotations
 
 import dataclasses
-from typing import List
+from typing import Tuple
 
 _MASK32 = 0xFFFFFFFF
 
@@ -29,7 +29,7 @@ class Phv:
         mbr: memory buffer register (primary accumulator).
         mbr2: secondary accumulator.
         inc: increment operand for ``MEM_INCREMENT``-family actions.
-        hashdata: words fed to the hash unit by ``COPY_HASHDATA_*``.
+        hashdata: words fed to the hash unit by ``COPY_HASHDATA_*`` (a tuple).
         pc: index of the next instruction header to consume.
         complete: set by RETURN-family instructions; stops execution.
         disabled: true while skipping a not-taken branch arm.
@@ -51,7 +51,7 @@ class Phv:
     mbr: int = 0
     mbr2: int = 0
     inc: int = 1
-    hashdata: List[int] = dataclasses.field(default_factory=list)
+    hashdata: Tuple[int, ...] = ()
     pc: int = 0
     complete: bool = False
     disabled: bool = False
@@ -77,7 +77,7 @@ class Phv:
         self.mbr2 = u32(value)
 
     def push_hashdata(self, value: int) -> None:
-        self.hashdata.append(u32(value))
+        self.hashdata += (u32(value),)
 
     def mark_complete(self) -> None:
         self.complete = True

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from repro.packets.codec import ActivePacket
 from repro.packets.headers import ControlFlags
 from repro.switchsim.config import SwitchConfig
-from repro.switchsim.hashing import stage_hash_unit
 from repro.switchsim.phv import Phv
 from repro.switchsim.progcache import ProgramCache
 from repro.switchsim.registers import RegisterArray
@@ -44,7 +43,7 @@ class ExecutionResult:
         passes: pipeline passes consumed (1 = no recirculation).
         recirculations: recirculations charged, including the extra one
             for egress-half port changes.
-        clones: results for FORK-created clones, in creation order.
+        clones: results for FORK-created clones, in creation order (a tuple).
         executed_instructions: instruction headers actually executed
             (skipped branch arms and never-reached tails excluded).
     """
@@ -54,7 +53,7 @@ class ExecutionResult:
     disposition: PacketDisposition
     passes: int = 1
     recirculations: int = 0
-    clones: List["ExecutionResult"] = dataclasses.field(default_factory=list)
+    clones: Tuple["ExecutionResult", ...] = ()
     executed_instructions: int = 0
 
 
@@ -63,13 +62,15 @@ class Pipeline:
 
     def __init__(self, config: Optional[SwitchConfig] = None) -> None:
         self.config = config or SwitchConfig()
+        #: The table epoch, advanced by every stage table's every mutation
+        #: (see :class:`StageTable`): one cell the tables share.
+        self.table_epoch = [0]
         self.stages: List[MatchActionStage] = [
             MatchActionStage(
                 index=stage,
                 is_ingress=self.config.is_ingress(stage),
-                table=StageTable(self.config.tcam_entries_per_stage),
+                table=StageTable(self.config.tcam_entries_per_stage, self.table_epoch),
                 registers=RegisterArray(self.config.words_per_stage),
-                hash_unit=stage_hash_unit(stage),
             )
             for stage in range(1, self.config.num_stages + 1)
         ]
@@ -147,7 +148,7 @@ class Pipeline:
     # ------------------------------------------------------------------
 
     def _run(self, packet: ActivePacket, phv: Phv) -> ExecutionResult:
-        clones: List[ExecutionResult] = []
+        clones: Tuple[ExecutionResult, ...] = ()
         executed = 0
         max_passes = 1 + self.config.max_recirculations
         instructions = packet.instructions
@@ -170,7 +171,7 @@ class Pipeline:
                 phv.fork_requested = False
                 # The clone carries this header's mark.
                 packet.executed = max(packet.executed, phv.pc + 1)
-                clones.append(self._fork(packet, phv))
+                clones += (self._fork(packet, phv),)
             phv.pc += 1
             phv.logical_stage += 1
             phv.passes = self.config.pass_of(phv.logical_stage) + phv.pass_offset
@@ -183,7 +184,7 @@ class Pipeline:
         self,
         packet: ActivePacket,
         phv: Phv,
-        clones: List[ExecutionResult],
+        clones: Tuple[ExecutionResult, ...],
         executed: int,
     ) -> ExecutionResult:
         """Account one finished packet -- the original or a clone.
@@ -216,7 +217,7 @@ class Pipeline:
             mbr=phv.mbr,
             mbr2=phv.mbr2,
             inc=phv.inc,
-            hashdata=list(phv.hashdata),
+            hashdata=phv.hashdata,
             pc=phv.pc + 1,
             logical_stage=phv.logical_stage + 1,
             # Cloned packets always recirculate (Section 3.1): charge

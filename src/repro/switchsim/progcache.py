@@ -13,15 +13,15 @@ memory protection and ADDR_MASK/ADDR_OFFSET translation (Sections 3.1,
   whole-transaction compilation).
 * **Level 2**, :class:`ProgramBinding`, is what ``(fid, digest)`` adds:
   a reference to the level-1 program, the table-derived operands its
-  function reads (translation pair, grant bounds) and the version
-  stamps of the tables they were read from.
+  function reads (translation pair, grant bounds) and the pipeline's
+  table epoch when they were last known current.
 
 :class:`ProgramCache` is an LRU over bindings whose capacity comes from
 ``SwitchConfig.program_cache_entries`` (0 disables caching entirely,
 which is how the differential tests get their reference interpreter).
 Programs have no capacity of their own: bindings hold the only strong
 references, so a program lives exactly as long as some tenant is bound
-to it.  A binding whose stamps are stale, or whose FID the controller's
+to it.  A binding one of whose tables changed, or whose FID the controller's
 :class:`~repro.controller.table_updater.TableUpdateEngine` flushed, is
 re-*bound* -- a few table reads -- never rebuilt, so stale execution is
 impossible even when tables are mutated behind the controller's back.
@@ -112,7 +112,7 @@ _TEMPLATES: Dict[Opcode, str] = {
     Opcode.NOP: "pass",
     Opcode.ADDR_MASK: _TRANSLATED % "mar &= pair[0]",
     Opcode.ADDR_OFFSET: _TRANSLATED % "mar = mar + pair[1] & 0xFFFFFFFF",
-    Opcode.HASH: "mar = hash{op}(hashdata)",  # a HashUnit digest is 32 bits
+    Opcode.HASH: "mar = hash{op}(phv.hashdata)",  # a HashUnit digest is 32 bits
     Opcode.MBR_LOAD: "mbr = " + _ARG,
     # Padding a short argument list stays where it is defined, in set_arg.
     Opcode.MBR_STORE: (
@@ -125,8 +125,8 @@ _TEMPLATES: Dict[Opcode, str] = {
     Opcode.COPY_MBR2_MBR: "mbr2 = mbr",
     Opcode.COPY_MAR_MBR: "mar = mbr",
     Opcode.COPY_MBR_MAR: "mbr = mar",
-    Opcode.COPY_HASHDATA_MBR: "hashdata.append(mbr)",
-    Opcode.COPY_HASHDATA_MBR2: "hashdata.append(mbr2)",
+    Opcode.COPY_HASHDATA_MBR: "phv.hashdata += (mbr,)",
+    Opcode.COPY_HASHDATA_MBR2: "phv.hashdata += (mbr2,)",
     Opcode.MBR_ADD_MBR2: "mbr = mbr + mbr2 & 0xFFFFFFFF",
     Opcode.MAR_ADD_MBR: "mar = mar + mbr & 0xFFFFFFFF",
     Opcode.MAR_ADD_MBR2: "mar = mar + mbr2 & 0xFFFFFFFF",
@@ -161,7 +161,7 @@ _TEMPLATES: Dict[Opcode, str] = {
         "phv.mar = mar; phv.mbr = mbr; phv.mbr2 = mbr2\n"
         "packet.executed = max(packet.executed, {nxt})\n"
         "phv.pc = {pc}; phv.logical_stage = {nxt}\n"
-        "clones.append(pipeline._fork(packet, phv))"
+        "clones += (pipeline._fork(packet, phv),)"
     ),
     Opcode.SET_DST: "phv.dst_override = mbr & 0xFFFF{egress}",
     Opcode.RTS: _RTS,
@@ -173,8 +173,7 @@ _FINAL = frozenset({Opcode.RETURN, Opcode.DROP})
 #: its body mentions the name (mnemonics in comments are upper case).
 _ENTRY = {
     "pargs": "pargs = packet.args; nargs = len(pargs)",
-    "hashdata": "hashdata = phv.hashdata",
-    "clones": "clones = []",
+    "clones": "clones = ()",
     "disabled": "disabled = False; pending = skipped = 0",
 }
 
@@ -271,7 +270,7 @@ class CachedProgram:
         lines.append("    phv.pc = pc; phv.logical_stage = pc + 1; phv.passes = passes[pc]")
         lines.append(
             "    return pipeline._finish(packet, phv, "
-            + ("clones, " if "clones" in used else "[], ")
+            + ("clones, " if "clones" in used else "(), ")
             + ("pc - skipped)" if "disabled" in used else "pc)")
         )
         self.source = "\n".join(lines) + "\n"
@@ -293,12 +292,10 @@ class CachedProgram:
         )
         weakref.finalize(self, linecache.cache.pop, filename, None)
 
-    def bind(self, fid: int) -> "ProgramBinding":
-        """Read *fid*'s operands from the tables this program consults."""
+    def bind(self, fid: int, epoch: int) -> "ProgramBinding":
+        """Read *fid*'s operands (current at *epoch*) from the tables this program consults."""
         args: List[object] = []
-        stamps = {}
         for table, translated in self.table_reads:
-            stamps[table] = table.version
             grant = table.grant_for(fid)
             if translated:
                 pair = table.translation_for(fid)
@@ -309,7 +306,7 @@ class CachedProgram:
                 args.append((grant.start, grant.end, fid))
             else:
                 args.append((1, 0, fid))  # an empty range: every access is denied
-        return ProgramBinding(self, args, stamps)
+        return ProgramBinding(self, args, epoch)
 
 
 class ProgramBinding:
@@ -320,22 +317,24 @@ class ProgramBinding:
         args: one operand per entry of ``program.table_reads``: ``(mask,
             offset)`` or None for translation, ``(lo, hi, fid)`` for
             protection (the FID is there for fault strings).
+        epoch: a table epoch at which ``args`` were known current.
     """
 
-    __slots__ = ("program", "args", "_stamps")
+    __slots__ = ("program", "args", "epoch")
 
-    def __init__(
-        self, program: CachedProgram, args: List[object], stamps: Dict[object, int]
-    ) -> None:
+    def __init__(self, program: CachedProgram, args: List[object], epoch: int) -> None:
         self.program = program
         self.args = args
-        self._stamps = stamps
+        self.epoch = epoch
 
-    def is_current(self) -> bool:
-        """Do the observed table versions still hold?"""
-        for table, version in self._stamps.items():
-            if table.version != version:
+    def restamp(self, epoch: int) -> bool:
+        """Stamp the binding current at *epoch* if none of its tables has
+        changed since its own epoch (has a higher version); else False."""
+        stamped = self.epoch
+        for table, _translated in self.program.table_reads:
+            if table.version > stamped:
                 return False
+        self.epoch = epoch
         return True
 
 
@@ -354,6 +353,7 @@ class ProgramCache:
         if capacity < 0:
             raise ValueError("cache capacity must not be negative")
         self.pipeline = pipeline
+        self._epoch: List[int] = pipeline.table_epoch
         self.capacity = capacity
         self._entries: "OrderedDict[Tuple[int, ProgramDigest], ProgramBinding]" = (
             OrderedDict()
@@ -380,9 +380,10 @@ class ProgramCache:
     def entry_for(self, packet: ActivePacket) -> ProgramBinding:
         """Return the binding for *packet*, binding (and lowering) on a miss.
 
-        A hit whose table-version stamps are stale counts as an
-        invalidation followed by a miss: the FID is bound again, to the
-        same level-1 program, against current table state.
+        A binding stamped at the current table epoch is a hit with no table
+        read, an older one is re-stamped if none of its tables changed, and
+        one whose table did is an invalidation followed by a miss: the FID
+        is bound again, to the same level-1 program, against current state.
         """
         fid = packet.initial.fid
         digest = packet.code
@@ -390,8 +391,9 @@ class ProgramCache:
             digest = digest.translate(_UNMARK)
         key = (fid, digest)
         entry = self._entries.get(key)
+        epoch = self._epoch[0]
         if entry is not None:
-            if entry.is_current():
+            if entry.epoch == epoch or entry.restamp(epoch):
                 self._entries.move_to_end(key)
                 self.hits += 1
                 return entry
@@ -405,7 +407,7 @@ class ProgramCache:
             self._programs[digest] = program
         else:
             self.program_hits += 1
-        self._entries[key] = entry = program.bind(fid)
+        self._entries[key] = entry = program.bind(fid, epoch)
         self._keys_by_fid.setdefault(fid, set()).add(key)
         if len(self._entries) > self.capacity:
             old_key, _old = self._entries.popitem(last=False)

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import Opcode
 from repro.packets.codec import ActivePacket
-from repro.switchsim.hashing import HashUnit, hash_engine
+from repro.switchsim.hashing import hash_engine
 from repro.switchsim.phv import Phv
 from repro.switchsim.registers import RegisterArray
 from repro.switchsim.tables import StageTable
@@ -29,13 +29,11 @@ class MatchActionStage:
         is_ingress: bool,
         table: StageTable,
         registers: RegisterArray,
-        hash_unit: HashUnit,
     ) -> None:
         self.index = index
         self.is_ingress = is_ingress
         self.table = table
         self.registers = registers
-        self.hash_unit = hash_unit
 
     # ------------------------------------------------------------------
 

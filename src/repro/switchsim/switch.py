@@ -69,14 +69,23 @@ class SwitchOutput:
     Attributes:
         port: egress port.
         packet: the emitted packet.
-        latency_us: switch-internal forwarding latency.
+        switch: the switch that emitted it.
         result: pipeline execution result (None for non-program packets).
     """
 
     port: int
     packet: ActivePacket
-    latency_us: float
+    switch: "ActiveSwitch" = dataclasses.field(repr=False, compare=False)
     result: Optional[ExecutionResult] = None
+
+    @property
+    def latency_us(self) -> float:
+        """Switch-internal forwarding latency by the switch's latency model,
+        worked out when read (one pass for a packet that executed nothing)."""
+        model = self.switch.latency
+        if self.result is None:
+            return model.pass_us
+        return model.switch_latency_us(self.result, self.switch.config)
 
 
 @dataclasses.dataclass
@@ -447,14 +456,7 @@ class ActiveSwitch:
         else:
             out_port = None
         if out_port is not None:
-            outputs.append(
-                SwitchOutput(
-                    out_port,
-                    result.packet,
-                    self.latency.switch_latency_us(result, self.config),
-                    result,
-                )
-            )
+            outputs.append(SwitchOutput(out_port, result.packet, self, result))
         for clone in result.clones:
             self._emit(clone, in_port, outputs)
 
@@ -463,7 +465,7 @@ class ActiveSwitch:
     ) -> None:
         out_port = self._mac_table.get(packet.eth.dst.value)
         if out_port is not None:
-            outputs.append(SwitchOutput(out_port, packet, self.latency.pass_us))
+            outputs.append(SwitchOutput(out_port, packet, self))
 
     def inject(self, packet: ActivePacket) -> List[SwitchOutput]:
         """Send a controller-originated packet (e.g. allocation response)."""

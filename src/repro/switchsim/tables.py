@@ -97,17 +97,18 @@ class StageTable:
     "deactivate" mechanism of Section 4.3), and TCAM occupancy.
     """
 
-    def __init__(self, tcam_capacity: int) -> None:
+    def __init__(self, tcam_capacity: int, epoch: Optional[List[int]] = None) -> None:
         self._tcam_capacity = tcam_capacity
         self._grants: Dict[int, StageGrant] = {}
         self._translations: Dict[int, Tuple[int, int]] = {}
         self._tcam_used = 0
-        #: Monotonic mutation counter.  Program-cache bindings stamp
-        #: the version of every table they read operands from and are
-        #: re-bound when any stamp goes stale, so table state held by a
-        #: :class:`~repro.switchsim.progcache.ProgramBinding` can never
-        #: outlive the entries it was derived from.
-        self.version = 0
+        #: The table epoch at this table's last mutation; every mutation
+        #: advances *epoch*, a one-element counter the pipeline's stages
+        #: share.  A :class:`~repro.switchsim.progcache.ProgramBinding`
+        #: stamped at epoch *e* is re-bound once a table it read has a
+        #: version above *e*, so it never outlives the entries it read.
+        self._epoch = epoch if epoch is not None else [0]
+        self.version = self._epoch[0]
 
     # ------------------------------------------------------------------
     # Control-plane operations (each costs one table update in the
@@ -131,14 +132,14 @@ class StageTable:
             )
         self._tcam_used += needed - freed
         self._grants[grant.fid] = grant
-        self.version += 1
+        self.version = self._epoch[0] = self._epoch[0] + 1
 
     def remove_grant(self, fid: int) -> Optional[StageGrant]:
         """Remove a FID's grant, freeing its TCAM entries."""
         grant = self._grants.pop(fid, None)
         if grant is not None:
             self._tcam_used -= grant.tcam_cost()
-            self.version += 1
+            self.version = self._epoch[0] = self._epoch[0] + 1
         return grant
 
     def install_translation(self, fid: int, mask: int, offset: int) -> None:
@@ -149,12 +150,12 @@ class StageTable:
         lands but never widen what :meth:`authorize` permits.
         """
         self._translations[fid] = (mask & 0xFFFFFFFF, offset & 0xFFFFFFFF)
-        self.version += 1
+        self.version = self._epoch[0] = self._epoch[0] + 1
 
     def remove_translation(self, fid: int) -> bool:
         removed = self._translations.pop(fid, None) is not None
         if removed:
-            self.version += 1
+            self.version = self._epoch[0] = self._epoch[0] + 1
         return removed
 
     def translation_for(self, fid: int) -> Optional[Tuple[int, int]]:

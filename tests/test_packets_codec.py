@@ -576,11 +576,17 @@ def _announces_no_arguments(frame):
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(packet=_packets(), shrink=st.booleans())
-def test_codec_matches_the_reference_on_valid_packets(packet, shrink):
+@given(
+    packet=_packets(), shrink=st.booleans(), executed=st.integers(0, 20), marks=st.booleans()
+)
+def test_codec_matches_the_reference_on_valid_packets(packet, shrink, executed, marks):
+    if not marks:  # no header arrived marked EXECUTED (as a client sends them)
+        packet.code = bytes(byte & ~InstructionFlags.EXECUTED for byte in packet.code)
+    packet.executed = min(executed, len(packet.code) // 2)  # a consumed prefix
     wire = encode_packet(packet, shrink=shrink)
     assert wire == reference_encode_packet(packet, shrink=shrink)
     assert len(encode_packet(packet)) == packet.wire_size()
+    assert len(encode_packet(packet, shrink=True)) == packet.shrunk_size()
     decoded, expected = decode_packet(wire), reference_decode_packet(wire)
     assert decoded == expected and repr(decoded) == repr(expected)
 

@@ -192,6 +192,75 @@ def test_direct_table_mutation_caught_by_version_stamps():
     assert pipeline.program_cache.stats()["invalidations"] >= 1
 
 
+_READ = assemble("MAR_LOAD $0\nMEM_READ\nRETURN")
+_COUNTS = ("hits", "misses", "invalidations", "program_hits", "program_misses")
+
+
+#: Writes to one stage table, each behind the controller's back: the
+#: FID-9 entries they touch are installed first, so every one mutates.
+_TABLE_WRITES = [
+    ("install_grant", lambda table: table.install_grant(StageGrant(fid=9, start=0, end=4))),
+    ("remove_grant", lambda table: table.remove_grant(9)),
+    ("install_translation", lambda table: table.install_translation(9, 0xF, 0)),
+    ("remove_translation", lambda table: table.remove_translation(9)),
+    ("shrink_own_grant", lambda table: table.install_grant(StageGrant(fid=1, start=0, end=10))),
+]
+
+
+def _binding_pipelines():
+    """A cached and an uncached pipeline, fid 1 granted in stage 2 (the
+    one table ``MAR_LOAD $0; MEM_READ; RETURN`` reads), fid 9 in stages 2
+    and 7, and fid 1's binding warm in the cached one."""
+    pipelines = Pipeline(SwitchConfig()), Pipeline(SwitchConfig(program_cache_entries=0))
+    for pipeline in pipelines:
+        _grant_stages(pipeline, fid=1, stages=[2], start=0, end=100)
+        _grant_stages(pipeline, fid=9, stages=[2, 7], start=0, end=8)
+        for stage in (2, 7):
+            pipeline.stage(stage).table.install_translation(9, 0x3, 0)
+    pipelines[0].execute(_packet(_READ, args=[50, 0, 0, 0]))
+    return pipelines
+
+
+def _count_deltas(cache, run):
+    before = cache.stats()
+    run()
+    after = cache.stats()
+    return {name: after[name] - before[name] for name in _COUNTS}
+
+
+_REBOUND = {"hits": 0, "misses": 1, "invalidations": 1, "program_hits": 1, "program_misses": 0}
+_HIT = {"hits": 1, "misses": 0, "invalidations": 0, "program_hits": 0, "program_misses": 0}
+
+
+@pytest.mark.parametrize(
+    "stage,expected", [(2, _REBOUND), (7, _HIT)], ids=["table-read", "other-table"]
+)
+@pytest.mark.parametrize("name,write", _TABLE_WRITES, ids=[w[0] for w in _TABLE_WRITES])
+def test_binding_currency_after_a_table_write(stage, expected, name, write):
+    """The binding-currency oracle.  Any write to a table the binding took
+    operands from (any FID's entry) re-binds it on the next packet: one
+    invalidation and one miss, to the same level-1 program.  A write to a
+    table it never read moves the epoch but not the binding: a hit, and
+    the binding is re-stamped.  Either way the packet runs as on the
+    uncached pipeline, and the next one is a hit by the epoch compare."""
+    cached, cold = _binding_pipelines()
+    cache = cached.program_cache
+    (binding,) = cache._entries.values()
+    results = []
+
+    def send():
+        for pipeline in (cached, cold):
+            write(pipeline.stage(stage).table)
+            results.append(pipeline.execute(_packet(_READ, args=[50, 0, 0, 0])))
+
+    assert _count_deltas(cache, send) == expected
+    _assert_identical(*results)
+    (current,) = cache._entries.values()
+    assert (current is binding) == (stage == 7) and current.program is binding.program
+    assert current.epoch == cached.table_epoch[0]
+    assert _count_deltas(cache, lambda: cached.execute(_packet(_READ, args=[50, 0, 0, 0]))) == _HIT
+
+
 # ----------------------------------------------------------------------
 # Cached-vs-cold byte identity
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from repro.packets import (
     AccessConstraintEntry,
     ActivePacket,
     AllocationRequestHeader,
+    AllocationResponseHeader,
     ControlFlags,
     MacAddress,
     PacketType,
@@ -147,9 +148,12 @@ def test_latency_30_instructions_recirculates(switch):
     assert outputs[0].result.passes == 2
 
 
-def _reference_latency_us(model, config, logical_stage, disposition, rts_at_egress):
+def _reference_latency_us(
+    model, config, logical_stage, disposition, rts_at_egress, pass_offset=0
+):
     """The forwarding-latency formula as first written (float division
-    and ``math.ceil``); the model now does it in integers."""
+    and ``math.ceil``); the model now does it in integers.  A FORK clone
+    (``pass_offset`` passes charged up front) adds two halves a pass."""
     logical_stages = max(logical_stage - 1, 1)
     halves = math.ceil(logical_stages / (config.num_stages // 2))
     if disposition.value == "rts":
@@ -157,7 +161,7 @@ def _reference_latency_us(model, config, logical_stage, disposition, rts_at_egre
             halves += 1
     else:
         halves = math.ceil(halves / 2) * 2
-    return max(halves, 1) * model.half_pipe_us
+    return (max(halves, 1) + 2 * pass_offset) * model.half_pipe_us
 
 
 @pytest.mark.parametrize(
@@ -203,6 +207,78 @@ def test_emitted_latency_matches_the_reference_formula(switch):
                 model, config, phv.logical_stage, output.result.disposition,
                 phv.rts_at_egress,
             )
+
+
+def _both_doors(switch, packet, in_port=1):
+    """*packet* through ``receive`` and a copy through ``receive_batch``."""
+    twin = packet.clone()
+    return switch.receive(packet, in_port) + switch.receive_batch([(twin, in_port)]).outputs
+
+
+@pytest.mark.parametrize("cache_entries", [256, 0], ids=["cached", "uncached"])
+def test_fork_clone_latency_charges_its_recirculation(cache_entries):
+    """The clone of ``FORK; NOP; RETURN`` is charged one recirculation
+    (two passes), so it reads a pass more than its original: 1.0 us, as
+    a 25-NOP program with one recirculation does."""
+    switch = ActiveSwitch(SwitchConfig(program_cache_entries=cache_entries))
+    switch.register_host(CLIENT, 1)
+    switch.register_host(SERVER, 2)
+    config = switch.config
+    outputs = _both_doors(switch, _program_packet("FORK\nNOP\nRETURN"))
+    assert len(outputs) == 4
+    for original, clone in (outputs[:2], outputs[2:]):
+        assert clone.result is original.result.clones[0]
+        assert (clone.result.passes, clone.result.recirculations) == (2, 1)
+        assert original.latency_us == 0.5
+        assert clone.latency_us == 1.0
+        for output in (original, clone):
+            phv = output.result.phv
+            assert output.latency_us == _reference_latency_us(
+                switch.latency, config, phv.logical_stage, output.result.disposition,
+                phv.rts_at_egress, phv.pass_offset,
+            )
+    (long,) = switch.receive(_program_packet("\n".join(["NOP"] * 25 + ["RETURN"])), 1)
+    assert (long.result.recirculations, long.latency_us) == (1, 1.0)
+
+
+#: One packet per way out of the switch: ``(name, source, deactivated)``.
+_EXITS = [
+    ("ingress-rts", "RTS\nRETURN", False),
+    ("egress-rts", "\n".join(["NOP"] * 12 + ["RTS", "RETURN"]), False),
+    ("forward", "NOP\nRETURN", False),
+    ("multi-pass", "\n".join(["RTS"] + ["NOP"] * 40 + ["RETURN"]), False),
+    ("deactivated", "RTS\nRETURN", True),
+    ("clones", "FORK\nFORK\nRTS\nRETURN", False),
+]
+
+
+@pytest.mark.parametrize("cache_entries", [256, 0], ids=["cached", "uncached"])
+@pytest.mark.parametrize("name,source,deactivated", _EXITS, ids=[e[0] for e in _EXITS])
+def test_output_latency_is_the_switch_model_on_its_result(
+    cache_entries, name, source, deactivated
+):
+    """``SwitchOutput.latency_us`` is the switch's latency model applied to
+    the output's own result, through both doors; a plain forward takes one
+    pass.  The model is the switch's current one: ``extend_latency`` may
+    replace it."""
+    switch = ActiveSwitch(SwitchConfig(program_cache_entries=cache_entries))
+    switch.register_host(CLIENT, 1)
+    switch.register_host(SERVER, 2)
+    if deactivated:
+        switch.pipeline.deactivate_fid(1)
+    outputs = _both_doors(switch, _program_packet(source))
+    plain = ActivePacket.alloc_response(
+        src=CLIENT, dst=SERVER, fid=5, response=AllocationResponseHeader.empty()
+    )
+    plain_outputs = _both_doors(switch, plain)
+    assert len(outputs) == (8 if name == "clones" else 2) and len(plain_outputs) == 2
+    for model in (switch.latency, extend_latency(switch.latency, L2_FORWARDING)):
+        switch.latency = model
+        for output in outputs:
+            assert output.latency_us == model.switch_latency_us(output.result, switch.config)
+        assert [output.latency_us for output in plain_outputs] == [model.pass_us] * 2
+    first, second = outputs[: len(outputs) // 2], outputs[len(outputs) // 2 :]
+    assert [o.latency_us for o in first] == [o.latency_us for o in second]
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.analysis.isolation import implied_bounds
 from repro.core.blocks import BlockRange
 from repro.core.transactions import TableUpdateJournal
 from repro.device import Device, TransientDeviceError
-from repro.faults import RetryPolicy, call_with_retries
+from repro.faults import RetryPolicy, retry_after
 from repro.switchsim.tables import StageGrant
 from repro.telemetry import AnyTracer, MetricsRegistry, resolve, resolve_tracer
 
@@ -101,7 +101,7 @@ class _Scrub:
 
     def __init__(self, tables: Any, stage: int, start: int, end: int) -> None:
         self.tables, self.stage, self.start, self.end = tables, stage, start, end
-        self.previous: List[int] = []
+        self.previous: Sequence[int] = ()
 
     def snapshot(self) -> None:
         self.previous = self.tables.read_registers(self.stage, self.start, self.end)
@@ -286,23 +286,23 @@ class TableUpdateEngine:
         self.retries_attempted += 1
 
     def _retried(self, method: Callable[..., Any], args: Tuple[Any, ...]) -> None:
-        """Run one forward device call under the retry policy.
+        """Run one forward device call under the retry policy: a plain
+        call, then :func:`~repro.faults.retry_after` if it faulted.
 
         Undo calls are deliberately *not* retried: a fault during
         rollback is escalated by the controller (device marked failed)
         rather than silently absorbed, because a half-rolled-back
         journal is unrecoverable in place.
         """
-        before = self.retries_attempted
-        call_with_retries(
-            lambda: method(*args),
-            self.retry,
-            self._retry_rng,
-            clock=self._clock,
-            sleep=self._sleep,
-            on_retry=self._note_retry,
-        )
-        if self.retries_attempted > before:
+        policy = self.retry
+        deadline = None if policy.timeout_s is None else self._clock() + policy.timeout_s
+        try:
+            method(*args)
+        except TransientDeviceError as fault:
+            retry_after(
+                fault, method, args, policy, self._retry_rng, deadline,
+                self._clock, self._sleep, self._note_retry,
+            )
             self.retries_healed += 1
 
     # ------------------------------------------------------------------

@@ -19,6 +19,7 @@ does not; no inheritance is required.
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro.packets.codec import ActivePacket
@@ -69,6 +70,9 @@ class Device(Protocol):
     journals -- grants, translations, activation flips, cache flushes,
     register scrubs -- goes through this surface, so an undo recorded
     against one device replays against the same device.
+
+    A *register image* is an ``array("I")`` copy of consecutive 32-bit
+    words, 4 bytes a word, read and written back as one memory copy.
     """
 
     @property
@@ -154,14 +158,16 @@ class Device(Protocol):
 
     # -- register memory (the BFRT snapshot/restore/scrub of Section 4.3) --
 
-    def read_registers(self, stage: int, start: int, end: int) -> List[int]:
-        """Copy out words ``[start, end)`` of *stage*'s register array."""
+    def read_registers(self, stage: int, start: int, end: int) -> "array[int]":
+        """Copy out words ``[start, end)`` of *stage*'s register array as
+        a register image (a later write to the array leaves it as read)."""
         ...
 
     def write_registers(
         self, stage: int, start: int, values: Sequence[int]
     ) -> None:
-        """Bulk-write *values* at *start* (controller-driven restore)."""
+        """Bulk-write *values* at *start* (controller-driven restore): a
+        register image as one copy, any other sequence word by word."""
         ...
 
     def scrub_registers(self, stage: int, start: int, end: int) -> None:

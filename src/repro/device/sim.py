@@ -14,6 +14,7 @@ working unchanged.
 from __future__ import annotations
 
 import itertools
+from array import array
 from typing import List, NoReturn, Optional, Sequence, Tuple
 
 from repro.device.base import Device, DeviceError
@@ -130,7 +131,7 @@ class SimDevice:
 
     # -- register memory ----------------------------------------------------
 
-    def read_registers(self, stage: int, start: int, end: int) -> List[int]:
+    def read_registers(self, stage: int, start: int, end: int) -> "array[int]":
         return self._registers[stage].snapshot(start, end)
 
     def write_registers(

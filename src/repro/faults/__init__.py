@@ -4,7 +4,9 @@ The chaos layer of the reproduction: seed-driven fault schedules
 (:class:`FaultPlan`), a :class:`FaultyDevice` wrapper that perturbs any
 :class:`~repro.device.Device` behind the same protocol, and the retry
 machinery (:class:`RetryPolicy`, :func:`call_with_retries`) the control
-plane uses to survive :class:`~repro.device.TransientDeviceError`.
+plane uses to survive :class:`~repro.device.TransientDeviceError`: the
+first attempt is a plain call, and the backoff (:func:`retry_after`)
+starts only after it raises a transient fault.
 
 Layering: this package sits at the device level.  It imports
 ``repro.device`` and the simulator types but never the controller,
@@ -17,6 +19,7 @@ from repro.faults.recovery import (
     RetryExhaustedError,
     RetryPolicy,
     call_with_retries,
+    retry_after,
 )
 
 __all__ = [
@@ -27,4 +30,5 @@ __all__ = [
     "RetryExhaustedError",
     "RetryPolicy",
     "call_with_retries",
+    "retry_after",
 ]

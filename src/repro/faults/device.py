@@ -25,8 +25,9 @@ bare hardware until a fault fires.
 from __future__ import annotations
 
 import time
+from array import array
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.device import Device, PermanentDeviceError, TransientDeviceError
 from repro.faults.plan import FaultKind, FaultPlan
@@ -104,17 +105,18 @@ class FaultyDevice:
                 f"device {self.inner.device_id} is dead ({op})"
             )
 
-    def _read(self, op: str, apply: Callable[[], T]) -> T:
+    def _read(self, op: str, method: Callable[..., T], *args: Any) -> T:
         """Reads: only death interposes (flaky channels corrupt writes)."""
         self._check_dead(op)
-        return apply()
+        return method(*args)
 
-    def _mutate(self, op: str, apply: Callable[[], T]) -> T:
-        """Consult the plan, then apply (or raise) one mutating op."""
+    def _mutate(self, op: str, method: Callable[..., T], *args: Any) -> T:
+        """Consult the plan, then apply ``method(*args)`` (or raise) for
+        one mutating op."""
         self._check_dead(op)
         decision = self.plan.decide(op)
         if decision is None:
-            return apply()
+            return method(*args)
         if decision.kind is FaultKind.PERMANENT:
             self.dead = True
             self._count(op, decision.kind)
@@ -129,11 +131,11 @@ class FaultyDevice:
             self._count(op, decision.kind)
             if self.plan.delay_s > 0:
                 self._sleep(self.plan.delay_s)
-            return apply()
+            return method(*args)
         # PARTIAL: the op applies, then the response is "lost".  The
         # caller cannot distinguish this from TRANSIENT; idempotent
         # retry heals the ambiguity.
-        apply()
+        method(*args)
         self._count(op, decision.kind)
         raise TransientDeviceError(f"injected fault {decision} (applied)")
 
@@ -158,89 +160,58 @@ class FaultyDevice:
     # ------------------------------------------------------------------
 
     def install_grant(self, stage: int, grant: StageGrant) -> None:
-        self._mutate(
-            "install_grant", lambda: self.inner.install_grant(stage, grant)
-        )
+        self._mutate("install_grant", self.inner.install_grant, stage, grant)
 
     def grant_for(self, stage: int, fid: int) -> Optional[StageGrant]:
-        return self._read("grant_for", lambda: self.inner.grant_for(stage, fid))
+        return self._read("grant_for", self.inner.grant_for, stage, fid)
 
     def remove_grant(self, stage: int, fid: int) -> Optional[StageGrant]:
-        return self._mutate(
-            "remove_grant", lambda: self.inner.remove_grant(stage, fid)
-        )
+        return self._mutate("remove_grant", self.inner.remove_grant, stage, fid)
 
-    def install_translation(
-        self, stage: int, fid: int, mask: int, offset: int
-    ) -> None:
+    def install_translation(self, stage: int, fid: int, mask: int, offset: int) -> None:
         self._mutate(
-            "install_translation",
-            lambda: self.inner.install_translation(
-                stage, fid, mask=mask, offset=offset
-            ),
+            "install_translation", self.inner.install_translation, stage, fid, mask, offset
         )
 
     def translation_for(self, stage: int, fid: int) -> Optional[Tuple[int, int]]:
-        return self._read(
-            "translation_for", lambda: self.inner.translation_for(stage, fid)
-        )
+        return self._read("translation_for", self.inner.translation_for, stage, fid)
 
     def remove_translation(self, stage: int, fid: int) -> bool:
-        return self._mutate(
-            "remove_translation",
-            lambda: self.inner.remove_translation(stage, fid),
-        )
+        return self._mutate("remove_translation", self.inner.remove_translation, stage, fid)
 
     def stage_fids(self, stage: int) -> List[int]:
-        return self._read("stage_fids", lambda: self.inner.stage_fids(stage))
+        return self._read("stage_fids", self.inner.stage_fids, stage)
 
     def stage_translation_fids(self, stage: int) -> List[int]:
-        return self._read(
-            "stage_translation_fids",
-            lambda: self.inner.stage_translation_fids(stage),
-        )
+        return self._read("stage_translation_fids", self.inner.stage_translation_fids, stage)
 
     def stage_tcam(self, stage: int) -> Tuple[int, int]:
-        return self._read("stage_tcam", lambda: self.inner.stage_tcam(stage))
+        return self._read("stage_tcam", self.inner.stage_tcam, stage)
 
     def deactivate_fid(self, fid: int) -> None:
-        self._mutate("deactivate_fid", lambda: self.inner.deactivate_fid(fid))
+        self._mutate("deactivate_fid", self.inner.deactivate_fid, fid)
 
     def reactivate_fid(self, fid: int) -> None:
-        self._mutate("reactivate_fid", lambda: self.inner.reactivate_fid(fid))
+        self._mutate("reactivate_fid", self.inner.reactivate_fid, fid)
 
     def is_active(self, fid: int) -> bool:
-        return self._read("is_active", lambda: self.inner.is_active(fid))
+        return self._read("is_active", self.inner.is_active, fid)
 
     def invalidate_program_cache(self, fid: Optional[int] = None) -> int:
-        return self._mutate(
-            "invalidate_program_cache",
-            lambda: self.inner.invalidate_program_cache(fid),
-        )
+        return self._mutate("invalidate_program_cache", self.inner.invalidate_program_cache, fid)
 
     # ------------------------------------------------------------------
     # Register memory
     # ------------------------------------------------------------------
 
-    def read_registers(self, stage: int, start: int, end: int) -> List[int]:
-        return self._read(
-            "read_registers",
-            lambda: self.inner.read_registers(stage, start, end),
-        )
+    def read_registers(self, stage: int, start: int, end: int) -> "array[int]":
+        return self._read("read_registers", self.inner.read_registers, stage, start, end)
 
-    def write_registers(
-        self, stage: int, start: int, values: Sequence[int]
-    ) -> None:
-        self._mutate(
-            "write_registers",
-            lambda: self.inner.write_registers(stage, start, values),
-        )
+    def write_registers(self, stage: int, start: int, values: Sequence[int]) -> None:
+        self._mutate("write_registers", self.inner.write_registers, stage, start, values)
 
     def scrub_registers(self, stage: int, start: int, end: int) -> None:
-        self._mutate(
-            "scrub_registers",
-            lambda: self.inner.scrub_registers(stage, start, end),
-        )
+        self._mutate("scrub_registers", self.inner.scrub_registers, stage, start, end)
 
     # ------------------------------------------------------------------
     # Digest channel and injection
@@ -259,5 +230,5 @@ class FaultyDevice:
         return kept
 
     def inject(self, packet: ActivePacket) -> List[SwitchOutput]:
-        return self._read("inject", lambda: self.inner.inject(packet))
+        return self._read("inject", self.inner.inject, packet)
 

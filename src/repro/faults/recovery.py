@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import time
-from typing import Callable, Optional, TypeVar
+from typing import Any, Callable, Optional, Tuple, TypeVar
 
 from repro.device import TransientDeviceError
 
@@ -81,31 +81,44 @@ def call_with_retries(
     invoked with ``(attempt, fault)`` before each backoff sleep, for
     telemetry.
     """
-    deadline = (
-        None if policy.timeout_s is None else clock() + policy.timeout_s
-    )
+    deadline = None if policy.timeout_s is None else clock() + policy.timeout_s
+    try:
+        return op()
+    except TransientDeviceError as fault:
+        return retry_after(fault, op, (), policy, rng, deadline, clock, sleep, on_retry)
+
+
+def retry_after(
+    fault: TransientDeviceError, op: Callable[..., T], args: Tuple[Any, ...],
+    policy: RetryPolicy, rng: random.Random, deadline: Optional[float],
+    clock: Callable[[], float], sleep: Callable[[float], None],
+    on_retry: Optional[Callable[[int, TransientDeviceError], None]],
+) -> T:
+    """:func:`call_with_retries`' backoff, entered once the first attempt
+    of ``op(*args)`` raised *fault*; *deadline* is the clock read before
+    that attempt plus ``policy.timeout_s`` (None without a timeout)."""
     attempt = 1
     while True:
-        try:
-            return op()
-        except RetryExhaustedError:
+        if isinstance(fault, RetryExhaustedError):
             # A nested retry loop already spent its budget; do not
             # multiply budgets by re-retrying its failure here.
-            raise
-        except TransientDeviceError as fault:
-            out_of_attempts = attempt >= policy.max_attempts
-            out_of_time = deadline is not None and clock() >= deadline
-            if out_of_attempts or out_of_time:
-                cause = "attempts" if out_of_attempts else "timeout"
-                raise RetryExhaustedError(
-                    f"retries exhausted ({cause}) after attempt {attempt}: "
-                    f"{fault}"
-                ) from fault
-            if on_retry is not None:
-                on_retry(attempt, fault)
-            pause = policy.delay(attempt, rng)
-            if deadline is not None:
-                pause = min(pause, max(0.0, deadline - clock()))
-            if pause > 0:
-                sleep(pause)
-            attempt += 1
+            raise fault
+        out_of_attempts = attempt >= policy.max_attempts
+        out_of_time = deadline is not None and clock() >= deadline
+        if out_of_attempts or out_of_time:
+            cause = "attempts" if out_of_attempts else "timeout"
+            raise RetryExhaustedError(
+                f"retries exhausted ({cause}) after attempt {attempt}: {fault}"
+            ) from fault
+        if on_retry is not None:
+            on_retry(attempt, fault)
+        pause = policy.delay(attempt, rng)
+        if deadline is not None:
+            pause = min(pause, max(0.0, deadline - clock()))
+        if pause > 0:
+            sleep(pause)
+        attempt += 1
+        try:
+            return op(*args)
+        except TransientDeviceError as again:
+            fault = again

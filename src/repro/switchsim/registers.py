@@ -13,7 +13,7 @@ allowed to touch this address?) is the match table's job
 from __future__ import annotations
 
 from array import array
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.switchsim.phv import u32
 
@@ -99,27 +99,31 @@ class RegisterArray:
     # Control-plane API (BFRT-style register access, Section 4.3)
     # ------------------------------------------------------------------
 
-    def snapshot(self, start: int, end: int) -> List[int]:
-        """Copy out ``[start, end)`` -- the consistent-snapshot primitive."""
-        self._check(start)
-        if not start <= end <= len(self._cells):
-            raise RegisterFault(f"bad snapshot range [{start}, {end})")
-        return list(self._cells[start:end])
+    def _span(self, what: str, start: int, end: int) -> None:
+        # An empty span in bounds touches no words, not even the first time.
+        if not 0 <= start <= end <= self._size:
+            raise RegisterFault(f"bad {what} range [{start}, {end})")
+        if start < end and not self._cells:
+            self._cells = _ZERO * self._size
+
+    def snapshot(self, start: int, end: int) -> "array[int]":
+        """Copy out ``[start, end)`` as a register image (one memcpy) --
+        the consistent-snapshot primitive."""
+        self._span("snapshot", start, end)
+        return self._cells[start:end]
 
     def load(self, start: int, values: Sequence[int]) -> None:
-        """Bulk-write values at *start* (controller-driven restore)."""
+        """Bulk-write values at *start* (controller-driven restore): a
+        register image in one copy, any other sequence word by word."""
         end = start + len(values)
-        if not 0 <= start <= end <= self._size:
-            raise RegisterFault(f"bad load range [{start}, {end})")
-        if start < end:
-            self._check(start)
-        self._cells[start:end] = array("I", [u32(v) for v in values])
+        self._span("load", start, end)
+        if not (isinstance(values, array) and values.typecode == "I"):
+            values = array("I", [u32(v) for v in values])
+        self._cells[start:end] = values
 
     def clear(self, start: int, end: int) -> None:
         """Zero ``[start, end)`` (region scrub between tenants)."""
-        self._check(start)
-        if not start <= end <= len(self._cells):
-            raise RegisterFault(f"bad clear range [{start}, {end})")
+        self._span("clear", start, end)
         self._cells[start:end] = _ZERO * (end - start)
 
     @property

@@ -16,6 +16,8 @@ The contracts under test:
   (the grep-clean guarantee, pinned here as an import-graph test).
 """
 
+from array import array
+
 import pytest
 
 from repro.controller import ActiveRmtController
@@ -145,7 +147,7 @@ def test_a_stage_outside_the_pipeline_is_refused_not_wrapped(stage):
     for index in range(1, switch.config.num_stages + 1):
         assert switch.pipeline.stage(index).table.fids == []
         assert switch.pipeline.stage(index).table.translation_fids == []
-        assert switch.pipeline.stage(index).registers.snapshot(0, 1) == [0]
+        assert switch.pipeline.stage(index).registers.snapshot(0, 1) == array("I", [0])
 
 
 # ----------------------------------------------------------------------
@@ -156,11 +158,11 @@ def test_a_stage_outside_the_pipeline_is_refused_not_wrapped(stage):
 def test_register_roundtrip_through_the_device():
     device, switch = _device()
     device.write_registers(1, 4, [10, 20, 30])
-    assert device.read_registers(1, 4, 7) == [10, 20, 30]
-    assert switch.pipeline.stage(1).registers.snapshot(4, 7) == [10, 20, 30]
+    assert device.read_registers(1, 4, 7) == array("I", [10, 20, 30])
+    assert switch.pipeline.stage(1).registers.snapshot(4, 7) == array("I", [10, 20, 30])
 
     device.scrub_registers(1, 4, 6)
-    assert device.read_registers(1, 4, 7) == [0, 0, 30]
+    assert device.read_registers(1, 4, 7) == array("I", [0, 0, 30])
 
 
 def test_digests_delegate():

@@ -37,6 +37,7 @@ from repro.controller import (
     ProvisioningStatus,
 )
 from repro.controller.service import pools_fingerprint
+from repro.controller.table_updater import TableUpdateEngine
 from repro.device import (
     Device,
     PermanentDeviceError,
@@ -56,6 +57,7 @@ from repro.faults import (
 )
 from repro.packets import ActivePacket, ControlFlags, MacAddress
 from repro.switchsim import ActiveSwitch, SwitchConfig
+from repro.switchsim.tables import StageGrant
 from repro.telemetry import FlightRecorder, MetricsRegistry, Tracer
 
 from tests.test_core_constraints import listing1_pattern
@@ -310,23 +312,139 @@ def test_timeout_exhausts_before_attempt_budget():
     assert clock.now < 10  # nowhere near 100 attempts
 
 
+def _via_engine(op, policy, rng, clock, sleep, on_retry):
+    """*op* as a forward device call of a :class:`TableUpdateEngine`,
+    with the same rng, clock, sleep and retry hook as the reference."""
+    engine = TableUpdateEngine(_sim(), telemetry=MetricsRegistry(), retry=policy)
+    engine._retry_rng, engine._clock, engine._sleep = rng, clock, sleep
+
+    def note(attempt, fault):
+        TableUpdateEngine._note_retry(engine, attempt, fault)
+        on_retry(attempt, fault)
+
+    engine._note_retry = note
+    engine._retried(op, ())
+    return engine
+
+
 def test_nested_exhaustion_is_not_multiplied():
-    inner_calls = []
+    """Through :func:`call_with_retries` and the engine's retry rule alike."""
+    for retry in (call_with_retries, _via_engine):
+        inner_calls = []
 
-    def inner_exhausts():
-        inner_calls.append(1)
-        raise RetryExhaustedError("inner budget spent")
+        def inner_exhausts():
+            inner_calls.append(1)
+            raise RetryExhaustedError("inner budget spent")
 
-    clock = FakeClock()
-    with pytest.raises(RetryExhaustedError):
-        call_with_retries(
-            inner_exhausts,
-            RetryPolicy(max_attempts=5, base_s=1e-9),
-            random.Random(0),
-            clock=clock,
-            sleep=clock.sleep,
+        clock = FakeClock()
+        with pytest.raises(RetryExhaustedError, match="inner budget spent"):
+            retry(
+                inner_exhausts,
+                RetryPolicy(max_attempts=5, base_s=1e-9),
+                random.Random(0),
+                clock=clock,
+                sleep=clock.sleep,
+                on_retry=lambda attempt, fault: pytest.fail("retried"),
+            )
+        assert len(inner_calls) == 1  # re-raised immediately, not re-retried
+        assert clock.sleeps == []
+
+
+class ReadClock(FakeClock):
+    """A :class:`FakeClock` that logs the time at every read."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.now = 100.0
+        self.reads = []
+
+    def __call__(self) -> float:
+        self.reads.append(self.now)
+        return self.now
+
+
+#: The retry rule's outcomes on attempts 1 and 2 faulted: healed on the
+#: third attempt, out of attempts, and out of time (base 1 s, jittered
+#: by Random(0) to 0.58 s, clamped to the 0.5 s budget).
+RETRY_CASES = {
+    "heals": RetryPolicy(max_attempts=3, base_s=1e-3, cap_s=1e-2),
+    "attempts": RetryPolicy(max_attempts=2, base_s=1e-3),
+    "timeout": RetryPolicy(max_attempts=10, base_s=1.0, cap_s=4.0, timeout_s=0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RETRY_CASES))
+@pytest.mark.parametrize(
+    "kinds",
+    [
+        (FaultKind.TRANSIENT, FaultKind.TRANSIENT),
+        (FaultKind.TRANSIENT, FaultKind.PARTIAL),
+        (FaultKind.PARTIAL, FaultKind.TRANSIENT),
+        (FaultKind.PARTIAL, FaultKind.PARTIAL),
+    ],
+    ids=lambda kinds: "-".join(kind.value for kind in kinds),
+)
+def test_engine_retries_exactly_as_call_with_retries(case, kinds):
+    """The engine's plain first attempt and :func:`retry_after` backoff
+    against :func:`call_with_retries` around a closure: the same device
+    calls, retry hook arguments, rng draws, sleeps and clock reads (each
+    device call takes 0.125 s, so a deadline read after the first attempt
+    would show), the same outcome and the same attempted/healed counts."""
+    policy = RETRY_CASES[case]
+    seen = {}
+    for entry in ("call_with_retries", "engine"):
+        clock, rng, retries = ReadClock(), random.Random(0), []
+
+        def script(op, index):
+            clock.now += 0.125
+            return kinds[index] if index < len(kinds) else None
+
+        device = FaultyDevice(_sim(), ScriptedPlan(script), telemetry=MetricsRegistry())
+        grant = StageGrant(fid=7, start=0, end=32, mask=0x1F, offset=0)
+        op = lambda: device.install_grant(1, grant)
+        on_retry = lambda attempt, fault: retries.append((attempt, str(fault)))
+        outcome = engine = None
+        try:
+            if entry == "engine":
+                engine = _via_engine(op, policy, rng, clock, clock.sleep, on_retry)
+            else:
+                call_with_retries(
+                    op, policy, rng, clock=clock, sleep=clock.sleep, on_retry=on_retry
+                )
+        except RetryExhaustedError as exhausted:
+            outcome = (str(exhausted), str(exhausted.__cause__))
+        healed = engine.retries_healed if engine else int(outcome is None and bool(retries))
+        if engine:
+            assert engine.retries_attempted == len(retries)
+        seen[entry] = (
+            outcome, retries, healed, rng.getstate(), clock.sleeps, clock.reads,
+            device.plan.op_index, device.inner.grant_for(1, 7),
         )
-    assert len(inner_calls) == 1  # re-raised immediately, not re-retried
+    assert seen["engine"] == seen["call_with_retries"]
+    outcome, retries, healed = seen["engine"][:3]
+    assert (outcome is None, healed) == ((True, 1) if case == "heals" else (False, 0))
+    assert outcome is None or case in outcome[0]
+    assert len(retries) == {"heals": 2, "attempts": 1, "timeout": 1}[case]
+
+
+def test_a_healthy_forward_call_reaches_the_device_once():
+    """Under a retry policy, an admission on a device that never faults
+    makes exactly the device calls it makes with no policy -- each once
+    -- and never reads the clock, sleeps or draws from the rng."""
+    calls = {}
+    for retry in (None, RetryPolicy(max_attempts=5)):
+        ops = []
+        device = FaultyDevice(_sim(), ScriptedPlan(lambda op, i: ops.append(op)))
+        controller = ActiveRmtController(device, retry=retry)
+        engine = controller.updater
+        engine._clock = engine._sleep = lambda *args: pytest.fail("clock or sleep")
+        rng_state = engine._retry_rng.getstate()
+        assert controller.admit(fid=1, pattern=listing1_pattern()).success
+        assert engine._retry_rng.getstate() == rng_state
+        assert engine.retries_attempted == engine.retries_healed == 0
+        calls[retry is None] = ops
+    assert calls[True] == calls[False]
+    assert "install_grant" in calls[True]
 
 
 def test_permanent_faults_pass_through_unretried():

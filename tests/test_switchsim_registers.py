@@ -1,6 +1,7 @@
 """Unit + property tests for register arrays and stateful ALU actions."""
 
 import gc
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
@@ -73,7 +74,7 @@ def test_cells_are_made_by_the_first_access():
     regs.load(8, [])
     assert len(regs._cells) == 0  # nothing touched the words yet
     regs.load(6, [1, 2])
-    assert regs.snapshot(0, 8) == [0] * 6 + [1, 2]
+    assert regs.snapshot(0, 8) == array("I", [0] * 6 + [1, 2])
 
 
 def test_words_are_not_walked_by_the_cyclic_collector():
@@ -89,10 +90,73 @@ def test_snapshot_and_load():
     for i in range(8):
         regs.write(i, i * 10)
     snap = regs.snapshot(2, 6)
-    assert snap == [20, 30, 40, 50]
+    assert snap == array("I", [20, 30, 40, 50])
     regs.load(0, [7, 8])
     assert regs.read(0) == 7
     assert regs.read(1) == 8
+
+
+def test_an_image_is_a_copy():
+    """A snapshot is the words as read: a later write, increment, clear
+    or load of the array leaves it as it was."""
+    regs = RegisterArray(8)
+    regs.load(0, [1, 2, 3, 4])
+    image = regs.snapshot(0, 4)
+    regs.write(0, 9)
+    regs.increment(1)
+    regs.clear(2, 3)
+    regs.load(3, image[:1])
+    assert image == array("I", [1, 2, 3, 4])
+    assert regs.snapshot(0, 4) == array("I", [9, 3, 0, 1])
+
+
+@pytest.mark.parametrize("start", [0, 5, 6, 7, 8, 9, -1])
+@pytest.mark.parametrize("count", [0, 1, 2, 3])
+def test_loading_an_image_is_loading_its_list(start, count):
+    """An ``array("I")`` image and the list of the same words load the
+    same words and refuse the same ranges, with the same message."""
+    words = [0xFFFFFFFF, 7, 0][:count]
+    by_image, by_list = RegisterArray(8), RegisterArray(8)
+    outcomes = []
+    for regs, values in ((by_image, array("I", words)), (by_list, words)):
+        try:
+            regs.load(start, values)
+            outcomes.append(None)
+        except RegisterFault as fault:
+            outcomes.append(str(fault))
+    assert outcomes[0] == outcomes[1]
+    assert by_image.snapshot(0, 8) == by_list.snapshot(0, 8)
+    assert len(by_image._cells) == len(by_list._cells)
+
+
+@pytest.mark.parametrize("at", [7, 8])
+def test_an_empty_range_in_bounds_is_a_no_op(at):
+    """``[n-1, n-1)`` and ``[n, n)`` are empty ranges inside an n-word
+    array: snapshot gives an empty image, clear and load change nothing,
+    and none of them makes the words of an untouched array."""
+    regs = RegisterArray(8)
+    assert regs.snapshot(at, at) == array("I")
+    regs.clear(at, at)
+    regs.load(at, [])
+    regs.load(at, array("I"))
+    assert len(regs._cells) == 0  # no words made
+    regs.write(0, 5)
+    assert regs.snapshot(at, at) == array("I")
+    regs.clear(at, at)
+    regs.load(at, [])
+    assert regs.snapshot(0, 8) == array("I", [5] + [0] * 7)
+
+
+def test_an_empty_range_past_the_end_is_refused():
+    """``[n+1, n+1)`` lies outside an n-word array, empty or not."""
+    regs = RegisterArray(8)
+    with pytest.raises(RegisterFault, match="snapshot"):
+        regs.snapshot(9, 9)
+    with pytest.raises(RegisterFault, match="clear"):
+        regs.clear(9, 9)
+    with pytest.raises(RegisterFault, match="load"):
+        regs.load(9, [])
+    assert len(regs._cells) == 0
 
 
 def test_snapshot_bad_range_rejected():

@@ -40,7 +40,6 @@ from typing import (
 from repro.analysis.findings import AnalysisReport, Finding
 from repro.analysis.isolation import TableSnapshot, certify_snapshot
 from repro.analysis.verifier import _ordered
-from repro.switchsim.config import SwitchConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime import
     from repro.core.allocator import ActiveRmtAllocator
@@ -54,7 +53,6 @@ class AuditScope:
 
     allocator: "ActiveRmtAllocator"
     snapshot: TableSnapshot
-    config: SwitchConfig
 
 
 @dataclasses.dataclass(frozen=True)
@@ -160,7 +158,7 @@ def _check_table_certificates(scope: AuditScope) -> List[Finding]:
     invariant holds iff every resident FID's live certificate is valid.
     """
     findings: List[Finding] = []
-    for certificate in certify_snapshot(scope.allocator, scope.snapshot, scope.config).values():
+    for certificate in certify_snapshot(scope.allocator, scope.snapshot).values():
         findings.extend(certificate.findings)
     return findings
 
@@ -197,9 +195,7 @@ def _check_tcam_accounting(scope: AuditScope) -> List[Finding]:
     """Stage TCAM occupancy equals the sum of installed grant costs."""
     findings: List[Finding] = []
     for stage, (used, capacity) in scope.snapshot.tcam.items():
-        expected = sum(
-            grant.tcam_cost() for grant in scope.snapshot.grants[stage].values() if grant is not None
-        )
+        expected = sum(grant.tcam_cost() for grant in scope.snapshot.grants[stage].values())
         if used != expected:
             findings.append(
                 Finding.of(
@@ -263,17 +259,9 @@ INVARIANTS: Tuple[Invariant, ...] = (
 )
 
 
-def audit_state(
-    allocator: "ActiveRmtAllocator",
-    tables: "Device",
-    config: Optional[SwitchConfig] = None,
-) -> AnalysisReport:
+def audit_state(allocator: "ActiveRmtAllocator", tables: "Device") -> AnalysisReport:
     """Run the whole catalog against one committed state, reading *tables* once."""
-    scope = AuditScope(
-        allocator=allocator,
-        snapshot=TableSnapshot.of(tables),
-        config=config if config is not None else allocator.config,
-    )
+    scope = AuditScope(allocator=allocator, snapshot=TableSnapshot.of(tables))
     findings: List[Finding] = []
     for invariant in INVARIANTS:
         findings.extend(invariant.check(scope))

@@ -12,8 +12,9 @@ artifact.  For each FID it joins three sources of truth --
   :class:`~repro.core.transactions.AllocationPlan` or the live
   :class:`~repro.core.allocator.ActiveRmtAllocator` layout), and
 - the grant/translation entries installed on the device's table
-  surface (:class:`~repro.device.Device`), read once per audit as a
-  :class:`TableSnapshot` and diffed FID by FID against the implied set
+  surface, read in one :meth:`~repro.device.Device.read_tables` call
+  per audit as a :class:`TableSnapshot` and diffed FID by FID against
+  the implied set
 
 -- and emits an :class:`IsolationCertificate`: every reachable memory
 access is either *statically proven* to land inside the FID's regions
@@ -318,30 +319,22 @@ def certify_plan(
 
 @dataclasses.dataclass(frozen=True)
 class TableSnapshot:
-    """One read of a device's whole table surface: per stage one
-    ``stage_fids``, one ``stage_translation_fids`` and one ``stage_tcam``
-    call, then one ``grant_for`` or ``translation_for`` per installed
-    entry (each a runtime RPC on a real switch).  Every proof about the
-    live state is made against this one read."""
+    """One read of a device's whole table surface: a single
+    :meth:`~repro.device.Device.read_tables` call, one runtime request
+    on a real switch however many entries are installed.  Every proof
+    about the live state is made against this one read; its fields are
+    the read's (:class:`~repro.device.TableRead`)."""
 
     #: ``{stage: {fid: StageGrant}}`` for every installed grant.
-    grants: Mapping[int, Mapping[int, Any]]
+    grants: Mapping[int, Mapping[int, StageGrant]]
     #: ``{stage: {fid: (mask, offset)}}`` for every installed entry.
-    translations: Mapping[int, Mapping[int, Optional[Tuple[int, int]]]]
+    translations: Mapping[int, Mapping[int, Tuple[int, int]]]
     #: ``{stage: (used, capacity)}`` of each stage's TCAM.
     tcam: Mapping[int, Tuple[int, int]]
 
     @classmethod
     def of(cls, tables: "Device") -> "TableSnapshot":
-        stages = range(1, tables.config.num_stages + 1)
-        return cls(
-            grants={s: {f: tables.grant_for(s, f) for f in tables.stage_fids(s)} for s in stages},
-            translations={
-                s: {f: tables.translation_for(s, f) for f in tables.stage_translation_fids(s)}
-                for s in stages
-            },
-            tcam={s: tables.stage_tcam(s) for s in stages},
-        )
+        return cls(*tables.read_tables())
 
     @functools.cached_property
     def grants_by_fid(self) -> Dict[int, Dict[int, Any]]:
@@ -367,14 +360,14 @@ def _by_fid(surface: Mapping[int, Mapping[int, Any]]) -> Dict[int, Dict[int, Any
     return index
 
 
-def _overlapping(per_stage: Mapping[int, Any]) -> Dict[int, List[int]]:
+def _overlapping(per_stage: Mapping[int, StageGrant]) -> Dict[int, List[int]]:
     """One stage's overlapping grant pairs from one start-sorted sweep:
     a grant stays open while its end lies past the current start, and a
     pair is found once, at its later start, and recorded for both."""
     order = {fid: index for index, fid in enumerate(per_stage)}
     found: Dict[int, List[int]] = {}
     open_fids: List[int] = []
-    for start, fid in sorted((g.start, fid) for fid, g in per_stage.items() if g is not None):
+    for start, fid in sorted((g.start, fid) for fid, g in per_stage.items()):
         open_fids = [other for other in open_fids if per_stage[other].end > start]
         for other in open_fids:
             if per_stage[other].start < per_stage[fid].end:
@@ -491,8 +484,6 @@ def certify_fid(
     fid: int,
     allocator: "ActiveRmtAllocator",
     tables: "Device",
-    config: Optional[SwitchConfig] = None,
-    snapshot: Optional[TableSnapshot] = None,
 ) -> IsolationCertificate:
     """Certify one *live* FID: installed entries vs the allocator layout.
 
@@ -502,23 +493,19 @@ def certify_fid(
     missing, orphaned, mis-ranged or pointing at a region other than
     the nearest upcoming one (ARMT012) -- every installed translation
     maps masked addresses into a granted region (ARMT013), and no other
-    installed grant overlaps (ARMT011).  A *snapshot* already read is
-    used instead of reading *tables*.
+    installed grant overlaps (ARMT011).  Block sizes are the
+    allocator's own (``allocator.config``).
     """
-    block_words = (config or SwitchConfig()).block_words
-    regions = _word_regions(allocator.regions_for(fid), block_words)
-    surface = snapshot if snapshot is not None else TableSnapshot.of(tables)
-    return _live_certificate(fid, regions, surface)
+    regions = _word_regions(allocator.regions_for(fid), allocator.config.block_words)
+    return _live_certificate(fid, regions, TableSnapshot.of(tables))
 
 
 def certify_snapshot(
-    allocator: "ActiveRmtAllocator",
-    snapshot: TableSnapshot,
-    config: Optional[SwitchConfig] = None,
+    allocator: "ActiveRmtAllocator", snapshot: TableSnapshot
 ) -> Dict[int, IsolationCertificate]:
     """Live certificates for every resident FID against one read surface
     (each pool layout read once for every resident's regions)."""
-    block_words = (config or SwitchConfig()).block_words
+    block_words = allocator.config.block_words
     layouts = {stage: pool.layout() for stage, pool in allocator.pools.items()}
     return {
         fid: _live_certificate(
@@ -531,9 +518,7 @@ def certify_snapshot(
 
 
 def certify_all(
-    allocator: "ActiveRmtAllocator",
-    tables: "Device",
-    config: Optional[SwitchConfig] = None,
+    allocator: "ActiveRmtAllocator", tables: "Device"
 ) -> Dict[int, IsolationCertificate]:
     """Live certificates for every resident FID, from one read of *tables*."""
-    return certify_snapshot(allocator, TableSnapshot.of(tables), config)
+    return certify_snapshot(allocator, TableSnapshot.of(tables))

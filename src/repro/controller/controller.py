@@ -904,13 +904,13 @@ class ActiveRmtController:
         live allocator and device tables.  Violations are counted in
         :attr:`violations` by rule; callers decide policy.
         """
-        report = audit_state(self.allocator, self.device, config=self.device.config)
+        report = audit_state(self.allocator, self.device)
         self.violations.update(finding.rule_id for finding in report.errors)
         return report
 
     def certificates(self) -> Dict[int, IsolationCertificate]:
         """Live isolation certificates for every resident FID."""
-        certificates = certify_all(self.allocator, self.device, config=self.device.config)
+        certificates = certify_all(self.allocator, self.device)
         self.certified.update(
             "valid" if certificate.valid else "invalid"
             for certificate in certificates.values()
@@ -1002,9 +1002,7 @@ class ActiveRmtController:
                 if block_range is not None and block_range.count > 0:
                     before[stage] = after[stage] = block_range
             moves.append((other, before, after))
-        return self.updater.apply_layout(
-            fid, old, new, self.device.config.block_words, journal, moves, scrub=True
-        )
+        return self.updater.apply_layout(fid, old, new, journal, moves, scrub=True)
 
     def _snapshot_seconds(self, plan: AllocationPlan) -> float:
         """Modeled time the displaced clients spend extracting state."""

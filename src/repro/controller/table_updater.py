@@ -140,8 +140,8 @@ class _LayoutBatch:
     their group, not in it: a read is a bound method of its group, and
     the cycle would leave a register snapshot for the collector."""
 
-    def __init__(self, tables: Any, block_words: int, cost: TableUpdateCost) -> None:
-        self.tables, self.block_words = tables, block_words
+    def __init__(self, tables: Any, cost: TableUpdateCost) -> None:
+        self.tables, self.block_words = tables, tables.config.block_words
         self.install_s, self.remove_s = cost.install_entry_seconds, cost.remove_entry_seconds
         self.activation_s = cost.activation_seconds
         # Bound once per change, not once per write.
@@ -312,7 +312,6 @@ class TableUpdateEngine:
         fid: int,
         old: Mapping[int, BlockRange],
         new: Mapping[int, BlockRange],
-        block_words: int,
         journal: Optional[TableUpdateJournal] = None,
         moves: Sequence[Move] = (),
         scrub: bool = False,
@@ -325,6 +324,7 @@ class TableUpdateEngine:
         with *scrub*, each region of *new* zeroed (register access
         needed); *fid*'s delta when it arrives; the neighbours
         reactivated.  Returns the modeled seconds, charged in that order.
+        Regions are in blocks of the device's ``config.block_words``.
 
         With a *journal*, the change is one record made before the first
         call, whose undo covers every call *started*: a write whose
@@ -332,7 +332,7 @@ class TableUpdateEngine:
         implies (what the forward pass trusts the device to hold, so
         none is read) is idempotent either way.
         """
-        batch = _LayoutBatch(self.tables, block_words, self.cost)
+        batch = _LayoutBatch(self.tables, self.cost)
         displaced = [other for other, _before, _after in moves]
         seconds = batch.flips(displaced, False, 0.0)
         if old:
@@ -382,17 +382,15 @@ class TableUpdateEngine:
         self,
         fid: int,
         regions: Mapping[int, BlockRange],
-        block_words: int,
         journal: Optional[TableUpdateJournal] = None,
     ) -> float:
         """Install a newcomer's entries: the layout change from no regions."""
-        return self.apply_layout(fid, {}, regions, block_words, journal)
+        return self.apply_layout(fid, {}, regions, journal)
 
     def remove_app(
         self,
         fid: int,
         regions: Mapping[int, BlockRange],
-        block_words: int,
         journal: Optional[TableUpdateJournal] = None,
     ) -> float:
         """Remove a departing app's entries: the layout change to no regions.
@@ -401,4 +399,4 @@ class TableUpdateEngine:
         visited, so an entry the allocator does not know about stays for
         the auditor to report (ARMT012).
         """
-        return self.apply_layout(fid, regions, {}, block_words, journal)
+        return self.apply_layout(fid, regions, {}, journal)

@@ -10,6 +10,7 @@ from repro.device.base import (
     Device,
     DeviceError,
     PermanentDeviceError,
+    TableRead,
     TransientDeviceError,
 )
 from repro.device.sim import SimDevice, as_device
@@ -19,6 +20,7 @@ __all__ = [
     "DeviceError",
     "PermanentDeviceError",
     "SimDevice",
+    "TableRead",
     "TransientDeviceError",
     "as_device",
 ]

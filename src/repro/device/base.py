@@ -5,12 +5,12 @@ updater, the admission service, the fabric -- talks to a
 :class:`Device`, never to :class:`~repro.switchsim.switch.ActiveSwitch`
 directly.  The protocol is shaped like the runtime-control API a Tofino
 exposes to its CPU (BFRT, and the RBFRT surface measured per
-operation): typed table writes and reads, activation flips, a program
-cache flush, bulk register access, and the digest channel.  It is
-exactly what the control plane calls; the data path (packets in and
-out) is the switch's own, and the simulators drive it there.  Swapping
-the simulator for real hardware -- or for a remote gRPC shim -- means
-implementing this protocol and nothing else.
+operation): typed table writes, one read of the whole table surface,
+activation flips, a program cache flush, bulk register access, and the
+digest channel.  It is exactly what the control plane calls; the data
+path (packets in and out) is the switch's own, and the simulators drive
+it there.  Swapping the simulator for real hardware -- or for a remote
+gRPC shim -- means implementing this protocol and nothing else.
 
 :class:`Device` is :func:`typing.runtime_checkable`, so adapters are
 detected structurally -- an object either implements the surface or it
@@ -20,7 +20,16 @@ does not; no inheritance is required.
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import (
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    runtime_checkable,
+)
 
 from repro.packets.codec import ActivePacket
 from repro.switchsim.config import SwitchConfig
@@ -57,6 +66,21 @@ class PermanentDeviceError(DeviceError):
     commit log (:meth:`ActiveRmtController.recover`) or failing the
     shard over to survivors (:meth:`Fabric.failover`).
     """
+
+
+class TableRead(NamedTuple):
+    """One read of a device's whole table surface, keyed by stage 1..N.
+
+    Each stage's FIDs are in ascending order, and every map is a copy:
+    a later write to the device leaves the read as it was.
+    """
+
+    #: ``{stage: {fid: StageGrant}}`` for every installed grant.
+    grants: Dict[int, Dict[int, StageGrant]]
+    #: ``{stage: {fid: (mask, offset)}}`` for every installed translation.
+    translations: Dict[int, Dict[int, Tuple[int, int]]]
+    #: ``{stage: (used, capacity)}`` of each stage's protection TCAM.
+    tcam: Dict[int, Tuple[int, int]]
 
 
 @runtime_checkable
@@ -100,10 +124,6 @@ class Device(Protocol):
         """
         ...
 
-    def grant_for(self, stage: int, fid: int) -> Optional[StageGrant]:
-        """The grant installed for *fid* in *stage*, if any."""
-        ...
-
     def remove_grant(self, stage: int, fid: int) -> Optional[StageGrant]:
         """Remove and return *fid*'s grant in *stage* (None if absent)."""
         ...
@@ -116,26 +136,15 @@ class Device(Protocol):
         """Install the ADDR_MASK/ADDR_OFFSET entry for *fid* in *stage*."""
         ...
 
-    def translation_for(self, stage: int, fid: int) -> Optional[Tuple[int, int]]:
-        """The ``(mask, offset)`` translation for *fid*, if installed."""
-        ...
-
     def remove_translation(self, stage: int, fid: int) -> bool:
         """Remove *fid*'s translation in *stage*; True if one existed."""
         ...
 
-    # -- audit surface (the invariant auditor's read-only view) ------------
+    # -- the audit's read --------------------------------------------------
 
-    def stage_fids(self, stage: int) -> List[int]:
-        """Every FID with a grant installed in *stage* (sorted)."""
-        ...
-
-    def stage_translation_fids(self, stage: int) -> List[int]:
-        """Every FID with a translation entry in *stage* (sorted)."""
-        ...
-
-    def stage_tcam(self, stage: int) -> Tuple[int, int]:
-        """*stage*'s protection-TCAM occupancy as ``(used, capacity)``."""
+    def read_tables(self) -> TableRead:
+        """Every stage's grants, translations and TCAM occupancy as one
+        read (one call, however many entries are installed)."""
         ...
 
     # -- activation and caches --------------------------------------------

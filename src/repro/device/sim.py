@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from typing import List, NoReturn, Optional, Sequence, Tuple
+from typing import List, NoReturn, Optional, Sequence
 
-from repro.device.base import Device, DeviceError
+from repro.device.base import Device, DeviceError, TableRead
 from repro.packets.codec import ActivePacket
 from repro.switchsim.config import SwitchConfig
 from repro.switchsim.switch import ActiveSwitch, SwitchOutput
@@ -44,9 +44,10 @@ class _ByStage(dict):
 class SimDevice:
     """One simulated switch behind the :class:`Device` protocol.
 
-    Every method is a one-hop delegation -- no caching, no translation
-    of arguments -- so the adapted switch's observable behavior is
-    exactly the unadapted switch's.  A pipeline's stages are never
+    Every method is a one-hop delegation (:meth:`read_tables` one hop
+    per stage table) -- no caching, no translation of arguments -- so
+    the adapted switch's observable behavior is exactly the unadapted
+    switch's.  A pipeline's stages are never
     replaced, so each stage's table and register array is bound once
     here; a stage number outside 1..N raises :class:`IndexError`.  The
     wrapped switch stays reachable through :attr:`underlying` for
@@ -84,9 +85,6 @@ class SimDevice:
     def install_grant(self, stage: int, grant: StageGrant) -> None:
         self._tables[stage].install_grant(grant)
 
-    def grant_for(self, stage: int, fid: int) -> Optional[StageGrant]:
-        return self._tables[stage].grant_for(fid)
-
     def remove_grant(self, stage: int, fid: int) -> Optional[StageGrant]:
         return self._tables[stage].remove_grant(fid)
 
@@ -97,23 +95,17 @@ class SimDevice:
     ) -> None:
         self._tables[stage].install_translation(fid, mask, offset)
 
-    def translation_for(self, stage: int, fid: int) -> Optional[Tuple[int, int]]:
-        return self._tables[stage].translation_for(fid)
-
     def remove_translation(self, stage: int, fid: int) -> bool:
         return self._tables[stage].remove_translation(fid)
 
-    # -- audit surface -----------------------------------------------------
+    # -- the audit's read --------------------------------------------------
 
-    def stage_fids(self, stage: int) -> List[int]:
-        return self._tables[stage].fids
-
-    def stage_translation_fids(self, stage: int) -> List[int]:
-        return self._tables[stage].translation_fids
-
-    def stage_tcam(self, stage: int) -> Tuple[int, int]:
-        table = self._tables[stage]
-        return table.tcam_used, table.tcam_capacity
+    def read_tables(self) -> TableRead:
+        read = TableRead({}, {}, {})
+        for stage, table in self._tables.items():
+            read.grants[stage], read.translations[stage] = table.entries()
+            read.tcam[stage] = (table.tcam_used, table.tcam_capacity)
+        return read
 
     # -- activation and caches --------------------------------------------
 

@@ -12,7 +12,7 @@ from typing import Callable, Collection, Dict, Iterable, Iterator, List, Mapping
 from typing import Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import AnalysisReport
-from repro.analysis.isolation import IsolationCertificate, TableSnapshot
+from repro.analysis.isolation import IsolationCertificate
 from repro.apps.base import EXEMPLAR_APPS
 from repro.controller.controller import (
     ActiveRmtController,
@@ -373,9 +373,9 @@ def table_surface_mismatches(controller: ActiveRmtController) -> List[str]:
                 regions.setdefault(fid, {})[stage] = block_range
     scratch = TableUpdateEngine(SimDevice(ActiveSwitch(config), device_id="scratch"))
     for fid in sorted(regions):
-        scratch.apply_layout(fid, {}, regions[fid], config.block_words)
-    live = TableSnapshot.of(controller.device)
-    want = TableSnapshot.of(scratch.tables)
+        scratch.apply_layout(fid, {}, regions[fid])
+    live = controller.device.read_tables()
+    want = scratch.tables.read_tables()
     mismatches: List[str] = []
     for stage in live.grants:
         for kind, have, expected in (

@@ -23,21 +23,19 @@ from repro.experiments.common import format_table, make_controller
 
 
 def _state_fingerprint(controller: ActiveRmtController) -> tuple:
-    """Everything a probe could possibly disturb, hashable."""
+    """Everything a probe could possibly disturb: the allocator's pools
+    and every entry on the device's table surface, read through the
+    device."""
     allocator = controller.allocator
     pools = tuple(
         (stage, pool.export_residents())
         for stage, pool in sorted(allocator.pools.items())
     )
-    tables = tuple(
-        (stage.index, stage.table.tcam_used, tuple(stage.table.fids))
-        for stage in controller.switch.pipeline.stages
-    )
     return (
         tuple(allocator.resident_fids()),
         allocator.version,
         pools,
-        tables,
+        controller.device.read_tables(),
     )
 
 

@@ -105,19 +105,6 @@ class Shard:
         """Byte-identity fingerprint of this shard's stage pools."""
         return pools_fingerprint(self.controller.allocator)
 
-    def audit(self) -> AnalysisReport:
-        """Invariant audit of this shard's committed state.
-
-        Runs the declarative catalog (:data:`repro.analysis.INVARIANTS`)
-        against the shard's live allocator and device tables -- the
-        certified counterpart of :meth:`fingerprint`'s byte identity.
-        """
-        return self.controller.audit()
-
-    def certificates(self) -> Dict[int, "IsolationCertificate"]:
-        """Live isolation certificates for every FID resident here."""
-        return self.controller.certificates()
-
 
 @dataclasses.dataclass
 class FailoverReport:
@@ -446,7 +433,7 @@ class Fabric:
         catalog; a clean fleet returns all-``clean`` reports.
         """
         return {
-            shard.device_id: shard.audit()
+            shard.device_id: shard.controller.audit()
             for shard in self.shards
             if shard.alive
         }
@@ -454,26 +441,10 @@ class Fabric:
     def certificates(self) -> Dict[str, Dict[int, IsolationCertificate]]:
         """Per-device live isolation certificates for every resident."""
         return {
-            shard.device_id: shard.certificates()
+            shard.device_id: shard.controller.certificates()
             for shard in self.shards
             if shard.alive
         }
-
-    def stats(self) -> List[Dict[str, object]]:
-        """One summary row per shard (device id, load, residents)."""
-        rows: List[Dict[str, object]] = []
-        for shard in self.shards:
-            allocator = shard.controller.allocator
-            rows.append(
-                {
-                    "device": shard.device_id,
-                    "alive": shard.alive,
-                    "utilization": allocator.utilization(),
-                    "resident_fids": len(allocator.resident_fids()),
-                    "commits": len(shard.commit_log),
-                }
-            )
-        return rows
 
     def metrics(self) -> Dict[str, object]:
         """The registry's view: routing counts, what the failovers did

@@ -29,7 +29,7 @@ from array import array
 from collections import Counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.device import Device, PermanentDeviceError, TransientDeviceError
+from repro.device import Device, PermanentDeviceError, TableRead, TransientDeviceError
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.packets.codec import ActivePacket
 from repro.switchsim.config import SwitchConfig
@@ -162,9 +162,6 @@ class FaultyDevice:
     def install_grant(self, stage: int, grant: StageGrant) -> None:
         self._mutate("install_grant", self.inner.install_grant, stage, grant)
 
-    def grant_for(self, stage: int, fid: int) -> Optional[StageGrant]:
-        return self._read("grant_for", self.inner.grant_for, stage, fid)
-
     def remove_grant(self, stage: int, fid: int) -> Optional[StageGrant]:
         return self._mutate("remove_grant", self.inner.remove_grant, stage, fid)
 
@@ -173,20 +170,11 @@ class FaultyDevice:
             "install_translation", self.inner.install_translation, stage, fid, mask, offset
         )
 
-    def translation_for(self, stage: int, fid: int) -> Optional[Tuple[int, int]]:
-        return self._read("translation_for", self.inner.translation_for, stage, fid)
-
     def remove_translation(self, stage: int, fid: int) -> bool:
         return self._mutate("remove_translation", self.inner.remove_translation, stage, fid)
 
-    def stage_fids(self, stage: int) -> List[int]:
-        return self._read("stage_fids", self.inner.stage_fids, stage)
-
-    def stage_translation_fids(self, stage: int) -> List[int]:
-        return self._read("stage_translation_fids", self.inner.stage_translation_fids, stage)
-
-    def stage_tcam(self, stage: int) -> Tuple[int, int]:
-        return self._read("stage_tcam", self.inner.stage_tcam, stage)
+    def read_tables(self) -> TableRead:
+        return self._read("read_tables", self.inner.read_tables)
 
     def deactivate_fid(self, fid: int) -> None:
         self._mutate("deactivate_fid", self.inner.deactivate_fid, fid)

@@ -182,6 +182,10 @@ class StageTable:
     def tcam_capacity(self) -> int:
         return self._tcam_capacity
 
+    def entries(self) -> Tuple[Dict[int, StageGrant], Dict[int, Tuple[int, int]]]:
+        """Copies of the installed grants and translations, FIDs ascending."""
+        return dict(sorted(self._grants.items())), dict(sorted(self._translations.items()))
+
     @property
     def fids(self) -> List[int]:
         return sorted(self._grants)

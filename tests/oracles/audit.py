@@ -11,6 +11,13 @@
   catalog with these three in place of today's, so the whole report can
   be compared with :func:`repro.analysis.invariants.audit_state`.
 
+One thing differs from that commit: it read the device entry by entry
+(``grant_for``, ``stage_fids``, ...), calls the device surface no longer
+has.  The oracle makes the same reads on the simulator's own
+:class:`~repro.switchsim.tables.StageTable` objects behind the device
+(:func:`_stage_tables`), so it stays independent of the one
+``read_tables`` call the audit under test makes.
+
 ``tests/test_audit_oracle.py`` plants table-surface defects in churn
 states and checks that both report the same findings in the same order.
 """
@@ -33,6 +40,12 @@ from repro.switchsim.config import SwitchConfig
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.allocator import ActiveRmtAllocator
     from repro.device import Device
+
+
+def _stage_tables(tables: Any) -> List[Tuple[int, Any]]:
+    """``[(stage, StageTable)]`` of the simulated switch behind *tables*."""
+    pipeline = tables.underlying.pipeline
+    return [(stage, pipeline.stage(stage).table) for stage in range(1, tables.config.num_stages + 1)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,14 +82,14 @@ class TableSnapshot:
     def of(cls, tables: "Device") -> "TableSnapshot":
         grants: Dict[int, Dict[int, Any]] = {}
         translations: Dict[int, Dict[int, Tuple[int, int]]] = {}
-        for stage in range(1, tables.config.num_stages + 1):
+        for stage, table in _stage_tables(tables):
             grants[stage] = {
-                entry_fid: tables.grant_for(stage, entry_fid)
-                for entry_fid in tables.stage_fids(stage)
+                entry_fid: table.grant_for(entry_fid)
+                for entry_fid in table.fids
             }
             per_stage: Dict[int, Tuple[int, int]] = {}
-            for entry_fid in tables.stage_translation_fids(stage):
-                pair = tables.translation_for(stage, entry_fid)
+            for entry_fid in table.translation_fids:
+                pair = table.translation_for(entry_fid)
                 if pair is not None:
                     per_stage[entry_fid] = pair
             translations[stage] = per_stage
@@ -265,8 +278,8 @@ def _check_orphan_entries(scope: AuditScope) -> List[Finding]:
     """No table entry names a FID the allocator has never admitted."""
     findings: List[Finding] = []
     admitted = set(scope.allocator.apps)
-    for stage in range(1, scope.tables.config.num_stages + 1):
-        for fid in scope.tables.stage_fids(stage):
+    for stage, table in _stage_tables(scope.tables):
+        for fid in table.fids:
             if fid not in admitted:
                 findings.append(
                     Finding.of(
@@ -276,7 +289,7 @@ def _check_orphan_entries(scope: AuditScope) -> List[Finding]:
                         stage=stage,
                     )
                 )
-        for fid in scope.tables.stage_translation_fids(stage):
+        for fid in table.translation_fids:
             if fid not in admitted:
                 findings.append(
                     Finding.of(
@@ -292,11 +305,11 @@ def _check_orphan_entries(scope: AuditScope) -> List[Finding]:
 def _check_tcam_accounting(scope: AuditScope) -> List[Finding]:
     """Stage TCAM occupancy equals the sum of installed grant costs."""
     findings: List[Finding] = []
-    for stage in range(1, scope.tables.config.num_stages + 1):
-        used, capacity = scope.tables.stage_tcam(stage)
+    for stage, table in _stage_tables(scope.tables):
+        used, capacity = table.tcam_used, table.tcam_capacity
         expected = 0
-        for fid in scope.tables.stage_fids(stage):
-            grant = scope.tables.grant_for(stage, fid)
+        for fid in table.fids:
+            grant = table.grant_for(fid)
             if grant is not None:
                 expected += grant.tcam_cost()
         if used != expected:

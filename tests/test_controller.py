@@ -236,9 +236,7 @@ def test_table_update_engine_costs():
     engine = TableUpdateEngine(
         SimDevice(switch), TableUpdateCost(install_entry_seconds=0.01)
     )
-    seconds = engine.install_app(
-        fid=1, regions={5: BlockRange(0, 4)}, block_words=256
-    )
+    seconds = engine.install_app(fid=1, regions={5: BlockRange(0, 4)})
     # 1 grant + 3 translation entries in the window = 4 entries.
     assert seconds == pytest.approx(0.04)
     assert engine.entries_installed == 4

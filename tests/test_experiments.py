@@ -12,7 +12,9 @@ from repro.experiments import (
     fig11_schemes,
     fig12_granularity,
     tables,
+    whatif,
 )
+from repro.experiments.common import make_controller
 
 
 def test_fig5_pure_shapes():
@@ -164,3 +166,24 @@ def test_cli_runs_quick_experiment(capsys):
     assert main(["fig8b", "--quick"]) == 0
     output = capsys.readouterr().out
     assert "Figure 8b" in output
+
+
+def test_whatif_probes_leave_state_untouched():
+    out = whatif.main(arrivals=20)
+    assert "resident caches: 20" in out
+    assert "would fit" in out
+
+
+def test_whatif_catches_a_probe_that_installs_a_translation():
+    """The fingerprint covers every table entry, not only grant FIDs
+    and TCAM counts: a stray translation is a mutation."""
+    controller = make_controller()
+    admit = controller.admit
+
+    def leaky_admit(**kwargs):
+        controller.device.install_translation(1, kwargs["fid"], mask=255, offset=0)
+        return admit(**kwargs)
+
+    controller.admit = leaky_admit
+    with pytest.raises(AssertionError, match="mutated state"):
+        whatif.probe_all_apps(controller, probe_fid=1_000_000)

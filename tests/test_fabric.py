@@ -206,9 +206,9 @@ def test_fingerprint_and_stats_cover_every_shard():
         fabric.submit_and_wait(_admission(fid))
     prints = fabric.fingerprint()
     assert set(prints) == {"sw0", "sw1", "sw2"}
-    rows = fabric.stats()
-    assert [row["device"] for row in rows] == ["sw0", "sw1", "sw2"]
-    assert sum(row["resident_fids"] for row in rows) == 5
+    residents = fabric.metrics()["fabric_shard_resident_fids{device}"]
+    assert list(residents) == ["sw0", "sw1", "sw2"]
+    assert sum(residents.values()) == 5
     assert sum(len(log) for log in fabric.commit_logs().values()) == 5
 
 

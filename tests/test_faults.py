@@ -180,10 +180,10 @@ def test_transient_fault_raises_before_applying():
         telemetry=MetricsRegistry(),
     )
     controller = ActiveRmtController(device)
-    grant_calls_before = device.inner.stage_fids(1)
+    grants_before = device.inner.read_tables().grants[1]
     with pytest.raises(TransientDeviceError):
         device.install_grant(1, _probe_grant(controller))
-    assert device.inner.stage_fids(1) == grant_calls_before
+    assert device.inner.read_tables().grants[1] == grants_before
     assert device.injected == {"transient": 1}
 
 
@@ -197,7 +197,7 @@ def test_partial_fault_applies_then_raises():
     with pytest.raises(TransientDeviceError):
         device.install_grant(1, grant)
     # The op landed despite the error: that is the ambiguity retries heal.
-    assert device.inner.grant_for(1, grant.fid) == grant
+    assert device.inner.read_tables().grants[1][grant.fid] == grant
     device.install_grant(1, grant)  # idempotent retry succeeds
 
 
@@ -218,13 +218,30 @@ def test_dead_device_raises_permanently_but_identity_stays_readable():
     device = FaultyDevice(_sim("sw7"), FaultPlan())
     device.kill()
     with pytest.raises(PermanentDeviceError):
-        device.stage_fids(0)
+        device.read_tables()
     with pytest.raises(PermanentDeviceError):
         device.scrub_registers(0, 0, 1)
     # Failover bookkeeping reads identity off the dead chassis.
     assert device.device_id == "sw7"
     assert device.config is device.inner.config
     assert device.dead
+
+
+def test_a_table_read_consults_no_fault_plan_and_dies_with_the_device():
+    """The audit's one read passes a faulty channel untouched (a flaky
+    channel corrupts commands, not the installed state), and a dead
+    device refuses it like every other call."""
+    asked = []
+    device = FaultyDevice(
+        _sim(), ScriptedPlan(lambda op, i: asked.append(op) or FaultKind.TRANSIENT)
+    )
+    assert device.read_tables() == device.inner.read_tables()
+    assert asked == [] and device.plan.op_index == 0
+    assert device.faults == {}
+    device.kill()
+    with pytest.raises(PermanentDeviceError, match="read_tables"):
+        device.read_tables()
+    assert asked == [] and device.faults == {("kill", "permanent"): 1}
 
 
 def test_digest_drops_are_counted():
@@ -418,7 +435,7 @@ def test_engine_retries_exactly_as_call_with_retries(case, kinds):
             assert engine.retries_attempted == len(retries)
         seen[entry] = (
             outcome, retries, healed, rng.getstate(), clock.sleeps, clock.reads,
-            device.plan.op_index, device.inner.grant_for(1, 7),
+            device.plan.op_index, device.inner.read_tables().grants[1].get(7),
         )
     assert seen["engine"] == seen["call_with_retries"]
     outcome, retries, healed = seen["engine"][:3]

@@ -13,12 +13,15 @@ from repro.analysis import (
     AddressInterval,
     analyze_address_intervals,
     audit_journal,
+    audit_state,
+    certify_all,
     certify_fid,
     certify_plan,
     effective_translations,
     replay_findings,
 )
 from repro.analysis.findings import RULES, Severity
+from repro.apps.base import EXEMPLAR_APPS
 from repro.controller.controller import ActiveRmtController
 from repro.controller.service import pools_fingerprint
 from repro.controller.table_updater import TableUpdateEngine
@@ -203,18 +206,7 @@ def test_verify_off_skips_certification():
 
 
 def _table_surface(controller):
-    tables = controller.device
-    out = []
-    for stage in range(1, tables.config.num_stages + 1):
-        out.append(
-            (
-                stage,
-                tuple(tables.stage_fids(stage)),
-                tuple(tables.stage_translation_fids(stage)),
-                tables.stage_tcam(stage),
-            )
-        )
-    return tuple(out)
+    return controller.device.read_tables()
 
 
 def test_rigged_mutant_rejected_strict_state_intact():
@@ -320,10 +312,8 @@ def _installed(regions, fid=1):
     """A device holding exactly what *regions* implies for *fid*, and an
     allocator stand-in reporting those regions."""
     device = SimDevice(ActiveSwitch(SwitchConfig()))
-    TableUpdateEngine(device).install_app(
-        fid, regions, device.config.block_words
-    )
-    return SimpleNamespace(regions_for=lambda _fid: regions), device
+    TableUpdateEngine(device).install_app(fid, regions)
+    return SimpleNamespace(regions_for=lambda _fid: regions, config=device.config), device
 
 
 #: Accesses at stages 5 and 7: stage 4 sits in both translation windows
@@ -397,8 +387,9 @@ def test_audit_flags_entries_left_in_a_stage_the_fid_vacated():
     # Withdrawal visits only the stages the FID occupied, so the planted
     # entries outlive it; the orphan-entries invariant names them.
     controller.withdraw(fid=1)
-    assert controller.device.grant_for(vacated, 1) is not None
-    assert controller.device.translation_for(vacated - 1, 1) is not None
+    surface = controller.device.read_tables()
+    assert 1 in surface.grants[vacated]
+    assert 1 in surface.translations[vacated - 1]
     orphans = {(f.rule_id, f.stage) for f in controller.audit().errors}
     assert orphans == {("ARMT012", vacated), ("ARMT013", vacated - 1)}
 
@@ -604,3 +595,15 @@ def test_certificate_to_dict_round_trips():
         proof["verdict"] in ("static", "runtime")
         for proof in payload["accesses"]
     )
+
+
+def test_live_proofs_take_the_block_size_from_the_allocator():
+    """On a 4-KiB-block switch an installed cache certifies valid: the
+    proofs size regions by the allocator's blocks, not a default switch's
+    1-KiB ones (which read every correct grant as mis-ranged)."""
+    controller = ActiveRmtController(ActiveSwitch(SwitchConfig(block_bytes=4096)))
+    assert controller.admit(fid=1, pattern=EXEMPLAR_APPS["cache"].pattern()).success
+    certificates = certify_all(controller.allocator, controller.device)
+    assert list(certificates) == [1] and certificates[1].valid
+    assert certify_fid(1, controller.allocator, controller.device).valid
+    assert audit_state(controller.allocator, controller.device).clean

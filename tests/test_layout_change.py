@@ -214,7 +214,7 @@ def test_python_calls_per_displaced_neighbour():
     sample = []
 
     def profiled(*args, **kwargs):
-        moves = args[5] if len(args) > 5 else kwargs.get("moves", ())
+        moves = args[4] if len(args) > 4 else kwargs.get("moves", ())
         if sample or len(moves) < 10:
             return apply_layout(*args, **kwargs)
         seconds = []

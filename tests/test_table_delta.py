@@ -14,7 +14,6 @@ import collections
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.isolation import TableSnapshot
 from repro.controller import (
     ActiveRmtController,
     ProvisioningRequest,
@@ -88,9 +87,7 @@ region_maps = st.dictionaries(
 
 
 def _surface(tables):
-    snapshot = TableSnapshot.of(tables)
-    tcam = [tables.stage_tcam(s) for s in range(1, tables.config.num_stages + 1)]
-    return snapshot.grants, snapshot.translations, tcam
+    return tables.read_tables()
 
 
 def _engine():
@@ -102,20 +99,20 @@ def _engine():
 @given(old=region_maps, new=region_maps)
 def test_delta_lands_on_the_from_scratch_surface_and_rolls_back(old, new):
     scratch, _ = _engine()
-    scratch.install_app(7, new, BLOCK_WORDS)
+    scratch.install_app(7, new)
     before, _ = _engine()
-    before.install_app(7, old, BLOCK_WORDS)
+    before.install_app(7, old)
 
     plain, plain_device = _engine()
-    plain.install_app(7, old, BLOCK_WORDS)
+    plain.install_app(7, old)
     plain_device.calls.clear()
-    plain.apply_layout(7, old, new, BLOCK_WORDS)
+    plain.apply_layout(7, old, new)
 
     engine, device = _engine()
-    engine.install_app(7, old, BLOCK_WORDS)
+    engine.install_app(7, old)
     device.calls.clear()
     journal = TableUpdateJournal()
-    engine.apply_layout(7, old, new, BLOCK_WORDS, journal=journal)
+    engine.apply_layout(7, old, new, journal=journal)
     if old == new:
         assert not device.calls and len(journal) == 0
     # Journaling costs no device call: exactly the unjournaled delta's
@@ -137,9 +134,7 @@ ARRIVAL = {4: BlockRange(8, 2)}
 
 
 def _arrival(engine, journal=None):
-    return engine.apply_layout(
-        9, {}, ARRIVAL, BLOCK_WORDS, journal, moves=[(7, OLD, NEW)], scrub=True
-    )
+    return engine.apply_layout(9, {}, ARRIVAL, journal, moves=[(7, OLD, NEW)], scrub=True)
 
 
 @pytest.mark.parametrize("kind", [FaultKind.TRANSIENT, FaultKind.PARTIAL])
@@ -149,7 +144,7 @@ def test_a_failed_delta_rolls_back_by_the_reverse_delta(kind):
     the surface, the activations and the registers back with at most
     *k* + 1 table writes (the one in flight included) and no read."""
     reference, reference_device = _engine()
-    reference.install_app(7, OLD, BLOCK_WORDS)
+    reference.install_app(7, OLD)
     reference_device.calls.clear()
     _arrival(reference)
     total = reference_device.table_writes()
@@ -167,7 +162,7 @@ def test_a_failed_delta_rolls_back_by_the_reverse_delta(kind):
             FaultyDevice(SimDevice(ActiveSwitch(SMALL)), ScriptedPlan(fail_write_k))
         )
         engine = TableUpdateEngine(device)
-        engine.install_app(7, OLD, BLOCK_WORDS)
+        engine.install_app(7, OLD)
         device.inner.inner.write_registers(4, 8 * BLOCK_WORDS, [5] * BLOCK_WORDS)
         before = _surface(engine.tables)
         registers = device.read_registers(4, 0, 16 * BLOCK_WORDS)
@@ -202,7 +197,7 @@ def test_activation_undo_puts_back_what_the_set_changed():
     device.deactivate_fid(3)
     journal = TableUpdateJournal()
     moves = [(2, {}, {}), (3, {}, {})]
-    engine.apply_layout(9, {}, ARRIVAL, BLOCK_WORDS, journal, moves=moves)
+    engine.apply_layout(9, {}, ARRIVAL, journal, moves=moves)
     assert device.is_active(2) and device.is_active(3)
     assert len(journal) == 1
     journal.rollback()
@@ -216,9 +211,9 @@ def test_delta_leaves_an_unchanged_neighbouring_window_alone():
     engine, device = _engine()
     old = {5: BlockRange(0, 4), 7: BlockRange(4, 2)}
     new = {5: BlockRange(0, 4), 7: BlockRange(4, 4)}
-    engine.install_app(1, old, BLOCK_WORDS)
+    engine.install_app(1, old)
     device.calls.clear()
-    seconds = engine.apply_layout(1, old, new, BLOCK_WORDS)
+    seconds = engine.apply_layout(1, old, new)
     # Stage 7's grant and its pairs at stages 5 and 6, nothing else --
     # and without a journal, not one read.
     assert device.calls == {
@@ -227,7 +222,7 @@ def test_delta_leaves_an_unchanged_neighbouring_window_alone():
         "install_grant": 1,
     }
     assert seconds == pytest.approx(3 * engine.cost.install_entry_seconds)
-    assert engine.tables.translation_for(4, 1) == (4 * BLOCK_WORDS - 1, 0)
+    assert engine.tables.read_tables().translations[4][1] == (4 * BLOCK_WORDS - 1, 0)
 
 
 # ----------------------------------------------------------------------
@@ -370,7 +365,7 @@ def test_the_oracle_names_stage_fid_and_both_entries():
     assert controller.admit(fid=1, pattern=listing1_pattern()).success
     assert table_surface_mismatches(controller) == []
     stage = min(controller.allocator.regions_for(1))
-    implied = controller.device.translation_for(stage - 1, 1)
+    implied = controller.device.read_tables().translations[stage - 1][1]
     controller.device.install_translation(stage - 1, 1, mask=1, offset=0)
     assert table_surface_mismatches(controller) == [
         f"stage {stage - 1} fid 1: installed translation (1, 0) != "

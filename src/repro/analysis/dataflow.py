@@ -385,18 +385,19 @@ def analyze_address_intervals(
     program: ActiveProgram,
     translations: Mapping[int, Tuple[int, int]],
     cfg: Optional[ControlFlowGraph] = None,
-    config: Optional[SwitchConfig] = None,
+    *,
+    config: SwitchConfig,
 ) -> Dict[int, AddressInterval]:
     """Per-position entry intervals of the MAR over *program*'s CFG.
 
     *translations* maps each physical stage to the effective
     ``(mask, offset)`` pair ADDR_MASK/ADDR_OFFSET would resolve there --
     the explicit table entry when one is installed, else the stage's
-    own grant (the runtime's fallback).  Positions missing from the
-    result were unreachable.
+    own grant (the runtime's fallback).  *config* is the switch whose
+    stages the positions map to.  Positions missing from the result were
+    unreachable.
     """
     graph = cfg if cfg is not None else ControlFlowGraph.build(program)
-    switch = config if config is not None else SwitchConfig()
     entry: Dict[int, AddressInterval] = {}
     if graph.num_positions:
         entry[1] = AddressInterval.exact(0)  # parser zero-initialisation
@@ -405,7 +406,7 @@ def analyze_address_intervals(
         interval = entry.get(position)
         if interval is None or position not in graph.reachable:
             continue
-        stage = switch.physical_stage(position)
+        stage = config.physical_stage(position)
         new_interval = _transfer_interval(
             interval, instr.opcode, translations.get(stage)
         )

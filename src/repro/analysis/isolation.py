@@ -283,7 +283,7 @@ def _overlap_findings(
 
 def certify_plan(
     plan: "AllocationPlan",
-    config: Optional[SwitchConfig] = None,
+    config: SwitchConfig,
     program: Optional[ActiveProgram] = None,
     pattern: Optional["AccessPattern"] = None,
     incumbents: Optional[Mapping[int, WordRegions]] = None,
@@ -295,10 +295,10 @@ def certify_plan(
     regions (ARMT010).  With *incumbents* -- the post-plan word regions
     of every already-admitted FID, reallocations applied -- region
     exclusivity is proven (ARMT011).  Either input may be omitted; the
-    certificate then covers what remains.
+    certificate then covers what remains.  *config* is the switch the
+    plan was made for: its block size turns the plan's blocks into words.
     """
-    cfg = config or SwitchConfig()
-    regions = plan.word_regions(cfg.block_words)
+    regions = plan.word_regions(config.block_words)
     findings: List[Finding] = []
     proofs: List[AccessProof] = []
     if incumbents is not None:
@@ -307,7 +307,7 @@ def certify_plan(
         padded, mismatch = _padded_for_plan(program, pattern, plan)
         findings.extend(mismatch)
         if not mismatch:
-            proofs, interval_findings = _access_proofs(padded, regions, cfg)
+            proofs, interval_findings = _access_proofs(padded, regions, config)
             findings.extend(interval_findings)
     return IsolationCertificate(
         fid=plan.fid,

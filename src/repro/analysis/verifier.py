@@ -166,7 +166,7 @@ def verify_plan(
     program: ActiveProgram,
     pattern: "AccessPattern",
     plan: "AllocationPlan",
-    config: Optional[SwitchConfig] = None,
+    config: SwitchConfig,
 ) -> AnalysisReport:
     """Verify the mutant an admission would install, pre-commit.
 
@@ -177,13 +177,13 @@ def verify_plan(
 
     A program that cannot be padded to the plan's mutant (the client's
     program disagrees with the pattern it requested) yields ARMT006.
+    *config* is the switch the plan was made for.
     """
-    cfg = config or SwitchConfig()
     mutant_program, mismatch = _padded_for_plan(program, pattern, plan)
     findings: List[Finding] = list(mismatch)
-    report = analyze_program(mutant_program, cfg, pattern=None)
+    report = analyze_program(mutant_program, config, pattern=None)
     granted = frozenset(plan.granted_stages())
-    findings.extend(_region_findings(mutant_program, granted, cfg))
+    findings.extend(_region_findings(mutant_program, granted, config))
     merged = report.merged(
         AnalysisReport(program=mutant_program.name, findings=tuple(findings))
     )

@@ -19,10 +19,11 @@ returns a :class:`ProvisioningReport`.  Two usage styles sit on top:
 Every admission is committed through one door,
 :meth:`ActiveRmtController.commit_plan`: N plans under one journal, N=1
 (what `submit` plans on the live allocator) being the smallest group.
-The committed :class:`AllocationPlan` is the admission's one record.
+The committed :class:`AllocationPlan` is the admission's decision.
 A withdrawal is the same transaction without a plan (`_do_withdraw`):
-both apply through `_apply_layout` and, when the switch refuses,
-unwind through `_unwind`.  Each admission and withdrawal that lands is
+the allocator hands back one :class:`CommitResult` per layout change,
+arrival or departure, and `_land` applies, unwinds or publishes them.
+Each admission and withdrawal that lands is
 appended to :attr:`ActiveRmtController.commit_log`, the history
 :meth:`~ActiveRmtController.recover` replays (:func:`replay_commit_log`).
 Every request is answered by its report, whose ``status`` is the one
@@ -38,6 +39,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -66,7 +68,6 @@ from repro.core.constraints import AccessPattern, AllocationPolicy, MOST_CONSTRA
 from repro.core.schemes import AllocationScheme
 from repro.core.transactions import (
     AllocationPlan,
-    AllocatorCheckpoint,
     CommitResult,
     StalePlanError,
     TableUpdateJournal,
@@ -607,80 +608,29 @@ class ActiveRmtController:
             elif refusal is not None:
                 reports = self._reject(plans, verifications, certificates, *refusal)
             else:
-                # 3. Commit each plan to the allocator (keeping its
-                # checkpoint) and apply it to the switch, every mutation
-                # of the whole group under one journal.  Decision
-                # counts are deferred (record=False) until the
-                # switch-side updates also succeed, so a rolled-back
-                # admission never pollutes the decision counters.
-                journal = TableUpdateJournal(tracer=self.tracer)
-                results: List[CommitResult] = []
-                table_seconds: List[float] = []
-                try:
-                    for plan in plans:
-                        results.append(self.allocator.commit(plan, record=False))
-                        table_seconds.append(
-                            self._apply_layout(
-                                plan.fid, {}, plan.regions, plan.reallocations, journal
-                            )
-                        )
-                except (TcamCapacityError, DeviceError) as exc:
-                    # No member survives: exact pre-request state.  The
-                    # rollback leaves every plan the fault reached
-                    # ABORTED, the members it pre-empted PENDING.
-                    failed = results[-1].plan.fid
-                    fault, cause = self._unwind(exc, journal, results, scope, failed)
-                    if scope == "single":
-                        reason = f"{cause}: {exc}"
-                    else:
-                        reason = f"batch rolled back: {cause} admitting fid {failed}: {exc}"
+                # 3. Commit each plan to the allocator and land the
+                # group on the switch under one journal.  Decision counts
+                # wait (record=False) until the switch has taken the
+                # whole group, so a rolled-back admission never pollutes
+                # them.  A rollback leaves every plan the fault reached
+                # ABORTED, the members it pre-empted PENDING.
+                seconds, fault, reason = self._land(
+                    (self.allocator.commit(plan, record=False) for plan in plans), scope
+                )
+                # 4. Report every member alike.
+                status, outcome = ProvisioningStatus.ADMITTED, "admitted"
+                if fault is not None:
+                    status = ProvisioningStatus.ROLLED_BACK
                     outcome = "tcam_exhausted" if fault == "tcam" else "device_fault"
-                    reports = [
-                        self._record_report(
-                            ProvisioningReport(
-                                fid=plan.fid,
-                                status=ProvisioningStatus.ROLLED_BACK,
-                                reason=reason,
-                                compute_seconds=plan.total_seconds,
-                                plan=plan,
-                                verification=verification,
-                                certificate=certificate,
-                                fault=fault,
-                            ),
-                            outcome,
-                        )
-                        for plan, verification, certificate in zip(
-                            plans, verifications, certificates
-                        )
-                    ]
-                else:
-                    # 4. The switch took everything: close the journal,
-                    # publish.
-                    journal.commit_entries()
-                    self.tracer.layout_committed()
-                    reports = []
-                    for plan, seconds, verification, certificate in zip(
-                        plans, table_seconds, verifications, certificates
-                    ):
-                        self.allocator.record_decision(plan)
-                        self.commit_log.append(("admit", plan.fid))
-                        reports.append(
-                            self._record_report(
-                                ProvisioningReport(
-                                    fid=plan.fid,
-                                    status=ProvisioningStatus.ADMITTED,
-                                    compute_seconds=plan.total_seconds,
-                                    table_update_seconds=seconds,
-                                    snapshot_seconds=self._snapshot_seconds(plan),
-                                    plan=plan,
-                                    verification=verification,
-                                    certificate=certificate,
-                                ),
-                                "admitted",
-                            )
-                        )
-                    if self.sanitizer:
-                        self._sanitize()
+                    seconds = [0.0] * len(plans)
+                reports = [
+                    self._report(
+                        plan, status, outcome, reason, verification, certificate, took, fault
+                    )
+                    for plan, verification, certificate, took in zip(
+                        plans, verifications, certificates, seconds
+                    )
+                ]
             span.set(status=reports[0].status.value)
             return reports
 
@@ -715,39 +665,56 @@ class ActiveRmtController:
         """
         analysed = len(verifications)
         culprit = plans[analysed - 1]
-        reports = []
-        for index, plan in enumerate(plans):
+        for plan in plans:
             self.allocator.abort(plan)
-            reports.append(
-                self._record_report(
-                    ProvisioningReport(
-                        fid=plan.fid,
-                        status=ProvisioningStatus.REJECTED,
-                        reason=(
-                            f"{kind} rejected: {findings}"
-                            if plan is culprit
-                            else f"batch aborted: fid {culprit.fid} rejected by {kind}"
-                        ),
-                        compute_seconds=plan.total_seconds,
-                        plan=plan,
-                        verification=verifications[index] if index < analysed else None,
-                        certificate=certificates[index] if index < analysed else None,
-                    ),
-                    "verifier_rejected",
-                )
-            )
         self.verifier_rejections += 1
-        return reports
+        return [
+            self._report(
+                plan,
+                ProvisioningStatus.REJECTED,
+                "verifier_rejected",
+                f"{kind} rejected: {findings}"
+                if plan is culprit
+                else f"batch aborted: fid {culprit.fid} rejected by {kind}",
+                verifications[index] if index < analysed else None,
+                certificates[index] if index < analysed else None,
+            )
+            for index, plan in enumerate(plans)
+        ]
 
-    def _record_report(
-        self, report: ProvisioningReport, outcome: str
+    def _report(
+        self,
+        plan: AllocationPlan,
+        status: ProvisioningStatus,
+        outcome: str,
+        reason: str = "",
+        verification: Optional[AnalysisReport] = None,
+        certificate: Optional[IsolationCertificate] = None,
+        table_seconds: float = 0.0,
+        fault: Optional[str] = None,
     ) -> ProvisioningReport:
-        """Publish *report*'s outcome.  A reported plan gives up its
-        layouts (a member a rollback pre-empted is still pending, and
-        holds them): a caller may keep the report."""
-        if report.plan is not None:
-            report.plan.layouts = None
-        self._record_admission(report, outcome)
+        """Build one admission's report and count it under *outcome*,
+        with its modeled cost breakdown; only an admitted plan's
+        displaced clients spend snapshot time.  A reported plan gives up
+        its layouts (a member a rollback pre-empted is still pending,
+        and holds them): a caller may keep the report."""
+        plan.layouts = None
+        snapshot = self._snapshot_seconds(plan) if status is ProvisioningStatus.ADMITTED else 0.0
+        report = ProvisioningReport(
+            fid=plan.fid,
+            status=status,
+            reason=reason,
+            compute_seconds=plan.total_seconds,
+            table_update_seconds=table_seconds,
+            snapshot_seconds=snapshot,
+            plan=plan,
+            verification=verification,
+            certificate=certificate,
+            fault=fault,
+        )
+        self.admissions[outcome] += 1
+        self.provisioning_seconds.observe(report.total_seconds)
+        self.table_update_seconds.observe(table_seconds)
         return report
 
     def _report_infeasible(
@@ -765,58 +732,74 @@ class ActiveRmtController:
                 plan.fid, f"batch aborted: no feasible mutant for fid {culprit.fid}"
             )
         self.allocator.record_decision(plan)
-        return self._record_report(
-            ProvisioningReport(
-                fid=plan.fid,
-                status=ProvisioningStatus.REJECTED,
-                reason=plan.reason,
-                compute_seconds=plan.total_seconds,
-                plan=plan,
-            ),
-            "no_feasible_mutant",
-        )
+        return self._report(plan, ProvisioningStatus.REJECTED, "no_feasible_mutant", plan.reason)
 
-    def _unwind(
-        self,
-        exc: Exception,
-        journal: TableUpdateJournal,
-        undo: Sequence[Union[CommitResult, AllocatorCheckpoint]],
-        scope: str,
-        fid: int,
-    ) -> Tuple[str, str]:
-        """The one unwind of a layout change the switch refused.
+    def _land(
+        self, changes: Iterable[CommitResult], scope: str
+    ) -> Tuple[List[float], Optional[str], str]:
+        """Land allocator records on the switch under one journal, all or
+        none: the one transaction of every arrival and departure.
 
-        Either a stage TCAM cannot hold another protection range (the
-        paper's stated bottleneck) or the device itself failed mid-apply
-        (retries exhausted, or a permanent fault); arrivals and
-        departures unwind identically.  Replay the journal backwards
-        (table entries, activations, register scrubs), then restore the
-        allocator checkpoints in *undo* newest first.  Returns the fault
-        kind (:attr:`ProvisioningReport.fault`) and its cause in words.
+        *changes* is drawn lazily, so each member is committed after the
+        previous one's table writes.  Returns each change's modeled
+        seconds, no fault and no reason once the switch took them all
+        (journal closed, layout published, each change counted and
+        logged, sanitizer run).  A refused change -- a stage TCAM full
+        (the paper's stated bottleneck) or a device fault -- replays the
+        journal backwards and rolls every drawn change back, newest
+        first; the fault (:attr:`ProvisioningReport.fault`) and reason
+        say why.  *scope* labels anomalies, ``during=`` and the reason.
         """
-        if isinstance(exc, TcamCapacityError):
-            fault, cause = "tcam", "TCAM exhausted"
-        elif isinstance(exc, PermanentDeviceError):
-            # The journal replay below is best-effort against a dead device.
-            fault, cause = "device", "device fault (device)"
-            self._device_died(scope, fid, str(exc), during=scope)
-        else:
-            fault, cause = "transient", "device fault (transient)"
+        journal = TableUpdateJournal(tracer=self.tracer)
+        landed: List[CommitResult] = []
+        seconds: List[float] = []
         try:
-            journal.rollback()
-        except DeviceError as rollback_exc:
-            # A fault during rollback leaves the switch half-rolled-back
-            # with the journal consumed -- unrecoverable in place.  The
-            # host-side allocator rollback still runs, the device is
-            # marked failed, and the fabric's failover path rebuilds a
-            # consistent device from the commit log.
-            self._device_died(
-                scope, fid, f"rollback failed: {rollback_exc}", during="rollback"
-            )
-        for result in reversed(undo):
-            self.allocator.rollback(result)
-        self.tracer.anomaly("rollback", scope=scope, fid=fid, cause=str(exc))
-        return fault, cause
+            for change in changes:
+                landed.append(change)
+                seconds.append(
+                    self._apply_layout(
+                        change.fid, change.old, change.new, change.reallocations, journal
+                    )
+                )
+        except (TcamCapacityError, DeviceError) as exc:
+            fid = landed[-1].fid
+            if isinstance(exc, TcamCapacityError):
+                fault, cause = "tcam", "TCAM exhausted"
+            elif isinstance(exc, PermanentDeviceError):
+                # The journal replay below is best-effort against a dead device.
+                fault, cause = "device", "device fault (device)"
+                self._device_died(scope, fid, str(exc), during=scope)
+            else:
+                fault, cause = "transient", "device fault (transient)"
+            try:
+                journal.rollback()
+            except DeviceError as rollback_exc:
+                # A fault during rollback leaves the switch half-rolled-back
+                # with the journal consumed -- unrecoverable in place.  The
+                # host-side allocator rollback still runs, the device is
+                # marked failed, and the fabric's failover path rebuilds a
+                # consistent device from the commit log.
+                self._device_died(
+                    scope, fid, f"rollback failed: {rollback_exc}", during="rollback"
+                )
+            for change in reversed(landed):
+                self.allocator.rollback(change)
+            self.tracer.anomaly("rollback", scope=scope, fid=fid, cause=str(exc))
+            if scope == "batch":
+                return seconds, fault, f"batch rolled back: {cause} admitting fid {fid}: {exc}"
+            return seconds, fault, f"{cause}: {exc}"
+        journal.commit_entries()
+        self.tracer.layout_committed()
+        for change in landed:
+            if change.plan is None:
+                self.allocator.record_release(change)
+                self.commit_log.append(("withdraw", change.fid))
+            else:
+                self.allocator.record_decision(change.plan)
+                self.commit_log.append(("admit", change.fid))
+        if self.sanitizer:
+            self._sanitize()
+        return seconds, None, ""
 
     def _device_died(self, scope: str, fid: int, cause: str, during: str) -> None:
         """Latch :attr:`device_failed` and say where it was observed."""
@@ -946,12 +929,6 @@ class ActiveRmtController:
             plan=plan,
         )
 
-    def _record_admission(self, report: ProvisioningReport, outcome: str) -> None:
-        """Count one admission outcome; record its modeled cost breakdown."""
-        self.admissions[outcome] += 1
-        self.provisioning_seconds.observe(report.total_seconds)
-        self.table_update_seconds.observe(report.table_update_seconds)
-
     def _apply_layout(
         self,
         fid: int,
@@ -1020,38 +997,27 @@ class ActiveRmtController:
         return seconds
 
     def _do_withdraw(self, fid: int) -> ProvisioningReport:
-        """A departure is a layout change like an arrival: allocator
-        checkpoint, one journal, and :meth:`_unwind` when the switch
-        refuses it -- the report then says ``ROLLED_BACK`` over state
-        byte-identical to before the request, and *fid* stays resident.
-        A fid that is not resident is ``REJECTED`` with nothing touched.
+        """A departure is a layout change like an arrival, landed by
+        :meth:`_land`: when the switch refuses it the report says
+        ``ROLLED_BACK`` over state byte-identical to before the request,
+        and *fid* stays resident.  A fid that is not resident is
+        ``REJECTED`` with nothing touched.
         """
         with self.tracer.span("controller.withdraw", fid=fid) as span:
             if fid not in self.allocator.apps:
                 span.set(seconds=0.0, status=ProvisioningStatus.REJECTED.value)
                 return ProvisioningReport.rejected(fid, f"fid {fid} not admitted")
-            regions = self.allocator.regions_for(fid).items()
-            departing = {s: r for s, r in regions if r is not None and r.count > 0}
-            reallocations, checkpoint = self.allocator.release(fid)
-            journal = TableUpdateJournal(tracer=self.tracer)
-            try:
-                seconds = self._apply_layout(fid, departing, {}, reallocations, journal)
-            except (TcamCapacityError, DeviceError) as exc:
-                fault, cause = self._unwind(exc, journal, [checkpoint], "withdraw", fid)
+            seconds, fault, reason = self._land([self.allocator.release(fid)], "withdraw")
+            if fault is None:
                 report = ProvisioningReport(
-                    fid, ProvisioningStatus.ROLLED_BACK, f"{cause}: {exc}", fault=fault
-                )
-            else:
-                journal.commit_entries()
-                self.allocator.record_release(reallocations)
-                self.commit_log.append(("withdraw", fid))
-                report = ProvisioningReport(
-                    fid, ProvisioningStatus.ADMITTED, table_update_seconds=seconds
+                    fid, ProvisioningStatus.ADMITTED, table_update_seconds=seconds[0]
                 )
                 self.withdrawals += 1
-                self.table_update_seconds.observe(seconds)
-                if self.sanitizer:
-                    self._sanitize()
+                self.table_update_seconds.observe(seconds[0])
+            else:
+                report = ProvisioningReport(
+                    fid, ProvisioningStatus.ROLLED_BACK, reason, fault=fault
+                )
             span.set(seconds=report.table_update_seconds, status=report.status.value)
             return report
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.blocks import BlockRange, StagePool
 from repro.core.constraints import AccessPattern, AllocationPolicy, MOST_CONSTRAINED
@@ -291,7 +291,7 @@ class ActiveRmtAllocator:
         plan.assign_seconds += time.perf_counter() - apply_start
         if record:
             self.record_decision(plan)
-        return CommitResult(plan=plan, checkpoint=checkpoint)
+        return CommitResult(plan.fid, {}, plan.regions, plan.reallocations, checkpoint, plan)
 
     def _validate(self, plan: AllocationPlan, verb: str) -> None:
         """Refuse a spent, infeasible or stale *plan* before anything --
@@ -384,12 +384,9 @@ class ActiveRmtAllocator:
         plan.state = PlanState.ABORTED
         plan.layouts = None
 
-    def rollback(
-        self,
-        result: Union[CommitResult, AllocatorCheckpoint],
-    ) -> None:
-        """Undo a commit (its :class:`CommitResult`) or a release (the
-        checkpoint it handed back), restoring the exact state before it.
+    def rollback(self, change: CommitResult) -> None:
+        """Undo a commit or a release (the :class:`CommitResult` it
+        handed back), restoring the exact state before it.
 
         Pools are restored from the checkpoint's byte-identical
         snapshots (not by release-and-relayout), the arrival counter
@@ -400,9 +397,7 @@ class ActiveRmtAllocator:
         lands under the open span, so the undo is part of the request's
         causal tree.
         """
-        checkpoint, plan = result, None
-        if isinstance(result, CommitResult):
-            checkpoint, plan = result.checkpoint, result.plan
+        checkpoint, plan = change.checkpoint, change.plan
         with self.tracer.span(
             "allocator.rollback", fid=checkpoint.fid,
             restored_version=checkpoint.version,
@@ -439,15 +434,16 @@ class ActiveRmtAllocator:
         self.commit(plan)
         return plan
 
-    def release(self, fid: int) -> Tuple[ReallocationMap, AllocatorCheckpoint]:
+    def release(self, fid: int) -> CommitResult:
         """Remove an application; elastic co-residents expand.
 
-        Returns the reallocation map of applications whose ranges
-        changed as a result of the departure, and the checkpoint
-        :meth:`rollback` undoes the release with -- the one a commit
-        takes, over the stages *fid* held.  Counts nothing: the caller
-        calls :meth:`record_release` once the switch has taken the
-        departure too.
+        Returns the departure's record, the type a commit returns: the
+        regions *fid* held (*new* is empty), the reallocation map of
+        applications whose ranges changed as a result, and the
+        checkpoint :meth:`rollback` undoes the release with -- the one a
+        commit takes, over the stages *fid* held.  Counts nothing: the
+        caller calls :meth:`record_release` once the switch has taken
+        the departure too.
         """
         app = self.apps.get(fid)
         if app is None:
@@ -456,18 +452,19 @@ class ActiveRmtAllocator:
         checkpoint = self._checkpoint(fid, stages)
         del self.apps[fid]
         before = self._layout_snapshot(stages)
+        old = {s: r for s in stages if (r := before[s].get(fid)) is not None and r.count > 0}
         for stage in stages:
             self.pools[stage].remove(fid)
         self._version += 1
         after = self._layout_snapshot(stages)
         _regions, reallocations = self._diff_layouts(fid, before, after)
-        return reallocations, checkpoint
+        return CommitResult(fid, old, {}, reallocations, checkpoint)
 
-    def record_release(self, reallocations: ReallocationMap) -> None:
+    def record_release(self, change: CommitResult) -> None:
         """Count one departure the switch has taken too."""
         self.releases += 1
-        self.apps_displaced += len(reallocations)
-        self.blocks_moved += _moved_blocks(reallocations)
+        self.apps_displaced += len(change.reallocations)
+        self.blocks_moved += _moved_blocks(change.reallocations)
 
     # ------------------------------------------------------------------
     # Queries

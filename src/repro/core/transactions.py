@@ -15,9 +15,10 @@ transactional semantics; this module supplies the pieces:
 - :class:`PoolSnapshot` -- a byte-identical capture of one
   :class:`~repro.core.blocks.StagePool` population.  Restoring a
   snapshot reproduces the exact deterministic layout, block for block.
-- :class:`AllocatorCheckpoint` / :class:`CommitResult` -- what a commit
-  (and, the checkpoint, a release) hands back so the caller can later
-  undo it *exactly* (pools, app record, arrival counter, version stamp),
+- :class:`CommitResult` -- the one record of a layout change, what a
+  commit and a release both hand back: the regions the switch must move
+  between, and the :class:`AllocatorCheckpoint` that undoes the change
+  *exactly* (pools, app record, arrival counter, version stamp),
   without release-and-reinstall approximations.
 - :class:`TableUpdateJournal` -- an undo log of reversible switch-state
   operations (table entries, activations, register scrubs).  Replaying
@@ -239,15 +240,17 @@ class AllocatorCheckpoint:
 
 @dataclasses.dataclass
 class CommitResult:
-    """Outcome of committing an :class:`AllocationPlan`.
+    """One layout change: *fid* goes from regions *old* to *new*, and
+    *reallocations* is what that does to its neighbours.  A commit's
+    (an arrival from ``{}``) carries its *plan*, the decision itself; a
+    release's goes to ``{}``.  The checkpoint undoes either exactly."""
 
-    Carries the committed plan -- the decision itself -- plus the
-    checkpoint needed to undo the commit byte-for-byte via
-    :meth:`~ActiveRmtAllocator.rollback`.
-    """
-
-    plan: AllocationPlan
+    fid: int
+    old: Dict[int, BlockRange]
+    new: Dict[int, BlockRange]
+    reallocations: ReallocationMap
     checkpoint: AllocatorCheckpoint
+    plan: Optional[AllocationPlan] = None
 
 
 # ----------------------------------------------------------------------

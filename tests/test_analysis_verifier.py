@@ -189,7 +189,7 @@ def test_armt003_access_outside_granted_region():
     program = _counter_program()
     pattern = _counter_pattern(program)
     plan = AllocationPlan(fid=9, pattern=pattern, feasible=True)
-    report = verify_plan(program, pattern, plan)
+    report = verify_plan(program, pattern, plan, SwitchConfig())
     assert "ARMT003" in report.rule_ids()
     assert report.has_errors
 

@@ -1,7 +1,11 @@
 """Unit + integration tests for the switch-CPU controller."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro.controller.controller as controller_module
 from repro.controller import (
     ActiveRmtController,
     ProvisioningReport,
@@ -248,3 +252,48 @@ def test_inelastic_admission_with_elastic_incumbents(controller):
     report = controller.admit(fid=100, pattern=lb_pattern())
     assert report.success
     assert report.snapshot_seconds > 0  # incumbents paged state
+
+
+def _names(node):
+    """Every bare name an ``except`` clause's type expression mentions."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} if node else set()
+
+
+def test_arrivals_and_departures_land_through_one_body():
+    """One journal, one refusal handler: ``ActiveRmtController`` builds a
+    ``TableUpdateJournal`` in exactly one method, and exactly one handler
+    catches a forward apply's ``DeviceError`` (the journal rollback's own
+    handler, nested inside it, is not a forward apply's)."""
+    tree = ast.parse(Path(controller_module.__file__).read_text(encoding="utf-8"))
+    (cls,) = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "ActiveRmtController"
+    ]
+    builders = {
+        method.name
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        for node in ast.walk(method)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "TableUpdateJournal"
+    }
+    assert len(builders) == 1, builders
+    handlers = [
+        node for node in ast.walk(cls)
+        if isinstance(node, ast.ExceptHandler) and "DeviceError" in _names(node.type)
+    ]
+    nested = {
+        id(inner)
+        for outer in handlers
+        for inner in ast.walk(outer)
+        if inner is not outer and isinstance(inner, ast.ExceptHandler)
+    }
+    forward = [handler for handler in handlers if id(handler) not in nested]
+    assert len(forward) == 1
+    (method,) = [
+        method.name
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and forward[0] in ast.walk(method)
+    ]
+    assert method in builders

@@ -143,12 +143,12 @@ def test_release_expands_elastic_neighbors(allocator):
     for fid in range(2, 11):
         allocator.allocate(fid=fid, pattern=listing1_pattern())
     before = allocator.app_total_blocks(2)
-    reallocations, _checkpoint = allocator.release(1)
+    change = allocator.release(1)
     after = allocator.app_total_blocks(2)
     assert after >= before
     assert 1 not in allocator.apps
     # Departure must have expanded someone.
-    assert reallocations
+    assert change.reallocations
 
 
 def test_blocks_moved_counts_the_displaced_ranges():
@@ -164,9 +164,9 @@ def test_blocks_moved_counts_the_displaced_ranges():
     decision = allocator.allocate(fid=3, pattern=listing1_pattern())
     assert decision.reallocations == {0: {2: (whole, half), 5: (whole, half)}}
     assert allocator.blocks_moved == 2 * 256
-    reallocations, _checkpoint = allocator.release(3)
-    allocator.record_release(reallocations)
-    assert reallocations == {0: {2: (half, whole), 5: (half, whole)}}
+    change = allocator.release(3)
+    allocator.record_release(change)
+    assert change.reallocations == {0: {2: (half, whole), 5: (half, whole)}}
     assert allocator.blocks_moved == 2 * 256 + 2 * 128
     counters = registry.snapshot()["counters"]
     assert counters["allocator_blocks_moved_total"] == 2 * 256 + 2 * 128

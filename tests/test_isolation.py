@@ -9,6 +9,8 @@ hook, and the telemetry counters.
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.analysis import (
     AddressInterval,
     analyze_address_intervals,
@@ -19,6 +21,7 @@ from repro.analysis import (
     certify_plan,
     effective_translations,
     replay_findings,
+    verify_plan,
 )
 from repro.analysis.findings import RULES, Severity
 from repro.apps.base import EXEMPLAR_APPS
@@ -129,7 +132,7 @@ def test_interval_within_and_disjoint():
 def test_analyze_address_intervals_counter():
     program = assemble(COUNTER, name="counter")
     intervals = analyze_address_intervals(
-        program, {4: (1023, 2048), 5: (1023, 2048)}
+        program, {4: (1023, 2048), 5: (1023, 2048)}, config=SwitchConfig()
     )
     # After ADDR_MASK (pos 4) and ADDR_OFFSET (pos 5), MEM_INCREMENT at
     # position 6 sees the translated window.
@@ -185,7 +188,7 @@ def test_certify_plan_flags_incumbent_overlap():
         iter(plan.word_regions(SwitchConfig().block_words).items())
     )
     certificate = certify_plan(
-        plan, incumbents={99: {stage: span}}
+        plan, SwitchConfig(), incumbents={99: {stage: span}}
     )
     assert not certificate.valid
     assert {f.rule_id for f in certificate.findings} == {"ARMT011"}
@@ -607,3 +610,24 @@ def test_live_proofs_take_the_block_size_from_the_allocator():
     assert list(certificates) == [1] and certificates[1].valid
     assert certify_fid(1, controller.allocator, controller.device).valid
     assert audit_state(controller.allocator, controller.device).clean
+
+
+def test_plan_proofs_take_the_block_size_from_the_switch():
+    """A planned cache on a 4-KiB-block switch is proven over the
+    regions the plan holds, ``[0, 65536)`` words a stage, not the
+    ``[0, 16384)`` a default switch's 1-KiB blocks made of them; the
+    plan proofs have no default switch to fall back on."""
+    config = SwitchConfig(block_bytes=4096)
+    controller = ActiveRmtController(ActiveSwitch(config))
+    pattern = EXEMPLAR_APPS["cache"].pattern()
+    plan = controller.what_if(fid=1, pattern=pattern)
+    certificate = certify_plan(plan, config)
+    assert certificate.regions == plan.word_regions(config.block_words)
+    assert set(certificate.regions.values()) == {(0, 65536)}
+    with pytest.raises(TypeError):
+        certify_plan(plan)
+    program = EXEMPLAR_APPS["cache"].program()
+    with pytest.raises(TypeError):
+        verify_plan(program, pattern, plan)
+    with pytest.raises(TypeError):
+        analyze_address_intervals(program, {})

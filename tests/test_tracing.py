@@ -521,6 +521,33 @@ def test_withdraw_and_dry_run_traces():
     assert span_tree(withdraw_trace)["orphans"] == []
 
 
+def test_a_landed_withdrawal_publishes_its_layout():
+    """A departure rewrites its neighbours' grants like an arrival, so
+    packets after it parent on the ``controller.withdraw`` span; a
+    withdrawal the switch refuses publishes nothing."""
+    faulted = []
+    plan = ScriptedPlan(lambda op, index: FaultKind.TRANSIENT if index in faulted else None)
+    tracer = Tracer(sample_rate=1.0)
+    controller = _traced_controller(tracer, plan)
+    pattern = listing1_pattern()
+    assert controller.admit(fid=1, pattern=pattern).success
+    assert controller.admit(fid=2, pattern=pattern).success
+    controller.withdraw(fid=1)
+
+    (withdraw,) = find_spans(tracer.spans(), "controller.withdraw")
+    assert tracer.layout_context.span_id == withdraw.span_id
+    controller.switch.receive(_packet(2), in_port=1)
+    (packet,) = find_spans(tracer.spans(), "datapath.packet")
+    assert packet.parent_id == withdraw.span_id
+
+    faulted.append(plan.op_index)  # the refused withdrawal's first device call
+    report = controller.submit(ProvisioningRequest.withdrawal(2))
+    assert report.status is ProvisioningStatus.ROLLED_BACK
+    assert report.fault == "transient" and 2 in controller.allocator.apps
+    assert len(find_spans(tracer.spans(), "controller.withdraw")) == 2
+    assert tracer.layout_context is withdraw
+
+
 def test_reallocating_admit_traces_one_layout_span_per_layout_change():
     tracer = Tracer(sample_rate=1.0)
     controller = _traced_controller(tracer)

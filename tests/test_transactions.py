@@ -216,7 +216,7 @@ def test_rollback_restores_exact_allocator_state():
 
 
 def test_release_rollback_round_trips_the_full_fingerprint():
-    """A release is undone by the checkpoint it hands back, exactly as a
+    """A release is undone by the record it hands back, exactly as a
     commit is: pools, app record, version and arrival counter -- so a
     plan computed before the release commits after the rollback."""
     controller = tiny_controller(tcam_entries=64)
@@ -228,11 +228,13 @@ def test_release_rollback_round_trips_the_full_fingerprint():
     record = allocator.apps[2]
     plan = allocator.plan(50, listing1_pattern())
 
-    reallocations, checkpoint = allocator.release(2)
-    assert reallocations and 2 not in allocator.apps
+    regions = {s: r for s, r in allocator.regions_for(2).items() if r.count > 0}
+    change = allocator.release(2)
+    assert change.reallocations and 2 not in allocator.apps
+    assert (change.fid, change.old, change.new, change.plan) == (2, regions, {}, None)
     assert allocator.version == counters[0] + 1
-    assert checkpoint.fid == 2 and checkpoint.record is record
-    allocator.rollback(checkpoint)
+    assert change.checkpoint.fid == 2 and change.checkpoint.record is record
+    allocator.rollback(change)
 
     assert full_fingerprint(controller) == before
     assert (allocator.version, allocator._arrival_counter) == counters

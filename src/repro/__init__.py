@@ -55,8 +55,8 @@ from repro.client.compiler import (
     SynthesizedProgram,
     compile_mutant,
 )
-from repro.controller.controller import (
-    ActiveRmtController,
+from repro.controller.controller import ActiveRmtController
+from repro.controller.requests import (
     ControllerError,
     ProvisioningReport,
     ProvisioningRequest,

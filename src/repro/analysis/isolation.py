@@ -41,11 +41,11 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.cfg import ControlFlowGraph
 from repro.analysis.dataflow import AddressInterval, analyze_address_intervals
 from repro.analysis.findings import AnalysisReport, Finding
 from repro.analysis.verifier import (
     TRANSLATION_WINDOW,
+    _build_cfg,
     _ordered,
     _padded_for_plan,
 )
@@ -206,7 +206,7 @@ def _access_proofs(
     the TCAM; ARMT003/ARMT009 from the verifier already grade the
     no-region and provenance cases, so no finding is added here).
     """
-    graph = ControlFlowGraph.build(program)
+    graph = _build_cfg(program)
     intervals = analyze_address_intervals(
         program,
         effective_translations(regions),

@@ -38,6 +38,8 @@ from repro.switchsim.hashing import hash_engine
 
 #: Blocks demanded per memory stage (counter + VIP pool).
 LB_DEMAND_BLOCKS = 1
+#: The salt every client's flow hash (and so its cookie) is keyed with.
+COOKIE_SALT = 0x5A17
 
 LB_SELECTION_SOURCE = """
     MAR_LOAD $2        ; 1: round-robin counter address
@@ -100,13 +102,11 @@ class CheetahLbClient:
         vip_mac: MacAddress,
         switch_mac: MacAddress,
         fid: int,
-        salt: int = 0x5A17,
     ) -> None:
         self.mac = mac
         self.vip_mac = vip_mac
         self.switch_mac = switch_mac
         self.fid = fid
-        self.salt = salt
         self.synthesized: Optional[SynthesizedProgram] = None
         self.pool: List[int] = []
 
@@ -169,7 +169,7 @@ class CheetahLbClient:
             dst=self.vip_mac,
             fid=self.fid,
             instructions=self.synthesized.program,
-            args=[flow_id, self.salt, self._counter_address(), 0, mask, base, 0, 0],
+            args=[flow_id, COOKIE_SALT, self._counter_address(), 0, mask, base, 0, 0],
             payload=payload,
         )
 
@@ -182,11 +182,11 @@ class CheetahLbClient:
             dst=self.vip_mac,
             fid=self.fid,
             instructions=lb_routing_program(),
-            args=[flow_id, self.salt, 0, cookie],
+            args=[flow_id, COOKIE_SALT, 0, cookie],
         )
 
     def cookie_for(self, flow_id: int, server_port: int) -> int:
-        return flow_cookie(flow_id, self.salt, server_port)
+        return flow_cookie(flow_id, COOKIE_SALT, server_port)
 
     @staticmethod
     def chosen_server(reply: ActivePacket) -> int:

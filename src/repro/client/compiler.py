@@ -19,11 +19,7 @@ from typing import Dict, FrozenSet, Optional, Sequence, Tuple, Union
 
 from repro.analysis.findings import AnalysisReport, VerifyMode
 from repro.analysis.verifier import analyze_program, linked_verdict
-from repro.core.constraints import (
-    AccessPattern,
-    AllocationPolicy,
-    LEAST_CONSTRAINED,
-)
+from repro.core.constraints import AccessPattern, LEAST_CONSTRAINED
 from repro.core.mutants import MutantCandidate, enumerate_mutants, insertions_for
 from repro.isa.program import ActiveProgram
 from repro.packets.headers import AllocationResponseHeader, StageRegion
@@ -39,6 +35,11 @@ class CompilationError(Exception):
 #: verifier's memoization (cache keys would hash a new object each
 #: probe).  SwitchConfig is immutable, so one instance serves all.
 _DEFAULT_CONFIG = SwitchConfig()
+
+#: The policy a response is synthesized under.  It admits recirculating
+#: mutants too: the response dictates the stages, and the client must
+#: reach them.
+SYNTHESIS_POLICY = LEAST_CONSTRAINED
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,7 +92,7 @@ class SynthesizedProgram:
 
 
 @functools.lru_cache(maxsize=256)
-def _granted_mutant(shape: AccessPattern, policy: AllocationPolicy, config: SwitchConfig,
+def _granted_mutant(shape: AccessPattern, config: SwitchConfig,
                     granted: FrozenSet[int]) -> Optional[MutantCandidate]:
     """The first mutant with the fewest recirculations whose stages are all
     *granted* (None: none reaches them).  Pure, so memoized like the padding
@@ -99,7 +100,7 @@ def _granted_mutant(shape: AccessPattern, policy: AllocationPolicy, config: Swit
     best: Optional[MutantCandidate] = None
     # No mutant recirculates less than the compact program does.
     fewest = shape.compact_passes(config.num_stages) - 1
-    for candidate in enumerate_mutants(shape, policy, config):
+    for candidate in enumerate_mutants(shape, SYNTHESIS_POLICY, config):
         if not granted.issuperset(candidate.physical_stages):
             continue
         if best is None or (
@@ -118,13 +119,9 @@ class ActiveCompiler:
     def __init__(
         self,
         config: Optional[SwitchConfig] = None,
-        synthesis_policy: Optional[AllocationPolicy] = None,
         verify: Union[VerifyMode, str] = VerifyMode.WARN,
     ) -> None:
         self.config = config or _DEFAULT_CONFIG
-        # Synthesis considers recirculating mutants too: the response
-        # dictates the stages, and the client must reach them.
-        self.synthesis_policy = synthesis_policy or LEAST_CONSTRAINED
         #: Static-verification policy (fail fast before submission):
         #: ``strict`` raises VerificationError on any error-severity
         #: finding, ``warn`` attaches the report, ``off`` skips analysis.
@@ -173,8 +170,7 @@ class ActiveCompiler:
         }
         if not granted:
             raise CompilationError("allocation response grants no stages")
-        best = _granted_mutant(pattern.shape, self.synthesis_policy, self.config,
-                               frozenset(granted))
+        best = _granted_mutant(pattern.shape, self.config, frozenset(granted))
         if best is None:
             raise CompilationError(
                 f"no mutant of {pattern.name!r} reaches granted stages "

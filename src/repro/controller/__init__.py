@@ -8,18 +8,16 @@ Table-update and snapshot costs are modeled after the paper's Figure 8a,
 where table updates dominate the ~1 s provisioning time.
 """
 
-from repro.controller.table_updater import TableUpdateEngine, TableUpdateCost
-from repro.controller.controller import (
-    ActiveRmtController,
+from repro.controller.table_updater import TableUpdateEngine
+from repro.controller.requests import (
     ControllerError,
     ProvisioningReport,
     ProvisioningRequest,
     ProvisioningStatus,
     RequestKind,
-    SnapshotCost,
-    replay_commit_log,
     withdraw_with_retries,
 )
+from repro.controller.controller import ActiveRmtController, replay_commit_log
 from repro.controller.service import (
     AdmissionService,
     AdmissionServiceError,
@@ -28,7 +26,6 @@ from repro.controller.service import (
 
 __all__ = [
     "TableUpdateEngine",
-    "TableUpdateCost",
     "ActiveRmtController",
     "AdmissionService",
     "AdmissionServiceError",
@@ -38,7 +35,6 @@ __all__ = [
     "ProvisioningRequest",
     "ProvisioningStatus",
     "RequestKind",
-    "SnapshotCost",
     "replay_commit_log",
     "withdraw_with_retries",
 ]

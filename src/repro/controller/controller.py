@@ -1,43 +1,41 @@
-"""The ActiveRMT controller: admission, reallocation, and responses.
+"""The ActiveRMT controller: the Section 4.3 transaction.
 
-All control-plane work funnels through one entry point,
-:meth:`ActiveRmtController.submit`, which takes a
-:class:`ProvisioningRequest` -- an admission or a withdrawal -- and
-returns a :class:`ProvisioningReport`.  Two usage styles sit on top:
+:meth:`ActiveRmtController.submit` takes a
+:class:`~repro.controller.requests.ProvisioningRequest` -- an admission
+or a withdrawal -- and returns a
+:class:`~repro.controller.requests.ProvisioningReport` whose ``status``
+is the one outcome: a request the controller declines is ``REJECTED``,
+not raised.  Three modules share the job:
 
-- **Synchronous control-plane API** (`admit`/`withdraw`): used by the
-  allocation experiments (Figures 5-8a, 11, 12).  All data-plane and
-  client-side durations are *modeled* and reported in the
-  :class:`ProvisioningReport`.
-- **The Section 4.3 wire protocol**: a digested ``ALLOC_REQUEST`` is
-  an admission, a ``DEALLOCATE`` digest a withdrawal.  One decoder,
-  :meth:`~ActiveRmtController.serve_digest`, serves both clocks:
-  `process_pending` sends the replies at once, the simulations'
-  :class:`~repro.sim.provisioner.SimProvisioner` after the modeled
-  deactivation window (Figures 9-10).
+- :mod:`repro.controller.requests` -- the request and report types, and
+  :func:`~repro.controller.requests.withdraw_with_retries`;
+- :mod:`repro.controller.wire` -- the digest wire protocol: a digested
+  ``ALLOC_REQUEST`` is an admission, a ``DEALLOCATE`` digest a
+  withdrawal, and a report is answered with allocation responses
+  (:meth:`ActiveRmtController.process_pending` sends them at once, the
+  simulations' :class:`~repro.sim.provisioner.SimProvisioner` after the
+  modeled deactivation window);
+- this module -- the transaction between them.
 
 Every admission is committed through one door,
-:meth:`ActiveRmtController.commit_plan`: N plans under one journal, N=1
-(what `submit` plans on the live allocator) being the smallest group.
-The committed :class:`AllocationPlan` is the admission's decision.
-A withdrawal is the same transaction without a plan (`_do_withdraw`):
-the allocator hands back one :class:`CommitResult` per layout change,
-arrival or departure, and `_land` applies, unwinds or publishes them.
-Each admission and withdrawal that lands is
+:meth:`ActiveRmtController.commit_plan`: N plans under one journal, a
+lone plan being N=1.  It checks the basis, proves each member, lands
+the group and reports.  A withdrawal is the same transaction without a
+plan (`_do_withdraw`): the allocator hands back one
+:class:`CommitResult` per layout change, arrival or departure, and
+`_land` applies, unwinds or publishes them.  Each change that lands is
 appended to :attr:`ActiveRmtController.commit_log`, the history
 :meth:`~ActiveRmtController.recover` replays (:func:`replay_commit_log`).
-Every request is answered by its report, whose ``status`` is the one
-outcome: a request the controller declines is ``REJECTED``, not raised.
+A report's durations are modeled (Figure 8a's bands); the allocator,
+tables and activations are updated for real.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import enum
 from collections import Counter
 from typing import (
+    TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -62,6 +60,16 @@ from repro.analysis.isolation import (
     certify_plan,
 )
 from repro.analysis.verifier import verify_plan
+from repro.controller import wire
+from repro.controller.requests import (
+    CommitLogEntry,
+    ControllerError,
+    ProvisioningReport,
+    ProvisioningRequest,
+    ProvisioningStatus,
+    RequestKind,
+)
+from repro.controller.table_updater import Move, TableUpdateEngine
 from repro.core.allocator import ActiveRmtAllocator, AllocationError, ReallocationMap
 from repro.core.blocks import BlockRange
 from repro.core.constraints import AccessPattern, AllocationPolicy, MOST_CONSTRAINED
@@ -72,7 +80,6 @@ from repro.core.transactions import (
     StalePlanError,
     TableUpdateJournal,
 )
-from repro.controller.table_updater import Move, TableUpdateCost, TableUpdateEngine
 from repro.device import (
     Device,
     DeviceError,
@@ -81,9 +88,7 @@ from repro.device import (
 )
 from repro.faults import RetryPolicy
 from repro.isa.program import ActiveProgram
-from repro.packets.codec import ActivePacket
 from repro.packets.ethernet import MacAddress
-from repro.packets.headers import AllocationResponseHeader, ControlFlags, PacketType
 from repro.switchsim.tables import TcamCapacityError
 from repro.telemetry import (
     AnyTracer,
@@ -93,182 +98,20 @@ from repro.telemetry import (
     resolve_tracer,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime import
+    from repro.packets.codec import ActivePacket
 
-class ControllerError(Exception):
-    """Raised on a malformed request or digest (and by ``withdraw``)."""
+#: Modeled client-side state extraction (Section 4.3), per displaced
+#: application: one handshake, then data-plane paging of every block it
+#: held -- one read packet retrieves one word per allocated stage,
+#: batched, at 40-Gbps line rate plus retransmission slack.
+SNAPSHOT_HANDSHAKE_S = 5.0e-3
+SNAPSHOT_BLOCK_S = 5.0e-5
 
-
-#: One committed control-plane operation, in commit order: ("admit", fid)
-#: or ("withdraw", fid).
-CommitLogEntry = Tuple[str, int]
-
-
-@dataclasses.dataclass(frozen=True)
-class SnapshotCost:
-    """Modeled client-side state-extraction durations (Section 4.3).
-
-    Extraction is data-plane paging: one read packet retrieves one word
-    per allocated stage, batched; the per-block figure reflects 40-Gbps
-    line-rate paging plus retransmission slack.
-    """
-
-    per_block_seconds: float = 5.0e-5
-    per_app_handshake_seconds: float = 5.0e-3
-
-
-class RequestKind(enum.Enum):
-    """What a :class:`ProvisioningRequest` asks the controller to do."""
-
-    ADMIT = "admit"
-    WITHDRAW = "withdraw"
-
-
-class ProvisioningStatus(enum.Enum):
-    """Typed outcome of one provisioning request.
-
-    ``ADMITTED`` doubles as the "withdrawal executed" status; a
-    ``REJECTED`` request (say, a withdrawal of a non-resident fid)
-    touched nothing.  The
-    controller and the admission service never produce ``SHED``: it
-    marks an application a fabric failover dropped because no surviving
-    shard could host it (the chaos scenario's tally).
-    """
-
-    ADMITTED = "admitted"
-    REJECTED = "rejected"
-    ROLLED_BACK = "rolled_back"
-    SHED = "shed"
-    DRY_RUN = "dry_run"
-
-
-@dataclasses.dataclass(frozen=True)
-class ProvisioningRequest:
-    """One unit of control-plane work for :meth:`ActiveRmtController.submit`.
-
-    Build instances through the constructors -- they enforce the fields
-    each kind requires:
-
-    - :meth:`admission` -- admit *fid* with an access *pattern*; pass
-      ``dry_run=True`` for a side-effect-free what-if probe.
-    - :meth:`withdrawal` -- release *fid*'s allocation.
-
-    A digested switch packet is decoded into one of these by
-    :meth:`ActiveRmtController.serve_digest`.
-    """
-
-    kind: RequestKind
-    fid: int
-    pattern: Optional[AccessPattern] = None
-    #: Plan only -- report what the admission would do without touching
-    #: any allocator or switch state.
-    dry_run: bool = False
-    #: The compact active program behind the admission, when the caller
-    #: holds it.  Lets the controller statically verify the mutant being
-    #: installed against its granted plan (paper section 5's admission
-    #: checks); wire-digested requests carry only the pattern, so there
-    #: verification is limited to pattern-level checks.
-    program: Optional[ActiveProgram] = None
-
-    @classmethod
-    def admission(
-        cls,
-        fid: int,
-        pattern: AccessPattern,
-        dry_run: bool = False,
-        program: Optional[ActiveProgram] = None,
-    ) -> "ProvisioningRequest":
-        return cls(
-            kind=RequestKind.ADMIT,
-            fid=fid,
-            pattern=pattern,
-            dry_run=dry_run,
-            program=program,
-        )
-
-    @classmethod
-    def withdrawal(cls, fid: int) -> "ProvisioningRequest":
-        return cls(kind=RequestKind.WITHDRAW, fid=fid)
-
-
-@dataclasses.dataclass
-class ProvisioningReport:
-    """Outcome of one submitted request.
-
-    For admissions this is the timing breakdown of Figure 8a's three
-    bands; withdrawals report their table-update time.  The packets
-    that answer a wire admission are built from it by
-    :meth:`ActiveRmtController.allocation_replies`.
-    """
-
-    fid: int
-    #: The one outcome (``success``, ``dry_run`` and ``rolled_back`` read it).
-    status: ProvisioningStatus
-    reason: str = ""
-    compute_seconds: float = 0.0
-    table_update_seconds: float = 0.0
-    snapshot_seconds: float = 0.0
-    #: The plan behind this admission: the decision itself once
-    #: committed, the entire result of a dry run, the planner's verdict
-    #: when infeasible.
-    plan: Optional[AllocationPlan] = None
-    #: The static verifier's verdict on the mutant being installed
-    #: (None when the controller runs with ``verify="off"`` or the
-    #: request carried no program).
-    verification: Optional[AnalysisReport] = None
-    #: The isolation certificate for the plan behind this admission:
-    #: every reachable memory access proven in-region or runtime-checked
-    #: and region exclusivity against all incumbents (None when the
-    #: controller runs with ``verify="off"`` or no plan was produced).
-    certificate: Optional[IsolationCertificate] = None
-    #: What switch-side failure produced this outcome: ``"tcam"``
-    #: (capacity rejection), ``"transient"`` (the update engine's
-    #: per-operation retries exhausted on a recoverable fault; state is
-    #: byte-identical to before the request, so the caller may submit it
-    #: again), or ``"device"`` (permanent; the device is dead and the
-    #: controller's :attr:`~ActiveRmtController.device_failed` flag is
-    #: set).  None for clean outcomes.
-    fault: Optional[str] = None
-
-    @classmethod
-    def rejected(cls, fid: int, reason: str) -> "ProvisioningReport":
-        """A request declined with nothing touched."""
-        return cls(fid=fid, status=ProvisioningStatus.REJECTED, reason=reason)
-
-    @property
-    def success(self) -> bool:
-        """Admitted or withdrawn; a dry run: its plan is feasible."""
-        if self.status is ProvisioningStatus.DRY_RUN:
-            return self.plan is not None and self.plan.feasible
-        return self.status is ProvisioningStatus.ADMITTED
-
-    @property
-    def dry_run(self) -> bool:
-        """A what-if probe: nothing was mutated."""
-        return self.status is ProvisioningStatus.DRY_RUN
-
-    @property
-    def rolled_back(self) -> bool:
-        """Committed, then exactly undone: the switch refused the update."""
-        return self.status is ProvisioningStatus.ROLLED_BACK
-
-    @property
-    def total_seconds(self) -> float:
-        return (
-            self.compute_seconds
-            + self.table_update_seconds
-            + self.snapshot_seconds
-        )
-
-    @property
-    def reallocated_fids(self) -> List[int]:
-        """Incumbents this admission moves: a rolled-back (or rejected)
-        plan moved nobody, whatever it had planned."""
-        if self.plan is None or self.status not in (
-            ProvisioningStatus.ADMITTED,
-            ProvisioningStatus.DRY_RUN,
-        ):
-            return []
-        return self.plan.reallocated_fids
+#: A member's proofs: the verifier's verdict on its mutant, its
+#: isolation certificate, and -- in strict mode -- who refuses it and
+#: the findings why.
+Proof = Tuple[Optional[AnalysisReport], Optional[IsolationCertificate], Optional[Tuple[str, str]]]
 
 
 class ActiveRmtController:
@@ -278,10 +121,8 @@ class ActiveRmtController:
     protocol, never a concrete backend: *switch* may be anything
     :func:`~repro.device.as_device` accepts (a bare
     :class:`~repro.switchsim.switch.ActiveSwitch` is wrapped in a
-    :class:`~repro.device.SimDevice` transparently, so historical call
-    sites are unchanged).  The adapted device is :attr:`device`; the
-    legacy :attr:`switch` attribute remains as a read-only view of the
-    backend behind it.
+    :class:`~repro.device.SimDevice`).  The adapted device is
+    :attr:`device`; :attr:`switch` is the backend behind it.
     """
 
     def __init__(
@@ -289,8 +130,6 @@ class ActiveRmtController:
         switch: Union[Device, object],
         scheme: AllocationScheme = AllocationScheme.WORST_FIT,
         policy: AllocationPolicy = MOST_CONSTRAINED,
-        table_cost: Optional[TableUpdateCost] = None,
-        snapshot_cost: Optional[SnapshotCost] = None,
         telemetry: Optional[MetricsRegistry] = None,
         verify: Union[VerifyMode, str] = VerifyMode.WARN,
         tracer: Optional[AnyTracer] = None,
@@ -301,21 +140,18 @@ class ActiveRmtController:
         self.telemetry = resolve(telemetry)
         self.tracer = resolve_tracer(tracer)
         #: Per-operation retry policy for transient device faults (None
-        #: = no retries, historical behavior).
+        #: = no retries).
         self.retry = retry
         #: Latched when a permanent device fault is observed (commit,
         #: rollback, or withdrawal); the fabric fails the shard over.
         self.device_failed = False
         #: Admission-time static verification policy: ``strict`` rejects
         #: any error-severity finding before commit, ``warn`` (default)
-        #: records findings without blocking, ``off`` skips analysis
-        #: entirely (byte-identical to the pre-verifier admission path).
+        #: records findings without blocking, ``off`` skips analysis.
         self.verify = VerifyMode.coerce(verify)
-        #: Sanitizer mode: re-audit the whole committed state (pool
-        #: accounting, table entries, exclusivity) after every commit
-        #: and withdrawal.  Violations are recorded -- never raised --
-        #: in :attr:`audit_violations` and counted; off by default
-        #: and zero-cost when off (a single attribute test per commit).
+        #: Sanitizer mode: re-audit the whole committed state after every
+        #: commit and withdrawal.  Violations are recorded -- never
+        #: raised -- in :attr:`audit_violations` and counted.
         self.sanitizer = sanitizer
         self.audit_violations: List[Finding] = []
         self.allocator = ActiveRmtAllocator(
@@ -327,18 +163,18 @@ class ActiveRmtController:
         )
         self.updater = TableUpdateEngine(
             self.device,
-            table_cost,
             telemetry=self.telemetry,
             tracer=self.tracer,
             retry=retry,
         )
-        self.snapshot_cost = snapshot_cost or SnapshotCost()
         self.mac = MacAddress.from_host_id(0xC0FFEE)
         #: Every admission and withdrawal that landed, in commit order:
         #: replaying it serially on a fresh controller reproduces the
         #: pools byte for byte (:func:`replay_commit_log`).
         self.commit_log: List[CommitLogEntry] = []
-        self._client_macs: Dict[int, MacAddress] = {}
+        #: Which client MAC owns a FID: where the wire protocol sends
+        #: its reallocation notices.
+        self.client_macs: Dict[int, MacAddress] = {}
         #: Packet-driven withdrawals the switch refused: the fid is
         #: still resident and its client, gone idle, will not ask again,
         #: so each is re-sent with the next ``DEALLOCATE`` digest.
@@ -377,12 +213,9 @@ class ActiveRmtController:
 
     @property
     def switch(self) -> object:
-        """The backend behind :attr:`device` (simulator escape hatch).
-
-        Tests and harnesses reach through here for simulator-level
-        state (``controller.switch.pipeline`` and friends); controller
-        logic itself must go through :attr:`device`.
-        """
+        """The backend behind :attr:`device` (simulator escape hatch):
+        tests reach simulator state through it; controller logic goes
+        through :attr:`device`."""
         return self.device.underlying
 
     def settings(self) -> Dict[str, Any]:
@@ -394,8 +227,6 @@ class ActiveRmtController:
         return {
             "scheme": self.allocator.scheme,
             "policy": self.allocator.policy,
-            "table_cost": self.updater.cost,
-            "snapshot_cost": self.snapshot_cost,
             "telemetry": self.telemetry,
             "verify": self.verify,
             "tracer": self.tracer,
@@ -413,46 +244,31 @@ class ActiveRmtController:
     ) -> "ActiveRmtController":
         """Rebuild a failed controller's state onto a replacement device.
 
-        Crash recovery from the durable record: a fresh controller is
-        constructed on *device* (a fresh or replacement switch) with
-        *settings* -- constructor keywords, normally the failed
-        instance's own :meth:`settings` -- and the failed instance's
-        :attr:`commit_log` is replayed serially onto it, so the
-        recovered allocator pools and device tables are byte-identical
-        to what a clean serial execution of the committed history
-        produces, and the recovered controller's own log is the one the
-        replay wrote.  *patterns* must cover every fid the log admits.
-
-        The replacement device must be empty (same capabilities, no
-        resident state); recovery proves nothing about a device with
-        prior tenants.
+        A fresh controller is built on *device* with *settings* (normally
+        the failed instance's :meth:`settings`) and *commit_log* is
+        replayed serially onto it, so its pools and tables are
+        byte-identical to a clean serial execution of the committed
+        history, and its own log is the one the replay wrote.
+        *patterns* must cover every fid the log admits; *device* must
+        be empty (recovery proves nothing about prior tenants).
         """
         controller = cls(device, **settings)
         replay_commit_log(commit_log, patterns, controller)
         controller.recoveries += 1
         return controller
 
-    def register_client(self, fid: int, mac: MacAddress) -> None:
-        """Remember which client MAC owns a FID (for notices)."""
-        self._client_macs[fid] = mac
-
     # ------------------------------------------------------------------
-    # Unified entry point
+    # Unified entry point and its synchronous wrappers
     # ------------------------------------------------------------------
 
     def submit(self, request: ProvisioningRequest) -> ProvisioningReport:
         """Execute one admission or withdrawal and report the outcome.
 
-        `admit`, `withdraw` and :meth:`serve_digest` all build their
-        :class:`ProvisioningRequest` and funnel through here.  The
-        controller's spans open under the caller's open span (the
-        admission service's per-request span).
-
-        An admission is two-phase: the plan is computed on the live
-        allocator without touching allocator or switch state; a dry run
-        stops there, anything else is committed by :meth:`commit_plan`.
-        Admitting a resident fid, or withdrawing one that is not, is a
-        ``REJECTED`` report naming it.
+        An admission is planned on the live allocator without touching
+        any state; a dry run stops there, anything else is committed by
+        :meth:`commit_plan`.  Admitting a resident fid, or withdrawing
+        one that is not, is a ``REJECTED`` report naming it.  Spans open
+        under the caller's open span.
         """
         if request.kind is RequestKind.ADMIT:
             if request.pattern is None:
@@ -465,19 +281,23 @@ class ActiveRmtController:
                 except AllocationError as exc:  # a resident fid
                     report = ProvisioningReport.rejected(request.fid, str(exc))
                 else:
-                    if request.dry_run:
-                        report = self.report_dry_run(plan)
-                    else:
+                    if not request.dry_run:
                         (report,) = self.commit_plan([plan], [request.program])
+                    else:  # the plan is the entire result
+                        self.allocator.abort(plan)
+                        self.whatif_probes["yes" if plan.feasible else "no"] += 1
+                        report = ProvisioningReport(
+                            plan.fid,
+                            ProvisioningStatus.DRY_RUN,
+                            plan.reason,
+                            compute_seconds=plan.total_seconds,
+                            plan=plan,
+                        )
                 span.set(status=report.status.value)
                 return report
         if request.kind is RequestKind.WITHDRAW:
             return self._do_withdraw(request.fid)
         raise ControllerError(f"unknown request kind {request.kind!r}")
-
-    # ------------------------------------------------------------------
-    # Synchronous control-plane API (wrappers over submit)
-    # ------------------------------------------------------------------
 
     def admit(
         self,
@@ -487,25 +307,11 @@ class ActiveRmtController:
         dry_run: bool = False,
         program: Optional[ActiveProgram] = None,
     ) -> ProvisioningReport:
-        """Admit an application, applying the full reallocation protocol.
-
-        Keyword-only delegate of :meth:`submit` --
-        :class:`ProvisioningRequest` is the single front door.
-
-        The report's durations model what a real deployment would
-        spend; the in-process state (allocator, tables, deactivations)
-        is updated for real.  With ``dry_run=True`` nothing is updated:
-        the report carries the :class:`AllocationPlan` a real admission
-        would have committed (what-if capacity probing).  Passing the
-        compact *program* lets the static verifier check the mutant
-        being installed against the granted plan (subject to the
-        controller's ``verify`` policy).
-        """
-        return self.submit(
-            ProvisioningRequest.admission(
-                fid, pattern, dry_run=dry_run, program=program
-            )
-        )
+        """Admit an application (:meth:`submit` of an admission).  With
+        ``dry_run=True`` nothing is updated: the report carries the plan
+        a real admission would commit.  Passing the compact *program*
+        lets the static verifier check the mutant being installed."""
+        return self.submit(ProvisioningRequest.admission(fid, pattern, dry_run, program))
 
     def what_if(self, *, fid: int, pattern: AccessPattern) -> AllocationPlan:
         """Probe an admission without side effects; returns the plan."""
@@ -536,23 +342,16 @@ class ActiveRmtController:
     ) -> List[ProvisioningReport]:
         """Commit a group of plans under one journal, all-or-nothing.
 
-        The one admission commit: :meth:`submit` brings a lone plan
-        computed on the live allocator, the admission service a group's
-        plans computed against a shadow -- N = 1 is simply the smallest
-        group.  A group's plans must have been computed consecutively
-        against one shadow (each feasible one rehearsed before the next
-        was planned), so their basis stamps replay exactly onto the real
-        allocator.  A member without a feasible mutant rejects the whole
-        group before anything is touched (one ``REJECTED`` report per
-        member, the infeasible one carrying the planner's verdict).
-        Every switch-side mutation of the group lands in a single
-        :class:`TableUpdateJournal`: a TCAM rejection or device fault
-        replays it backwards and rolls back every committed member,
-        leaving the switch and allocator byte-identical to the
-        pre-commit state (all reports carry ``ROLLED_BACK``).  A group
-        that lands appends each member to :attr:`commit_log`.  One report
-        per plan, in order; *programs* are the members' compact programs
-        (for the verifier), none by default.
+        :meth:`submit` brings a lone plan computed on the live
+        allocator, the admission service a group's plans computed
+        consecutively against one shadow (each rehearsed before the
+        next was planned), so their basis stamps replay exactly onto
+        the real allocator.  A member without a feasible mutant, or one
+        strict mode refuses, rejects the whole group; a TCAM rejection
+        or device fault while landing leaves switch and allocator
+        byte-identical to before (every report ``ROLLED_BACK``).  One
+        report per plan, in order; *programs* are the members' compact
+        programs (for the verifier), none by default.
 
         Raises:
             StalePlanError: when the group's basis version no longer
@@ -560,20 +359,17 @@ class ActiveRmtController:
         """
         if programs is None:
             programs = [None] * len(plans)
-        # Whether a lone plan or a group failed labels anomalies, the
-        # ``during=`` device-failure count and the stale and rollback reasons --
-        # nothing else.
+        # Labels anomalies, ``during=`` and the stale and rollback reasons.
         scope = "single" if len(plans) == 1 else "batch"
-        # The stale check runs inside the span so a StalePlanError is
-        # recorded as this commit attempt's error before propagating.
+        # Inside the span, so a StalePlanError is recorded as its error.
         with self.tracer.span(
             "controller.commit_plan",
             size=len(plans),
             basis_version=plans[0].basis_version,
         ) as span:
-            # 1. Check basis: nothing is touched for a stale group -- not
-            # even an infeasible plan is reported, since its
-            # infeasibility may itself be an artifact of the stale shadow.
+            # 1. Check the basis.  A stale group touches nothing, not even
+            # to report an infeasible member: its infeasibility may be
+            # the stale shadow's.
             if plans[0].basis_version != self.allocator.version:
                 what = (
                     f"plan for fid {plans[0].fid}"
@@ -584,38 +380,29 @@ class ActiveRmtController:
                     f"{what} computed against version {plans[0].basis_version}, "
                     f"allocator is at {self.allocator.version}"
                 )
-            # A member without a feasible mutant is a planning-time
-            # rejection of the whole group, before any sibling is touched.
+            # 2. Prove: a member without a feasible mutant rejects the
+            # group before any sibling is touched; so does the first
+            # member strict mode refuses.
             culprit = next((plan for plan in plans if not plan.feasible), None)
-
-            # 2. Verify and certify every member of a feasible group
-            # while nothing is mutated (all plans still pending).  Both
-            # are computed in every mode but "off"; only strict mode acts
-            # on them, and then the first refusal fails the whole group.
-            verifications: List[Optional[AnalysisReport]] = []
-            certificates: List[Optional[IsolationCertificate]] = []
+            proofs: List[Proof] = []
             refusal: Optional[Tuple[str, str]] = None
             if culprit is None:
                 for plan, program in zip(plans, programs):
-                    verifications.append(self._verify_admission(plan.pattern, plan, program))
-                    certificates.append(self._certify_admission(plan, program))
-                    refusal = self._strict_refusal(verifications[-1], certificates[-1])
+                    proofs.append(self._prove(plan, program))
+                    refusal = proofs[-1][2]
                     if refusal is not None:
                         break
-
             if culprit is not None:
                 reports = [self._report_infeasible(plan, culprit) for plan in plans]
             elif refusal is not None:
-                reports = self._reject(plans, verifications, certificates, *refusal)
+                reports = self._reject(plans, proofs, *refusal)
             else:
-                # 3. Commit each plan to the allocator and land the
-                # group on the switch under one journal.  Decision counts
-                # wait (record=False) until the switch has taken the
-                # whole group, so a rolled-back admission never pollutes
-                # them.  A rollback leaves every plan the fault reached
-                # ABORTED, the members it pre-empted PENDING.
+                # 3. Land: each plan is committed to the allocator after
+                # the previous member's table writes.  A rollback leaves
+                # every plan the fault reached ABORTED, the ones it
+                # pre-empted PENDING.
                 seconds, fault, reason = self._land(
-                    (self.allocator.commit(plan, record=False) for plan in plans), scope
+                    (self.allocator.commit(plan) for plan in plans), scope
                 )
                 # 4. Report every member alike.
                 status, outcome = ProvisioningStatus.ADMITTED, "admitted"
@@ -627,47 +414,60 @@ class ActiveRmtController:
                     self._report(
                         plan, status, outcome, reason, verification, certificate, took, fault
                     )
-                    for plan, verification, certificate, took in zip(
-                        plans, verifications, certificates, seconds
+                    for plan, (verification, certificate, _), took in zip(
+                        plans, proofs, seconds
                     )
                 ]
             span.set(status=reports[0].status.value)
             return reports
 
-    def _strict_refusal(
-        self,
-        verification: Optional[AnalysisReport],
-        certificate: Optional[IsolationCertificate],
-    ) -> Optional[Tuple[str, str]]:
-        """Who refuses a member in strict mode, and the findings why."""
-        if self.verify is not VerifyMode.STRICT:
-            return None
-        if verification is not None and verification.has_errors:
-            return "verifier", "; ".join(str(f) for f in verification.errors)
-        if certificate is not None and not certificate.valid:
-            return "certifier", "; ".join(
-                str(f) for f in certificate.findings if f.severity is Severity.ERROR
-            )
-        return None
+    def _prove(self, plan: AllocationPlan, program: Optional[ActiveProgram]) -> Proof:
+        """Prove one member while nothing is mutated: the static
+        verifier over the mutant *plan* installs (when the request
+        carried its *program*), then the isolation certificate of the
+        planned layout against every incumbent's post-plan regions.
+        Findings and certificates are counted in every mode but
+        ``off`` (no proofs); only strict mode refuses on them."""
+        if self.verify is VerifyMode.OFF:
+            return None, None, None
+        config = self.device.config
+        verification: Optional[AnalysisReport] = None
+        if program is not None:
+            verification = verify_plan(program, plan.pattern, plan, config=config)
+            self.findings.update((f.rule_id, f.severity.value) for f in verification.findings)
+        certificate = certify_plan(
+            plan,
+            config=config,
+            program=program,
+            pattern=plan.pattern if program is not None else None,
+            incumbents=self._incumbent_regions(plan),
+        )
+        self.certified["valid" if certificate.valid else "invalid"] += 1
+        refusal: Optional[Tuple[str, str]] = None
+        if self.verify is VerifyMode.STRICT:
+            if verification is not None and verification.has_errors:
+                refusal = "verifier", "; ".join(str(f) for f in verification.errors)
+            elif not certificate.valid:
+                refusal = "certifier", "; ".join(
+                    str(f) for f in certificate.findings if f.severity is Severity.ERROR
+                )
+        return verification, certificate, refusal
 
     def _reject(
         self,
         plans: Sequence[AllocationPlan],
-        verifications: Sequence[Optional[AnalysisReport]],
-        certificates: Sequence[Optional[IsolationCertificate]],
+        proofs: Sequence[Proof],
         kind: str,
         findings: str,
     ) -> List[ProvisioningReport]:
         """Strict rejection: fail the group before any member mutated.
-
-        The culprit is the last plan analysed; members after it were
-        never verified or certified.
-        """
-        analysed = len(verifications)
-        culprit = plans[analysed - 1]
+        The culprit is the last member proven; the ones after it never
+        were."""
+        culprit = plans[len(proofs) - 1]
         for plan in plans:
             self.allocator.abort(plan)
         self.verifier_rejections += 1
+        unproven: List[Proof] = [(None, None, None)] * (len(plans) - len(proofs))
         return [
             self._report(
                 plan,
@@ -676,10 +476,10 @@ class ActiveRmtController:
                 f"{kind} rejected: {findings}"
                 if plan is culprit
                 else f"batch aborted: fid {culprit.fid} rejected by {kind}",
-                verifications[index] if index < analysed else None,
-                certificates[index] if index < analysed else None,
+                verification,
+                certificate,
             )
-            for index, plan in enumerate(plans)
+            for plan, (verification, certificate, _) in zip(plans, [*proofs, *unproven])
         ]
 
     def _report(
@@ -720,12 +520,9 @@ class ActiveRmtController:
     def _report_infeasible(
         self, plan: AllocationPlan, culprit: AllocationPlan
     ) -> ProvisioningReport:
-        """Package a planning-time rejection (no feasible mutant).
-
-        *culprit* is the group's first infeasible plan: it carries the
-        planner's verdict and is the one recorded; its siblings (a lone
-        plan has none) are aborted with it and only say why.
-        """
+        """A planning-time rejection: *culprit*, the group's first
+        infeasible plan, carries the planner's verdict and is the one
+        recorded; its siblings are aborted with it and only say why."""
         self.allocator.abort(plan)
         if plan is not culprit:
             return ProvisioningReport.rejected(
@@ -802,54 +599,9 @@ class ActiveRmtController:
         return seconds, None, ""
 
     def _device_died(self, scope: str, fid: int, cause: str, during: str) -> None:
-        """Latch :attr:`device_failed` and say where it was observed."""
         self.device_failed = True
         self.tracer.anomaly("device_failed", scope=scope, fid=fid, cause=cause)
         self.device_failures[during] += 1
-
-    def _verify_admission(
-        self,
-        pattern: AccessPattern,
-        plan: AllocationPlan,
-        program: Optional[ActiveProgram],
-    ) -> Optional[AnalysisReport]:
-        """Run the static verifier on the mutant this plan installs.
-
-        Returns None when verification is off or the request carried no
-        program (wire-digested admissions).  Findings are counted in
-        :attr:`findings` regardless of mode; only strict mode acts on
-        them.
-        """
-        if self.verify is VerifyMode.OFF or program is None:
-            return None
-        report = verify_plan(program, pattern, plan, config=self.device.config)
-        self.findings.update((f.rule_id, f.severity.value) for f in report.findings)
-        return report
-
-    def _certify_admission(
-        self,
-        plan: AllocationPlan,
-        program: Optional[ActiveProgram],
-    ) -> Optional[IsolationCertificate]:
-        """Certify the planned layout while nothing is mutated.
-
-        Joins the plan's regions with the post-plan regions of every
-        incumbent (reallocations applied) and, when the request carried
-        a program, the interval analysis of the padded mutant.  Returns
-        None when verification is off -- the certifier follows the same
-        policy knob as the verifier.
-        """
-        if self.verify is VerifyMode.OFF:
-            return None
-        certificate = certify_plan(
-            plan,
-            config=self.device.config,
-            program=program,
-            pattern=plan.pattern if program is not None else None,
-            incumbents=self._incumbent_regions(plan),
-        )
-        self.certified["valid" if certificate.valid else "invalid"] += 1
-        return certificate
 
     def _incumbent_regions(
         self, plan: AllocationPlan
@@ -880,13 +632,9 @@ class ActiveRmtController:
     # ------------------------------------------------------------------
 
     def audit(self) -> AnalysisReport:
-        """Audit the committed state against the invariant catalog.
-
-        Checks pool exclusivity and accounting, grant/translation
-        enforcement, orphaned entries, and TCAM occupancy against the
-        live allocator and device tables.  Violations are counted in
-        :attr:`violations` by rule; callers decide policy.
-        """
+        """Audit the committed state against the invariant catalog;
+        violations are counted in :attr:`violations` by rule, callers
+        decide policy."""
         report = audit_state(self.allocator, self.device)
         self.violations.update(finding.rule_id for finding in report.errors)
         return report
@@ -916,18 +664,6 @@ class ActiveRmtController:
                 scope="sanitizer",
                 rules=",".join(sorted({f.rule_id for f in report.errors})),
             )
-
-    def report_dry_run(self, plan: AllocationPlan) -> ProvisioningReport:
-        """Package a what-if probe: the plan is the entire result."""
-        self.allocator.abort(plan)
-        self.whatif_probes["yes" if plan.feasible else "no"] += 1
-        return ProvisioningReport(
-            fid=plan.fid,
-            status=ProvisioningStatus.DRY_RUN,
-            reason=plan.reason,
-            compute_seconds=plan.total_seconds,
-            plan=plan,
-        )
 
     def _apply_layout(
         self,
@@ -990,10 +726,7 @@ class ActiveRmtController:
                 for old, _new in plan.reallocations[other].values()
                 if old is not None
             )
-            seconds += (
-                self.snapshot_cost.per_app_handshake_seconds
-                + paged_blocks * self.snapshot_cost.per_block_seconds
-            )
+            seconds += SNAPSHOT_HANDSHAKE_S + paged_blocks * SNAPSHOT_BLOCK_S
         return seconds
 
     def _do_withdraw(self, fid: int) -> ProvisioningReport:
@@ -1021,100 +754,16 @@ class ActiveRmtController:
             span.set(seconds=report.table_update_seconds, status=report.status.value)
             return report
 
-    # ------------------------------------------------------------------
-    # Packet-driven API
-    # ------------------------------------------------------------------
-
     def process_pending(self) -> List[ActivePacket]:
-        """Drain switch digests, serving each and sending its replies."""
+        """Drain switch digests, serving each (:func:`wire.serve_digest`)
+        and sending its replies at once."""
         replies: List[ActivePacket] = []
         for digest in self.device.poll_digests():
-            report = self.serve_digest(digest)
+            report = wire.serve_digest(self, digest)
             if report is not None:
-                for reply in self.allocation_replies(report, digest):
+                for reply in wire.allocation_replies(self, report, digest):
                     self.device.inject(reply)
                     replies.append(reply)
-        return replies
-
-    def serve_digest(
-        self,
-        packet: ActivePacket,
-        submit: Optional[Callable[[ProvisioningRequest], ProvisioningReport]] = None,
-        patterns: Optional[Mapping[int, AccessPattern]] = None,
-    ) -> Optional[ProvisioningReport]:
-        """Serve the switch-CPU side of one digest: the one decoder.
-
-        An ``ALLOC_REQUEST`` registers its client and is one admission
-        through *submit* (default :meth:`submit`) of the wire pattern,
-        or of the fid's override in *patterns*; its report is returned.
-        ``DEALLOCATE`` withdraws through :func:`withdraw_with_retries`;
-        any other control digest (``SNAPSHOT_COMPLETE``) is only counted.
-        Both return None.  Nothing is sent: the caller sends
-        :meth:`allocation_replies` when its own clock says so.
-        """
-        submit = submit or self.submit
-        fid = packet.fid
-        report: Optional[ProvisioningReport] = None
-        if packet.ptype == PacketType.ALLOC_REQUEST:
-            if packet.request is None:
-                raise ControllerError("allocation request without header")
-            pattern = (patterns or {}).get(fid) or AccessPattern.from_request(
-                packet.request, name=f"fid{fid}"
-            )
-            self.register_client(fid, packet.eth.src)
-            report = submit(ProvisioningRequest.admission(fid, pattern))
-        elif packet.ptype != PacketType.CONTROL:
-            raise ControllerError(f"unexpected digest type {packet.ptype:#x}")
-        elif packet.has_flag(ControlFlags.DEALLOCATE):
-            withdraw_with_retries(submit, fid, self.refused_withdrawals)
-        self.digests["control" if report is None else "alloc_request"] += 1
-        return report
-
-    def allocation_replies(
-        self, report: ProvisioningReport, request: ActivePacket
-    ) -> List[ActivePacket]:
-        """The packets that answer allocation *request*, given its *report*.
-
-        The one definition of the allocation-response protocol.  An
-        admission sends every displaced incumbent whose client MAC is
-        known its updated regions, flagged ``REALLOC_NOTICE`` so the
-        shim relinks and repopulates, then the requester its
-        ``ALLOC_RESPONSE``; anything else sends one ``ALLOC_FAILED``.
-        Regions are read from the allocator when this is called, so
-        whoever delays the replies (the simulated-time provisioner)
-        calls it at send time.
-        """
-        if not report.success:
-            return [
-                ActivePacket.alloc_response(
-                    src=self.mac,
-                    dst=request.eth.src,
-                    fid=request.fid,
-                    response=AllocationResponseHeader.empty(),
-                    flags=ControlFlags.ALLOC_FAILED,
-                    seq=request.initial.seq,
-                )
-            ]
-        replies = [
-            ActivePacket.alloc_response(
-                src=self.mac,
-                dst=self._client_macs[other],
-                fid=other,
-                response=self.allocator.response_for(other),
-                flags=ControlFlags.REALLOC_NOTICE,
-            )
-            for other in report.reallocated_fids
-            if other in self._client_macs
-        ]
-        replies.append(
-            ActivePacket.alloc_response(
-                src=self.mac,
-                dst=request.eth.src,
-                fid=request.fid,
-                response=self.allocator.response_for(request.fid),
-                seq=request.initial.seq,
-            )
-        )
         return replies
 
 
@@ -1141,30 +790,3 @@ def replay_commit_log(
             controller.withdraw(fid=fid)
         else:
             raise ValueError(f"unknown commit-log entry kind {kind!r}")
-
-
-def withdraw_with_retries(
-    submit: Callable[[ProvisioningRequest], ProvisioningReport],
-    fid: int,
-    refused: List[int],
-) -> List[int]:
-    """Withdraw *fid* through *submit*, after re-sending the withdrawals
-    in *refused*; returns the fids that left.
-
-    A withdrawal the switch refuses (``ROLLED_BACK``: a grown
-    neighbour's range did not fit the TCAM, or the device faulted)
-    leaves its fid resident, and nobody asks for it again.  So whoever
-    drives departures -- :meth:`ActiveRmtController.serve_digest`, an
-    experiment harness -- keeps one *refused* list, updated in place,
-    and sends those again at each later departure (not a ``REJECTED``
-    one: its fid is not resident).
-    """
-    leaving, refused[:] = [*refused, fid], []
-    left: List[int] = []
-    for candidate in leaving:
-        report = submit(ProvisioningRequest.withdrawal(candidate))
-        if report.success:
-            left.append(candidate)
-        elif report.rolled_back:
-            refused.append(candidate)
-    return left

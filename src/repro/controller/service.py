@@ -28,8 +28,8 @@ import dataclasses
 import time
 from typing import Any, Dict, List, Sequence
 
-from repro.controller.controller import (
-    ActiveRmtController,
+from repro.controller.controller import ActiveRmtController
+from repro.controller.requests import (
     CommitLogEntry,
     ProvisioningReport,
     ProvisioningRequest,

@@ -18,7 +18,6 @@ a capacity limit.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
@@ -38,22 +37,17 @@ Move = Tuple[int, Mapping[int, BlockRange], Mapping[int, BlockRange]]
 Op = Tuple[Callable[..., Any], Tuple[Any, ...], int]
 OTHER, INSTALLED, REMOVED = 0, 1, 2
 
-
-@dataclasses.dataclass(frozen=True)
-class TableUpdateCost:
-    """Latency charged per control-plane table operation.
-
-    The defaults were sized when a reallocation wave removed and
-    re-installed every entry of every displaced tenant (a few hundred
-    writes, the paper's ~1 s plateau on a Tofino's 4-core control CPU).
-    Delta updates write a fraction of those entries at the same price
-    per write, so modeled provisioning now reads lower than the paper's;
-    the constants are deliberately not retuned to hide that.
-    """
-
-    install_entry_seconds: float = 2.5e-3
-    remove_entry_seconds: float = 2.5e-3
-    activation_seconds: float = 1.0e-3  # (de)activating a FID
+#: Modeled seconds per control-plane table operation: an entry
+#: installed, an entry removed, a FID (de)activated.  Sized when a
+#: reallocation wave removed and re-installed every entry of every
+#: displaced tenant (a few hundred writes, the paper's ~1 s plateau on a
+#: Tofino's 4-core control CPU).  Delta updates write a fraction of
+#: those entries at the same price per write, so modeled provisioning
+#: now reads lower than the paper's; the constants are deliberately not
+#: retuned to hide that.
+INSTALL_ENTRY_S = 2.5e-3
+REMOVE_ENTRY_S = 2.5e-3
+ACTIVATION_S = 1.0e-3
 
 
 def _translation_op(tables: Any, stage: int, fid: int, pair: Any) -> Op:
@@ -140,10 +134,8 @@ class _LayoutBatch:
     their group, not in it: a read is a bound method of its group, and
     the cycle would leave a register snapshot for the collector."""
 
-    def __init__(self, tables: Any, cost: TableUpdateCost) -> None:
+    def __init__(self, tables: Any) -> None:
         self.tables, self.block_words = tables, tables.config.block_words
-        self.install_s, self.remove_s = cost.install_entry_seconds, cost.remove_entry_seconds
-        self.activation_s = cost.activation_seconds
         # Bound once per change, not once per write.
         self.flush = tables.invalidate_program_cache
         self.install_translation = tables.install_translation
@@ -167,7 +159,7 @@ class _LayoutBatch:
             self.calls.append([read] + [(flip, (fid,), OTHER) for fid in fids])
             self.writes += len(fids)
         for _ in fids:
-            seconds += self.activation_s
+            seconds += ACTIVATION_S
         return seconds
 
     def scrub(self, stage: int, block_range: BlockRange) -> None:
@@ -188,7 +180,6 @@ class _LayoutBatch:
         beside its undo entry; the undo's makers are :func:`_translation_op`
         and :func:`_grant_op`, which build the same calls."""
         tables, words = self.tables, self.block_words
-        install_s, remove_s = self.install_s, self.remove_s
         # Word maps by loop: before Python 3.12 a comprehension is a call.
         old_words: Dict[int, Tuple[int, int]] = {}
         for stage, r in old.items():
@@ -210,22 +201,22 @@ class _LayoutBatch:
             if before != after:
                 if after is None:
                     ops.append((self.remove_translation, (stage, fid), REMOVED))
-                    seconds += remove_s
+                    seconds += REMOVE_ENTRY_S
                 else:
                     ops.append((self.install_translation, (stage, fid, *after), INSTALLED))
-                    seconds += install_s
+                    seconds += INSTALL_ENTRY_S
                 writes.append((_translation_op, stage, before))
         for stage in sorted(old_grants.keys() | new_grants.keys()):
             before, after = old_grants.get(stage), new_grants.get(stage)
             if before != after:
                 if after is None:
                     ops.append((self.remove_grant, (stage, fid), REMOVED))
-                    seconds += remove_s
+                    seconds += REMOVE_ENTRY_S
                 else:
                     start, end, mask = after
                     grant = StageGrant(fid, start, end, mask, start)
                     ops.append((self.install_grant, (stage, grant), INSTALLED))
-                    seconds += install_s
+                    seconds += INSTALL_ENTRY_S
                 writes.append((_grant_op, stage, before))
         if writes:
             self.groups.append(_Delta(tables, fid, writes))
@@ -252,13 +243,11 @@ class TableUpdateEngine:
     def __init__(
         self,
         tables: Device,
-        cost: Optional[TableUpdateCost] = None,
         telemetry: Optional[MetricsRegistry] = None,
         tracer: Optional[AnyTracer] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.tables = tables
-        self.cost = cost or TableUpdateCost()
         self.tracer = resolve_tracer(tracer)
         self.retry = retry
         self._retry_rng = random.Random(0)
@@ -332,7 +321,7 @@ class TableUpdateEngine:
         implies (what the forward pass trusts the device to hold, so
         none is read) is idempotent either way.
         """
-        batch = _LayoutBatch(self.tables, self.cost)
+        batch = _LayoutBatch(self.tables)
         displaced = [other for other, _before, _after in moves]
         seconds = batch.flips(displaced, False, 0.0)
         if old:

@@ -247,11 +247,7 @@ class ActiveRmtAllocator:
             layouts=after,
         )
 
-    def commit(
-        self,
-        plan: AllocationPlan,
-        record: bool = True,
-    ) -> CommitResult:
+    def commit(self, plan: AllocationPlan) -> CommitResult:
         """Apply a feasible plan to the real pools.
 
         Validates the plan first: it must be PENDING, feasible, and
@@ -260,38 +256,26 @@ class ActiveRmtAllocator:
         is the decision: its ``assign_seconds`` grows by the apply time,
         so ``total_seconds`` is search + assign + apply.  Returns a
         :class:`CommitResult` whose checkpoint allows an exact undo via
-        :meth:`rollback`.
+        :meth:`rollback`.  Counts nothing: the caller calls
+        :meth:`record_decision` once the switch has taken the admission
+        too, so a rolled-back one never pollutes the decision counts.
 
         The apply is recorded as an ``allocator.commit`` span; a
         stale-plan rejection records the span with an ``error``
         attribute before raising.
-
-        Args:
-            plan: the plan to apply.
-            record: count the decision now.  Two-phase callers (the
-                controller) pass False and call :meth:`record_decision`
-                only once the switch-side updates have also succeeded,
-                so rolled-back admissions never pollute the decision
-                counts.
         """
         with self.tracer.span(
             "allocator.commit", fid=plan.fid,
             basis_version=plan.basis_version,
         ) as span:
-            result = self._commit_impl(plan, record)
+            self._validate(plan, "commit")
+            apply_start = time.perf_counter()
+            checkpoint = self._checkpoint(plan.fid, plan.demand_by_stage)
+            self._apply_plan(plan)
+            plan.state = PlanState.COMMITTED
+            plan.assign_seconds += time.perf_counter() - apply_start
             span.set(version=self._version)
-            return result
-
-    def _commit_impl(self, plan: AllocationPlan, record: bool) -> CommitResult:
-        self._validate(plan, "commit")
-        apply_start = time.perf_counter()
-        checkpoint = self._checkpoint(plan.fid, plan.demand_by_stage)
-        self._apply_plan(plan)
-        plan.state = PlanState.COMMITTED
-        plan.assign_seconds += time.perf_counter() - apply_start
-        if record:
-            self.record_decision(plan)
-        return CommitResult(plan.fid, {}, plan.regions, plan.reallocations, checkpoint, plan)
+            return CommitResult(plan.fid, {}, plan.regions, plan.reallocations, checkpoint, plan)
 
     def _validate(self, plan: AllocationPlan, verb: str) -> None:
         """Refuse a spent, infeasible or stale *plan* before anything --
@@ -427,11 +411,11 @@ class ActiveRmtAllocator:
         plan either way -- committed, or carrying the planner's verdict.
         """
         plan = self.plan(fid, pattern)
-        if not plan.feasible:
+        if plan.feasible:
+            self.commit(plan)
+        else:
             self.abort(plan)
-            self.record_decision(plan)
-            return plan
-        self.commit(plan)
+        self.record_decision(plan)
         return plan
 
     def release(self, fid: int) -> CommitResult:

@@ -22,7 +22,8 @@ import dataclasses
 from typing import List, Optional, Sequence
 
 from repro.apps.base import EXEMPLAR_APPS
-from repro.controller.controller import ProvisioningRequest, replay_commit_log
+from repro.controller.controller import replay_commit_log
+from repro.controller.requests import ProvisioningRequest
 from repro.controller.service import AdmissionService, pools_fingerprint
 from repro.experiments.common import (
     ChurnDriver,

@@ -14,8 +14,8 @@ from typing import Optional, Sequence, Set, Tuple
 from repro.analysis.findings import AnalysisReport
 from repro.analysis.isolation import IsolationCertificate
 from repro.apps.base import EXEMPLAR_APPS
-from repro.controller.controller import (
-    ActiveRmtController,
+from repro.controller.controller import ActiveRmtController
+from repro.controller.requests import (
     ProvisioningReport,
     ProvisioningRequest,
     ProvisioningStatus,

@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.controller.controller import ProvisioningReport
+from repro.controller.requests import ProvisioningReport
 from repro.controller.service import AdmissionService, pools_fingerprint
 from repro.experiments.common import (
     ChurnDriver,

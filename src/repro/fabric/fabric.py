@@ -33,17 +33,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.findings import AnalysisReport
 from repro.analysis.isolation import IsolationCertificate
-from repro.controller.controller import (
-    ActiveRmtController,
+from repro.controller.controller import ActiveRmtController, replay_commit_log
+from repro.controller.requests import (
     CommitLogEntry,
     ProvisioningReport,
     ProvisioningRequest,
     RequestKind,
-    replay_commit_log,
 )
 from repro.controller.service import AdmissionService, pools_fingerprint
-from repro.core.constraints import AccessPattern, AllocationPolicy, MOST_CONSTRAINED
-from repro.core.schemes import AllocationScheme
+from repro.core.constraints import AccessPattern
 from repro.device import Device, SimDevice
 from repro.faults import RetryPolicy
 from repro.switchsim.config import SwitchConfig
@@ -138,8 +136,9 @@ class Fabric:
         telemetry: metrics registry that reads the fabric-level,
             device-labeled series (:meth:`metrics`); defaults to the
             process default.
-        tracer: span tracer threaded to nothing fabric-side yet; held
-            so :meth:`build` can hand one tracer to every shard.
+        tracer: span tracer the fabric records ``shard_failed``
+            anomalies on (:meth:`failover`); :meth:`build` hands the
+            same one to every shard.
     """
 
     def __init__(
@@ -185,8 +184,6 @@ class Fabric:
         config: Optional[SwitchConfig] = None,
         seed: int = 0,
         workers: int = 0,
-        scheme: AllocationScheme = AllocationScheme.WORST_FIT,
-        policy: AllocationPolicy = MOST_CONSTRAINED,
         telemetry: Optional[MetricsRegistry] = None,
         tracer: Optional[AnyTracer] = None,
         sanitizer: bool = False,
@@ -218,8 +215,6 @@ class Fabric:
                 )
             controller = ActiveRmtController(
                 device,
-                scheme=scheme,
-                policy=policy,
                 telemetry=registry,
                 tracer=tracer,
                 sanitizer=sanitizer,

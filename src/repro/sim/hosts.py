@@ -29,6 +29,9 @@ from repro.sim.kvstore import (
 from repro.sim.network import Host
 from repro.workloads.zipf import ZipfKeyGenerator
 
+#: Simulated seconds the object server takes to answer one GET.
+SERVICE_DELAY_S = 20e-6
+
 
 class KVServerHost(Host):
     """The backend object server; answers GETs after a service delay."""
@@ -38,12 +41,10 @@ class KVServerHost(Host):
         mac: MacAddress,
         store: Optional[KVStore] = None,
         loop: Optional[EventLoop] = None,
-        service_delay_s: float = 20e-6,
     ) -> None:
         super().__init__(mac)
         self.store = store or KVStore()
         self.loop = loop
-        self.service_delay_s = service_delay_s
 
     def on_packet(self, packet: ActivePacket) -> None:
         self.rx_packets += 1
@@ -60,7 +61,7 @@ class KVServerHost(Host):
             payload=encode_value(key, value),
         )
         if self.loop is not None:
-            self.loop.schedule(self.service_delay_s, self.send, reply)
+            self.loop.schedule(SERVICE_DELAY_S, self.send, reply)
         else:
             self.send(reply)
 

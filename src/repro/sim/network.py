@@ -14,6 +14,9 @@ from repro.packets.ethernet import MacAddress
 from repro.sim.eventloop import EventLoop
 from repro.switchsim.switch import ActiveSwitch
 
+#: One-way access-link latency, in simulated seconds.
+LINK_DELAY_S = 2e-6
+
 
 class Host:
     """Base class for simulated end hosts."""
@@ -43,18 +46,11 @@ class SimNetwork:
         loop: the discrete-event loop driving the simulation.
         switch: the switch at the hub; the network drives its data
             path (``register_host``/``receive``) directly.
-        link_delay_s: one-way access-link latency.
     """
 
-    def __init__(
-        self,
-        loop: EventLoop,
-        switch: ActiveSwitch,
-        link_delay_s: float = 2e-6,
-    ) -> None:
+    def __init__(self, loop: EventLoop, switch: ActiveSwitch) -> None:
         self.loop = loop
         self.switch = switch
-        self.link_delay_s = link_delay_s
         self._hosts_by_port: Dict[int, Host] = {}
         #: Port by ``MacAddress.value``: an int hashes without Python code.
         self._ports_by_mac: Dict[int, int] = {}
@@ -74,7 +70,7 @@ class SimNetwork:
     def transmit(self, host: Host, packet: ActivePacket) -> None:
         """Host -> switch, then switch outputs -> destination hosts."""
         self.loop.schedule(
-            self.link_delay_s, self._arrive, packet, self._ports_by_mac[host.mac.value]
+            LINK_DELAY_S, self._arrive, packet, self._ports_by_mac[host.mac.value]
         )
 
     def _arrive(self, packet: ActivePacket, in_port: int) -> None:
@@ -94,5 +90,5 @@ class SimNetwork:
         host = self._hosts_by_port.get(port)
         if host is not None:
             self.loop.schedule(
-                switch_latency_s + self.link_delay_s, host.on_packet, packet
+                switch_latency_s + LINK_DELAY_S, host.on_packet, packet
             )

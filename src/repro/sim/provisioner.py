@@ -14,10 +14,10 @@ reflect each phase:
 5. everyone is reactivated; updated responses reach the incumbents and
    the allocation response reaches the requester.
 
-What a digest asks for is decided by the controller's one decoder,
-:meth:`ActiveRmtController.serve_digest`; this module owns only the
-clock: when the deactivation window opens and closes and when the
-replies leave.  Every delay it schedules is modeled (the planning
+What a digest asks for, and what answers it, is the wire protocol's
+(:mod:`repro.controller.wire`); this module owns only the clock: when
+the deactivation window opens and closes and when the replies leave.
+Every delay it schedules is modeled (the planning
 constant plus the report's modeled snapshot and table-update seconds),
 never the planner's measured host time, so a simulation is a function
 of its seed.  A refused admission is answered ``ALLOC_FAILED``; only
@@ -28,8 +28,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.controller.controller import (
-    ActiveRmtController,
+from repro.controller import wire
+from repro.controller.controller import ActiveRmtController
+from repro.controller.requests import (
     ControllerError,
     ProvisioningReport,
     ProvisioningRequest,
@@ -78,8 +79,8 @@ class SimProvisioner:
         controller = self.controller
         for digest in controller.device.poll_digests():
             try:
-                report = controller.serve_digest(
-                    digest, self._submit, self.pattern_overrides
+                report = wire.serve_digest(
+                    controller, digest, self._submit, self.pattern_overrides
                 )
             except ControllerError:
                 # A malformed digest: nobody waits for an answer.
@@ -102,7 +103,7 @@ class SimProvisioner:
             }
         )
         if not report.success:
-            (failure,) = self.controller.allocation_replies(report, request)
+            (failure,) = wire.allocation_replies(self.controller, report, request)
             self.loop.schedule(PLANNING_S, self.network.inject, failure)
             return
 
@@ -126,5 +127,5 @@ class SimProvisioner:
         device.reactivate_fid(request.fid)
         # Built now, not at admission: the regions an incumbent is
         # told are the ones it holds when the notice leaves.
-        for reply in self.controller.allocation_replies(report, request):
+        for reply in wire.allocation_replies(self.controller, report, request):
             self.network.inject(reply)

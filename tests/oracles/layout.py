@@ -18,6 +18,7 @@ from typing import Dict, Mapping, Tuple
 
 from repro.analysis.verifier import TRANSLATION_WINDOW as DEFAULT_TRANSLATION_WINDOW
 from repro.controller import ActiveRmtController
+from repro.controller.table_updater import ACTIVATION_S, INSTALL_ENTRY_S, REMOVE_ENTRY_S
 from repro.core.blocks import BlockRange
 from repro.faults import call_with_retries
 from repro.switchsim.tables import StageGrant
@@ -182,10 +183,10 @@ def _apply_delta(engine, fid, old_regions, new_regions, block_words, journal):
             _guarded(engine, lambda: put(tables, stage, fid, entry))
             if entry is None:
                 removed += 1
-                seconds += engine.cost.remove_entry_seconds
+                seconds += REMOVE_ENTRY_S
             else:
                 installed += 1
-                seconds += engine.cost.install_entry_seconds
+                seconds += INSTALL_ENTRY_S
     finally:
         engine.entries_installed += installed
         engine.entries_removed += removed
@@ -202,7 +203,7 @@ def _set_active(engine, fids, active, journal, seconds=0.0):
         journal.record("activation", lambda: [unflip(f) for f in fids if f not in held])
     for fid in fids:
         _guarded(engine, lambda: flip(fid))
-        seconds += engine.cost.activation_seconds
+        seconds += ACTIVATION_S
     return seconds
 
 

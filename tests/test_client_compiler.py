@@ -7,7 +7,7 @@ import pytest
 
 from repro.apps import EXEMPLAR_APPS
 from repro.client import ActiveCompiler, CompilationError, compile_mutant
-from repro.client.compiler import _granted_mutant
+from repro.client.compiler import SYNTHESIS_POLICY, _granted_mutant
 from repro.core import ActiveRmtAllocator, MOST_CONSTRAINED, enumerate_mutants
 from repro.core.mutants import insertions_for, mutant_table
 from repro.isa import assemble
@@ -169,7 +169,7 @@ def test_memoized_choice_equals_the_plain_search(compiler, app):
     spec = EXEMPLAR_APPS[app]
     pattern, program = spec.pattern(), spec.program()
     everything = list(
-        enumerate_mutants(pattern, compiler.synthesis_policy, compiler.config)
+        enumerate_mutants(pattern, SYNTHESIS_POLICY, compiler.config)
     )
     rows = mutant_table({}, pattern, MOST_CONSTRAINED, compiler.config)
     assert rows

@@ -11,9 +11,9 @@ from repro.controller import (
     ProvisioningReport,
     ProvisioningStatus,
     TableUpdateEngine,
-    TableUpdateCost,
     withdraw_with_retries,
 )
+from repro.controller.table_updater import INSTALL_ENTRY_S
 from repro.core import BlockRange
 from repro.device import SimDevice
 from repro.packets import (
@@ -237,12 +237,10 @@ def test_withdraw_with_retries_resends_only_what_the_switch_refused():
 
 def test_table_update_engine_costs():
     switch = ActiveSwitch(SwitchConfig())
-    engine = TableUpdateEngine(
-        SimDevice(switch), TableUpdateCost(install_entry_seconds=0.01)
-    )
+    engine = TableUpdateEngine(SimDevice(switch))
     seconds = engine.install_app(fid=1, regions={5: BlockRange(0, 4)})
     # 1 grant + 3 translation entries in the window = 4 entries.
-    assert seconds == pytest.approx(0.04)
+    assert seconds == pytest.approx(4 * INSTALL_ENTRY_S)
     assert engine.entries_installed == 4
 
 

@@ -2,7 +2,7 @@
 
 ``ActiveRmtController.submit`` is the single entry point; ``admit``
 and ``withdraw`` are thin wrappers that must behave exactly as before,
-and ``serve_digest`` decodes a digest into one of their requests.
+and ``wire.serve_digest`` decodes a digest into one of their requests.
 The blessed API re-exports from ``repro`` are pinned here too.
 """
 
@@ -17,6 +17,7 @@ from repro.controller import (
     RequestKind,
 )
 from repro.controller.service import pools_fingerprint
+from repro.controller.wire import allocation_replies, serve_digest
 from repro.fabric import Fabric
 from repro.packets import ActivePacket, ControlFlags, MacAddress, PacketType
 from repro.switchsim import ActiveSwitch
@@ -90,11 +91,11 @@ def test_serve_digest_reports_the_admission(controller, switch):
     )
     switch.receive(request, in_port=1)
     digest = switch.poll_digests()[0]
-    report = controller.serve_digest(digest)
+    report = serve_digest(controller, digest)
     assert report.success
     assert report.fid == 7
     assert controller.commit_log == [("admit", 7)]  # an admission like any other
-    replies = controller.allocation_replies(report, digest)
+    replies = allocation_replies(controller, report, digest)
     assert len(replies) == 1
     assert replies[0].ptype == PacketType.ALLOC_RESPONSE
 

@@ -267,3 +267,32 @@ def test_controller_package_does_not_import_the_simulator():
             assert f"import {module_name}" not in text, (
                 f"{name} imports {module_name} directly"
             )
+
+
+def test_controller_module_leaves_the_wire_format_to_wire_py():
+    """The Section 4.3 wire protocol lives in ``repro.controller.wire``:
+    ``repro.controller.controller`` imports neither the packet headers
+    nor the codec (nor the package that re-exports them) at runtime.  An
+    import under ``if TYPE_CHECKING:`` is an annotation, not a runtime
+    import."""
+    import repro.controller.controller as module
+
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    typing_only = {
+        id(node)
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If) and getattr(block.test, "id", None) == "TYPE_CHECKING"
+        for node in ast.walk(block)
+    }
+    imported = set()
+    for node in ast.walk(tree):
+        if id(node) in typing_only:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert "repro.controller.wire" in imported
+    wire_format = {"repro.packets", "repro.packets.headers", "repro.packets.codec"}
+    assert not imported & wire_format, sorted(imported & wire_format)

@@ -1,7 +1,7 @@
 """The Section 4.3 wire protocol: one decoder for both clocks.
 
 A digested ``ALLOC_REQUEST`` is an admission and a ``DEALLOCATE``
-control digest is a withdrawal.  ``ActiveRmtController.serve_digest``
+control digest is a withdrawal.  ``repro.controller.wire.serve_digest``
 decodes both; the instant path (``process_pending``) and the
 simulated-time path (``SimProvisioner``) differ only in when they send
 the replies.  These tests pin what that buys: wire tenants reach the
@@ -18,6 +18,7 @@ from repro.controller import (
     replay_commit_log,
 )
 from repro.controller.service import pools_fingerprint
+from repro.controller.wire import allocation_replies, serve_digest
 from repro.core import AllocationScheme, AccessPattern
 from repro.packets import ActivePacket, ControlFlags, MacAddress, PacketType
 from repro.sim import EventLoop, SimProvisioner
@@ -59,7 +60,7 @@ def test_wire_tenants_land_in_the_commit_log():
     switch.receive(_request(controller, 8, listing1_pattern()), in_port=1)
     switch.receive(_control(controller, 7, ControlFlags.DEALLOCATE), in_port=1)
     for digest in switch.poll_digests():
-        controller.serve_digest(digest, service.submit_and_wait)
+        serve_digest(controller, digest, service.submit_and_wait)
 
     assert service.commit_log == [("admit", 7), ("admit", 8), ("withdraw", 7)]
     replayed = ActiveRmtController(ActiveSwitch())
@@ -78,7 +79,7 @@ def test_refused_wire_admission_reports_rejected():
     while True:
         switch.receive(_request(controller, fid, hh_pattern()), in_port=1)
         (digest,) = switch.poll_digests()
-        report = controller.serve_digest(digest)
+        report = serve_digest(controller, digest)
         if not report.success:
             break
         assert report.status is ProvisioningStatus.ADMITTED
@@ -87,7 +88,7 @@ def test_refused_wire_admission_reports_rejected():
     assert fid == 16
     assert report.status is ProvisioningStatus.REJECTED
     assert fid not in controller.allocator.resident_fids()
-    (reply,) = controller.allocation_replies(report, digest)
+    (reply,) = allocation_replies(controller, report, digest)
     assert reply.has_flag(ControlFlags.ALLOC_FAILED)
 
 

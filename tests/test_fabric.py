@@ -31,8 +31,6 @@ from repro.controller import (
     AdmissionService,
     ProvisioningRequest,
     ProvisioningStatus,
-    SnapshotCost,
-    TableUpdateCost,
 )
 from repro.controller.service import pools_fingerprint
 from repro.device import SimDevice
@@ -230,15 +228,12 @@ def test_settings_cover_every_constructor_keyword():
 
 def test_failover_replace_keeps_the_failed_shards_settings():
     """Regression: the replacement column used to be rebuilt from a
-    hand-copied knob list that dropped verify / table_cost /
-    snapshot_cost (controller) -- a strict shard came back from a
-    failover in warn mode."""
+    hand-copied knob list that dropped the controller's verify mode --
+    a strict shard came back from a failover in warn mode."""
     config = SwitchConfig(num_stages=8, ingress_stages=4, max_recirculations=0)
     controller = ActiveRmtController(
         SimDevice(ActiveSwitch(config), device_id="sw0"),
         verify="strict",
-        table_cost=TableUpdateCost(install_entry_seconds=1.0),
-        snapshot_cost=SnapshotCost(per_block_seconds=2.0),
     )
     service = AdmissionService(controller)
     fabric = Fabric([Shard(0, controller, service)])
@@ -256,8 +251,6 @@ def test_failover_replace_keeps_the_failed_shards_settings():
     shard = fabric.shards[0]
     assert shard.controller is not controller and shard.service is not service
     assert shard.controller.verify is VerifyMode.STRICT
-    assert shard.controller.updater.cost.install_entry_seconds == 1.0
-    assert shard.controller.snapshot_cost.per_block_seconds == 2.0
     assert shard.controller.settings() == controller.settings()
 
     # Strict before, strict after: the rigged mutant (ADDR_OFFSET twice

@@ -537,7 +537,7 @@ def test_sanitizer_off_records_nothing():
 
 def test_fabric_audit_and_certificates():
     from repro.fabric import Fabric
-    from repro.controller.controller import ProvisioningRequest
+    from repro.controller import ProvisioningRequest
 
     fabric = Fabric.build(2, sanitizer=True)
     program = assemble(COUNTER, name="counter")

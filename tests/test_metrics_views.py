@@ -16,6 +16,7 @@ from collections import Counter
 import repro
 from repro import telemetry
 from repro.controller import ActiveRmtController, AdmissionService, ProvisioningRequest
+from repro.controller.wire import serve_digest
 from repro.device import SimDevice
 from repro.experiments import chaos, fabric as fabric_experiment
 from repro.fabric import Fabric
@@ -250,11 +251,11 @@ def test_control_plane_series_are_pinned():
     request = ActivePacket.alloc_request(
         src=CLIENT, dst=controller.mac, fid=2, request=pattern.to_request()
     )
-    assert controller.serve_digest(request, service.submit).success
+    assert serve_digest(controller, request, service.submit).success
     deallocate = ActivePacket.control(
         src=CLIENT, dst=controller.mac, fid=2, flags=ControlFlags.DEALLOCATE
     )
-    assert controller.serve_digest(deallocate, service.submit) is None
+    assert serve_digest(controller, deallocate, service.submit) is None
 
     (stage, _range), *_ = [
         (s, r) for s, r in controller.allocator.regions_for(1).items() if r and r.count

@@ -19,7 +19,7 @@ from repro.controller import (
     ProvisioningRequest,
     withdraw_with_retries,
 )
-from repro.controller.table_updater import TableUpdateEngine
+from repro.controller.table_updater import INSTALL_ENTRY_S, TableUpdateEngine
 from repro.core.blocks import BlockRange
 from repro.core.transactions import TableUpdateJournal
 from repro.device import SimDevice, TransientDeviceError
@@ -221,7 +221,7 @@ def test_delta_leaves_an_unchanged_neighbouring_window_alone():
         "install_translation": 2,
         "install_grant": 1,
     }
-    assert seconds == pytest.approx(3 * engine.cost.install_entry_seconds)
+    assert seconds == pytest.approx(3 * INSTALL_ENTRY_S)
     assert engine.tables.read_tables().translations[4][1] == (4 * BLOCK_WORDS - 1, 0)
 
 

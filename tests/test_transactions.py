@@ -374,7 +374,7 @@ def test_aborted_commit_property_explicit_plan():
     before = full_fingerprint(controller)
     allocator = controller.allocator
     plan = allocator.plan(123, listing1_pattern())
-    result = allocator.commit(plan, record=False)
+    result = allocator.commit(plan)
     allocator.rollback(result)
     assert full_fingerprint(controller) == before
 
